@@ -61,7 +61,6 @@ from .internalcat import (
     nat_to_adjustment,
 )
 from .naturalmodel import (
-    LiftedEndofunctor,
     PolynomialPseudoalgebra,
     PolynomialPseudomonad,
     Universe,

@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 all checks passed, 1 some law failed, 2 input could not be
-parsed, 3 every instance exceeded the enumeration cap, 4 internal error in
-the program.  ``main`` lets an internal error propagate so that in-process
-callers see it; ``entry``, the installed command, turns it into exit 4.
+Exit codes: 0 all checks passed, 1 some law failed or an input file holds
+invalid data, 2 input could not be parsed, 3 every instance exceeded the
+enumeration cap, 4 internal error in the program.  ``main`` lets an
+internal error propagate so that in-process callers see it; ``entry``, the
+installed command, turns it into exit 4.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import traceback
 
 from .finset import EnumerationCapExceeded, FinSetError
 from .poly import PolyError, compose, extend
-from .poly2 import PolyMorphism
 from .internalcat import internal_full_subcat
 from .naturalmodel import (
     mk_bool_universe,
@@ -77,11 +77,12 @@ def _add_suite_flags(p, count_default=20):
     p.add_argument("--format", choices=["text", "json"], default="text")
 
 
+_BUILTIN_UNIVERSES = {"bool": mk_bool_universe, "skewed": mk_skewed_universe}
+
+
 def _universe_from_arg(arg: str):
-    if arg == "bool":
-        return mk_bool_universe()
-    if arg == "skewed":
-        return mk_skewed_universe()
+    if arg in _BUILTIN_UNIVERSES:
+        return _BUILTIN_UNIVERSES[arg]()
     return io.universe_from_json(_read_json(arg))
 
 
@@ -134,7 +135,7 @@ def main(argv=None) -> int:
     mi = model_sub.add_parser("isos", help="type isomorphism sweep")
     mi.add_argument("universe")
     mb = model_sub.add_parser("builtin", help="emit a built-in universe record")
-    mb.add_argument("name", choices=["bool", "skewed"])
+    mb.add_argument("name", choices=sorted(_BUILTIN_UNIVERSES))
     mb.add_argument("-o", "--out")
 
     p_suite = sub.add_parser("suite", help="run a verification suite")
@@ -162,8 +163,22 @@ def main(argv=None) -> int:
         sys.stderr.write(f"enumeration cap exceeded: {exc}\n")
         return 3
     except (PolyError, FinSetError) as exc:
+        if not _reads_data_file(args):
+            raise
         sys.stderr.write(f"invalid data: {exc}\n")
         return 1
+
+
+def _reads_data_file(args) -> bool:
+    """Whether the command works on records read from files, so that a
+    ``PolyError`` or ``FinSetError`` describes the input, not the program."""
+    if args.command in ("poly", "cell"):
+        return True
+    if args.command == "internal":
+        return args.internal_command == "cat"
+    if args.command == "model" and args.model_command != "builtin":
+        return args.universe not in _BUILTIN_UNIVERSES
+    return False
 
 
 def _dispatch(args) -> int:

@@ -3,7 +3,9 @@
 Everything is immutable and canonically encoded.  Labels are strings or
 (nested) tuples of labels; elements of a ``FinSet`` are kept sorted by a
 fixed total order on labels, so two values built from equal inputs are
-equal Python objects, not merely isomorphic.  All constructed elements
+equal Python objects, not merely isomorphic.  A set indexes its labels by
+position once, and a map stores the codomain positions of its values, so
+composition, equality and fibres work on ints.  Constructed elements
 record their derivation:
 
 * ``pullback(f, g)`` elements are pairs ``(b, c)`` with ``f(b) == g(c)``;
@@ -37,29 +39,28 @@ class EnumerationCapExceeded(FinSetError):
     """An operation would enumerate more elements than the configured cap."""
 
 
-def check_label(label: Label) -> None:
-    if isinstance(label, str):
-        return
-    if isinstance(label, tuple):
-        for part in label:
-            check_label(part)
-        return
-    raise FinSetError(f"label must be a string or tuple of labels, got {label!r}")
-
-
 _KEY_CACHE: dict = {}
 
 
 def label_key(label: Label):
-    """Total order on labels: strings before tuples, then lexicographic."""
+    """Total order on labels: strings before tuples, then lexicographic.
+
+    It is also the label check: anything but a string or a tuple of labels
+    raises ``FinSetError``.  Every ``FinSet`` sorts by this key, so each
+    element is checked on construction, by one cache lookup if seen before.
+    """
     if isinstance(label, str):
         return (0, label)
-    cached = _KEY_CACHE.get(label)
-    if cached is None:
-        cached = (1, tuple(label_key(part) for part in label))
-        if len(_KEY_CACHE) < 1_000_000:
-            _KEY_CACHE[label] = cached
-    return cached
+    if not isinstance(label, tuple):
+        raise FinSetError(f"label must be a string or tuple of labels, got {label!r}")
+    try:
+        return _KEY_CACHE[label]
+    except (KeyError, TypeError):  # TypeError: an unhashable part, rejected below
+        pass
+    key = (1, tuple(label_key(part) for part in label))
+    if len(_KEY_CACHE) < 1_000_000:
+        _KEY_CACHE[label] = key
+    return key
 
 
 def _guard(count: int, cap: int, what: str) -> None:
@@ -74,18 +75,16 @@ class FinSet:
     elements: tuple
 
     def __init__(self, elements: Iterable[Label] = ()):
-        elems = list(elements)
-        for e in elems:
-            check_label(e)
-        ordered = tuple(sorted(elems, key=label_key))
+        ordered = tuple(sorted(elements, key=label_key))
         for a, b in zip(ordered, ordered[1:]):
             if a == b:
                 raise FinSetError(f"duplicate element {a!r}")
-        object.__setattr__(self, "elements", ordered)
+        self.__dict__.update(elements=ordered)
 
     @cached_property
-    def _index(self) -> frozenset:
-        return frozenset(self.elements)
+    def pos(self) -> dict:
+        """Label -> position in ``elements``."""
+        return {x: i for i, x in enumerate(self.elements)}
 
     def __iter__(self) -> Iterator[Label]:
         return iter(self.elements)
@@ -94,7 +93,7 @@ class FinSet:
         return len(self.elements)
 
     def __contains__(self, label: Label) -> bool:
-        return label in self._index
+        return label in self.pos
 
     def is_singleton(self) -> bool:
         return len(self.elements) == 1
@@ -110,44 +109,62 @@ TERMINAL = FinSet(("*",))
 
 @dataclass(frozen=True)
 class FinMap:
-    """A total function between finite sets, stored as a sorted graph."""
+    """A total function between finite sets, stored positionally: ``img[i]``
+    is the codomain position of the value at ``dom.elements[i]``."""
 
     dom: FinSet
     cod: FinSet
-    pairs: tuple
+    img: tuple
 
     def __init__(self, dom: FinSet, cod: FinSet, assignment):
-        if isinstance(assignment, Mapping):
-            items = list(assignment.items())
+        if isinstance(assignment, (dict, Mapping)):
+            table = assignment
         else:
-            items = [(x, y) for x, y in assignment]
-        table = {}
-        for x, y in items:
-            if x in table and table[x] != y:
-                raise FinSetError(f"conflicting values for {x!r}")
-            table[x] = y
-        missing = [x for x in dom if x not in table]
-        if missing:
-            raise FinSetError(f"no value assigned to {missing[0]!r}")
-        extra = [x for x in table if x not in dom]
-        if extra:
-            raise FinSetError(f"assignment for {extra[0]!r} outside the domain")
-        for x, y in table.items():
-            if y not in cod:
-                raise FinSetError(f"value {y!r} of {x!r} outside the codomain")
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
-        object.__setattr__(
-            self, "pairs", tuple(sorted(table.items(), key=lambda p: label_key(p[0])))
-        )
+            table = {}
+            for x, y in assignment:
+                if x in table and table[x] != y:
+                    raise FinSetError(f"conflicting values for {x!r}")
+                table[x] = y
+        pos = cod.pos
+        try:
+            img = tuple([pos[table[x]] for x in dom.elements])
+        except KeyError:
+            img = None
+        if img is None or len(table) != len(img):
+            for x in dom:
+                if x not in table:
+                    raise FinSetError(f"no value assigned to {x!r}")
+            for x in table:
+                if x not in dom:
+                    raise FinSetError(f"assignment for {x!r} outside the domain")
+            for x, y in table.items():
+                if y not in cod:
+                    raise FinSetError(f"value {y!r} of {x!r} outside the codomain")
+        self.__dict__.update(dom=dom, cod=cod, img=img)
+
+    @classmethod
+    def _of(cls, dom: FinSet, cod: FinSet, img: tuple) -> "FinMap":
+        """Build from codomain positions that are known to be valid."""
+        f = object.__new__(cls)
+        f.__dict__.update(dom=dom, cod=cod, img=img)
+        return f
 
     @cached_property
-    def _table(self) -> dict:
-        return dict(self.pairs)
+    def pairs(self) -> tuple:
+        """The graph ``(x, f(x))`` in domain order."""
+        return tuple(zip(self.dom.elements, map(self.cod.elements.__getitem__, self.img)))
+
+    @cached_property
+    def _fibres(self) -> list:
+        """Domain positions over each codomain position."""
+        out = [[] for _ in self.cod.elements]
+        for i, j in enumerate(self.img):
+            out[j].append(i)
+        return out
 
     def __call__(self, x: Label) -> Label:
         try:
-            return self._table[x]
+            return self.cod.elements[self.img[self.dom.pos[x]]]
         except KeyError:
             raise FinSetError(f"{x!r} not in the domain") from None
 
@@ -155,22 +172,24 @@ class FinMap:
         """Composite self∘other."""
         if other.cod != self.dom:
             raise FinSetError("composition mismatch")
-        return FinMap(other.dom, self.cod, {x: self(y) for x, y in other.pairs})
+        return FinMap._of(other.dom, self.cod, tuple(map(self.img.__getitem__, other.img)))
 
     def preimage(self, y: Label) -> tuple:
-        return tuple(x for x, fy in self.pairs if fy == y)
+        j = self.cod.pos.get(y)
+        return () if j is None else tuple(map(self.dom.elements.__getitem__, self._fibres[j]))
 
     def is_bijection(self) -> bool:
-        return len(self.dom) == len(self.cod) == len({y for _, y in self.pairs})
+        return len(self.dom) == len(self.cod) == len(set(self.img))
 
     def inverse(self) -> "FinMap":
         if not self.is_bijection():
             raise FinSetError("map is not a bijection")
-        return FinMap(self.cod, self.dom, {y: x for x, y in self.pairs})
+        inv = sorted(range(len(self.img)), key=self.img.__getitem__)
+        return FinMap._of(self.cod, self.dom, tuple(inv))
 
     @staticmethod
     def identity(X: FinSet) -> "FinMap":
-        return FinMap(X, X, {x: x for x in X})
+        return FinMap._of(X, X, tuple(range(len(X))))
 
     @staticmethod
     def constant(dom: FinSet, cod: FinSet, value: Label) -> "FinMap":
@@ -178,7 +197,7 @@ class FinMap:
 
     @staticmethod
     def to_terminal(X: FinSet) -> "FinMap":
-        return FinMap(X, TERMINAL, {x: "*" for x in X})
+        return FinMap._of(X, TERMINAL, (0,) * len(X))
 
 
 @dataclass(frozen=True)
@@ -189,10 +208,7 @@ class FinFamily:
     fibres: tuple
 
     def __init__(self, index: FinSet, fibres):
-        if isinstance(fibres, Mapping):
-            items = list(fibres.items())
-        else:
-            items = [(i, X) for i, X in fibres]
+        items = fibres.items() if isinstance(fibres, (dict, Mapping)) else fibres
         table = {}
         for i, X in items:
             if not isinstance(X, FinSet):
@@ -200,20 +216,13 @@ class FinFamily:
             if i in table:
                 raise FinSetError(f"duplicate fibre for {i!r}")
             table[i] = X
-        if set(table) != set(index):
+        if len(table) != len(index) or any(i not in index for i in table):
             raise FinSetError("fibres must be defined for exactly the index elements")
-        object.__setattr__(self, "index", index)
-        object.__setattr__(
-            self, "fibres", tuple(sorted(table.items(), key=lambda p: label_key(p[0])))
-        )
-
-    @cached_property
-    def _table(self) -> dict:
-        return dict(self.fibres)
+        self.__dict__.update(index=index, fibres=tuple([(i, table[i]) for i in index.elements]))
 
     def fibre(self, i: Label) -> FinSet:
         try:
-            return self._table[i]
+            return self.fibres[self.index.pos[i]][1]
         except KeyError:
             raise FinSetError(f"{i!r} not in the index") from None
 
@@ -222,10 +231,9 @@ class FinFamily:
 
     def total(self) -> tuple[FinSet, FinMap]:
         """Total space of pairs ``(i, x)`` with its projection to the index."""
-        elems = [(i, x) for i, X in self.fibres for x in X]
-        total = FinSet(elems)
-        proj = FinMap(total, self.index, {e: e[0] for e in elems})
-        return total, proj
+        total = FinSet([(i, x) for i, X in self.fibres for x in X])
+        img = tuple([k for k, (_, X) in enumerate(self.fibres) for _ in X])
+        return total, FinMap._of(total, self.index, img)
 
     @staticmethod
     def from_total(proj: FinMap) -> "FinFamily":
@@ -258,31 +266,20 @@ class FamilyMorphism:
     def __init__(self, src: FinFamily, dst: FinFamily, maps):
         if src.index != dst.index:
             raise FinSetError("family morphism requires a common index")
-        if isinstance(maps, Mapping):
-            items = list(maps.items())
-        else:
-            items = [(i, m) for i, m in maps]
-        table = dict(items)
-        if set(table) != set(src.index):
+        table = dict(maps)
+        if len(table) != len(src.index) or any(i not in src.index for i in table):
             raise FinSetError("component maps must cover exactly the index")
         for i, m in table.items():
             if m.dom != src.fibre(i) or m.cod != dst.fibre(i):
                 raise FinSetError(f"component at {i!r} has the wrong signature")
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "dst", dst)
-        object.__setattr__(
-            self, "maps", tuple(sorted(table.items(), key=lambda p: label_key(p[0])))
-        )
-
-    @cached_property
-    def _table(self) -> dict:
-        return dict(self.maps)
+        maps = tuple([(i, table[i]) for i in src.index.elements])
+        self.__dict__.update(src=src, dst=dst, maps=maps)
 
     def at(self, i: Label) -> FinMap:
-        return self._table[i]
+        return self.maps[self.src.index.pos[i]][1]
 
     def __call__(self, i: Label, x: Label) -> Label:
-        return self._table[i](x)
+        return self.at(i)(x)
 
     def after(self, other: "FamilyMorphism") -> "FamilyMorphism":
         if other.dst != self.src:
@@ -307,22 +304,20 @@ class FamilyMorphism:
 # ---------------------------------------------------------------------------
 
 
-def _bucket(f: FinMap) -> dict:
-    out: dict = {}
-    for x, y in f.pairs:
-        out.setdefault(y, []).append(x)
-    return out
-
-
 def pullback(f: FinMap, g: FinMap) -> tuple[FinSet, FinMap, FinMap]:
-    """Chosen pullback of a cospan: pairs ``(b, c)`` with ``f(b) == g(c)``."""
+    """Chosen pullback of a cospan: pairs ``(b, c)`` with ``f(b) == g(c)``.
+
+    The pairs come out in ``label_key`` order (``b`` first, then ``c``), so
+    the projections are the positions they were drawn from.
+    """
     if f.cod != g.cod:
         raise FinSetError("pullback requires a common codomain")
-    right = _bucket(g)
-    elems = [(b, c) for b in f.dom for c in right.get(f(b), ())]
-    P = FinSet(elems)
-    p1 = FinMap(P, f.dom, {e: e[0] for e in elems})
-    p2 = FinMap(P, g.dom, {e: e[1] for e in elems})
+    right = g._fibres
+    idx = [(i, k) for i, j in enumerate(f.img) for k in right[j]]
+    bs, cs = f.dom.elements, g.dom.elements
+    P = FinSet([(bs[i], cs[k]) for i, k in idx])
+    p1 = FinMap._of(P, f.dom, tuple([i for i, _ in idx]))
+    p2 = FinMap._of(P, g.dom, tuple([k for _, k in idx]))
     return P, p1, p2
 
 
@@ -333,17 +328,12 @@ def is_pullback_cone(f: FinMap, g: FinMap, p1: FinMap, p2: FinMap) -> bool:
         return False
     if p1.cod != f.dom or p2.cod != g.dom:
         return False
-    seen = {}
-    for e in p1.dom:
-        if f(p1(e)) != g(p2(e)):
-            return False
-        key = (p1(e), p2(e))
-        if key in seen:
-            return False
-        seen[key] = e
-    right = _bucket(g)
-    want = sum(len(right.get(f(b), ())) for b in f.dom)
-    return len(seen) == want
+    fi, gi = f.img, g.img
+    legs = list(zip(p1.img, p2.img))
+    if any(fi[i] != gi[k] for i, k in legs) or len(set(legs)) != len(legs):
+        return False
+    right = g._fibres
+    return len(legs) == sum(len(right[j]) for j in fi)
 
 
 def base_change(f: FinMap, X: FinFamily) -> FinFamily:

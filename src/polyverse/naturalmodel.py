@@ -26,7 +26,6 @@ from functools import cached_property
 
 from .finset import (
     DEFAULT_CAP,
-    FamilyMorphism,
     FinFamily,
     FinMap,
     FinSet,
@@ -372,29 +371,6 @@ def lift_unit_mult(
     PPf = lift_apply(p, Pf, cap)
     m_f = Square(PPf, Pf, mult_component(mu, f.dom, cap), mult_component(mu, f.cod, cap))
     return h_f, m_f
-
-
-@dataclass(frozen=True)
-class LiftedEndofunctor:
-    """The monad data transported to the arrow 2-category: objects go to
-    their image under the extension, cartesian squares are applied
-    edgewise, and the unit and multiplication components are squares."""
-
-    p: FinMap
-    eta: PolyMorphism
-    mu: PolyMorphism
-
-    def apply(self, f: FinMap, cap: int = DEFAULT_CAP) -> FinMap:
-        return lift_apply(self.p, f, cap)
-
-    def apply_square(self, sq: Square, cap: int = DEFAULT_CAP) -> Square:
-        return lift_apply_square(self.p, sq, cap)
-
-    def unit_at(self, f: FinMap, cap: int = DEFAULT_CAP) -> Square:
-        return lift_unit_mult(self.p, self.eta, self.mu, f, cap)[0]
-
-    def mult_at(self, f: FinMap, cap: int = DEFAULT_CAP) -> Square:
-        return lift_unit_mult(self.p, self.eta, self.mu, f, cap)[1]
 
 
 # ---------------------------------------------------------------------------

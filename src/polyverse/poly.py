@@ -32,7 +32,6 @@ from .finset import (
     dep_prod,
     dep_sum,
     is_pullback_cone,
-    label_key,
     pullback,
     section_lookup,
     section_tuple,
@@ -174,7 +173,7 @@ def compose(G: Polynomial, F: Polynomial, cap: int = DEFAULT_CAP) -> tuple[Polyn
     if F.J != G.I:
         raise PolyError("polynomials do not share a boundary")
     Q, qa, qd = pullback(F.t, G.s)
-    fam_q = FinFamily(G.B, {d: FinSet(x for x in Q if x[1] == d) for d in G.B})
+    fam_q = FinFamily(G.B, {d: FinSet(qd.preimage(d)) for d in G.B})
     m_fam = dep_prod(G.f, fam_q, cap)
     M, w = m_fam.total()
     Qp, q, qp_d = pullback(w, G.f)

@@ -17,9 +17,7 @@ from .finset import (
     EnumerationCapExceeded,
     FamilyMorphism,
     FinMap,
-    FinSet,
     Square,
-    FinFamily,
 )
 from .poly import (
     compose,
@@ -33,10 +31,7 @@ from .poly import (
 from .poly2 import (
     Adjustment,
     AdjustmentError,
-    PolyMorphism,
     all_adjustments,
-    canon,
-    cells_square_equal,
     codiscreteness_check,
     extend_cell,
     identity_cell,

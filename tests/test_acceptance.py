@@ -3,13 +3,29 @@
 Each test runs the corresponding suite at the required scale, asserts that
 every law check passed exactly, and prints a single PASS/FAIL line (run
 pytest with ``-s`` to see them).  All tolerances are exact; the stated
-runtime budgets are asserted as upper bounds.
+runtime budgets are asserted as upper bounds.  Each report must also match
+its golden SHA-256 digest, which guards the report bytes against any change
+of representation underneath.
 """
 
+import hashlib
 import time
 
 from polyverse import interchange as io
 from polyverse.suites import InstanceGenConfig, run_suite
+
+# SHA-256 of io.dumps(report.to_jsonable()) at each acceptance config
+GOLDEN = {
+    "extension-composition": "bada0a3bb79eb1a779dcb5ea4730e6d2a2754ff69f37dd6565efc6789c3b319c",
+    "unique-adjustment": "cd1c9ea0d2e17e19e48d9301428e0c680fae2bd81e0623272c34c5275a9d1abd",
+    "coherence": "0c19020b5d17bb29be2148a33083468b2bbeccc1cc4dd8c48bba918dab8d18b4",
+    "internal-equiv": "ae7cd0e87cba644dab8e16906f29f50d9b79c90f807358c8424638f5d0306b49",
+    "pseudomonad": "a9cde6711012d6e2662380e19f49df898e666b1b330948a33d56c2e238199088",
+    "pseudoalgebra": "425ec6b38541d00c08b177b7709537e06ad3c28bdde39e8ca2d736f474093a08",
+    "type-isos": "cac32ba1f8a21b27c20700782a25de9afc5fc9dbf8977073d9e138473d1e3703",
+    "lift": "0dc7c416fde25feedc1c941d82279c2910949d0ad683aabf35531d00233e13c6",
+    "slice-reduction": "335997465c1cf6b3375d0a7342a223646949cfc7e1d64cc990c11444c0f2b746",
+}
 
 
 def _run(criterion, name, cfg, budget_seconds):
@@ -24,6 +40,8 @@ def _run(criterion, name, cfg, budget_seconds):
     )
     assert ok, [r for r in rep.records if r["status"] == "fail"]
     assert elapsed < budget_seconds, f"ran {elapsed:.1f}s, budget {budget_seconds}s"
+    digest = hashlib.sha256(io.dumps(rep.to_jsonable()).encode("utf-8")).hexdigest()
+    assert digest == GOLDEN[name], f"report of {name} differs from its golden digest"
     return rep
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -119,6 +120,40 @@ def test_internal_error_exits_4():
     assert "Traceback" in proc.stderr
 
 
+SHAPE_ERROR_SUITE = """
+import sys
+from polyverse import cli, suites
+from polyverse.poly2 import CellShapeError
+
+def suite_raises(cfg):
+    raise CellShapeError("internal shape bug")
+
+suites.SUITES["raises"] = suite_raises
+sys.argv = ["polyverse", "suite", "run", "raises"]
+cli.entry()
+"""
+
+
+def test_poly_error_inside_a_suite_exits_4():
+    # a PolyError raised by the program, not by parsed input, is an
+    # internal error and must not read as "some law failed"
+    proc = subprocess.run([sys.executable, "-c", SHAPE_ERROR_SUITE], capture_output=True, text=True)
+    assert proc.returncode == 4
+    assert "CellShapeError: internal shape bug" in proc.stderr
+    assert "invalid data" not in proc.stderr
+
+
+def test_mismatched_cell_files_exit_1(tmp_path):
+    # each record parses, but the inner cell does not end where the outer
+    # one starts: invalid input data, not an internal error
+    outer, inner = tmp_path / "outer.json", tmp_path / "inner.json"
+    run_cli("generate", "morphism", "--seed", "4", "-o", str(outer))
+    run_cli("generate", "morphism", "--seed", "5", "-o", str(inner))
+    proc = run_cli("cell", "compose", "--outer", str(outer), "--inner", str(inner))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("invalid data:")
+
+
 def test_main_propagates_internal_error(monkeypatch):
     from polyverse import cli, suites
 
@@ -182,3 +217,16 @@ def test_internal_cat_emits_category(tmp_path):
     assert proc.returncode == 0
     record = json.loads(proc.stdout)
     assert {"objects", "morphisms", "dom", "cod", "identity", "composition"} <= set(record)
+
+
+def test_reports_identical_across_hash_seeds():
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        proc = run_cli(
+            "suite", "run", "coherence", "--seed", "11", "--count", "3", "--format", "json",
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]

@@ -47,6 +47,42 @@ class TestFinSet:
         with pytest.raises(FinSetError):
             FinSet([3])
 
+    @pytest.mark.parametrize(
+        "bad", [3, None, ("a", ("b", (3,))), ("a", ["b"]), frozenset({"a"})],
+        ids=["int", "none", "int-at-depth-3", "list-in-tuple", "frozenset"],
+    )
+    def test_bad_labels_raise_finset_error(self, bad):
+        # the check is label_key itself, which sorting calls on every
+        # element, also when there is only one
+        for elements in ([bad], ["a", bad], [bad, ("a",)]):
+            with pytest.raises(FinSetError, match="label must be a string or tuple"):
+                FinSet(elements)
+        with pytest.raises(FinSetError):
+            label_key(bad)
+
+    def test_one_element_set_of_a_bad_label_rejected(self):
+        for bad in (3, None, ("a", ("b", (3,)))):
+            with pytest.raises(FinSetError):
+                FinSet({bad})
+
+    def test_bad_labels_rejected_in_family_fibres(self):
+        index = FinSet(["i"])
+        for bad in (3, ("a", ["b"]), ("a", ("b", (None,)))):
+            with pytest.raises(FinSetError):
+                FinFamily(index, {"i": [bad]})
+            with pytest.raises(FinSetError):
+                FinFamily(index, [("i", ["x", bad])])
+
+    def test_bad_labels_rejected_by_interchange(self):
+        from polyverse import interchange as io
+
+        for text in ('["a", 3]', '[["a", ["b", null]]]', '[{"a": "b"}]'):
+            with pytest.raises(io.ParseError):
+                io.finset_from_json(io.loads(text))
+        fam_text = '{"index": ["i"], "fibres": [["i", ["x", ["y", 3]]]]}'
+        with pytest.raises(io.ParseError):
+            io.family_from_json(io.loads(fam_text))
+
     def test_label_key_total_order(self):
         labels = ["a", ("a",), ("a", "b"), ("a", ("b", "c")), "zz"]
         keys = [label_key(x) for x in labels]
@@ -340,3 +376,176 @@ class TestSquare:
         i = FinMap.identity(A)
         s = Square.identity(i)
         assert s.after(s) == s
+
+
+# ---------------------------------------------------------------------------
+# The positional core against a naive graph-based reference
+# ---------------------------------------------------------------------------
+
+labels = st.recursive(
+    st.sampled_from(["a", "b", "ab", "*"]),
+    lambda inner: st.tuples(inner) | st.tuples(inner, inner),
+    max_leaves=4,
+)
+
+
+def label_sets(min_size=0):
+    return st.lists(labels, unique=True, min_size=min_size, max_size=4).map(FinSet)
+
+
+@st.composite
+def graphs(draw, dom=None, cod=None):
+    """A map with its graph as a plain dict."""
+    dom = draw(label_sets()) if dom is None else dom
+    cod = draw(label_sets(1 if len(dom) else 0)) if cod is None else cod
+    graph = {x: draw(st.sampled_from(cod.elements)) for x in dom}
+    return FinMap(dom, cod, graph), graph
+
+
+def sorted_graph(graph):
+    return tuple(sorted(graph.items(), key=lambda p: label_key(p[0])))
+
+
+def naive_fault(dom, cod, items):
+    """First fault of an assignment, checked in the documented order."""
+    table = {}
+    for x, y in items:
+        if x in table and table[x] != y:
+            return f"conflicting values for {x!r}"
+        table[x] = y
+    for x in dom:
+        if x not in table:
+            return f"no value assigned to {x!r}"
+    for x in table:
+        if x not in dom:
+            return f"assignment for {x!r} outside the domain"
+    for x, y in table.items():
+        if y not in cod:
+            return f"value {y!r} of {x!r} outside the codomain"
+    return None
+
+
+def naive_is_pullback_cone(f, g, p1, p2):
+    if f.cod != g.cod or p1.dom != p2.dom or p1.cod != f.dom or p2.cod != g.dom:
+        return False
+    legs = [(p1(e), p2(e)) for e in p1.dom]
+    if any(f(b) != g(c) for b, c in legs) or len(set(legs)) != len(legs):
+        return False
+    return len(legs) == sum(1 for b in f.dom for c in g.dom if f(b) == g(c))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs())
+def test_map_agrees_with_its_graph(fg):
+    f, graph = fg
+    assert f.pairs == sorted_graph(graph)
+    assert all(f(x) == y for x, y in graph.items())
+    assert f == FinMap(f.dom, f.cod, list(reversed(list(graph.items()))))
+    assert hash(f) == hash(FinMap(f.dom, f.cod, dict(graph)))
+    for y in f.cod:
+        assert f.preimage(y) == tuple(x for x, fy in sorted_graph(graph) if fy == y)
+    for outside in ("zz", ("zz",), ("a", ("zz",))):
+        assert f.preimage(outside) == ()
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(), st.data())
+def test_maps_differing_anywhere_are_unequal(fg, data):
+    f, graph = fg
+    if not graph or len(f.cod) < 2:
+        return
+    x = data.draw(st.sampled_from(f.dom.elements))
+    y = data.draw(st.sampled_from([y for y in f.cod if y != graph[x]]))
+    assert f != FinMap(f.dom, f.cod, {**graph, x: y})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_after_agrees_with_graph_composite(data):
+    f, fgraph = data.draw(graphs())
+    g, ggraph = data.draw(graphs(dom=f.cod))
+    gf = g.after(f)
+    assert gf.dom == f.dom and gf.cod == g.cod
+    assert gf.pairs == sorted_graph({x: ggraph[y] for x, y in fgraph.items()})
+    assert gf == FinMap(f.dom, g.cod, {x: ggraph[y] for x, y in fgraph.items()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_bijection_and_inverse_agree_with_graph(data):
+    dom = data.draw(label_sets())
+    # an endomap is often a bijection; a map to a drawn codomain rarely is
+    f, graph = data.draw(graphs(dom=dom, cod=dom if data.draw(st.booleans()) else None))
+    bijective = len(f.dom) == len(f.cod) == len(set(graph.values()))
+    assert f.is_bijection() == bijective
+    if not bijective:
+        with pytest.raises(FinSetError, match="not a bijection"):
+            f.inverse()
+        return
+    inv = f.inverse()
+    assert inv.pairs == sorted_graph({y: x for x, y in graph.items()})
+    assert inv.after(f) == FinMap.identity(f.dom)
+    assert f.after(inv) == FinMap.identity(f.cod)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pullback_agrees_with_graph_pairs(data):
+    C = data.draw(label_sets(1))
+    f, fgraph = data.draw(graphs(cod=C))
+    g, ggraph = data.draw(graphs(cod=C))
+    P, p1, p2 = pullback(f, g)
+    want = [(b, c) for b in fgraph for c in ggraph if fgraph[b] == ggraph[c]]
+    assert P.elements == tuple(sorted(want, key=label_key))
+    assert p1.pairs == tuple((e, e[0]) for e in P)
+    assert p2.pairs == tuple((e, e[1]) for e in P)
+    assert is_pullback_cone(f, g, p1, p2)
+    # cones that are not pullbacks: a twisted leg, a doubled or a dropped element
+    cones = [(p1.after(FinMap(P, P, {e: P.elements[-1 - k] for k, e in enumerate(P)})), p2)]
+    if len(P):
+        e0 = P.elements[0]
+        Q = FinSet(list(P) + [("extra", e0)])
+        q1 = FinMap(Q, f.dom, {**{e: e[0] for e in P}, ("extra", e0): e0[0]})
+        q2 = FinMap(Q, g.dom, {**{e: e[1] for e in P}, ("extra", e0): e0[1]})
+        R = FinSet(P.elements[1:])
+        cones += [(q1, q2), (FinMap(R, f.dom, {e: e[0] for e in R}), FinMap(R, g.dom, {e: e[1] for e in R}))]
+        # the right size, but one pair hit twice and another missed
+        e1 = P.elements[-1]
+        cones.append((
+            FinMap(P, f.dom, {e: (e0 if e == e1 else e)[0] for e in P}),
+            FinMap(P, g.dom, {e: (e0 if e == e1 else e)[1] for e in P}),
+        ))
+    for c1, c2 in cones:
+        assert is_pullback_cone(f, g, c1, c2) == naive_is_pullback_cone(f, g, c1, c2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(label_sets(), st.data())
+def test_total_space_agrees_with_sorted_pairs(index, data):
+    X = FinFamily(index, {i: data.draw(label_sets()) for i in index})
+    total, proj = X.total()
+    want = [(i, x) for i in index for x in X.fibre(i)]
+    assert total.elements == tuple(sorted(want, key=label_key))
+    assert proj.pairs == tuple((e, e[0]) for e in total)
+    assert FinFamily.from_total(proj) == X
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_construction_faults_reported_in_order(data):
+    dom = data.draw(label_sets())
+    cod = data.draw(label_sets())
+    keys = st.sampled_from(list(dom.elements) + ["zz", ("zz",)])
+    values = st.sampled_from(list(cod.elements) + ["yy", ("yy", "a")])
+    items = data.draw(st.lists(st.tuples(keys, values), max_size=6))
+    fault = naive_fault(dom, cod, items)
+    if fault is None:
+        assert FinMap(dom, cod, items).pairs == sorted_graph(dict(items))
+    else:
+        with pytest.raises(FinSetError) as exc:
+            FinMap(dom, cod, items)
+        assert str(exc.value) == fault
+    if naive_fault(dom, cod, dict(items).items()) is not None:
+        with pytest.raises(FinSetError) as exc:
+            FinMap(dom, cod, dict(items))
+        assert str(exc.value) == naive_fault(dom, cod, dict(items).items())
