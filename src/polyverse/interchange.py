@@ -15,11 +15,18 @@ Grammar, with ``label ::= string | [label, ...]`` (arrays are tuples):
 Parsing and printing are mutually inverse on well-formed data; the
 canonical pairing and abstraction bijections of a universe are
 reconstructed rather than stored, since validity forces them.
+
+``dumps`` writes the canonical text: byte for byte what
+``json.dumps(data, sort_keys=True, indent=2)`` writes, plus a newline.  It
+has its own writer because ``json`` falls back to a slow pure-Python
+encoder whenever ``indent`` is set; the tests keep ``json.dumps`` as its
+reference.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .finset import FinFamily, FinMap, FinSet, FinSetError, section_tuple
 from .poly import Polynomial
@@ -56,6 +63,8 @@ def finset_from_json(data) -> FinSet:
         return FinSet(_label_from_json(x) for x in data)
     except FinSetError as exc:
         raise ParseError(str(exc)) from exc
+    except RecursionError as exc:
+        raise ParseError("label nested too deeply") from exc
 
 
 def finmap_to_json(f: FinMap) -> dict:
@@ -72,7 +81,7 @@ def finmap_from_json(data) -> FinMap:
         return FinMap(finset_from_json(data["dom"]), finset_from_json(data["cod"]), pairs)
     except ParseError:
         raise
-    except (KeyError, TypeError, ValueError, FinSetError) as exc:
+    except (KeyError, TypeError, ValueError, FinSetError, RecursionError) as exc:
         raise ParseError(f"bad map record: {exc}") from exc
 
 
@@ -89,7 +98,7 @@ def family_from_json(data) -> FinFamily:
         return FinFamily(finset_from_json(data["index"]), fibres)
     except ParseError:
         raise
-    except (KeyError, TypeError, ValueError, FinSetError) as exc:
+    except (KeyError, TypeError, ValueError, FinSetError, RecursionError) as exc:
         raise ParseError(f"bad family record: {exc}") from exc
 
 
@@ -118,7 +127,7 @@ def polynomial_from_json(data) -> Polynomial:
         )
     except ParseError:
         raise
-    except (KeyError, TypeError, FinSetError) as exc:
+    except (KeyError, TypeError, FinSetError, RecursionError) as exc:
         raise ParseError(f"bad polynomial record: {exc}") from exc
 
 
@@ -145,7 +154,7 @@ def morphism_from_json(data) -> PolyMorphism:
         )
     except ParseError:
         raise
-    except (KeyError, TypeError, FinSetError) as exc:
+    except (KeyError, TypeError, FinSetError, RecursionError) as exc:
         raise ParseError(f"bad morphism record: {exc}") from exc
 
 
@@ -194,13 +203,64 @@ def universe_from_json(data) -> Universe:
         )
     except ParseError:
         raise
-    except (KeyError, TypeError, ValueError, FinSetError) as exc:
+    except (KeyError, TypeError, ValueError, FinSetError, RecursionError) as exc:
         raise ParseError(f"bad universe record: {exc}") from exc
 
 
 def dumps(data) -> str:
-    """Canonical serialisation: sorted keys, no trailing whitespace."""
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    """Canonical serialisation: the bytes of ``json.dumps(data,
+    sort_keys=True, indent=2)`` followed by a newline.  Like it, raises
+    ``TypeError`` for a value or key that JSON cannot hold."""
+    out: list = []
+    _write(data, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(o, out: list, nl: str) -> None:
+    """Append the text of ``o`` to ``out``; ``nl`` is a newline followed by
+    the indentation of the line ``o`` starts on.  Each string in a
+    container goes out in one chunk with the separator before it."""
+    if isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for x in o:
+            if isinstance(x, str):
+                out.append(sep + _quote(x))
+            else:
+                out.append(sep)
+                _write(x, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in sorted(o.items()):
+            if not isinstance(k, str):
+                # json turns int, float, bool and None keys into their text
+                if not isinstance(k, (int, float)) and k is not None:
+                    raise TypeError(
+                        f"keys must be str, int, float, bool or None, not {type(k).__name__}"
+                    )
+                k = json.dumps(k)
+            if isinstance(v, str):
+                out.append(sep + _quote(k) + ": " + _quote(v))
+            else:
+                out.append(sep + _quote(k) + ": ")
+                _write(v, out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(o, str):
+        out.append(_quote(o))
+    else:
+        # numbers, booleans and None; anything else raises TypeError
+        out.append(json.dumps(o))
 
 
 def loads(text: str):
@@ -208,3 +268,5 @@ def loads(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("not valid JSON: nested too deeply") from exc

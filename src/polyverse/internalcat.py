@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 from .finset import (
     DEFAULT_CAP,
@@ -207,6 +206,24 @@ class InternalNatTrans:
             rhs = D.comp((self.dst.on_mor(k), self.components(a)))
             if lhs != rhs:
                 raise InternalCatError(f"naturality fails at {k!r}")
+
+
+def all_internal_nat_trans(F: InternalFunctor, G: InternalFunctor) -> list:
+    """Every internal natural transformation ``F => G``: each choice of one
+    component per object, among the morphisms with the right endpoints,
+    that passes the naturality check."""
+    C, D = F.src, F.dst
+    pools = [
+        [m for m in D.mor if D.dom(m) == F.on_obj(a) and D.cod(m) == G.on_obj(a)]
+        for a in C.obj
+    ]
+    found = []
+    for choice in itertools.product(*pools):
+        try:
+            found.append(InternalNatTrans(F, G, FinMap(C.obj, D.mor, dict(zip(C.obj, choice)))))
+        except InternalCatError:
+            pass
+    return found
 
 
 def _component_table(phi: PolyMorphism, psi: PolyMorphism, alpha: FinMap) -> dict:

@@ -21,6 +21,7 @@ exactly when the corresponding adjustment is an identity map.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -215,24 +216,26 @@ def _checked(u: Universe) -> Universe:
     return u
 
 
+def _cardinality_universe(codes: FinSet, el: FinFamily, unit, by_size: dict) -> Universe:
+    """The universe whose sum and product codes are the codes ``by_size``
+    names for the cardinality of the sum or product."""
+    sigma, pi = {}, {}
+    u0 = Universe(codes, el, unit, {}, {})
+    for A in codes:
+        for bt in u0.btables(A):
+            table = dict(bt)
+            sizes = [len(el.fibre(table[x])) for x in el.fibre(A)]
+            sigma[(A, bt)] = by_size[sum(sizes)]
+            pi[(A, bt)] = by_size[math.prod(sizes)]
+    return _checked(Universe(codes, el, unit, sigma, pi))
+
+
 def mk_bool_universe() -> Universe:
     """Codes for the empty and the one-element type; sums and products are
     computed by cardinality and land back on the nose."""
     codes = FinSet(["code0", "code1"])
     el = FinFamily(codes, {"code0": FinSet(), "code1": FinSet(["el"])})
-    by_size = {0: "code0", 1: "code1"}
-    sigma, pi = {}, {}
-    u0 = Universe(codes, el, "code1", {}, {})
-    for A in codes:
-        for bt in u0.btables(A):
-            table = dict(bt)
-            s = sum(len(el.fibre(table[x])) for x in el.fibre(A))
-            prod = 1
-            for x in el.fibre(A):
-                prod *= len(el.fibre(table[x]))
-            sigma[(A, bt)] = by_size[s]
-            pi[(A, bt)] = by_size[prod]
-    return _checked(Universe(codes, el, "code1", sigma, pi))
+    return _cardinality_universe(codes, el, "code1", {0: "code0", 1: "code1"})
 
 
 def mk_skewed_universe() -> Universe:
@@ -244,19 +247,7 @@ def mk_skewed_universe() -> Universe:
     el = FinFamily(
         codes, {"code0": FinSet(), "code1a": FinSet(["a"]), "code1b": FinSet(["b"])}
     )
-    by_size = {0: "code0", 1: "code1a"}
-    sigma, pi = {}, {}
-    u0 = Universe(codes, el, "code1b", {}, {})
-    for A in codes:
-        for bt in u0.btables(A):
-            table = dict(bt)
-            s = sum(len(el.fibre(table[x])) for x in el.fibre(A))
-            prod = 1
-            for x in el.fibre(A):
-                prod *= len(el.fibre(table[x]))
-            sigma[(A, bt)] = by_size[s]
-            pi[(A, bt)] = by_size[prod]
-    return _checked(Universe(codes, el, "code1b", sigma, pi))
+    return _cardinality_universe(codes, el, "code1b", {0: "code0", 1: "code1a"})
 
 
 def poly_of(u: Universe) -> Polynomial:

@@ -27,7 +27,6 @@ from .finset import (
     FinFamily,
     FinMap,
     FinSet,
-    FinSetError,
     TERMINAL,
     is_pullback_cone,
     pullback,

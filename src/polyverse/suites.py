@@ -31,7 +31,6 @@ from .poly import (
 from .poly2 import (
     Adjustment,
     AdjustmentError,
-    all_adjustments,
     codiscreteness_check,
     extend_cell,
     identity_cell,
@@ -45,12 +44,11 @@ from .poly2 import (
 )
 from .internalcat import (
     adjustment_to_nat,
+    all_internal_nat_trans,
     equivalence_sets,
     internal_full_subcat,
     internal_functor,
     nat_to_adjustment,
-    InternalNatTrans,
-    InternalCatError,
 )
 from .naturalmodel import (
     Universe,
@@ -273,10 +271,8 @@ def suite_unique_adjustment(cfg: InstanceGenConfig) -> Report:
     rng = random.Random(cfg.seed)
     for n in range(cfg.count):
         phi, psi = gen.rand_parallel_pair(rng, cfg.max_set_size, max_vertex=4)
-        found = list(all_adjustments(phi, psi, cfg.enumeration_cap))
-        closed = unique_adjustment(phi, psi)
-        ok = len(found) == 1 and found[0].alpha == closed.alpha
-        rep.check("unique-adjustment", f"pair{n}", ok, f"found={len(found)}")
+        cd = codiscreteness_check(phi, psi, cfg.enumeration_cap)
+        rep.check("unique-adjustment", f"pair{n}", cd["ok"], f"found={cd['count']}")
     return rep
 
 
@@ -363,22 +359,7 @@ def suite_internal_equiv(cfg: InstanceGenConfig) -> Report:
             nat = adjustment_to_nat(alpha, cfg.enumeration_cap)
             back = nat_to_adjustment(nat, phi, psi)
             rep.check("adjustment-nat-roundtrip", inst, back.alpha == alpha.alpha)
-            count = 0
-            import itertools as it
-
-            D = nat.dst.dst
-            obj = nat.src.src.obj
-            pools = [
-                [m for m in D.mor if D.dom(m) == F.on_obj(a) and D.cod(m) == Gf.on_obj(a)]
-                for a in obj
-            ]
-            for choice in it.product(*pools):
-                comps = FinMap(obj, D.mor, dict(zip(obj, choice)))
-                try:
-                    InternalNatTrans(F, Gf, comps)
-                    count += 1
-                except InternalCatError:
-                    pass
+            count = len(all_internal_nat_trans(F, Gf))
             rep.check("internal-nt-unique", inst, count == 1, f"count={count}")
             sets = equivalence_sets(phi, psi, cfg.enumeration_cap)
             same = sets["natural"] == sets["component"] == sets["conjugate"] == sets["over_b"]

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -174,6 +176,30 @@ def test_parse_error_exit_code(tmp_path):
     assert proc.returncode == 2
 
 
+def test_deeply_nested_json_is_a_parse_error(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    proc = run_cli("cell", "check", str(deep))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("parse error:")
+
+
+def test_deeply_nested_label_is_a_parse_error(tmp_path):
+    # valid JSON, but a label too deep to turn into nested tuples; the
+    # text is spliced because json.dumps itself would recurse too deeply
+    record = json.dumps({
+        "I": ["i"], "B": ["LABEL"], "A": ["a"], "J": ["j"],
+        "s": {"dom": ["LABEL"], "cod": ["i"], "map": [["LABEL", "i"]]},
+        "f": {"dom": ["LABEL"], "cod": ["a"], "map": [["LABEL", "a"]]},
+        "t": {"dom": ["a"], "cod": ["j"], "map": [["a", "j"]]},
+    })
+    path = tmp_path / "deep.json"
+    path.write_text(record.replace('"LABEL"', "[" * 980 + '"x"' + "]" * 980))
+    proc = run_cli("internal", "cat", str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("parse error:")
+
+
 def test_corrupted_universe_fails_with_failure_code(tmp_path):
     out = tmp_path / "bool.json"
     run_cli("model", "builtin", "bool", "-o", str(out))
@@ -230,3 +256,52 @@ def test_reports_identical_across_hash_seeds():
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+# SHA-256 of the files the CLI writes with -o, recorded before
+# interchange.dumps was rewritten; they guard its bytes at the boundary
+CLI_GOLDEN = {
+    "generate-polynomial": "e44db9b03e4998741cce9a82a9e37625c95f63a1c7b62073bb1e95f10514fadb",
+    "generate-morphism": "6f9a57ed4750204f089baf981ea494f0c5218198988e1e665ab2d6e5d4861938",
+    "generate-universe": "4e63d5099bb1be4501e7950680acd4ea4ef3eb14dc45b0a9a58425247f80e354",
+    "poly-compose": "d99fc28a23d1e49af7e69aba6ec4252000972ef855ca257a8e905acccb7c0d05",
+    "cell-compose": "3ebd73cdecd6baf44affcd84b722513cb45b60c3c3a23d7f882b3e831edaef2d",
+}
+
+
+def test_cli_output_files_match_golden_digests(tmp_path):
+    from polyverse import interchange as io
+    from polyverse.generators import rand_morphism
+
+    paths = {}
+    for kind in ("polynomial", "morphism", "universe"):
+        paths[f"generate-{kind}"] = out = tmp_path / f"{kind}.json"
+        proc = run_cli("generate", kind, "--seed", "0", "-o", str(out))
+        assert proc.returncode == 0, proc.stderr
+
+    f = tmp_path / "f.json"
+    run_cli("generate", "polynomial", "--seed", "3", "-o", str(f))
+    record = json.loads(f.read_text())
+    record2 = dict(record)
+    record2["I"] = record["J"]
+    record2["s"] = {
+        "dom": record["B"], "cod": record["J"],
+        "map": [[b, record["J"][0]] for b in record["B"]],
+    }
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps(record2))
+    paths["poly-compose"] = out = tmp_path / "fg.json"
+    proc = run_cli("poly", "compose", "--outer", str(g), "--inner", str(f), "-o", str(out))
+    assert proc.returncode == 0, proc.stderr
+
+    outer = tmp_path / "outer.json"
+    run_cli("generate", "morphism", "--seed", "4", "-o", str(outer))
+    phi = io.morphism_from_json(json.loads(outer.read_text()))
+    inner = tmp_path / "inner.json"
+    inner.write_text(json.dumps(io.morphism_to_json(rand_morphism(random.Random(5), 3, target=phi.src))))
+    paths["cell-compose"] = out = tmp_path / "cell.json"
+    proc = run_cli("cell", "compose", "--outer", str(outer), "--inner", str(inner), "-o", str(out))
+    assert proc.returncode == 0, proc.stderr
+
+    digests = {name: hashlib.sha256(p.read_bytes()).hexdigest() for name, p in paths.items()}
+    assert digests == CLI_GOLDEN

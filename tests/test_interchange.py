@@ -1,3 +1,5 @@
+import json
+import math
 import random
 
 import pytest
@@ -81,3 +83,72 @@ def test_dumps_is_canonical():
     a = io.dumps(io.universe_to_json(u))
     b = io.dumps(io.universe_to_json(mk_bool_universe()))
     assert a == b
+
+
+# io.dumps must write exactly what json.dumps writes with these settings
+def _reference(data) -> str:
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+json_strings = st.text() | st.sampled_from(
+    ["", '"', "\\", "\x00\x1f\x7f", "é", " ", "\ud800", "😀", 'a"b\\c\nd\te']
+)
+json_scalars = (
+    json_strings
+    | st.integers()
+    | st.sampled_from([-(2**100), 2**100, 0, -1])
+    | st.floats()
+    | st.sampled_from([-0.0, 1e300, -1e-300, math.nan, math.inf, -math.inf])
+    | st.booleans()
+    | st.none()
+)
+json_trees = st.recursive(
+    json_scalars | st.builds(list) | st.builds(tuple) | st.builds(dict),
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(json_strings, children, max_size=4)
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_trees)
+def test_dumps_matches_json_reference(data):
+    assert io.dumps(data) == _reference(data)
+
+
+def test_dumps_matches_json_on_records():
+    rng = random.Random(4)
+    for _ in range(5):
+        record = io.morphism_to_json(rand_morphism(rng, 3))
+        assert io.dumps(record) == _reference(record)
+    record = io.universe_to_json(rand_universe(rng, 4))
+    assert io.dumps(record) == _reference(record)
+
+
+@pytest.mark.parametrize("data", [
+    {3: "a", -1: ["b"], 2**70: {}},
+    {2.5: 1, -0.0: 2, 1e300: 3, math.inf: 4, -math.inf: 5},
+    {math.nan: [1, 2]},
+    {True: "t", False: "f"},
+    {None: None},
+    [{1: {2: {"three": 3.0}}}],
+])
+def test_dumps_converts_keys_like_json(data):
+    assert io.dumps(data) == _reference(data)
+
+
+@pytest.mark.parametrize("data", [
+    {"a", "b"},
+    [1, object()],
+    {"k": {frozenset()}},
+    {("a", "b"): 1},
+    {"a": 1, 2: 3},
+])
+def test_dumps_rejects_what_json_rejects(data):
+    with pytest.raises(TypeError):
+        _reference(data)
+    with pytest.raises(TypeError):
+        io.dumps(data)

@@ -17,6 +17,7 @@ from polyverse.internalcat import (
     InternalFunctor,
     InternalNatTrans,
     adjustment_to_nat,
+    all_internal_nat_trans,
     equivalence_sets,
     internal_full_subcat,
     internal_functor,
@@ -189,6 +190,7 @@ class TestAdjustmentNatCorrespondence:
             except InternalCatError:
                 pass
         assert count == 1
+        assert all_internal_nat_trans(F, G) == [adjustment_to_nat(unique_adjustment(phi, psi))]
 
     def test_non_natural_rejected(self):
         phi, psi = self._pair(10)
