@@ -15,6 +15,7 @@ from .finset import (
     base_change,
     dep_prod,
     dep_sum,
+    enumeration_cap,
     pullback,
     slice_exponential,
 )

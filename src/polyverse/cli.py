@@ -13,7 +13,7 @@ import argparse
 import sys
 import traceback
 
-from .finset import EnumerationCapExceeded, FinSetError
+from .finset import DEFAULT_CAP, EnumerationCapExceeded, FinSetError
 from .poly import PolyError, compose, extend
 from .internalcat import internal_full_subcat
 from .naturalmodel import (
@@ -73,7 +73,7 @@ def _add_suite_flags(p, count_default=20):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=count_default)
     p.add_argument("--max-size", type=int, default=3)
-    p.add_argument("--cap", type=int, default=100_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.add_argument("--format", choices=["text", "json"], default="text")
 
 

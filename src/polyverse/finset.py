@@ -15,13 +15,16 @@ record their derivation:
 * ``slice_exponential`` elements are pairs ``(z, table)`` where ``table``
   is a section-style graph of a function.
 
-Operations that would enumerate more than ``DEFAULT_CAP`` elements raise
-``EnumerationCapExceeded`` instead of thrashing.
+Operations that would enumerate more elements than the cap raise
+``EnumerationCapExceeded`` instead of thrashing.  The cap is ``DEFAULT_CAP``,
+or ``n`` within ``with enumeration_cap(n):``, however deeply nested.
 """
 
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Union
@@ -63,7 +66,24 @@ def label_key(label: Label):
     return key
 
 
-def _guard(count: int, cap: int, what: str) -> None:
+_CAP: ContextVar[int] = ContextVar("enumeration_cap", default=DEFAULT_CAP)
+
+
+@contextmanager
+def enumeration_cap(n: int):
+    """Set the enumeration cap to ``n`` for the ``with`` block; the outer cap
+    comes back when the block ends, also when an exception leaves it."""
+    if not isinstance(n, int) or n <= 0:
+        raise ValueError(f"enumeration cap must be a positive int, got {n!r}")
+    token = _CAP.set(n)
+    try:
+        yield
+    finally:
+        _CAP.reset(token)
+
+
+def _guard(count: int, what: str) -> None:
+    cap = _CAP.get()
     if count > cap:
         raise EnumerationCapExceeded(f"{what} would have {count} elements (cap {cap})")
 
@@ -94,9 +114,6 @@ class FinSet:
 
     def __contains__(self, label: Label) -> bool:
         return label in self.pos
-
-    def is_singleton(self) -> bool:
-        return len(self.elements) == 1
 
     def the_element(self) -> Label:
         if len(self.elements) != 1:
@@ -366,7 +383,7 @@ def section_lookup(section: tuple, b: Label) -> Label:
     raise FinSetError(f"{b!r} not assigned by section {section!r}")
 
 
-def dep_prod(f: FinMap, X: FinFamily, cap: int = DEFAULT_CAP) -> FinFamily:
+def dep_prod(f: FinMap, X: FinFamily) -> FinFamily:
     """Dependent product along ``f``: fibre over ``a`` is the set of sections
     of ``X`` over the ``f``-fibre of ``a``."""
     if X.index != f.dom:
@@ -377,7 +394,7 @@ def dep_prod(f: FinMap, X: FinFamily, cap: int = DEFAULT_CAP) -> FinFamily:
         count = 1
         for b in bs:
             count *= len(X.fibre(b))
-        _guard(count, cap, f"dependent product fibre over {a!r}")
+        _guard(count, f"dependent product fibre over {a!r}")
         sections = []
         for choice in itertools.product(*(X.fibre(b).elements for b in bs)):
             sections.append(section_tuple(dict(zip(bs, choice))))
@@ -385,7 +402,7 @@ def dep_prod(f: FinMap, X: FinFamily, cap: int = DEFAULT_CAP) -> FinFamily:
     return FinFamily(f.cod, fibres)
 
 
-def slice_exponential(f1: FinMap, f2: FinMap, cap: int = DEFAULT_CAP) -> FinMap:
+def slice_exponential(f1: FinMap, f2: FinMap) -> FinMap:
     """Fibrewise full function set: over ``z`` all maps fibre(f1, z) → fibre(f2, z).
 
     Elements of the result's domain are pairs ``(z, table)``.
@@ -397,7 +414,7 @@ def slice_exponential(f1: FinMap, f2: FinMap, cap: int = DEFAULT_CAP) -> FinMap:
     for z in Z:
         src = f1.preimage(z)
         tgt = f2.preimage(z)
-        _guard(len(tgt) ** len(src) if src else 1, cap, f"function set over {z!r}")
+        _guard(len(tgt) ** len(src) if src else 1, f"function set over {z!r}")
         for choice in itertools.product(tgt, repeat=len(src)):
             elems.append((z, section_tuple(dict(zip(src, choice)))))
     E = FinSet(elems)
@@ -458,14 +475,14 @@ def sum_untranspose(f: FinMap, k: FamilyMorphism, Y: FinFamily) -> FamilyMorphis
     return FamilyMorphism(src, Y, maps)
 
 
-def enumerate_family_morphisms(X: FinFamily, Y: FinFamily, cap: int = DEFAULT_CAP):
-    """All fibrewise maps X → Y, in canonical order."""
+def enumerate_family_morphisms(X: FinFamily, Y: FinFamily):
+    """All fibrewise maps X → Y, in canonical order; the cap is read at the first ``next()``."""
     if X.index != Y.index:
         raise FinSetError("families must share an index")
     count = 1
     for i in X.index:
         count *= max(1, len(Y.fibre(i))) ** len(X.fibre(i))
-        _guard(count, cap, "family morphism enumeration")
+        _guard(count, "family morphism enumeration")
     per_index = []
     for i in X.index:
         src, tgt = X.fibre(i), Y.fibre(i)

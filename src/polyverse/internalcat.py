@@ -15,7 +15,6 @@ import itertools
 from dataclasses import dataclass
 
 from .finset import (
-    DEFAULT_CAP,
     FinMap,
     FinSet,
     section_lookup,
@@ -77,14 +76,14 @@ class InternalCategory:
         return tuple(m for m in self.mor if self.dom(m) == a and self.cod(m) == a_prime)
 
 
-def internal_full_subcat(f: FinMap, cap: int = DEFAULT_CAP) -> InternalCategory:
+def internal_full_subcat(f: FinMap) -> InternalCategory:
     """The internal full subcategory associated with a map of finite sets."""
     A = f.cod
     count = 0
     for a in A:
         for a2 in A:
             count += max(1, len(f.preimage(a2))) ** len(f.preimage(a))
-            _guard(count, cap, "internal morphism object")
+            _guard(count, "internal morphism object")
     mor_elems = []
     for a in A:
         src = f.preimage(a)
@@ -158,15 +157,15 @@ class InternalFunctor:
         return InternalFunctor(C, C, FinMap.identity(C.obj), FinMap.identity(C.mor))
 
 
-def internal_functor(phi: PolyMorphism, cap: int = DEFAULT_CAP) -> InternalFunctor:
+def internal_functor(phi: PolyMorphism) -> InternalFunctor:
     """The internal functor induced by a cartesian morphism of one-to-one
     polynomials: phi0 on objects, conjugation by the square top on homs."""
     if not phi.is_cartesian():
         raise PolyError("internal functors arise from cartesian morphisms only")
     if not (phi.src.is_one_to_one() and phi.dst.is_one_to_one()):
         raise PolyError("reduce along the slice first for general endpoints")
-    Af = internal_full_subcat(phi.src.f, cap)
-    Ag = internal_full_subcat(phi.dst.f, cap)
+    Af = internal_full_subcat(phi.src.f)
+    Ag = internal_full_subcat(phi.dst.f)
     top = phi.square_top()
     on_mor_table = {}
     for (a, a2, graph) in Af.mor:
@@ -177,11 +176,11 @@ def internal_functor(phi: PolyMorphism, cap: int = DEFAULT_CAP) -> InternalFunct
     )
 
 
-def internal_functor_general(phi: PolyMorphism, cap: int = DEFAULT_CAP) -> dict:
+def internal_functor_general(phi: PolyMorphism) -> dict:
     """General endpoints: reduce along the slice, then one functor per base
     point of the product of the endpoints."""
     sm = slice_reduce_cell(phi)
-    return {z: internal_functor(sm.fibre_cell(z), cap) for z in sm.src.base}
+    return {z: internal_functor(sm.fibre_cell(z)) for z in sm.src.base}
 
 
 @dataclass(frozen=True)
@@ -237,14 +236,14 @@ def _component_table(phi: PolyMorphism, psi: PolyMorphism, alpha: FinMap) -> dic
     return table
 
 
-def adjustment_to_nat(adj: Adjustment, cap: int = DEFAULT_CAP) -> InternalNatTrans:
+def adjustment_to_nat(adj: Adjustment) -> InternalNatTrans:
     """Transpose an adjustment between cartesian morphisms into an internal
     natural transformation between the induced functors."""
     phi, psi = adj.src, adj.dst
     if not (phi.is_cartesian() and psi.is_cartesian()):
         raise PolyError("the correspondence needs cartesian morphisms")
-    F = internal_functor(phi, cap)
-    G = internal_functor(psi, cap)
+    F = internal_functor(phi)
+    G = internal_functor(psi)
     table = _component_table(phi, psi, adj.alpha)
     components = FinMap(F.src.obj, G.dst.mor, table)
     return InternalNatTrans(F, G, components)
@@ -260,7 +259,7 @@ def nat_to_adjustment(nat: InternalNatTrans, phi: PolyMorphism, psi: PolyMorphis
     return Adjustment(phi, psi, FinMap(phi.dphi, psi.dphi, table))
 
 
-def equivalence_sets(phi: PolyMorphism, psi: PolyMorphism, cap: int = DEFAULT_CAP) -> dict:
+def equivalence_sets(phi: PolyMorphism, psi: PolyMorphism) -> dict:
     """Brute-force the four equivalent descriptions of an adjustment between
     cartesian morphisms, over every vertex map lying over the operations.
 
@@ -269,8 +268,8 @@ def equivalence_sets(phi: PolyMorphism, psi: PolyMorphism, cap: int = DEFAULT_CA
     """
     if not (phi.is_cartesian() and psi.is_cartesian()):
         raise PolyError("the equivalence concerns cartesian morphisms")
-    F = internal_functor(phi, cap)
-    G = internal_functor(psi, cap)
+    F = internal_functor(phi)
+    G = internal_functor(psi)
     D = G.dst
     sets: dict = {"natural": set(), "component": set(), "conjugate": set(), "over_b": set()}
     by_a: dict = {}
@@ -280,14 +279,12 @@ def equivalence_sets(phi: PolyMorphism, psi: PolyMorphism, cap: int = DEFAULT_CA
     for a, es in by_a.items():
         pool = [x for x in psi.dphi if psi.r(x) == a]
         candidate_values[a] = [list(zip(es, choice)) for choice in itertools.product(pool, repeat=len(es))]
-        _guard(
-            max(len(candidate_values[a]), 1), cap, "adjustment candidate search"
-        )
+        _guard(max(len(candidate_values[a]), 1), "adjustment candidate search")
     combos = [candidate_values[a] for a in sorted(by_a, key=lambda x: str(x))]
     total = 1
     for c in combos:
         total *= max(1, len(c))
-    _guard(total, cap, "adjustment candidate search")
+    _guard(total, "adjustment candidate search")
     for parts in itertools.product(*combos):
         table = {e: x for part in parts for e, x in part}
         if len(table) != len(phi.dphi):

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .finset import (
-    DEFAULT_CAP,
     FinFamily,
     FinMap,
     FinSet,
@@ -288,29 +287,29 @@ def sigma_structure(u: Universe) -> PolyMorphism:
     return cell_from_square(pp, p_poly, top, bot)
 
 
-def apply_to_set(p: FinMap, Z: FinSet, cap: int = DEFAULT_CAP) -> FinSet:
+def apply_to_set(p: FinMap, Z: FinSet) -> FinSet:
     """The value on an object of the endofunctor induced by ``p``."""
     fam = FinFamily(TERMINAL, {"*": Z})
-    return extend(from_map(p), fam, cap).fibre("*")
+    return extend(from_map(p), fam).fibre("*")
 
 
-def lift_apply(p: FinMap, f: FinMap, cap: int = DEFAULT_CAP) -> FinMap:
+def lift_apply(p: FinMap, f: FinMap) -> FinMap:
     """The endofunctor on maps: postcompose every section with ``f``."""
-    src = apply_to_set(p, f.dom, cap)
-    dst = apply_to_set(p, f.cod, cap)
+    src = apply_to_set(p, f.dom)
+    dst = apply_to_set(p, f.cod)
     table = {
         (x, sect): (x, section_tuple({k: f(v) for k, v in sect})) for (x, sect) in src
     }
     return FinMap(src, dst, table)
 
 
-def lift_apply_square(p: FinMap, sq: Square, cap: int = DEFAULT_CAP) -> Square:
+def lift_apply_square(p: FinMap, sq: Square) -> Square:
     """The endofunctor on squares, applied edgewise."""
     return Square(
-        lift_apply(p, sq.src, cap),
-        lift_apply(p, sq.dst, cap),
-        lift_apply(p, sq.top, cap),
-        lift_apply(p, sq.bot, cap),
+        lift_apply(p, sq.src),
+        lift_apply(p, sq.dst),
+        lift_apply(p, sq.top),
+        lift_apply(p, sq.bot),
     )
 
 
@@ -335,32 +334,30 @@ def pi_structure(u: Universe) -> PolyMorphism:
 # ---------------------------------------------------------------------------
 
 
-def unit_component(eta: PolyMorphism, Z: FinSet, cap: int = DEFAULT_CAP) -> FinMap:
+def unit_component(eta: PolyMorphism, Z: FinSet) -> FinMap:
     """Z -> P_p(Z), through the recorded identity-extension bijection."""
     fam = FinFamily(TERMINAL, {"*": Z})
-    cell = extend_cell(eta, fam, cap)
+    cell = extend_cell(eta, fam)
     _, bwd = identity_extension_iso(fam)
     return cell.at("*").after(bwd.at("*"))
 
 
-def mult_component(mu: PolyMorphism, Z: FinSet, cap: int = DEFAULT_CAP) -> FinMap:
+def mult_component(mu: PolyMorphism, Z: FinSet) -> FinMap:
     """P_p(P_p(Z)) -> P_p(Z), through the recorded composite bijection."""
     p_poly = mu.dst
     fam = FinFamily(TERMINAL, {"*": Z})
-    _, bwd = extension_composition_iso(p_poly, p_poly, fam, cap)
-    cell = extend_cell(mu, fam, cap)
+    _, bwd = extension_composition_iso(p_poly, p_poly, fam)
+    cell = extend_cell(mu, fam)
     return cell.at("*").after(bwd.at("*"))
 
 
-def lift_unit_mult(
-    p: FinMap, eta: PolyMorphism, mu: PolyMorphism, f: FinMap, cap: int = DEFAULT_CAP
-) -> tuple[Square, Square]:
+def lift_unit_mult(p: FinMap, eta: PolyMorphism, mu: PolyMorphism, f: FinMap) -> tuple[Square, Square]:
     """The unit and multiplication squares of the lifted endofunctor at an
     object ``f`` of the arrow 2-category."""
-    Pf = lift_apply(p, f, cap)
-    h_f = Square(f, Pf, unit_component(eta, f.dom, cap), unit_component(eta, f.cod, cap))
-    PPf = lift_apply(p, Pf, cap)
-    m_f = Square(PPf, Pf, mult_component(mu, f.dom, cap), mult_component(mu, f.cod, cap))
+    Pf = lift_apply(p, f)
+    h_f = Square(f, Pf, unit_component(eta, f.dom), unit_component(eta, f.cod))
+    PPf = lift_apply(p, Pf)
+    m_f = Square(PPf, Pf, mult_component(mu, f.dom), mult_component(mu, f.cod))
     return h_f, m_f
 
 
@@ -391,18 +388,18 @@ def _law_adjustment(x: PolyMorphism, y: PolyMorphism) -> Adjustment:
     return unique_adjustment(canon(x), canon(y))
 
 
-def monad_law_cells(u: Universe, cap: int = DEFAULT_CAP) -> dict:
+def monad_law_cells(u: Universe) -> dict:
     """The composite cells entering the three monad laws, with the unitor
     isos absorbed so that each law compares parallel cells."""
     t = poly_of(u)
     eta = unit_structure(u)
     mu = sigma_structure(u)
     pp = mu.src
-    a3 = associator(t, t, t, cap)
-    p_mu = whisker_left(t, mu, cap)
-    mu_p = whisker_right(mu, t, cap)
-    eta_p = v_comp(whisker_right(eta, t, cap), lunitor_inv(t, cap))
-    p_eta = v_comp(whisker_left(t, eta, cap), runitor_inv(t, cap))
+    a3 = associator(t, t, t)
+    p_mu = whisker_left(t, mu)
+    mu_p = whisker_right(mu, t)
+    eta_p = v_comp(whisker_right(eta, t), lunitor_inv(t))
+    p_eta = v_comp(whisker_left(t, eta), runitor_inv(t))
     return {
         "t": t,
         "pp": pp,
@@ -421,8 +418,8 @@ def monad_law_cells(u: Universe, cap: int = DEFAULT_CAP) -> dict:
     }
 
 
-def pseudomonad_from(u: Universe, cap: int = DEFAULT_CAP) -> PolynomialPseudomonad:
-    cells = monad_law_cells(u, cap)
+def pseudomonad_from(u: Universe) -> PolynomialPseudomonad:
+    cells = monad_law_cells(u)
     assoc = _law_adjustment(cells["assoc_lhs"], cells["assoc_rhs"])
     left = _law_adjustment(cells["left_cell"], cells["id_cell"])
     right = _law_adjustment(cells["right_cell"], cells["id_cell"])
@@ -437,7 +434,7 @@ def pseudomonad_from(u: Universe, cap: int = DEFAULT_CAP) -> PolynomialPseudomon
     )
 
 
-def pseudomonad_pasting_report(u: Universe, cap: int = DEFAULT_CAP) -> dict:
+def pseudomonad_pasting_report(u: Universe) -> dict:
     """The two coherence equations for the pseudomonad adjustments, checked
     as literal equalities of composite vertex maps.
 
@@ -447,15 +444,15 @@ def pseudomonad_pasting_report(u: Universe, cap: int = DEFAULT_CAP) -> dict:
     the unique adjustment between consecutive square-normalised nodes, and
     the two sides traverse different intermediate nodes.
     """
-    cells = monad_law_cells(u, cap)
+    cells = monad_law_cells(u)
     t, pp, mu, eta = cells["t"], cells["pp"], cells["mu"], cells["eta"]
     a3, p_mu, mu_p = cells["a3"], cells["p_mu"], cells["mu_p"]
 
-    a_t_t_pp = associator(t, t, pp, cap)
-    pp_mu = whisker_left(pp, mu, cap)
-    p_mu_t = whisker_right(p_mu, t, cap)
-    a3_t = whisker_right(a3, t, cap)
-    mu_p_t = whisker_right(mu_p, t, cap)
+    a_t_t_pp = associator(t, t, pp)
+    pp_mu = whisker_left(pp, mu)
+    p_mu_t = whisker_right(p_mu, t)
+    a3_t = whisker_right(a3, t)
+    mu_p_t = whisker_right(mu_p, t)
 
     U1 = vcomp_chain(mu, p_mu, a3, pp_mu, a_t_t_pp)
     U2 = vcomp_chain(mu, p_mu, a3, p_mu_t, a3_t)
@@ -466,10 +463,8 @@ def pseudomonad_pasting_report(u: Universe, cap: int = DEFAULT_CAP) -> dict:
     assoc_rhs = adj_vcomp(_law_adjustment(V2, U4), _law_adjustment(U1, V2))
     assoc_ok = assoc_lhs.alpha == assoc_rhs.alpha
 
-    t_eta = whisker_left(t, eta, cap)
-    t_eta_t = v_comp(
-        whisker_right(t_eta, t, cap), whisker_right(runitor_inv(t, cap), t, cap)
-    )
+    t_eta = whisker_left(t, eta)
+    t_eta_t = v_comp(whisker_right(t_eta, t), whisker_right(runitor_inv(t), t))
     W1 = vcomp_chain(mu, p_mu, a3, t_eta_t)
     W2 = vcomp_chain(mu, mu_p, t_eta_t)
     W3 = mu
@@ -517,12 +512,12 @@ def _square_adjustment(x: Square, y: Square) -> Adjustment:
     return unique_adjustment(cell_of_square(x), cell_of_square(y))
 
 
-def pseudoalgebra_from(u: Universe, cap: int = DEFAULT_CAP) -> PolynomialPseudoalgebra:
-    monad = pseudomonad_from(u, cap)
+def pseudoalgebra_from(u: Universe) -> PolynomialPseudoalgebra:
+    monad = pseudomonad_from(u)
     zeta = pi_structure(u)
     z = square_of_cell(zeta)
-    h_p, m_p = lift_unit_mult(u.p, monad.eta, monad.mu, u.p, cap)
-    Tz = lift_apply_square(u.p, z, cap)
+    h_p, m_p = lift_unit_mult(u.p, monad.eta, monad.mu, u.p)
+    Tz = lift_apply_square(u.p, z)
     lhs = z.after(Tz)
     rhs = z.after(m_p)
     sigma_adj = _square_adjustment(lhs, rhs)
@@ -538,21 +533,21 @@ def pseudoalgebra_from(u: Universe, cap: int = DEFAULT_CAP) -> PolynomialPseudoa
     )
 
 
-def pseudoalgebra_pasting_report(u: Universe, cap: int = DEFAULT_CAP) -> dict:
+def pseudoalgebra_pasting_report(u: Universe) -> dict:
     """The two coherence equations for the pseudoalgebra adjustments,
     checked as literal equalities of composite vertex maps between squares
     over the third and first powers of the carrier."""
-    monad = pseudomonad_from(u, cap)
+    monad = pseudomonad_from(u)
     zeta = pi_structure(u)
     z = square_of_cell(zeta)
     p = u.p
-    h_p, m_p = lift_unit_mult(p, monad.eta, monad.mu, p, cap)
-    Tp = lift_apply(p, p, cap)
-    _, m_Tp = lift_unit_mult(p, monad.eta, monad.mu, Tp, cap)
-    Tz = lift_apply_square(p, z, cap)
-    TTz = lift_apply_square(p, Tz, cap)
-    Tm_p = lift_apply_square(p, m_p, cap)
-    Th_p = lift_apply_square(p, h_p, cap)
+    h_p, m_p = lift_unit_mult(p, monad.eta, monad.mu, p)
+    Tp = lift_apply(p, p)
+    _, m_Tp = lift_unit_mult(p, monad.eta, monad.mu, Tp)
+    Tz = lift_apply_square(p, z)
+    TTz = lift_apply_square(p, Tz)
+    Tm_p = lift_apply_square(p, m_p)
+    Th_p = lift_apply_square(p, h_p)
 
     X1 = z.after(Tz).after(TTz)
     X2 = z.after(Tz).after(Tm_p)
@@ -596,7 +591,7 @@ def _unlam(u: Universe, code, btable):
     return u.lam(code, btable).inverse()
 
 
-def verify_type_isos(u: Universe, cap: int = DEFAULT_CAP) -> dict:
+def verify_type_isos(u: Universe) -> dict:
     """Exhaustively build both sides of the five type isomorphisms for every
     choice of codes and code families, with explicit bijections.
 
@@ -617,18 +612,9 @@ def verify_type_isos(u: Universe, cap: int = DEFAULT_CAP) -> dict:
         strict = lhs_code == rhs_code and ok and bij == FinMap.identity(bij.dom)
         rows[row].append({"ok": ok, "strict": strict, "lhs": lhs_code, "rhs": rhs_code})
 
-    unit_bt_cache = {}
-
-    def const_unit_btable(code):
-        if code not in unit_bt_cache:
-            unit_bt_cache[code] = section_tuple(
-                {x: u.unit_code for x in u.el.fibre(code)}
-            )
-        return unit_bt_cache[code]
-
     for A in u.codes:
         # sum right unit: pairs with the unit over A against A itself
-        bt = const_unit_btable(A)
+        bt = section_tuple({x: u.unit_code for x in u.el.fibre(A)})
         lhs = u.sigma_code(A, bt)
         unp = _unpair(u, A, bt)
         table = {z: unp(z)[0] for z in u.term_fibre(lhs)}
@@ -651,7 +637,6 @@ def verify_type_isos(u: Universe, cap: int = DEFAULT_CAP) -> dict:
             bdict = dict(btable)
             sum_code = u.sigma_code(A, btable)
             pair_ab = u.pairing(A, btable)
-            unpair_ab = pair_ab.inverse()
             for ctable in u.btables(sum_code):
                 cdict = dict(ctable)
 
@@ -684,10 +669,7 @@ def verify_type_isos(u: Universe, cap: int = DEFAULT_CAP) -> dict:
                 )
 
                 # nested product on the left, product over pairs on the right
-                pi_inner_tabs = {x: inner_tabs[x] for x in u.el.fibre(A)}
-                pi_inner_codes = {
-                    x: u.pi_code(bdict[x], pi_inner_tabs[x]) for x in u.el.fibre(A)
-                }
+                pi_inner_codes = {x: u.pi_code(bdict[x], inner_tabs[x]) for x in u.el.fibre(A)}
                 lhs_pi = u.pi_code(A, section_tuple(pi_inner_codes))
                 rhs_pi = u.pi_code(sum_code, ctable)
                 unlam_outer = _unlam(u, A, section_tuple(pi_inner_codes))
@@ -698,7 +680,7 @@ def verify_type_isos(u: Universe, cap: int = DEFAULT_CAP) -> dict:
                     flat = {}
                     for xa, w in outer_sect:
                         x = xa[1]
-                        for yb, v in _unlam(u, bdict[x], pi_inner_tabs[x])(w):
+                        for yb, v in _unlam(u, bdict[x], inner_tabs[x])(w):
                             flat[pair_ab((xa, yb))] = v
                     table_pi[z] = lam_rhs(section_tuple(flat))
                 record(

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .finset import (
-    DEFAULT_CAP,
     FamilyMorphism,
     FinFamily,
     FinMap,
@@ -88,17 +87,17 @@ def linear_poly(s: FinMap, t: FinMap) -> Polynomial:
     return Polynomial(s.cod, A, A, t.cod, s, FinMap.identity(A), t)
 
 
-def extend(F: Polynomial, X: FinFamily, cap: int = DEFAULT_CAP) -> FinFamily:
+def extend(F: Polynomial, X: FinFamily) -> FinFamily:
     """Evaluate the extension of F on a family over I."""
     if X.index != F.I:
         raise PolyError("family must be indexed by the source of the polynomial")
-    return dep_sum(F.t, dep_prod(F.f, base_change(F.s, X), cap))
+    return dep_sum(F.t, dep_prod(F.f, base_change(F.s, X)))
 
 
-def extend_map(F: Polynomial, h: FamilyMorphism, cap: int = DEFAULT_CAP) -> FamilyMorphism:
+def extend_map(F: Polynomial, h: FamilyMorphism) -> FamilyMorphism:
     """Functor action of the extension on a fibrewise map of families."""
-    src = extend(F, h.src, cap)
-    dst = extend(F, h.dst, cap)
+    src = extend(F, h.src)
+    dst = extend(F, h.dst)
     maps = {}
     for j in F.J:
         comp = {}
@@ -168,13 +167,13 @@ class CompositionTrace:
                 raise PolyError("recorded counit disagrees with section evaluation")
 
 
-def compose(G: Polynomial, F: Polynomial, cap: int = DEFAULT_CAP) -> tuple[Polynomial, CompositionTrace]:
+def compose(G: Polynomial, F: Polynomial) -> tuple[Polynomial, CompositionTrace]:
     """Composite polynomial G . F for F : I -|-> J and G : J -|-> K."""
     if F.J != G.I:
         raise PolyError("polynomials do not share a boundary")
     Q, qa, qd = pullback(F.t, G.s)
     fam_q = FinFamily(G.B, {d: FinSet(qd.preimage(d)) for d in G.B})
-    m_fam = dep_prod(G.f, fam_q, cap)
+    m_fam = dep_prod(G.f, fam_q)
     M, w = m_fam.total()
     Qp, q, qp_d = pullback(w, G.f)
     e = FinMap(Qp, Q, {x: section_lookup(x[0][1], x[1]) for x in Qp})
@@ -188,7 +187,7 @@ def compose(G: Polynomial, F: Polynomial, cap: int = DEFAULT_CAP) -> tuple[Polyn
     return composite, trace
 
 
-def compose_direct(G: Polynomial, F: Polynomial, cap: int = DEFAULT_CAP) -> Polynomial:
+def compose_direct(G: Polynomial, F: Polynomial) -> Polynomial:
     """The composite built straight from its element-level description.
 
     Used as the independent cross-check for ``compose``: the middle object
@@ -206,7 +205,7 @@ def compose_direct(G: Polynomial, F: Polynomial, cap: int = DEFAULT_CAP) -> Poly
         count = 1
         for cand in candidates:
             count *= len(cand)
-        _guard(count, cap, f"composite operations over {c!r}")
+        _guard(count, f"composite operations over {c!r}")
         for choice in itertools.product(*candidates):
             sect = section_tuple({d: (a, d) for d, a in zip(ds, choice)})
             m_elems.append((c, sect))
@@ -250,14 +249,14 @@ def encode_arity(b, melt, d) -> tuple:
 
 
 def extension_composition_iso(
-    G: Polynomial, F: Polynomial, X: FinFamily, cap: int = DEFAULT_CAP
+    G: Polynomial, F: Polynomial, X: FinFamily
 ) -> tuple[FamilyMorphism, FamilyMorphism]:
     """Fibrewise bijections between the extension of the composite at X and
     the composite of the extensions, in both directions."""
-    GF, trace = compose(G, F, cap)
-    lhs = extend(GF, X, cap)
-    inner = extend(F, X, cap)
-    rhs = extend(G, inner, cap)
+    GF, trace = compose(G, F)
+    lhs = extend(GF, X)
+    inner = extend(F, X)
+    rhs = extend(G, inner)
     fwd_maps, bwd_maps = {}, {}
     for k in G.J:
         fw = {}
@@ -376,7 +375,7 @@ def slice_unreduce(S: SlicePolynomial) -> Polynomial:
     return Polynomial(I, B, A, J, s, f, t)
 
 
-def slice_extension(S: SlicePolynomial, Y: FinFamily, cap: int = DEFAULT_CAP) -> FinFamily:
+def slice_extension(S: SlicePolynomial, Y: FinFamily) -> FinFamily:
     """Extension of a sliced one-to-one polynomial, computed fibre by fibre."""
     if Y.index != S.base:
         raise PolyError("family must be indexed by the slice base")
@@ -384,6 +383,6 @@ def slice_extension(S: SlicePolynomial, Y: FinFamily, cap: int = DEFAULT_CAP) ->
     for z in S.base:
         fz = S.at(z)
         fam = FinFamily.constant(fz.dom, Y.fibre(z))
-        ext = dep_sum(FinMap.to_terminal(fz.cod), dep_prod(fz, fam, cap))
+        ext = dep_sum(FinMap.to_terminal(fz.cod), dep_prod(fz, fam))
         fibres[z] = ext.fibre("*")
     return FinFamily(S.base, fibres)

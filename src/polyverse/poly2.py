@@ -18,16 +18,17 @@ closed form is one of the standing test obligations.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 
 from .finset import (
-    DEFAULT_CAP,
     FamilyMorphism,
     FinFamily,
     FinMap,
     FinSet,
     TERMINAL,
+    enumeration_cap,
     is_pullback_cone,
     pullback,
     section_lookup,
@@ -216,7 +217,7 @@ def vcomp_chain(*cells: PolyMorphism) -> PolyMorphism:
 # ---------------------------------------------------------------------------
 
 
-def h_comp(psi: PolyMorphism, phi: PolyMorphism, cap: int = DEFAULT_CAP) -> PolyMorphism:
+def h_comp(psi: PolyMorphism, phi: PolyMorphism) -> PolyMorphism:
     """Horizontal composite of cartesian phi : F => F2 (over I -|-> J) and
     cartesian psi : G => G2 (over J -|-> K), as a cartesian morphism
     G.F => G2.F2 computed on the square presentations."""
@@ -224,8 +225,8 @@ def h_comp(psi: PolyMorphism, phi: PolyMorphism, cap: int = DEFAULT_CAP) -> Poly
         raise PolyError("horizontal composition is only provided for cartesian morphisms")
     if phi.src.J != psi.src.I:
         raise CellShapeError("horizontal composition boundary mismatch")
-    GF, _ = compose(psi.src, phi.src, cap)
-    G2F2, _ = compose(psi.dst, phi.dst, cap)
+    GF, _ = compose(psi.src, phi.src)
+    G2F2, _ = compose(psi.dst, phi.dst)
     psi_top = psi.square_top()
     phi_top = phi.square_top()
     bot_table = {}
@@ -242,14 +243,14 @@ def h_comp(psi: PolyMorphism, phi: PolyMorphism, cap: int = DEFAULT_CAP) -> Poly
     return cell_from_square(GF, G2F2, top, bot)
 
 
-def whisker_left(G: Polynomial, phi: PolyMorphism, cap: int = DEFAULT_CAP) -> PolyMorphism:
+def whisker_left(G: Polynomial, phi: PolyMorphism) -> PolyMorphism:
     """G . phi : G.F => G.F2."""
-    return h_comp(identity_cell(G), phi, cap)
+    return h_comp(identity_cell(G), phi)
 
 
-def whisker_right(psi: PolyMorphism, F: Polynomial, cap: int = DEFAULT_CAP) -> PolyMorphism:
+def whisker_right(psi: PolyMorphism, F: Polynomial) -> PolyMorphism:
     """psi . F : G.F => G2.F."""
-    return h_comp(psi, identity_cell(F), cap)
+    return h_comp(psi, identity_cell(F))
 
 
 # ---------------------------------------------------------------------------
@@ -257,31 +258,31 @@ def whisker_right(psi: PolyMorphism, F: Polynomial, cap: int = DEFAULT_CAP) -> P
 # ---------------------------------------------------------------------------
 
 
-def runitor_inv(F: Polynomial, cap: int = DEFAULT_CAP) -> PolyMorphism:
+def runitor_inv(F: Polynomial) -> PolyMorphism:
     """The canonical iso F => F . i_I."""
-    FI, tr = compose(F, identity_poly(F.I), cap)
+    FI, tr = compose(F, identity_poly(F.I))
     bot = tr.w.inverse()
     top = tr.qp_d.after(tr.p).inverse()
     return cell_from_square(F, FI, top, bot)
 
 
-def lunitor_inv(F: Polynomial, cap: int = DEFAULT_CAP) -> PolyMorphism:
+def lunitor_inv(F: Polynomial) -> PolyMorphism:
     """The canonical iso F => i_J . F."""
-    IF, tr = compose(identity_poly(F.J), F, cap)
+    IF, tr = compose(identity_poly(F.J), F)
     m_to_a = tr.qa.after(tr.e).after(tr.q.inverse())
     bot = m_to_a.inverse()
     top = tr.n.inverse()
     return cell_from_square(F, IF, top, bot)
 
 
-def runitor(F: Polynomial, cap: int = DEFAULT_CAP) -> PolyMorphism:
+def runitor(F: Polynomial) -> PolyMorphism:
     """F . i_I => F."""
-    return invert_cell(runitor_inv(F, cap))
+    return invert_cell(runitor_inv(F))
 
 
-def lunitor(F: Polynomial, cap: int = DEFAULT_CAP) -> PolyMorphism:
+def lunitor(F: Polynomial) -> PolyMorphism:
     """i_J . F => F."""
-    return invert_cell(lunitor_inv(F, cap))
+    return invert_cell(lunitor_inv(F))
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +290,12 @@ def lunitor(F: Polynomial, cap: int = DEFAULT_CAP) -> PolyMorphism:
 # ---------------------------------------------------------------------------
 
 
-def extend_cell(phi: PolyMorphism, X: FinFamily, cap: int = DEFAULT_CAP) -> FamilyMorphism:
+def extend_cell(phi: PolyMorphism, X: FinFamily) -> FamilyMorphism:
     """Component maps of the transformation induced by a morphism: an
     element ``(a, section)`` goes to ``phi0(a)`` paired with the section
     carried backwards through the vertex."""
-    src_ext = extend(phi.src, X, cap)
-    dst_ext = extend(phi.dst, X, cap)
+    src_ext = extend(phi.src, X)
+    dst_ext = extend(phi.dst, X)
     G = phi.dst
     maps = {}
     for j in phi.src.J:
@@ -350,11 +351,11 @@ def unique_adjustment(phi: PolyMorphism, psi: PolyMorphism) -> Adjustment:
     return Adjustment(phi, psi, psi.phi2.inverse().after(phi.phi2))
 
 
-def all_adjustments(phi: PolyMorphism, psi: PolyMorphism, cap: int = DEFAULT_CAP):
-    """Every valid adjustment, found by exhaustive search over all maps."""
+def all_adjustments(phi: PolyMorphism, psi: PolyMorphism):
+    """Every valid adjustment, by exhaustive search; the cap is read at the first ``next()``."""
     import itertools
 
-    _guard(max(1, len(psi.dphi)) ** len(phi.dphi), cap, "adjustment search")
+    _guard(max(1, len(psi.dphi)) ** len(phi.dphi), "adjustment search")
     if len(phi.dphi) > 0 and len(psi.dphi) == 0:
         return
     for choice in itertools.product(psi.dphi.elements, repeat=len(phi.dphi)):
@@ -407,7 +408,7 @@ def _require_one_to_one(*polys: Polynomial) -> None:
             raise PolyError("this construction expects polynomials from the point to the point")
 
 
-def associator(f: Polynomial, g: Polynomial, h: Polynomial, cap: int = DEFAULT_CAP) -> PolyMorphism:
+def associator(f: Polynomial, g: Polynomial, h: Polynomial) -> PolyMorphism:
     """The invertible exchange (h.g).f => h.(g.f) for one-to-one polynomials.
 
     On operations it regroups an outer operation, an assignment of middle
@@ -416,10 +417,10 @@ def associator(f: Polynomial, g: Polynomial, h: Polynomial, cap: int = DEFAULT_C
     underlying data across unchanged.
     """
     _require_one_to_one(f, g, h)
-    hg, _ = compose(h, g, cap)
-    hg_f, _ = compose(hg, f, cap)
-    gf, _ = compose(g, f, cap)
-    h_gf, _ = compose(h, gf, cap)
+    hg, _ = compose(h, g)
+    hg_f, _ = compose(hg, f)
+    gf, _ = compose(g, f)
+    h_gf, _ = compose(h, gf)
 
     bot_table = {}
     inner_ops = {}
@@ -447,22 +448,26 @@ def associator(f: Polynomial, g: Polynomial, h: Polynomial, cap: int = DEFAULT_C
 
 
 def pentagon_check(
-    f: Polynomial, g: Polynomial, h: Polynomial, k: Polynomial, cap: int = DEFAULT_CAP
+    f: Polynomial, g: Polynomial, h: Polynomial, k: Polynomial, cap: int | None = None
 ) -> dict:
     """Both composite reassociations of a fourfold composite, compared as
-    literal maps, together with the unique-adjustment diagnostics."""
+    literal maps, together with the unique-adjustment diagnostics.
+
+    ``cap``, if given, only enters ``enumeration_cap(cap)`` for the check: it
+    stays for ``perfbench/workloads.py``, which passes it positionally."""
     _require_one_to_one(f, g, h, k)
-    kh, _ = compose(k, h, cap)
-    hg, _ = compose(h, g, cap)
-    gf, _ = compose(g, f, cap)
-    direct = vcomp_chain(associator(gf, h, k, cap), associator(f, g, kh, cap))
-    stepwise = vcomp_chain(
-        h_comp(identity_cell(k), associator(f, g, h, cap), cap),
-        associator(f, hg, k, cap),
-        h_comp(associator(g, h, k, cap), identity_cell(f), cap),
-    )
-    equal = cells_square_equal(direct, stepwise)
-    witness = unique_adjustment(direct, canon(stepwise))
+    with nullcontext() if cap is None else enumeration_cap(cap):
+        kh, _ = compose(k, h)
+        hg, _ = compose(h, g)
+        gf, _ = compose(g, f)
+        direct = vcomp_chain(associator(gf, h, k), associator(f, g, kh))
+        stepwise = vcomp_chain(
+            h_comp(identity_cell(k), associator(f, g, h)),
+            associator(f, hg, k),
+            h_comp(associator(g, h, k), identity_cell(f)),
+        )
+        equal = cells_square_equal(direct, stepwise)
+        witness = unique_adjustment(direct, canon(stepwise))
     return {
         "ok": equal and witness.is_invertible(),
         "square_equality": equal,
@@ -470,21 +475,23 @@ def pentagon_check(
     }
 
 
-def triangle_check(f: Polynomial, g: Polynomial, cap: int = DEFAULT_CAP) -> dict:
-    """The unitor triangle for a composable pair of one-to-one polynomials."""
+def triangle_check(f: Polynomial, g: Polynomial, cap: int | None = None) -> dict:
+    """The unitor triangle for a composable pair of one-to-one polynomials.
+    ``cap`` works as in ``pentagon_check``, and for the same reason."""
     _require_one_to_one(f, g)
-    i1 = identity_poly(TERMINAL)
-    mediator = associator(f, i1, g, cap)
-    left = h_comp(runitor(g, cap), identity_cell(f), cap)
-    right = v_comp(h_comp(identity_cell(g), lunitor(f, cap), cap), mediator)
-    equal = cells_square_equal(left, right)
+    with nullcontext() if cap is None else enumeration_cap(cap):
+        i1 = identity_poly(TERMINAL)
+        mediator = associator(f, i1, g)
+        left = h_comp(runitor(g), identity_cell(f))
+        right = v_comp(h_comp(identity_cell(g), lunitor(f)), mediator)
+        equal = cells_square_equal(left, right)
     return {"ok": equal, "square_equality": equal}
 
 
-def codiscreteness_check(phi: PolyMorphism, psi: PolyMorphism, cap: int = DEFAULT_CAP) -> dict:
+def codiscreteness_check(phi: PolyMorphism, psi: PolyMorphism) -> dict:
     """Between a parallel pair with cartesian target there is exactly one
     adjustment, and it is the closed form."""
-    found = list(all_adjustments(phi, psi, cap))
+    found = list(all_adjustments(phi, psi))
     closed = unique_adjustment(phi, psi)
     return {
         "ok": len(found) == 1 and found[0].alpha == closed.alpha,

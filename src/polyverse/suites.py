@@ -4,20 +4,25 @@ Each suite runs a family of law checks over generated instances and
 returns a ``Report``: one record per check carrying the law identifier,
 an instance descriptor, and a pass/fail/skip status.  Reports are a pure
 function of (suite, config), so rerunning with the same seed yields a
-byte-identical serialisation.  Instances whose enumeration would exceed
-the configured cap are recorded as skips and the suite continues.
+byte-identical serialisation.  ``run_suite`` runs the suite inside
+``enumeration_cap(cfg.enumeration_cap)``, which covers every enumeration,
+structure cells included.  An instance over the cap becomes a skip and the
+suite goes on; a skipped draw is ``attempt<n>``.
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .finset import (
+    DEFAULT_CAP,
     EnumerationCapExceeded,
     FamilyMorphism,
     FinMap,
     Square,
+    enumeration_cap,
 )
 from .poly import (
     compose,
@@ -126,7 +131,7 @@ class InstanceGenConfig:
     seed: int = 0
     count: int = 20
     max_set_size: int = 3
-    enumeration_cap: int = 100_000
+    enumeration_cap: int = DEFAULT_CAP
 
     def __post_init__(self):
         if self.count <= 0 or self.max_set_size <= 0 or self.enumeration_cap <= 0:
@@ -170,10 +175,6 @@ class Report:
     def skipped(self) -> int:
         return sum(1 for r in self.records if r["status"] == "skip")
 
-    @property
-    def all_passed(self) -> bool:
-        return self.failed == 0 and self.passed > 0
-
     def exit_code(self) -> int:
         if self.records and all(r["status"] == "skip" for r in self.records):
             return 3
@@ -213,6 +214,20 @@ def _estimate_composite(G, F) -> int:
     return total
 
 
+@contextmanager
+def _skip_over_cap(rep: Report, name: str, law: str):
+    """Run one instance's checks; over the cap, their records move to ``name``
+    and a skip under ``law`` follows.  The block records ``law`` after its last
+    enumeration, so no law is both checked and skipped for one instance."""
+    mark = len(rep.records)
+    try:
+        yield
+    except EnumerationCapExceeded as exc:
+        for r in rep.records[mark:]:
+            r["instance"] = name
+        rep.skip(law, name, str(exc))
+
+
 # ---------------------------------------------------------------------------
 # Suites
 # ---------------------------------------------------------------------------
@@ -231,11 +246,11 @@ def suite_extension_composition(cfg: InstanceGenConfig) -> Report:
             continue
         families = [gen.rand_family(rng, F.I, cfg.max_set_size, prefix=f"x{k}") for k in range(3)]
         inst = f"pair{made}"
-        try:
-            GF, trace = compose(G, F, cfg.enumeration_cap)
+        with _skip_over_cap(rep, f"attempt{attempts}", "extension-composite-bijection"):
+            GF, trace = compose(G, F)
             trace.validate(G, F)
             rep.check("trace-revalidates", inst, True)
-            rep.check("composite-matches-direct", inst, GF == compose_direct(G, F, cfg.enumeration_cap))
+            rep.check("composite-matches-direct", inst, GF == compose_direct(G, F))
             ok_bij, ok_nat = True, True
             for X in families:
                 if any(
@@ -243,7 +258,7 @@ def suite_extension_composition(cfg: InstanceGenConfig) -> Report:
                     for P, Y in ((F, X), (GF, X))
                 ):
                     raise EnumerationCapExceeded("estimated extension over budget")
-                fwd, bwd = extension_composition_iso(G, F, X, cfg.enumeration_cap)
+                fwd, bwd = extension_composition_iso(G, F, X)
                 for k in G.J:
                     ident = FinMap.identity(fwd.src.fibre(k))
                     if bwd.at(k).after(fwd.at(k)) != ident:
@@ -253,16 +268,14 @@ def suite_extension_composition(cfg: InstanceGenConfig) -> Report:
                         ok_bij = False
                 for _ in range(2):
                     h = gen.rand_family_morphism(rng, X, cfg.max_set_size)
-                    fwd2, _ = extension_composition_iso(G, F, h.dst, cfg.enumeration_cap)
-                    lhs = fwd2.after(extend_map(GF, h, cfg.enumeration_cap))
-                    rhs = extend_map(G, extend_map(F, h, cfg.enumeration_cap), cfg.enumeration_cap).after(fwd)
+                    fwd2, _ = extension_composition_iso(G, F, h.dst)
+                    lhs = fwd2.after(extend_map(GF, h))
+                    rhs = extend_map(G, extend_map(F, h)).after(fwd)
                     if lhs != rhs:
                         ok_nat = False
             rep.check("extension-composite-bijection", inst, ok_bij)
             rep.check("extension-composite-naturality", inst, ok_nat)
             made += 1
-        except EnumerationCapExceeded as exc:
-            rep.skip("extension-composite-bijection", inst, str(exc))
     return rep
 
 
@@ -271,15 +284,15 @@ def suite_unique_adjustment(cfg: InstanceGenConfig) -> Report:
     rng = random.Random(cfg.seed)
     for n in range(cfg.count):
         phi, psi = gen.rand_parallel_pair(rng, cfg.max_set_size, max_vertex=4)
-        cd = codiscreteness_check(phi, psi, cfg.enumeration_cap)
-        rep.check("unique-adjustment", f"pair{n}", cd["ok"], f"found={cd['count']}")
+        with _skip_over_cap(rep, f"pair{n}", "unique-adjustment"):
+            cd = codiscreteness_check(phi, psi)
+            rep.check("unique-adjustment", f"pair{n}", cd["ok"], f"found={cd['count']}")
     return rep
 
 
 def suite_coherence(cfg: InstanceGenConfig) -> Report:
     rep = Report("coherence", cfg)
     rng = random.Random(cfg.seed)
-    budget = min(cfg.enumeration_cap, 3000)
     made, attempts = 0, 0
     quad_size = min(cfg.max_set_size, 2)
     while made < cfg.count and attempts < cfg.count * 60:
@@ -291,17 +304,14 @@ def suite_coherence(cfg: InstanceGenConfig) -> Report:
             rep.skip("pentagon", f"attempt{attempts}", "estimated size over budget")
             continue
         inst = f"quad{made}"
-        try:
-            pc = pentagon_check(f, g, h, k, budget)
-            rep.check("pentagon", inst, pc["ok"])
-            tc = triangle_check(f, g, budget)
-            rep.check("triangle", inst, tc["ok"])
+        with _skip_over_cap(rep, f"attempt{attempts}", "local-codiscreteness"):
+            with enumeration_cap(min(cfg.enumeration_cap, 3000)):
+                rep.check("pentagon", inst, pentagon_check(f, g, h, k)["ok"])
+                rep.check("triangle", inst, triangle_check(f, g)["ok"])
             phi, psi = gen.rand_parallel_pair(rng, cfg.max_set_size, max_vertex=4)
-            cd = codiscreteness_check(phi, psi, cfg.enumeration_cap)
+            cd = codiscreteness_check(phi, psi)
             rep.check("local-codiscreteness", inst, cd["ok"], f"count={cd['count']}")
             made += 1
-        except EnumerationCapExceeded as exc:
-            rep.skip("pentagon", inst, str(exc))
     # negative control: break an adjustment triangle and expect rejection
     phi, psi = gen.rand_parallel_pair(random.Random(cfg.seed + 1), cfg.max_set_size, max_vertex=4)
     good = unique_adjustment(phi, psi)
@@ -336,11 +346,11 @@ def suite_internal_equiv(cfg: InstanceGenConfig) -> Report:
         if len(phi.src.B) > 4 or len(phi.dst.B) > 4:
             continue
         inst = f"inst{made}"
-        try:
-            cat = internal_full_subcat(phi.src.f, cfg.enumeration_cap)
+        with _skip_over_cap(rep, f"attempt{attempts}", "four-way-equivalence"):
+            cat = internal_full_subcat(phi.src.f)
             rep.check("internal-category-laws", inst, True, f"morphisms={len(cat.mor)}")
-            F = internal_functor(phi, cfg.enumeration_cap)
-            Gf = internal_functor(psi, cfg.enumeration_cap)
+            F = internal_functor(phi)
+            Gf = internal_functor(psi)
             rep.check("internal-fully-faithful", inst, F.is_fully_faithful() and Gf.is_fully_faithful())
             chi = gen.rand_morphism(
                 rng, min(cfg.max_set_size, 2), cartesian=True,
@@ -349,24 +359,20 @@ def suite_internal_equiv(cfg: InstanceGenConfig) -> Report:
             outer = gen.rand_morphism(rng, min(cfg.max_set_size, 2), cartesian=True, target=chi.src)
             comp_ok = True
             if len(outer.src.B) <= 4:
-                lhs = internal_functor(v_comp(chi, outer), cfg.enumeration_cap)
-                rhs = internal_functor(chi, cfg.enumeration_cap).after(
-                    internal_functor(outer, cfg.enumeration_cap)
-                )
+                lhs = internal_functor(v_comp(chi, outer))
+                rhs = internal_functor(chi).after(internal_functor(outer))
                 comp_ok = lhs == rhs
             rep.check("internal-functor-composition", inst, comp_ok)
             alpha = unique_adjustment(phi, psi)
-            nat = adjustment_to_nat(alpha, cfg.enumeration_cap)
+            nat = adjustment_to_nat(alpha)
             back = nat_to_adjustment(nat, phi, psi)
             rep.check("adjustment-nat-roundtrip", inst, back.alpha == alpha.alpha)
             count = len(all_internal_nat_trans(F, Gf))
             rep.check("internal-nt-unique", inst, count == 1, f"count={count}")
-            sets = equivalence_sets(phi, psi, cfg.enumeration_cap)
+            sets = equivalence_sets(phi, psi)
             same = sets["natural"] == sets["component"] == sets["conjugate"] == sets["over_b"]
             rep.check("four-way-equivalence", inst, same and len(sets["over_b"]) == 1)
             made += 1
-        except EnumerationCapExceeded as exc:
-            rep.skip("internal-category-laws", inst, str(exc))
     return rep
 
 
@@ -385,28 +391,29 @@ def suite_pseudomonad(cfg: InstanceGenConfig) -> Report:
     rep = Report("pseudomonad", cfg)
     for name, u, profile in _universe_instances(cfg):
         rep.check("universe-validates", name, validate_universe(u) == [])
-        eta = unit_structure(u)
-        mu = sigma_structure(u)
-        zeta = pi_structure(u)
-        rep.check(
-            "monad-structure-cartesian", name,
-            eta.is_cartesian() and mu.is_cartesian() and zeta.is_cartesian(),
-        )
-        pm = pseudomonad_from(u, cfg.enumeration_cap)
-        invertible = (
-            pm.assoc.is_invertible()
-            and pm.left_unit.is_invertible()
-            and pm.right_unit.is_invertible()
-        )
-        if profile == "strict":
-            ok = invertible and pm.is_strict_monad() and pm.right_unit.is_identity()
-        elif profile == "right-unit-broken":
-            ok = invertible and not pm.strict_right and not pm.right_unit.is_identity()
-        else:
-            ok = invertible
-        rep.check("strictness-profile", name, ok, f"strict={pm.is_strict_monad()}")
-        pasting = pseudomonad_pasting_report(u, cfg.enumeration_cap)
-        rep.check("pseudomonad-pasting", name, pasting["ok"])
+        with _skip_over_cap(rep, name, "pseudomonad-pasting"):
+            eta = unit_structure(u)
+            mu = sigma_structure(u)
+            zeta = pi_structure(u)
+            rep.check(
+                "monad-structure-cartesian", name,
+                eta.is_cartesian() and mu.is_cartesian() and zeta.is_cartesian(),
+            )
+            pm = pseudomonad_from(u)
+            invertible = (
+                pm.assoc.is_invertible()
+                and pm.left_unit.is_invertible()
+                and pm.right_unit.is_invertible()
+            )
+            if profile == "strict":
+                ok = invertible and pm.is_strict_monad() and pm.right_unit.is_identity()
+            elif profile == "right-unit-broken":
+                ok = invertible and not pm.strict_right and not pm.right_unit.is_identity()
+            else:
+                ok = invertible
+            rep.check("strictness-profile", name, ok, f"strict={pm.is_strict_monad()}")
+            pasting = pseudomonad_pasting_report(u)
+            rep.check("pseudomonad-pasting", name, pasting["ok"])
     # negative control: corrupt the sum table of the two-code universe
     u = mk_bool_universe()
     broken_sigma = {k: ("code0" if v == "code1" else v) for k, v in u.sigma}
@@ -423,38 +430,36 @@ def suite_pseudomonad(cfg: InstanceGenConfig) -> Report:
 def suite_pseudoalgebra(cfg: InstanceGenConfig) -> Report:
     rep = Report("pseudoalgebra", cfg)
     for name, u, profile in _universe_instances(cfg):
-        alg = pseudoalgebra_from(u, cfg.enumeration_cap)
-        invertible = alg.sigma_adj.is_invertible() and alg.tau_adj.is_invertible()
-        if profile == "strict":
-            ok = invertible and alg.is_strict()
-        elif profile == "right-unit-broken":
-            ok = invertible and not alg.strict_tau and not alg.tau_adj.is_identity()
-        else:
-            ok = invertible
-        rep.check("strictness-profile", name, ok, f"strict={alg.is_strict()}")
-        pasting = pseudoalgebra_pasting_report(u, cfg.enumeration_cap)
-        rep.check("pseudoalgebra-pasting", name, pasting["ok"])
+        with _skip_over_cap(rep, name, "pseudoalgebra-pasting"):
+            alg = pseudoalgebra_from(u)
+            invertible = alg.sigma_adj.is_invertible() and alg.tau_adj.is_invertible()
+            if profile == "strict":
+                ok = invertible and alg.is_strict()
+            elif profile == "right-unit-broken":
+                ok = invertible and not alg.strict_tau and not alg.tau_adj.is_identity()
+            else:
+                ok = invertible
+            rep.check("strictness-profile", name, ok, f"strict={alg.is_strict()}")
+            pasting = pseudoalgebra_pasting_report(u)
+            rep.check("pseudoalgebra-pasting", name, pasting["ok"])
     return rep
 
 
 def suite_type_isos(cfg: InstanceGenConfig) -> Report:
     rep = Report("type-isos", cfg)
     for name, u, profile in _universe_instances(cfg):
-        try:
-            summary = verify_type_isos(u, cfg.enumeration_cap)
-        except EnumerationCapExceeded as exc:
-            rep.skip("type-isomorphisms", name, str(exc))
-            continue
-        ok = summary["ok"]
-        if profile == "strict":
-            ok = ok and all(
-                v["nonidentity"] == 0 for k, v in summary.items() if isinstance(v, dict)
-            )
-        if profile == "right-unit-broken":
-            ok = ok and any(
-                v["nonidentity"] > 0 for k, v in summary.items() if isinstance(v, dict)
-            )
-        rep.check("type-isomorphisms", name, ok, f"checked={summary['total_checked']}")
+        with _skip_over_cap(rep, name, "type-isomorphisms"):
+            summary = verify_type_isos(u)
+            ok = summary["ok"]
+            if profile == "strict":
+                ok = ok and all(
+                    v["nonidentity"] == 0 for k, v in summary.items() if isinstance(v, dict)
+                )
+            if profile == "right-unit-broken":
+                ok = ok and any(
+                    v["nonidentity"] > 0 for k, v in summary.items() if isinstance(v, dict)
+                )
+            rep.check("type-isomorphisms", name, ok, f"checked={summary['total_checked']}")
     return rep
 
 
@@ -464,34 +469,32 @@ def suite_lift(cfg: InstanceGenConfig) -> Report:
     universes = [mk_bool_universe(), mk_skewed_universe()]
     for n in range(cfg.count):
         u = universes[n % 2]
-        eta = unit_structure(u)
-        mu = sigma_structure(u)
         p = u.p
         inst = f"sq{n}"
         sq = gen.rand_cartesian_square(rng, cfg.max_set_size)
-        try:
+        with _skip_over_cap(rep, inst, "lift-monad-laws"):
+            eta = unit_structure(u)
+            mu = sigma_structure(u)
             f = sq.src
-            Pid = lift_apply_square(p, Square.identity(f), cfg.enumeration_cap)
-            rep.check("lift-identity", inst, Pid == Square.identity(lift_apply(p, f, cfg.enumeration_cap)))
+            Pid = lift_apply_square(p, Square.identity(f))
+            rep.check("lift-identity", inst, Pid == Square.identity(lift_apply(p, f)))
             sq2 = gen.rand_cartesian_square(rng, cfg.max_set_size, dst=sq.src)
-            lhs = lift_apply_square(p, sq.after(sq2), cfg.enumeration_cap)
-            rhs = lift_apply_square(p, sq, cfg.enumeration_cap).after(
-                lift_apply_square(p, sq2, cfg.enumeration_cap)
-            )
+            lhs = lift_apply_square(p, sq.after(sq2))
+            rhs = lift_apply_square(p, sq).after(lift_apply_square(p, sq2))
             rep.check("lift-composition", inst, lhs == rhs)
-            Psq = lift_apply_square(p, sq, cfg.enumeration_cap)
+            Psq = lift_apply_square(p, sq)
             rep.check("lift-preserves-pullbacks", inst, Psq.is_pullback())
-            h_f, m_f = lift_unit_mult(p, eta, mu, f, cfg.enumeration_cap)
+            h_f, m_f = lift_unit_mult(p, eta, mu, f)
             rep.check("lift-unit-mult-squares", inst, h_f.is_pullback() and m_f.is_pullback())
-            h_g, m_g = lift_unit_mult(p, eta, mu, sq.dst, cfg.enumeration_cap)
+            h_g, m_g = lift_unit_mult(p, eta, mu, sq.dst)
             nat_h = h_g.after(sq) == Psq.after(h_f)
-            PPsq = lift_apply_square(p, Psq, cfg.enumeration_cap)
+            PPsq = lift_apply_square(p, Psq)
             nat_m = m_g.after(PPsq) == Psq.after(m_f)
             rep.check("lift-naturality", inst, nat_h and nat_m)
-            Pf = lift_apply(p, f, cfg.enumeration_cap)
-            h_Pf, m_Pf = lift_unit_mult(p, eta, mu, Pf, cfg.enumeration_cap)
-            Pm_f = lift_apply_square(p, m_f, cfg.enumeration_cap)
-            Ph_f = lift_apply_square(p, h_f, cfg.enumeration_cap)
+            Pf = lift_apply(p, f)
+            h_Pf, m_Pf = lift_unit_mult(p, eta, mu, Pf)
+            Pm_f = lift_apply_square(p, m_f)
+            Ph_f = lift_apply_square(p, h_f)
             laws = []
             for lhs_sq, rhs_sq in (
                 (m_f.after(Pm_f), m_f.after(m_Pf)),
@@ -501,8 +504,6 @@ def suite_lift(cfg: InstanceGenConfig) -> Report:
                 adj = unique_adjustment(cell_of_square(lhs_sq), cell_of_square(rhs_sq))
                 laws.append(adj.is_invertible())
             rep.check("lift-monad-laws", inst, all(laws))
-        except EnumerationCapExceeded as exc:
-            rep.skip("lift-preserves-pullbacks", inst, str(exc))
     return rep
 
 
@@ -564,7 +565,7 @@ def suite_bicategory_laws(cfg: InstanceGenConfig) -> Report:
     while made < cfg.count and attempts < cfg.count * 60:
         attempts += 1
         inst = f"inst{made}"
-        try:
+        with _skip_over_cap(rep, f"attempt{attempts}", "cartesian-naturality-pullback"):
             outer = gen.rand_morphism(rng, cfg.max_set_size)
             inner = gen.rand_morphism(rng, cfg.max_set_size, target=outer.src)
             X = gen.rand_family(rng, inner.src.I, cfg.max_set_size)
@@ -572,20 +573,15 @@ def suite_bicategory_laws(cfg: InstanceGenConfig) -> Report:
                 rep.skip("extension-functorial", f"attempt{attempts}", "estimated size over budget")
                 continue
             comp = v_comp(outer, inner)
-            lhs = extend_cell(comp, X, cfg.enumeration_cap)
-            rhs = extend_cell(outer, X, cfg.enumeration_cap).after(
-                extend_cell(inner, X, cfg.enumeration_cap)
-            )
+            lhs = extend_cell(comp, X)
+            rhs = extend_cell(outer, X).after(extend_cell(inner, X))
             rep.check("extension-functorial", inst, lhs == rhs)
             third = gen.rand_morphism(rng, cfg.max_set_size, target=inner.src)
-            assoc_lhs = extend_cell(v_comp(v_comp(outer, inner), third), X, cfg.enumeration_cap)
-            assoc_rhs = extend_cell(v_comp(outer, v_comp(inner, third)), X, cfg.enumeration_cap)
+            assoc_lhs = extend_cell(v_comp(v_comp(outer, inner), third), X)
+            assoc_rhs = extend_cell(v_comp(outer, v_comp(inner, third)), X)
             rep.check("vcomp-associative", inst, assoc_lhs == assoc_rhs)
-            ident = extend_cell(identity_cell(inner.src), X, cfg.enumeration_cap)
-            rep.check(
-                "extension-identity", inst,
-                ident == FamilyMorphism.identity(extend(inner.src, X, cfg.enumeration_cap)),
-            )
+            ident = extend_cell(identity_cell(inner.src), X)
+            rep.check("extension-identity", inst, ident == FamilyMorphism.identity(extend(inner.src, X)))
             phi = gen.rand_morphism(rng, min(cfg.max_set_size, 2), cartesian=True)
             psi = gen.rand_morphism(
                 rng, min(cfg.max_set_size, 2), cartesian=True,
@@ -599,21 +595,21 @@ def suite_bicategory_laws(cfg: InstanceGenConfig) -> Report:
             ):
                 rep.skip("hcomp-extension", inst, "estimated size over budget")
             else:
-                hc = h_comp(psi, phi, cfg.enumeration_cap)
-                fwd_src, _ = extension_composition_iso(psi.src, phi.src, Y, cfg.enumeration_cap)
-                _, bwd_dst = extension_composition_iso(psi.dst, phi.dst, Y, cfg.enumeration_cap)
-                inner_nat = extend_map(psi.src, extend_cell(phi, Y, cfg.enumeration_cap), cfg.enumeration_cap)
-                outer_nat = extend_cell(psi, extend(phi.dst, Y, cfg.enumeration_cap), cfg.enumeration_cap)
+                hc = h_comp(psi, phi)
+                fwd_src, _ = extension_composition_iso(psi.src, phi.src, Y)
+                _, bwd_dst = extension_composition_iso(psi.dst, phi.dst, Y)
+                inner_nat = extend_map(psi.src, extend_cell(phi, Y))
+                outer_nat = extend_cell(psi, extend(phi.dst, Y))
                 composite = bwd_dst.after(outer_nat.after(inner_nat)).after(fwd_src)
-                rep.check("hcomp-extension", inst, extend_cell(hc, Y, cfg.enumeration_cap) == composite)
+                rep.check("hcomp-extension", inst, extend_cell(hc, Y) == composite)
                 hmorph = gen.rand_family_morphism(rng, Y, min(cfg.max_set_size, 2))
-                cells = extend_cell(phi, Y, cfg.enumeration_cap)
-                cells2 = extend_cell(phi, hmorph.dst, cfg.enumeration_cap)
+                cells = extend_cell(phi, Y)
+                cells2 = extend_cell(phi, hmorph.dst)
                 ok_pb = True
                 for j in phi.src.J:
                     sq = Square(
-                        extend_map(phi.src, hmorph, cfg.enumeration_cap).at(j),
-                        extend_map(phi.dst, hmorph, cfg.enumeration_cap).at(j),
+                        extend_map(phi.src, hmorph).at(j),
+                        extend_map(phi.dst, hmorph).at(j),
                         cells.at(j),
                         cells2.at(j),
                     )
@@ -621,8 +617,6 @@ def suite_bicategory_laws(cfg: InstanceGenConfig) -> Report:
                         ok_pb = False
                 rep.check("cartesian-naturality-pullback", inst, ok_pb)
             made += 1
-        except EnumerationCapExceeded as exc:
-            rep.skip("extension-functorial", inst, str(exc))
     return rep
 
 
@@ -647,4 +641,5 @@ def run_suite(name: str, cfg: InstanceGenConfig) -> Report:
         raise UnknownSuiteError(
             f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}"
         ) from None
-    return fn(cfg)
+    with enumeration_cap(cfg.enumeration_cap):
+        return fn(cfg)

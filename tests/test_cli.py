@@ -102,6 +102,19 @@ def test_bicategory_laws_runs_from_cli():
         assert [r["status"] for r in records if r["law"] == "vcomp-associative"] == ["pass", "pass"]
 
 
+@pytest.mark.parametrize("cap", ["1", "5"])
+def test_every_suite_reports_at_a_small_cap(cap):
+    from polyverse.suites import SUITES
+
+    for name in SUITES:
+        proc = run_cli(
+            "suite", "run", name, "--seed", "0", "--count", "2", "--max-size", "2",
+            "--format", "json", "--cap", cap,
+        )
+        assert proc.returncode in (0, 3), (name, proc.returncode, proc.stderr)
+        assert json.loads(proc.stdout)["records"], name
+
+
 RAISING_SUITE = """
 import sys
 from polyverse import cli, suites

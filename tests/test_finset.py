@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyverse.finset import (
+    DEFAULT_CAP,
     EnumerationCapExceeded,
     FamilyMorphism,
     FinFamily,
@@ -15,6 +16,7 @@ from polyverse.finset import (
     dep_prod,
     dep_sum,
     enumerate_family_morphisms,
+    enumeration_cap,
     is_pullback_cone,
     label_key,
     prod_transpose,
@@ -23,6 +25,7 @@ from polyverse.finset import (
     slice_exponential,
     sum_transpose,
     sum_untranspose,
+    _guard,
 )
 
 
@@ -211,8 +214,43 @@ class TestDepProd:
         A = FinSet(["a"])
         f = FinMap(B, A, {b: "a" for b in B})
         X = FinFamily(B, {b: FinSet([f"x{i}" for i in range(6)]) for b in B})
+        with enumeration_cap(1000), pytest.raises(EnumerationCapExceeded):
+            dep_prod(f, X)
+
+
+class TestEnumerationCap:
+    def test_default_is_default_cap(self):
+        _guard(DEFAULT_CAP, "probe")
+        message = rf"^probe would have {DEFAULT_CAP + 1} elements \(cap {DEFAULT_CAP}\)$"
+        with pytest.raises(EnumerationCapExceeded, match=message):
+            _guard(DEFAULT_CAP + 1, "probe")
+
+    def test_nested_scope_restores_the_outer_cap(self):
+        with enumeration_cap(10):
+            with enumeration_cap(3):
+                with pytest.raises(EnumerationCapExceeded, match=r"\(cap 3\)"):
+                    _guard(4, "probe")
+            _guard(10, "probe")
+            with pytest.raises(EnumerationCapExceeded, match=r"\(cap 10\)"):
+                _guard(11, "probe")
+        _guard(DEFAULT_CAP, "probe")
+
+    def test_scope_restored_when_an_exception_leaves_it(self):
+        with enumeration_cap(10):
+            with pytest.raises(RuntimeError):
+                with enumeration_cap(3):
+                    raise RuntimeError("leaving the inner scope")
+            _guard(10, "probe")
         with pytest.raises(EnumerationCapExceeded):
-            dep_prod(f, X, cap=1000)
+            with enumeration_cap(3):
+                _guard(4, "probe")
+        _guard(DEFAULT_CAP, "probe")
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_cap_must_be_positive(self, n):
+        with pytest.raises(ValueError):
+            with enumeration_cap(n):
+                pass
 
 
 class TestBaseChange:
@@ -328,11 +366,12 @@ def test_product_adjunction_roundtrip(fx, seed):
     )
     dY = base_change(f, Y)
     count = 0
-    for h in enumerate_family_morphisms(dY, X, cap=2000):
-        k = prod_transpose(f, h, X, Y)
-        back = prod_untranspose(f, k, X)
-        assert back == h
-        count += 1
+    with enumeration_cap(2000):
+        for h in enumerate_family_morphisms(dY, X):
+            k = prod_transpose(f, h, X, Y)
+            back = prod_untranspose(f, k, X)
+            assert back == h
+            count += 1
     pk = dep_prod(f, X)
     expected = 1
     for a in f.cod:
@@ -351,10 +390,11 @@ def test_sum_adjunction_roundtrip(fx, seed):
         f.cod, {a: FinSet([f"y{a}_{k}" for k in range(rng.randint(1, 2))]) for a in f.cod}
     )
     sX = dep_sum(f, X)
-    for h in enumerate_family_morphisms(sX, Y, cap=2000):
-        k = sum_transpose(f, h, Y)
-        back = sum_untranspose(f, k, Y)
-        assert back == h
+    with enumeration_cap(2000):
+        for h in enumerate_family_morphisms(sX, Y):
+            k = sum_transpose(f, h, Y)
+            back = sum_untranspose(f, k, Y)
+            assert back == h
 
 
 class TestSquare:

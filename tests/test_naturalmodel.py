@@ -2,7 +2,16 @@ import random
 
 import pytest
 
-from polyverse.finset import FinFamily, FinMap, FinSet, Square, TERMINAL, section_tuple
+from polyverse.finset import (
+    EnumerationCapExceeded,
+    FinFamily,
+    FinMap,
+    FinSet,
+    Square,
+    TERMINAL,
+    enumeration_cap,
+    section_tuple,
+)
 from polyverse.poly import compose, decode_operation
 from polyverse.poly2 import cells_square_equal, identity_cell
 from polyverse.naturalmodel import (
@@ -126,6 +135,14 @@ class TestStructureCells:
             for _, code in sect:
                 prod *= len(BOOL.el.fibre(code))
             assert prod == len(BOOL.el.fibre(zeta.phi0((A, sect))))
+
+    def test_structure_cells_honour_the_cap(self):
+        # the sum and product cells enumerate a fibre of 2 on the bool universe
+        for cell in (sigma_structure, pi_structure):
+            with enumeration_cap(1), pytest.raises(EnumerationCapExceeded, match=r"\(cap 1\)"):
+                cell(BOOL)
+            with enumeration_cap(2):
+                assert cell(BOOL).is_cartesian()
 
     def test_skew_pi_exists(self):
         zeta = pi_structure(SKEW)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from polyverse.finset import FamilyMorphism, FinFamily, FinMap, FinSet, TERMINAL, pullback
+from polyverse.finset import FamilyMorphism, FinFamily, FinMap, FinSet, TERMINAL, enumeration_cap, pullback
 from polyverse.poly import (
     Polynomial,
     PolyError,
@@ -179,9 +179,10 @@ class TestCompose:
             F, G = rand_composable_pair(rng, 3)
             X = rand_family(rng, F.I, 2)
             try:
-                GF, _ = compose(G, F, cap=4000)
-                lhs = extend(GF, X, cap=4000)
-                rhs = extend(G, extend(F, X, cap=4000), cap=4000)
+                with enumeration_cap(4000):
+                    GF, _ = compose(G, F)
+                    lhs = extend(GF, X)
+                    rhs = extend(G, extend(F, X))
             except Exception:
                 continue
             assert {k: len(lhs.fibre(k)) for k in G.J} == {
@@ -214,8 +215,9 @@ class TestCompose:
             try:
                 left = compose(compose(H, G)[0], F)[0]
                 right = compose(H, compose(G, F)[0])[0]
-                lhs = extend(left, X, cap=6000)
-                rhs = extend(right, X, cap=6000)
+                with enumeration_cap(6000):
+                    lhs = extend(left, X)
+                    rhs = extend(right, X)
             except Exception:
                 continue
             assert {k: len(lhs.fibre(k)) for k in H.J} == {
@@ -232,7 +234,8 @@ class TestCompositionIso:
             F, G = rand_composable_pair(rng, 3)
             X = rand_family(rng, F.I, 2)
             try:
-                fwd, bwd = extension_composition_iso(G, F, X, cap=4000)
+                with enumeration_cap(4000):
+                    fwd, bwd = extension_composition_iso(G, F, X)
             except Exception:
                 continue
             for k in G.J:
@@ -262,10 +265,11 @@ class TestCompositionIso:
             h = rand_family_morphism(rng, X, 2)
             try:
                 GF, _ = compose(G, F)
-                fwd_src, _ = extension_composition_iso(G, F, X, cap=4000)
-                fwd_dst, _ = extension_composition_iso(G, F, h.dst, cap=4000)
-                lhs = fwd_dst.after(extend_map(GF, h, cap=4000))
-                rhs = extend_map(G, extend_map(F, h, cap=4000), cap=4000).after(fwd_src)
+                with enumeration_cap(4000):
+                    fwd_src, _ = extension_composition_iso(G, F, X)
+                    fwd_dst, _ = extension_composition_iso(G, F, h.dst)
+                    lhs = fwd_dst.after(extend_map(GF, h))
+                    rhs = extend_map(G, extend_map(F, h)).after(fwd_src)
             except Exception:
                 continue
             assert lhs == rhs

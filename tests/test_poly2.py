@@ -2,7 +2,16 @@ import random
 
 import pytest
 
-from polyverse.finset import FinFamily, FinMap, FinSet, Square, TERMINAL, pullback
+from polyverse.finset import (
+    EnumerationCapExceeded,
+    FinFamily,
+    FinMap,
+    FinSet,
+    Square,
+    TERMINAL,
+    enumeration_cap,
+    pullback,
+)
 from polyverse.poly import (
     PolyError,
     compose,
@@ -312,12 +321,13 @@ class TestHorizontalComposition:
             X = rand_family(rng, phi.src.I, 2)
             try:
                 hc = h_comp(psi, phi)
-                fwd_src, _ = extension_composition_iso(psi.src, phi.src, X, cap=4000)
-                _, bwd_dst = extension_composition_iso(psi.dst, phi.dst, X, cap=4000)
-                inner = extend_map(psi.src, extend_cell(phi, X, cap=4000), cap=4000)
-                outer = extend_cell(psi, extend(phi.dst, X, cap=4000), cap=4000)
-                composite = bwd_dst.after(outer.after(inner)).after(fwd_src)
-                assert extend_cell(hc, X, cap=4000) == composite
+                with enumeration_cap(4000):
+                    fwd_src, _ = extension_composition_iso(psi.src, phi.src, X)
+                    _, bwd_dst = extension_composition_iso(psi.dst, phi.dst, X)
+                    inner = extend_map(psi.src, extend_cell(phi, X))
+                    outer = extend_cell(psi, extend(phi.dst, X))
+                    composite = bwd_dst.after(outer.after(inner)).after(fwd_src)
+                    assert extend_cell(hc, X) == composite
                 done += 1
             except PolyError:
                 continue
@@ -389,6 +399,19 @@ class TestAssociatorAndCoherence:
         assert len(a.phi0.dom) == 3
         assert len(a.phi0.cod) == 3
         assert a.phi0.is_bijection()
+
+    def test_positional_cap_only_enters_the_scope(self):
+        # perfbench/workloads.py calls pentagon_check(f, g, h, k, 3000) and
+        # triangle_check(f, g, 3000)
+        rng = random.Random(17)
+        f, g, h, k = (rand_polynomial(rng, 2, one_to_one=True) for _ in range(4))
+        assert pentagon_check(f, g, h, k, 3000) == pentagon_check(f, g, h, k)
+        assert triangle_check(f, g, 3000) == triangle_check(f, g)
+        with enumeration_cap(3000):
+            for check in (lambda: pentagon_check(f, g, h, k, 1), lambda: triangle_check(f, g, 1)):
+                with pytest.raises(EnumerationCapExceeded, match=r"\(cap 1\)"):
+                    check()
+            assert pentagon_check(f, g, h, k)["ok"]
 
     def test_pentagon_and_triangle_seeded(self):
         rng = random.Random(17)

@@ -110,6 +110,30 @@ def test_all_suites_runnable_small():
         assert rep.failed == 0, (name, [r for r in rep.records if r["status"] == "fail"])
 
 
+@pytest.mark.parametrize("cap", [1, 5])
+def test_capped_draws_keep_their_own_ids(cap):
+    # a draw skipped over the cap is named attempt<n>, with the checks it
+    # made before the cap; it shares no id with the instance drawn next
+    for name in SUITES:
+        rep = run_suite(name, InstanceGenConfig(seed=0, count=2, max_set_size=2, enumeration_cap=cap))
+        keys = [(r["law"], r["instance"]) for r in rep.records]
+        assert len(keys) == len(set(keys)), name
+    rep = run_suite("coherence", InstanceGenConfig(seed=0, count=2, max_set_size=2, enumeration_cap=1))
+    skips = [r["instance"] for r in rep.records if r["status"] == "skip"]
+    assert skips and all(i.startswith("attempt") for i in skips)
+    assert [r["instance"] for r in rep.records if r["law"] == "pentagon" and r["status"] == "pass"] == [
+        "quad0", "quad1",
+    ]
+
+
+def test_cap_reaches_the_structure_cells():
+    # the skewed universe's cells enumerate a dependent product fibre of 7
+    rep = run_suite("pseudomonad", InstanceGenConfig(seed=0, count=2, max_set_size=2, enumeration_cap=5))
+    skips = [(r["law"], r["instance"], r["detail"]) for r in rep.records if r["status"] == "skip"]
+    detail = "dependent product fibre over 'code1a' would have 7 elements (cap 5)"
+    assert skips == [("pseudomonad-pasting", "skewed", detail)]
+
+
 def test_unit_whisker_extensions_match_carrier():
     """Both unit-law composites act on the carrier's extension with fibres
     of the same cardinality as the carrier's own extension."""
