@@ -19,10 +19,7 @@ from .internalcat import internal_full_subcat
 from .naturalmodel import (
     mk_bool_universe,
     mk_skewed_universe,
-    pseudoalgebra_from,
     pseudomonad_from,
-    pseudoalgebra_pasting_report,
-    pseudomonad_pasting_report,
     validate_universe,
     verify_type_isos,
 )
@@ -242,15 +239,15 @@ def _dispatch(args) -> int:
             return 0 if not problems else 1
         if args.model_command == "pseudomonad":
             pm = pseudomonad_from(u)
-            alg = pseudoalgebra_from(u)
+            alg = pm.pseudoalgebra()
             record = {
                 "strict_monad": pm.is_strict_monad(),
                 "strict_assoc": pm.strict_assoc,
                 "strict_left_unit": pm.strict_left,
                 "strict_right_unit": pm.strict_right,
                 "strict_algebra": alg.is_strict(),
-                "pseudomonad_pastings": pseudomonad_pasting_report(u),
-                "pseudoalgebra_pastings": pseudoalgebra_pasting_report(u),
+                "pseudomonad_pastings": pm.pasting_report(),
+                "pseudoalgebra_pastings": alg.pasting_report(),
             }
             sys.stdout.write(io.dumps(record))
             ok = record["pseudomonad_pastings"]["ok"] and record["pseudoalgebra_pastings"]["ok"]

@@ -65,10 +65,7 @@ from .naturalmodel import (
     mk_bool_universe,
     mk_skewed_universe,
     pi_structure,
-    pseudoalgebra_from,
-    pseudoalgebra_pasting_report,
     pseudomonad_from,
-    pseudomonad_pasting_report,
     sigma_structure,
     unit_structure,
     validate_universe,
@@ -412,8 +409,7 @@ def suite_pseudomonad(cfg: InstanceGenConfig) -> Report:
             else:
                 ok = invertible
             rep.check("strictness-profile", name, ok, f"strict={pm.is_strict_monad()}")
-            pasting = pseudomonad_pasting_report(u)
-            rep.check("pseudomonad-pasting", name, pasting["ok"])
+            rep.check("pseudomonad-pasting", name, pm.pasting_report()["ok"])
     # negative control: corrupt the sum table of the two-code universe
     u = mk_bool_universe()
     broken_sigma = {k: ("code0" if v == "code1" else v) for k, v in u.sigma}
@@ -431,7 +427,7 @@ def suite_pseudoalgebra(cfg: InstanceGenConfig) -> Report:
     rep = Report("pseudoalgebra", cfg)
     for name, u, profile in _universe_instances(cfg):
         with _skip_over_cap(rep, name, "pseudoalgebra-pasting"):
-            alg = pseudoalgebra_from(u)
+            alg = pseudomonad_from(u).pseudoalgebra()
             invertible = alg.sigma_adj.is_invertible() and alg.tau_adj.is_invertible()
             if profile == "strict":
                 ok = invertible and alg.is_strict()
@@ -440,8 +436,7 @@ def suite_pseudoalgebra(cfg: InstanceGenConfig) -> Report:
             else:
                 ok = invertible
             rep.check("strictness-profile", name, ok, f"strict={alg.is_strict()}")
-            pasting = pseudoalgebra_pasting_report(u)
-            rep.check("pseudoalgebra-pasting", name, pasting["ok"])
+            rep.check("pseudoalgebra-pasting", name, alg.pasting_report()["ok"])
     return rep
 
 

@@ -279,6 +279,10 @@ CLI_GOLDEN = {
     "generate-universe": "4e63d5099bb1be4501e7950680acd4ea4ef3eb14dc45b0a9a58425247f80e354",
     "poly-compose": "d99fc28a23d1e49af7e69aba6ec4252000972ef855ca257a8e905acccb7c0d05",
     "cell-compose": "3ebd73cdecd6baf44affcd84b722513cb45b60c3c3a23d7f882b3e831edaef2d",
+    # stdout of `model pseudomonad` on bool, skewed and the seed-0 universe
+    "model-pseudomonad-bool": "78f8201520ac13810cc5009c1119956f81128cfbd68e6ec0b0e6a2f05fa5a6b2",
+    "model-pseudomonad-skewed": "c522760bde42eebabcaee4a98387b5f319e921ffbb89582cf80a8fc541e7ff30",
+    "model-pseudomonad-universe": "c522760bde42eebabcaee4a98387b5f319e921ffbb89582cf80a8fc541e7ff30",
 }
 
 
@@ -317,4 +321,8 @@ def test_cli_output_files_match_golden_digests(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
     digests = {name: hashlib.sha256(p.read_bytes()).hexdigest() for name, p in paths.items()}
+    for name, universe in (("bool", "bool"), ("skewed", "skewed"), ("universe", paths["generate-universe"])):
+        proc = run_cli("model", "pseudomonad", str(universe))
+        assert proc.returncode == 0, proc.stderr
+        digests[f"model-pseudomonad-{name}"] = hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest()
     assert digests == CLI_GOLDEN

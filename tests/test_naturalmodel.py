@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from polyverse import naturalmodel
 from polyverse.finset import (
     EnumerationCapExceeded,
     FinFamily,
@@ -158,9 +159,7 @@ class TestPseudomonad:
         assert pm.right_unit.is_identity()
 
     def test_skew_right_unit_fails_on_unit_code(self):
-        from polyverse.naturalmodel import monad_law_cells
-
-        cells = monad_law_cells(SKEW)
+        cells = pseudomonad_from(SKEW).cells
         right = cells["right_cell"]
         assert right.phi0("code1b") == "code1a"
         assert not cells_square_equal(right, cells["id_cell"])
@@ -184,7 +183,7 @@ class TestPseudomonad:
         rng = random.Random(4)
         universes = [BOOL, SKEW] + [rand_universe(rng, 4) for _ in range(3)]
         for u in universes:
-            assert pseudomonad_pasting_report(u)["ok"]
+            assert pseudomonad_from(u).pasting_report()["ok"]
 
     def test_bool_contrasts_with_skew(self):
         assert pseudomonad_from(BOOL).is_strict_monad()
@@ -193,13 +192,13 @@ class TestPseudomonad:
 
 class TestPseudoalgebra:
     def test_bool_strict(self):
-        alg = pseudoalgebra_from(BOOL)
+        alg = pseudomonad_from(BOOL).pseudoalgebra()
         assert alg.is_strict()
         assert alg.sigma_adj.is_identity()
         assert alg.tau_adj.is_identity()
 
     def test_skew_tau_nonidentity(self):
-        alg = pseudoalgebra_from(SKEW)
+        alg = pseudomonad_from(SKEW).pseudoalgebra()
         assert not alg.strict_tau
         assert alg.tau_adj.is_invertible()
         assert not alg.tau_adj.is_identity()
@@ -207,7 +206,65 @@ class TestPseudoalgebra:
     def test_pastings_hold(self):
         rng = random.Random(5)
         for u in [BOOL, SKEW] + [rand_universe(rng, 4) for _ in range(3)]:
-            assert pseudoalgebra_pasting_report(u)["ok"]
+            assert pseudomonad_from(u).pseudoalgebra().pasting_report()["ok"]
+
+
+class TestOnePath:
+    """The pseudomonad is built once per universe and the pseudoalgebra over
+    it; the Universe-level entry points only delegate to those objects."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"monad_law_cells": 0, "pi_structure": 0}
+        for name in counts:
+            original = getattr(naturalmodel, name)
+
+            def counted(u, _original=original, _name=name):
+                counts[_name] += 1
+                return _original(u)
+
+            monkeypatch.setattr(naturalmodel, name, counted)
+        return counts
+
+    def test_model_pseudomonad_builds_the_law_cells_once(self, calls, capsys):
+        from polyverse.cli import main
+
+        assert main(["model", "pseudomonad", "skewed"]) == 0
+        assert capsys.readouterr().out
+        assert calls == {"monad_law_cells": 1, "pi_structure": 1}
+
+    @pytest.mark.parametrize("suite", ["pseudomonad", "pseudoalgebra"])
+    def test_suites_build_the_law_cells_once_per_universe(self, calls, suite):
+        from polyverse.suites import InstanceGenConfig, run_suite
+
+        rep = run_suite(suite, InstanceGenConfig(seed=1, count=2, max_set_size=3))
+        assert rep.failed == 0 and rep.skipped == 0
+        # one build each for bool and skewed
+        assert calls["monad_law_cells"] == 2
+        if suite == "pseudoalgebra":
+            assert calls["pi_structure"] == 2
+
+    def test_pseudomonad_keeps_its_cells(self):
+        pm = pseudomonad_from(SKEW)
+        assert pm.cells["t"] == pm.carrier
+        assert pm.cells["eta"] is pm.eta and pm.cells["mu"] is pm.mu
+        assert pm.universe is SKEW
+        assert "cells" not in repr(pm)
+
+    def test_pseudoalgebra_is_over_its_pseudomonad(self):
+        pm = pseudomonad_from(SKEW)
+        alg = pm.pseudoalgebra()
+        assert alg.monad is pm
+        assert alg.carrier == pm.carrier
+        assert alg.z.src == alg.zeta.src.f
+
+    @pytest.mark.parametrize("u", [BOOL, SKEW], ids=["bool", "skewed"])
+    def test_universe_delegations_match_the_object_path(self, u):
+        pm = pseudomonad_from(u)
+        alg = pm.pseudoalgebra()
+        assert pseudomonad_pasting_report(u) == pm.pasting_report()
+        assert pseudoalgebra_from(u) == alg
+        assert pseudoalgebra_pasting_report(u) == alg.pasting_report()
 
 
 class TestLift:

@@ -132,6 +132,35 @@ def test_cap_reaches_the_structure_cells():
     skips = [(r["law"], r["instance"], r["detail"]) for r in rep.records if r["status"] == "skip"]
     detail = "dependent product fibre over 'code1a' would have 7 elements (cap 5)"
     assert skips == [("pseudomonad-pasting", "skewed", detail)]
+    # the structure cells enumerate at most 3 elements and are checked
+    # before the law cells (7) are built, so their pass precedes the skip
+    skewed = [(r["law"], r["status"]) for r in rep.records if r["instance"] == "skewed"]
+    assert skewed.index(("monad-structure-cartesian", "pass")) < skewed.index(("pseudomonad-pasting", "skip"))
+
+
+# SHA-256 of io.dumps(report.to_jsonable()) at seed 1, count 8, size 3: six
+# random universes (one with 4 codes) besides the built-ins.  Cap 5 trips
+# the law cells of 3-code universes (7 elements); cap 10 trips the
+# pseudoalgebra pasting (15) and the 4-code law cells (13).
+CAPPED_GOLDEN = {
+    ("pseudomonad", 100_000): "b2c13390b442b95235b0abd0b99be2c6ff006284fd3bc39d5dcb2609bbd317a4",
+    ("pseudomonad", 5): "023cb27639ac04a8ce41342acb35c9cfb3e8c95cfec17a6fb0147c94e01427e8",
+    ("pseudomonad", 10): "091b2643e0386937fda5db2e7346333e161fe5619a3c9e57e3c63db3eab44137",
+    ("pseudoalgebra", 100_000): "0ad962620a75d4a085848309456499b9f0cf24e1e1187e47d81913533d6912d2",
+    ("pseudoalgebra", 5): "d246e695e1dbaa312e46be0a7e8346473f56680b023c062d9585dbb5c3ced4eb",
+    ("pseudoalgebra", 10): "5294e992e33476769638989dec0ac665758a43e97af4be031dd0df75b2a08aa1",
+}
+
+
+@pytest.mark.parametrize("name,cap", sorted(CAPPED_GOLDEN))
+def test_universe_suites_match_golden_digests_under_a_cap(name, cap):
+    import hashlib
+
+    from polyverse import interchange as io
+
+    rep = run_suite(name, InstanceGenConfig(seed=1, count=8, max_set_size=3, enumeration_cap=cap))
+    digest = hashlib.sha256(io.dumps(rep.to_jsonable()).encode("utf-8")).hexdigest()
+    assert digest == CAPPED_GOLDEN[(name, cap)]
 
 
 def test_unit_whisker_extensions_match_carrier():
