@@ -5,8 +5,10 @@ Everything is immutable and canonically encoded.  Labels are strings or
 fixed total order on labels, so two values built from equal inputs are
 equal Python objects, not merely isomorphic.  A set indexes its labels by
 position once, and a map stores the codomain positions of its values, so
-composition, equality and fibres work on ints.  Constructed elements
-record their derivation:
+composition, equality and fibres work on ints.  Composite labels built here
+and by ``poly``'s encoders are interned: one object per value, its parts
+checked once, keeping its ``label_key`` and, past tuples of strings, its
+hash.  Constructed elements record their derivation:
 
 * ``pullback(f, g)`` elements are pairs ``(b, c)`` with ``f(b) == g(c)``;
 * ``dep_sum`` elements are pairs ``(b, x)``;
@@ -23,6 +25,7 @@ or ``n`` within ``with enumeration_cap(n):``, however deeply nested.
 from __future__ import annotations
 
 import itertools
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -42,28 +45,48 @@ class EnumerationCapExceeded(FinSetError):
     """An operation would enumerate more elements than the configured cap."""
 
 
-_KEY_CACHE: dict = {}
+class _Label(tuple):
+    """An interned label of strings and tuples of strings, with its key stored."""
+
+
+class _Deep(_Label):
+    """An interned label nested deeper: C would rehash it to the bottom, so it stores its hash."""
+    def __hash__(self):
+        return self._hash
+
+
+_UNIQUE: dict = {}  # interned label -> itself; past 1M entries new ones are not kept
+
+
+def _intern(parts: tuple) -> tuple:
+    """The interned label equal to ``parts``, made and checked if it is new."""
+    try:
+        label = _UNIQUE.get(parts)
+    except TypeError:  # an unhashable part, rejected by label_key below
+        label = None
+    if label is None:
+        flat = all(type(x) is str or type(x) is tuple and set(map(type, x)) <= {str} for x in parts)
+        label = (_Label if flat else _Deep)(parts)
+        label.__dict__.update(_key=label_key(parts), _hash=None if flat else hash(parts))
+        if len(_UNIQUE) < 1_000_000:
+            _UNIQUE[label] = label
+    return label
 
 
 def label_key(label: Label):
     """Total order on labels: strings before tuples, then lexicographic.
 
     It is also the label check: anything but a string or a tuple of labels
-    raises ``FinSetError``.  Every ``FinSet`` sorts by this key, so each
-    element is checked on construction, by one cache lookup if seen before.
+    raises ``FinSetError``; every ``FinSet`` sorts by it.  An interned label
+    returns its stored key; a plain tuple is keyed part by part, not kept.
     """
     if isinstance(label, str):
         return (0, label)
+    if isinstance(label, _Label):
+        return label._key
     if not isinstance(label, tuple):
         raise FinSetError(f"label must be a string or tuple of labels, got {label!r}")
-    try:
-        return _KEY_CACHE[label]
-    except (KeyError, TypeError):  # TypeError: an unhashable part, rejected below
-        pass
-    key = (1, tuple(label_key(part) for part in label))
-    if len(_KEY_CACHE) < 1_000_000:
-        _KEY_CACHE[label] = key
-    return key
+    return (1, *map(label_key, label))
 
 
 _CAP: ContextVar[int] = ContextVar("enumeration_cap", default=DEFAULT_CAP)
@@ -228,8 +251,7 @@ class FinFamily:
         items = fibres.items() if isinstance(fibres, (dict, Mapping)) else fibres
         table = {}
         for i, X in items:
-            if not isinstance(X, FinSet):
-                X = FinSet(X)
+            X = X if isinstance(X, FinSet) else FinSet(X)
             if i in table:
                 raise FinSetError(f"duplicate fibre for {i!r}")
             table[i] = X
@@ -242,9 +264,6 @@ class FinFamily:
             return self.fibres[self.index.pos[i]][1]
         except KeyError:
             raise FinSetError(f"{i!r} not in the index") from None
-
-    def sizes(self) -> dict:
-        return {i: len(X) for i, X in self.fibres}
 
     def total(self) -> tuple[FinSet, FinMap]:
         """Total space of pairs ``(i, x)`` with its projection to the index."""
@@ -332,7 +351,7 @@ def pullback(f: FinMap, g: FinMap) -> tuple[FinSet, FinMap, FinMap]:
     right = g._fibres
     idx = [(i, k) for i, j in enumerate(f.img) for k in right[j]]
     bs, cs = f.dom.elements, g.dom.elements
-    P = FinSet([(bs[i], cs[k]) for i, k in idx])
+    P = FinSet([_intern((bs[i], cs[k])) for i, k in idx])
     p1 = FinMap._of(P, f.dom, tuple([i for i, _ in idx]))
     p2 = FinMap._of(P, g.dom, tuple([k for _, k in idx]))
     return P, p1, p2
@@ -341,16 +360,13 @@ def pullback(f: FinMap, g: FinMap) -> tuple[FinSet, FinMap, FinMap]:
 def is_pullback_cone(f: FinMap, g: FinMap, p1: FinMap, p2: FinMap) -> bool:
     """Universal property of a commuting cone over the cospan ``f, g``,
     checked by full enumeration: each matching pair is hit exactly once."""
-    if f.cod != g.cod or p1.dom != p2.dom:
-        return False
-    if p1.cod != f.dom or p2.cod != g.dom:
+    if f.cod != g.cod or p1.dom != p2.dom or p1.cod != f.dom or p2.cod != g.dom:
         return False
     fi, gi = f.img, g.img
     legs = list(zip(p1.img, p2.img))
     if any(fi[i] != gi[k] for i, k in legs) or len(set(legs)) != len(legs):
         return False
-    right = g._fibres
-    return len(legs) == sum(len(right[j]) for j in fi)
+    return len(legs) == sum(len(g._fibres[j]) for j in fi)
 
 
 def base_change(f: FinMap, X: FinFamily) -> FinFamily:
@@ -366,14 +382,13 @@ def dep_sum(f: FinMap, X: FinFamily) -> FinFamily:
         raise FinSetError("dependent sum: family must be indexed by the domain")
     fibres = {a: [] for a in f.cod}
     for b in f.dom:
-        for x in X.fibre(b):
-            fibres[f(b)].append((b, x))
+        fibres[f(b)] += [(b, x) for x in X.fibre(b)]
     return FinFamily(f.cod, {a: FinSet(xs) for a, xs in fibres.items()})
 
 
 def section_tuple(assignment: Mapping) -> tuple:
     """Canonical encoding of a section: pairs sorted by the key of the input."""
-    return tuple(sorted(assignment.items(), key=lambda p: label_key(p[0])))
+    return _intern(tuple(sorted(assignment.items(), key=lambda p: label_key(p[0]))))
 
 
 def section_lookup(section: tuple, b: Label) -> Label:
@@ -391,14 +406,9 @@ def dep_prod(f: FinMap, X: FinFamily) -> FinFamily:
     fibres = {}
     for a in f.cod:
         bs = f.preimage(a)
-        count = 1
-        for b in bs:
-            count *= len(X.fibre(b))
-        _guard(count, f"dependent product fibre over {a!r}")
-        sections = []
-        for choice in itertools.product(*(X.fibre(b).elements for b in bs)):
-            sections.append(section_tuple(dict(zip(bs, choice))))
-        fibres[a] = FinSet(sections)
+        _guard(math.prod(len(X.fibre(b)) for b in bs), f"dependent product fibre over {a!r}")
+        choices = itertools.product(*(X.fibre(b).elements for b in bs))  # bs is in key order
+        fibres[a] = FinSet([_intern(tuple(zip(bs, choice))) for choice in choices])
     return FinFamily(f.cod, fibres)
 
 
@@ -412,17 +422,15 @@ def slice_exponential(f1: FinMap, f2: FinMap) -> FinMap:
     Z = f1.cod
     elems = []
     for z in Z:
-        src = f1.preimage(z)
-        tgt = f2.preimage(z)
+        src, tgt = f1.preimage(z), f2.preimage(z)
         _guard(len(tgt) ** len(src) if src else 1, f"function set over {z!r}")
         for choice in itertools.product(tgt, repeat=len(src)):
-            elems.append((z, section_tuple(dict(zip(src, choice)))))
-    E = FinSet(elems)
-    return FinMap(E, Z, {e: e[0] for e in elems})
+            elems.append((z, _intern(tuple(zip(src, choice)))))  # src is in key order
+    return FinMap(FinSet(elems), Z, {e: e[0] for e in elems})
 
 
 # ---------------------------------------------------------------------------
-# Adjunction transposes, used both by tests and by the 2-cell machinery
+# Adjunction transposes
 # ---------------------------------------------------------------------------
 
 
@@ -433,10 +441,7 @@ def prod_transpose(f: FinMap, h: FamilyMorphism, X: FinFamily, Y: FinFamily) -> 
     target = dep_prod(f, X)
     maps = {}
     for a in f.cod:
-        bs = f.preimage(a)
-        comp = {}
-        for y in Y.fibre(a):
-            comp[y] = section_tuple({b: h(b, y) for b in bs})
+        comp = {y: section_tuple({b: h(b, y) for b in f.preimage(a)}) for y in Y.fibre(a)}
         maps[a] = FinMap(Y.fibre(a), target.fibre(a), comp)
     return FamilyMorphism(Y, target, maps)
 
@@ -447,8 +452,7 @@ def prod_untranspose(f: FinMap, k: FamilyMorphism, X: FinFamily) -> FamilyMorphi
     src = base_change(f, Y)
     maps = {}
     for b in f.dom:
-        a = f(b)
-        comp = {y: section_lookup(k(a, y), b) for y in Y.fibre(a)}
+        comp = {y: section_lookup(k(f(b), y), b) for y in Y.fibre(f(b))}
         maps[b] = FinMap(src.fibre(b), X.fibre(b), comp)
     return FamilyMorphism(src, X, maps)
 
@@ -486,12 +490,8 @@ def enumerate_family_morphisms(X: FinFamily, Y: FinFamily):
     per_index = []
     for i in X.index:
         src, tgt = X.fibre(i), Y.fibre(i)
-        if len(src) > 0 and len(tgt) == 0:
-            return
-        per_index.append([
-            FinMap(src, tgt, dict(zip(src, choice)))
-            for choice in itertools.product(tgt, repeat=len(src))
-        ])
+        choices = itertools.product(tgt, repeat=len(src))
+        per_index.append([FinMap(src, tgt, dict(zip(src, choice))) for choice in choices])
     for combo in itertools.product(*per_index):
         yield FamilyMorphism(X, Y, dict(zip(X.index, combo)))
 

@@ -17,6 +17,7 @@ nothing but the encoding conventions.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -35,6 +36,7 @@ from .finset import (
     section_lookup,
     section_tuple,
     _guard,
+    _intern,
 )
 
 
@@ -202,10 +204,7 @@ def compose_direct(G: Polynomial, F: Polynomial) -> Polynomial:
     for c in G.A:
         ds = G.f.preimage(c)
         candidates = [[a for a in F.A if F.t(a) == G.s(d)] for d in ds]
-        count = 1
-        for cand in candidates:
-            count *= len(cand)
-        _guard(count, f"composite operations over {c!r}")
+        _guard(math.prod(map(len, candidates)), f"composite operations over {c!r}")
         for choice in itertools.product(*candidates):
             sect = section_tuple({d: (a, d) for d, a in zip(ds, choice)})
             m_elems.append((c, sect))
@@ -236,11 +235,11 @@ def decode_arity(nelt) -> tuple:
 
 def encode_operation(c, assignment: dict) -> tuple:
     """Inverse of ``decode_operation`` under the composite's conventions."""
-    return (c, section_tuple({d: (a, d) for d, a in assignment.items()}))
+    return _intern((c, section_tuple({d: (a, d) for d, a in assignment.items()})))
 
 
 def encode_arity(b, melt, d) -> tuple:
-    return (b, (melt, d))
+    return _intern((b, (melt, d)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polyverse import finset
 from polyverse.finset import (
     DEFAULT_CAP,
     EnumerationCapExceeded,
@@ -22,11 +23,14 @@ from polyverse.finset import (
     prod_transpose,
     prod_untranspose,
     pullback,
+    section_tuple,
     slice_exponential,
     sum_transpose,
     sum_untranspose,
     _guard,
+    _intern,
 )
+from polyverse.poly import encode_arity, encode_operation
 
 
 def fam(index, **fibres):
@@ -209,6 +213,16 @@ class TestDepProd:
         P = dep_prod(f, X)
         assert all(len(P.fibre(a)) == 1 for a in f.cod)
 
+    def test_sections_are_in_key_order(self):
+        B = FinSet(["z", ("a",), ("a", "b"), "c"])
+        f = FinMap(B, FinSet(["a"]), {b: "a" for b in B})
+        X = FinFamily(B, {b: FinSet(["x", ("y",)]) for b in B})
+        for s in dep_prod(f, X).fibre("a"):
+            assert s == section_tuple(dict(reversed(s))) and tuple(k for k, _ in s) == B.elements
+        g = FinMap(FinSet(["x", ("y",)]), FinSet(["a"]), {"x": "a", ("y",): "a"})
+        for _, table in slice_exponential(f, g).dom:
+            assert table == section_tuple(dict(reversed(table)))
+
     def test_cap(self):
         B = FinSet([f"b{i}" for i in range(8)])
         A = FinSet(["a"])
@@ -339,6 +353,7 @@ def test_dep_prod_cardinality_matches_product(fx):
     for a in f.cod:
         expected = math.prod(len(X.fibre(b)) for b in f.preimage(a))
         assert len(P.fibre(a)) == expected
+        assert all(s == section_tuple(dict(s)) for s in P.fibre(a))
 
 
 @settings(max_examples=40, deadline=None)
@@ -589,3 +604,148 @@ def test_construction_faults_reported_in_order(data):
         with pytest.raises(FinSetError) as exc:
             FinMap(dom, cod, dict(items))
         assert str(exc.value) == naive_fault(dom, cod, dict(items).items())
+
+
+# ---------------------------------------------------------------------------
+# Interned labels
+# ---------------------------------------------------------------------------
+
+
+def plain(label):
+    """A deep copy of a label made of plain tuples only."""
+    return label if isinstance(label, str) else tuple(plain(x) for x in label)
+
+
+def old_label_key(label):
+    """The nested key ``label_key`` used before it was flattened."""
+    if isinstance(label, str):
+        return (0, label)
+    return (1, tuple(old_label_key(x) for x in label))
+
+
+def interned(label):
+    """The label with every tuple in it interned, innermost first."""
+    return label if isinstance(label, str) else _intern(tuple(interned(x) for x in label))
+
+
+class TestInternedLabels:
+    def test_equal_labels_built_twice_are_one_object(self):
+        def cospan():
+            A = FinSet(["a0", "a1"])
+            f = FinMap(FinSet(["b0", "b1", "b2"]), A, {"b0": "a0", "b1": "a1", "b2": "a1"})
+            g = FinMap(FinSet([("c", "0"), ("c", "1")]), A, {("c", "0"): "a1", ("c", "1"): "a0"})
+            return f, g
+
+        P1, P2 = pullback(*cospan())[0], pullback(*cospan())[0]
+        assert P1 == P2 and len(P1) == 3
+        assert all(x is y for x, y in zip(P1.elements, P2.elements))
+        s1 = section_tuple({"b1": ("x", "y"), "b0": "z"})
+        s2 = section_tuple(dict([("b0", "z"), ("b1", ("x", "y"))]))
+        assert s1 is s2 and s1 == (("b0", "z"), ("b1", ("x", "y")))
+        melt1 = encode_operation("c", {"d0": "a0", "d1": "a1"})
+        melt2 = encode_operation("c", {"d1": "a1", "d0": "a0"})
+        assert melt1 is melt2
+        assert encode_arity("b", melt1, "d0") is encode_arity("b", melt2, "d0")
+
+    def test_hash_and_lookups_agree_with_plain_tuples(self):
+        melt = encode_operation("c", {"d0": ("a", "0"), "d1": "a1"})
+        flat = [section_tuple({"k": "v", "j": ("w", "z")}), _intern(("p", "q")), _intern(())]
+        labels = [melt, encode_arity("b", melt, "d1"), section_tuple({"x": melt})] + flat
+        for label in labels:
+            copy = plain(label)
+            assert type(copy) is tuple and copy == label and label == copy
+            assert hash(label) == hash(copy)
+            assert {label: 1}[copy] == 1 and {copy: 1}[label] == 1
+            assert copy in FinSet([label]) and label in FinSet([copy])
+            assert label_key(label) == label_key(copy)
+
+    def test_nested_labels_do_not_rehash_their_parts(self):
+        hashed = []
+
+        class Loud(str):
+            def __hash__(self):
+                hashed.append(self)
+                return str.__hash__(self)
+
+        melt = encode_operation(Loud("c"), {"d": ("a", Loud("x"))})
+        arity = encode_arity("b", melt, Loud("d"))
+        want = [hash(plain(x)) for x in (melt, arity)]
+        P = FinSet([arity, melt])
+        hashed.clear()
+        assert [hash(melt), hash(arity)] == want and arity in P and melt in P
+        assert hashed == []
+
+    def test_repr_and_json_are_those_of_plain_tuples(self):
+        from polyverse import interchange as io
+
+        melt = encode_operation("c", {"d0": ("a", "0"), "d1": "a1"})
+        for label in (melt, encode_arity("b", melt, "d0"), _intern(("p", ("q",)))):
+            assert repr(label) == repr(plain(label))
+            assert io.dumps(label) == io.dumps(plain(label))
+            assert io.dumps(io.finset_to_json(FinSet([label]))) == io.dumps([io.loads(io.dumps(label))])
+
+    @pytest.mark.parametrize(
+        "parts", [("a", 3), ("a", ["b"]), ("a", ("b", 3)), (3,), (["b"],)],
+        ids=["int", "list", "int-at-depth-2", "only-int", "only-list"],
+    )
+    def test_bad_parts_raise_finset_error(self, parts):
+        with pytest.raises(FinSetError, match="label must be a string or tuple"):
+            _intern(parts)
+        with pytest.raises(FinSetError, match="label must be a string or tuple"):
+            section_tuple({"k": parts[-1]})
+
+    def test_bad_parts_rejected_by_encoders(self):
+        melt = encode_operation("c", {"d0": "a0"})
+        for bad in (3, ["b"]):
+            with pytest.raises(FinSetError):
+                encode_arity("b", melt, bad)
+            with pytest.raises(FinSetError):
+                encode_operation(bad, {"d0": "a0"})
+
+    def test_plain_labels_are_not_kept(self):
+        from polyverse import interchange as io
+
+        text = io.dumps(io.finset_to_json(FinSet([("new", ("plain", str(i))) for i in range(5)])))
+        before = len(finset._UNIQUE)
+        parsed = io.finset_from_json(io.loads(text))
+        for x in parsed:
+            label_key(x)
+            label_key((x, ("fresh", "pair")))
+        FinSet([(x, "y") for x in parsed])
+        assert len(finset._UNIQUE) == before
+        assert all(type(x) is tuple for x in parsed)
+
+    def test_past_the_bound_labels_are_built_but_not_kept(self, monkeypatch):
+        class Full(dict):
+            def __len__(self):
+                return 1_000_000
+
+        monkeypatch.setattr(finset, "_UNIQUE", Full())
+        a, b = _intern(("past", "bound")), _intern(("past", "bound"))
+        assert a == b and a is not b and dict.__len__(finset._UNIQUE) == 0
+        assert hash(a) == hash(("past", "bound")) and label_key(a) == label_key(("past", "bound"))
+
+
+mixed_labels = st.recursive(
+    st.sampled_from(["", "a", "ab", "b"]),
+    lambda inner: st.lists(inner, max_size=3).map(tuple),
+    max_leaves=8,
+)
+
+
+@st.composite
+def labels_with_prefixes(draw):
+    xs = draw(st.lists(mixed_labels, min_size=1, max_size=6))
+    return xs + [x[:k] for x in xs if isinstance(x, tuple) for k in range(len(x))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(labels_with_prefixes())
+def test_flat_key_orders_labels_as_the_nested_key(xs):
+    for x in xs:
+        assert label_key(interned(x)) == label_key(x)
+        for y in xs:
+            assert (label_key(x) < label_key(y)) == (old_label_key(x) < old_label_key(y))
+            assert (label_key(x) == label_key(y)) == (x == y)
+    assert sorted(xs, key=label_key) == sorted(xs, key=old_label_key)
+    assert FinSet(map(interned, set(xs))).elements == tuple(sorted(set(xs), key=old_label_key))
