@@ -1,14 +1,15 @@
 """Finite sets, maps and families: a locally cartesian closed category at desk scale.
 
 Everything is immutable and canonically encoded.  Labels are strings or
-(nested) tuples of labels; elements of a ``FinSet`` are kept sorted by a
-fixed total order on labels, so two values built from equal inputs are
-equal Python objects, not merely isomorphic.  A set indexes its labels by
-position once, and a map stores the codomain positions of its values, so
-composition, equality and fibres work on ints.  Composite labels built here
-and by ``poly``'s encoders are interned: one object per value, its parts
-checked once, keeping its ``label_key`` and, past tuples of strings, its
-hash.  Constructed elements record their derivation:
+(nested) tuples of labels, checked once, when they enter through ``FinSet``,
+which sorts them by a fixed total order: two values built from equal inputs
+are equal Python objects.  Sets built from checked parts in that order (the
+constructions below) are taken as they are, not sorted or keyed again.  A
+set indexes its labels by position once, and a map stores codomain positions,
+so composition, equality and fibres work on ints.  Composite labels built here
+and by ``poly``'s encoders are interned: one object per value, keeping its
+``label_key`` and, past tuples of strings, its hash.  Constructed elements
+record their derivation:
 
 * ``pullback(f, g)`` elements are pairs ``(b, c)`` with ``f(b) == g(c)``;
 * ``dep_sum`` elements are pairs ``(b, x)``;
@@ -123,6 +124,13 @@ class FinSet:
             if a == b:
                 raise FinSetError(f"duplicate element {a!r}")
         self.__dict__.update(elements=ordered)
+
+    @classmethod
+    def _of(cls, ordered: tuple) -> "FinSet":
+        """Build from distinct checked labels already in ``label_key`` order."""
+        X = object.__new__(cls)
+        X.__dict__.update(elements=ordered)
+        return X
 
     @cached_property
     def pos(self) -> dict:
@@ -259,6 +267,13 @@ class FinFamily:
             raise FinSetError("fibres must be defined for exactly the index elements")
         self.__dict__.update(index=index, fibres=tuple([(i, table[i]) for i in index.elements]))
 
+    @classmethod
+    def _of(cls, index: FinSet, sets) -> "FinFamily":
+        """Build from one ``FinSet`` per index element, given in index order."""
+        X = object.__new__(cls)
+        X.__dict__.update(index=index, fibres=tuple(zip(index.elements, sets)))
+        return X
+
     def fibre(self, i: Label) -> FinSet:
         try:
             return self.fibres[self.index.pos[i]][1]
@@ -267,7 +282,7 @@ class FinFamily:
 
     def total(self) -> tuple[FinSet, FinMap]:
         """Total space of pairs ``(i, x)`` with its projection to the index."""
-        total = FinSet([(i, x) for i, X in self.fibres for x in X])
+        total = FinSet._of(tuple([(i, x) for i, X in self.fibres for x in X.elements]))
         img = tuple([k for k, (_, X) in enumerate(self.fibres) for _ in X])
         return total, FinMap._of(total, self.index, img)
 
@@ -284,11 +299,11 @@ class FinFamily:
     @staticmethod
     def of_map(p: FinMap) -> "FinFamily":
         """The fibre family of an arbitrary map, keeping raw elements."""
-        return FinFamily(p.cod, {i: FinSet(p.preimage(i)) for i in p.cod})
+        return FinFamily._of(p.cod, [FinSet._of(p.preimage(a)) for a in p.cod.elements])
 
     @staticmethod
     def constant(index: FinSet, X: FinSet) -> "FinFamily":
-        return FinFamily(index, {i: X for i in index})
+        return FinFamily._of(index, (X,) * len(index))
 
 
 @dataclass(frozen=True)
@@ -351,7 +366,7 @@ def pullback(f: FinMap, g: FinMap) -> tuple[FinSet, FinMap, FinMap]:
     right = g._fibres
     idx = [(i, k) for i, j in enumerate(f.img) for k in right[j]]
     bs, cs = f.dom.elements, g.dom.elements
-    P = FinSet([_intern((bs[i], cs[k])) for i, k in idx])
+    P = FinSet._of(tuple([_intern((bs[i], cs[k])) for i, k in idx]))
     p1 = FinMap._of(P, f.dom, tuple([i for i, _ in idx]))
     p2 = FinMap._of(P, g.dom, tuple([k for _, k in idx]))
     return P, p1, p2
@@ -373,17 +388,16 @@ def base_change(f: FinMap, X: FinFamily) -> FinFamily:
     """Reindex a family over the codomain of ``f`` along ``f``."""
     if X.index != f.cod:
         raise FinSetError("base change: family must be indexed by the codomain")
-    return FinFamily(f.dom, {b: X.fibre(f(b)) for b in f.dom})
+    return FinFamily._of(f.dom, [X.fibres[j][1] for j in f.img])
 
 
 def dep_sum(f: FinMap, X: FinFamily) -> FinFamily:
     """Dependent sum along ``f``: fibre over ``a`` is pairs ``(b, x)``."""
     if X.index != f.dom:
         raise FinSetError("dependent sum: family must be indexed by the domain")
-    fibres = {a: [] for a in f.cod}
-    for b in f.dom:
-        fibres[f(b)] += [(b, x) for x in X.fibre(b)]
-    return FinFamily(f.cod, {a: FinSet(xs) for a, xs in fibres.items()})
+    bs, Xs = f.dom.elements, X.fibres
+    fibres = ([(bs[i], x) for i in fib for x in Xs[i][1].elements] for fib in f._fibres)
+    return FinFamily._of(f.cod, [FinSet._of(tuple(xs)) for xs in fibres])
 
 
 def section_tuple(assignment: Mapping) -> tuple:
@@ -403,13 +417,12 @@ def dep_prod(f: FinMap, X: FinFamily) -> FinFamily:
     of ``X`` over the ``f``-fibre of ``a``."""
     if X.index != f.dom:
         raise FinSetError("dependent product: family must be indexed by the domain")
-    fibres = {}
-    for a in f.cod:
-        bs = f.preimage(a)
-        _guard(math.prod(len(X.fibre(b)) for b in bs), f"dependent product fibre over {a!r}")
-        choices = itertools.product(*(X.fibre(b).elements for b in bs))  # bs is in key order
-        fibres[a] = FinSet([_intern(tuple(zip(bs, choice))) for choice in choices])
-    return FinFamily(f.cod, fibres)
+    fibres = []
+    for a, fib in zip(f.cod.elements, f._fibres):
+        bs, pools = [f.dom.elements[i] for i in fib], [X.fibres[i][1].elements for i in fib]
+        _guard(math.prod(map(len, pools)), f"dependent product fibre over {a!r}")
+        fibres.append(FinSet._of(tuple([_intern(tuple(zip(bs, c))) for c in itertools.product(*pools)])))
+    return FinFamily._of(f.cod, fibres)
 
 
 def slice_exponential(f1: FinMap, f2: FinMap) -> FinMap:
@@ -420,13 +433,13 @@ def slice_exponential(f1: FinMap, f2: FinMap) -> FinMap:
     if f1.cod != f2.cod:
         raise FinSetError("slice exponential requires a common base")
     Z = f1.cod
-    elems = []
-    for z in Z:
+    elems, img = [], []
+    for k, z in enumerate(Z.elements):
         src, tgt = f1.preimage(z), f2.preimage(z)
         _guard(len(tgt) ** len(src) if src else 1, f"function set over {z!r}")
-        for choice in itertools.product(tgt, repeat=len(src)):
-            elems.append((z, _intern(tuple(zip(src, choice)))))  # src is in key order
-    return FinMap(FinSet(elems), Z, {e: e[0] for e in elems})
+        elems += [(z, _intern(tuple(zip(src, c)))) for c in itertools.product(tgt, repeat=len(src))]
+        img += [k] * (len(elems) - len(img))
+    return FinMap._of(FinSet._of(tuple(elems)), Z, tuple(img))
 
 
 # ---------------------------------------------------------------------------

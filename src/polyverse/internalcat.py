@@ -20,6 +20,7 @@ from .finset import (
     section_lookup,
     section_tuple,
     _guard,
+    _intern,
 )
 from .poly import PolyError
 from .poly2 import Adjustment, PolyMorphism, slice_reduce_cell
@@ -45,9 +46,8 @@ class InternalCategory:
             raise InternalCatError("codomain map has the wrong signature")
         if self.ident.dom != self.obj or self.ident.cod != self.mor:
             raise InternalCatError("identity map has the wrong signature")
-        pairs = FinSet(
-            (m2, m1) for m2 in self.mor for m1 in self.mor if self.dom(m2) == self.cod(m1)
-        )
+        mor = self.mor.elements  # in key order, so the pairs are too
+        pairs = FinSet._of(tuple([(m2, m1) for m2 in mor for m1 in mor if self.dom(m2) == self.cod(m1)]))
         if self.comp.dom != pairs or self.comp.cod != self.mor:
             raise InternalCatError("composition must be defined on exactly the composable pairs")
         for a in self.obj:
@@ -87,13 +87,10 @@ def internal_full_subcat(f: FinMap) -> InternalCategory:
     mor_elems = []
     for a in A:
         src = f.preimage(a)
-        for a2 in A:
-            tgt = f.preimage(a2)
-            if len(src) > 0 and len(tgt) == 0:
-                continue
-            for choice in itertools.product(tgt, repeat=len(src)):
-                mor_elems.append((a, a2, section_tuple(dict(zip(src, choice)))))
-    mor = FinSet(mor_elems)
+        for a2 in A:  # an empty target fibre leaves no maps from a nonempty source
+            for choice in itertools.product(f.preimage(a2), repeat=len(src)):
+                mor_elems.append((a, a2, _intern(tuple(zip(src, choice)))))
+    mor = FinSet._of(tuple(mor_elems))
     dom = FinMap(mor, A, {m: m[0] for m in mor_elems})
     cod = FinMap(mor, A, {m: m[1] for m in mor_elems})
     ident = FinMap(
@@ -104,7 +101,7 @@ def internal_full_subcat(f: FinMap) -> InternalCategory:
     for m2, m1 in pairs:
         graph = {b: section_lookup(m2[2], section_lookup(m1[2], b)) for b in f.preimage(m1[0])}
         comp_table[(m2, m1)] = (m1[0], m2[1], section_tuple(graph))
-    comp = FinMap(FinSet(pairs), mor, comp_table)
+    comp = FinMap(FinSet._of(tuple(pairs)), mor, comp_table)
     return InternalCategory(A, mor, dom, cod, ident, comp)
 
 

@@ -39,6 +39,7 @@ from .finset import (
     label_key,
     section_lookup,
     section_tuple,
+    _intern,
 )
 from .poly import (
     Polynomial,
@@ -113,7 +114,7 @@ class Universe:
         return (self.unit_code, fibre.the_element())
 
     def term_fibre(self, code) -> FinSet:
-        return FinSet((code, x) for x in self.el.fibre(code))
+        return FinSet._of(tuple([(code, x) for x in self.el.fibre(code).elements]))
 
     def sigma_code(self, code, btable):
         try:
@@ -131,7 +132,7 @@ class Universe:
         """Every family of codes over the terms of ``code``, in canonical order."""
         xs = self.el.fibre(code).elements
         for choice in itertools.product(self.codes.elements, repeat=len(xs)):
-            yield section_tuple(dict(zip(xs, choice)))
+            yield _intern(tuple(zip(xs, choice)))
 
     def pair_domain(self, code, btable) -> FinSet:
         """Dependent pairs ``(term of A, term of B(term))`` in tagged form."""

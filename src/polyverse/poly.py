@@ -174,7 +174,7 @@ def compose(G: Polynomial, F: Polynomial) -> tuple[Polynomial, CompositionTrace]
     if F.J != G.I:
         raise PolyError("polynomials do not share a boundary")
     Q, qa, qd = pullback(F.t, G.s)
-    fam_q = FinFamily(G.B, {d: FinSet(qd.preimage(d)) for d in G.B})
+    fam_q = FinFamily.of_map(qd)
     m_fam = dep_prod(G.f, fam_q)
     M, w = m_fam.total()
     Qp, q, qp_d = pullback(w, G.f)
@@ -321,7 +321,7 @@ class SlicePolynomial:
 
 
 def product_set(I: FinSet, J: FinSet) -> FinSet:
-    return FinSet((i, j) for i in I for j in J)
+    return FinSet._of(tuple([(i, j) for i in I.elements for j in J.elements]))
 
 
 def slice_reduce(F: Polynomial) -> SlicePolynomial:
@@ -331,7 +331,7 @@ def slice_reduce(F: Polynomial) -> SlicePolynomial:
     for b in F.B:
         dom_fibres[(F.s(b), F.t(F.f(b)))].append(b)
     dom = FinFamily(base, {z: FinSet(xs) for z, xs in dom_fibres.items()})
-    cod = FinFamily(base, {(i, j): FinSet(F.t.preimage(j)) for (i, j) in base})
+    cod = FinFamily._of(base, [FinSet._of(F.t.preimage(j)) for _, j in base.elements])
     maps = {
         z: FinMap(dom.fibre(z), cod.fibre(z), {b: F.f(b) for b in dom.fibre(z)})
         for z in base

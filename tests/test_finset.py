@@ -30,7 +30,9 @@ from polyverse.finset import (
     _guard,
     _intern,
 )
-from polyverse.poly import encode_arity, encode_operation
+from polyverse.internalcat import internal_full_subcat
+from polyverse.naturalmodel import Universe
+from polyverse.poly import Polynomial, compose, encode_arity, encode_operation, product_set, slice_reduce
 
 
 def fam(index, **fibres):
@@ -444,8 +446,8 @@ labels = st.recursive(
 )
 
 
-def label_sets(min_size=0):
-    return st.lists(labels, unique=True, min_size=min_size, max_size=4).map(FinSet)
+def label_sets(min_size=0, max_size=4):
+    return st.lists(labels, unique=True, min_size=min_size, max_size=max_size).map(FinSet)
 
 
 @st.composite
@@ -583,6 +585,84 @@ def test_total_space_agrees_with_sorted_pairs(index, data):
     assert total.elements == tuple(sorted(want, key=label_key))
     assert proj.pairs == tuple((e, e[0]) for e in total)
     assert FinFamily.from_total(proj) == X
+
+
+# ---------------------------------------------------------------------------
+# Sets built in key order, taken as they are
+# ---------------------------------------------------------------------------
+
+
+def assert_checked(x):
+    """A set, family or map built without sorting equals its rebuild through
+    the checked constructors, which sort, look for duplicates and key labels."""
+    if isinstance(x, FinSet):
+        assert FinSet(x.elements) == x
+    elif isinstance(x, FinFamily):
+        assert_checked(x.index)
+        for _, X in x.fibres:
+            assert_checked(X)
+        assert FinFamily(x.index, dict(x.fibres)) == x
+    else:
+        assert_checked(x.dom)
+        assert_checked(x.cod)
+        assert FinMap(x.dom, x.cod, dict(x.pairs)) == x
+
+
+@st.composite
+def polynomials(draw, I=None):
+    """A polynomial I <- B -> A -> J on nested labels, at most three of each."""
+    I = draw(label_sets(1, 3)) if I is None else I
+    B, A, J = draw(label_sets(0, 3)), draw(label_sets(1, 3)), draw(label_sets(1, 3))
+    s, f, t = draw(graphs(B, I))[0], draw(graphs(B, A))[0], draw(graphs(A, J))[0]
+    return Polynomial(I, B, A, J, s, f, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_finset_constructions_equal_their_checked_rebuilds(data):
+    C = data.draw(label_sets(1))
+    f, _ = data.draw(graphs(cod=C))
+    g, _ = data.draw(graphs(cod=C))
+    X = FinFamily(f.dom, {b: data.draw(label_sets(0, 3)) for b in f.dom})
+    Y = FinFamily(C, {c: data.draw(label_sets()) for c in C})
+    built = [*pullback(f, g), *X.total(), dep_sum(f, X), dep_prod(f, X), base_change(f, Y)]
+    built += [FinFamily.of_map(f), FinFamily.constant(C, f.dom), slice_exponential(f, g)]
+    for x in built + [product_set(f.dom, C)]:
+        assert_checked(x)
+    assert base_change(f, Y) == FinFamily(f.dom, {b: Y.fibre(f(b)) for b in f.dom})
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_composite_and_internal_sets_equal_their_checked_rebuilds(data):
+    F = data.draw(polynomials())
+    G = data.draw(polynomials(I=F.J))
+    GF, trace = compose(G, F)
+    fam_q = FinFamily.of_map(trace.h)  # the family over G.B that compose takes the product of
+    for x in (fam_q, trace.Q, trace.M, trace.w, trace.Qp, trace.N, GF.s, GF.f, GF.t):
+        assert_checked(x)
+    assert_checked(slice_reduce(F).cod)
+    f, _ = data.draw(graphs(data.draw(label_sets(0, 2)), data.draw(label_sets(1, 3))))
+    C = internal_full_subcat(f)
+    assert_checked(C.mor)
+    assert_checked(C.comp.dom)
+    u = Universe(C.obj, FinFamily.of_map(f), C.obj.elements[0], {}, {})
+    for code in u.codes:
+        assert_checked(u.term_fibre(code))
+
+
+def test_positional_constructions_key_no_label(monkeypatch):
+    B = FinSet([("b", str(i)) for i in range(5)])
+    A = FinSet(["a0", ("a", "1"), ("a", ("2",))])
+    f = FinMap(B, A, {b: A.elements[i % 3] for i, b in enumerate(B)})
+    X = FinFamily(B, {b: FinSet([(b, "x"), "y"][: i % 3]) for i, b in enumerate(B)})
+    Y = FinFamily(A, {a: FinSet([("y", a), "y"]) for a in A})
+    keyed = []
+    monkeypatch.setattr(finset, "label_key", lambda label: keyed.append(label) or label_key(label))
+    dep_sum(f, X), base_change(f, Y), X.total(), FinFamily.of_map(f)
+    assert keyed == []
+    FinSet(B.elements)
+    assert keyed
 
 
 @settings(max_examples=100, deadline=None)
