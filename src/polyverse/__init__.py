@@ -23,7 +23,6 @@ from .poly import (
     CompositionTrace,
     Polynomial,
     PolyError,
-    SlicePolynomial,
     compose,
     compose_direct,
     extend,

@@ -100,7 +100,7 @@ def internal_full_subcat(f: FinMap) -> InternalCategory:
     comp_table = {}
     for m2, m1 in pairs:
         graph = {b: section_lookup(m2[2], section_lookup(m1[2], b)) for b in f.preimage(m1[0])}
-        comp_table[(m2, m1)] = (m1[0], m2[1], section_tuple(graph))
+        comp_table[(m2, m1)] = (m1[0], m2[1], _intern(tuple(graph.items())))
     comp = FinMap(FinSet._of(tuple(pairs)), mor, comp_table)
     return InternalCategory(A, mor, dom, cod, ident, comp)
 
@@ -177,7 +177,7 @@ def internal_functor_general(phi: PolyMorphism) -> dict:
     """General endpoints: reduce along the slice, then one functor per base
     point of the product of the endpoints."""
     sm = slice_reduce_cell(phi)
-    return {z: internal_functor(sm.fibre_cell(z)) for z in sm.src.base}
+    return {z: internal_functor(sm.fibre_cell(z)) for z in sm.base}
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .finset import (
     FamilyMorphism,
@@ -288,82 +287,58 @@ def extension_composition_iso(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SlicePolynomial:
-    """A one-to-one polynomial in the slice over ``base``: a fibrewise map.
-
-    The covariant direction of the reduction sends I <- B -> A -> J to the
-    map <s, f> : B -> I x A over I x J; the codomain object is represented
-    by the family whose fibre over ``(i, j)`` is the t-fibre of ``j``,
-    constant in the first coordinate.
-    """
-
-    base: FinSet
-    dom: FinFamily
-    cod: FinFamily
-    maps: tuple
-
-    def __init__(self, base: FinSet, dom: FinFamily, cod: FinFamily, maps):
-        morphism = FamilyMorphism(dom, cod, maps)
-        if dom.index != base:
-            raise PolyError("slice polynomial families must be indexed by the base")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "maps", morphism.maps)
-
-    @cached_property
-    def as_family_morphism(self) -> FamilyMorphism:
-        return FamilyMorphism(self.dom, self.cod, dict(self.maps))
-
-    def at(self, z) -> FinMap:
-        return self.as_family_morphism.at(z)
-
-
 def product_set(I: FinSet, J: FinSet) -> FinSet:
     return FinSet._of(tuple([(i, j) for i in I.elements for j in J.elements]))
 
 
-def slice_reduce(F: Polynomial) -> SlicePolynomial:
-    """Reduce a polynomial with general endpoints to a fibrewise map over I x J."""
+def slice_reduce(F: Polynomial) -> FamilyMorphism:
+    """Reduce a polynomial with general endpoints to a fibrewise map over I x J.
+
+    The covariant direction of the reduction sends I <- B -> A -> J to the
+    map <s, f> : B -> I x A over I x J, a one-to-one polynomial in the
+    slice.  Its source is the arity family, whose fibre over ``(i, j)``
+    holds the arities b with s(b) = i and t(f(b)) = j; its target is the
+    operation family, whose fibre over ``(i, j)`` is the t-fibre of ``j``,
+    constant in the first coordinate.
+    """
     base = product_set(F.I, F.J)
-    dom_fibres = {z: [] for z in base}
-    for b in F.B:
-        dom_fibres[(F.s(b), F.t(F.f(b)))].append(b)
-    dom = FinFamily(base, {z: FinSet(xs) for z, xs in dom_fibres.items()})
-    cod = FinFamily._of(base, [FinSet._of(F.t.preimage(j)) for _, j in base.elements])
+    arities = {z: [] for z in base}
+    for b in F.B:  # filled in B order, so each fibre is in key order
+        arities[(F.s(b), F.t(F.f(b)))].append(b)
+    src = FinFamily._of(base, [FinSet._of(tuple(bs)) for bs in arities.values()])
+    dst = FinFamily._of(base, [FinSet._of(F.t.preimage(j)) for _, j in base.elements])
     maps = {
-        z: FinMap(dom.fibre(z), cod.fibre(z), {b: F.f(b) for b in dom.fibre(z)})
+        z: FinMap(src.fibre(z), dst.fibre(z), {b: F.f(b) for b in src.fibre(z)})
         for z in base
     }
-    return SlicePolynomial(base, dom, cod, maps)
+    return FamilyMorphism(src, dst, maps)
 
 
-def slice_unreduce(S: SlicePolynomial) -> Polynomial:
+def slice_unreduce(S: FamilyMorphism) -> Polynomial:
     """Inverse of ``slice_reduce`` on its image; rejects anything else."""
-    base_pairs = list(S.base)
-    if not all(isinstance(z, tuple) and len(z) == 2 for z in base_pairs):
+    base = S.src.index
+    if not all(isinstance(z, tuple) and len(z) == 2 for z in base):
         raise PolyError("base is not a binary product")
-    I = FinSet({z[0] for z in base_pairs})
-    J = FinSet({z[1] for z in base_pairs})
-    if S.base != product_set(I, J):
+    I = FinSet({z[0] for z in base})
+    J = FinSet({z[1] for z in base})
+    if base != product_set(I, J):
         raise PolyError("base is not the full product")
     a_to_j = {}
-    for (i, j) in S.base:
-        for a in S.cod.fibre((i, j)):
+    for (i, j) in base:
+        for a in S.dst.fibre((i, j)):
             if a_to_j.setdefault(a, j) != j:
                 raise PolyError(f"operation {a!r} appears over two different targets")
     A = FinSet(a_to_j)
-    for (i, j) in S.base:
+    for (i, j) in base:
         expect = FinSet(a for a, jj in a_to_j.items() if jj == j)
-        if S.cod.fibre((i, j)) != expect:
+        if S.dst.fibre((i, j)) != expect:
             raise PolyError("codomain fibres are not uniform in the first coordinate")
     b_data = {}
-    for (i, j) in S.base:
-        for b in S.dom.fibre((i, j)):
+    for (i, j) in base:
+        for b in S.src.fibre((i, j)):
             if b in b_data:
                 raise PolyError(f"arity {b!r} appears over two base points")
-            a = S.at((i, j))(b)
+            a = S((i, j), b)
             b_data[b] = (i, a)
             if a_to_j[a] != j:
                 raise PolyError("fibrewise map is incompatible with the targets")
@@ -374,14 +349,13 @@ def slice_unreduce(S: SlicePolynomial) -> Polynomial:
     return Polynomial(I, B, A, J, s, f, t)
 
 
-def slice_extension(S: SlicePolynomial, Y: FinFamily) -> FinFamily:
+def slice_extension(S: FamilyMorphism, Y: FinFamily) -> FinFamily:
     """Extension of a sliced one-to-one polynomial, computed fibre by fibre."""
-    if Y.index != S.base:
+    if Y.index != S.src.index:
         raise PolyError("family must be indexed by the slice base")
     fibres = {}
-    for z in S.base:
-        fz = S.at(z)
+    for z, fz in S.maps:
         fam = FinFamily.constant(fz.dom, Y.fibre(z))
         ext = dep_sum(FinMap.to_terminal(fz.cod), dep_prod(fz, fam))
         fibres[z] = ext.fibre("*")
-    return FinFamily(S.base, fibres)
+    return FinFamily(S.src.index, fibres)

@@ -38,13 +38,13 @@ from .finset import (
 from .poly import (
     Polynomial,
     PolyError,
-    SlicePolynomial,
     compose,
     decode_arity,
     decode_operation,
     encode_arity,
     encode_operation,
     extend,
+    from_map,
     identity_poly,
     slice_reduce,
     slice_unreduce,
@@ -147,8 +147,6 @@ def cell_from_square(F: Polynomial, G: Polynomial, top: FinMap, bot: FinMap) -> 
 
 def cartesian_from_square(f: FinMap, g: FinMap, top: FinMap, bot: FinMap) -> PolyMorphism:
     """Square-to-morphism for maps considered as one-to-one polynomials."""
-    from .poly import from_map
-
     return cell_from_square(from_map(f), from_map(g), top, bot)
 
 
@@ -521,38 +519,48 @@ class SliceMorphism:
     on the nose.
     """
 
-    src: SlicePolynomial
-    dst: SlicePolynomial
+    src: FamilyMorphism
+    dst: FamilyMorphism
     dphi: FinSet
     phi0: FinMap
     phi1: FinMap
     phi2: FinMap
 
     def __post_init__(self):
-        if self.src.base != self.dst.base:
+        if self.base != self.dst.src.index:
             raise CellShapeError("sliced morphisms require a common base")
-        if self.phi0.dom != flat_union(self.src.cod, disjoint=False):
+        if self.phi0.dom != flat_union(self.src.dst, disjoint=False):
             raise CellShapeError("phi0 must be defined on the operations")
-        if self.phi0.cod != flat_union(self.dst.cod, disjoint=False):
+        if self.phi0.cod != flat_union(self.dst.dst, disjoint=False):
             raise CellShapeError("phi0 must land in the target operations")
-        if self.phi1.cod != flat_union(self.dst.dom) or self.phi2.cod != flat_union(self.src.dom):
+        if self.phi1.cod != flat_union(self.dst.src) or self.phi2.cod != flat_union(self.src.src):
             raise CellShapeError("vertex maps land in the wrong totals")
-        for z in self.src.base:
-            self.fibre_cell(z)
+        self._fibre_cells  # builds, and so validates, every fibre cell
+
+    @property
+    def base(self) -> FinSet:
+        return self.src.src.index
+
+    @cached_property
+    def _fibre_cells(self) -> dict:
+        """Base point -> the restriction there, as an ordinary morphism of
+        one-to-one polynomials; the single validation code path."""
+        base_of_arity = {b: z for z, X in self.src.src.fibres for b in X}
+        vertices = {z: [] for z in self.base}
+        for e in self.dphi:  # in key order, and so is each part
+            vertices[base_of_arity[self.phi2(e)]].append(e)
+        cells = {}
+        for (z, src_map), (_, dst_map) in zip(self.src.maps, self.dst.maps):
+            vertex = FinSet._of(tuple(vertices[z]))
+            phi0 = FinMap(src_map.cod, dst_map.cod, {x: self.phi0(x) for x in src_map.cod})
+            phi1 = FinMap(vertex, dst_map.dom, {e: self.phi1(e) for e in vertex})
+            phi2 = FinMap(vertex, src_map.dom, {e: self.phi2(e) for e in vertex})
+            cells[z] = PolyMorphism(from_map(src_map), from_map(dst_map), vertex, phi0, phi1, phi2)
+        return cells
 
     def fibre_cell(self, z) -> PolyMorphism:
-        """The restriction to one base point, as an ordinary morphism of
-        one-to-one polynomials; the single validation code path."""
-        from .poly import from_map
-
-        src_map = self.src.at(z)
-        dst_map = self.dst.at(z)
-        base_of_src = {b: zz for zz in self.src.base for b in self.src.dom.fibre(zz)}
-        vertex = FinSet(e for e in self.dphi if base_of_src[self.phi2(e)] == z)
-        phi0 = FinMap(src_map.cod, dst_map.cod, {x: self.phi0(x) for x in src_map.cod})
-        phi1 = FinMap(vertex, dst_map.dom, {e: self.phi1(e) for e in vertex})
-        phi2 = FinMap(vertex, src_map.dom, {e: self.phi2(e) for e in vertex})
-        return PolyMorphism(from_map(src_map), from_map(dst_map), vertex, phi0, phi1, phi2)
+        """The restriction to the base point ``z``, built once, at construction."""
+        return self._fibre_cells[z]
 
     def is_cartesian(self) -> bool:
         return self.phi2.is_bijection()

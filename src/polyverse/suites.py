@@ -296,10 +296,6 @@ def suite_coherence(cfg: InstanceGenConfig) -> Report:
         attempts += 1
         quad = [gen.rand_polynomial(rng, quad_size, one_to_one=True) for _ in range(4)]
         f, g, h, k = quad
-        gf_est = _estimate_composite(g, f)
-        if gf_est > 50 or _estimate_composite(h, g) > 50 or _estimate_composite(k, h) > 50:
-            rep.skip("pentagon", f"attempt{attempts}", "estimated size over budget")
-            continue
         inst = f"quad{made}"
         with _skip_over_cap(rep, f"attempt{attempts}", "local-codiscreteness"):
             with enumeration_cap(min(cfg.enumeration_cap, 3000)):
@@ -523,7 +519,7 @@ def suite_slice_reduction(cfg: InstanceGenConfig) -> Report:
         )
         alpha = unique_adjustment(phi, psi)
         ok_adj = True
-        for z in sm_phi.src.base:
+        for z in sm_phi.base:
             fc_phi = sm_phi.fibre_cell(z)
             fc_psi = sm_psi.fibre_cell(z)
             restricted = FinMap(
@@ -538,13 +534,12 @@ def suite_slice_reduction(cfg: InstanceGenConfig) -> Report:
         inner = gen.rand_morphism(rng, cfg.max_set_size, target=outer.src)
         comp = v_comp(outer, inner)
         sm_comp = slice_reduce_cell(comp)
+        sm_outer = slice_reduce_cell(outer)
+        sm_inner = slice_reduce_cell(inner)
         ok_fun = True
-        for z in sm_comp.src.base:
+        for z in sm_comp.base:
             lhs = sm_comp.fibre_cell(z)
-            rhs = v_comp(
-                slice_reduce_cell(outer).fibre_cell(z),
-                slice_reduce_cell(inner).fibre_cell(z),
-            )
+            rhs = v_comp(sm_outer.fibre_cell(z), sm_inner.fibre_cell(z))
             if lhs != rhs:
                 ok_fun = False
         rep.check("slice-functorial", inst, ok_fun)
@@ -582,34 +577,27 @@ def suite_bicategory_laws(cfg: InstanceGenConfig) -> Report:
                 target=gen.rand_polynomial(rng, min(cfg.max_set_size, 2), I=phi.src.J),
             )
             Y = gen.rand_family(rng, phi.src.I, min(cfg.max_set_size, 2))
-            if (
-                _estimate_composite(psi.src, phi.src) > 60
-                or _estimate_composite(psi.dst, phi.dst) > 60
-                or _estimate_extension(phi.src, Y) > 60
-            ):
-                rep.skip("hcomp-extension", inst, "estimated size over budget")
-            else:
-                hc = h_comp(psi, phi)
-                fwd_src, _ = extension_composition_iso(psi.src, phi.src, Y)
-                _, bwd_dst = extension_composition_iso(psi.dst, phi.dst, Y)
-                inner_nat = extend_map(psi.src, extend_cell(phi, Y))
-                outer_nat = extend_cell(psi, extend(phi.dst, Y))
-                composite = bwd_dst.after(outer_nat.after(inner_nat)).after(fwd_src)
-                rep.check("hcomp-extension", inst, extend_cell(hc, Y) == composite)
-                hmorph = gen.rand_family_morphism(rng, Y, min(cfg.max_set_size, 2))
-                cells = extend_cell(phi, Y)
-                cells2 = extend_cell(phi, hmorph.dst)
-                ok_pb = True
-                for j in phi.src.J:
-                    sq = Square(
-                        extend_map(phi.src, hmorph).at(j),
-                        extend_map(phi.dst, hmorph).at(j),
-                        cells.at(j),
-                        cells2.at(j),
-                    )
-                    if not sq.is_pullback():
-                        ok_pb = False
-                rep.check("cartesian-naturality-pullback", inst, ok_pb)
+            hc = h_comp(psi, phi)
+            fwd_src, _ = extension_composition_iso(psi.src, phi.src, Y)
+            _, bwd_dst = extension_composition_iso(psi.dst, phi.dst, Y)
+            inner_nat = extend_map(psi.src, extend_cell(phi, Y))
+            outer_nat = extend_cell(psi, extend(phi.dst, Y))
+            composite = bwd_dst.after(outer_nat.after(inner_nat)).after(fwd_src)
+            rep.check("hcomp-extension", inst, extend_cell(hc, Y) == composite)
+            hmorph = gen.rand_family_morphism(rng, Y, min(cfg.max_set_size, 2))
+            cells = extend_cell(phi, Y)
+            cells2 = extend_cell(phi, hmorph.dst)
+            ok_pb = True
+            for j in phi.src.J:
+                sq = Square(
+                    extend_map(phi.src, hmorph).at(j),
+                    extend_map(phi.dst, hmorph).at(j),
+                    cells.at(j),
+                    cells2.at(j),
+                )
+                if not sq.is_pullback():
+                    ok_pb = False
+            rep.check("cartesian-naturality-pullback", inst, ok_pb)
             made += 1
     return rep
 

@@ -641,7 +641,8 @@ def test_composite_and_internal_sets_equal_their_checked_rebuilds(data):
     fam_q = FinFamily.of_map(trace.h)  # the family over G.B that compose takes the product of
     for x in (fam_q, trace.Q, trace.M, trace.w, trace.Qp, trace.N, GF.s, GF.f, GF.t):
         assert_checked(x)
-    assert_checked(slice_reduce(F).cod)
+    assert_checked(slice_reduce(F).src)
+    assert_checked(slice_reduce(F).dst)
     f, _ = data.draw(graphs(data.draw(label_sets(0, 2)), data.draw(label_sets(1, 3))))
     C = internal_full_subcat(f)
     assert_checked(C.mor)

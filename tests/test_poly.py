@@ -338,16 +338,16 @@ class TestSliceReduce:
     def test_identity_poly_gives_diagonal(self):
         I = FinSet(["i0", "i1"])
         S = slice_reduce(identity_poly(I))
-        for (i, j) in S.base:
+        for (i, j) in S.src.index:
             expected = FinSet([i]) if i == j else FinSet()
-            assert S.dom.fibre((i, j)) == expected
-            assert S.cod.fibre((i, j)) == FinSet([j])
+            assert S.src.fibre((i, j)) == expected
+            assert S.dst.fibre((i, j)) == FinSet([j])
 
     def test_point_endpoints_reduce_trivially(self):
         rng = random.Random(4)
         F = rand_polynomial(rng, 3, one_to_one=True)
         S = slice_reduce(F)
-        assert S.base == FinSet([("*", "*")])
+        assert S.src.index == FinSet([("*", "*")])
         assert S.at(("*", "*")).pairs == F.f.pairs
 
     def test_extension_commutes(self):
@@ -359,7 +359,7 @@ class TestSliceReduce:
             F = rand_polynomial(rng, 2)
             X = rand_family(rng, F.I, 2)
             S = slice_reduce(F)
-            Xt = FinFamily(S.base, {(i, j): X.fibre(i) for (i, j) in S.base})
+            Xt = FinFamily(S.src.index, {(i, j): X.fibre(i) for (i, j) in S.src.index})
             SE = slice_extension(S, Xt)
             E = extend(F, X)
             for j in F.J:

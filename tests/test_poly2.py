@@ -14,6 +14,7 @@ from polyverse.finset import (
 )
 from polyverse.poly import (
     PolyError,
+    Polynomial,
     compose,
     extend,
     from_map,
@@ -25,7 +26,9 @@ from polyverse.poly2 import (
     AdjustmentError,
     CellCommutationError,
     CellPullbackError,
+    CellShapeError,
     PolyMorphism,
+    SliceMorphism,
     adj_vcomp,
     adj_whisker,
     all_adjustments,
@@ -488,7 +491,7 @@ class TestSliceCells:
         alpha = unique_adjustment(phi, psi)
         sm_phi = slice_reduce_cell(phi)
         sm_psi = slice_reduce_cell(psi)
-        for z in sm_phi.src.base:
+        for z in sm_phi.base:
             fc_phi = sm_phi.fibre_cell(z)
             fc_psi = sm_psi.fibre_cell(z)
             restricted = FinMap(
@@ -503,10 +506,68 @@ class TestSliceCells:
             inner = rand_morphism(rng, 2, target=outer.src)
             comp = v_comp(outer, inner)
             sm = slice_reduce_cell(comp)
-            for z in sm.src.base:
+            for z in sm.base:
                 lhs = sm.fibre_cell(z)
                 rhs = v_comp(
                     slice_reduce_cell(outer).fibre_cell(z),
                     slice_reduce_cell(inner).fibre_cell(z),
                 )
                 assert lhs == rhs
+
+    def test_fibre_cell_is_kept(self):
+        rng = random.Random(53)
+        phi, _ = rand_parallel_pair(rng, 3, max_vertex=6)
+        sm = slice_reduce_cell(phi)
+        for z in sm.base:
+            assert sm.fibre_cell(z) is sm.fibre_cell(z)
+        with pytest.raises(KeyError):
+            sm.fibre_cell(("nowhere", "nowhere"))
+
+    def test_each_fibre_cell_is_validated_once(self, monkeypatch):
+        validated = []
+        check = PolyMorphism.__post_init__
+
+        def counting(cell):
+            validated.append(cell)
+            check(cell)
+
+        rng = random.Random(54)
+        for _ in range(6):
+            phi, _ = rand_parallel_pair(rng, 3, max_vertex=6)
+            monkeypatch.setattr(PolyMorphism, "__post_init__", counting)
+            validated.clear()
+            sm = slice_reduce_cell(phi)
+            for z in sm.base:
+                sm.fibre_cell(z)
+            monkeypatch.undo()
+            assert len(validated) == len(sm.base)
+
+    def _two_point_cell(self):
+        """The identity on a polynomial over I = {i0, i1}: b0 and b1 lie over
+        (i0, j) with different operations, b2 over (i1, j)."""
+        I, J = FinSet(["i0", "i1"]), FinSet(["j"])
+        B, A = FinSet(["b0", "b1", "b2"]), FinSet(["a0", "a1"])
+        F = Polynomial(
+            I, B, A, J,
+            FinMap(B, I, {"b0": "i0", "b1": "i0", "b2": "i1"}),
+            FinMap(B, A, {"b0": "a0", "b1": "a1", "b2": "a1"}),
+            FinMap.constant(A, J, "j"),
+        )
+        return identity_cell(F)
+
+    def test_corrupted_phi1_rejected_at_construction(self):
+        cell = self._two_point_cell()
+        B = cell.dphi
+        S = slice_reduce(cell.src)
+        swapped = FinMap(B, B, {"b0": "b1", "b1": "b0", "b2": "b2"})
+        with pytest.raises((CellCommutationError, CellPullbackError, CellShapeError)):
+            SliceMorphism(S, S, B, cell.phi0, swapped, cell.phi2)
+
+    def test_out_of_range_phi2_rejected_at_construction(self):
+        cell = self._two_point_cell()
+        B = cell.dphi
+        S = slice_reduce(cell.src)
+        wider = FinSet([*B, "b9"])
+        outside = FinMap(B, wider, {"b0": "b9", "b1": "b1", "b2": "b2"})
+        with pytest.raises((CellCommutationError, CellPullbackError, CellShapeError)):
+            SliceMorphism(S, S, B, cell.phi0, cell.phi1, outside)
