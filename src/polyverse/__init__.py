@@ -61,6 +61,7 @@ from .internalcat import (
     nat_to_adjustment,
 )
 from .naturalmodel import (
+    LiftedEndofunctor,
     PolynomialPseudoalgebra,
     PolynomialPseudomonad,
     Universe,

@@ -454,7 +454,7 @@ def prod_transpose(f: FinMap, h: FamilyMorphism, X: FinFamily, Y: FinFamily) -> 
     target = dep_prod(f, X)
     maps = {}
     for a in f.cod:
-        comp = {y: section_tuple({b: h(b, y) for b in f.preimage(a)}) for y in Y.fibre(a)}
+        comp = {y: _intern(tuple([(b, h(b, y)) for b in f.preimage(a)])) for y in Y.fibre(a)}
         maps[a] = FinMap(Y.fibre(a), target.fibre(a), comp)
     return FamilyMorphism(Y, target, maps)
 

@@ -7,12 +7,20 @@ morphisms from ``a`` to ``a'``, all functions between the fibres of ``f``;
 a morphism is encoded as ``(a, a', graph)`` with the graph in section
 form.  Everything is materialised and the category laws are checked by
 full enumeration at construction time.
+
+Each structure is built and validated once and then passed on.  A category
+keeps the map it was built from (``source``) and a functor the cell it was
+induced by (``cell``); neither enters ``==``, ``hash`` or ``repr``.
+``internal_functor`` takes the categories of the cell's endpoints and
+``adjustment_to_nat`` the induced functors, and both check by equality that
+these come from the cells at hand instead of building them again;
+``equivalence_sets`` takes the functors and reads the cells off them.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .finset import (
     FinMap,
@@ -38,6 +46,8 @@ class InternalCategory:
     cod: FinMap
     ident: FinMap
     comp: FinMap
+    # the map whose internal full subcategory this is, if it was built as one
+    source: FinMap | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.dom.dom != self.mor or self.dom.cod != self.obj:
@@ -93,16 +103,14 @@ def internal_full_subcat(f: FinMap) -> InternalCategory:
     mor = FinSet._of(tuple(mor_elems))
     dom = FinMap(mor, A, {m: m[0] for m in mor_elems})
     cod = FinMap(mor, A, {m: m[1] for m in mor_elems})
-    ident = FinMap(
-        A, mor, {a: (a, a, section_tuple({b: b for b in f.preimage(a)})) for a in A}
-    )
+    ident = FinMap(A, mor, {a: (a, a, _intern(tuple([(b, b) for b in f.preimage(a)]))) for a in A})
     pairs = [(m2, m1) for m2 in mor for m1 in mor if m2[0] == m1[1]]
     comp_table = {}
     for m2, m1 in pairs:
         graph = {b: section_lookup(m2[2], section_lookup(m1[2], b)) for b in f.preimage(m1[0])}
         comp_table[(m2, m1)] = (m1[0], m2[1], _intern(tuple(graph.items())))
     comp = FinMap(FinSet._of(tuple(pairs)), mor, comp_table)
-    return InternalCategory(A, mor, dom, cod, ident, comp)
+    return InternalCategory(A, mor, dom, cod, ident, comp, f)
 
 
 @dataclass(frozen=True)
@@ -111,6 +119,8 @@ class InternalFunctor:
     dst: InternalCategory
     on_obj: FinMap
     on_mor: FinMap
+    # the cartesian cell that induced this functor, if one did
+    cell: PolyMorphism | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.on_obj.dom != self.src.obj or self.on_obj.cod != self.dst.obj:
@@ -154,30 +164,33 @@ class InternalFunctor:
         return InternalFunctor(C, C, FinMap.identity(C.obj), FinMap.identity(C.mor))
 
 
-def internal_functor(phi: PolyMorphism) -> InternalFunctor:
+def internal_functor(phi: PolyMorphism, Af: InternalCategory, Ag: InternalCategory) -> InternalFunctor:
     """The internal functor induced by a cartesian morphism of one-to-one
-    polynomials: phi0 on objects, conjugation by the square top on homs."""
+    polynomials, between the internal full subcategories ``Af`` and ``Ag``
+    of its endpoints: phi0 on objects, conjugation by the square top on homs."""
     if not phi.is_cartesian():
         raise PolyError("internal functors arise from cartesian morphisms only")
     if not (phi.src.is_one_to_one() and phi.dst.is_one_to_one()):
         raise PolyError("reduce along the slice first for general endpoints")
-    Af = internal_full_subcat(phi.src.f)
-    Ag = internal_full_subcat(phi.dst.f)
+    if Af.source != phi.src.f or Ag.source != phi.dst.f:
+        raise InternalCatError("the categories are not those of the cell's endpoints")
     top = phi.square_top()
     on_mor_table = {}
     for (a, a2, graph) in Af.mor:
         image = {top(b): top(y) for b, y in graph}
         on_mor_table[(a, a2, graph)] = (phi.phi0(a), phi.phi0(a2), section_tuple(image))
-    return InternalFunctor(
-        Af, Ag, phi.phi0, FinMap(Af.mor, Ag.mor, on_mor_table)
-    )
+    return InternalFunctor(Af, Ag, phi.phi0, FinMap(Af.mor, Ag.mor, on_mor_table), phi)
 
 
 def internal_functor_general(phi: PolyMorphism) -> dict:
     """General endpoints: reduce along the slice, then one functor per base
     point of the product of the endpoints."""
     sm = slice_reduce_cell(phi)
-    return {z: internal_functor(sm.fibre_cell(z)) for z in sm.base}
+    funs = {}
+    for z in sm.base:
+        c = sm.fibre_cell(z)
+        funs[z] = internal_functor(c, internal_full_subcat(c.src.f), internal_full_subcat(c.dst.f))
+    return funs
 
 
 @dataclass(frozen=True)
@@ -226,21 +239,17 @@ def _component_table(phi: PolyMorphism, psi: PolyMorphism, alpha: FinMap) -> dic
     """Per-object fibre maps induced by a vertex map over the operations."""
     table = {}
     for a in phi.src.A:
-        graph = {}
-        for d in phi.dst.f.preimage(phi.phi0(a)):
-            graph[d] = psi.phi1(alpha(phi.fill(a, d)))
-        table[a] = (phi.phi0(a), psi.phi0(a), section_tuple(graph))
+        graph = [(d, psi.phi1(alpha(phi.fill(a, d)))) for d in phi.dst.f.preimage(phi.phi0(a))]
+        table[a] = (phi.phi0(a), psi.phi0(a), _intern(tuple(graph)))
     return table
 
 
-def adjustment_to_nat(adj: Adjustment) -> InternalNatTrans:
+def adjustment_to_nat(adj: Adjustment, F: InternalFunctor, G: InternalFunctor) -> InternalNatTrans:
     """Transpose an adjustment between cartesian morphisms into an internal
-    natural transformation between the induced functors."""
+    natural transformation between the functors ``F`` and ``G`` they induce."""
     phi, psi = adj.src, adj.dst
-    if not (phi.is_cartesian() and psi.is_cartesian()):
-        raise PolyError("the correspondence needs cartesian morphisms")
-    F = internal_functor(phi)
-    G = internal_functor(psi)
+    if F.cell != phi or G.cell != psi:
+        raise InternalCatError("the functors are not those induced by the adjustment's cells")
     table = _component_table(phi, psi, adj.alpha)
     components = FinMap(F.src.obj, G.dst.mor, table)
     return InternalNatTrans(F, G, components)
@@ -256,17 +265,17 @@ def nat_to_adjustment(nat: InternalNatTrans, phi: PolyMorphism, psi: PolyMorphis
     return Adjustment(phi, psi, FinMap(phi.dphi, psi.dphi, table))
 
 
-def equivalence_sets(phi: PolyMorphism, psi: PolyMorphism) -> dict:
+def equivalence_sets(F: InternalFunctor, G: InternalFunctor) -> dict:
     """Brute-force the four equivalent descriptions of an adjustment between
-    cartesian morphisms, over every vertex map lying over the operations.
+    the cartesian morphisms that induced ``F`` and ``G``, over every vertex
+    map lying over the operations.
 
     Returns the four sets of candidate maps (as sorted graph tuples) so a
     caller can assert they coincide.
     """
-    if not (phi.is_cartesian() and psi.is_cartesian()):
-        raise PolyError("the equivalence concerns cartesian morphisms")
-    F = internal_functor(phi)
-    G = internal_functor(psi)
+    phi, psi = F.cell, G.cell
+    if phi is None or psi is None:
+        raise PolyError("the equivalence concerns functors induced by cartesian morphisms")
     D = G.dst
     sets: dict = {"natural": set(), "component": set(), "conjugate": set(), "over_b": set()}
     by_a: dict = {}

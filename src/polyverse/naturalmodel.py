@@ -21,6 +21,13 @@ As in the paper, the pseudoalgebra is built over the pseudomonad:
 ``pseudomonad_from(u)`` assembles the pseudomonad once, keeping its law
 cells, ``.pseudoalgebra()`` adds zeta over it, and each object checks its
 own pasting equations with ``.pasting_report()``.
+
+The endofunctor ``P_p`` on sets and on the arrow category is one object,
+``LiftedEndofunctor(p)``, which keeps ``P_p(Z)`` for each set ``Z`` it has
+been applied to.  ``apply_to_set``, ``lift_apply``, ``lift_apply_square``
+and ``lift_unit_mult`` take it in place of ``p``, so every square drawn from
+the same sets reuses their values.  The pseudoalgebra keeps the one it was
+built with, next to ``Tz``, for its pasting report.
 """
 
 from __future__ import annotations
@@ -292,29 +299,39 @@ def sigma_structure(u: Universe) -> PolyMorphism:
     return cell_from_square(pp, p_poly, top, bot)
 
 
-def apply_to_set(p: FinMap, Z: FinSet) -> FinSet:
-    """The value on an object of the endofunctor induced by ``p``."""
-    fam = FinFamily(TERMINAL, {"*": Z})
-    return extend(from_map(p), fam).fibre("*")
+class LiftedEndofunctor:
+    """The endofunctor ``P_p`` induced by a map ``p``, keeping its value
+    ``P_p(Z)`` on each set ``Z`` it has been applied to."""
+
+    def __init__(self, p: FinMap):
+        self.p = p
+        self.poly = from_map(p)
+        self.values: dict = {}
 
 
-def lift_apply(p: FinMap, f: FinMap) -> FinMap:
+def apply_to_set(P: LiftedEndofunctor, Z: FinSet) -> FinSet:
+    """The value on an object, computed the first time ``P`` meets ``Z``."""
+    value = P.values.get(Z)
+    if value is None:
+        value = P.values[Z] = extend(P.poly, FinFamily(TERMINAL, {"*": Z})).fibre("*")
+    return value
+
+
+def lift_apply(P: LiftedEndofunctor, f: FinMap) -> FinMap:
     """The endofunctor on maps: postcompose every section with ``f``."""
-    src = apply_to_set(p, f.dom)
-    dst = apply_to_set(p, f.cod)
-    table = {
-        (x, sect): (x, section_tuple({k: f(v) for k, v in sect})) for (x, sect) in src
-    }
+    src = apply_to_set(P, f.dom)
+    dst = apply_to_set(P, f.cod)
+    table = {(x, sect): (x, _intern(tuple([(k, f(v)) for k, v in sect]))) for (x, sect) in src}
     return FinMap(src, dst, table)
 
 
-def lift_apply_square(p: FinMap, sq: Square) -> Square:
+def lift_apply_square(P: LiftedEndofunctor, sq: Square) -> Square:
     """The endofunctor on squares, applied edgewise."""
     return Square(
-        lift_apply(p, sq.src),
-        lift_apply(p, sq.dst),
-        lift_apply(p, sq.top),
-        lift_apply(p, sq.bot),
+        lift_apply(P, sq.src),
+        lift_apply(P, sq.dst),
+        lift_apply(P, sq.top),
+        lift_apply(P, sq.bot),
     )
 
 
@@ -322,7 +339,7 @@ def pi_structure(u: Universe) -> PolyMorphism:
     """The cartesian cell P_p(p) => p: product codes on operations, the
     canonical abstraction on arities."""
     _checked(u)
-    p_map = lift_apply(u.p, u.p)
+    p_map = lift_apply(LiftedEndofunctor(u.p), u.p)
     bot_table, top_table = {}, {}
     for (A, sect) in p_map.cod:
         bot_table[(A, sect)] = u.pi_code(A, section_tuple({k[1]: v for k, v in sect}))
@@ -356,12 +373,12 @@ def mult_component(mu: PolyMorphism, Z: FinSet) -> FinMap:
     return cell.at("*").after(bwd.at("*"))
 
 
-def lift_unit_mult(p: FinMap, eta: PolyMorphism, mu: PolyMorphism, f: FinMap) -> tuple[Square, Square]:
+def lift_unit_mult(P: LiftedEndofunctor, eta: PolyMorphism, mu: PolyMorphism, f: FinMap) -> tuple[Square, Square]:
     """The unit and multiplication squares of the lifted endofunctor at an
     object ``f`` of the arrow 2-category."""
-    Pf = lift_apply(p, f)
+    Pf = lift_apply(P, f)
     h_f = Square(f, Pf, unit_component(eta, f.dom), unit_component(eta, f.cod))
-    PPf = lift_apply(p, Pf)
+    PPf = lift_apply(P, Pf)
     m_f = Square(PPf, Pf, mult_component(mu, f.dom), mult_component(mu, f.cod))
     return h_f, m_f
 
@@ -430,8 +447,9 @@ class PolynomialPseudomonad:
         u = self.universe
         zeta = pi_structure(u)
         z = square_of_cell(zeta)
-        h_p, m_p = lift_unit_mult(u.p, self.eta, self.mu, u.p)
-        Tz = lift_apply_square(u.p, z)
+        P = LiftedEndofunctor(u.p)
+        h_p, m_p = lift_unit_mult(P, self.eta, self.mu, u.p)
+        Tz = lift_apply_square(P, z)
         lhs = z.after(Tz)
         rhs = z.after(m_p)
         sigma_adj = _square_adjustment(lhs, rhs)
@@ -443,7 +461,7 @@ class PolynomialPseudomonad:
                 raise UniverseError(f"{name} adjustment is not invertible")
         return PolynomialPseudoalgebra(
             self, self.carrier, zeta, sigma_adj, tau_adj,
-            lhs == rhs, tau_lhs == tau_rhs, z, h_p, m_p, Tz,
+            lhs == rhs, tau_lhs == tau_rhs, z, h_p, m_p, Tz, P,
         )
 
 
@@ -516,11 +534,13 @@ class PolynomialPseudoalgebra:
     tau_adj: Adjustment
     strict_sigma: bool
     strict_tau: bool
-    # zeta as a square z, the unit and multiplication squares at p, and Tz
+    # zeta as a square z, the unit and multiplication squares at p, Tz, and
+    # the lifted endofunctor that built them, with the sets it has met
     z: Square = field(compare=False, repr=False)
     h_p: Square = field(compare=False, repr=False)
     m_p: Square = field(compare=False, repr=False)
     Tz: Square = field(compare=False, repr=False)
+    lift: LiftedEndofunctor = field(compare=False, repr=False)
 
     def is_strict(self) -> bool:
         return self.strict_sigma and self.strict_tau
@@ -529,12 +549,11 @@ class PolynomialPseudoalgebra:
         """The two coherence equations for the pseudoalgebra adjustments,
         checked as literal equalities of composite vertex maps between
         squares over the third and first powers of the carrier."""
-        z, h_p, m_p, Tz = self.z, self.h_p, self.m_p, self.Tz
-        p = self.carrier.f
-        _, m_Tp = lift_unit_mult(p, self.monad.eta, self.monad.mu, m_p.dst)
-        TTz = lift_apply_square(p, Tz)
-        Tm_p = lift_apply_square(p, m_p)
-        Th_p = lift_apply_square(p, h_p)
+        z, h_p, m_p, Tz, P = self.z, self.h_p, self.m_p, self.Tz, self.lift
+        _, m_Tp = lift_unit_mult(P, self.monad.eta, self.monad.mu, m_p.dst)
+        TTz = lift_apply_square(P, Tz)
+        Tm_p = lift_apply_square(P, m_p)
+        Th_p = lift_apply_square(P, h_p)
 
         X1 = z.after(Tz).after(TTz)
         X2 = z.after(Tz).after(Tm_p)

@@ -103,8 +103,7 @@ def extend_map(F: Polynomial, h: FamilyMorphism) -> FamilyMorphism:
     for j in F.J:
         comp = {}
         for (a, sect) in src.fibre(j):
-            out = {b: h(F.s(b), x) for b, x in sect}
-            comp[(a, sect)] = (a, section_tuple(out))
+            comp[(a, sect)] = (a, _intern(tuple([(b, h(F.s(b), x)) for b, x in sect])))
         maps[j] = FinMap(src.fibre(j), dst.fibre(j), comp)
     return FamilyMorphism(src, dst, maps)
 

@@ -32,8 +32,8 @@ from .finset import (
     is_pullback_cone,
     pullback,
     section_lookup,
-    section_tuple,
     _guard,
+    _intern,
 )
 from .poly import (
     Polynomial,
@@ -300,11 +300,8 @@ def extend_cell(phi: PolyMorphism, X: FinFamily) -> FamilyMorphism:
         comp = {}
         for (a, sect) in src_ext.fibre(j):
             c = phi.phi0(a)
-            out = {}
-            for d in G.f.preimage(c):
-                e = phi.fill(a, d)
-                out[d] = section_lookup(sect, phi.phi2(e))
-            comp[(a, sect)] = (c, section_tuple(out))
+            out = [(d, section_lookup(sect, phi.phi2(phi.fill(a, d)))) for d in G.f.preimage(c)]
+            comp[(a, sect)] = (c, _intern(tuple(out)))
         maps[j] = FinMap(src_ext.fibre(j), dst_ext.fibre(j), comp)
     return FamilyMorphism(src_ext, dst_ext, maps)
 

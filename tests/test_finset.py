@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,9 +31,19 @@ from polyverse.finset import (
     _guard,
     _intern,
 )
-from polyverse.internalcat import internal_full_subcat
-from polyverse.naturalmodel import Universe
-from polyverse.poly import Polynomial, compose, encode_arity, encode_operation, product_set, slice_reduce
+from polyverse.generators import rand_family, rand_morphism, rand_parallel_cartesian_pair
+from polyverse.internalcat import adjustment_to_nat, internal_full_subcat, internal_functor
+from polyverse.naturalmodel import LiftedEndofunctor, Universe, lift_apply
+from polyverse.poly import (
+    Polynomial,
+    compose,
+    encode_arity,
+    encode_operation,
+    extend_map,
+    product_set,
+    slice_reduce,
+)
+from polyverse.poly2 import extend_cell, unique_adjustment
 
 
 def fam(index, **fibres):
@@ -608,6 +619,17 @@ def assert_checked(x):
         assert FinMap(x.dom, x.cod, dict(x.pairs)) == x
 
 
+def assert_sorted_sections(sections):
+    """Sections built in the order of their keys equal their rebuild through
+    ``section_tuple``, which sorts the pairs by key."""
+    for sect in sections:
+        assert sect == section_tuple(dict(sect))
+
+
+def fibre_values(h: FamilyMorphism):
+    return [y for i in h.src.index for _, y in h.at(i).pairs]
+
+
 @st.composite
 def polynomials(draw, I=None):
     """A polynomial I <- B -> A -> J on nested labels, at most three of each."""
@@ -630,6 +652,9 @@ def test_finset_constructions_equal_their_checked_rebuilds(data):
     for x in built + [product_set(f.dom, C)]:
         assert_checked(x)
     assert base_change(f, Y) == FinFamily(f.dom, {b: Y.fibre(f(b)) for b in f.dom})
+    fY = base_change(f, Y)
+    unit = prod_transpose(f, FamilyMorphism.identity(fY), fY, Y)  # sections over f.preimage(c)
+    assert_sorted_sections(fibre_values(unit))
 
 
 @settings(max_examples=30, deadline=None)
@@ -650,6 +675,22 @@ def test_composite_and_internal_sets_equal_their_checked_rebuilds(data):
     u = Universe(C.obj, FinFamily.of_map(f), C.obj.elements[0], {}, {})
     for code in u.codes:
         assert_checked(u.term_fibre(code))
+    assert_sorted_sections(graph for _, (_, _, graph) in C.ident.pairs)
+    # extension and lift actions carry each section's keys over in order
+    X = FinFamily(F.I, {i: data.draw(label_sets(0, 2)) for i in F.I})
+    ones = FinFamily.constant(F.I, FinSet(["*"]))
+    h = FamilyMorphism(X, ones, {i: FinMap.to_terminal(X.fibre(i)) for i in F.I})
+    assert_sorted_sections(sect for _, sect in fibre_values(extend_map(F, h)))
+    g, _ = data.draw(graphs())
+    assert_sorted_sections(sect for _, (_, sect) in lift_apply(LiftedEndofunctor(f), g).pairs)
+    # the generators' cells: extension components and transposed adjustments
+    rng = random.Random(data.draw(st.integers(0, 2**16)))
+    phi = rand_morphism(rng, 2)
+    assert_sorted_sections(sect for _, sect in fibre_values(extend_cell(phi, rand_family(rng, phi.src.I, 2))))
+    phi, psi = rand_parallel_cartesian_pair(rng, 2)
+    Cs, Cd = internal_full_subcat(phi.src.f), internal_full_subcat(phi.dst.f)
+    nat = adjustment_to_nat(unique_adjustment(phi, psi), internal_functor(phi, Cs, Cd), internal_functor(psi, Cs, Cd))
+    assert_sorted_sections(graph for _, (_, _, graph) in nat.components.pairs)
 
 
 def test_positional_constructions_key_no_label(monkeypatch):

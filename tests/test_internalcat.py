@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from polyverse import internalcat, suites
 from polyverse.finset import FinMap, FinSet, TERMINAL, section_tuple, slice_exponential
 from polyverse.poly import PolyError, from_map
 from polyverse.poly2 import (
@@ -30,6 +31,11 @@ from polyverse.generators import (
     rand_polynomial,
     rand_parallel_pair,
 )
+
+
+def induced(phi):
+    """The internal functor of a cartesian cell between the categories of its endpoints."""
+    return internal_functor(phi, internal_full_subcat(phi.src.f), internal_full_subcat(phi.dst.f))
 
 
 class TestInternalFullSubcat:
@@ -94,8 +100,9 @@ class TestInternalFunctor:
     def test_identity_cell_gives_identity_functor(self):
         rng = random.Random(2)
         F = rand_polynomial(rng, 2, one_to_one=True)
-        fun = internal_functor(identity_cell(F))
-        assert fun == InternalFunctor.identity(internal_full_subcat(F.f))
+        C = internal_full_subcat(F.f)
+        fun = internal_functor(identity_cell(F), C, C)
+        assert fun == InternalFunctor.identity(C)
 
     def test_functor_composition(self):
         rng = random.Random(3)
@@ -105,8 +112,8 @@ class TestInternalFunctor:
                 target=rand_polynomial(rng, 2, one_to_one=True),
             )
             outer = rand_morphism(rng, 2, cartesian=True, target=chi.src)
-            lhs = internal_functor(v_comp(chi, outer))
-            rhs = internal_functor(chi).after(internal_functor(outer))
+            lhs = induced(v_comp(chi, outer))
+            rhs = induced(chi).after(induced(outer))
             assert lhs == rhs
 
     def test_fully_faithful_seed5(self):
@@ -114,7 +121,7 @@ class TestInternalFunctor:
         phi = rand_morphism(
             rng, 2, cartesian=True, target=rand_polynomial(rng, 2, one_to_one=True)
         )
-        fun = internal_functor(phi)
+        fun = induced(phi)
         assert fun.is_fully_faithful()
         for a in fun.src.obj:
             for a2 in fun.src.obj:
@@ -135,7 +142,7 @@ class TestInternalFunctor:
             FinMap(FinSet(), D, {}),
         )
         with pytest.raises(PolyError):
-            internal_functor(phi)
+            internal_functor(phi, internal_full_subcat(g), internal_full_subcat(f))
 
     def test_general_endpoints_via_slice(self):
         rng = random.Random(6)
@@ -160,7 +167,8 @@ class TestAdjustmentNatCorrespondence:
     def test_identity_roundtrip(self):
         phi, _ = self._pair(7)
         adj = identity_adjustment(phi)
-        nat = adjustment_to_nat(adj)
+        F = induced(phi)
+        nat = adjustment_to_nat(adj, F, F)
         back = nat_to_adjustment(nat, phi, phi)
         assert back.alpha == adj.alpha
 
@@ -168,14 +176,14 @@ class TestAdjustmentNatCorrespondence:
         for seed in range(8):
             phi, psi = self._pair(seed)
             adj = unique_adjustment(phi, psi)
-            nat = adjustment_to_nat(adj)
+            nat = adjustment_to_nat(adj, induced(phi), induced(psi))
             back = nat_to_adjustment(nat, phi, psi)
             assert back.alpha == adj.alpha
 
     def test_unique_internal_nt(self):
         phi, psi = self._pair(9)
-        F = internal_functor(phi)
-        G = internal_functor(psi)
+        F = induced(phi)
+        G = induced(psi)
         D = G.dst
         pools = [
             [m for m in D.mor if D.dom(m) == F.on_obj(a) and D.cod(m) == G.on_obj(a)]
@@ -190,13 +198,13 @@ class TestAdjustmentNatCorrespondence:
             except InternalCatError:
                 pass
         assert count == 1
-        assert all_internal_nat_trans(F, G) == [adjustment_to_nat(unique_adjustment(phi, psi))]
+        assert all_internal_nat_trans(F, G) == [adjustment_to_nat(unique_adjustment(phi, psi), F, G)]
 
     def test_non_natural_rejected(self):
         phi, psi = self._pair(10)
-        F = internal_functor(phi)
-        G = internal_functor(psi)
-        good = adjustment_to_nat(unique_adjustment(phi, psi))
+        F = induced(phi)
+        G = induced(psi)
+        good = adjustment_to_nat(unique_adjustment(phi, psi), F, G)
         D = G.dst
         table = dict(good.components.pairs)
         # replace one component with a wrong-endpoint morphism if possible
@@ -216,6 +224,62 @@ class TestAdjustmentNatCorrespondence:
     def test_four_way_equivalence_sets_coincide(self):
         for seed in (11, 12, 13):
             phi, psi = self._pair(seed)
-            sets = equivalence_sets(phi, psi)
+            sets = equivalence_sets(induced(phi), induced(psi))
             assert sets["natural"] == sets["component"] == sets["conjugate"] == sets["over_b"]
             assert len(sets["over_b"]) == 1
+
+
+class TestBuiltOncePerInstance:
+    """The internal-equiv suite builds each distinct internal category and
+    induced functor of an instance once, and hands them on."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        built = {"internal_full_subcat": [], "internal_functor": []}
+        for name in built:
+            original = getattr(internalcat, name)
+
+            def counted(first, *rest, _original=original, _name=name):
+                built[_name].append(first)
+                return _original(first, *rest)
+
+            for module in (internalcat, suites):
+                monkeypatch.setattr(module, name, counted)
+        return built
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_each_category_and_functor_built_once(self, builds, seed):
+        cfg = suites.InstanceGenConfig(seed=seed, count=1, max_set_size=2)
+        rep = suites.run_suite("internal-equiv", cfg)
+        assert rep.failed == 0 and rep.skipped == 0
+        maps, cells = list(builds["internal_full_subcat"]), list(builds["internal_functor"])
+        assert 0 < len(maps) == len(set(maps)) <= 5
+        assert 0 < len(cells) == len(set(cells)) <= 5
+        # every category a functor runs between was built, and only those
+        assert set(maps) == {c.src.f for c in cells} | {c.dst.f for c in cells}
+        # a second run builds everything again
+        suites.run_suite("internal-equiv", cfg)
+        assert builds == {"internal_full_subcat": maps + maps, "internal_functor": cells + cells}
+
+    def test_categories_and_functors_keep_their_sources(self):
+        phi, psi = rand_parallel_cartesian_pair(random.Random(9), 2)
+        Cs, Cd = internal_full_subcat(phi.src.f), internal_full_subcat(phi.dst.f)
+        F = internal_functor(phi, Cs, Cd)
+        assert Cs.source == phi.src.f and F.cell == phi
+        assert "source" not in repr(Cs) and "cell" not in repr(F)
+        assert F == InternalFunctor(F.src, F.dst, F.on_obj, F.on_mor)
+
+    def test_foreign_categories_and_functors_rejected(self):
+        phi, psi = rand_parallel_cartesian_pair(random.Random(9), 2)
+        Cs, Cd = internal_full_subcat(phi.src.f), internal_full_subcat(phi.dst.f)
+        with pytest.raises(InternalCatError):
+            internal_functor(phi, Cd, Cs)
+        F, G = internal_functor(phi, Cs, Cd), internal_functor(psi, Cs, Cd)
+        adj = unique_adjustment(phi, psi)
+        assert adjustment_to_nat(adj, F, G).src is F
+        chi = rand_morphism(random.Random(4), 2, cartesian=True, target=rand_polynomial(random.Random(5), 2, one_to_one=True))
+        X = internal_functor(chi, internal_full_subcat(chi.src.f), internal_full_subcat(chi.dst.f))
+        with pytest.raises(InternalCatError):
+            adjustment_to_nat(adj, X, G)
+        with pytest.raises(PolyError):
+            equivalence_sets(InternalFunctor.identity(Cs), G)

@@ -16,6 +16,7 @@ from polyverse.finset import (
 from polyverse.poly import compose, decode_operation
 from polyverse.poly2 import cells_square_equal, identity_cell
 from polyverse.naturalmodel import (
+    LiftedEndofunctor,
     Universe,
     UniverseError,
     apply_to_set,
@@ -267,33 +268,80 @@ class TestOnePath:
         assert pseudoalgebra_pasting_report(u) == alg.pasting_report()
 
 
+class TestLiftOnePath:
+    """A lifted endofunctor computes P_p(Z) once for each set Z; a suite
+    makes one per lift instance and keeps nothing across runs."""
+
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        sets = []
+        original = naturalmodel.extend
+
+        def counted(F, X):
+            sets.append(X.fibre("*"))
+            return original(F, X)
+
+        monkeypatch.setattr(naturalmodel, "extend", counted)
+        return sets
+
+    def test_lift_instance_computes_each_set_once(self, computed):
+        from polyverse.suites import InstanceGenConfig, run_suite
+
+        cfg = InstanceGenConfig(seed=1, count=1, max_set_size=2)
+        rep = run_suite("lift", cfg)
+        assert rep.failed == 0 and rep.skipped == 0
+        first = list(computed)
+        assert first and len(first) == len(set(first))
+        # a second run computes every set again
+        run_suite("lift", cfg)
+        assert computed == first + first
+
+    def test_repeated_sets_are_kept(self, computed):
+        P = LiftedEndofunctor(SKEW.p)
+        f = FinMap.constant(FinSet(["x", "y"]), FinSet(["w"]), "w")
+        Pf = lift_apply(P, f)
+        assert lift_apply_square(P, Square.identity(f)) == Square.identity(Pf)
+        assert apply_to_set(P, f.dom) is Pf.dom
+        assert computed == [f.dom, f.cod]
+
+    def test_pseudoalgebra_keeps_its_lift(self, computed):
+        alg = pseudomonad_from(SKEW).pseudoalgebra()
+        assert alg.lift.p == SKEW.p and alg.lift.values[alg.z.src.dom] == alg.Tz.src.dom
+        met = set(alg.lift.values)
+        del computed[:]
+        alg.pasting_report()  # meets only sets the pseudoalgebra's build did not
+        assert computed and len(computed) == len(set(computed)) and not met & set(computed)
+        assert "lift" not in repr(alg)
+
+
 class TestLift:
     def test_apply_to_objects_counts(self):
         # frozen: sum over codes of |B| ** |fibre|
         B = FinSet(["x", "y", "z"])
-        val = apply_to_set(BOOL.p, B)
+        val = apply_to_set(LiftedEndofunctor(BOOL.p), B)
         assert len(val) == 3 ** 0 + 3 ** 1
 
     def test_lift_identity_components(self):
         B = FinSet(["x", "y"])
         A = FinSet(["w"])
         f = FinMap.constant(B, A, "w")
-        ident = lift_apply(BOOL.p, FinMap.identity(B))
-        assert ident == FinMap.identity(apply_to_set(BOOL.p, B))
+        ident = lift_apply(LiftedEndofunctor(BOOL.p), FinMap.identity(B))
+        assert ident == FinMap.identity(apply_to_set(LiftedEndofunctor(BOOL.p), B))
 
     def test_lift_composes(self):
         rng = random.Random(6)
         sq = rand_cartesian_square(rng, 2)
         sq2 = rand_cartesian_square(rng, 2, dst=sq.src)
-        lhs = lift_apply_square(BOOL.p, sq.after(sq2))
-        rhs = lift_apply_square(BOOL.p, sq).after(lift_apply_square(BOOL.p, sq2))
+        P = LiftedEndofunctor(BOOL.p)
+        lhs = lift_apply_square(P, sq.after(sq2))
+        rhs = lift_apply_square(P, sq).after(lift_apply_square(P, sq2))
         assert lhs == rhs
 
     def test_lift_preserves_pullbacks(self):
         rng = random.Random(7)
         for _ in range(6):
             sq = rand_cartesian_square(rng, 3)
-            assert lift_apply_square(SKEW.p, sq).is_pullback()
+            assert lift_apply_square(LiftedEndofunctor(SKEW.p), sq).is_pullback()
 
     def test_unit_mult_squares_are_pullbacks(self):
         rng = random.Random(8)
@@ -301,14 +349,14 @@ class TestLift:
         mu = sigma_structure(SKEW)
         for _ in range(4):
             sq = rand_cartesian_square(rng, 2)
-            h_f, m_f = lift_unit_mult(SKEW.p, eta, mu, sq.src)
+            h_f, m_f = lift_unit_mult(LiftedEndofunctor(SKEW.p), eta, mu, sq.src)
             assert h_f.is_pullback() and m_f.is_pullback()
 
     def test_identity_map_degenerates_to_unit_shape(self):
         eta = unit_structure(BOOL)
         mu = sigma_structure(BOOL)
         one = FinMap.identity(TERMINAL)
-        h_f, m_f = lift_unit_mult(BOOL.p, eta, mu, one)
+        h_f, m_f = lift_unit_mult(LiftedEndofunctor(BOOL.p), eta, mu, one)
         assert h_f.top == unit_component(eta, TERMINAL)
         assert h_f.bot == unit_component(eta, TERMINAL)
         assert m_f.top == mult_component(mu, TERMINAL)

@@ -138,10 +138,15 @@ def test_cap_reaches_the_structure_cells():
     assert skewed.index(("monad-structure-cartesian", "pass")) < skewed.index(("pseudomonad-pasting", "skip"))
 
 
-# SHA-256 of io.dumps(report.to_jsonable()) at seed 1, count 8, size 3: six
-# random universes (one with 4 codes) besides the built-ins.  Cap 5 trips
-# the law cells of 3-code universes (7 elements); cap 10 trips the
-# pseudoalgebra pasting (15) and the 4-code law cells (13).
+# SHA-256 of io.dumps(report.to_jsonable()) at seed 1 and each suite's
+# count and size in CAPPED_CONFIG.  The universe suites run count 8, size 3:
+# six random universes (one with 4 codes) besides the built-ins.  Cap 5
+# trips the law cells of 3-code universes (7 elements); cap 10 trips the
+# pseudoalgebra pasting (15) and the 4-code law cells (13).  internal-equiv
+# and lift run count 6, size 2, where one instance shares its internal
+# categories and lifted sets: cap 5 skips five internal-equiv draws, four
+# of them after partial records, and three lift instances, so their digests
+# pin the record order and the generator's draw order with the skip points.
 CAPPED_GOLDEN = {
     ("pseudomonad", 100_000): "b2c13390b442b95235b0abd0b99be2c6ff006284fd3bc39d5dcb2609bbd317a4",
     ("pseudomonad", 5): "023cb27639ac04a8ce41342acb35c9cfb3e8c95cfec17a6fb0147c94e01427e8",
@@ -149,6 +154,16 @@ CAPPED_GOLDEN = {
     ("pseudoalgebra", 100_000): "0ad962620a75d4a085848309456499b9f0cf24e1e1187e47d81913533d6912d2",
     ("pseudoalgebra", 5): "d246e695e1dbaa312e46be0a7e8346473f56680b023c062d9585dbb5c3ced4eb",
     ("pseudoalgebra", 10): "5294e992e33476769638989dec0ac665758a43e97af4be031dd0df75b2a08aa1",
+    ("internal-equiv", 100_000): "d7557e01a79f5cdbdde0400611eb603713b7b9c5fc806084ad915a39a962a498",
+    ("internal-equiv", 5): "e41f7b1d3bf6976ab93dc346e020c62fb5366242730f2515181d6cf53d755030",
+    ("lift", 100_000): "fd2264a9df9be38edb65b3dfba3a3f1c5b96424ea34de5018ab6582653e8f7c2",
+    ("lift", 5): "83a037eca6c8cb643e0252a2c92324d79cc3522df7587372853b26fb3712e1b1",
+}
+CAPPED_CONFIG = {
+    "pseudomonad": (8, 3),
+    "pseudoalgebra": (8, 3),
+    "internal-equiv": (6, 2),
+    "lift": (6, 2),
 }
 
 
@@ -158,9 +173,36 @@ def test_universe_suites_match_golden_digests_under_a_cap(name, cap):
 
     from polyverse import interchange as io
 
-    rep = run_suite(name, InstanceGenConfig(seed=1, count=8, max_set_size=3, enumeration_cap=cap))
+    count, size = CAPPED_CONFIG[name]
+    rep = run_suite(name, InstanceGenConfig(seed=1, count=count, max_set_size=size, enumeration_cap=cap))
     digest = hashlib.sha256(io.dumps(rep.to_jsonable()).encode("utf-8")).hexdigest()
     assert digest == CAPPED_GOLDEN[(name, cap)]
+
+
+def test_internal_equiv_sources_have_at_most_four_arities():
+    """internal-equiv clips sizes to 2, so every polynomial it draws has at
+    most 2 operations, and a cartesian source has the fibres of its target:
+    at most 2 x 2 = 4 arities.  The suite relies on this bound unchecked."""
+    import random
+
+    from polyverse import generators as gen
+
+    most = 0
+    for seed in range(500):
+        rng = random.Random(seed)
+        for size in (1, 2):
+            try:
+                phi, _ = gen.rand_parallel_cartesian_pair(rng, size)
+            except RuntimeError:
+                continue
+            chi = gen.rand_morphism(
+                rng, size, cartesian=True, target=gen.rand_polynomial(rng, size, one_to_one=True)
+            )
+            outer = gen.rand_morphism(rng, size, cartesian=True, target=chi.src)
+            arities = [len(P.B) for P in (phi.src, phi.dst, chi.src, chi.dst, outer.src)]
+            assert max(arities) <= 4, (seed, size, arities)
+            most = max(most, *arities)
+    assert most == 4
 
 
 def test_unit_whisker_extensions_match_carrier():
