@@ -17,7 +17,6 @@ from .finset import (
     dep_sum,
     enumeration_cap,
     pullback,
-    slice_exponential,
 )
 from .poly import (
     CompositionTrace,
@@ -29,7 +28,6 @@ from .poly import (
     extension_composition_iso,
     from_map,
     identity_poly,
-    linear_poly,
     slice_reduce,
     slice_unreduce,
 )
@@ -38,10 +36,8 @@ from .poly2 import (
     PolyMorphism,
     SliceMorphism,
     adj_vcomp,
-    adj_whisker,
     all_adjustments,
     associator,
-    cartesian_from_square,
     cell_from_square,
     extend_cell,
     h_comp,

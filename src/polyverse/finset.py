@@ -14,9 +14,7 @@ record their derivation:
 * ``pullback(f, g)`` elements are pairs ``(b, c)`` with ``f(b) == g(c)``;
 * ``dep_sum`` elements are pairs ``(b, x)``;
 * ``dep_prod`` elements are sections: tuples of ``(b, x)`` pairs sorted by
-  the key of ``b``;
-* ``slice_exponential`` elements are pairs ``(z, table)`` where ``table``
-  is a section-style graph of a function.
+  the key of ``b``.
 
 Operations that would enumerate more elements than the cap raise
 ``EnumerationCapExceeded`` instead of thrashing.  The cap is ``DEFAULT_CAP``,
@@ -423,90 +421,6 @@ def dep_prod(f: FinMap, X: FinFamily) -> FinFamily:
         _guard(math.prod(map(len, pools)), f"dependent product fibre over {a!r}")
         fibres.append(FinSet._of(tuple([_intern(tuple(zip(bs, c))) for c in itertools.product(*pools)])))
     return FinFamily._of(f.cod, fibres)
-
-
-def slice_exponential(f1: FinMap, f2: FinMap) -> FinMap:
-    """Fibrewise full function set: over ``z`` all maps fibre(f1, z) → fibre(f2, z).
-
-    Elements of the result's domain are pairs ``(z, table)``.
-    """
-    if f1.cod != f2.cod:
-        raise FinSetError("slice exponential requires a common base")
-    Z = f1.cod
-    elems, img = [], []
-    for k, z in enumerate(Z.elements):
-        src, tgt = f1.preimage(z), f2.preimage(z)
-        _guard(len(tgt) ** len(src) if src else 1, f"function set over {z!r}")
-        elems += [(z, _intern(tuple(zip(src, c)))) for c in itertools.product(tgt, repeat=len(src))]
-        img += [k] * (len(elems) - len(img))
-    return FinMap._of(FinSet._of(tuple(elems)), Z, tuple(img))
-
-
-# ---------------------------------------------------------------------------
-# Adjunction transposes
-# ---------------------------------------------------------------------------
-
-
-def prod_transpose(f: FinMap, h: FamilyMorphism, X: FinFamily, Y: FinFamily) -> FamilyMorphism:
-    """Transpose Hom(Δ_f Y, X) → Hom(Y, Π_f X) for ``h : Δ_f Y → X``."""
-    if h.src != base_change(f, Y):
-        raise FinSetError("transpose source must be the base change of Y")
-    target = dep_prod(f, X)
-    maps = {}
-    for a in f.cod:
-        comp = {y: _intern(tuple([(b, h(b, y)) for b in f.preimage(a)])) for y in Y.fibre(a)}
-        maps[a] = FinMap(Y.fibre(a), target.fibre(a), comp)
-    return FamilyMorphism(Y, target, maps)
-
-
-def prod_untranspose(f: FinMap, k: FamilyMorphism, X: FinFamily) -> FamilyMorphism:
-    """Inverse transpose: from ``k : Y → Π_f X`` recover ``Δ_f Y → X``."""
-    Y = k.src
-    src = base_change(f, Y)
-    maps = {}
-    for b in f.dom:
-        comp = {y: section_lookup(k(f(b), y), b) for y in Y.fibre(f(b))}
-        maps[b] = FinMap(src.fibre(b), X.fibre(b), comp)
-    return FamilyMorphism(src, X, maps)
-
-
-def sum_transpose(f: FinMap, h: FamilyMorphism, Y: FinFamily) -> FamilyMorphism:
-    """Transpose Hom(Σ_f X, Y) → Hom(X, Δ_f Y) for ``h : Σ_f X → Y`` over cod f."""
-    X = FinFamily(f.dom, {b: FinSet(x for bb, x in h.src.fibre(f(b)) if bb == b) for b in f.dom})
-    target = base_change(f, Y)
-    maps = {}
-    for b in f.dom:
-        comp = {x: h(f(b), (b, x)) for x in X.fibre(b)}
-        maps[b] = FinMap(X.fibre(b), target.fibre(b), comp)
-    return FamilyMorphism(X, target, maps)
-
-
-def sum_untranspose(f: FinMap, k: FamilyMorphism, Y: FinFamily) -> FamilyMorphism:
-    """Inverse transpose: from ``k : X → Δ_f Y`` recover ``Σ_f X → Y``."""
-    X = k.src
-    src = dep_sum(f, X)
-    maps = {}
-    for a in f.cod:
-        comp = {(b, x): k(b, x) for (b, x) in src.fibre(a)}
-        maps[a] = FinMap(src.fibre(a), Y.fibre(a), comp)
-    return FamilyMorphism(src, Y, maps)
-
-
-def enumerate_family_morphisms(X: FinFamily, Y: FinFamily):
-    """All fibrewise maps X → Y, in canonical order; the cap is read at the first ``next()``."""
-    if X.index != Y.index:
-        raise FinSetError("families must share an index")
-    count = 1
-    for i in X.index:
-        count *= max(1, len(Y.fibre(i))) ** len(X.fibre(i))
-        _guard(count, "family morphism enumeration")
-    per_index = []
-    for i in X.index:
-        src, tgt = X.fibre(i), Y.fibre(i)
-        choices = itertools.product(tgt, repeat=len(src))
-        per_index.append([FinMap(src, tgt, dict(zip(src, choice))) for choice in choices])
-    for combo in itertools.product(*per_index):
-        yield FamilyMorphism(X, Y, dict(zip(X.index, combo)))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .finset import (
     _intern,
 )
 from .poly import PolyError
-from .poly2 import Adjustment, PolyMorphism, slice_reduce_cell
+from .poly2 import Adjustment, PolyMorphism
 
 
 class InternalCatError(PolyError):
@@ -180,17 +180,6 @@ def internal_functor(phi: PolyMorphism, Af: InternalCategory, Ag: InternalCatego
         image = {top(b): top(y) for b, y in graph}
         on_mor_table[(a, a2, graph)] = (phi.phi0(a), phi.phi0(a2), section_tuple(image))
     return InternalFunctor(Af, Ag, phi.phi0, FinMap(Af.mor, Ag.mor, on_mor_table), phi)
-
-
-def internal_functor_general(phi: PolyMorphism) -> dict:
-    """General endpoints: reduce along the slice, then one functor per base
-    point of the product of the endpoints."""
-    sm = slice_reduce_cell(phi)
-    funs = {}
-    for z in sm.base:
-        c = sm.fibre_cell(z)
-        funs[z] = internal_functor(c, internal_full_subcat(c.src.f), internal_full_subcat(c.dst.f))
-    return funs
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,11 @@ The endofunctor ``P_p`` on sets and on the arrow category is one object,
 ``LiftedEndofunctor(p)``, which keeps ``P_p(Z)`` for each set ``Z`` it has
 been applied to.  ``apply_to_set``, ``lift_apply``, ``lift_apply_square``
 and ``lift_unit_mult`` take it in place of ``p``, so every square drawn from
-the same sets reuses their values.  The pseudoalgebra keeps the one it was
-built with, next to ``Tz``, for its pasting report.
+the same sets reuses their values.  Its ``unit`` and ``mult`` read the
+components ``Z -> P_p(Z)`` and ``P_p(P_p(Z)) -> P_p(Z)`` off those sets and
+the tables of ``eta`` and ``mu``, without extending the composite ``p.p``.
+The pseudoalgebra keeps the one it was built with, next to ``Tz``, for its
+pasting report.
 """
 
 from __future__ import annotations
@@ -54,10 +57,9 @@ from .poly import (
     compose,
     decode_arity,
     decode_operation,
+    encode_operation,
     extend,
-    extension_composition_iso,
     from_map,
-    identity_extension_iso,
     identity_poly,
 )
 from .poly2 import (
@@ -68,7 +70,6 @@ from .poly2 import (
     canon,
     cell_from_square,
     cells_square_equal,
-    extend_cell,
     identity_cell,
     lunitor_inv,
     runitor_inv,
@@ -308,6 +309,34 @@ class LiftedEndofunctor:
         self.poly = from_map(p)
         self.values: dict = {}
 
+    def unit(self, eta: PolyMorphism, Z: FinSet) -> FinMap:
+        """The unit ``Z -> P_p(Z)`` of the cell ``eta : i_1 => p``: each
+        element as the constant section over the unit code."""
+        c = eta.phi0("*")
+        ds = self.p.preimage(c)
+        table = {z: (c, _intern(tuple([(d, z) for d in ds]))) for z in Z}
+        return FinMap(Z, apply_to_set(self, Z), table)
+
+    def mult(self, mu: PolyMorphism, Z: FinSet) -> FinMap:
+        """The multiplication ``P_p(P_p(Z)) -> P_p(Z)`` of the cell
+        ``mu : p.p => p``.  An element ``(A, {b: (B_b, s_b)})`` is the
+        composite operation ``(A, {b: B_b})`` with a section over its
+        arities; ``mu`` sends the operation to a code and each arity ``d``
+        of that code to an arity ``(b', b)`` of the composite, read as
+        ``s_b(b')``."""
+        PZ = apply_to_set(self, Z)
+        PPZ = apply_to_set(self, PZ)
+        table = {}
+        for (A, outer) in PPZ:
+            melt = encode_operation(A, {b: Bs[0] for b, Bs in outer})
+            c = mu.phi0(melt)
+            sect = []
+            for d in self.p.preimage(c):
+                b_in, _, b = decode_arity(mu.phi2(mu.fill(melt, d)))
+                sect.append((d, section_lookup(section_lookup(outer, b)[1], b_in)))
+            table[(A, outer)] = (c, _intern(tuple(sect)))
+        return FinMap(PPZ, PZ, table)
+
 
 def apply_to_set(P: LiftedEndofunctor, Z: FinSet) -> FinSet:
     """The value on an object, computed the first time ``P`` meets ``Z``."""
@@ -351,35 +380,13 @@ def pi_structure(u: Universe) -> PolyMorphism:
     return cell_from_square(from_map(p_map), poly_of(u), top, bot)
 
 
-# ---------------------------------------------------------------------------
-# Units and multiplications of the induced monad on objects
-# ---------------------------------------------------------------------------
-
-
-def unit_component(eta: PolyMorphism, Z: FinSet) -> FinMap:
-    """Z -> P_p(Z), through the recorded identity-extension bijection."""
-    fam = FinFamily(TERMINAL, {"*": Z})
-    cell = extend_cell(eta, fam)
-    _, bwd = identity_extension_iso(fam)
-    return cell.at("*").after(bwd.at("*"))
-
-
-def mult_component(mu: PolyMorphism, Z: FinSet) -> FinMap:
-    """P_p(P_p(Z)) -> P_p(Z), through the recorded composite bijection."""
-    p_poly = mu.dst
-    fam = FinFamily(TERMINAL, {"*": Z})
-    _, bwd = extension_composition_iso(p_poly, p_poly, fam)
-    cell = extend_cell(mu, fam)
-    return cell.at("*").after(bwd.at("*"))
-
-
 def lift_unit_mult(P: LiftedEndofunctor, eta: PolyMorphism, mu: PolyMorphism, f: FinMap) -> tuple[Square, Square]:
     """The unit and multiplication squares of the lifted endofunctor at an
     object ``f`` of the arrow 2-category."""
     Pf = lift_apply(P, f)
-    h_f = Square(f, Pf, unit_component(eta, f.dom), unit_component(eta, f.cod))
+    h_f = Square(f, Pf, P.unit(eta, f.dom), P.unit(eta, f.cod))
     PPf = lift_apply(P, Pf)
-    m_f = Square(PPf, Pf, mult_component(mu, f.dom), mult_component(mu, f.cod))
+    m_f = Square(PPf, Pf, P.mult(mu, f.dom), P.mult(mu, f.cod))
     return h_f, m_f
 
 

@@ -80,14 +80,6 @@ def identity_poly(I: FinSet) -> Polynomial:
     return Polynomial(I, I, I, I, i, i, i)
 
 
-def linear_poly(s: FinMap, t: FinMap) -> Polynomial:
-    """The polynomial induced by a span I <-s- A -t-> J."""
-    if s.dom != t.dom:
-        raise PolyError("a span needs a common domain")
-    A = s.dom
-    return Polynomial(s.cod, A, A, t.cod, s, FinMap.identity(A), t)
-
-
 def extend(F: Polynomial, X: FinFamily) -> FinFamily:
     """Evaluate the extension of F on a family over I."""
     if X.index != F.I:
@@ -106,21 +98,6 @@ def extend_map(F: Polynomial, h: FamilyMorphism) -> FamilyMorphism:
             comp[(a, sect)] = (a, _intern(tuple([(b, h(F.s(b), x)) for b, x in sect])))
         maps[j] = FinMap(src.fibre(j), dst.fibre(j), comp)
     return FamilyMorphism(src, dst, maps)
-
-
-def identity_extension_iso(X: FinFamily) -> tuple[FamilyMorphism, FamilyMorphism]:
-    """The recorded bijection between extend(identity_poly(I), X) and X."""
-    F = identity_poly(X.index)
-    E = extend(F, X)
-    fwd, bwd = {}, {}
-    for i in X.index:
-        fw = {e: section_lookup(e[1], i) for e in E.fibre(i)}
-        fwd[i] = FinMap(E.fibre(i), X.fibre(i), fw)
-        bwd[i] = FinMap(X.fibre(i), E.fibre(i), {x: (i, ((i, x),)) for x in X.fibre(i)})
-    return (
-        FamilyMorphism(E, X, fwd),
-        FamilyMorphism(X, E, bwd),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -346,15 +323,3 @@ def slice_unreduce(S: FamilyMorphism) -> Polynomial:
     f = FinMap(B, A, {b: ia[1] for b, ia in b_data.items()})
     t = FinMap(A, J, a_to_j)
     return Polynomial(I, B, A, J, s, f, t)
-
-
-def slice_extension(S: FamilyMorphism, Y: FinFamily) -> FinFamily:
-    """Extension of a sliced one-to-one polynomial, computed fibre by fibre."""
-    if Y.index != S.src.index:
-        raise PolyError("family must be indexed by the slice base")
-    fibres = {}
-    for z, fz in S.maps:
-        fam = FinFamily.constant(fz.dom, Y.fibre(z))
-        ext = dep_sum(FinMap.to_terminal(fz.cod), dep_prod(fz, fam))
-        fibres[z] = ext.fibre("*")
-    return FinFamily(S.src.index, fibres)

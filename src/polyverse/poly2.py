@@ -145,11 +145,6 @@ def cell_from_square(F: Polynomial, G: Polynomial, top: FinMap, bot: FinMap) -> 
     return PolyMorphism(F, G, dphi, bot, proj_d, phi2)
 
 
-def cartesian_from_square(f: FinMap, g: FinMap, top: FinMap, bot: FinMap) -> PolyMorphism:
-    """Square-to-morphism for maps considered as one-to-one polynomials."""
-    return cell_from_square(from_map(f), from_map(g), top, bot)
-
-
 def canon(phi: PolyMorphism) -> PolyMorphism:
     """Normalise a cartesian morphism to its chosen-pullback representative."""
     if not phi.is_cartesian():
@@ -335,10 +330,6 @@ class Adjustment:
         return Adjustment(self.dst, self.src, self.alpha.inverse())
 
 
-def identity_adjustment(phi: PolyMorphism) -> Adjustment:
-    return Adjustment(phi, phi, FinMap.identity(phi.dphi))
-
-
 def unique_adjustment(phi: PolyMorphism, psi: PolyMorphism) -> Adjustment:
     """The only adjustment into a cartesian morphism: psi2^-1 . phi2."""
     if not psi.is_cartesian():
@@ -365,31 +356,6 @@ def adj_vcomp(beta: Adjustment, alpha: Adjustment) -> Adjustment:
     if alpha.dst != beta.src:
         raise AdjustmentError("adjustment composition mismatch")
     return Adjustment(alpha.src, beta.dst, beta.alpha.after(alpha.alpha))
-
-
-def adj_whisker(beta: Adjustment, alpha: Adjustment) -> Adjustment:
-    """Action of vertical composition on adjustments: from alpha : phi => phi'
-    and beta : psi => psi' the pullback-induced map between the composite
-    vertices.  Requires a cartesian psi', which covers every use the
-    pseudomonad results need; the fully general case belongs to the open
-    bookkeeping around non-cartesian horizontal structure."""
-    phi, phi2c = alpha.src, alpha.dst
-    psi, psi2c = beta.src, beta.dst
-    if phi.dst != psi.src or phi2c.dst != psi2c.src:
-        raise AdjustmentError("whisker boundary mismatch")
-    if not psi2c.is_cartesian():
-        raise PolyError("adjustment whiskering requires a cartesian outer target")
-    comp_src = v_comp(psi, phi)
-    comp_dst = v_comp(psi2c, phi2c)
-    table = {}
-    for x in comp_src.dphi:
-        a, l = x
-        e_psi = psi.fill(phi.phi0(a), l)
-        e_phi = phi.fill(a, psi.phi2(e_psi))
-        e_phi2 = alpha.alpha(e_phi)
-        e_psi2 = psi2c.phi2.inverse()(phi2c.phi1(e_phi2))
-        table[x] = (a, psi2c.phi1(e_psi2))
-    return Adjustment(comp_src, comp_dst, FinMap(comp_src.dphi, comp_dst.dphi, table))
 
 
 # ---------------------------------------------------------------------------

@@ -467,13 +467,15 @@ def suite_lift(cfg: InstanceGenConfig) -> Report:
     rep = Report("lift", cfg)
     rng = random.Random(cfg.seed)
     universes = [mk_bool_universe(), mk_skewed_universe()]
+    cells = {}  # universe index -> (eta, mu), built by the first instance over it
     for n in range(cfg.count):
         u = universes[n % 2]
         inst = f"sq{n}"
         sq = gen.rand_cartesian_square(rng, cfg.max_set_size)
         with _skip_over_cap(rep, inst, "lift-monad-laws"):
-            eta = unit_structure(u)
-            mu = sigma_structure(u)
+            if n % 2 not in cells:
+                cells[n % 2] = unit_structure(u), sigma_structure(u)
+            eta, mu = cells[n % 2]
             P = LiftedEndofunctor(u.p)  # keeps P_p(Z) for the sets of this instance
             f = sq.src
             Pid = lift_apply_square(P, Square.identity(f))

@@ -1,0 +1,248 @@
+"""Reference constructions that only the tests use.
+
+The library keeps what a suite, a CLI command or the benchmark reaches
+(``tests/test_library_surface.py`` checks this).  The constructions here are
+the tests' second routes and oracles:
+
+* the adjunction transposes and the enumeration of family morphisms, against
+  which ``dep_prod`` and ``dep_sum`` are checked;
+* the slice exponential, the span polynomial, the slice extension and the
+  identity-extension bijection;
+* square-to-cell for maps, the identity adjustment, adjustment whiskering and
+  internal functors for cells with general endpoints;
+* ``unit_component`` and ``mult_component``, the lifted unit and
+  multiplication computed through the recorded identity-extension and
+  composite-extension bijections, against which
+  ``LiftedEndofunctor.unit`` and ``LiftedEndofunctor.mult`` are checked.
+"""
+
+import itertools
+
+from polyverse.finset import (
+    FamilyMorphism,
+    FinFamily,
+    FinMap,
+    FinSet,
+    FinSetError,
+    TERMINAL,
+    base_change,
+    dep_prod,
+    dep_sum,
+    section_lookup,
+    _guard,
+    _intern,
+)
+from polyverse.internalcat import internal_full_subcat, internal_functor
+from polyverse.poly import (
+    PolyError,
+    Polynomial,
+    extend,
+    extension_composition_iso,
+    from_map,
+    identity_poly,
+)
+from polyverse.poly2 import (
+    Adjustment,
+    AdjustmentError,
+    PolyMorphism,
+    cell_from_square,
+    extend_cell,
+    slice_reduce_cell,
+    v_comp,
+)
+
+
+# ---------------------------------------------------------------------------
+# Finite sets: the slice exponential and the adjunction transposes
+# ---------------------------------------------------------------------------
+
+
+def slice_exponential(f1: FinMap, f2: FinMap) -> FinMap:
+    """Fibrewise full function set: over ``z`` all maps fibre(f1, z) → fibre(f2, z).
+
+    Elements of the result's domain are pairs ``(z, table)``.
+    """
+    if f1.cod != f2.cod:
+        raise FinSetError("slice exponential requires a common base")
+    Z = f1.cod
+    elems, img = [], []
+    for k, z in enumerate(Z.elements):
+        src, tgt = f1.preimage(z), f2.preimage(z)
+        _guard(len(tgt) ** len(src) if src else 1, f"function set over {z!r}")
+        elems += [(z, _intern(tuple(zip(src, c)))) for c in itertools.product(tgt, repeat=len(src))]
+        img += [k] * (len(elems) - len(img))
+    return FinMap._of(FinSet._of(tuple(elems)), Z, tuple(img))
+
+
+def prod_transpose(f: FinMap, h: FamilyMorphism, X: FinFamily, Y: FinFamily) -> FamilyMorphism:
+    """Transpose Hom(Δ_f Y, X) → Hom(Y, Π_f X) for ``h : Δ_f Y → X``."""
+    if h.src != base_change(f, Y):
+        raise FinSetError("transpose source must be the base change of Y")
+    target = dep_prod(f, X)
+    maps = {}
+    for a in f.cod:
+        comp = {y: _intern(tuple([(b, h(b, y)) for b in f.preimage(a)])) for y in Y.fibre(a)}
+        maps[a] = FinMap(Y.fibre(a), target.fibre(a), comp)
+    return FamilyMorphism(Y, target, maps)
+
+
+def prod_untranspose(f: FinMap, k: FamilyMorphism, X: FinFamily) -> FamilyMorphism:
+    """Inverse transpose: from ``k : Y → Π_f X`` recover ``Δ_f Y → X``."""
+    Y = k.src
+    src = base_change(f, Y)
+    maps = {}
+    for b in f.dom:
+        comp = {y: section_lookup(k(f(b), y), b) for y in Y.fibre(f(b))}
+        maps[b] = FinMap(src.fibre(b), X.fibre(b), comp)
+    return FamilyMorphism(src, X, maps)
+
+
+def sum_transpose(f: FinMap, h: FamilyMorphism, Y: FinFamily) -> FamilyMorphism:
+    """Transpose Hom(Σ_f X, Y) → Hom(X, Δ_f Y) for ``h : Σ_f X → Y`` over cod f."""
+    X = FinFamily(f.dom, {b: FinSet(x for bb, x in h.src.fibre(f(b)) if bb == b) for b in f.dom})
+    target = base_change(f, Y)
+    maps = {}
+    for b in f.dom:
+        comp = {x: h(f(b), (b, x)) for x in X.fibre(b)}
+        maps[b] = FinMap(X.fibre(b), target.fibre(b), comp)
+    return FamilyMorphism(X, target, maps)
+
+
+def sum_untranspose(f: FinMap, k: FamilyMorphism, Y: FinFamily) -> FamilyMorphism:
+    """Inverse transpose: from ``k : X → Δ_f Y`` recover ``Σ_f X → Y``."""
+    X = k.src
+    src = dep_sum(f, X)
+    maps = {}
+    for a in f.cod:
+        comp = {(b, x): k(b, x) for (b, x) in src.fibre(a)}
+        maps[a] = FinMap(src.fibre(a), Y.fibre(a), comp)
+    return FamilyMorphism(src, Y, maps)
+
+
+def enumerate_family_morphisms(X: FinFamily, Y: FinFamily):
+    """All fibrewise maps X → Y, in canonical order; the cap is read at the first ``next()``."""
+    if X.index != Y.index:
+        raise FinSetError("families must share an index")
+    count = 1
+    for i in X.index:
+        count *= max(1, len(Y.fibre(i))) ** len(X.fibre(i))
+        _guard(count, "family morphism enumeration")
+    per_index = []
+    for i in X.index:
+        src, tgt = X.fibre(i), Y.fibre(i)
+        choices = itertools.product(tgt, repeat=len(src))
+        per_index.append([FinMap(src, tgt, dict(zip(src, choice))) for choice in choices])
+    for combo in itertools.product(*per_index):
+        yield FamilyMorphism(X, Y, dict(zip(X.index, combo)))
+
+
+# ---------------------------------------------------------------------------
+# Polynomials
+# ---------------------------------------------------------------------------
+
+
+def linear_poly(s: FinMap, t: FinMap) -> Polynomial:
+    """The polynomial induced by a span I <-s- A -t-> J."""
+    if s.dom != t.dom:
+        raise PolyError("a span needs a common domain")
+    A = s.dom
+    return Polynomial(s.cod, A, A, t.cod, s, FinMap.identity(A), t)
+
+
+def identity_extension_iso(X: FinFamily) -> tuple[FamilyMorphism, FamilyMorphism]:
+    """The recorded bijection between extend(identity_poly(I), X) and X."""
+    F = identity_poly(X.index)
+    E = extend(F, X)
+    fwd, bwd = {}, {}
+    for i in X.index:
+        fw = {e: section_lookup(e[1], i) for e in E.fibre(i)}
+        fwd[i] = FinMap(E.fibre(i), X.fibre(i), fw)
+        bwd[i] = FinMap(X.fibre(i), E.fibre(i), {x: (i, ((i, x),)) for x in X.fibre(i)})
+    return (
+        FamilyMorphism(E, X, fwd),
+        FamilyMorphism(X, E, bwd),
+    )
+
+
+def slice_extension(S: FamilyMorphism, Y: FinFamily) -> FinFamily:
+    """Extension of a sliced one-to-one polynomial, computed fibre by fibre."""
+    if Y.index != S.src.index:
+        raise PolyError("family must be indexed by the slice base")
+    fibres = {}
+    for z, fz in S.maps:
+        fam = FinFamily.constant(fz.dom, Y.fibre(z))
+        ext = dep_sum(FinMap.to_terminal(fz.cod), dep_prod(fz, fam))
+        fibres[z] = ext.fibre("*")
+    return FinFamily(S.src.index, fibres)
+
+
+# ---------------------------------------------------------------------------
+# Cells, adjustments and internal functors
+# ---------------------------------------------------------------------------
+
+
+def cartesian_from_square(f: FinMap, g: FinMap, top: FinMap, bot: FinMap) -> PolyMorphism:
+    """Square-to-morphism for maps considered as one-to-one polynomials."""
+    return cell_from_square(from_map(f), from_map(g), top, bot)
+
+
+def identity_adjustment(phi: PolyMorphism) -> Adjustment:
+    return Adjustment(phi, phi, FinMap.identity(phi.dphi))
+
+
+def adj_whisker(beta: Adjustment, alpha: Adjustment) -> Adjustment:
+    """Action of vertical composition on adjustments: from alpha : phi => phi'
+    and beta : psi => psi' the pullback-induced map between the composite
+    vertices.  Requires a cartesian psi', which covers every use the
+    pseudomonad results need; the fully general case belongs to the open
+    bookkeeping around non-cartesian horizontal structure."""
+    phi, phi2c = alpha.src, alpha.dst
+    psi, psi2c = beta.src, beta.dst
+    if phi.dst != psi.src or phi2c.dst != psi2c.src:
+        raise AdjustmentError("whisker boundary mismatch")
+    if not psi2c.is_cartesian():
+        raise PolyError("adjustment whiskering requires a cartesian outer target")
+    comp_src = v_comp(psi, phi)
+    comp_dst = v_comp(psi2c, phi2c)
+    table = {}
+    for x in comp_src.dphi:
+        a, l = x
+        e_psi = psi.fill(phi.phi0(a), l)
+        e_phi = phi.fill(a, psi.phi2(e_psi))
+        e_phi2 = alpha.alpha(e_phi)
+        e_psi2 = psi2c.phi2.inverse()(phi2c.phi1(e_phi2))
+        table[x] = (a, psi2c.phi1(e_psi2))
+    return Adjustment(comp_src, comp_dst, FinMap(comp_src.dphi, comp_dst.dphi, table))
+
+
+def internal_functor_general(phi: PolyMorphism) -> dict:
+    """General endpoints: reduce along the slice, then one functor per base
+    point of the product of the endpoints."""
+    sm = slice_reduce_cell(phi)
+    funs = {}
+    for z in sm.base:
+        c = sm.fibre_cell(z)
+        funs[z] = internal_functor(c, internal_full_subcat(c.src.f), internal_full_subcat(c.dst.f))
+    return funs
+
+
+# ---------------------------------------------------------------------------
+# The lifted unit and multiplication through the extension bijections
+# ---------------------------------------------------------------------------
+
+
+def unit_component(eta: PolyMorphism, Z: FinSet) -> FinMap:
+    """Z -> P_p(Z), through the recorded identity-extension bijection."""
+    fam = FinFamily(TERMINAL, {"*": Z})
+    cell = extend_cell(eta, fam)
+    _, bwd = identity_extension_iso(fam)
+    return cell.at("*").after(bwd.at("*"))
+
+
+def mult_component(mu: PolyMorphism, Z: FinSet) -> FinMap:
+    """P_p(P_p(Z)) -> P_p(Z), through the recorded composite bijection."""
+    p_poly = mu.dst
+    fam = FinFamily(TERMINAL, {"*": Z})
+    _, bwd = extension_composition_iso(p_poly, p_poly, fam)
+    cell = extend_cell(mu, fam)
+    return cell.at("*").after(bwd.at("*"))

@@ -17,17 +17,11 @@ from polyverse.finset import (
     base_change,
     dep_prod,
     dep_sum,
-    enumerate_family_morphisms,
     enumeration_cap,
     is_pullback_cone,
     label_key,
-    prod_transpose,
-    prod_untranspose,
     pullback,
     section_tuple,
-    slice_exponential,
-    sum_transpose,
-    sum_untranspose,
     _guard,
     _intern,
 )
@@ -44,6 +38,14 @@ from polyverse.poly import (
     slice_reduce,
 )
 from polyverse.poly2 import extend_cell, unique_adjustment
+from reference import (
+    enumerate_family_morphisms,
+    prod_transpose,
+    prod_untranspose,
+    slice_exponential,
+    sum_transpose,
+    sum_untranspose,
+)
 
 
 def fam(index, **fibres):

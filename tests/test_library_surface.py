@@ -1,0 +1,66 @@
+"""The library holds only what the library itself or the benchmark reaches.
+
+Every public top-level function and class of ``src/polyverse`` must be
+referenced by name somewhere other than its own definition.  References are
+read from the syntax tree (names and attribute accesses, not docstrings or
+comments) of the library modules and of ``perfbench/``.  The re-exports in
+``__init__.py`` and the uses in ``tests/`` do not count, so code that only
+tests reach is flagged here and belongs in ``tests/reference.py``.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LIBRARY = ROOT / "src" / "polyverse"
+
+
+def _definitions(tree: ast.Module) -> list:
+    return [
+        stmt.name for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")
+    ]
+
+
+def _references(tree: ast.Module) -> set:
+    """Names loaded or accessed as attributes in ``tree``; a top-level
+    definition's mentions of its own name do not count."""
+    found = set()
+    for stmt in tree.body:
+        names = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(stmt)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        }
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.discard(stmt.name)
+        found |= names
+    return found
+
+
+def unreferenced_library_names() -> list:
+    """Public top-level library names that neither the library nor the
+    benchmark refers to, as ``module.name``, sorted."""
+    defined, referenced = {}, set()
+    for path in sorted(LIBRARY.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        if path.parent == LIBRARY:
+            defined.update({name: f"{path.stem}.{name}" for name in _definitions(tree)})
+        referenced |= _references(tree)
+    return sorted(qualified for name, qualified in defined.items() if name not in referenced)
+
+
+def test_every_public_library_name_is_reached_outside_the_tests():
+    assert unreferenced_library_names() == []
+
+
+def test_a_definition_reached_only_by_itself_is_unreferenced():
+    tree = ast.parse(
+        "def used():\n    return helper()\n\n"
+        "def helper():\n    return helper()\n\n"
+        "class Node:\n    def copy(self) -> 'Node':\n        return Node()\n"
+    )
+    assert _definitions(tree) == ["used", "helper", "Node"]
+    assert {"helper"} <= _references(tree) and not {"used", "Node"} & _references(tree)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyverse import naturalmodel
 from polyverse.finset import (
@@ -25,7 +26,6 @@ from polyverse.naturalmodel import (
     lift_unit_mult,
     mk_bool_universe,
     mk_skewed_universe,
-    mult_component,
     pi_structure,
     poly_of,
     pseudoalgebra_from,
@@ -33,12 +33,12 @@ from polyverse.naturalmodel import (
     pseudomonad_from,
     pseudomonad_pasting_report,
     sigma_structure,
-    unit_component,
     unit_structure,
     validate_universe,
     verify_type_isos,
 )
 from polyverse.generators import rand_cartesian_square, rand_universe
+from reference import mult_component, unit_component
 
 
 BOOL = mk_bool_universe()
@@ -304,6 +304,29 @@ class TestLiftOnePath:
         assert apply_to_set(P, f.dom) is Pf.dom
         assert computed == [f.dom, f.cod]
 
+    def test_lift_suite_builds_the_structure_cells_once_per_universe(self, monkeypatch):
+        from polyverse import suites
+        from polyverse.suites import InstanceGenConfig, run_suite
+
+        builds = []
+        for name in ("unit_structure", "sigma_structure"):
+            original = getattr(suites, name)
+
+            def counted(u, _original=original, _name=name):
+                builds.append((_name, u))
+                return _original(u)
+
+            monkeypatch.setattr(suites, name, counted)
+        cfg = InstanceGenConfig(seed=7, count=20, max_set_size=3)
+        rep = run_suite("lift", cfg)
+        assert rep.failed == 0 and rep.skipped == 0
+        # one build of each cell for bool and one for skewed
+        assert sorted(name for name, _ in builds) == ["sigma_structure"] * 2 + ["unit_structure"] * 2
+        assert {u for _, u in builds} == {BOOL, SKEW}
+        # a second run builds them again
+        run_suite("lift", cfg)
+        assert len(builds) == 8
+
     def test_pseudoalgebra_keeps_its_lift(self, computed):
         alg = pseudomonad_from(SKEW).pseudoalgebra()
         assert alg.lift.p == SKEW.p and alg.lift.values[alg.z.src.dom] == alg.Tz.src.dom
@@ -360,6 +383,64 @@ class TestLift:
         assert h_f.top == unit_component(eta, TERMINAL)
         assert h_f.bot == unit_component(eta, TERMINAL)
         assert m_f.top == mult_component(mu, TERMINAL)
+
+
+def _structure_cells(u):
+    return unit_structure(u), sigma_structure(u)
+
+
+UNIVERSES = st.one_of(
+    st.sampled_from([BOOL, SKEW]),
+    st.integers(0, 10_000).map(lambda seed: rand_universe(random.Random(seed), 4)),
+)
+
+
+@st.composite
+def lifted_sets(draw):
+    """The empty set, the point, small sets of labels, or a set of a random
+    cartesian square."""
+    kind = draw(st.sampled_from(["empty", "point", "labels", "square"]))
+    if kind == "empty":
+        return FinSet()
+    if kind == "point":
+        return TERMINAL
+    if kind == "labels":
+        return FinSet(draw(st.sets(st.sampled_from(["x", "y", "*", ("x", "y"), ("*", ("z",))]), max_size=3)))
+    sq = rand_cartesian_square(random.Random(draw(st.integers(0, 10_000))), 2)
+    return draw(st.sampled_from([sq.src.dom, sq.src.cod, sq.dst.dom, sq.dst.cod]))
+
+
+class TestLiftedComponents:
+    """``LiftedEndofunctor.unit`` and ``.mult`` against the route through
+    the extension bijections, kept in ``tests/reference.py``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(UNIVERSES, lifted_sets())
+    def test_unit_and_mult_equal_the_extension_route(self, u, Z):
+        eta, mu = _structure_cells(u)
+        P = LiftedEndofunctor(u.p)
+        assert P.unit(eta, Z) == unit_component(eta, Z)
+        assert P.mult(mu, Z) == mult_component(mu, Z)
+
+    @pytest.mark.parametrize("Z", [FinSet(), TERMINAL, FinSet(["x", "y"])], ids=["empty", "point", "two"])
+    def test_mult_reads_the_inner_arity_of_each_outer_arity(self, Z):
+        # over skewed an outer arity (code1a, a) can carry the code code1b,
+        # whose arity (code1b, b) differs from it, so looking the two up the
+        # other way round gives another map or none
+        _, mu = _structure_cells(SKEW)
+        P = LiftedEndofunctor(SKEW.p)
+        PPZ = apply_to_set(P, apply_to_set(P, Z))
+        assert any(b != b_in for _, outer in PPZ for b, (_, s) in outer for b_in, _ in s) == bool(Z)
+        assert P.mult(mu, Z) == mult_component(mu, Z)
+
+    def test_components_are_read_off_the_kept_sets(self):
+        eta, mu = _structure_cells(SKEW)
+        P = LiftedEndofunctor(SKEW.p)
+        Z = FinSet(["x", "y"])
+        h, m = P.unit(eta, Z), P.mult(mu, Z)
+        assert h.cod is apply_to_set(P, Z) and m.cod is h.cod
+        assert m.dom is apply_to_set(P, h.cod)
+        assert list(P.values) == [Z, h.cod]
 
 
 class TestTypeIsos:

@@ -15,10 +15,7 @@ from polyverse.poly import (
     extend_map,
     extension_composition_iso,
     from_map,
-    identity_extension_iso,
     identity_poly,
-    linear_poly,
-    slice_extension,
     slice_reduce,
     slice_unreduce,
 )
@@ -28,6 +25,7 @@ from polyverse.generators import (
     rand_family_morphism,
     rand_polynomial,
 )
+from reference import identity_extension_iso, linear_poly, slice_extension
 
 
 def mapping(dom, cod, **assign):

@@ -30,17 +30,14 @@ from polyverse.poly2 import (
     PolyMorphism,
     SliceMorphism,
     adj_vcomp,
-    adj_whisker,
     all_adjustments,
     associator,
     canon,
-    cartesian_from_square,
     cell_from_square,
     cells_square_equal,
     codiscreteness_check,
     extend_cell,
     h_comp,
-    identity_adjustment,
     identity_cell,
     invert_cell,
     lunitor,
@@ -64,6 +61,7 @@ from polyverse.generators import (
     rand_parallel_pair,
     rand_polynomial,
 )
+from reference import adj_whisker, cartesian_from_square, identity_adjustment
 
 
 def empty_phi2_cell():

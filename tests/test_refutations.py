@@ -1,0 +1,106 @@
+"""Every law decider can answer false.
+
+A decider that always answers true leaves the same report bytes as a law
+that holds, so the golden digests cannot tell the two apart.  Each entry of
+``REFUTATIONS`` is keyed by a law id of ``suites.LAWS`` and builds a small
+input by hand on which the decider that settles that law answers false.
+For a theorem (the pasting laws, for instance) the entry refutes the
+decider on inputs outside the theorem's hypotheses, not the law itself.
+"""
+
+import pytest
+
+from polyverse.finset import FinMap, FinSet, Square
+from polyverse.internalcat import InternalFunctor, internal_full_subcat
+from polyverse.naturalmodel import _paths_agree
+from polyverse.poly import from_map
+from polyverse.poly2 import Adjustment, PolyMorphism
+from polyverse.suites import LAWS
+
+
+def _square_that_is_not_a_pullback() -> bool:
+    # two points over one point, onto a one-point map: the square commutes,
+    # but the pullback of the cospan has one element, not two
+    src = FinMap.constant(FinSet(["b1", "b2"]), FinSet(["a"]), "a")
+    dst = FinMap.constant(FinSet(["d"]), FinSet(["c"]), "c")
+    sq = Square(src, dst, FinMap.constant(src.dom, dst.dom, "d"), FinMap.constant(src.cod, dst.cod, "c"))
+    return sq.is_pullback()
+
+
+def _cell_with_two_vertex_elements_over_one_arity() -> PolyMorphism:
+    """A cell from ``{b} -> {a}`` to ``{d1, d2} -> {c}`` whose vertex has
+    two elements over the one source arity; its vertex maps over the arities
+    are all the maps of the vertex to itself."""
+    F = from_map(FinMap.constant(FinSet(["b"]), FinSet(["a"]), "a"))
+    G = from_map(FinMap.constant(FinSet(["d1", "d2"]), FinSet(["c"]), "c"))
+    vertex = FinSet([("a", "d1"), ("a", "d2")])
+    return PolyMorphism(
+        F, G, vertex,
+        FinMap.constant(F.A, G.A, "c"),
+        FinMap(vertex, G.B, {("a", "d1"): "d1", ("a", "d2"): "d2"}),
+        FinMap.constant(vertex, F.B, "b"),
+    )
+
+
+def _adjustment(phi: PolyMorphism, table: dict) -> Adjustment:
+    return Adjustment(phi, phi, FinMap(phi.dphi, phi.dphi, table))
+
+
+def _paths_that_paste_to_different_maps() -> bool:
+    # X -> Y directly by the swap, or X -> Z -> Y by two identities
+    phi = _cell_with_two_vertex_elements_over_one_arity()
+    e1, e2 = phi.dphi.elements
+    swap = _adjustment(phi, {e1: e2, e2: e1})
+    ident = _adjustment(phi, {e1: e1, e2: e2})
+    edges = {("X", "Y"): swap, ("X", "Z"): ident, ("Z", "Y"): ident}
+    return _paths_agree(lambda x, y: edges[(x, y)], ("X", "Y"), ("X", "Z", "Y"))
+
+
+def _adjustment_that_is_not_invertible() -> bool:
+    phi = _cell_with_two_vertex_elements_over_one_arity()
+    e1, e2 = phi.dphi.elements
+    return _adjustment(phi, {e1: e1, e2: e1}).is_invertible()
+
+
+def _functor_that_is_not_full() -> bool:
+    # the one-object category with only the identity, sent to the object of
+    # a two-element fibre: hom(c, c) has four maps and only the identity is hit
+    one = internal_full_subcat(FinMap(FinSet(), FinSet(["a"]), {}))
+    two = internal_full_subcat(FinMap.constant(FinSet(["x", "y"]), FinSet(["c"]), "c"))
+    on_obj = FinMap.constant(one.obj, two.obj, "c")
+    on_mor = FinMap.constant(one.mor, two.mor, two.ident("c"))
+    return InternalFunctor(one, two, on_obj, on_mor).is_fully_faithful()
+
+
+REFUTATIONS = {
+    "lift-preserves-pullbacks": _square_that_is_not_a_pullback,
+    "lift-unit-mult-squares": _square_that_is_not_a_pullback,
+    "cartesian-naturality-pullback": _square_that_is_not_a_pullback,
+    "pseudomonad-pasting": _paths_that_paste_to_different_maps,
+    "pseudoalgebra-pasting": _paths_that_paste_to_different_maps,
+    "pentagon": _adjustment_that_is_not_invertible,
+    "internal-fully-faithful": _functor_that_is_not_full,
+}
+
+
+def test_refutations_are_keyed_by_law_ids():
+    assert set(REFUTATIONS) <= set(LAWS)
+
+
+@pytest.mark.parametrize("law", sorted(REFUTATIONS))
+def test_the_decider_of_each_law_can_answer_false(law):
+    assert REFUTATIONS[law]() is False
+
+
+def test_the_hand_built_inputs_also_admit_a_true_answer():
+    """The deciders are not simply false on these shapes."""
+    phi = _cell_with_two_vertex_elements_over_one_arity()
+    e1, e2 = phi.dphi.elements
+    swap = _adjustment(phi, {e1: e2, e2: e1})
+    assert swap.is_invertible()
+    edges = {("X", "Y"): swap, ("X", "Z"): swap, ("Z", "Y"): _adjustment(phi, {e1: e1, e2: e2})}
+    assert _paths_agree(lambda x, y: edges[(x, y)], ("X", "Y"), ("X", "Z", "Y"))
+    src = FinMap.constant(FinSet(["b"]), FinSet(["a"]), "a")
+    assert Square.identity(src).is_pullback()
+    two = internal_full_subcat(FinMap.constant(FinSet(["x", "y"]), FinSet(["c"]), "c"))
+    assert InternalFunctor.identity(two).is_fully_faithful()
