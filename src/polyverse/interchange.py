@@ -21,14 +21,21 @@ reconstructed rather than stored, since validity forces them.
 has its own writer because ``json`` falls back to a slow pure-Python
 encoder whenever ``indent`` is set; the tests keep ``json.dumps`` as its
 reference.
+
+Each call does its work once per distinct label: a ``*_to_json`` result
+shares one array per tuple label, so it is read-only, and ``dumps`` reuses
+the text of such an array; a ``*_from_json`` result holds one plain tuple
+per distinct label, shared within that call only and never interned.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+from contextvars import ContextVar
 from json.encoder import encode_basestring_ascii as _quote
 
-from .finset import FinFamily, FinMap, FinSet, FinSetError, section_tuple
+from .finset import FinFamily, FinMap, FinSet, FinSetError, label_key
 from .poly import Polynomial
 from .poly2 import PolyMorphism
 from .naturalmodel import Universe
@@ -38,70 +45,104 @@ class ParseError(Exception):
     """Input that does not follow the interchange grammar."""
 
 
-def _label_to_json(label):
+# The label table of the outermost public conversion in progress, shared by
+# those nested in it and dropped when it returns (to and from JSON never nest).
+_LABELS: ContextVar = ContextVar("interchange_labels", default=None)
+
+
+def _conversion(kind: str | None = None):
+    """Run a conversion in the label table of the outermost one in progress,
+    or a fresh one; a ``kind`` record parser raises ``ParseError`` on bad data."""
+    def wrap(convert):
+        @functools.wraps(convert)
+        def run(arg):
+            token = _LABELS.set({}) if _LABELS.get() is None else None
+            try:
+                return convert(arg)
+            except (KeyError, TypeError, ValueError, FinSetError, RecursionError) as exc:
+                if kind is None:
+                    raise
+                raise ParseError(f"bad {kind} record: {exc}") from exc
+            finally:
+                if token is not None:
+                    _LABELS.reset(token)
+        return run
+    return wrap
+
+
+class _LabelArray(list):
+    """The array of a tuple label: a list that ``dumps`` writes once per indentation."""
+
+
+def _label_to_json(label, arrays: dict):
+    """A string as it is; a tuple as the one array ``arrays`` holds for it."""
     if isinstance(label, str):
         return label
-    return [_label_to_json(x) for x in label]
+    out = arrays.get(label)
+    if out is None:
+        out = arrays[label] = _LabelArray([_label_to_json(x, arrays) for x in label])
+    return out
 
 
-def _label_from_json(data):
+def _label_from_json(data, tuples: dict):
+    """A string as it is; an array as the first equal tuple ``tuples`` holds."""
     if isinstance(data, str):
         return data
     if isinstance(data, list):
-        return tuple(_label_from_json(x) for x in data)
+        label = tuple([_label_from_json(x, tuples) for x in data])
+        return tuples.setdefault(label, label)
     raise ParseError(f"label must be a string or array, got {data!r}")
 
 
+@_conversion()
 def finset_to_json(X: FinSet) -> list:
-    return [_label_to_json(x) for x in X]
+    arrays = _LABELS.get()
+    return [_label_to_json(x, arrays) for x in X]
 
 
+@_conversion()
 def finset_from_json(data) -> FinSet:
     if not isinstance(data, list):
         raise ParseError("finite set must be an array of labels")
+    tuples = _LABELS.get()
     try:
-        return FinSet(_label_from_json(x) for x in data)
+        return FinSet([_label_from_json(x, tuples) for x in data])
     except FinSetError as exc:
         raise ParseError(str(exc)) from exc
     except RecursionError as exc:
         raise ParseError("label nested too deeply") from exc
 
 
+@_conversion()
 def finmap_to_json(f: FinMap) -> dict:
-    return {
-        "dom": finset_to_json(f.dom),
-        "cod": finset_to_json(f.cod),
-        "map": [[_label_to_json(x), _label_to_json(y)] for x, y in f.pairs],
-    }
+    dom, cod = finset_to_json(f.dom), finset_to_json(f.cod)
+    return {"dom": dom, "cod": cod, "map": [[x, cod[j]] for x, j in zip(dom, f.img)]}
 
 
+@_conversion("map")
 def finmap_from_json(data) -> FinMap:
-    try:
-        pairs = [(_label_from_json(x), _label_from_json(y)) for x, y in data["map"]]
-        return FinMap(finset_from_json(data["dom"]), finset_from_json(data["cod"]), pairs)
-    except ParseError:
-        raise
-    except (KeyError, TypeError, ValueError, FinSetError, RecursionError) as exc:
-        raise ParseError(f"bad map record: {exc}") from exc
+    tuples = _LABELS.get()
+    pairs = [(_label_from_json(x, tuples), _label_from_json(y, tuples)) for x, y in data["map"]]
+    return FinMap(finset_from_json(data["dom"]), finset_from_json(data["cod"]), pairs)
 
 
+@_conversion()
 def family_to_json(X: FinFamily) -> dict:
+    arrays = _LABELS.get()
     return {
         "index": finset_to_json(X.index),
-        "fibres": [[_label_to_json(i), finset_to_json(F)] for i, F in X.fibres],
+        "fibres": [[_label_to_json(i, arrays), finset_to_json(F)] for i, F in X.fibres],
     }
 
 
+@_conversion("family")
 def family_from_json(data) -> FinFamily:
-    try:
-        fibres = [(_label_from_json(i), finset_from_json(F)) for i, F in data["fibres"]]
-        return FinFamily(finset_from_json(data["index"]), fibres)
-    except ParseError:
-        raise
-    except (KeyError, TypeError, ValueError, FinSetError, RecursionError) as exc:
-        raise ParseError(f"bad family record: {exc}") from exc
+    tuples = _LABELS.get()
+    fibres = [(_label_from_json(i, tuples), finset_from_json(F)) for i, F in data["fibres"]]
+    return FinFamily(finset_from_json(data["index"]), fibres)
 
 
+@_conversion()
 def polynomial_to_json(P: Polynomial) -> dict:
     return {
         "I": finset_to_json(P.I),
@@ -114,23 +155,20 @@ def polynomial_to_json(P: Polynomial) -> dict:
     }
 
 
+@_conversion("polynomial")
 def polynomial_from_json(data) -> Polynomial:
-    try:
-        return Polynomial(
-            finset_from_json(data["I"]),
-            finset_from_json(data["B"]),
-            finset_from_json(data["A"]),
-            finset_from_json(data["J"]),
-            finmap_from_json(data["s"]),
-            finmap_from_json(data["f"]),
-            finmap_from_json(data["t"]),
-        )
-    except ParseError:
-        raise
-    except (KeyError, TypeError, FinSetError, RecursionError) as exc:
-        raise ParseError(f"bad polynomial record: {exc}") from exc
+    return Polynomial(
+        finset_from_json(data["I"]),
+        finset_from_json(data["B"]),
+        finset_from_json(data["A"]),
+        finset_from_json(data["J"]),
+        finmap_from_json(data["s"]),
+        finmap_from_json(data["f"]),
+        finmap_from_json(data["t"]),
+    )
 
 
+@_conversion()
 def morphism_to_json(phi: PolyMorphism) -> dict:
     return {
         "src": polynomial_to_json(phi.src),
@@ -142,69 +180,56 @@ def morphism_to_json(phi: PolyMorphism) -> dict:
     }
 
 
+@_conversion("morphism")
 def morphism_from_json(data) -> PolyMorphism:
-    try:
-        return PolyMorphism(
-            polynomial_from_json(data["src"]),
-            polynomial_from_json(data["dst"]),
-            finset_from_json(data["dphi"]),
-            finmap_from_json(data["phi0"]),
-            finmap_from_json(data["phi1"]),
-            finmap_from_json(data["phi2"]),
-        )
-    except ParseError:
-        raise
-    except (KeyError, TypeError, FinSetError, RecursionError) as exc:
-        raise ParseError(f"bad morphism record: {exc}") from exc
-
-
-def _btable_to_json(btable) -> list:
-    return [[_label_to_json(x), _label_to_json(c)] for x, c in btable]
-
-
-def _btable_from_json(data):
-    return section_tuple(
-        {_label_from_json(x): _label_from_json(c) for x, c in data}
+    return PolyMorphism(
+        polynomial_from_json(data["src"]),
+        polynomial_from_json(data["dst"]),
+        finset_from_json(data["dphi"]),
+        finmap_from_json(data["phi0"]),
+        finmap_from_json(data["phi1"]),
+        finmap_from_json(data["phi2"]),
     )
 
 
+@_conversion()
 def universe_to_json(u: Universe) -> dict:
+    label = functools.partial(_label_to_json, arrays=_LABELS.get())
+
+    def table(entries) -> list:
+        # a code family is a label: [[x, code], ...]
+        return [[[label(A), label(bt)], label(c)] for (A, bt), c in entries]
+
     return {
         "U": finset_to_json(u.codes),
         "El": family_to_json(u.el),
-        "unit": _label_to_json(u.unit_code),
-        "sigma": [
-            [[_label_to_json(A), _btable_to_json(bt)], _label_to_json(c)]
-            for (A, bt), c in u.sigma
-        ],
-        "pi": [
-            [[_label_to_json(A), _btable_to_json(bt)], _label_to_json(c)]
-            for (A, bt), c in u.pi
-        ],
+        "unit": label(u.unit_code),
+        "sigma": table(u.sigma),
+        "pi": table(u.pi),
     }
 
 
+@_conversion("universe")
 def universe_from_json(data) -> Universe:
-    try:
-        sigma = {
-            (_label_from_json(A), _btable_from_json(bt)): _label_from_json(c)
-            for (A, bt), c in data["sigma"]
-        }
-        pi = {
-            (_label_from_json(A), _btable_from_json(bt)): _label_from_json(c)
-            for (A, bt), c in data["pi"]
-        }
-        return Universe(
-            finset_from_json(data["U"]),
-            family_from_json(data["El"]),
-            _label_from_json(data["unit"]),
-            sigma,
-            pi,
-        )
-    except ParseError:
-        raise
-    except (KeyError, TypeError, ValueError, FinSetError, RecursionError) as exc:
-        raise ParseError(f"bad universe record: {exc}") from exc
+    tuples = _LABELS.get()
+    label = functools.partial(_label_from_json, tuples=tuples)
+
+    def table(entries) -> dict:
+        out = {}
+        for (A, bt), code in entries:
+            # a code family in section_tuple's order, but not interned
+            family = {label(x): label(c) for x, c in bt}
+            family = tuple(sorted(family.items(), key=lambda xc: label_key(xc[0])))
+            out[(label(A), tuples.setdefault(family, family))] = label(code)
+        return out
+
+    return Universe(
+        finset_from_json(data["U"]),
+        family_from_json(data["El"]),
+        label(data["unit"]),
+        table(data["sigma"]),
+        table(data["pi"]),
+    )
 
 
 def dumps(data) -> str:
@@ -212,19 +237,33 @@ def dumps(data) -> str:
     sort_keys=True, indent=2)`` followed by a newline.  Like it, raises
     ``TypeError`` for a value or key that JSON cannot hold."""
     out: list = []
-    _write(data, out, "\n")
+    _write(data, out, "\n", set(), {})
     out.append("\n")
     return "".join(out)
 
 
-def _write(o, out: list, nl: str) -> None:
+def _write(o, out: list, nl: str, seen: set, texts: dict) -> None:
     """Append the text of ``o`` to ``out``; ``nl`` is a newline followed by
     the indentation of the line ``o`` starts on.  Each string in a
-    container goes out in one chunk with the separator before it."""
+    container goes out in one chunk with the separator before it.  A label
+    array goes into ``seen`` by id when first met; met again, its text comes
+    from ``texts``, by id and indentation, made at the second meeting."""
     if isinstance(o, (list, tuple)):
         if not o:
             out.append("[]")
             return
+        if type(o) is _LabelArray:
+            i = id(o)
+            if i in seen:
+                key = (i, nl)
+                if key not in texts:
+                    part: list = []
+                    seen.remove(i)  # so that it is written out into part
+                    _write(o, part, nl, seen, texts)
+                    texts[key] = "".join(part)
+                out.append(texts[key])
+                return
+            seen.add(i)
         inner = nl + "  "
         sep = "[" + inner
         for x in o:
@@ -232,7 +271,7 @@ def _write(o, out: list, nl: str) -> None:
                 out.append(sep + _quote(x))
             else:
                 out.append(sep)
-                _write(x, out, inner)
+                _write(x, out, inner, seen, texts)
             sep = "," + inner
         out.append(nl + "]")
     elif isinstance(o, dict):
@@ -253,7 +292,7 @@ def _write(o, out: list, nl: str) -> None:
                 out.append(sep + _quote(k) + ": " + _quote(v))
             else:
                 out.append(sep + _quote(k) + ": ")
-                _write(v, out, inner)
+                _write(v, out, inner, seen, texts)
             sep = "," + inner
         out.append(nl + "}")
     elif isinstance(o, str):

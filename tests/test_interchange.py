@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -5,8 +6,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polyverse import finset
 from polyverse.finset import FinFamily, FinMap, FinSet
 from polyverse import interchange as io
+from polyverse.poly import compose
 from polyverse.generators import rand_morphism, rand_polynomial, rand_universe
 from polyverse.naturalmodel import mk_bool_universe, mk_skewed_universe, validate_universe
 
@@ -117,6 +120,77 @@ json_trees = st.recursive(
 @given(json_trees)
 def test_dumps_matches_json_reference(data):
     assert io.dumps(data) == _reference(data)
+
+
+tuple_labels = st.lists(labels, max_size=3).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(tuple_labels, min_size=1, max_size=4, unique=True), st.lists(json_trees, max_size=3), json_trees)
+def test_dumps_matches_json_on_shared_lists(elems, plain, other):
+    # the label arrays of one to_json call and a plain list, each met again:
+    # in the same list, one level deeper, under dict values, inside another
+    # shared list; and one shared empty list
+    arrays = io.finset_to_json(FinSet(elems))
+    shared = [arrays, arrays[0], plain, arrays[-1]]
+    pair, empty = [shared, arrays[0]], []
+    data = [
+        shared, shared, [shared, {"k": shared, "e": empty}],
+        {"v": [[shared]], "w": shared, "p": pair}, [pair, [pair]], empty, other, empty,
+    ]
+    assert io.dumps(data) == _reference(data)
+
+
+def _fourfold(seed: int = 0):
+    """k.h.g.f for four one-to-one polynomials with sets of at most 2; at
+    seed 0 it has 16 operations, 8 arities and labels ten tuples deep."""
+    rng = random.Random(seed)
+    f, g, h, k = (rand_polynomial(rng, 2, one_to_one=True) for _ in range(4))
+    return compose(compose(k, h)[0], compose(g, f)[0])[0]
+
+
+# SHA-256 of the canonical text of _fourfold(0), recorded with the first writer
+FOURFOLD_GOLDEN = "065419a490bae9455b66bc852a51fe85e33638cb39be2ee5c2df2f387f1dbfd2"
+
+
+def test_dumps_of_a_deep_composite_matches_json_and_its_golden():
+    record = io.polynomial_to_json(_fourfold())
+    text = io.dumps(record)
+    assert text == _reference(record)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == FOURFOLD_GOLDEN
+
+
+def test_to_json_gives_one_list_per_label():
+    P = _fourfold()
+    J = io.polynomial_to_json(P)
+    for i in range(len(P.A)):
+        assert isinstance(J["A"][i], list)
+        assert J["A"][i] is J["t"]["dom"][i] is J["f"]["cod"][i] is J["t"]["map"][i][0]
+    # another call builds its own lists
+    assert io.polynomial_to_json(P)["A"][0] is not J["A"][0]
+
+
+def test_from_json_gives_one_plain_tuple_per_label_and_interns_none():
+    text = io.dumps(io.polynomial_to_json(_fourfold()))
+    before = len(finset._UNIQUE)
+    P = io.polynomial_from_json(io.loads(text))
+    assert len(finset._UNIQUE) == before
+    assert P == _fourfold()
+    for i, a in enumerate(P.A):
+        assert type(a) is tuple
+        assert a is P.t.dom.elements[i] is P.f.cod.elements[i]
+    # another call parses its own tuples
+    again = io.polynomial_from_json(io.loads(text))
+    assert again.A.elements[0] is not P.A.elements[0]
+
+
+def test_parsing_a_universe_interns_nothing(monkeypatch):
+    u = rand_universe(random.Random(5), 3)
+    text = io.dumps(io.universe_to_json(u))
+    monkeypatch.setattr(finset, "_UNIQUE", {})
+    back = io.universe_from_json(io.loads(text))
+    assert finset._UNIQUE == {}
+    assert back == u and back.sigma == u.sigma
 
 
 def test_dumps_matches_json_on_records():

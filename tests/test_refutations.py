@@ -12,7 +12,10 @@ import pytest
 
 from polyverse.finset import FinMap, FinSet, Square
 from polyverse.internalcat import InternalFunctor, internal_full_subcat
-from polyverse.naturalmodel import _paths_agree
+from polyverse.naturalmodel import (
+    Universe, UniverseError, _paths_agree, mk_bool_universe, mk_skewed_universe,
+    sigma_structure, validate_universe, verify_type_isos,
+)
 from polyverse.poly import from_map
 from polyverse.poly2 import Adjustment, PolyMorphism
 from polyverse.suites import LAWS
@@ -72,6 +75,53 @@ def _functor_that_is_not_full() -> bool:
     return InternalFunctor(one, two, on_obj, on_mor).is_fully_faithful()
 
 
+def _bool_universe_with_a_broken_sum() -> Universe:
+    # every sum lands on the empty code, so the one-element type's sum over
+    # itself has a fibre of the wrong size
+    u = mk_bool_universe()
+    sigma = {k: "code0" for k, _ in u.sigma}
+    return Universe(u.codes, u.el, u.unit_code, sigma, dict(u.pi))
+
+
+def _universe_that_is_not_valid() -> bool:
+    return validate_universe(_bool_universe_with_a_broken_sum()) == []
+
+
+def _cell_that_is_not_cartesian() -> bool:
+    return _cell_with_two_vertex_elements_over_one_arity().is_cartesian()
+
+
+def _refused(u: Universe) -> bool:
+    """The verdict of the corrupted-universe control: is ``u`` refused?"""
+    try:
+        sigma_structure(u)
+    except UniverseError:
+        return True
+    return False
+
+
+def _sound_universe_refused() -> bool:
+    return _refused(mk_bool_universe())
+
+
+class _PaddedUniverse(Universe):
+    """The skewed universe, but listing a second term of its unit code that
+    El does not have.  The unit code is never a sum or product code, so the
+    universe still validates and every pairing is still a bijection; only
+    the rows whose bijections end in the unit code see the extra term."""
+
+    def term_fibre(self, code) -> FinSet:
+        fibre = super().term_fibre(code)
+        if code != self.unit_code:
+            return fibre
+        return FinSet([*fibre, (code, "extra")])
+
+
+def _type_isos_onto_a_padded_fibre() -> bool:
+    u = mk_skewed_universe()
+    return verify_type_isos(_PaddedUniverse(u.codes, u.el, u.unit_code, u.sigma, u.pi))["ok"]
+
+
 REFUTATIONS = {
     "lift-preserves-pullbacks": _square_that_is_not_a_pullback,
     "lift-unit-mult-squares": _square_that_is_not_a_pullback,
@@ -80,6 +130,10 @@ REFUTATIONS = {
     "pseudoalgebra-pasting": _paths_that_paste_to_different_maps,
     "pentagon": _adjustment_that_is_not_invertible,
     "internal-fully-faithful": _functor_that_is_not_full,
+    "universe-validates": _universe_that_is_not_valid,
+    "monad-structure-cartesian": _cell_that_is_not_cartesian,
+    "corrupted-universe-rejected": _sound_universe_refused,
+    "type-isomorphisms": _type_isos_onto_a_padded_fibre,
 }
 
 
@@ -104,3 +158,7 @@ def test_the_hand_built_inputs_also_admit_a_true_answer():
     assert Square.identity(src).is_pullback()
     two = internal_full_subcat(FinMap.constant(FinSet(["x", "y"]), FinSet(["c"]), "c"))
     assert InternalFunctor.identity(two).is_fully_faithful()
+    assert validate_universe(mk_bool_universe()) == []
+    assert sigma_structure(mk_bool_universe()).is_cartesian()
+    assert _refused(_bool_universe_with_a_broken_sum())
+    assert verify_type_isos(mk_skewed_universe())["ok"]
