@@ -34,7 +34,6 @@ from .poly import (
 from .poly2 import (
     Adjustment,
     PolyMorphism,
-    SliceMorphism,
     adj_vcomp,
     all_adjustments,
     associator,

@@ -222,15 +222,8 @@ def rand_universe(rng: random.Random, max_codes: int = 4) -> Universe:
     unit = f"u{rng.randint(0, n_singletons - 1)}"
     empties = [c for c in codes if len(el_fam.fibre(c)) == 0]
     singletons = [c for c in codes if len(el_fam.fibre(c)) == 1]
-    u0 = Universe(codes, el_fam, unit, {}, {})
     sigma, pi = {}, {}
-    for A in codes:
-        for bt in u0.btables(A):
-            table = dict(bt)
-            ssize = sum(len(el_fam.fibre(table[x])) for x in el_fam.fibre(A))
-            psize = 1
-            for x in el_fam.fibre(A):
-                psize *= len(el_fam.fibre(table[x]))
-            sigma[(A, bt)] = rng.choice(singletons if ssize == 1 else empties)
-            pi[(A, bt)] = rng.choice(singletons if psize == 1 else empties)
+    for A, bt, ssize, psize in Universe(codes, el_fam, unit, {}, {}).fibre_sizes():
+        sigma[(A, bt)] = rng.choice(singletons if ssize == 1 else empties)
+        pi[(A, bt)] = rng.choice(singletons if psize == 1 else empties)
     return _checked(Universe(codes, el_fam, unit, sigma, pi))

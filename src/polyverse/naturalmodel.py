@@ -142,6 +142,14 @@ class Universe:
         for choice in itertools.product(self.codes.elements, repeat=len(xs)):
             yield _intern(tuple(zip(xs, choice)))
 
+    def fibre_sizes(self):
+        """Every ``(code, btable)``, codes in order and each code's families
+        in canonical order, with the sizes its sum and product fibres need."""
+        for code in self.codes:
+            for btable in self.btables(code):
+                sizes = [len(self.el.fibre(b)) for _, b in btable]
+                yield code, btable, sum(sizes), math.prod(sizes)
+
     def pair_domain(self, code, btable) -> FinSet:
         """Dependent pairs ``(term of A, term of B(term))`` in tagged form."""
         table = dict(btable)
@@ -198,7 +206,8 @@ def validate_universe(u: Universe) -> list:
         return problems
     if len(u.el.fibre(u.unit_code)) != 1:
         problems.append("unit square: the fibre of the unit code is not a singleton")
-    want = {(A, bt) for A in u.codes for bt in u.btables(A)}
+    sizes = list(u.fibre_sizes())
+    want = {(A, bt) for A, bt, _, _ in sizes}
     for name, table in (("sum", u._sigma_table), ("product", u._pi_table)):
         if set(table) != want:
             problems.append(f"{name} table is not total over all (code, family) pairs")
@@ -207,17 +216,11 @@ def validate_universe(u: Universe) -> list:
             if code not in u.codes:
                 problems.append(f"{name} table assigns a non-code")
                 return problems
-    for A in u.codes:
-        for bt in u.btables(A):
-            table = dict(bt)
-            pair_size = sum(len(u.el.fibre(table[x])) for x in u.el.fibre(A))
-            if pair_size != len(u.el.fibre(u.sigma_code(A, bt))):
-                problems.append(f"sum square: fibre mismatch at {(A, bt)!r}")
-            sect_size = 1
-            for x in u.el.fibre(A):
-                sect_size *= len(u.el.fibre(table[x]))
-            if sect_size != len(u.el.fibre(u.pi_code(A, bt))):
-                problems.append(f"product square: fibre mismatch at {(A, bt)!r}")
+    for A, bt, pair_size, sect_size in sizes:
+        if pair_size != len(u.el.fibre(u.sigma_code(A, bt))):
+            problems.append(f"sum square: fibre mismatch at {(A, bt)!r}")
+        if sect_size != len(u.el.fibre(u.pi_code(A, bt))):
+            problems.append(f"product square: fibre mismatch at {(A, bt)!r}")
     return problems
 
 
@@ -232,13 +235,9 @@ def _cardinality_universe(codes: FinSet, el: FinFamily, unit, by_size: dict) -> 
     """The universe whose sum and product codes are the codes ``by_size``
     names for the cardinality of the sum or product."""
     sigma, pi = {}, {}
-    u0 = Universe(codes, el, unit, {}, {})
-    for A in codes:
-        for bt in u0.btables(A):
-            table = dict(bt)
-            sizes = [len(el.fibre(table[x])) for x in el.fibre(A)]
-            sigma[(A, bt)] = by_size[sum(sizes)]
-            pi[(A, bt)] = by_size[math.prod(sizes)]
+    for A, bt, sum_size, prod_size in Universe(codes, el, unit, {}, {}).fibre_sizes():
+        sigma[(A, bt)] = by_size[sum_size]
+        pi[(A, bt)] = by_size[prod_size]
     return _checked(Universe(codes, el, unit, sigma, pi))
 
 
@@ -367,8 +366,14 @@ def lift_apply_square(P: LiftedEndofunctor, sq: Square) -> Square:
 def pi_structure(u: Universe) -> PolyMorphism:
     """The cartesian cell P_p(p) => p: product codes on operations, the
     canonical abstraction on arities."""
+    return _pi_structure(u, LiftedEndofunctor(u.p))
+
+
+def _pi_structure(u: Universe, P: LiftedEndofunctor) -> PolyMorphism:
+    """``pi_structure`` through ``P``, the lifted endofunctor of ``u.p``,
+    which keeps ``P_p`` of the terms and the codes for its next use."""
     _checked(u)
-    p_map = lift_apply(LiftedEndofunctor(u.p), u.p)
+    p_map = lift_apply(P, u.p)
     bot_table, top_table = {}, {}
     for (A, sect) in p_map.cod:
         bot_table[(A, sect)] = u.pi_code(A, section_tuple({k[1]: v for k, v in sect}))
@@ -452,9 +457,9 @@ class PolynomialPseudomonad:
         """The universe's product structure as a pseudoalgebra over this
         pseudomonad, in the arrow 2-category."""
         u = self.universe
-        zeta = pi_structure(u)
-        z = square_of_cell(zeta)
         P = LiftedEndofunctor(u.p)
+        zeta = _pi_structure(u, P)
+        z = square_of_cell(zeta)
         h_p, m_p = lift_unit_mult(P, self.eta, self.mu, u.p)
         Tz = lift_apply_square(P, z)
         lhs = z.after(Tz)

@@ -465,80 +465,45 @@ def codiscreteness_check(phi: PolyMorphism, psi: PolyMorphism) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def flat_union(X: FinFamily, disjoint: bool = True) -> FinSet:
-    """The union of the fibres of a family; ``disjoint`` asserts no overlap."""
-    if disjoint:
-        return FinSet(x for _, F in X.fibres for x in F)
-    return FinSet({x for _, F in X.fibres for x in F})
+def slice_reduce_cell(phi: PolyMorphism) -> dict:
+    """Reduce a morphism with general endpoints to the slice over I x J:
+    each base point ``(i, j)``, in ``product_set(I, J)`` order, maps to the
+    fibre cell there, a morphism of one-to-one polynomials, built and
+    validated once.  Adjustments are untouched by the reduction."""
+    S, T = slice_reduce(phi.src), slice_reduce(phi.dst)
+    base_of_arity = {b: z for z, X in S.src.fibres for b in X}
+    vertices = {z: [] for z in S.src.index}
+    for e, b in phi.phi2.pairs:  # in key order, and so is each part
+        vertices[base_of_arity[b]].append(e)
+    cells = {}
+    for (z, src_map), (_, dst_map) in zip(S.maps, T.maps):
+        vertex = FinSet._of(tuple(vertices[z]))
+        phi0 = FinMap(src_map.cod, dst_map.cod, {x: phi.phi0(x) for x in src_map.cod})
+        phi1 = FinMap(vertex, dst_map.dom, {e: phi.phi1(e) for e in vertex})
+        phi2 = FinMap(vertex, src_map.dom, {e: phi.phi2(e) for e in vertex})
+        cells[z] = PolyMorphism(from_map(src_map), from_map(dst_map), vertex, phi0, phi1, phi2)
+    return cells
 
 
-@dataclass(frozen=True)
-class SliceMorphism:
-    """A morphism of sliced one-to-one polynomials over a product base.
-
-    The reduction keeps the vertex, both vertex maps, and the operation map
-    of the original morphism; adjustments are untouched by it.  Composing
-    fibrewise and then reducing agrees with reducing and then restricting,
-    on the nose.
-    """
-
-    src: FamilyMorphism
-    dst: FamilyMorphism
-    dphi: FinSet
-    phi0: FinMap
-    phi1: FinMap
-    phi2: FinMap
-
-    def __post_init__(self):
-        if self.base != self.dst.src.index:
-            raise CellShapeError("sliced morphisms require a common base")
-        if self.phi0.dom != flat_union(self.src.dst, disjoint=False):
-            raise CellShapeError("phi0 must be defined on the operations")
-        if self.phi0.cod != flat_union(self.dst.dst, disjoint=False):
-            raise CellShapeError("phi0 must land in the target operations")
-        if self.phi1.cod != flat_union(self.dst.src) or self.phi2.cod != flat_union(self.src.src):
-            raise CellShapeError("vertex maps land in the wrong totals")
-        self._fibre_cells  # builds, and so validates, every fibre cell
-
-    @property
-    def base(self) -> FinSet:
-        return self.src.src.index
-
-    @cached_property
-    def _fibre_cells(self) -> dict:
-        """Base point -> the restriction there, as an ordinary morphism of
-        one-to-one polynomials; the single validation code path."""
-        base_of_arity = {b: z for z, X in self.src.src.fibres for b in X}
-        vertices = {z: [] for z in self.base}
-        for e in self.dphi:  # in key order, and so is each part
-            vertices[base_of_arity[self.phi2(e)]].append(e)
-        cells = {}
-        for (z, src_map), (_, dst_map) in zip(self.src.maps, self.dst.maps):
-            vertex = FinSet._of(tuple(vertices[z]))
-            phi0 = FinMap(src_map.cod, dst_map.cod, {x: self.phi0(x) for x in src_map.cod})
-            phi1 = FinMap(vertex, dst_map.dom, {e: self.phi1(e) for e in vertex})
-            phi2 = FinMap(vertex, src_map.dom, {e: self.phi2(e) for e in vertex})
-            cells[z] = PolyMorphism(from_map(src_map), from_map(dst_map), vertex, phi0, phi1, phi2)
-        return cells
-
-    def fibre_cell(self, z) -> PolyMorphism:
-        """The restriction to the base point ``z``, built once, at construction."""
-        return self._fibre_cells[z]
-
-    def is_cartesian(self) -> bool:
-        return self.phi2.is_bijection()
+def _glue(maps: dict) -> Polynomial:
+    """The polynomial whose slice reduction has the fibres ``maps``."""
+    base = FinSet(maps)
+    src = FinFamily._of(base, [maps[z].dom for z in base])
+    dst = FinFamily._of(base, [maps[z].cod for z in base])
+    return slice_unreduce(FamilyMorphism(src, dst, maps))
 
 
-def slice_reduce_cell(phi: PolyMorphism) -> SliceMorphism:
-    """Reduce a morphism with general endpoints to the slice over I x J."""
-    return SliceMorphism(
-        slice_reduce(phi.src), slice_reduce(phi.dst),
-        phi.dphi, phi.phi0, phi.phi1, phi.phi2,
+def slice_unreduce_cell(cells: dict) -> PolyMorphism:
+    """Glue fibre cells, one per base point of I x J, into one morphism: the
+    inverse of ``slice_reduce_cell`` on its image.  A vertex element in two
+    fibres, or two fibres that send one operation to different places, are
+    refused."""
+    F = _glue({z: c.src.f for z, c in cells.items()})
+    G = _glue({z: c.dst.f for z, c in cells.items()})
+    dphi = FinSet(e for c in cells.values() for e in c.dphi)
+    return PolyMorphism(
+        F, G, dphi,
+        FinMap(F.A, G.A, (xy for c in cells.values() for xy in c.phi0.pairs)),
+        FinMap(dphi, G.B, (xy for c in cells.values() for xy in c.phi1.pairs)),
+        FinMap(dphi, F.B, (xy for c in cells.values() for xy in c.phi2.pairs)),
     )
-
-
-def slice_unreduce_cell(sm: SliceMorphism) -> PolyMorphism:
-    """Inverse of ``slice_reduce_cell`` on its image."""
-    F = slice_unreduce(sm.src)
-    G = slice_unreduce(sm.dst)
-    return PolyMorphism(F, G, sm.dphi, sm.phi0, sm.phi1, sm.phi2)

@@ -218,12 +218,10 @@ def adj_whisker(beta: Adjustment, alpha: Adjustment) -> Adjustment:
 def internal_functor_general(phi: PolyMorphism) -> dict:
     """General endpoints: reduce along the slice, then one functor per base
     point of the product of the endpoints."""
-    sm = slice_reduce_cell(phi)
-    funs = {}
-    for z in sm.base:
-        c = sm.fibre_cell(z)
-        funs[z] = internal_functor(c, internal_full_subcat(c.src.f), internal_full_subcat(c.dst.f))
-    return funs
+    return {
+        z: internal_functor(c, internal_full_subcat(c.src.f), internal_full_subcat(c.dst.f))
+        for z, c in slice_reduce_cell(phi).items()
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,33 @@ def test_poly_error_inside_a_suite_exits_4():
     assert "invalid data" not in proc.stderr
 
 
+BROKEN_TRACE_SUITE = """
+import sys
+from polyverse import cli
+from polyverse.poly import CompositionTrace, PolyError
+
+def validate(self, G, F):
+    raise PolyError("square (1) fails the pullback property")
+
+CompositionTrace.validate = validate
+sys.argv = ["polyverse", "suite", "run", "extension-composition",
+            "--seed", "1", "--count", "2", "--max-size", "2", "--format", "json"]
+cli.entry()
+"""
+
+
+def test_a_trace_that_does_not_revalidate_is_a_failed_law():
+    # the validator's refusal is the law's verdict, recorded as a fail that
+    # ends the instance: exit 1, not an internal error
+    proc = subprocess.run([sys.executable, "-c", BROKEN_TRACE_SUITE], capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    records = json.loads(proc.stdout)["records"]
+    assert [(r["law"], r["instance"], r["status"], r["detail"]) for r in records] == [
+        ("trace-revalidates", f"pair{n}", "fail", "square (1) fails the pullback property")
+        for n in range(2)
+    ]
+
+
 def test_mismatched_cell_files_exit_1(tmp_path):
     # each record parses, but the inner cell does not end where the outer
     # one starts: invalid input data, not an internal error

@@ -216,13 +216,15 @@ class TestOnePath:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {"monad_law_cells": 0, "pi_structure": 0}
+        # _pi_structure builds the product structure, for pi_structure(u)
+        # and for the pseudoalgebra alike
+        counts = {"monad_law_cells": 0, "_pi_structure": 0}
         for name in counts:
             original = getattr(naturalmodel, name)
 
-            def counted(u, _original=original, _name=name):
+            def counted(*args, _original=original, _name=name):
                 counts[_name] += 1
-                return _original(u)
+                return _original(*args)
 
             monkeypatch.setattr(naturalmodel, name, counted)
         return counts
@@ -232,7 +234,7 @@ class TestOnePath:
 
         assert main(["model", "pseudomonad", "skewed"]) == 0
         assert capsys.readouterr().out
-        assert calls == {"monad_law_cells": 1, "pi_structure": 1}
+        assert calls == {"monad_law_cells": 1, "_pi_structure": 1}
 
     @pytest.mark.parametrize("suite", ["pseudomonad", "pseudoalgebra"])
     def test_suites_build_the_law_cells_once_per_universe(self, calls, suite):
@@ -243,7 +245,7 @@ class TestOnePath:
         # one build each for bool and skewed
         assert calls["monad_law_cells"] == 2
         if suite == "pseudoalgebra":
-            assert calls["pi_structure"] == 2
+            assert calls["_pi_structure"] == 2
 
     def test_pseudomonad_keeps_its_cells(self):
         pm = pseudomonad_from(SKEW)
@@ -251,6 +253,22 @@ class TestOnePath:
         assert pm.cells["eta"] is pm.eta and pm.cells["mu"] is pm.mu
         assert pm.universe is SKEW
         assert "cells" not in repr(pm)
+
+    def test_pseudoalgebra_lifts_through_one_endofunctor(self, monkeypatch):
+        # zeta and the lifted squares share one P_p, so P_p(terms) and
+        # P_p(codes) are computed once
+        made = []
+
+        class Counted(naturalmodel.LiftedEndofunctor):
+            def __init__(self, p):
+                made.append(self)
+                super().__init__(p)
+
+        pm = pseudomonad_from(SKEW)
+        monkeypatch.setattr(naturalmodel, "LiftedEndofunctor", Counted)
+        alg = pm.pseudoalgebra()
+        assert made == [alg.lift]
+        assert set(alg.lift.values) >= {SKEW.terms, SKEW.codes}
 
     def test_pseudoalgebra_is_over_its_pseudomonad(self):
         pm = pseudomonad_from(SKEW)

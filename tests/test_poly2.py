@@ -7,6 +7,7 @@ from polyverse.finset import (
     FinFamily,
     FinMap,
     FinSet,
+    FinSetError,
     Square,
     TERMINAL,
     enumeration_cap,
@@ -19,6 +20,7 @@ from polyverse.poly import (
     extend,
     from_map,
     identity_poly,
+    product_set,
     slice_reduce,
 )
 from polyverse.poly2 import (
@@ -28,7 +30,6 @@ from polyverse.poly2 import (
     CellPullbackError,
     CellShapeError,
     PolyMorphism,
-    SliceMorphism,
     adj_vcomp,
     all_adjustments,
     associator,
@@ -478,20 +479,18 @@ class TestSliceCells:
         for _ in range(10):
             phi, psi = rand_parallel_pair(rng, 3, max_vertex=6)
             for cell in (phi, psi):
-                sm = slice_reduce_cell(cell)
-                back = slice_unreduce_cell(sm)
+                cells = slice_reduce_cell(cell)
+                back = slice_unreduce_cell(cells)
                 assert back == cell
-                assert sm.is_cartesian() == cell.is_cartesian()
+                assert all(c.is_cartesian() for c in cells.values()) == cell.is_cartesian()
 
     def test_adjustments_unchanged_by_reduction(self):
         rng = random.Random(51)
         phi, psi = rand_parallel_pair(rng, 3, max_vertex=6)
         alpha = unique_adjustment(phi, psi)
-        sm_phi = slice_reduce_cell(phi)
-        sm_psi = slice_reduce_cell(psi)
-        for z in sm_phi.base:
-            fc_phi = sm_phi.fibre_cell(z)
-            fc_psi = sm_psi.fibre_cell(z)
+        cells_psi = slice_reduce_cell(psi)
+        for z, fc_phi in slice_reduce_cell(phi).items():
+            fc_psi = cells_psi[z]
             restricted = FinMap(
                 fc_phi.dphi, fc_psi.dphi, {e: alpha.alpha(e) for e in fc_phi.dphi}
             )
@@ -503,23 +502,22 @@ class TestSliceCells:
             outer = rand_morphism(rng, 2)
             inner = rand_morphism(rng, 2, target=outer.src)
             comp = v_comp(outer, inner)
-            sm = slice_reduce_cell(comp)
-            for z in sm.base:
-                lhs = sm.fibre_cell(z)
-                rhs = v_comp(
-                    slice_reduce_cell(outer).fibre_cell(z),
-                    slice_reduce_cell(inner).fibre_cell(z),
-                )
-                assert lhs == rhs
+            cells_outer = slice_reduce_cell(outer)
+            cells_inner = slice_reduce_cell(inner)
+            for z, lhs in slice_reduce_cell(comp).items():
+                assert lhs == v_comp(cells_outer[z], cells_inner[z])
 
     def test_fibre_cell_is_kept(self):
+        # one fibre cell per base point, keyed in product order
         rng = random.Random(53)
         phi, _ = rand_parallel_pair(rng, 3, max_vertex=6)
-        sm = slice_reduce_cell(phi)
-        for z in sm.base:
-            assert sm.fibre_cell(z) is sm.fibre_cell(z)
+        cells = slice_reduce_cell(phi)
+        assert list(cells) == list(product_set(phi.src.I, phi.src.J))
+        for z, cell in cells.items():
+            assert cell.src.I == cell.src.J == TERMINAL
+            assert cell.src.f == slice_reduce(phi.src).at(z)
         with pytest.raises(KeyError):
-            sm.fibre_cell(("nowhere", "nowhere"))
+            cells[("nowhere", "nowhere")]
 
     def test_each_fibre_cell_is_validated_once(self, monkeypatch):
         validated = []
@@ -534,11 +532,9 @@ class TestSliceCells:
             phi, _ = rand_parallel_pair(rng, 3, max_vertex=6)
             monkeypatch.setattr(PolyMorphism, "__post_init__", counting)
             validated.clear()
-            sm = slice_reduce_cell(phi)
-            for z in sm.base:
-                sm.fibre_cell(z)
+            cells = slice_reduce_cell(phi)
             monkeypatch.undo()
-            assert len(validated) == len(sm.base)
+            assert len(validated) == len(cells)
 
     def _two_point_cell(self):
         """The identity on a polynomial over I = {i0, i1}: b0 and b1 lie over
@@ -553,19 +549,30 @@ class TestSliceCells:
         )
         return identity_cell(F)
 
-    def test_corrupted_phi1_rejected_at_construction(self):
-        cell = self._two_point_cell()
-        B = cell.dphi
-        S = slice_reduce(cell.src)
-        swapped = FinMap(B, B, {"b0": "b1", "b1": "b0", "b2": "b2"})
-        with pytest.raises((CellCommutationError, CellPullbackError, CellShapeError)):
-            SliceMorphism(S, S, B, cell.phi0, swapped, cell.phi2)
+    def test_fibres_that_disagree_on_an_operation_are_not_glued(self):
+        """Over (i0, j) there are no arities, so the fibre cell there may
+        swap a0 and a1; over (i1, j) the arity b pins a0.  Each fibre cell
+        is valid, but they send a0 to different places."""
+        I, J = FinSet(["i0", "i1"]), FinSet(["j"])
+        B, A = FinSet(["b"]), FinSet(["a0", "a1"])
+        F = Polynomial(
+            I, B, A, J,
+            FinMap.constant(B, I, "i1"), FinMap.constant(B, A, "a0"), FinMap.constant(A, J, "j"),
+        )
+        cells = slice_reduce_cell(identity_cell(F))
+        c = cells[("i0", "j")]
+        swap = FinMap(c.src.A, c.dst.A, {"a0": "a1", "a1": "a0"})
+        cells[("i0", "j")] = PolyMorphism(c.src, c.dst, c.dphi, swap, c.phi1, c.phi2)
+        with pytest.raises(FinSetError, match="conflicting values for 'a0'"):
+            slice_unreduce_cell(cells)
 
-    def test_out_of_range_phi2_rejected_at_construction(self):
-        cell = self._two_point_cell()
-        B = cell.dphi
-        S = slice_reduce(cell.src)
-        wider = FinSet([*B, "b9"])
-        outside = FinMap(B, wider, {"b0": "b9", "b1": "b1", "b2": "b2"})
-        with pytest.raises((CellCommutationError, CellPullbackError, CellShapeError)):
-            SliceMorphism(S, S, B, cell.phi0, cell.phi1, outside)
+    def test_a_vertex_element_in_two_fibres_is_not_glued(self):
+        cells = slice_reduce_cell(self._two_point_cell())
+        c = cells[("i1", "j")]  # vertex {b2}, renamed to b0, which (i0, j) has
+        vertex = FinSet(["b0"])
+        cells[("i1", "j")] = PolyMorphism(
+            c.src, c.dst, vertex,
+            c.phi0, FinMap.constant(vertex, c.dst.B, "b2"), FinMap.constant(vertex, c.src.B, "b2"),
+        )
+        with pytest.raises(FinSetError, match="duplicate element 'b0'"):
+            slice_unreduce_cell(cells)

@@ -138,6 +138,22 @@ def test_cap_reaches_the_structure_cells():
     assert skewed.index(("monad-structure-cartesian", "pass")) < skewed.index(("pseudomonad-pasting", "skip"))
 
 
+def test_a_broken_internal_category_is_a_failed_law(monkeypatch):
+    # the validator's refusal is the verdict of internal-category-laws,
+    # recorded as a fail that ends the instance; nothing is raised
+    from polyverse.internalcat import InternalCatError, InternalCategory
+
+    def refuse(cat):
+        raise InternalCatError("associativity fails")
+
+    monkeypatch.setattr(InternalCategory, "__post_init__", refuse)
+    rep = run_suite("internal-equiv", InstanceGenConfig(seed=1, count=2, max_set_size=2))
+    assert [(r["law"], r["instance"], r["status"], r["detail"]) for r in rep.records] == [
+        ("internal-category-laws", f"inst{n}", "fail", "associativity fails") for n in range(2)
+    ]
+    assert rep.exit_code() == 1
+
+
 # SHA-256 of io.dumps(report.to_jsonable()) at seed 1 and each suite's
 # count and size in CAPPED_CONFIG.  The universe suites run count 8, size 3:
 # six random universes (one with 4 codes) besides the built-ins.  Cap 5
@@ -147,6 +163,9 @@ def test_cap_reaches_the_structure_cells():
 # categories and lifted sets: cap 5 skips five internal-equiv draws, four
 # of them after partial records, and three lift instances, so their digests
 # pin the record order and the generator's draw order with the skip points.
+# bicategory-laws and extension-composition run count 8, size 3: at cap 50
+# each suite's size estimator refuses exactly one draw (attempt6), so the
+# digests pin where the estimators skip.
 CAPPED_GOLDEN = {
     ("pseudomonad", 100_000): "b2c13390b442b95235b0abd0b99be2c6ff006284fd3bc39d5dcb2609bbd317a4",
     ("pseudomonad", 5): "023cb27639ac04a8ce41342acb35c9cfb3e8c95cfec17a6fb0147c94e01427e8",
@@ -158,12 +177,18 @@ CAPPED_GOLDEN = {
     ("internal-equiv", 5): "e41f7b1d3bf6976ab93dc346e020c62fb5366242730f2515181d6cf53d755030",
     ("lift", 100_000): "fd2264a9df9be38edb65b3dfba3a3f1c5b96424ea34de5018ab6582653e8f7c2",
     ("lift", 5): "83a037eca6c8cb643e0252a2c92324d79cc3522df7587372853b26fb3712e1b1",
+    ("bicategory-laws", 100_000): "f323fac594c85e71616bcc523ff8f0cda022e6943913d78bd2574e1955772715",
+    ("bicategory-laws", 50): "6ddd42df81999f4129d41c3cfa2437dd7c83da422a4b7174f9f6bd0d339fd2d4",
+    ("extension-composition", 100_000): "879dfca2d84022a6824279632e24c4a9f69bf49b26084c909af141432c27e9cd",
+    ("extension-composition", 50): "322dbc826385b45d94133136aa27a50301cd839df7234bef343ad00b03edf15c",
 }
 CAPPED_CONFIG = {
     "pseudomonad": (8, 3),
     "pseudoalgebra": (8, 3),
     "internal-equiv": (6, 2),
     "lift": (6, 2),
+    "bicategory-laws": (8, 3),
+    "extension-composition": (8, 3),
 }
 
 
