@@ -285,23 +285,9 @@ class FinFamily:
         return total, FinMap._of(total, self.index, img)
 
     @staticmethod
-    def from_total(proj: FinMap) -> "FinFamily":
-        """Inverse of ``total``: requires pair-encoded elements over the index."""
-        fibres = {i: [] for i in proj.cod}
-        for e, i in proj.pairs:
-            if not (isinstance(e, tuple) and len(e) == 2 and e[0] == i):
-                raise FinSetError(f"element {e!r} is not a pair over its index point")
-            fibres[i].append(e[1])
-        return FinFamily(proj.cod, {i: FinSet(xs) for i, xs in fibres.items()})
-
-    @staticmethod
     def of_map(p: FinMap) -> "FinFamily":
         """The fibre family of an arbitrary map, keeping raw elements."""
         return FinFamily._of(p.cod, [FinSet._of(p.preimage(a)) for a in p.cod.elements])
-
-    @staticmethod
-    def constant(index: FinSet, X: FinSet) -> "FinFamily":
-        return FinFamily._of(index, (X,) * len(index))
 
 
 @dataclass(frozen=True)
@@ -443,9 +429,10 @@ class Square:
             raise FinSetError("square top map has the wrong signature")
         if self.bot.dom != self.src.cod or self.bot.cod != self.dst.cod:
             raise FinSetError("square bottom map has the wrong signature")
-        for b in self.src.dom:
-            if self.dst(self.top(b)) != self.bot(self.src(b)):
-                raise FinSetError(f"square does not commute at {b!r}")
+        di, bi = self.dst.img, self.bot.img
+        for k, (d, a) in enumerate(zip(self.top.img, self.src.img)):
+            if di[d] != bi[a]:
+                raise FinSetError(f"square does not commute at {self.src.dom.elements[k]!r}")
 
     def is_pullback(self) -> bool:
         return is_pullback_cone(self.bot, self.dst, self.src, self.top)

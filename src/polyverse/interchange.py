@@ -25,7 +25,8 @@ reference.
 Each call does its work once per distinct label: a ``*_to_json`` result
 shares one array per tuple label, so it is read-only, and ``dumps`` reuses
 the text of such an array; a ``*_from_json`` result holds one plain tuple
-per distinct label, shared within that call only and never interned.
+per distinct label, shared within that call only and never interned, and
+sorts its sets by the ``label_key`` each tuple got once, from its parts'.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import json
 from contextvars import ContextVar
 from json.encoder import encode_basestring_ascii as _quote
 
-from .finset import FinFamily, FinMap, FinSet, FinSetError, label_key
+from .finset import FinFamily, FinMap, FinSet, FinSetError
 from .poly import Polynomial
 from .poly2 import PolyMorphism
 from .naturalmodel import Universe
@@ -84,13 +85,26 @@ def _label_to_json(label, arrays: dict):
     return out
 
 
-def _label_from_json(data, tuples: dict):
-    """A string as it is; an array as the first equal tuple ``tuples`` holds."""
+def _key(label, labels: dict):
+    """``label_key`` of a string, or of a tuple that ``labels`` holds."""
+    return (0, label) if isinstance(label, str) else labels[label][1]
+
+
+def _entry(parts: tuple, labels: dict) -> tuple:
+    """``(label, label_key(label))`` for the first tuple equal to ``parts``
+    that ``labels`` holds; a new one is keyed from its parts' stored keys."""
+    entry = labels.get(parts)
+    if entry is None:
+        entry = labels[parts] = (parts, (1, *[_key(x, labels) for x in parts]))
+    return entry
+
+
+def _label_from_json(data, labels: dict):
+    """A string as it is; an array as the first equal tuple ``labels`` holds."""
     if isinstance(data, str):
         return data
     if isinstance(data, list):
-        label = tuple([_label_from_json(x, tuples) for x in data])
-        return tuples.setdefault(label, label)
+        return _entry(tuple([_label_from_json(x, labels) for x in data]), labels)[0]
     raise ParseError(f"label must be a string or array, got {data!r}")
 
 
@@ -104,13 +118,15 @@ def finset_to_json(X: FinSet) -> list:
 def finset_from_json(data) -> FinSet:
     if not isinstance(data, list):
         raise ParseError("finite set must be an array of labels")
-    tuples = _LABELS.get()
+    labels = _LABELS.get()
     try:
-        return FinSet([_label_from_json(x, tuples) for x in data])
-    except FinSetError as exc:
-        raise ParseError(str(exc)) from exc
+        ordered = sorted([_label_from_json(x, labels) for x in data], key=lambda x: _key(x, labels))
+        for a, b in zip(ordered, ordered[1:]):
+            if a == b:
+                raise ParseError(f"duplicate element {a!r}")
     except RecursionError as exc:
         raise ParseError("label nested too deeply") from exc
+    return FinSet._of(tuple(ordered))
 
 
 @_conversion()
@@ -121,8 +137,8 @@ def finmap_to_json(f: FinMap) -> dict:
 
 @_conversion("map")
 def finmap_from_json(data) -> FinMap:
-    tuples = _LABELS.get()
-    pairs = [(_label_from_json(x, tuples), _label_from_json(y, tuples)) for x, y in data["map"]]
+    labels = _LABELS.get()
+    pairs = [(_label_from_json(x, labels), _label_from_json(y, labels)) for x, y in data["map"]]
     return FinMap(finset_from_json(data["dom"]), finset_from_json(data["cod"]), pairs)
 
 
@@ -137,8 +153,8 @@ def family_to_json(X: FinFamily) -> dict:
 
 @_conversion("family")
 def family_from_json(data) -> FinFamily:
-    tuples = _LABELS.get()
-    fibres = [(_label_from_json(i, tuples), finset_from_json(F)) for i, F in data["fibres"]]
+    labels = _LABELS.get()
+    fibres = [(_label_from_json(i, labels), finset_from_json(F)) for i, F in data["fibres"]]
     return FinFamily(finset_from_json(data["index"]), fibres)
 
 
@@ -211,16 +227,16 @@ def universe_to_json(u: Universe) -> dict:
 
 @_conversion("universe")
 def universe_from_json(data) -> Universe:
-    tuples = _LABELS.get()
-    label = functools.partial(_label_from_json, tuples=tuples)
+    labels = _LABELS.get()
+    label = functools.partial(_label_from_json, labels=labels)
 
     def table(entries) -> dict:
         out = {}
         for (A, bt), code in entries:
             # a code family in section_tuple's order, but not interned
-            family = {label(x): label(c) for x, c in bt}
-            family = tuple(sorted(family.items(), key=lambda xc: label_key(xc[0])))
-            out[(label(A), tuples.setdefault(family, family))] = label(code)
+            family = sorted({label(x): label(c) for x, c in bt}.items(), key=lambda xc: _key(xc[0], labels))
+            family = _entry(tuple([_entry(xc, labels)[0] for xc in family]), labels)[0]
+            out[(label(A), family)] = label(code)
         return out
 
     return Universe(

@@ -300,21 +300,22 @@ def slice_unreduce(S: FamilyMorphism) -> Polynomial:
     if base != product_set(I, J):
         raise PolyError("base is not the full product")
     a_to_j = {}
-    for (i, j) in base:
-        for a in S.dst.fibre((i, j)):
+    for (_, j), (_, X) in zip(base.elements, S.dst.fibres):
+        for a in X.elements:
             if a_to_j.setdefault(a, j) != j:
                 raise PolyError(f"operation {a!r} appears over two different targets")
     A = FinSet(a_to_j)
-    for (i, j) in base:
-        expect = FinSet(a for a, jj in a_to_j.items() if jj == j)
-        if S.dst.fibre((i, j)) != expect:
+    over_j = {j: [] for j in J.elements}
+    for a in A.elements:  # so each list is in key order
+        over_j[a_to_j[a]].append(a)
+    for (_, j), (_, X) in zip(base.elements, S.dst.fibres):
+        if X.elements != tuple(over_j[j]):
             raise PolyError("codomain fibres are not uniform in the first coordinate")
     b_data = {}
-    for (i, j) in base:
-        for b in S.src.fibre((i, j)):
+    for (i, j), (_, m) in zip(base.elements, S.maps):
+        for b, a in m.pairs:
             if b in b_data:
                 raise PolyError(f"arity {b!r} appears over two base points")
-            a = S((i, j), b)
             b_data[b] = (i, a)
             if a_to_j[a] != j:
                 raise PolyError("fibrewise map is incompatible with the targets")

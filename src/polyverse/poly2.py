@@ -8,7 +8,9 @@ square (with horizontal edge ``f . phi2``) is a pullback of ``g`` along
 ``phi0``.  The morphism is cartesian when ``phi2`` is a bijection; every
 cartesian morphism has a canonical square presentation
 ``(phi1 . phi2^-1, phi0)`` and conversely every pullback square induces a
-cartesian morphism with the chosen pullback as vertex.
+cartesian morphism with the chosen pullback as vertex.  Cells are checked
+and built on positions: squares commute when images agree, and maps into a
+vertex are read off the chosen pullback's projections, not looked up by label.
 
 An adjustment between parallel morphisms is a map of vertices over B.
 Between any parallel pair with cartesian target there is exactly one, with
@@ -18,6 +20,7 @@ closed form is one of the standing test obligations.
 
 from __future__ import annotations
 
+import itertools
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
@@ -90,10 +93,9 @@ class PolyMorphism:
             raise CellCommutationError("target triangle does not commute")
         if F.s.after(self.phi2) != G.s.after(self.phi1):
             raise CellCommutationError("source triangle does not commute")
-        r = F.f.after(self.phi2)
-        if G.f.after(self.phi1) != self.phi0.after(r):
+        if G.f.after(self.phi1) != self.phi0.after(self.r):
             raise CellCommutationError("lower square does not commute")
-        if not is_pullback_cone(self.phi0, G.f, r, self.phi1):
+        if not is_pullback_cone(self.phi0, G.f, self.r, self.phi1):
             raise CellPullbackError("lower square is not a pullback")
 
     @cached_property
@@ -103,12 +105,13 @@ class PolyMorphism:
 
     @cached_property
     def _fill(self) -> dict:
-        return {(self.r(e), self.phi1(e)): e for e in self.dphi}
+        """Vertex position over each (operation position, target arity position)."""
+        return {ad: k for k, ad in enumerate(zip(self.r.img, self.phi1.img))}
 
     def fill(self, a, d):
         """The unique vertex element over ``a`` mapping to ``d``."""
         try:
-            return self._fill[(a, d)]
+            return self.dphi.elements[self._fill[self.src.A.pos[a], self.dst.B.pos[d]]]
         except KeyError:
             raise PolyError(f"no vertex element over ({a!r}, {d!r})") from None
 
@@ -130,9 +133,10 @@ def cell_from_square(F: Polynomial, G: Polynomial, top: FinMap, bot: FinMap) -> 
     map of F to the middle map of G; the vertex is the chosen pullback."""
     if top.dom != F.B or top.cod != G.B or bot.dom != F.A or bot.cod != G.A:
         raise CellShapeError("square edges have the wrong signatures")
-    for b in F.B:
-        if G.f(top(b)) != bot(F.f(b)):
-            raise CellCommutationError(f"square does not commute at {b!r}")
+    gi, bi = G.f.img, bot.img
+    for k, (d, a) in enumerate(zip(top.img, F.f.img)):
+        if gi[d] != bi[a]:
+            raise CellCommutationError(f"square does not commute at {F.B.elements[k]!r}")
     if not is_pullback_cone(bot, G.f, F.f, top):
         raise CellPullbackError("square is not a pullback")
     if F.s != G.s.after(top):
@@ -140,8 +144,8 @@ def cell_from_square(F: Polynomial, G: Polynomial, top: FinMap, bot: FinMap) -> 
     if F.t != G.t.after(bot):
         raise CellCommutationError("square is incompatible with the targets")
     dphi, proj_a, proj_d = pullback(bot, G.f)
-    comparison = {(F.f(b), top(b)): b for b in F.B}
-    phi2 = FinMap(dphi, F.B, {e: comparison[e] for e in dphi})
+    comparison = {ad: k for k, ad in enumerate(zip(F.f.img, top.img))}
+    phi2 = FinMap._of(dphi, F.B, tuple(map(comparison.__getitem__, zip(proj_a.img, proj_d.img))))
     return PolyMorphism(F, G, dphi, bot, proj_d, phi2)
 
 
@@ -188,13 +192,10 @@ def v_comp(psi: PolyMorphism, phi: PolyMorphism) -> PolyMorphism:
     F, H = phi.src, psi.dst
     phi0 = psi.phi0.after(phi.phi0)
     vertex, proj_a, proj_l = pullback(phi0, H.f)
-    phi2_table = {}
-    for x in vertex:
-        a, l = x
-        e_psi = psi.fill(phi.phi0(a), l)
-        e_phi = phi.fill(a, psi.phi2(e_psi))
-        phi2_table[x] = phi.phi2(e_phi)
-    return PolyMorphism(F, H, vertex, phi0, proj_l, FinMap(vertex, F.B, phi2_table))
+    # positions: (a, l) -> psi's vertex over (phi0(a), l) -> phi's vertex over a -> F.B
+    ops, psi2, phi2, psi_fill, phi_fill = phi.phi0.img, psi.phi2.img, phi.phi2.img, psi._fill, phi._fill
+    img = [phi2[phi_fill[a, psi2[psi_fill[ops[a], l]]]] for a, l in zip(proj_a.img, proj_l.img)]
+    return PolyMorphism(F, H, vertex, phi0, proj_l, FinMap._of(vertex, F.B, tuple(img)))
 
 
 def vcomp_chain(*cells: PolyMorphism) -> PolyMorphism:
@@ -339,8 +340,6 @@ def unique_adjustment(phi: PolyMorphism, psi: PolyMorphism) -> Adjustment:
 
 def all_adjustments(phi: PolyMorphism, psi: PolyMorphism):
     """Every valid adjustment, by exhaustive search; the cap is read at the first ``next()``."""
-    import itertools
-
     _guard(max(1, len(psi.dphi)) ** len(phi.dphi), "adjustment search")
     if len(phi.dphi) > 0 and len(psi.dphi) == 0:
         return
@@ -451,13 +450,10 @@ def triangle_check(f: Polynomial, g: Polynomial, cap: int | None = None) -> dict
 
 def codiscreteness_check(phi: PolyMorphism, psi: PolyMorphism) -> dict:
     """Between a parallel pair with cartesian target there is exactly one
-    adjustment, and it is the closed form."""
+    adjustment, and it is the closed form; any other target fails."""
     found = list(all_adjustments(phi, psi))
-    closed = unique_adjustment(phi, psi)
-    return {
-        "ok": len(found) == 1 and found[0].alpha == closed.alpha,
-        "count": len(found),
-    }
+    ok = psi.is_cartesian() and len(found) == 1
+    return {"ok": ok and found[0].alpha == unique_adjustment(phi, psi).alpha, "count": len(found)}
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,11 @@ The library keeps what a suite, a CLI command or the benchmark reaches
 the tests' second routes and oracles:
 
 * the adjunction transposes and the enumeration of family morphisms, against
-  which ``dep_prod`` and ``dep_sum`` are checked;
+  which ``dep_prod`` and ``dep_sum`` are checked, constant families and the
+  family of a total space;
+* the square check, square-to-cell and vertical composition one label at a
+  time, against which the positional ones in ``finset`` and ``poly2`` are
+  checked;
 * the slice exponential, the span polynomial, the slice extension and the
   identity-extension bijection;
 * square-to-cell for maps, the identity adjustment, adjustment whiskering and
@@ -28,6 +32,8 @@ from polyverse.finset import (
     base_change,
     dep_prod,
     dep_sum,
+    is_pullback_cone,
+    pullback,
     section_lookup,
     _guard,
     _intern,
@@ -44,6 +50,9 @@ from polyverse.poly import (
 from polyverse.poly2 import (
     Adjustment,
     AdjustmentError,
+    CellCommutationError,
+    CellPullbackError,
+    CellShapeError,
     PolyMorphism,
     cell_from_square,
     extend_cell,
@@ -136,6 +145,32 @@ def enumerate_family_morphisms(X: FinFamily, Y: FinFamily):
         yield FamilyMorphism(X, Y, dict(zip(X.index, combo)))
 
 
+def constant_family(index: FinSet, X: FinSet) -> FinFamily:
+    """The family with fibre ``X`` over every index element."""
+    return FinFamily._of(index, (X,) * len(index))
+
+
+def family_from_total(proj: FinMap) -> FinFamily:
+    """Inverse of ``FinFamily.total``: requires pair-encoded elements over the index."""
+    fibres = {i: [] for i in proj.cod}
+    for e, i in proj.pairs:
+        if not (isinstance(e, tuple) and len(e) == 2 and e[0] == i):
+            raise FinSetError(f"element {e!r} is not a pair over its index point")
+        fibres[i].append(e[1])
+    return FinFamily(proj.cod, {i: FinSet(xs) for i, xs in fibres.items()})
+
+
+def check_square_on_labels(src: FinMap, dst: FinMap, top: FinMap, bot: FinMap) -> None:
+    """``Square``'s checks, one label at a time."""
+    if top.dom != src.dom or top.cod != dst.dom:
+        raise FinSetError("square top map has the wrong signature")
+    if bot.dom != src.cod or bot.cod != dst.cod:
+        raise FinSetError("square bottom map has the wrong signature")
+    for b in src.dom:
+        if dst(top(b)) != bot(src(b)):
+            raise FinSetError(f"square does not commute at {b!r}")
+
+
 # ---------------------------------------------------------------------------
 # Polynomials
 # ---------------------------------------------------------------------------
@@ -170,7 +205,7 @@ def slice_extension(S: FamilyMorphism, Y: FinFamily) -> FinFamily:
         raise PolyError("family must be indexed by the slice base")
     fibres = {}
     for z, fz in S.maps:
-        fam = FinFamily.constant(fz.dom, Y.fibre(z))
+        fam = constant_family(fz.dom, Y.fibre(z))
         ext = dep_sum(FinMap.to_terminal(fz.cod), dep_prod(fz, fam))
         fibres[z] = ext.fibre("*")
     return FinFamily(S.src.index, fibres)
@@ -179,6 +214,47 @@ def slice_extension(S: FamilyMorphism, Y: FinFamily) -> FinFamily:
 # ---------------------------------------------------------------------------
 # Cells, adjustments and internal functors
 # ---------------------------------------------------------------------------
+
+
+def cell_from_square_on_labels(F: Polynomial, G: Polynomial, top: FinMap, bot: FinMap) -> PolyMorphism:
+    """``cell_from_square``, one label at a time."""
+    if top.dom != F.B or top.cod != G.B or bot.dom != F.A or bot.cod != G.A:
+        raise CellShapeError("square edges have the wrong signatures")
+    for b in F.B:
+        if G.f(top(b)) != bot(F.f(b)):
+            raise CellCommutationError(f"square does not commute at {b!r}")
+    if not is_pullback_cone(bot, G.f, F.f, top):
+        raise CellPullbackError("square is not a pullback")
+    if F.s != G.s.after(top):
+        raise CellCommutationError("square is incompatible with the sources")
+    if F.t != G.t.after(bot):
+        raise CellCommutationError("square is incompatible with the targets")
+    dphi, proj_a, proj_d = pullback(bot, G.f)
+    comparison = {(F.f(b), top(b)): b for b in F.B}
+    phi2 = FinMap(dphi, F.B, {e: comparison[e] for e in dphi})
+    return PolyMorphism(F, G, dphi, bot, proj_d, phi2)
+
+
+def fill_table_on_labels(phi: PolyMorphism) -> dict:
+    """``PolyMorphism.fill`` as a table from label pairs ``(a, d)``."""
+    return {(phi.r(e), phi.phi1(e)): e for e in phi.dphi}
+
+
+def v_comp_on_labels(psi: PolyMorphism, phi: PolyMorphism) -> PolyMorphism:
+    """``v_comp``, one label at a time."""
+    if phi.dst != psi.src:
+        raise CellShapeError("vertical composition boundary mismatch")
+    F, H = phi.src, psi.dst
+    phi0 = psi.phi0.after(phi.phi0)
+    vertex, proj_a, proj_l = pullback(phi0, H.f)
+    psi_fill, phi_fill = fill_table_on_labels(psi), fill_table_on_labels(phi)
+    phi2_table = {}
+    for x in vertex:
+        a, l = x
+        e_psi = psi_fill[(phi.phi0(a), l)]
+        e_phi = phi_fill[(a, psi.phi2(e_psi))]
+        phi2_table[x] = phi.phi2(e_phi)
+    return PolyMorphism(F, H, vertex, phi0, proj_l, FinMap(vertex, F.B, phi2_table))
 
 
 def cartesian_from_square(f: FinMap, g: FinMap, top: FinMap, bot: FinMap) -> PolyMorphism:

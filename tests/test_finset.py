@@ -39,7 +39,9 @@ from polyverse.poly import (
 )
 from polyverse.poly2 import extend_cell, unique_adjustment
 from reference import (
+    constant_family,
     enumerate_family_morphisms,
+    family_from_total,
     prod_transpose,
     prod_untranspose,
     slice_exponential,
@@ -334,7 +336,7 @@ class TestTotalSpace:
         A = FinSet(["a0", "a1"])
         X = fam(A, a0=["x", "y"], a1=[])
         total, proj = X.total()
-        assert FinFamily.from_total(proj) == X
+        assert family_from_total(proj) == X
 
     def test_of_map_keeps_elements(self):
         B = FinSet(["b0", "b1"])
@@ -597,7 +599,7 @@ def test_total_space_agrees_with_sorted_pairs(index, data):
     want = [(i, x) for i in index for x in X.fibre(i)]
     assert total.elements == tuple(sorted(want, key=label_key))
     assert proj.pairs == tuple((e, e[0]) for e in total)
-    assert FinFamily.from_total(proj) == X
+    assert family_from_total(proj) == X
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +652,7 @@ def test_finset_constructions_equal_their_checked_rebuilds(data):
     X = FinFamily(f.dom, {b: data.draw(label_sets(0, 3)) for b in f.dom})
     Y = FinFamily(C, {c: data.draw(label_sets()) for c in C})
     built = [*pullback(f, g), *X.total(), dep_sum(f, X), dep_prod(f, X), base_change(f, Y)]
-    built += [FinFamily.of_map(f), FinFamily.constant(C, f.dom), slice_exponential(f, g)]
+    built += [FinFamily.of_map(f), constant_family(C, f.dom), slice_exponential(f, g)]
     for x in built + [product_set(f.dom, C)]:
         assert_checked(x)
     assert base_change(f, Y) == FinFamily(f.dom, {b: Y.fibre(f(b)) for b in f.dom})
@@ -680,7 +682,7 @@ def test_composite_and_internal_sets_equal_their_checked_rebuilds(data):
     assert_sorted_sections(graph for _, (_, _, graph) in C.ident.pairs)
     # extension and lift actions carry each section's keys over in order
     X = FinFamily(F.I, {i: data.draw(label_sets(0, 2)) for i in F.I})
-    ones = FinFamily.constant(F.I, FinSet(["*"]))
+    ones = constant_family(F.I, FinSet(["*"]))
     h = FamilyMorphism(X, ones, {i: FinMap.to_terminal(X.fibre(i)) for i in F.I})
     assert_sorted_sections(sect for _, sect in fibre_values(extend_map(F, h)))
     g, _ = data.draw(graphs())

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -79,6 +80,40 @@ def test_parse_errors_are_parse_errors():
 def test_duplicate_elements_rejected_on_parse():
     with pytest.raises(io.ParseError):
         io.finset_from_json(["a", "a"])
+    with pytest.raises(io.ParseError, match=re.escape("duplicate element ('a', ())")):
+        io.finset_from_json([["a", []], "a", ["a"], ["a", []]])
+
+
+def _as_tuples(data):
+    return data if isinstance(data, str) else tuple(map(_as_tuples, data))
+
+
+json_labels = st.recursive(
+    st.sampled_from(["", "a", "b", "ab"]),
+    lambda children: st.lists(children, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(json_labels, max_size=6))
+def test_a_parsed_set_is_the_set_of_its_parsed_labels(data):
+    """Empty arrays, prefixes and strings next to arrays sort as ``FinSet``
+    sorts them, and duplicates are refused with its message."""
+    try:
+        want = FinSet(map(_as_tuples, data))
+    except finset.FinSetError as exc:
+        with pytest.raises(io.ParseError, match=re.escape(str(exc))):
+            io.finset_from_json(data)
+    else:
+        assert io.finset_from_json(data) == want
+
+
+def test_a_parsed_set_sorts_prefixes_and_mixed_labels():
+    data = [["a", "b"], [], "b", ["a"], [[]], ["a", ["b"]], "a", [["a"], "b"]]
+    got = io.finset_from_json(data)
+    assert got == FinSet(map(_as_tuples, data))
+    assert got.elements == ("a", "b", (), ("a",), ("a", "b"), ("a", ("b",)), ((),), (("a",), "b"))
 
 
 def test_dumps_is_canonical():

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -55,6 +56,7 @@ from polyverse.poly2 import (
     whisker_right,
 )
 from polyverse.generators import (
+    rand_cartesian_square,
     rand_family,
     rand_family_morphism,
     rand_morphism,
@@ -62,7 +64,15 @@ from polyverse.generators import (
     rand_parallel_pair,
     rand_polynomial,
 )
-from reference import adj_whisker, cartesian_from_square, identity_adjustment
+from reference import (
+    adj_whisker,
+    cartesian_from_square,
+    cell_from_square_on_labels,
+    check_square_on_labels,
+    fill_table_on_labels,
+    identity_adjustment,
+    v_comp_on_labels,
+)
 
 
 def empty_phi2_cell():
@@ -576,3 +586,115 @@ class TestSliceCells:
         )
         with pytest.raises(FinSetError, match="duplicate element 'b0'"):
             slice_unreduce_cell(cells)
+
+
+def _outcome(build):
+    """What ``build()`` gives: its value, or the type and message it raised."""
+    try:
+        return build()
+    except FinSetError as exc:
+        return type(exc), str(exc)
+
+
+def _moved(rng, m: FinMap) -> FinMap:
+    """``m`` with its value at one element, drawn at random, drawn again."""
+    table = dict(m.pairs)
+    table[rng.choice(m.dom.elements)] = rng.choice(m.cod.elements)
+    return FinMap(m.dom, m.cod, table)
+
+
+class TestPositionsAgreeWithLabels:
+    """The positional square check, square-to-cell, ``fill`` and vertical
+    composition give what the label-level constructions in
+    ``tests/reference.py`` give, errors included."""
+
+    def test_squares_of_random_morphisms(self):
+        rng = random.Random(31)
+        for _ in range(30):
+            phi = rand_morphism(rng, 3, cartesian=True)
+            F, G = phi.src, phi.dst
+            cell = cell_from_square(F, G, phi.square_top(), phi.phi0)
+            assert cell == cell_from_square_on_labels(F, G, phi.square_top(), phi.phi0)
+            for top in [_moved(rng, phi.square_top()) for _ in range(3) if len(F.B)]:
+                assert _outcome(lambda: cell_from_square(F, G, top, phi.phi0)) == _outcome(
+                    lambda: cell_from_square_on_labels(F, G, top, phi.phi0)
+                )
+
+    def test_fill_of_random_morphisms(self):
+        rng = random.Random(32)
+        for _ in range(30):
+            phi = rand_morphism(rng, 3)
+            table = fill_table_on_labels(phi)
+            for (a, d), e in table.items():
+                assert phi.fill(a, d) == e
+            for a in phi.src.A:
+                for d in phi.dst.B:
+                    if (a, d) not in table:
+                        with pytest.raises(PolyError, match=re.escape(f"no vertex element over ({a!r}, {d!r})")):
+                            phi.fill(a, d)
+
+    def test_fill_of_a_label_outside_the_sets(self):
+        phi = identity_cell(rand_polynomial(random.Random(0), 3))
+        with pytest.raises(PolyError, match=re.escape("no vertex element over ('nope', 'nope')")):
+            phi.fill("nope", "nope")
+
+    def test_composable_pairs(self):
+        rng = random.Random(33)
+        for _ in range(30):
+            outer = rand_morphism(rng, 3)
+            inner = rand_morphism(rng, 3, target=outer.src)
+            assert v_comp(outer, inner) == v_comp_on_labels(outer, inner)
+            third = rand_morphism(rng, 3, target=inner.src)
+            assert v_comp(v_comp(outer, inner), third) == v_comp_on_labels(
+                v_comp_on_labels(outer, inner), third
+            )
+
+    def test_coherence_quads(self):
+        rng = random.Random(11)
+        checked = 0
+        while checked < 6:
+            f, g, h, k = (rand_polynomial(rng, 2, one_to_one=True) for _ in range(4))
+            try:
+                with enumeration_cap(3000):
+                    kh, _ = compose(k, h)
+                    gf, _ = compose(g, f)
+                    hg, _ = compose(h, g)
+                    direct = [associator(gf, h, k), associator(f, g, kh)]
+                    stepwise = [
+                        h_comp(identity_cell(k), associator(f, g, h)),
+                        associator(f, hg, k),
+                        h_comp(associator(g, h, k), identity_cell(f)),
+                    ]
+            except EnumerationCapExceeded:
+                continue
+            for x in direct + stepwise:
+                top = x.square_top()
+                assert x == cell_from_square_on_labels(x.src, x.dst, top, x.phi0)
+            for cells in (direct, stepwise):
+                assert v_comp(*cells[:2]) == v_comp_on_labels(*cells[:2])
+            assert v_comp(v_comp(*stepwise[:2]), stepwise[2]) == v_comp_on_labels(
+                v_comp_on_labels(*stepwise[:2]), stepwise[2]
+            )
+            checked += 1
+
+    def test_a_square_that_does_not_commute_names_its_first_bad_arity(self):
+        # b1 and b2 both break the square; b1 comes first
+        F = from_map(FinMap(FinSet(["b0", "b1", "b2"]), FinSet(["a0", "a1"]), {"b0": "a0", "b1": "a1", "b2": "a1"}))
+        G = from_map(FinMap(FinSet(["d0", "d1"]), FinSet(["c0", "c1"]), {"d0": "c0", "d1": "c1"}))
+        top = FinMap.constant(F.B, G.B, "d0")
+        bot = FinMap(F.A, G.A, {"a0": "c0", "a1": "c1"})
+        for build in (cell_from_square, cell_from_square_on_labels):
+            with pytest.raises(CellCommutationError, match=re.escape("square does not commute at 'b1'")):
+                build(F, G, top, bot)
+        for check in (Square, check_square_on_labels):
+            with pytest.raises(FinSetError, match=re.escape("square does not commute at 'b1'")):
+                check(F.f, G.f, top, bot)
+
+    def test_random_squares(self):
+        rng = random.Random(34)
+        for _ in range(30):
+            sq = rand_cartesian_square(rng, 3)
+            check_square_on_labels(sq.src, sq.dst, sq.top, sq.bot)
+            for top in [_moved(rng, sq.top) for _ in range(3) if len(sq.top.dom)]:
+                got = _outcome(lambda: Square(sq.src, sq.dst, top, sq.bot) and None)
+                assert got == _outcome(lambda: check_square_on_labels(sq.src, sq.dst, top, sq.bot))

@@ -6,24 +6,33 @@ that holds, so the golden digests cannot tell the two apart.  Each entry of
 input by hand on which the decider that settles that law answers false.
 For a theorem (the pasting laws, for instance) the entry refutes the
 decider on inputs outside the theorem's hypotheses, not the law itself.
-Where the decider is a suite's own comparison (the slice laws), the entry
-runs the suite with the hand-built input in place of its draw.
+Where the decider is a suite's own comparison (the slice laws and
+``vcomp-associative``), the entry runs the suite with the hand-built input
+in place of its draw.  Where a theorem's decider has no input outside its
+hypotheses (``triangle``, ``vcomp-associative``), a construction it calls is
+patched to a valid cell that breaks the theorem: a composite or unitor
+followed by the swap of two arities.
 """
 
+import random
+from contextlib import ExitStack
 from dataclasses import replace
 from unittest import mock
 
 import pytest
 
-from polyverse import generators, suites
-from polyverse.finset import FinMap, FinSet, Square
+from polyverse import generators, poly2, suites
+from polyverse.finset import FinFamily, FinMap, FinSet, Square
 from polyverse.internalcat import InternalCatError, InternalFunctor, internal_full_subcat
 from polyverse.naturalmodel import (
     Universe, UniverseError, _paths_agree, mk_bool_universe, mk_skewed_universe,
     sigma_structure, validate_universe, verify_type_isos,
 )
 from polyverse.poly import PolyError, Polynomial, compose, from_map
-from polyverse.poly2 import Adjustment, PolyMorphism, identity_cell, slice_reduce_cell
+from polyverse.poly2 import (
+    Adjustment, PolyMorphism, cell_from_square, codiscreteness_check, identity_cell, lunitor,
+    slice_reduce_cell, triangle_check, v_comp,
+)
 from polyverse.suites import LAWS, InstanceGenConfig, run_suite
 
 
@@ -174,38 +183,117 @@ def _polynomial_over_two_base_points() -> Polynomial:
     )
 
 
-def _slice_verdict(law: str, instance: str, phi2_at_i0) -> bool:
-    """The verdict ``slice-reduction`` records for ``law`` when it draws the
-    identity on ``_polynomial_over_two_base_points`` as its parallel pair,
-    and its fibre cell over (i0, j) is swapped for a valid cell with the same
-    endpoints and vertex, whose map to the source arities is
-    ``phi2_at_i0``."""
-    phi = identity_cell(_polynomial_over_two_base_points())
-
-    def reduce(cell):
-        cells = slice_reduce_cell(cell)
-        if cell is phi:
-            c = cells[("i0", "j")]
-            phi2 = FinMap(c.dphi, c.src.B, phi2_at_i0)
-            cells[("i0", "j")] = PolyMorphism(c.src, c.dst, c.dphi, c.phi0, c.phi1, phi2)
-        return cells
-
-    with mock.patch.object(generators, "rand_parallel_pair", return_value=(phi, phi)), \
-            mock.patch.object(suites, "slice_reduce_cell", reduce):
-        rep = run_suite("slice-reduction", InstanceGenConfig(seed=0, count=1, max_set_size=2))
+def _suite_verdict(suite: str, law: str, instance: str, *patches) -> bool:
+    """The verdict ``suite`` records for ``law`` on ``instance`` at seed 0,
+    count 1 and size 2, run under the mock ``patches``."""
+    with ExitStack() as stack:
+        for patch in patches:
+            stack.enter_context(patch)
+        rep = run_suite(suite, InstanceGenConfig(seed=0, count=1, max_set_size=2))
     [status] = [r["status"] for r in rep.records if (r["law"], r["instance"]) == (law, instance)]
     return status == "pass"
 
 
+def _slice_verdict(law: str, instance: str, sigma: dict) -> bool:
+    """The verdict ``slice-reduction`` records for ``law`` when every cell it
+    draws is the identity on ``_polynomial_over_two_base_points``, and in
+    every cell it reduces, the fibre cell over (i0, j) is swapped for a
+    valid cell with the same endpoints and vertex whose map to the source
+    arities is followed by ``sigma``."""
+    phi = identity_cell(_polynomial_over_two_base_points())
+
+    def reduce(cell):
+        cells = slice_reduce_cell(cell)
+        c = cells[("i0", "j")]
+        phi2 = FinMap(c.dphi, c.src.B, {e: sigma[b] for e, b in c.phi2.pairs})
+        cells[("i0", "j")] = PolyMorphism(c.src, c.dst, c.dphi, c.phi0, c.phi1, phi2)
+        return cells
+
+    return _suite_verdict(
+        "slice-reduction", law, instance,
+        mock.patch.object(generators, "rand_parallel_pair", return_value=(phi, phi)),
+        mock.patch.object(generators, "rand_morphism", return_value=phi),
+        mock.patch.object(suites, "slice_reduce_cell", reduce),
+    )
+
+
+SWAP = {"b0": "b1", "b1": "b0"}
+
+
 def _fibre_cell_swapped_for_another() -> bool:
     # the arities over (i0, j) swapped: still a cell, but not the one reduced
-    return _slice_verdict("slice-roundtrip", "inst0-cell", {"b0": "b1", "b1": "b0"})
+    return _slice_verdict("slice-roundtrip", "inst0-cell", SWAP)
 
 
 def _fibre_cell_swapped_for_a_non_cartesian_one() -> bool:
     # both vertex elements over (i0, j) sent to b0: the reduced cell is
     # cartesian, one of its fibre cells is not
     return _slice_verdict("slice-cartesian-iff", "inst0", {"b0": "b0", "b1": "b0"})
+
+
+def _fibre_cells_that_compose_to_another() -> bool:
+    # each reduced cell swapped over (i0, j): the composite's fibre cell is
+    # swapped once, the composite of the fibre cells twice, which is no swap
+    return _slice_verdict("slice-functorial", "inst0", SWAP)
+
+
+def _two_arities_over_one_operation():
+    """``P = {b0, b1} -> {a}`` and the invertible cell ``P => P`` that
+    swaps its two arities."""
+    P = from_map(FinMap.constant(FinSet(["b0", "b1"]), FinSet(["a"]), "a"))
+    return P, cell_from_square(P, P, FinMap(P.B, P.B, SWAP), FinMap.identity(P.A))
+
+
+def _vcomp_associative_verdict(twist: bool) -> bool:
+    """The verdict ``bicategory-laws`` records for ``vcomp-associative`` when
+    every cell it draws is the identity on ``P``, every family has the
+    fibre {x, y}, and, if ``twist``, a vertical composite whose inner cell
+    is itself a composite is followed by the swap of ``P``'s arities.  Of
+    the two bracketings only ``outer . (inner . third)`` is such a composite."""
+    P, swap = _two_arities_over_one_operation()
+    composites = []
+
+    def composite(psi, phi):
+        cell = v_comp(psi, phi)
+        if twist and any(phi is c for c in composites):
+            cell = v_comp(swap, cell)
+        composites.append(cell)
+        return cell
+
+    return _suite_verdict(
+        "bicategory-laws", "vcomp-associative", "inst0",
+        mock.patch.object(generators, "rand_morphism", return_value=identity_cell(P)),
+        mock.patch.object(
+            generators, "rand_family",
+            lambda rng, index, *args, **kwargs: FinFamily(index, {i: FinSet(["x", "y"]) for i in index}),
+        ),
+        mock.patch.object(suites, "v_comp", composite),
+    )
+
+
+def _bracketings_that_extend_differently() -> bool:
+    return _vcomp_associative_verdict(twist=True)
+
+
+def _triangle_verdict(twist: bool) -> bool:
+    """``triangle_check`` on ``P`` and the identity on a point, with the left
+    unitor of ``P`` followed, if ``twist``, by the swap of its arities."""
+    P, swap = _two_arities_over_one_operation()
+    g = from_map(FinMap.identity(FinSet(["c"])))
+    twisted = (lambda F: v_comp(swap, lunitor(F))) if twist else lunitor
+    with mock.patch.object(poly2, "lunitor", twisted):
+        return triangle_check(P, g)["ok"]
+
+
+def _triangle_with_a_twisted_unitor() -> bool:
+    return _triangle_verdict(twist=True)
+
+
+def _adjustments_into_a_target_that_is_not_cartesian() -> bool:
+    # every map of the two-element vertex to itself lies over the one
+    # arity: four adjustments, not one
+    phi = _cell_with_two_vertex_elements_over_one_arity()
+    return codiscreteness_check(phi, phi)["ok"]
 
 
 REFUTATIONS = {
@@ -224,6 +312,11 @@ REFUTATIONS = {
     "internal-category-laws": _category_with_constant_composition,
     "slice-roundtrip": _fibre_cell_swapped_for_another,
     "slice-cartesian-iff": _fibre_cell_swapped_for_a_non_cartesian_one,
+    "slice-functorial": _fibre_cells_that_compose_to_another,
+    "vcomp-associative": _bracketings_that_extend_differently,
+    "triangle": _triangle_with_a_twisted_unitor,
+    "unique-adjustment": _adjustments_into_a_target_that_is_not_cartesian,
+    "local-codiscreteness": _adjustments_into_a_target_that_is_not_cartesian,
 }
 
 
@@ -255,5 +348,11 @@ def test_the_hand_built_inputs_also_admit_a_true_answer():
     G, F, trace, _ = _trace_with_a_square_that_is_not_a_pullback()
     assert _holds(PolyError, lambda: trace.validate(G, F))
     assert _holds(InternalCatError, lambda: internal_full_subcat(two.source))
-    for law, instance in (("slice-roundtrip", "inst0-cell"), ("slice-cartesian-iff", "inst0")):
+    for law, instance in (
+        ("slice-roundtrip", "inst0-cell"), ("slice-cartesian-iff", "inst0"), ("slice-functorial", "inst0"),
+    ):
         assert _slice_verdict(law, instance, {"b0": "b0", "b1": "b1"})
+    assert _vcomp_associative_verdict(twist=False)
+    assert _triangle_verdict(twist=False)
+    phi, psi = generators.rand_parallel_pair(random.Random(0), 2)
+    assert codiscreteness_check(phi, psi)["ok"]
