@@ -61,6 +61,7 @@ from .poly import (
     extend,
     from_map,
     identity_poly,
+    _shared_builds,
 )
 from .poly2 import (
     Adjustment,
@@ -418,6 +419,7 @@ class PolynomialPseudomonad:
     def is_strict_monad(self) -> bool:
         return self.strict_assoc and self.strict_left and self.strict_right
 
+    @_shared_builds()
     def pasting_report(self) -> dict:
         """The two coherence equations for the pseudomonad adjustments,
         checked as literal equalities of composite vertex maps.
@@ -453,6 +455,7 @@ class PolynomialPseudomonad:
 
         return {"associativity_pasting": assoc_ok, "unit_pasting": unit_ok, "ok": assoc_ok and unit_ok}
 
+    @_shared_builds()
     def pseudoalgebra(self) -> PolynomialPseudoalgebra:
         """The universe's product structure as a pseudoalgebra over this
         pseudomonad, in the arrow 2-category."""
@@ -515,6 +518,7 @@ def monad_law_cells(u: Universe) -> dict:
     }
 
 
+@_shared_builds()
 def pseudomonad_from(u: Universe) -> PolynomialPseudomonad:
     cells = monad_law_cells(u)
     assoc = _law_adjustment(cells["assoc_lhs"], cells["assoc_rhs"])
@@ -557,6 +561,7 @@ class PolynomialPseudoalgebra:
     def is_strict(self) -> bool:
         return self.strict_sigma and self.strict_tau
 
+    @_shared_builds()
     def pasting_report(self) -> dict:
         """The two coherence equations for the pseudoalgebra adjustments,
         checked as literal equalities of composite vertex maps between
@@ -597,14 +602,17 @@ def _square_adjustment(x: Square, y: Square) -> Adjustment:
 
 # Delegations kept only because the `models` benchmark workload calls them
 # (perfbench/workloads.py); they go when that workload next changes.
+@_shared_builds()
 def pseudomonad_pasting_report(u: Universe) -> dict:
     return pseudomonad_from(u).pasting_report()
 
 
+@_shared_builds()
 def pseudoalgebra_from(u: Universe) -> PolynomialPseudoalgebra:
     return pseudomonad_from(u).pseudoalgebra()
 
 
+@_shared_builds()
 def pseudoalgebra_pasting_report(u: Universe) -> dict:
     return pseudoalgebra_from(u).pasting_report()
 

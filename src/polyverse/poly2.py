@@ -51,6 +51,7 @@ from .poly import (
     identity_poly,
     slice_reduce,
     slice_unreduce,
+    _shared_builds,
 )
 
 
@@ -407,6 +408,7 @@ def associator(f: Polynomial, g: Polynomial, h: Polynomial) -> PolyMorphism:
     return cell_from_square(hg_f, h_gf, top, bot)
 
 
+@_shared_builds()
 def pentagon_check(
     f: Polynomial, g: Polynomial, h: Polynomial, k: Polynomial, cap: int | None = None
 ) -> dict:
@@ -435,6 +437,7 @@ def pentagon_check(
     }
 
 
+@_shared_builds()
 def triangle_check(f: Polynomial, g: Polynomial, cap: int | None = None) -> dict:
     """The unitor triangle for a composable pair of one-to-one polynomials.
     ``cap`` works as in ``pentagon_check``, and for the same reason."""

@@ -33,6 +33,7 @@ from .poly import (
     extension_composition_iso,
     slice_reduce,
     slice_unreduce,
+    _shared_builds,
 )
 from .poly2 import (
     Adjustment,
@@ -216,12 +217,14 @@ def _estimate_composite(G, F) -> int:
 
 @contextmanager
 def _skip_over_cap(rep: Report, name: str, law: str):
-    """Run one instance's checks; over the cap, their records move to ``name``
-    and a skip under ``law`` follows.  The block records ``law`` after its last
-    enumeration, so no law is both checked and skipped for one instance."""
+    """Run one instance's checks, sharing their composites and extensions;
+    over the cap, their records move to ``name`` and a skip under ``law``
+    follows.  The block records ``law`` after its last enumeration, so no law
+    is both checked and skipped for one instance."""
     mark = len(rep.records)
     try:
-        yield
+        with _shared_builds():
+            yield
     except EnumerationCapExceeded as exc:
         for r in rep.records[mark:]:
             r["instance"] = name

@@ -3,7 +3,11 @@ import random
 
 import pytest
 
-from polyverse.finset import FamilyMorphism, FinFamily, FinMap, FinSet, TERMINAL, enumeration_cap, pullback
+from polyverse import poly
+from polyverse.finset import (
+    EnumerationCapExceeded, FamilyMorphism, FinFamily, FinMap, FinSet, TERMINAL, enumeration_cap, pullback,
+)
+from polyverse.naturalmodel import mk_skewed_universe, pseudomonad_from
 from polyverse.poly import (
     Polynomial,
     PolyError,
@@ -19,6 +23,8 @@ from polyverse.poly import (
     slice_reduce,
     slice_unreduce,
 )
+from polyverse.poly2 import pentagon_check, triangle_check
+from polyverse.suites import InstanceGenConfig, run_suite
 from polyverse.generators import (
     rand_composable_pair,
     rand_family,
@@ -373,3 +379,90 @@ class TestSliceReduce:
                         prod *= len(parts)
                     total += prod
                 assert total == len(E.fibre(j))
+
+
+def _quad(seed):
+    rng = random.Random(seed)
+    return [rand_polynomial(rng, 2, one_to_one=True) for _ in range(4)]
+
+
+def _wide_pair():
+    """G with three arities over one operation after F with four operations:
+    the composite has 4**3 = 64 operations."""
+    F = from_map(FinMap.identity(FinSet(["a0", "a1", "a2", "a3"])))
+    G = from_map(FinMap.constant(FinSet(["d0", "d1", "d2"]), FinSet(["c"]), "c"))
+    return G, F
+
+
+class TestOneBuildPerCheck:
+    """Inside a check, ``compose`` and ``extend`` build each result once per
+    distinct arguments and cap; the table goes when the check returns."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        # the argument tuples each private builder was run on
+        calls = {"_compose": [], "_extend": []}
+        for name, seen in calls.items():
+            original = getattr(poly, name)
+
+            def counted(*args, _original=original, _seen=seen):
+                _seen.append(args)
+                return _original(*args)
+
+            monkeypatch.setattr(poly, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("check, args", [
+        (pentagon_check, _quad(17)),
+        (triangle_check, _quad(17)[:2]),
+        (pseudomonad_from, [mk_skewed_universe()]),
+    ], ids=["pentagon", "triangle", "pseudomonad"])
+    def test_each_distinct_pair_is_composed_once(self, built, check, args):
+        shared = check(*args)
+        pairs = built["_compose"][:]
+        assert pairs and len(pairs) == len(set(pairs))
+        # ``__wrapped__`` runs the check outside any table, so every call builds
+        built["_compose"].clear()
+        assert check.__wrapped__(*args) == shared
+        assert len(built["_compose"]) > len(pairs) and set(built["_compose"]) == set(pairs)
+
+    def test_shared_results_equal_unshared_ones(self, built):
+        rng = random.Random(5)
+        for _ in range(6):
+            F, G = rand_composable_pair(rng, 2)
+            X = rand_family(rng, F.I, 2)
+            built["_extend"].clear()
+            with poly._shared_builds():
+                GF = compose(G, F)
+                iso = extension_composition_iso(G, F, X)
+                assert compose(G, F) is GF
+                assert extension_composition_iso(G, F, X) == iso
+            # the extensions of F and G.F at X, and of G at F's
+            assert len(built["_extend"]) == 3
+            assert GF == poly._compose(G, F)
+            assert iso == extension_composition_iso(G, F, X)
+
+    def test_no_table_outlives_a_check(self):
+        f, g, h, k = _quad(17)
+        pentagon_check(f, g, h, k)
+        assert poly._BUILT.get() is None
+        with enumeration_cap(1), pytest.raises(EnumerationCapExceeded):
+            pentagon_check(f, g, h, k)
+        assert poly._BUILT.get() is None
+        with pytest.raises(EnumerationCapExceeded):
+            with poly._shared_builds():
+                with enumeration_cap(5):
+                    compose(*_wide_pair())
+        assert poly._BUILT.get() is None
+        # a suite opens one table per instance
+        run_suite("coherence", InstanceGenConfig(seed=0, count=1, max_set_size=2))
+        assert poly._BUILT.get() is None
+
+    def test_a_lower_nested_cap_still_refuses(self):
+        G, F = _wide_pair()
+        with poly._shared_builds():
+            with enumeration_cap(100_000):
+                GF, _ = compose(G, F)
+            assert len(GF.A) == 64
+            with enumeration_cap(50), pytest.raises(EnumerationCapExceeded, match=r"\(cap 50\)"):
+                compose(G, F)

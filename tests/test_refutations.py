@@ -6,12 +6,15 @@ that holds, so the golden digests cannot tell the two apart.  Each entry of
 input by hand on which the decider that settles that law answers false.
 For a theorem (the pasting laws, for instance) the entry refutes the
 decider on inputs outside the theorem's hypotheses, not the law itself.
-Where the decider is a suite's own comparison (the slice laws and
-``vcomp-associative``), the entry runs the suite with the hand-built input
-in place of its draw.  Where a theorem's decider has no input outside its
-hypotheses (``triangle``, ``vcomp-associative``), a construction it calls is
-patched to a valid cell that breaks the theorem: a composite or unitor
-followed by the swap of two arities.
+Where the decider is a suite's own comparison (the slice laws,
+``vcomp-associative`` and the three laws of ``extension-composition``), the
+entry runs the suite with the hand-built input in place of its draw.  Where
+a theorem's decider has no input outside its hypotheses (``triangle``,
+``vcomp-associative``, ``composite-matches-direct`` and the extension
+bijection's two laws), a construction it calls is patched to a valid one
+that breaks the theorem: a composite or unitor followed by the swap of two
+arities, a direct composite whose operations trade arities, or extension
+bijections followed by the swap of two elements.
 """
 
 import random
@@ -22,13 +25,13 @@ from unittest import mock
 import pytest
 
 from polyverse import generators, poly2, suites
-from polyverse.finset import FinFamily, FinMap, FinSet, Square
+from polyverse.finset import FamilyMorphism, FinFamily, FinMap, FinSet, Square
 from polyverse.internalcat import InternalCatError, InternalFunctor, internal_full_subcat
 from polyverse.naturalmodel import (
     Universe, UniverseError, _paths_agree, mk_bool_universe, mk_skewed_universe,
     sigma_structure, validate_universe, verify_type_isos,
 )
-from polyverse.poly import PolyError, Polynomial, compose, from_map
+from polyverse.poly import PolyError, Polynomial, compose, compose_direct, extension_composition_iso, from_map
 from polyverse.poly2 import (
     Adjustment, PolyMorphism, cell_from_square, codiscreteness_check, identity_cell, lunitor,
     slice_reduce_cell, triangle_check, v_comp,
@@ -296,6 +299,70 @@ def _adjustments_into_a_target_that_is_not_cartesian() -> bool:
     return codiscreteness_check(phi, phi)["ok"]
 
 
+def _family_of_xy(rng, index, *args, **kwargs) -> FinFamily:
+    return FinFamily(index, {i: FinSet(["x", "y"]) for i in index})
+
+
+def _constant_at_x(rng, X, *args, **kwargs) -> FamilyMorphism:
+    return FamilyMorphism(X, X, {i: FinMap.constant(X.fibre(i), X.fibre(i), "x") for i in X.index})
+
+
+def _extension_composition_verdict(law: str, direct=compose_direct, iso=extension_composition_iso) -> bool:
+    """The verdict ``extension-composition`` records for ``law`` when it draws
+    only ``F = {b0 -> a0, b1 -> a1}`` and ``G = {d} -> {c}``, every family
+    has the fibre {x, y}, every family morphism is constant at x, and the
+    suite's direct composite is ``direct`` and its extension bijections
+    ``iso``."""
+    F = from_map(FinMap(FinSet(["b0", "b1"]), FinSet(["a0", "a1"]), {"b0": "a0", "b1": "a1"}))
+    G = from_map(FinMap.constant(FinSet(["d"]), FinSet(["c"]), "c"))
+    return _suite_verdict(
+        "extension-composition", law, "pair0",
+        mock.patch.object(generators, "rand_composable_pair", return_value=(F, G)),
+        mock.patch.object(generators, "rand_family", _family_of_xy),
+        mock.patch.object(generators, "rand_family_morphism", _constant_at_x),
+        mock.patch.object(suites, "compose_direct", direct),
+        mock.patch.object(suites, "extension_composition_iso", iso),
+    )
+
+
+def _swap_first_two(Y: FinSet) -> FinMap:
+    x, y = Y.elements[:2]
+    return FinMap(Y, Y, {**{z: z for z in Y}, x: y, y: x})
+
+
+def _fibrewise_swap(X: FinFamily) -> FamilyMorphism:
+    return FamilyMorphism(X, X, {i: _swap_first_two(Y) for i, Y in X.fibres})
+
+
+def _composite_with_its_operations_swapped() -> bool:
+    # the direct composite's two operations trade arities
+    def twisted(G, F):
+        GF = compose_direct(G, F)
+        return replace(GF, f=_swap_first_two(GF.A).after(GF.f))
+
+    return _extension_composition_verdict("composite-matches-direct", direct=twisted)
+
+
+def _round_trip_through_a_swap() -> bool:
+    # forwards then swapped, backwards as before: not the identity
+    def iso(G, F, X):
+        fwd, bwd = extension_composition_iso(G, F, X)
+        return _fibrewise_swap(fwd.dst).after(fwd), bwd
+
+    return _extension_composition_verdict("extension-composite-bijection", iso=iso)
+
+
+def _bijection_through_a_swap() -> bool:
+    # swapped both ways: still inverse bijections, but the constant map at x
+    # does not commute with the swap
+    def iso(G, F, X):
+        fwd, bwd = extension_composition_iso(G, F, X)
+        swap = _fibrewise_swap(fwd.dst)
+        return swap.after(fwd), bwd.after(swap)
+
+    return _extension_composition_verdict("extension-composite-naturality", iso=iso)
+
+
 REFUTATIONS = {
     "lift-preserves-pullbacks": _square_that_is_not_a_pullback,
     "lift-unit-mult-squares": _square_that_is_not_a_pullback,
@@ -317,6 +384,9 @@ REFUTATIONS = {
     "triangle": _triangle_with_a_twisted_unitor,
     "unique-adjustment": _adjustments_into_a_target_that_is_not_cartesian,
     "local-codiscreteness": _adjustments_into_a_target_that_is_not_cartesian,
+    "composite-matches-direct": _composite_with_its_operations_swapped,
+    "extension-composite-bijection": _round_trip_through_a_swap,
+    "extension-composite-naturality": _bijection_through_a_swap,
 }
 
 
@@ -354,5 +424,7 @@ def test_the_hand_built_inputs_also_admit_a_true_answer():
         assert _slice_verdict(law, instance, {"b0": "b0", "b1": "b1"})
     assert _vcomp_associative_verdict(twist=False)
     assert _triangle_verdict(twist=False)
+    for law in ("composite-matches-direct", "extension-composite-bijection", "extension-composite-naturality"):
+        assert _extension_composition_verdict(law)
     phi, psi = generators.rand_parallel_pair(random.Random(0), 2)
     assert codiscreteness_check(phi, psi)["ok"]
