@@ -12,6 +12,13 @@ cartesian morphism with the chosen pullback as vertex.  Cells are checked
 and built on positions: squares commute when images agree, and maps into a
 vertex are read off the chosen pullback's projections, not looked up by label.
 
+A cell made with ``PolyMorphism(...)`` (from JSON, the generators or a
+caller) is checked in full.  ``cell_from_square`` (once its square is
+checked), ``v_comp`` and ``identity_cell`` build cells that are valid by
+construction from checked parts, and build them unchecked through
+``PolyMorphism._of``; so does everything built on ``cell_from_square``.
+Slice fibre cells and the cells glued from them stay checked.
+
 An adjustment between parallel morphisms is a map of vertices over B.
 Between any parallel pair with cartesian target there is exactly one, with
 closed form ``psi2^-1 . phi2``; the exhaustive search agreeing with that
@@ -99,6 +106,13 @@ class PolyMorphism:
         if not is_pullback_cone(self.phi0, G.f, self.r, self.phi1):
             raise CellPullbackError("lower square is not a pullback")
 
+    @classmethod
+    def _of(cls, src, dst, dphi, phi0, phi1, phi2) -> "PolyMorphism":
+        """Build from data that forms a cell by construction, without checks."""
+        cell = object.__new__(cls)
+        cell.__dict__.update(src=src, dst=dst, dphi=dphi, phi0=phi0, phi1=phi1, phi2=phi2)
+        return cell
+
     @cached_property
     def r(self) -> FinMap:
         """The horizontal edge of the lower square, ``f . phi2``."""
@@ -126,7 +140,7 @@ class PolyMorphism:
 
 def identity_cell(F: Polynomial) -> PolyMorphism:
     i = FinMap.identity(F.B)
-    return PolyMorphism(F, F, F.B, FinMap.identity(F.A), i, i)
+    return PolyMorphism._of(F, F, F.B, FinMap.identity(F.A), i, i)
 
 
 def cell_from_square(F: Polynomial, G: Polynomial, top: FinMap, bot: FinMap) -> PolyMorphism:
@@ -147,7 +161,7 @@ def cell_from_square(F: Polynomial, G: Polynomial, top: FinMap, bot: FinMap) -> 
     dphi, proj_a, proj_d = pullback(bot, G.f)
     comparison = {ad: k for k, ad in enumerate(zip(F.f.img, top.img))}
     phi2 = FinMap._of(dphi, F.B, tuple(map(comparison.__getitem__, zip(proj_a.img, proj_d.img))))
-    return PolyMorphism(F, G, dphi, bot, proj_d, phi2)
+    return PolyMorphism._of(F, G, dphi, bot, proj_d, phi2)
 
 
 def canon(phi: PolyMorphism) -> PolyMorphism:
@@ -196,7 +210,7 @@ def v_comp(psi: PolyMorphism, phi: PolyMorphism) -> PolyMorphism:
     # positions: (a, l) -> psi's vertex over (phi0(a), l) -> phi's vertex over a -> F.B
     ops, psi2, phi2, psi_fill, phi_fill = phi.phi0.img, psi.phi2.img, phi.phi2.img, psi._fill, phi._fill
     img = [phi2[phi_fill[a, psi2[psi_fill[ops[a], l]]]] for a, l in zip(proj_a.img, proj_l.img)]
-    return PolyMorphism(F, H, vertex, phi0, proj_l, FinMap._of(vertex, F.B, tuple(img)))
+    return PolyMorphism._of(F, H, vertex, phi0, proj_l, FinMap._of(vertex, F.B, tuple(img)))
 
 
 def vcomp_chain(*cells: PolyMorphism) -> PolyMorphism:

@@ -10,8 +10,10 @@ of representation underneath.
 
 import hashlib
 import time
+from unittest import mock
 
 from polyverse import interchange as io
+from polyverse.poly2 import PolyMorphism
 from polyverse.suites import InstanceGenConfig, run_suite
 
 # SHA-256 of io.dumps(report.to_jsonable()) at each acceptance config
@@ -28,9 +30,27 @@ GOLDEN = {
 }
 
 
-def _run(criterion, name, cfg, budget_seconds):
+# each criterion's acceptance config
+CONFIGS = {
+    "extension-composition": InstanceGenConfig(seed=42, count=50, max_set_size=3),
+    "unique-adjustment": InstanceGenConfig(seed=7, count=100, max_set_size=3),
+    "coherence": InstanceGenConfig(seed=11, count=20, max_set_size=3),
+    "internal-equiv": InstanceGenConfig(seed=3, count=20, max_set_size=2),
+    "pseudomonad": InstanceGenConfig(seed=1, count=2, max_set_size=3),
+    "pseudoalgebra": InstanceGenConfig(seed=1, count=2, max_set_size=3),
+    "type-isos": InstanceGenConfig(seed=1, count=2, max_set_size=3),
+    "lift": InstanceGenConfig(seed=9, count=30, max_set_size=2),
+    "slice-reduction": InstanceGenConfig(seed=2, count=30, max_set_size=3),
+}
+
+
+def _digest(rep) -> str:
+    return hashlib.sha256(io.dumps(rep.to_jsonable()).encode("utf-8")).hexdigest()
+
+
+def _run(criterion, name, budget_seconds):
     start = time.perf_counter()
-    rep = run_suite(name, cfg)
+    rep = run_suite(name, CONFIGS[name])
     elapsed = time.perf_counter() - start
     ok = rep.failed == 0 and rep.passed > 0
     print(
@@ -40,8 +60,7 @@ def _run(criterion, name, cfg, budget_seconds):
     )
     assert ok, [r for r in rep.records if r["status"] == "fail"]
     assert elapsed < budget_seconds, f"ran {elapsed:.1f}s, budget {budget_seconds}s"
-    digest = hashlib.sha256(io.dumps(rep.to_jsonable()).encode("utf-8")).hexdigest()
-    assert digest == GOLDEN[name], f"report of {name} differs from its golden digest"
+    assert _digest(rep) == GOLDEN[name], f"report of {name} differs from its golden digest"
     return rep
 
 
@@ -52,10 +71,7 @@ def _passes(rep, law):
 def test_criterion_1_extension_composition():
     # >= 50 seeded pairs, all sets <= 3, >= 3 families each, naturality
     # against >= 2 fibrewise maps per instance, bijections exact
-    rep = _run(
-        1, "extension-composition",
-        InstanceGenConfig(seed=42, count=50, max_set_size=3), 60,
-    )
+    rep = _run(1, "extension-composition", 60)
     assert _passes(rep, "extension-composite-bijection") >= 50
     assert _passes(rep, "extension-composite-naturality") >= 50
 
@@ -63,20 +79,14 @@ def test_criterion_1_extension_composition():
 def test_criterion_2_unique_adjustment():
     # >= 100 seeded parallel pairs with cartesian target and vertex <= 4:
     # exhaustive search finds exactly one adjustment, the closed form
-    rep = _run(
-        2, "unique-adjustment",
-        InstanceGenConfig(seed=7, count=100, max_set_size=3), 30,
-    )
+    rep = _run(2, "unique-adjustment", 30)
     assert _passes(rep, "unique-adjustment") >= 100
 
 
 def test_criterion_3_coherence():
     # pentagon and triangle as literal map equalities on >= 20 seeded
     # instances of one-to-one polynomials with sets <= 3
-    rep = _run(
-        3, "coherence",
-        InstanceGenConfig(seed=11, count=20, max_set_size=3), 120,
-    )
+    rep = _run(3, "coherence", 120)
     assert _passes(rep, "pentagon") >= 20
     assert _passes(rep, "triangle") >= 20
 
@@ -84,10 +94,7 @@ def test_criterion_3_coherence():
 def test_criterion_4_internal_categories():
     # category laws, functoriality, full-and-faithfulness and the four-way
     # equivalence, exhaustively on >= 20 seeded instances with |B| <= 4
-    rep = _run(
-        4, "internal-equiv",
-        InstanceGenConfig(seed=3, count=20, max_set_size=2), 60,
-    )
+    rep = _run(4, "internal-equiv", 60)
     assert _passes(rep, "internal-category-laws") >= 20
     assert _passes(rep, "four-way-equivalence") >= 20
 
@@ -96,9 +103,8 @@ def test_criterion_5_pseudomonad_pseudoalgebra():
     # the two built-in universes: one strict everywhere, one with a broken
     # strict right unit but a unique invertible adjustment, and all pasting
     # equations holding after substitution
-    cfg = InstanceGenConfig(seed=1, count=2, max_set_size=3)
-    rep_m = _run(5, "pseudomonad", cfg, 30)
-    rep_a = _run(5, "pseudoalgebra", cfg, 30)
+    rep_m = _run(5, "pseudomonad", 30)
+    rep_a = _run(5, "pseudoalgebra", 30)
     assert _passes(rep_m, "strictness-profile") == 2
     assert _passes(rep_m, "pseudomonad-pasting") == 2
     assert _passes(rep_m, "corrupted-universe-rejected") == 1
@@ -111,7 +117,7 @@ def test_criterion_6_type_isomorphisms():
     # the exhaustive space of code choices
     from polyverse.naturalmodel import mk_bool_universe, mk_skewed_universe, verify_type_isos
 
-    rep = _run(6, "type-isos", InstanceGenConfig(seed=1, count=2, max_set_size=3), 10)
+    rep = _run(6, "type-isos", 10)
     assert _passes(rep, "type-isomorphisms") == 2
     for u in (mk_bool_universe(), mk_skewed_universe()):
         summary = verify_type_isos(u)
@@ -123,7 +129,7 @@ def test_criterion_6_type_isomorphisms():
 def test_criterion_7_lift():
     # identities, composites and pullback preservation on >= 30 seeded
     # cartesian squares; unit and multiplication squares are pullbacks
-    rep = _run(7, "lift", InstanceGenConfig(seed=9, count=30, max_set_size=2), 60)
+    rep = _run(7, "lift", 60)
     assert _passes(rep, "lift-preserves-pullbacks") >= 30
     assert _passes(rep, "lift-unit-mult-squares") >= 30
     assert _passes(rep, "lift-monad-laws") >= 30
@@ -132,10 +138,7 @@ def test_criterion_7_lift():
 def test_criterion_8_slice_reduction():
     # reduction and its inverse round-trip on >= 30 seeded polynomials and
     # morphisms with general endpoints, preserving cartesianness both ways
-    rep = _run(
-        8, "slice-reduction",
-        InstanceGenConfig(seed=2, count=30, max_set_size=3), 30,
-    )
+    rep = _run(8, "slice-reduction", 30)
     assert _passes(rep, "slice-roundtrip") >= 60
     assert _passes(rep, "slice-cartesian-iff") >= 30
 
@@ -154,3 +157,12 @@ def test_criterion_9_determinism():
         ok = ok and a == b
     print(f"{'PASS' if ok else 'FAIL'} criterion 9: byte-identical reports")
     assert ok
+
+
+def test_goldens_hold_with_every_cell_checked():
+    # the cells the library trusts (from cell_from_square, v_comp and
+    # identity_cell) go through the checked constructor instead: it must
+    # accept every one of them, and no report byte may move
+    with mock.patch.object(PolyMorphism, "_of", staticmethod(PolyMorphism)):
+        for name, cfg in CONFIGS.items():
+            assert _digest(run_suite(name, cfg)) == GOLDEN[name], name

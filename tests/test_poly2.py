@@ -698,3 +698,72 @@ class TestPositionsAgreeWithLabels:
             for top in [_moved(rng, sq.top) for _ in range(3) if len(sq.top.dom)]:
                 got = _outcome(lambda: Square(sq.src, sq.dst, top, sq.bot) and None)
                 assert got == _outcome(lambda: check_square_on_labels(sq.src, sq.dst, top, sq.bot))
+
+
+class TestTrustedCellsPassTheChecks:
+    """Every cell built through ``PolyMorphism._of``, without checks, is one
+    the checked constructor accepts: rebuilding it through ``PolyMorphism(...)``
+    does not raise and gives an equal cell."""
+
+    @pytest.fixture
+    def trusted(self, monkeypatch):
+        """The cells built through ``_of`` while the test runs."""
+        cells, build = [], PolyMorphism._of
+
+        def recording(*args):
+            cells.append(build(*args))
+            return cells[-1]
+
+        monkeypatch.setattr(PolyMorphism, "_of", recording)
+        return cells
+
+    @staticmethod
+    def _assert_rebuilt(cells):
+        assert cells
+        for x in cells:
+            assert PolyMorphism(x.src, x.dst, x.dphi, x.phi0, x.phi1, x.phi2) == x
+
+    def test_random_morphisms(self, trusted):
+        rng = random.Random(41)
+        for _ in range(30):
+            outer = rand_morphism(rng, 3)
+            inner = rand_morphism(rng, 3, target=outer.src)
+            third = rand_morphism(rng, 3, target=inner.src)
+            v_comp(v_comp(outer, inner), third)
+            v_comp(outer, v_comp(inner, third))
+            identity_cell(inner.src)
+            runitor(inner.src)
+            lunitor(inner.src)
+            cart = rand_morphism(rng, 3, cartesian=True)
+            cell_from_square(cart.src, cart.dst, cart.square_top(), cart.phi0)
+        self._assert_rebuilt(trusted)
+
+    def test_horizontal_composites(self, trusted):
+        rng = random.Random(42)
+        done = 0
+        while done < 10:
+            phi = rand_morphism(rng, 2, cartesian=True)
+            psi = rand_morphism(rng, 2, cartesian=True, target=rand_polynomial(rng, 2, I=phi.src.J))
+            try:
+                with enumeration_cap(3000):
+                    h_comp(psi, phi)
+                    whisker_left(psi.src, phi)
+                    whisker_right(psi, phi.src)
+            except EnumerationCapExceeded:
+                continue
+            done += 1
+        self._assert_rebuilt(trusted)
+
+    def test_coherence_quads(self, trusted):
+        rng = random.Random(11)
+        checked = 0
+        while checked < 6:
+            f, g, h, k = (rand_polynomial(rng, 2, one_to_one=True) for _ in range(4))
+            try:
+                with enumeration_cap(3000):
+                    pentagon_check(f, g, h, k)
+                    triangle_check(f, g)
+            except EnumerationCapExceeded:
+                continue
+            checked += 1
+        self._assert_rebuilt(trusted)

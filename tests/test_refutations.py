@@ -6,15 +6,17 @@ that holds, so the golden digests cannot tell the two apart.  Each entry of
 input by hand on which the decider that settles that law answers false.
 For a theorem (the pasting laws, for instance) the entry refutes the
 decider on inputs outside the theorem's hypotheses, not the law itself.
-Where the decider is a suite's own comparison (the slice laws,
-``vcomp-associative`` and the three laws of ``extension-composition``), the
-entry runs the suite with the hand-built input in place of its draw.  Where
-a theorem's decider has no input outside its hypotheses (``triangle``,
-``vcomp-associative``, ``composite-matches-direct`` and the extension
-bijection's two laws), a construction it calls is patched to a valid one
-that breaks the theorem: a composite or unitor followed by the swap of two
-arities, a direct composite whose operations trade arities, or extension
-bijections followed by the swap of two elements.
+Where the decider is a suite's own comparison (the slice laws, the four
+extension laws of ``bicategory-laws``, the three laws of
+``extension-composition`` and ``corrupted-adjustment-rejected``), the entry
+runs the suite with the hand-built input in place of its draw.  Where a
+theorem's decider has no input outside its hypotheses (``triangle``, the
+four extension laws of ``bicategory-laws``, ``composite-matches-direct``
+and the extension bijection's two laws), a construction it calls is patched
+to a valid one that breaks the theorem: a composite or unitor followed by
+the swap of two arities, an identity cell replaced by that swap, a direct
+composite whose operations trade arities, or extension bijections followed
+by the swap of two elements.
 """
 
 import random
@@ -33,7 +35,7 @@ from polyverse.naturalmodel import (
 )
 from polyverse.poly import PolyError, Polynomial, compose, compose_direct, extension_composition_iso, from_map
 from polyverse.poly2 import (
-    Adjustment, PolyMorphism, cell_from_square, codiscreteness_check, identity_cell, lunitor,
+    Adjustment, PolyMorphism, cell_from_square, codiscreteness_check, h_comp, identity_cell, lunitor,
     slice_reduce_cell, triangle_check, v_comp,
 )
 from polyverse.suites import LAWS, InstanceGenConfig, run_suite
@@ -247,13 +249,25 @@ def _two_arities_over_one_operation():
     return P, cell_from_square(P, P, FinMap(P.B, P.B, SWAP), FinMap.identity(P.A))
 
 
+def _bicategory_verdict(law: str, *patches) -> bool:
+    """The verdict ``bicategory-laws`` records for ``law`` when every cell it
+    draws is the identity on ``P`` and every family has the fibre {x, y},
+    run under the mock ``patches``."""
+    P, _ = _two_arities_over_one_operation()
+    return _suite_verdict(
+        "bicategory-laws", law, "inst0",
+        mock.patch.object(generators, "rand_morphism", return_value=identity_cell(P)),
+        mock.patch.object(generators, "rand_family", _family_of_xy),
+        *patches,
+    )
+
+
 def _vcomp_associative_verdict(twist: bool) -> bool:
-    """The verdict ``bicategory-laws`` records for ``vcomp-associative`` when
-    every cell it draws is the identity on ``P``, every family has the
-    fibre {x, y}, and, if ``twist``, a vertical composite whose inner cell
-    is itself a composite is followed by the swap of ``P``'s arities.  Of
-    the two bracketings only ``outer . (inner . third)`` is such a composite."""
-    P, swap = _two_arities_over_one_operation()
+    """The verdict ``bicategory-laws`` records for ``vcomp-associative`` when,
+    if ``twist``, a vertical composite whose inner cell is itself a composite
+    is followed by the swap of ``P``'s arities.  Of the two bracketings only
+    ``outer . (inner . third)`` is such a composite."""
+    _, swap = _two_arities_over_one_operation()
     composites = []
 
     def composite(psi, phi):
@@ -263,15 +277,38 @@ def _vcomp_associative_verdict(twist: bool) -> bool:
         composites.append(cell)
         return cell
 
-    return _suite_verdict(
-        "bicategory-laws", "vcomp-associative", "inst0",
-        mock.patch.object(generators, "rand_morphism", return_value=identity_cell(P)),
-        mock.patch.object(
-            generators, "rand_family",
-            lambda rng, index, *args, **kwargs: FinFamily(index, {i: FinSet(["x", "y"]) for i in index}),
-        ),
-        mock.patch.object(suites, "v_comp", composite),
-    )
+    return _bicategory_verdict("vcomp-associative", mock.patch.object(suites, "v_comp", composite))
+
+
+def _followed_by_a_swap(build):
+    """``build``, with each cell it returns followed by the swap of the first
+    two arities of the cell's target: a valid cell with the same endpoints."""
+
+    def twisted(psi, phi):
+        cell = build(psi, phi)
+        H = cell.dst
+        return v_comp(cell_from_square(H, H, _swap_first_two(H.B), FinMap.identity(H.A)), cell)
+
+    return twisted
+
+
+def _composite_followed_by_a_swap() -> bool:
+    # the vertical composite of two identities on P, followed by the swap of
+    # P's arities: its extension is not the composite of the two identities
+    return _bicategory_verdict("extension-functorial", mock.patch.object(suites, "v_comp", _followed_by_a_swap(v_comp)))
+
+
+def _identity_swapped_for_a_swap() -> bool:
+    # the identity cell on P is replaced by the swap of its arities, whose
+    # extension is not the identity
+    _, swap = _two_arities_over_one_operation()
+    return _bicategory_verdict("extension-identity", mock.patch.object(suites, "identity_cell", lambda F: swap))
+
+
+def _hcomp_followed_by_a_swap() -> bool:
+    # the horizontal composite of two identities on P, followed by the swap of
+    # two arities of P.P over its one operation
+    return _bicategory_verdict("hcomp-extension", mock.patch.object(suites, "h_comp", _followed_by_a_swap(h_comp)))
 
 
 def _bracketings_that_extend_differently() -> bool:
@@ -297,6 +334,33 @@ def _adjustments_into_a_target_that_is_not_cartesian() -> bool:
     # arity: four adjustments, not one
     phi = _cell_with_two_vertex_elements_over_one_arity()
     return codiscreteness_check(phi, phi)["ok"]
+
+
+def _corrupted_adjustment_verdict(valid_after_the_swap: bool) -> bool:
+    """The verdict ``coherence`` records for ``corrupted-adjustment-rejected``
+    when every parallel pair it draws is ``(phi, psi)``.  ``psi`` is the
+    cartesian cell from ``P`` to ``{d0, d1} -> {c0}`` with a second operation
+    ``c1`` of no arity.  ``phi`` is ``psi`` itself or, if
+    ``valid_after_the_swap``, the cell that sends ``a`` to ``c1``: its vertex
+    is empty, so the control's swap of two elements of ``psi``'s vertex
+    leaves the empty adjustment as it is."""
+    P, _ = _two_arities_over_one_operation()
+    G = from_map(FinMap(FinSet(["d0", "d1"]), FinSet(["c0", "c1"]), {"d0": "c0", "d1": "c0"}))
+    psi = cell_from_square(P, G, FinMap(P.B, G.B, {"b0": "d0", "b1": "d1"}), FinMap.constant(P.A, G.A, "c0"))
+    phi = psi
+    if valid_after_the_swap:
+        empty = FinSet()
+        phi = PolyMorphism(
+            P, G, empty, FinMap.constant(P.A, G.A, "c1"), FinMap(empty, G.B, {}), FinMap(empty, P.B, {}),
+        )
+    return _suite_verdict(
+        "coherence", "corrupted-adjustment-rejected", "control",
+        mock.patch.object(generators, "rand_parallel_pair", return_value=(phi, psi)),
+    )
+
+
+def _control_pair_whose_swap_stays_valid() -> bool:
+    return _corrupted_adjustment_verdict(valid_after_the_swap=True)
 
 
 def _family_of_xy(rng, index, *args, **kwargs) -> FinFamily:
@@ -387,6 +451,10 @@ REFUTATIONS = {
     "composite-matches-direct": _composite_with_its_operations_swapped,
     "extension-composite-bijection": _round_trip_through_a_swap,
     "extension-composite-naturality": _bijection_through_a_swap,
+    "extension-functorial": _composite_followed_by_a_swap,
+    "extension-identity": _identity_swapped_for_a_swap,
+    "hcomp-extension": _hcomp_followed_by_a_swap,
+    "corrupted-adjustment-rejected": _control_pair_whose_swap_stays_valid,
 }
 
 
@@ -423,6 +491,9 @@ def test_the_hand_built_inputs_also_admit_a_true_answer():
     ):
         assert _slice_verdict(law, instance, {"b0": "b0", "b1": "b1"})
     assert _vcomp_associative_verdict(twist=False)
+    for law in ("extension-functorial", "extension-identity", "hcomp-extension"):
+        assert _bicategory_verdict(law)
+    assert _corrupted_adjustment_verdict(valid_after_the_swap=False)
     assert _triangle_verdict(twist=False)
     for law in ("composite-matches-direct", "extension-composite-bijection", "extension-composite-naturality"):
         assert _extension_composition_verdict(law)
