@@ -110,11 +110,20 @@ def _guard(count: int, what: str) -> None:
         raise EnumerationCapExceeded(f"{what} would have {count} elements (cap {cap})")
 
 
+def _kept_hash(self) -> int:
+    """The hash of a frozen dataclass's fields, computed on first use and kept."""
+    kept = self.__dict__.get("_hash")
+    if kept is None:
+        kept = self.__dict__["_hash"] = hash(tuple([self.__dict__[k] for k in self.__dataclass_fields__]))
+    return kept
+
+
 @dataclass(frozen=True)
 class FinSet:
     """An ordered finite set of distinct labels."""
 
     elements: tuple
+    __hash__ = _kept_hash
 
     def __init__(self, elements: Iterable[Label] = ()):
         ordered = tuple(sorted(elements, key=label_key))
@@ -161,6 +170,7 @@ class FinMap:
     dom: FinSet
     cod: FinSet
     img: tuple
+    __hash__ = _kept_hash
 
     def __init__(self, dom: FinSet, cod: FinSet, assignment):
         if isinstance(assignment, (dict, Mapping)):
@@ -252,6 +262,7 @@ class FinFamily:
 
     index: FinSet
     fibres: tuple
+    __hash__ = _kept_hash
 
     def __init__(self, index: FinSet, fibres):
         items = fibres.items() if isinstance(fibres, (dict, Mapping)) else fibres

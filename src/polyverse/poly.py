@@ -26,6 +26,7 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import cached_property
 
 from .finset import (
     FamilyMorphism,
@@ -44,6 +45,7 @@ from .finset import (
     _CAP,
     _guard,
     _intern,
+    _kept_hash,
 )
 
 
@@ -62,6 +64,7 @@ class Polynomial:
     s: FinMap
     f: FinMap
     t: FinMap
+    __hash__ = _kept_hash
 
     def __post_init__(self):
         if self.s.dom != self.B or self.s.cod != self.I:
@@ -158,6 +161,13 @@ class CompositionTrace:
     dependent product of ``h``, ``e`` the recorded counit component at
     ``h``, ``N`` and ``M`` the middle objects of the composite, and
     ``n, p, q`` the structure maps.
+
+    ``h_comp`` and the associator read composites by position through these
+    maps, never by label: an operation of ``M`` is its outer operation
+    (``w``) with the ``Q`` positions its section picks (``q`` then ``e``, in
+    outer-arity order), a ``Q`` element the pair (``qa``, ``h``), a ``Qp``
+    element the pair (``q``, ``qp_d``) and an arity the pair (``n``, ``p``).
+    The ``*_at`` tables invert those readings.
     """
 
     Q: FinSet
@@ -172,6 +182,32 @@ class CompositionTrace:
     N: FinSet
     n: FinMap             # N -> B
     p: FinMap             # N -> Qp
+
+    @cached_property
+    def picks(self) -> list:
+        """For each operation position, the ``Q`` positions its section picks."""
+        e = self.e.img
+        return [tuple([e[x] for x in xs]) for xs in self.q._fibres]
+
+    @cached_property
+    def q_at(self) -> dict:
+        """``Q`` position of each (inner operation, outer arity) position pair."""
+        return {ad: i for i, ad in enumerate(zip(self.qa.img, self.h.img))}
+
+    @cached_property
+    def m_at(self) -> dict:
+        """``M`` position of each (outer operation position, picks) pair."""
+        return {cq: m for m, cq in enumerate(zip(self.w.img, self.picks))}
+
+    @cached_property
+    def qp_at(self) -> dict:
+        """``Qp`` position of each (operation, outer arity) position pair."""
+        return {md: x for x, md in enumerate(zip(self.q.img, self.qp_d.img))}
+
+    @cached_property
+    def n_at(self) -> dict:
+        """``N`` position of each (inner arity, ``Qp``) position pair."""
+        return {bx: k for k, bx in enumerate(zip(self.n.img, self.p.img))}
 
     def validate(self, G: Polynomial, F: Polynomial) -> None:
         """Re-check every recorded square and the counit, by enumeration."""

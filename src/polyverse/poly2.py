@@ -11,6 +11,8 @@ cartesian morphism has a canonical square presentation
 cartesian morphism with the chosen pullback as vertex.  Cells are checked
 and built on positions: squares commute when images agree, and maps into a
 vertex are read off the chosen pullback's projections, not looked up by label.
+``h_comp`` and the associator build their squares' maps on the positions of
+the ``CompositionTrace``s of their ends, without decoding a composite label.
 
 A cell made with ``PolyMorphism(...)`` (from JSON, the generators or a
 caller) is checked in full.  ``cell_from_square`` (once its square is
@@ -49,10 +51,6 @@ from .poly import (
     Polynomial,
     PolyError,
     compose,
-    decode_arity,
-    decode_operation,
-    encode_arity,
-    encode_operation,
     extend,
     from_map,
     identity_poly,
@@ -229,27 +227,30 @@ def vcomp_chain(*cells: PolyMorphism) -> PolyMorphism:
 def h_comp(psi: PolyMorphism, phi: PolyMorphism) -> PolyMorphism:
     """Horizontal composite of cartesian phi : F => F2 (over I -|-> J) and
     cartesian psi : G => G2 (over J -|-> K), as a cartesian morphism
-    G.F => G2.F2 computed on the square presentations."""
+    G.F => G2.F2 computed on the square presentations.
+
+    On positions read off the two composition traces: an operation, an outer
+    operation ``c`` with the pair ``(a, d)`` it picks at each arity ``d``,
+    goes to ``psi0(c)`` with ``(phi0(a), psi_top(d))`` picked at
+    ``psi_top(d)``; an arity ``(b, (m, d))`` goes to
+    ``(phi_top(b), (bot(m), psi_top(d)))``."""
     if not (phi.is_cartesian() and psi.is_cartesian()):
         raise PolyError("horizontal composition is only provided for cartesian morphisms")
     if phi.src.J != psi.src.I:
         raise CellShapeError("horizontal composition boundary mismatch")
-    GF, _ = compose(psi.src, phi.src)
-    G2F2, _ = compose(psi.dst, phi.dst)
-    psi_top = psi.square_top()
-    phi_top = phi.square_top()
-    bot_table = {}
-    for melt in GF.A:
-        c, assign = decode_operation(melt)
-        assign2 = {psi_top(d): phi.phi0(a) for d, a in assign.items()}
-        bot_table[melt] = encode_operation(psi.phi0(c), assign2)
-    bot = FinMap(GF.A, G2F2.A, bot_table)
-    top_table = {}
-    for nelt in GF.B:
-        b, melt, d = decode_arity(nelt)
-        top_table[nelt] = encode_arity(phi_top(b), bot(melt), psi_top(d))
-    top = FinMap(GF.B, G2F2.B, top_table)
-    return cell_from_square(GF, G2F2, top, bot)
+    GF, tr = compose(psi.src, phi.src)
+    G2F2, tr2 = compose(psi.dst, phi.dst)
+    psi_top, phi_top = psi.square_top().img, phi.square_top().img
+    psi0, phi0, qa, qd, q_at = psi.phi0.img, phi.phi0.img, tr.qa.img, tr.h.img, tr2.q_at
+    bot = []
+    for c, picked in zip(tr.w.img, tr.picks):
+        moved = sorted([(psi_top[qd[i]], phi0[qa[i]]) for i in picked])  # in target-arity order
+        bot.append(tr2.m_at[psi0[c], tuple([q_at[a, d] for d, a in moved])])
+    q, qp_d, qp_at, n_at = tr.q.img, tr.qp_d.img, tr2.qp_at, tr2.n_at
+    top = [n_at[phi_top[b], qp_at[bot[q[x]], psi_top[qp_d[x]]]] for b, x in zip(tr.n.img, tr.p.img)]
+    return cell_from_square(
+        GF, G2F2, FinMap._of(GF.B, G2F2.B, tuple(top)), FinMap._of(GF.A, G2F2.A, tuple(bot))
+    )
 
 
 def whisker_left(G: Polynomial, phi: PolyMorphism) -> PolyMorphism:
@@ -389,37 +390,37 @@ def associator(f: Polynomial, g: Polynomial, h: Polynomial) -> PolyMorphism:
     On operations it regroups an outer operation, an assignment of middle
     operations, and an assignment of inner operations into an outer
     operation paired with a combined assignment; on arities it carries the
-    underlying data across unchanged.
+    underlying data across unchanged.  Both maps are read off the four
+    composition traces by position.
     """
     _require_one_to_one(f, g, h)
-    hg, _ = compose(h, g)
-    hg_f, _ = compose(hg, f)
-    gf, _ = compose(g, f)
-    h_gf, _ = compose(h, gf)
-
-    bot_table = {}
-    inner_ops = {}
-    for melt in hg_f.A:
-        mhg, assign3 = decode_operation(melt)
-        c, assign1 = decode_operation(mhg)
-        per_d = {}
-        for d, ag in assign1.items():
-            per_d[d] = encode_operation(
-                ag,
-                {bg: assign3[encode_arity(bg, mhg, d)] for bg in g.f.preimage(ag)},
-            )
-        inner_ops[melt] = per_d
-        bot_table[melt] = encode_operation(c, per_d)
-    bot = FinMap(hg_f.A, h_gf.A, bot_table)
-
-    top_table = {}
-    for nelt in hg_f.B:
-        bf, melt, nhg = decode_arity(nelt)
-        bg, _, d = decode_arity(nhg)
-        mgf = inner_ops[melt][d]
-        top_table[nelt] = encode_arity(encode_arity(bf, mgf, bg), bot(melt), d)
-    top = FinMap(hg_f.B, h_gf.B, top_table)
-    return cell_from_square(hg_f, h_gf, top, bot)
+    hg, T0 = compose(h, g)
+    hg_f, T1 = compose(hg, f)
+    gf, T2 = compose(g, f)
+    h_gf, T3 = compose(h, gf)
+    n0, p0, qpd0, qa0, d0 = T0.n.img, T0.p.img, T0.qp_d.img, T0.qa.img, T0.h.img
+    w0, picks0 = T0.w.img, T0.picks
+    qa1, b1, q1, qpd1, g_over = T1.qa.img, T1.h.img, T1.q.img, T1.qp_d.img, g.f._fibres
+    m2, q2, m3, q3 = T2.m_at, T2.q_at, T3.m_at, T3.q_at
+    bot, inner = [], {}  # inner: (operation of hg_f, arity d of h) -> operation of gf
+    for m, (mhg, picked) in enumerate(zip(T1.w.img, T1.picks)):
+        af = {(n0[b1[i]], qpd0[p0[b1[i]]]): qa1[i] for i in picked}  # (bg, d) -> af
+        row = []
+        for j in picks0[mhg]:
+            ag, d = qa0[j], d0[j]
+            mgf = inner[m, d] = m2[ag, tuple([q2[af[bg, d], bg] for bg in g_over[ag]])]
+            row.append(q3[mgf, d])
+        bot.append(m3[w0[mhg], tuple(row)])
+    # an arity (bf, (m, (bg, (mhg, d)))) goes to ((bf, (mgf, bg)), (bot(m), d))
+    n2, qp2, n3, qp3 = T2.n_at, T2.qp_at, T3.n_at, T3.qp_at
+    top = []
+    for bf, x in zip(T1.n.img, T1.p.img):
+        m, b = q1[x], qpd1[x]
+        d = qpd0[p0[b]]
+        top.append(n3[n2[bf, qp2[inner[m, d], n0[b]]], qp3[bot[m], d]])
+    return cell_from_square(
+        hg_f, h_gf, FinMap._of(hg_f.B, h_gf.B, tuple(top)), FinMap._of(hg_f.A, h_gf.A, tuple(bot))
+    )
 
 
 @_shared_builds()

@@ -7,9 +7,9 @@ the tests' second routes and oracles:
 * the adjunction transposes and the enumeration of family morphisms, against
   which ``dep_prod`` and ``dep_sum`` are checked, constant families and the
   family of a total space;
-* the square check, square-to-cell and vertical composition one label at a
-  time, against which the positional ones in ``finset`` and ``poly2`` are
-  checked;
+* the square check, square-to-cell, vertical and horizontal composition and
+  the associator one label at a time, against which the positional ones in
+  ``finset`` and ``poly2`` are checked;
 * the slice exponential, the span polynomial, the slice extension and the
   identity-extension bijection;
 * square-to-cell for maps, the identity adjustment, adjustment whiskering and
@@ -42,6 +42,11 @@ from polyverse.internalcat import internal_full_subcat, internal_functor
 from polyverse.poly import (
     PolyError,
     Polynomial,
+    compose,
+    decode_arity,
+    decode_operation,
+    encode_arity,
+    encode_operation,
     extend,
     extension_composition_iso,
     from_map,
@@ -255,6 +260,60 @@ def v_comp_on_labels(psi: PolyMorphism, phi: PolyMorphism) -> PolyMorphism:
         e_phi = phi_fill[(a, psi.phi2(e_psi))]
         phi2_table[x] = phi.phi2(e_phi)
     return PolyMorphism(F, H, vertex, phi0, proj_l, FinMap(vertex, F.B, phi2_table))
+
+
+def h_comp_on_labels(psi: PolyMorphism, phi: PolyMorphism) -> PolyMorphism:
+    """``h_comp``, decoding and encoding one composite label at a time."""
+    if not (phi.is_cartesian() and psi.is_cartesian()):
+        raise PolyError("horizontal composition is only provided for cartesian morphisms")
+    if phi.src.J != psi.src.I:
+        raise CellShapeError("horizontal composition boundary mismatch")
+    GF, _ = compose(psi.src, phi.src)
+    G2F2, _ = compose(psi.dst, phi.dst)
+    psi_top = psi.square_top()
+    phi_top = phi.square_top()
+    bot_table = {}
+    for melt in GF.A:
+        c, assign = decode_operation(melt)
+        assign2 = {psi_top(d): phi.phi0(a) for d, a in assign.items()}
+        bot_table[melt] = encode_operation(psi.phi0(c), assign2)
+    bot = FinMap(GF.A, G2F2.A, bot_table)
+    top_table = {}
+    for nelt in GF.B:
+        b, melt, d = decode_arity(nelt)
+        top_table[nelt] = encode_arity(phi_top(b), bot(melt), psi_top(d))
+    top = FinMap(GF.B, G2F2.B, top_table)
+    return cell_from_square_on_labels(GF, G2F2, top, bot)
+
+
+def associator_on_labels(f: Polynomial, g: Polynomial, h: Polynomial) -> PolyMorphism:
+    """``associator``, decoding and encoding one composite label at a time."""
+    hg, _ = compose(h, g)
+    hg_f, _ = compose(hg, f)
+    gf, _ = compose(g, f)
+    h_gf, _ = compose(h, gf)
+    bot_table = {}
+    inner_ops = {}
+    for melt in hg_f.A:
+        mhg, assign3 = decode_operation(melt)
+        c, assign1 = decode_operation(mhg)
+        per_d = {}
+        for d, ag in assign1.items():
+            per_d[d] = encode_operation(
+                ag,
+                {bg: assign3[encode_arity(bg, mhg, d)] for bg in g.f.preimage(ag)},
+            )
+        inner_ops[melt] = per_d
+        bot_table[melt] = encode_operation(c, per_d)
+    bot = FinMap(hg_f.A, h_gf.A, bot_table)
+    top_table = {}
+    for nelt in hg_f.B:
+        bf, melt, nhg = decode_arity(nelt)
+        bg, _, d = decode_arity(nhg)
+        mgf = inner_ops[melt][d]
+        top_table[nelt] = encode_arity(encode_arity(bf, mgf, bg), bot(melt), d)
+    top = FinMap(hg_f.B, h_gf.B, top_table)
+    return cell_from_square_on_labels(hg_f, h_gf, top, bot)
 
 
 def cartesian_from_square(f: FinMap, g: FinMap, top: FinMap, bot: FinMap) -> PolyMorphism:

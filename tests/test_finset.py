@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyverse import finset
+from polyverse import finset, poly
 from polyverse.finset import (
     DEFAULT_CAP,
     EnumerationCapExceeded,
@@ -25,15 +25,17 @@ from polyverse.finset import (
     _guard,
     _intern,
 )
-from polyverse.generators import rand_family, rand_morphism, rand_parallel_cartesian_pair
+from polyverse.generators import rand_composable_pair, rand_family, rand_morphism, rand_parallel_cartesian_pair
 from polyverse.internalcat import adjustment_to_nat, internal_full_subcat, internal_functor
 from polyverse.naturalmodel import LiftedEndofunctor, Universe, lift_apply
 from polyverse.poly import (
     Polynomial,
     compose,
+    compose_direct,
     encode_arity,
     encode_operation,
     extend_map,
+    from_map,
     product_set,
     slice_reduce,
 )
@@ -747,6 +749,33 @@ def old_label_key(label):
     if isinstance(label, str):
         return (0, label)
     return (1, tuple(old_label_key(x) for x in label))
+
+
+class TestKeptHashes:
+    """``FinSet``, ``FinMap``, ``FinFamily`` and ``Polynomial`` compute their
+    hash on first use and keep it; equality still compares the fields."""
+
+    def test_equal_values_built_checked_and_unchecked_hash_alike(self):
+        X, Xo = FinSet(["b1", "b0"]), FinSet._of(("b0", "b1"))
+        A, Ao = FinSet(["a"]), FinSet._of(("a",))
+        f, fo = FinMap(X, A, {"b0": "a", "b1": "a"}), FinMap._of(Xo, Ao, (0, 0))
+        fam, famo = FinFamily(A, {"a": X}), FinFamily._of(Ao, [Xo])
+        G = FinMap(FinSet(["d"]), FinSet(["c"]), {"d": "c"})
+        P, Po = from_map(f), from_map(fo)
+        GP, _ = compose(from_map(G), P)
+        for x, y in ((X, Xo), (f, fo), (fam, famo), (P, Po), (GP, compose_direct(from_map(G), Po))):
+            assert x == y and x is not y
+            assert hash(x) == hash(y) == hash(x)
+            assert x.__dict__["_hash"] == hash(x)
+        assert hash(FinSet(["b0"])) != hash(X)
+
+    def test_a_shared_build_is_found_by_equal_arguments(self):
+        # two draws from one seed: equal polynomials, not the same objects
+        (F1, G1), (F2, G2) = (rand_composable_pair(random.Random(4), 2) for _ in range(2))
+        assert (F1, G1) == (F2, G2) and F1 is not F2 and G1 is not G2
+        with poly._shared_builds():
+            first = compose(G1, F1)
+            assert compose(G2, F2) is first
 
 
 def interned(label):

@@ -1,8 +1,10 @@
+import itertools
 import random
 import re
 
 import pytest
 
+from polyverse import poly2
 from polyverse.finset import (
     EnumerationCapExceeded,
     FinFamily,
@@ -64,12 +66,15 @@ from polyverse.generators import (
     rand_parallel_pair,
     rand_polynomial,
 )
+from polyverse.suites import InstanceGenConfig, run_suite
 from reference import (
     adj_whisker,
+    associator_on_labels,
     cartesian_from_square,
     cell_from_square_on_labels,
     check_square_on_labels,
     fill_table_on_labels,
+    h_comp_on_labels,
     identity_adjustment,
     v_comp_on_labels,
 )
@@ -700,6 +705,98 @@ class TestPositionsAgreeWithLabels:
                 assert got == _outcome(lambda: check_square_on_labels(sq.src, sq.dst, top, sq.bot))
 
 
+def _two_arities_swapped():
+    """``G = {d0, d1} -> {c}`` and the cell ``G => G`` whose square top
+    reverses its two arities."""
+    G = from_map(FinMap.constant(FinSet(["d0", "d1"]), FinSet(["c"]), "c"))
+    return G, cell_from_square(G, G, FinMap(G.B, G.B, {"d0": "d1", "d1": "d0"}), FinMap.identity(G.A))
+
+
+def _two_operations_without_arities_swapped():
+    """``E = {d} -> {c0, c1, c2}`` with ``d`` over ``c2``, and the cell
+    ``E => E`` that swaps the operations ``c0`` and ``c1``, which have no
+    arities."""
+    E = from_map(FinMap(FinSet(["d"]), FinSet(["c0", "c1", "c2"]), {"d": "c2"}))
+    swap = FinMap(E.A, E.A, {"c0": "c1", "c1": "c0", "c2": "c2"})
+    return E, cell_from_square(E, E, FinMap.identity(E.B), swap)
+
+
+def _two_operations_swapped():
+    """``F = {b0 -> a0, b1 -> a1}`` and the cell ``F => F`` that swaps both."""
+    F = from_map(FinMap(FinSet(["b0", "b1"]), FinSet(["a0", "a1"]), {"b0": "a0", "b1": "a1"}))
+    top, bot = FinMap(F.B, F.B, {"b0": "b1", "b1": "b0"}), FinMap(F.A, F.A, {"a0": "a1", "a1": "a0"})
+    return F, cell_from_square(F, F, top, bot)
+
+
+def _edge_cells() -> list:
+    """The three swaps above and the identity cells of their polynomials:
+    a square top that reverses two arities, whose target choices must be
+    sorted by target arity, and operations without arities, told apart only
+    by the outer operation."""
+    swaps = [_two_arities_swapped(), _two_operations_without_arities_swapped(), _two_operations_swapped()]
+    return [cell for P, swap in swaps for cell in (swap, identity_cell(P))]
+
+
+class TestCompositesAgreeWithLabels:
+    """``h_comp`` and the associator, read off the composition traces by
+    position, give the cells that the label-level constructions in
+    ``tests/reference.py`` give."""
+
+    def test_random_morphisms_with_general_endpoints(self):
+        rng = random.Random(43)
+        done = 0
+        while done < 20:
+            phi = rand_morphism(rng, 2, cartesian=True)
+            psi = rand_morphism(rng, 2, cartesian=True, target=rand_polynomial(rng, 2, I=phi.src.J))
+            try:
+                with enumeration_cap(3000):
+                    cell = h_comp(psi, phi)
+            except EnumerationCapExceeded:
+                continue
+            assert cell == h_comp_on_labels(psi, phi)
+            done += 1
+
+    def test_whiskerings_by_identity_cells(self):
+        rng = random.Random(44)
+        for _ in range(10):
+            phi = rand_morphism(rng, 2, cartesian=True)
+            G = rand_polynomial(rng, 2, I=phi.src.J)
+            F = rand_polynomial(rng, 2, J=phi.src.I)
+            assert whisker_left(G, phi) == h_comp_on_labels(identity_cell(G), phi)
+            assert whisker_right(phi, F) == h_comp_on_labels(phi, identity_cell(F))
+
+    def test_random_one_to_one_triples(self):
+        rng = random.Random(45)
+        for _ in range(20):
+            f, g, h = (rand_polynomial(rng, 2, one_to_one=True) for _ in range(3))
+            assert associator(f, g, h) == associator_on_labels(f, g, h)
+
+    def test_reversed_arities_and_operations_without_arities(self):
+        cells = _edge_cells()
+        for psi, phi in itertools.product(cells, repeat=2):
+            assert h_comp(psi, phi) == h_comp_on_labels(psi, phi)
+        polys = list({x.src: None for x in cells})
+        for f, g, h in itertools.product(polys, repeat=3):
+            assert associator(f, g, h) == associator_on_labels(f, g, h)
+
+    def test_criterion_3_quads(self, monkeypatch):
+        # every horizontal composite and associator that ``coherence`` builds
+        # at the config of acceptance criterion 3
+        built = []
+        for build in (h_comp, associator):
+            def recording(*args, build=build):
+                built.append((build, args, build(*args)))
+                return built[-1][2]
+
+            monkeypatch.setattr(poly2, build.__name__, recording)
+        rep = run_suite("coherence", InstanceGenConfig(seed=11, count=20, max_set_size=3))
+        monkeypatch.undo()
+        assert rep.failed == 0 and {b for b, _, _ in built} == {h_comp, associator}
+        oracle = {h_comp: h_comp_on_labels, associator: associator_on_labels}
+        for build, args, cell in built:
+            assert cell == oracle[build](*args)
+
+
 class TestTrustedCellsPassTheChecks:
     """Every cell built through ``PolyMorphism._of``, without checks, is one
     the checked constructor accepts: rebuilding it through ``PolyMorphism(...)``
@@ -752,6 +849,16 @@ class TestTrustedCellsPassTheChecks:
             except EnumerationCapExceeded:
                 continue
             done += 1
+        for psi, phi in itertools.product(_edge_cells(), repeat=2):
+            h_comp(psi, phi)
+        self._assert_rebuilt(trusted)
+
+    def test_associators(self, trusted):
+        rng = random.Random(43)
+        triples = [[rand_polynomial(rng, 2, one_to_one=True) for _ in range(3)] for _ in range(10)]
+        polys = list({x.src: None for x in _edge_cells()})
+        for f, g, h in triples + list(itertools.product(polys, repeat=3)):
+            associator(f, g, h)
         self._assert_rebuilt(trusted)
 
     def test_coherence_quads(self, trusted):

@@ -8,17 +8,18 @@ For a theorem (the pasting laws, for instance) the entry refutes the
 decider on inputs outside the theorem's hypotheses, not the law itself.
 Where the decider is a suite's own comparison (the slice laws, the four
 extension laws of ``bicategory-laws``, the three laws of
-``extension-composition`` and ``corrupted-adjustment-rejected``), the entry
-runs the suite with the hand-built input in place of its draw.  Where a
-theorem's decider has no input outside its hypotheses (``triangle``, the
-four extension laws of ``bicategory-laws``, ``composite-matches-direct``
-and the extension bijection's two laws), a construction it calls is patched
-to a valid one that breaks the theorem: a composite or unitor followed by
-the swap of two arities, an identity cell replaced by that swap, a direct
-composite whose operations trade arities, or extension bijections followed
-by the swap of two elements.
+``extension-composition``, ``corrupted-adjustment-rejected`` and
+``pentagon``), the entry runs the suite with the hand-built input in place
+of its draw.  Where a theorem's decider has no input outside its hypotheses
+(``triangle``, ``pentagon``, the four extension laws of ``bicategory-laws``,
+``composite-matches-direct`` and the extension bijection's two laws), a
+construction it calls is patched to a valid one that breaks the theorem: a
+composite, unitor or associator followed by the swap of two arities, an
+identity cell replaced by that swap, a direct composite whose operations
+trade arities, or extension bijections followed by the swap of two elements.
 """
 
+import itertools
 import random
 from contextlib import ExitStack
 from dataclasses import replace
@@ -26,7 +27,7 @@ from unittest import mock
 
 import pytest
 
-from polyverse import generators, poly2, suites
+from polyverse import cli, generators, poly2, suites
 from polyverse.finset import FamilyMorphism, FinFamily, FinMap, FinSet, Square
 from polyverse.internalcat import InternalCatError, InternalFunctor, internal_full_subcat
 from polyverse.naturalmodel import (
@@ -35,8 +36,8 @@ from polyverse.naturalmodel import (
 )
 from polyverse.poly import PolyError, Polynomial, compose, compose_direct, extension_composition_iso, from_map
 from polyverse.poly2 import (
-    Adjustment, PolyMorphism, cell_from_square, codiscreteness_check, h_comp, identity_cell, lunitor,
-    slice_reduce_cell, triangle_check, v_comp,
+    Adjustment, PolyMorphism, associator, cell_from_square, codiscreteness_check, h_comp, identity_cell,
+    lunitor, slice_reduce_cell, triangle_check, v_comp,
 )
 from polyverse.suites import LAWS, InstanceGenConfig, run_suite
 
@@ -284,8 +285,8 @@ def _followed_by_a_swap(build):
     """``build``, with each cell it returns followed by the swap of the first
     two arities of the cell's target: a valid cell with the same endpoints."""
 
-    def twisted(psi, phi):
-        cell = build(psi, phi)
+    def twisted(*args):
+        cell = build(*args)
         H = cell.dst
         return v_comp(cell_from_square(H, H, _swap_first_two(H.B), FinMap.identity(H.A)), cell)
 
@@ -313,6 +314,31 @@ def _hcomp_followed_by_a_swap() -> bool:
 
 def _bracketings_that_extend_differently() -> bool:
     return _vcomp_associative_verdict(twist=True)
+
+
+def _pentagon_patches(twist: bool) -> tuple:
+    """Patches under which ``coherence`` draws ``P`` for each polynomial of a
+    quad and, if ``twist``, the first associator ``pentagon_check`` builds,
+    ``(P.P).(P.P) => P.(P.(P.P))``, is followed by a swap of two arities of
+    its target."""
+    P, _ = _two_arities_over_one_operation()
+    calls = itertools.count()
+
+    def first_twisted(f, g, h):
+        return (_followed_by_a_swap(associator) if twist and next(calls) == 0 else associator)(f, g, h)
+
+    return (
+        mock.patch.object(generators, "rand_polynomial", return_value=P),
+        mock.patch.object(poly2, "associator", first_twisted),
+    )
+
+
+def _pentagon_verdict(twist: bool) -> bool:
+    return _suite_verdict("coherence", "pentagon", "quad0", *_pentagon_patches(twist))
+
+
+def _pentagon_with_a_twisted_associator() -> bool:
+    return _pentagon_verdict(twist=True)
 
 
 def _triangle_verdict(twist: bool) -> bool:
@@ -433,7 +459,7 @@ REFUTATIONS = {
     "cartesian-naturality-pullback": _square_that_is_not_a_pullback,
     "pseudomonad-pasting": _paths_that_paste_to_different_maps,
     "pseudoalgebra-pasting": _paths_that_paste_to_different_maps,
-    "pentagon": _adjustment_that_is_not_invertible,
+    "pentagon": _pentagon_with_a_twisted_associator,
     "internal-fully-faithful": _functor_that_is_not_full,
     "universe-validates": _universe_that_is_not_valid,
     "monad-structure-cartesian": _cell_that_is_not_cartesian,
@@ -495,7 +521,22 @@ def test_the_hand_built_inputs_also_admit_a_true_answer():
         assert _bicategory_verdict(law)
     assert _corrupted_adjustment_verdict(valid_after_the_swap=False)
     assert _triangle_verdict(twist=False)
+    assert _pentagon_verdict(twist=False)
     for law in ("composite-matches-direct", "extension-composite-bijection", "extension-composite-naturality"):
         assert _extension_composition_verdict(law)
     phi, psi = generators.rand_parallel_pair(random.Random(0), 2)
     assert codiscreteness_check(phi, psi)["ok"]
+
+
+def test_an_adjustment_that_is_not_invertible_is_refused():
+    # the invertibility half of ``pentagon_check``'s verdict
+    assert _adjustment_that_is_not_invertible() is False
+
+
+@pytest.mark.parametrize("twist, code", [(False, 0), (True, 1)], ids=["control", "twisted"])
+def test_a_pentagon_with_a_twisted_associator_exits_1_from_the_cli(twist, code, capsys):
+    with ExitStack() as stack:
+        for patch in _pentagon_patches(twist):
+            stack.enter_context(patch)
+        assert cli.main(["suite", "run", "coherence", "--seed", "0", "--count", "1", "--max-size", "2"]) == code
+    assert ("[FAIL] law=pentagon instance=quad0" in capsys.readouterr().out) is twist
