@@ -14,7 +14,7 @@ import sys
 import traceback
 
 from .finset import DEFAULT_CAP, EnumerationCapExceeded, FinSetError
-from .poly import PolyError, compose, extend
+from .poly import PolyError, _shared_builds, compose, extend
 from .internalcat import internal_full_subcat
 from .naturalmodel import (
     mk_bool_universe,
@@ -238,17 +238,20 @@ def _dispatch(args) -> int:
             sys.stdout.write(io.dumps({"valid": not problems, "problems": problems}))
             return 0 if not problems else 1
         if args.model_command == "pseudomonad":
-            pm = pseudomonad_from(u)
-            alg = pm.pseudoalgebra()
-            record = {
-                "strict_monad": pm.is_strict_monad(),
-                "strict_assoc": pm.strict_assoc,
-                "strict_left_unit": pm.strict_left,
-                "strict_right_unit": pm.strict_right,
-                "strict_algebra": alg.is_strict(),
-                "pseudomonad_pastings": pm.pasting_report(),
-                "pseudoalgebra_pastings": alg.pasting_report(),
-            }
+            # one table for the whole command; not around _dispatch, so that
+            # each instance of ``suite run`` keeps its own
+            with _shared_builds():
+                pm = pseudomonad_from(u)
+                alg = pm.pseudoalgebra()
+                record = {
+                    "strict_monad": pm.is_strict_monad(),
+                    "strict_assoc": pm.strict_assoc,
+                    "strict_left_unit": pm.strict_left,
+                    "strict_right_unit": pm.strict_right,
+                    "strict_algebra": alg.is_strict(),
+                    "pseudomonad_pastings": pm.pasting_report(),
+                    "pseudoalgebra_pastings": alg.pasting_report(),
+                }
             sys.stdout.write(io.dumps(record))
             ok = record["pseudomonad_pastings"]["ok"] and record["pseudoalgebra_pastings"]["ok"]
             return 0 if ok else 1

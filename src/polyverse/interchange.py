@@ -27,6 +27,17 @@ shares one array per tuple label, so it is read-only, and ``dumps`` reuses
 the text of such an array; a ``*_from_json`` result holds one plain tuple
 per distinct label, shared within that call only and never interned, and
 sorts its sets by the ``label_key`` each tuple got once, from its parts'.
+
+A polynomial or morphism record also parses each of its own set records
+once: a later one ``==`` to an earlier one (a polynomial repeats ``B`` as
+the domain of ``s`` and ``f``) gets the same ``FinSet`` back, compared by
+``list ==`` in C and not walked again.  Only the few set records of that
+one polynomial or morphism are compared; those of a family or universe
+are each parsed on their own.  A map whose pairs' first column ``==`` its
+``dom`` record reads its keys as that record's labels by position and
+parses only the values; any other map is read pair by pair.  Nothing is
+skipped: a value equal to a checked label record is itself a valid label.
+Every pair of the grammar must be a two-element array.
 """
 
 from __future__ import annotations
@@ -50,21 +61,34 @@ class ParseError(Exception):
 # those nested in it and dropped when it returns (to and from JSON never nest).
 _LABELS: ContextVar = ContextVar("interchange_labels", default=None)
 
+# The set records parsed so far in the outermost polynomial or morphism record
+# in progress, each with its ``FinSet`` and its labels in record order: a few
+# dozen at most.  None outside such a record.
+_SETS: ContextVar = ContextVar("interchange_sets", default=None)
 
-def _conversion(kind: str | None = None):
+
+def _conversion(kind: str | None = None, shares_sets: bool = False):
     """Run a conversion in the label table of the outermost one in progress,
-    or a fresh one; a ``kind`` record parser raises ``ParseError`` on bad data."""
+    or a fresh one; a ``kind`` record parser raises ``ParseError`` on bad data.
+    A parser that ``shares_sets`` opens a fresh ``_SETS`` if none is open."""
     def wrap(convert):
         @functools.wraps(convert)
         def run(arg):
             token = _LABELS.set({}) if _LABELS.get() is None else None
+            sets = _SETS.set([]) if shares_sets and _SETS.get() is None else None
             try:
                 return convert(arg)
-            except (KeyError, TypeError, ValueError, FinSetError, RecursionError) as exc:
+            except RecursionError as exc:
+                if kind is None:
+                    raise
+                raise ParseError("label nested too deeply") from exc
+            except (KeyError, TypeError, ValueError, FinSetError) as exc:
                 if kind is None:
                     raise
                 raise ParseError(f"bad {kind} record: {exc}") from exc
             finally:
+                if sets is not None:
+                    _SETS.reset(sets)
                 if token is not None:
                     _LABELS.reset(token)
         return run
@@ -108,25 +132,49 @@ def _label_from_json(data, labels: dict):
     raise ParseError(f"label must be a string or array, got {data!r}")
 
 
+def _pair(data) -> list:
+    """``data`` if it is a two-element array, as the grammar's pairs are."""
+    if not isinstance(data, list) or len(data) != 2:
+        raise ParseError(f"pair must be a two-element array, got {data!r}")
+    return data
+
+
+def _pairs(data) -> list:
+    """The pairs of ``data`` if it is an array of pairs."""
+    if not isinstance(data, list):
+        raise ParseError(f"pairs must be an array, got {data!r}")
+    return [_pair(p) for p in data]
+
+
+def _set_from_json(data, labels: dict) -> tuple:
+    """The ``FinSet`` of a set record and its labels in record order; a record
+    ``==`` to one in the open ``_SETS`` gives back the same ones."""
+    if not isinstance(data, list):
+        raise ParseError("finite set must be an array of labels")
+    known = _SETS.get()
+    for record, X, parsed in known or ():
+        if record == data:
+            return X, parsed
+    parsed = [_label_from_json(x, labels) for x in data]
+    ordered = sorted(parsed, key=lambda x: _key(x, labels))
+    for a, b in zip(ordered, ordered[1:]):
+        if a == b:
+            raise ParseError(f"duplicate element {a!r}")
+    X = FinSet._of(tuple(ordered))
+    if known is not None:
+        known.append((data, X, parsed))
+    return X, parsed
+
+
 @_conversion()
 def finset_to_json(X: FinSet) -> list:
     arrays = _LABELS.get()
     return [_label_to_json(x, arrays) for x in X]
 
 
-@_conversion()
+@_conversion("set")
 def finset_from_json(data) -> FinSet:
-    if not isinstance(data, list):
-        raise ParseError("finite set must be an array of labels")
-    labels = _LABELS.get()
-    try:
-        ordered = sorted([_label_from_json(x, labels) for x in data], key=lambda x: _key(x, labels))
-        for a, b in zip(ordered, ordered[1:]):
-            if a == b:
-                raise ParseError(f"duplicate element {a!r}")
-    except RecursionError as exc:
-        raise ParseError("label nested too deeply") from exc
-    return FinSet._of(tuple(ordered))
+    return _set_from_json(data, _LABELS.get())[0]
 
 
 @_conversion()
@@ -138,8 +186,13 @@ def finmap_to_json(f: FinMap) -> dict:
 @_conversion("map")
 def finmap_from_json(data) -> FinMap:
     labels = _LABELS.get()
-    pairs = [(_label_from_json(x, labels), _label_from_json(y, labels)) for x, y in data["map"]]
-    return FinMap(finset_from_json(data["dom"]), finset_from_json(data["cod"]), pairs)
+    dom, keys = _set_from_json(data["dom"], labels)
+    cod = _set_from_json(data["cod"], labels)[0]
+    pairs = _pairs(data["map"])
+    if [x for x, _ in pairs] == data["dom"]:
+        # the keys list the domain in record order: read them by position
+        return FinMap(dom, cod, dict(zip(keys, [_label_from_json(y, labels) for _, y in pairs])))
+    return FinMap(dom, cod, [(_label_from_json(x, labels), _label_from_json(y, labels)) for x, y in pairs])
 
 
 @_conversion()
@@ -154,7 +207,7 @@ def family_to_json(X: FinFamily) -> dict:
 @_conversion("family")
 def family_from_json(data) -> FinFamily:
     labels = _LABELS.get()
-    fibres = [(_label_from_json(i, labels), finset_from_json(F)) for i, F in data["fibres"]]
+    fibres = [(_label_from_json(i, labels), finset_from_json(F)) for i, F in _pairs(data["fibres"])]
     return FinFamily(finset_from_json(data["index"]), fibres)
 
 
@@ -171,7 +224,7 @@ def polynomial_to_json(P: Polynomial) -> dict:
     }
 
 
-@_conversion("polynomial")
+@_conversion("polynomial", shares_sets=True)
 def polynomial_from_json(data) -> Polynomial:
     return Polynomial(
         finset_from_json(data["I"]),
@@ -196,7 +249,7 @@ def morphism_to_json(phi: PolyMorphism) -> dict:
     }
 
 
-@_conversion("morphism")
+@_conversion("morphism", shares_sets=True)
 def morphism_from_json(data) -> PolyMorphism:
     return PolyMorphism(
         polynomial_from_json(data["src"]),
@@ -232,9 +285,10 @@ def universe_from_json(data) -> Universe:
 
     def table(entries) -> dict:
         out = {}
-        for (A, bt), code in entries:
+        for head, code in _pairs(entries):
+            A, bt = _pair(head)
             # a code family in section_tuple's order, but not interned
-            family = sorted({label(x): label(c) for x, c in bt}.items(), key=lambda xc: _key(xc[0], labels))
+            family = sorted({label(x): label(c) for x, c in _pairs(bt)}.items(), key=lambda xc: _key(xc[0], labels))
             family = _entry(tuple([_entry(xc, labels)[0] for xc in family]), labels)[0]
             out[(label(A), family)] = label(code)
         return out

@@ -17,11 +17,15 @@ the tests' second routes and oracles:
 * ``unit_component`` and ``mult_component``, the lifted unit and
   multiplication computed through the recorded identity-extension and
   composite-extension bijections, against which
-  ``LiftedEndofunctor.unit`` and ``LiftedEndofunctor.mult`` are checked.
+  ``LiftedEndofunctor.unit`` and ``LiftedEndofunctor.mult`` are checked;
+* the set and map record parsers one label at a time, against which
+  ``interchange``'s, which share equal set records and read a map's keys
+  by position, are checked.
 """
 
 import itertools
 
+from polyverse import interchange as io
 from polyverse.finset import (
     FamilyMorphism,
     FinFamily,
@@ -379,3 +383,30 @@ def mult_component(mu: PolyMorphism, Z: FinSet) -> FinMap:
     _, bwd = extension_composition_iso(p_poly, p_poly, fam)
     cell = extend_cell(mu, fam)
     return cell.at("*").after(bwd.at("*"))
+
+
+# ---------------------------------------------------------------------------
+# Set and map records parsed one label at a time
+# ---------------------------------------------------------------------------
+
+
+@io._conversion("set")
+def finset_from_json_on_labels(data) -> FinSet:
+    """A set record, each of its labels parsed and sorted anew."""
+    if not isinstance(data, list):
+        raise io.ParseError("finite set must be an array of labels")
+    labels = io._LABELS.get()
+    ordered = sorted([io._label_from_json(x, labels) for x in data], key=lambda x: io._key(x, labels))
+    for a, b in zip(ordered, ordered[1:]):
+        if a == b:
+            raise io.ParseError(f"duplicate element {a!r}")
+    return FinSet._of(tuple(ordered))
+
+
+@io._conversion("map")
+def finmap_from_json_on_labels(data) -> FinMap:
+    """A map record, its domain and codomain first, then pair by pair."""
+    dom, cod = finset_from_json_on_labels(data["dom"]), finset_from_json_on_labels(data["cod"])
+    labels = io._LABELS.get()
+    pairs = [(io._label_from_json(x, labels), io._label_from_json(y, labels)) for x, y in io._pairs(data["map"])]
+    return FinMap(dom, cod, pairs)

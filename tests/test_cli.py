@@ -240,6 +240,22 @@ def test_deeply_nested_label_is_a_parse_error(tmp_path):
     assert proc.stderr.startswith("parse error:")
 
 
+def test_a_string_where_a_pair_belongs_is_a_parse_error(tmp_path):
+    # "ab" would unpack to the pair a -> b and compose as a valid polynomial
+    record = {
+        "I": ["i"], "B": ["a"], "A": ["b"], "J": ["i"],
+        "s": {"dom": ["a"], "cod": ["i"], "map": [["a", "i"]]},
+        "f": {"dom": ["a"], "cod": ["b"], "map": ["ab"]},
+        "t": {"dom": ["b"], "cod": ["i"], "map": [["b", "i"]]},
+    }
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(record))
+    proc = run_cli("poly", "compose", "--outer", str(path), "--inner", str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "parse error: pair must be a two-element array, got 'ab'\n"
+    assert proc.stdout == ""
+
+
 def test_corrupted_universe_fails_with_failure_code(tmp_path):
     out = tmp_path / "bool.json"
     run_cli("model", "builtin", "bool", "-o", str(out))

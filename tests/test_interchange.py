@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,8 +12,10 @@ from polyverse import finset
 from polyverse.finset import FinFamily, FinMap, FinSet
 from polyverse import interchange as io
 from polyverse.poly import compose
-from polyverse.generators import rand_morphism, rand_polynomial, rand_universe
+from polyverse.generators import rand_composable_pair, rand_morphism, rand_polynomial, rand_universe
 from polyverse.naturalmodel import mk_bool_universe, mk_skewed_universe, validate_universe
+
+from reference import finmap_from_json_on_labels, finset_from_json_on_labels
 
 
 labels = st.recursive(
@@ -261,3 +264,258 @@ def test_dumps_rejects_what_json_rejects(data):
         _reference(data)
     with pytest.raises(TypeError):
         io.dumps(data)
+
+
+# Set records parsed once per call, and map keys read by position
+
+def _on_labels(parse, data):
+    """``parse(data)`` with every set and map record parsed one label at a
+    time, by the reference parsers."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io, "finset_from_json", finset_from_json_on_labels)
+        mp.setattr(io, "finmap_from_json", finmap_from_json_on_labels)
+        return parse(data)
+
+
+def _outcome(parse, data):
+    """The value ``parse(data)`` returns, or the type and message of what it raises."""
+    try:
+        return parse(data)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _composite(rng):
+    F, G = rand_composable_pair(rng, 2)
+    return compose(G, F)[0]
+
+
+RECORDS = {
+    "polynomial": (lambda rng: rand_polynomial(rng, 3), io.polynomial_to_json, io.polynomial_from_json),
+    "composite": (_composite, io.polynomial_to_json, io.polynomial_from_json),
+    "morphism": (lambda rng: rand_morphism(rng, 3), io.morphism_to_json, io.morphism_from_json),
+    "universe": (lambda rng: rand_universe(rng, 3), io.universe_to_json, io.universe_from_json),
+}
+
+_SET_KEYS = {"I", "B", "A", "J", "dom", "cod", "dphi", "U", "index"}
+
+
+def _records(data) -> tuple[list, list]:
+    """The set records of a parsed record, as ``(holder, key)``, and its map records."""
+    sets, maps = [], []
+
+    def walk(node):
+        if "map" in node:
+            maps.append(node)
+        for k, v in node.items():
+            if k in _SET_KEYS:
+                sets.append((node, k))
+            elif k == "fibres":
+                sets.extend((pair, 1) for pair in v)
+            elif isinstance(v, dict):
+                walk(v)
+
+    walk(data)
+    return sets, maps
+
+
+def _deep(depth: int) -> list:
+    label = "x"
+    for _ in range(depth):
+        label = [label]
+    return label
+
+
+def _break(data, fault: str, rng) -> None:
+    """Put one ``fault`` into ``data``, if it has a record that can hold it."""
+    sets, maps = _records(data)
+    full = [(h, k) for h, k in sets if h[k]]
+    with_pairs = [m for m in maps if m["map"]]
+    if fault == "duplicate" and full:
+        holder, key = rng.choice(full)
+        holder[key].append(json.loads(json.dumps(rng.choice(holder[key]))))
+    elif fault == "conflicting":
+        candidates = [m for m in with_pairs if len(m["cod"]) > 1]
+        if candidates:
+            m = rng.choice(candidates)
+            x, y = rng.choice(m["map"])
+            m["map"].append([x, next(z for z in m["cod"] if z != y)])
+    elif fault == "missing" and with_pairs:
+        m = rng.choice(with_pairs)
+        del m["map"][rng.randrange(len(m["map"]))]
+    elif fault == "extra":
+        candidates = [m for m in maps if m["cod"]]
+        if candidates:
+            m = rng.choice(candidates)
+            m["map"].insert(rng.randint(0, len(m["map"])), ["extra", m["cod"][0]])
+    elif fault == "outside" and with_pairs:
+        rng.choice(rng.choice(with_pairs)["map"])[1] = ["outside"]
+    elif fault == "deep":
+        # deeper than the recursion limit in force, in a set record or a map value
+        label = _deep(2 * sys.getrecursionlimit())
+        if with_pairs and (not full or rng.random() < 0.5):
+            rng.choice(rng.choice(with_pairs)["map"])[1] = label
+        elif full:
+            holder, key = rng.choice(full)
+            holder[key][rng.randrange(len(holder[key]))] = label
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(RECORDS)),
+    st.randoms(use_true_random=False),
+    st.sampled_from([None, "duplicate", "conflicting", "missing", "extra", "outside", "deep"]),
+)
+def test_a_parse_agrees_with_the_label_by_label_parse(kind, rng, fault):
+    """On shuffled map pairs, set records out of order, equal set records
+    written in different orders, and records with one fault, the parse gives
+    what the reference parse gives: an equal value or the same error."""
+    make, to_json, from_json = RECORDS[kind]
+    value = make(rng)
+    data = io.loads(io.dumps(to_json(value)))
+    sets, maps = _records(data)
+    for holder, key in sets:
+        if rng.random() < 0.5:
+            rng.shuffle(holder[key])
+    for m in maps:
+        if rng.random() < 0.5:
+            rng.shuffle(m["map"])
+    if fault is not None:
+        _break(data, fault, rng)
+    got = _outcome(from_json, data)
+    assert got == _outcome(lambda d: _on_labels(from_json, d), data)
+    if fault is None:
+        assert got == value
+    assert io._LABELS.get() is None and io._SETS.get() is None
+
+
+@pytest.mark.parametrize("data, want", [
+    # domain and codomain of one length but different labels
+    ({"dom": ["a"], "cod": ["b"], "map": [["a", "b"]]}, {"a": "b"}),
+    ({"dom": ["a", "b"], "cod": ["b", "c"], "map": [["a", "c"], ["b", "b"]]}, {"a": "c", "b": "b"}),
+    # keys in another order than the domain record lists them
+    ({"dom": ["a", "b"], "cod": ["x", "y"], "map": [["b", "x"], ["a", "y"]]}, {"a": "y", "b": "x"}),
+    # a domain record out of order, its keys listing it in its order
+    ({"dom": ["b", "a"], "cod": ["x", "y"], "map": [["b", "x"], ["a", "y"]]}, {"a": "y", "b": "x"}),
+    # the domain record written twice in two orders
+    ({"dom": ["b", "a"], "cod": ["a", "b"], "map": [["a", "b"], ["b", "a"]]}, {"a": "b", "b": "a"}),
+])
+def test_a_parsed_map_matches_its_pairs(data, want):
+    got = io.finmap_from_json(data)
+    assert got == FinMap(FinSet(data["dom"]), FinSet(data["cod"]), want)
+    assert got == _on_labels(io.finmap_from_json, data)
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ([["a", "x"]], "no value assigned to 'b'"),
+    ([["a", "x"], ["b", "x"], ["c", "x"]], "assignment for 'c' outside the domain"),
+    ([["a", "x"], ["b", "x"], ["a", "y"]], "conflicting values for 'a'"),
+    ([["a", "x"], ["b", "z"]], "value 'z' of 'b' outside the codomain"),
+    ([["b", "z"], ["a", "x"]], "value 'z' of 'b' outside the codomain"),
+])
+def test_map_errors_keep_their_wording(pairs, message):
+    data = {"dom": ["a", "b"], "cod": ["x", "y"], "map": pairs}
+    for parse in (io.finmap_from_json, lambda d: _on_labels(io.finmap_from_json, d)):
+        with pytest.raises(io.ParseError, match=re.escape(f"bad map record: {message}")):
+            parse(data)
+
+
+def test_equal_set_records_parse_to_one_set():
+    rng = random.Random(6)
+    for _ in range(5):
+        P = io.polynomial_from_json(io.loads(io.dumps(io.polynomial_to_json(_composite(rng)))))
+        assert P.s.dom is P.B and P.f.dom is P.B and P.t.dom is P.A
+        assert P.s.cod is P.I and P.f.cod is P.A and P.t.cod is P.J
+    phi = io.morphism_from_json(io.morphism_to_json(rand_morphism(rng, 3)))
+    assert phi.phi1.dom is phi.dphi is phi.phi2.dom
+    assert phi.phi0.dom is phi.src.A and phi.phi2.cod is phi.src.B
+    # another call parses its own sets
+    data = io.polynomial_to_json(P)
+    assert io.polynomial_from_json(data).B is not io.polynomial_from_json(data).B
+
+
+class _Counted(list):
+    """A set record that counts the ``==`` comparisons it takes part in."""
+    compares = 0
+
+    def __eq__(self, other):
+        _Counted.compares += 1
+        return list.__eq__(self, other)
+
+    __hash__ = None
+
+
+def test_a_wide_family_compares_no_fibre_records():
+    # thousands of fibres of one size: sharing them across the whole call
+    # would compare each new fibre with every earlier one
+    n = 5000
+    data = {"index": [f"i{k}" for k in range(n)], "fibres": [[f"i{k}", _Counted([f"x{k}"])] for k in range(n)]}
+    _Counted.compares = 0
+    got = io.family_from_json(data)
+    assert _Counted.compares < n
+    assert got == FinFamily(FinSet(data["index"]), {f"i{k}": FinSet([f"x{k}"]) for k in range(n)})
+
+
+def test_a_label_nested_too_deeply_in_a_map_is_a_parse_error():
+    deep = _deep(2 * sys.getrecursionlimit())
+    for data in (
+        {"dom": ["a"], "cod": ["x"], "map": [["a", deep]]},
+        {"dom": ["a"], "cod": ["x"], "map": [[deep, "x"]]},
+        {"dom": ["a", deep], "cod": ["x"], "map": []},
+    ):
+        with pytest.raises(io.ParseError, match="^label nested too deeply$"):
+            io.finmap_from_json(data)
+    assert io._LABELS.get() is None
+
+
+# Every pair of the grammar is a two-element array
+
+@pytest.mark.parametrize("pairs", [["ab"], [["a", "b", "c"]], [["a"]], [("a", "b")], {"ab": "c"}])
+def test_a_map_pair_must_be_a_two_element_array(pairs):
+    # "ab" listed the domain ["a"] in its first column, as a string
+    with pytest.raises(io.ParseError, match="^pairs? must be"):
+        io.finmap_from_json({"dom": ["a"], "cod": ["b"], "map": pairs})
+
+
+@pytest.mark.parametrize("fibres", [["i", []], [["i", [], []]], [["i"]], "i"])
+def test_a_family_fibre_must_be_a_pair(fibres):
+    with pytest.raises(io.ParseError, match="^pairs? must be"):
+        io.family_from_json({"index": ["i"], "fibres": fibres})
+
+
+def _bool_record() -> dict:
+    return io.loads(io.dumps(io.universe_to_json(mk_bool_universe())))
+
+
+@pytest.mark.parametrize("entry", [
+    lambda e: [*e, "code1"],  # three elements
+    lambda e: e[0],  # the family pair on its own
+    lambda e: "".join([e[0][0], e[1]]),  # a string
+])
+def test_a_universe_table_entry_must_be_a_pair(entry):
+    data = _bool_record()
+    data["sigma"][0] = entry(data["sigma"][0])
+    with pytest.raises(io.ParseError, match="^pairs? must be"):
+        io.universe_from_json(data)
+
+
+@pytest.mark.parametrize("head", [
+    lambda h: [h[0]],
+    lambda h: [*h, []],
+    lambda h: h[0],
+])
+def test_the_code_and_family_of_a_table_entry_must_be_a_pair(head):
+    data = _bool_record()
+    data["pi"][0][0] = head(data["pi"][0][0])
+    with pytest.raises(io.ParseError, match="^pairs? must be"):
+        io.universe_from_json(data)
+
+
+def test_a_code_family_pair_must_be_a_two_element_array():
+    data = _bool_record()
+    [(x, code)] = next(e[0][1] for e in data["sigma"] if len(e[0][1]) == 1)
+    for e in data["sigma"]:
+        if e[0][1] == [[x, code]]:
+            e[0][1] = [x + code]
+    with pytest.raises(io.ParseError, match="^pair must be"):
+        io.universe_from_json(data)

@@ -442,6 +442,16 @@ class TestOneBuildPerCheck:
             assert GF == poly._compose(G, F)
             assert iso == extension_composition_iso(G, F, X)
 
+    def test_model_pseudomonad_opens_one_table(self, built, capsys):
+        # one table per check built 12 composites on ``bool``; one table for
+        # the command builds each of the 9 distinct ones once
+        from polyverse.cli import main
+
+        assert main(["model", "pseudomonad", "bool"]) == 0
+        assert capsys.readouterr().out
+        assert len(built["_compose"]) == len(set(built["_compose"])) == 9
+        assert poly._BUILT.get() is None
+
     def test_no_table_outlives_a_check(self):
         f, g, h, k = _quad(17)
         pentagon_check(f, g, h, k)

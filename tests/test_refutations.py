@@ -8,15 +8,17 @@ For a theorem (the pasting laws, for instance) the entry refutes the
 decider on inputs outside the theorem's hypotheses, not the law itself.
 Where the decider is a suite's own comparison (the slice laws, the four
 extension laws of ``bicategory-laws``, the three laws of
-``extension-composition``, ``corrupted-adjustment-rejected`` and
-``pentagon``), the entry runs the suite with the hand-built input in place
-of its draw.  Where a theorem's decider has no input outside its hypotheses
-(``triangle``, ``pentagon``, the four extension laws of ``bicategory-laws``,
-``composite-matches-direct`` and the extension bijection's two laws), a
+``extension-composition``, three laws of ``lift``,
+``corrupted-adjustment-rejected`` and ``pentagon``), the entry runs the
+suite with the hand-built input in place of its draw.  Where a theorem's
+decider has no input outside its hypotheses (``triangle``, ``pentagon``,
+the four extension laws of ``bicategory-laws``, ``composite-matches-direct``,
+the extension bijection's two laws and the three ``lift`` laws), a
 construction it calls is patched to a valid one that breaks the theorem: a
 composite, unitor or associator followed by the swap of two arities, an
 identity cell replaced by that swap, a direct composite whose operations
-trade arities, or extension bijections followed by the swap of two elements.
+trade arities, extension bijections followed by the swap of two elements,
+or a lifted or unit square followed by the swap of two elements in a fibre.
 """
 
 import itertools
@@ -200,16 +202,19 @@ def _suite_verdict(suite: str, law: str, instance: str, *patches) -> bool:
     return status == "pass"
 
 
-def _slice_verdict(law: str, instance: str, sigma: dict) -> bool:
+def _slice_verdict(law: str, instance: str, sigma: dict, calls=None) -> bool:
     """The verdict ``slice-reduction`` records for ``law`` when every cell it
     draws is the identity on ``_polynomial_over_two_base_points``, and in
-    every cell it reduces, the fibre cell over (i0, j) is swapped for a
-    valid cell with the same endpoints and vertex whose map to the source
-    arities is followed by ``sigma``."""
+    every cell it reduces (or in the ``calls``-th reductions only), the fibre
+    cell over (i0, j) is swapped for a valid cell with the same endpoints and
+    vertex whose map to the source arities is followed by ``sigma``."""
     phi = identity_cell(_polynomial_over_two_base_points())
+    count = itertools.count()
 
     def reduce(cell):
         cells = slice_reduce_cell(cell)
+        if calls is not None and next(count) not in calls:
+            return cells
         c = cells[("i0", "j")]
         phi2 = FinMap(c.dphi, c.src.B, {e: sigma[b] for e, b in c.phi2.pairs})
         cells[("i0", "j")] = PolyMorphism(c.src, c.dst, c.dphi, c.phi0, c.phi1, phi2)
@@ -224,6 +229,13 @@ def _slice_verdict(law: str, instance: str, sigma: dict) -> bool:
 
 
 SWAP = {"b0": "b1", "b1": "b0"}
+
+
+def _fibre_cell_of_the_second_cell_swapped() -> bool:
+    # the suite reduces phi, then psi: only psi's fibre cell over (i0, j) is
+    # swapped, so the identity adjustment phi => psi restricts to no
+    # adjustment between the fibre cells
+    return _slice_verdict("slice-adjustment-identity", "inst0", SWAP, calls={1})
 
 
 def _fibre_cell_swapped_for_another() -> bool:
@@ -389,6 +401,53 @@ def _control_pair_whose_swap_stays_valid() -> bool:
     return _corrupted_adjustment_verdict(valid_after_the_swap=True)
 
 
+def _followed_by_a_fibre_swap(sq: Square) -> Square:
+    """``sq`` followed by the swap of two elements in one fibre of its target
+    map: a valid square with the same endpoints."""
+    g = sq.dst
+    x, y = next(fibre for fibre in map(g.preimage, g.cod) if len(fibre) > 1)[:2]
+    swap = FinMap(g.dom, g.dom, {**{z: z for z in g.dom}, x: y, y: x})
+    return Square(sq.src, g, swap.after(sq.top), sq.bot)
+
+
+def _lift_verdict(law: str, builder: str | None = None, call: int = 0) -> bool:
+    """The verdict ``lift`` records for ``law`` when every square it draws is
+    the identity on ``{x, y} -> {c}`` and, if ``builder`` is given, the first
+    square that the ``call``-th call of that builder of ``suites`` returns is
+    followed by a swap in a fibre of its target."""
+    f = FinMap.constant(FinSet(["x", "y"]), FinSet(["c"]), "c")
+    patches = [mock.patch.object(generators, "rand_cartesian_square", lambda *args, **kwargs: Square.identity(f))]
+    if builder is not None:
+        build, calls = getattr(suites, builder), itertools.count()
+
+        def twisted(*args):
+            out = build(*args)
+            if next(calls) != call:
+                return out
+            if isinstance(out, Square):
+                return _followed_by_a_fibre_swap(out)
+            return (_followed_by_a_fibre_swap(out[0]), *out[1:])
+
+        patches.append(mock.patch.object(suites, builder, twisted))
+    return _suite_verdict("lift", law, "sq0", *patches)
+
+
+def _lifted_identity_followed_by_a_swap() -> bool:
+    # the suite's first lift_apply_square call lifts the identity square
+    return _lift_verdict("lift-identity", "lift_apply_square", 0)
+
+
+def _lifted_composite_followed_by_a_swap() -> bool:
+    # its second lifts the composite of the two drawn squares
+    return _lift_verdict("lift-composition", "lift_apply_square", 1)
+
+
+def _unit_square_followed_by_a_swap() -> bool:
+    # the unit square at the drawn map's source, but not the one at its
+    # target, which is the same map: the two sides of the naturality square
+    return _lift_verdict("lift-naturality", "lift_unit_mult", 0)
+
+
 def _family_of_xy(rng, index, *args, **kwargs) -> FinFamily:
     return FinFamily(index, {i: FinSet(["x", "y"]) for i in index})
 
@@ -481,6 +540,10 @@ REFUTATIONS = {
     "extension-identity": _identity_swapped_for_a_swap,
     "hcomp-extension": _hcomp_followed_by_a_swap,
     "corrupted-adjustment-rejected": _control_pair_whose_swap_stays_valid,
+    "lift-identity": _lifted_identity_followed_by_a_swap,
+    "lift-composition": _lifted_composite_followed_by_a_swap,
+    "lift-naturality": _unit_square_followed_by_a_swap,
+    "slice-adjustment-identity": _fibre_cell_of_the_second_cell_swapped,
 }
 
 
@@ -514,8 +577,11 @@ def test_the_hand_built_inputs_also_admit_a_true_answer():
     assert _holds(InternalCatError, lambda: internal_full_subcat(two.source))
     for law, instance in (
         ("slice-roundtrip", "inst0-cell"), ("slice-cartesian-iff", "inst0"), ("slice-functorial", "inst0"),
+        ("slice-adjustment-identity", "inst0"),
     ):
         assert _slice_verdict(law, instance, {"b0": "b0", "b1": "b1"})
+    for law in ("lift-identity", "lift-composition", "lift-naturality"):
+        assert _lift_verdict(law)
     assert _vcomp_associative_verdict(twist=False)
     for law in ("extension-functorial", "extension-identity", "hcomp-extension"):
         assert _bicategory_verdict(law)
