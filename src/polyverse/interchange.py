@@ -283,14 +283,22 @@ def universe_from_json(data) -> Universe:
     labels = _LABELS.get()
     label = functools.partial(_label_from_json, labels=labels)
 
+    def add_new(out: dict, key, value) -> None:
+        if key in out:
+            raise ParseError(f"duplicate element {key!r}")
+        out[key] = value
+
     def table(entries) -> dict:
         out = {}
         for head, code in _pairs(entries):
             A, bt = _pair(head)
             # a code family in section_tuple's order, but not interned
-            family = sorted({label(x): label(c) for x, c in _pairs(bt)}.items(), key=lambda xc: _key(xc[0], labels))
+            family = {}
+            for x, c in _pairs(bt):
+                add_new(family, label(x), label(c))
+            family = sorted(family.items(), key=lambda xc: _key(xc[0], labels))
             family = _entry(tuple([_entry(xc, labels)[0] for xc in family]), labels)[0]
-            out[(label(A), family)] = label(code)
+            add_new(out, (label(A), family), label(code))
         return out
 
     return Universe(

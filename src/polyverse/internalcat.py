@@ -8,19 +8,17 @@ a morphism is encoded as ``(a, a', graph)`` with the graph in section
 form.  Everything is materialised and the category laws are checked by
 full enumeration at construction time.
 
-Each structure is built and validated once and then passed on.  A category
-keeps the map it was built from (``source``) and a functor the cell it was
-induced by (``cell``); neither enters ``==``, ``hash`` or ``repr``.
-``internal_functor`` takes the categories of the cell's endpoints and
-``adjustment_to_nat`` the induced functors, and both check by equality that
-these come from the cells at hand instead of building them again;
-``equivalence_sets`` takes the functors and reads the cells off them.
+Categories and induced functors are built through the table of
+``poly._once``, so once per check.  ``internal_functor`` takes only the cell
+and gets the categories of its endpoints from ``internal_full_subcat``;
+``adjustment_to_nat`` and ``equivalence_sets`` take cells and get their
+functors from ``internal_functor``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .finset import (
     FinMap,
@@ -30,7 +28,7 @@ from .finset import (
     _guard,
     _intern,
 )
-from .poly import PolyError
+from .poly import PolyError, _once
 from .poly2 import Adjustment, PolyMorphism
 
 
@@ -46,8 +44,6 @@ class InternalCategory:
     cod: FinMap
     ident: FinMap
     comp: FinMap
-    # the map whose internal full subcategory this is, if it was built as one
-    source: FinMap | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.dom.dom != self.mor or self.dom.cod != self.obj:
@@ -88,6 +84,10 @@ class InternalCategory:
 
 def internal_full_subcat(f: FinMap) -> InternalCategory:
     """The internal full subcategory associated with a map of finite sets."""
+    return _once(_internal_full_subcat, f)
+
+
+def _internal_full_subcat(f: FinMap) -> InternalCategory:
     A = f.cod
     count = 0
     for a in A:
@@ -110,7 +110,7 @@ def internal_full_subcat(f: FinMap) -> InternalCategory:
         graph = {b: section_lookup(m2[2], section_lookup(m1[2], b)) for b in f.preimage(m1[0])}
         comp_table[(m2, m1)] = (m1[0], m2[1], _intern(tuple(graph.items())))
     comp = FinMap(FinSet._of(tuple(pairs)), mor, comp_table)
-    return InternalCategory(A, mor, dom, cod, ident, comp, f)
+    return InternalCategory(A, mor, dom, cod, ident, comp)
 
 
 @dataclass(frozen=True)
@@ -119,8 +119,6 @@ class InternalFunctor:
     dst: InternalCategory
     on_obj: FinMap
     on_mor: FinMap
-    # the cartesian cell that induced this functor, if one did
-    cell: PolyMorphism | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.on_obj.dom != self.src.obj or self.on_obj.cod != self.dst.obj:
@@ -164,22 +162,25 @@ class InternalFunctor:
         return InternalFunctor(C, C, FinMap.identity(C.obj), FinMap.identity(C.mor))
 
 
-def internal_functor(phi: PolyMorphism, Af: InternalCategory, Ag: InternalCategory) -> InternalFunctor:
+def internal_functor(phi: PolyMorphism) -> InternalFunctor:
     """The internal functor induced by a cartesian morphism of one-to-one
-    polynomials, between the internal full subcategories ``Af`` and ``Ag``
-    of its endpoints: phi0 on objects, conjugation by the square top on homs."""
+    polynomials, between the internal full subcategories of its endpoints:
+    phi0 on objects, conjugation by the square top on homs."""
+    return _once(_internal_functor, phi)
+
+
+def _internal_functor(phi: PolyMorphism) -> InternalFunctor:
     if not phi.is_cartesian():
         raise PolyError("internal functors arise from cartesian morphisms only")
     if not (phi.src.is_one_to_one() and phi.dst.is_one_to_one()):
         raise PolyError("reduce along the slice first for general endpoints")
-    if Af.source != phi.src.f or Ag.source != phi.dst.f:
-        raise InternalCatError("the categories are not those of the cell's endpoints")
+    Af, Ag = internal_full_subcat(phi.src.f), internal_full_subcat(phi.dst.f)
     top = phi.square_top()
     on_mor_table = {}
     for (a, a2, graph) in Af.mor:
         image = {top(b): top(y) for b, y in graph}
         on_mor_table[(a, a2, graph)] = (phi.phi0(a), phi.phi0(a2), section_tuple(image))
-    return InternalFunctor(Af, Ag, phi.phi0, FinMap(Af.mor, Ag.mor, on_mor_table), phi)
+    return InternalFunctor(Af, Ag, phi.phi0, FinMap(Af.mor, Ag.mor, on_mor_table))
 
 
 @dataclass(frozen=True)
@@ -233,12 +234,11 @@ def _component_table(phi: PolyMorphism, psi: PolyMorphism, alpha: FinMap) -> dic
     return table
 
 
-def adjustment_to_nat(adj: Adjustment, F: InternalFunctor, G: InternalFunctor) -> InternalNatTrans:
+def adjustment_to_nat(adj: Adjustment) -> InternalNatTrans:
     """Transpose an adjustment between cartesian morphisms into an internal
-    natural transformation between the functors ``F`` and ``G`` they induce."""
+    natural transformation between the functors they induce."""
     phi, psi = adj.src, adj.dst
-    if F.cell != phi or G.cell != psi:
-        raise InternalCatError("the functors are not those induced by the adjustment's cells")
+    F, G = internal_functor(phi), internal_functor(psi)
     table = _component_table(phi, psi, adj.alpha)
     components = FinMap(F.src.obj, G.dst.mor, table)
     return InternalNatTrans(F, G, components)
@@ -254,17 +254,15 @@ def nat_to_adjustment(nat: InternalNatTrans, phi: PolyMorphism, psi: PolyMorphis
     return Adjustment(phi, psi, FinMap(phi.dphi, psi.dphi, table))
 
 
-def equivalence_sets(F: InternalFunctor, G: InternalFunctor) -> dict:
+def equivalence_sets(phi: PolyMorphism, psi: PolyMorphism) -> dict:
     """Brute-force the four equivalent descriptions of an adjustment between
-    the cartesian morphisms that induced ``F`` and ``G``, over every vertex
-    map lying over the operations.
+    the cartesian morphisms ``phi`` and ``psi``, over every vertex map lying
+    over the operations.
 
     Returns the four sets of candidate maps (as sorted graph tuples) so a
     caller can assert they coincide.
     """
-    phi, psi = F.cell, G.cell
-    if phi is None or psi is None:
-        raise PolyError("the equivalence concerns functors induced by cartesian morphisms")
+    F, G = internal_functor(phi), internal_functor(psi)
     D = G.dst
     sets: dict = {"natural": set(), "component": set(), "conjugate": set(), "over_b": set()}
     by_a: dict = {}

@@ -22,15 +22,14 @@ As in the paper, the pseudoalgebra is built over the pseudomonad:
 cells, ``.pseudoalgebra()`` adds zeta over it, and each object checks its
 own pasting equations with ``.pasting_report()``.
 
-The endofunctor ``P_p`` on sets and on the arrow category is one object,
-``LiftedEndofunctor(p)``, which keeps ``P_p(Z)`` for each set ``Z`` it has
-been applied to.  ``apply_to_set``, ``lift_apply``, ``lift_apply_square``
-and ``lift_unit_mult`` take it in place of ``p``, so every square drawn from
-the same sets reuses their values.  Its ``unit`` and ``mult`` read the
-components ``Z -> P_p(Z)`` and ``P_p(P_p(Z)) -> P_p(Z)`` off those sets and
-the tables of ``eta`` and ``mu``, without extending the composite ``p.p``.
-The pseudoalgebra keeps the one it was built with, next to ``Tz``, for its
-pasting report.
+The endofunctor ``P_p`` on sets and on the arrow category is
+``LiftedEndofunctor(p)``, taken by ``apply_to_set``, ``lift_apply``,
+``lift_apply_square`` and ``lift_unit_mult`` in place of ``p``.  Its
+``unit`` and ``mult`` read the components ``Z -> P_p(Z)`` and
+``P_p(P_p(Z)) -> P_p(Z)`` off ``P_p(Z)`` and the tables of ``eta`` and
+``mu``, without extending the composite ``p.p``.  The three structure cells
+and each ``P_p(Z)`` are built through the table of ``poly._once``: once per
+check, whichever object asks for them.
 """
 
 from __future__ import annotations
@@ -61,6 +60,7 @@ from .poly import (
     extend,
     from_map,
     identity_poly,
+    _once,
     _shared_builds,
 )
 from .poly2 import (
@@ -268,6 +268,10 @@ def poly_of(u: Universe) -> Polynomial:
 
 def unit_structure(u: Universe) -> PolyMorphism:
     """The cartesian cell i_1 => p picking the unit code and its element."""
+    return _once(_unit_structure, u)
+
+
+def _unit_structure(u: Universe) -> PolyMorphism:
     _checked(u)
     top = FinMap(TERMINAL, u.terms, {"*": u.star})
     bot = FinMap(TERMINAL, u.codes, {"*": u.unit_code})
@@ -283,6 +287,10 @@ def _operation_btable(melt) -> tuple:
 def sigma_structure(u: Universe) -> PolyMorphism:
     """The cartesian cell p.p => p: sum codes on operations, the canonical
     pairing on arities.  The source is the engine's own composite."""
+    return _once(_sigma_structure, u)
+
+
+def _sigma_structure(u: Universe) -> PolyMorphism:
     _checked(u)
     p_poly = poly_of(u)
     pp, _ = compose(p_poly, p_poly)
@@ -301,13 +309,11 @@ def sigma_structure(u: Universe) -> PolyMorphism:
 
 
 class LiftedEndofunctor:
-    """The endofunctor ``P_p`` induced by a map ``p``, keeping its value
-    ``P_p(Z)`` on each set ``Z`` it has been applied to."""
+    """The endofunctor ``P_p`` induced by a map ``p``."""
 
     def __init__(self, p: FinMap):
         self.p = p
         self.poly = from_map(p)
-        self.values: dict = {}
 
     def unit(self, eta: PolyMorphism, Z: FinSet) -> FinMap:
         """The unit ``Z -> P_p(Z)`` of the cell ``eta : i_1 => p``: each
@@ -339,11 +345,12 @@ class LiftedEndofunctor:
 
 
 def apply_to_set(P: LiftedEndofunctor, Z: FinSet) -> FinSet:
-    """The value on an object, computed the first time ``P`` meets ``Z``."""
-    value = P.values.get(Z)
-    if value is None:
-        value = P.values[Z] = extend(P.poly, FinFamily(TERMINAL, {"*": Z})).fibre("*")
-    return value
+    """The value on an object: the one fibre of the extension at ``Z``."""
+    return _once(_apply_to_set, P.poly, Z)
+
+
+def _apply_to_set(F: Polynomial, Z: FinSet) -> FinSet:
+    return extend(F, FinFamily._of(TERMINAL, (Z,))).fibre("*")
 
 
 def lift_apply(P: LiftedEndofunctor, f: FinMap) -> FinMap:
@@ -367,14 +374,12 @@ def lift_apply_square(P: LiftedEndofunctor, sq: Square) -> Square:
 def pi_structure(u: Universe) -> PolyMorphism:
     """The cartesian cell P_p(p) => p: product codes on operations, the
     canonical abstraction on arities."""
-    return _pi_structure(u, LiftedEndofunctor(u.p))
+    return _once(_pi_structure, u)
 
 
-def _pi_structure(u: Universe, P: LiftedEndofunctor) -> PolyMorphism:
-    """``pi_structure`` through ``P``, the lifted endofunctor of ``u.p``,
-    which keeps ``P_p`` of the terms and the codes for its next use."""
+def _pi_structure(u: Universe) -> PolyMorphism:
     _checked(u)
-    p_map = lift_apply(P, u.p)
+    p_map = lift_apply(LiftedEndofunctor(u.p), u.p)
     bot_table, top_table = {}, {}
     for (A, sect) in p_map.cod:
         bot_table[(A, sect)] = u.pi_code(A, section_tuple({k[1]: v for k, v in sect}))
@@ -461,7 +466,7 @@ class PolynomialPseudomonad:
         pseudomonad, in the arrow 2-category."""
         u = self.universe
         P = LiftedEndofunctor(u.p)
-        zeta = _pi_structure(u, P)
+        zeta = pi_structure(u)
         z = square_of_cell(zeta)
         h_p, m_p = lift_unit_mult(P, self.eta, self.mu, u.p)
         Tz = lift_apply_square(P, z)
@@ -476,7 +481,7 @@ class PolynomialPseudomonad:
                 raise UniverseError(f"{name} adjustment is not invertible")
         return PolynomialPseudoalgebra(
             self, self.carrier, zeta, sigma_adj, tau_adj,
-            lhs == rhs, tau_lhs == tau_rhs, z, h_p, m_p, Tz, P,
+            lhs == rhs, tau_lhs == tau_rhs, z, h_p, m_p, Tz,
         )
 
 
@@ -550,13 +555,11 @@ class PolynomialPseudoalgebra:
     tau_adj: Adjustment
     strict_sigma: bool
     strict_tau: bool
-    # zeta as a square z, the unit and multiplication squares at p, Tz, and
-    # the lifted endofunctor that built them, with the sets it has met
+    # zeta as a square z, and the unit and multiplication squares at p and Tz
     z: Square = field(compare=False, repr=False)
     h_p: Square = field(compare=False, repr=False)
     m_p: Square = field(compare=False, repr=False)
     Tz: Square = field(compare=False, repr=False)
-    lift: LiftedEndofunctor = field(compare=False, repr=False)
 
     def is_strict(self) -> bool:
         return self.strict_sigma and self.strict_tau
@@ -566,7 +569,8 @@ class PolynomialPseudoalgebra:
         """The two coherence equations for the pseudoalgebra adjustments,
         checked as literal equalities of composite vertex maps between
         squares over the third and first powers of the carrier."""
-        z, h_p, m_p, Tz, P = self.z, self.h_p, self.m_p, self.Tz, self.lift
+        z, h_p, m_p, Tz = self.z, self.h_p, self.m_p, self.Tz
+        P = LiftedEndofunctor(self.carrier.f)
         _, m_Tp = lift_unit_mult(P, self.monad.eta, self.monad.mu, m_p.dst)
         TTz = lift_apply_square(P, Tz)
         Tm_p = lift_apply_square(P, m_p)

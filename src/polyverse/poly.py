@@ -14,9 +14,12 @@ element-level description and must agree exactly; the two code paths share
 nothing but the encoding conventions.
 
 A law check pastes cells whose ends are the same few composites, so inside
-a check (``_shared_builds``) ``compose`` and ``extend`` build each result
-once per distinct arguments and enumeration cap, and the table goes when the
-outermost check returns.  ``compose_direct`` never reads it.
+a check (``_shared_builds``) one table builds each result of ``compose``,
+``extend``, ``internalcat.internal_full_subcat`` and ``internal_functor``,
+and ``naturalmodel.unit_structure``, ``sigma_structure``, ``pi_structure``
+and ``apply_to_set`` once per distinct arguments and enumeration cap; the
+table goes when the outermost check returns.  ``compose_direct`` never
+reads it.
 """
 
 from __future__ import annotations
@@ -91,15 +94,15 @@ def identity_poly(I: FinSet) -> Polynomial:
     return Polynomial(I, I, I, I, i, i, i)
 
 
-# The composites and extensions built in the outermost check in progress,
-# keyed by builder, arguments and cap, and dropped when that check returns.
+# The results built in the outermost check in progress, keyed by builder,
+# arguments and cap, and dropped when that check returns.
 _BUILT: ContextVar = ContextVar("poly_built", default=None)
 
 
 @contextmanager
 def _shared_builds():
-    """Share one table of built composites and extensions with the block, or
-    the table of a block already in progress; also a decorator for checks."""
+    """Share one table of built results with the block, or the table of a
+    block already in progress; also a decorator for checks."""
     if _BUILT.get() is not None:
         yield
         return

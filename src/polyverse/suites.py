@@ -217,10 +217,10 @@ def _estimate_composite(G, F) -> int:
 
 @contextmanager
 def _skip_over_cap(rep: Report, name: str, law: str):
-    """Run one instance's checks, sharing their composites and extensions;
-    over the cap, their records move to ``name`` and a skip under ``law``
-    follows.  The block records ``law`` after its last enumeration, so no law
-    is both checked and skipped for one instance."""
+    """Run one instance's checks in one table of builds, or in the run's if
+    one is open; over the cap, their records move to ``name`` and a skip
+    under ``law`` follows.  The block records ``law`` after its last
+    enumeration, so no law is both checked and skipped for one instance."""
     mark = len(rep.records)
     try:
         with _shared_builds():
@@ -340,20 +340,6 @@ def suite_coherence(cfg: InstanceGenConfig) -> Report:
 def suite_internal_equiv(cfg: InstanceGenConfig) -> Report:
     rep = Report("internal-equiv", cfg)
     rng = random.Random(cfg.seed)
-    # one instance's internal categories by map and induced functors by cell:
-    # each is built once, where it is first needed, and handed on
-    cats, funs = {}, {}
-
-    def category(f):
-        if f not in cats:
-            cats[f] = internal_full_subcat(f)
-        return cats[f]
-
-    def functor(cell):
-        if cell not in funs:
-            funs[cell] = internal_functor(cell, category(cell.src.f), category(cell.dst.f))
-        return funs[cell]
-
     made, attempts = 0, 0
     while made < cfg.count and attempts < cfg.count * 80:
         attempts += 1
@@ -362,32 +348,30 @@ def suite_internal_equiv(cfg: InstanceGenConfig) -> Report:
         except RuntimeError:
             continue
         inst = f"inst{made}"
-        cats.clear()
-        funs.clear()
         with _skip_over_cap(rep, f"attempt{attempts}", "four-way-equivalence"):
             try:
-                cat = category(phi.src.f)
+                cat = internal_full_subcat(phi.src.f)
             except InternalCatError as exc:
                 rep.check("internal-category-laws", inst, False, str(exc))
                 made += 1
                 continue
             rep.check("internal-category-laws", inst, True, f"morphisms={len(cat.mor)}")
-            F, Gf = functor(phi), functor(psi)
+            F, Gf = internal_functor(phi), internal_functor(psi)
             rep.check("internal-fully-faithful", inst, F.is_fully_faithful() and Gf.is_fully_faithful())
             chi = gen.rand_morphism(
                 rng, min(cfg.max_set_size, 2), cartesian=True,
                 target=gen.rand_polynomial(rng, min(cfg.max_set_size, 2), one_to_one=True),
             )
             outer = gen.rand_morphism(rng, min(cfg.max_set_size, 2), cartesian=True, target=chi.src)
-            lhs = functor(v_comp(chi, outer))
-            rep.check("internal-functor-composition", inst, lhs == functor(chi).after(functor(outer)))
+            lhs = internal_functor(v_comp(chi, outer))
+            rep.check("internal-functor-composition", inst, lhs == internal_functor(chi).after(internal_functor(outer)))
             alpha = unique_adjustment(phi, psi)
-            nat = adjustment_to_nat(alpha, F, Gf)
+            nat = adjustment_to_nat(alpha)
             back = nat_to_adjustment(nat, phi, psi)
             rep.check("adjustment-nat-roundtrip", inst, back.alpha == alpha.alpha)
             count = len(all_internal_nat_trans(F, Gf))
             rep.check("internal-nt-unique", inst, count == 1, f"count={count}")
-            sets = equivalence_sets(F, Gf)
+            sets = equivalence_sets(phi, psi)
             same = sets["natural"] == sets["component"] == sets["conjugate"] == sets["over_b"]
             rep.check("four-way-equivalence", inst, same and len(sets["over_b"]) == 1)
             made += 1
@@ -483,44 +467,45 @@ def suite_lift(cfg: InstanceGenConfig) -> Report:
     rep = Report("lift", cfg)
     rng = random.Random(cfg.seed)
     universes = [mk_bool_universe(), mk_skewed_universe()]
-    cells = {}  # universe index -> (eta, mu), built by the first instance over it
-    for n in range(cfg.count):
-        u = universes[n % 2]
-        inst = f"sq{n}"
-        sq = gen.rand_cartesian_square(rng, cfg.max_set_size)
-        with _skip_over_cap(rep, inst, "lift-monad-laws"):
-            if n % 2 not in cells:
-                cells[n % 2] = unit_structure(u), sigma_structure(u)
-            eta, mu = cells[n % 2]
-            P = LiftedEndofunctor(u.p)  # keeps P_p(Z) for the sets of this instance
-            f = sq.src
-            Pid = lift_apply_square(P, Square.identity(f))
-            rep.check("lift-identity", inst, Pid == Square.identity(lift_apply(P, f)))
-            sq2 = gen.rand_cartesian_square(rng, cfg.max_set_size, dst=sq.src)
-            lhs = lift_apply_square(P, sq.after(sq2))
-            Psq = lift_apply_square(P, sq)
-            rep.check("lift-composition", inst, lhs == Psq.after(lift_apply_square(P, sq2)))
-            rep.check("lift-preserves-pullbacks", inst, Psq.is_pullback())
-            h_f, m_f = lift_unit_mult(P, eta, mu, f)
-            rep.check("lift-unit-mult-squares", inst, h_f.is_pullback() and m_f.is_pullback())
-            h_g, m_g = lift_unit_mult(P, eta, mu, sq.dst)
-            nat_h = h_g.after(sq) == Psq.after(h_f)
-            PPsq = lift_apply_square(P, Psq)
-            nat_m = m_g.after(PPsq) == Psq.after(m_f)
-            rep.check("lift-naturality", inst, nat_h and nat_m)
-            Pf = lift_apply(P, f)
-            h_Pf, m_Pf = lift_unit_mult(P, eta, mu, Pf)
-            Pm_f = lift_apply_square(P, m_f)
-            Ph_f = lift_apply_square(P, h_f)
-            laws = []
-            for lhs_sq, rhs_sq in (
-                (m_f.after(Pm_f), m_f.after(m_Pf)),
-                (m_f.after(h_Pf), Square.identity(Pf)),
-                (m_f.after(Ph_f), Square.identity(Pf)),
-            ):
-                adj = unique_adjustment(cell_of_square(lhs_sq), cell_of_square(rhs_sq))
-                laws.append(adj.is_invertible())
-            rep.check("lift-monad-laws", inst, all(laws))
+    lifts = [LiftedEndofunctor(u.p) for u in universes]
+    # the universes are fixed, so one table serves the whole run: eta, mu and
+    # each P_p(Z) are built once per universe, and one endofunctor per
+    # universe keeps the keys of P_p(Z) identical, not just equal
+    with _shared_builds():
+        for n in range(cfg.count):
+            u, P = universes[n % 2], lifts[n % 2]
+            inst = f"sq{n}"
+            sq = gen.rand_cartesian_square(rng, cfg.max_set_size)
+            with _skip_over_cap(rep, inst, "lift-monad-laws"):
+                eta, mu = unit_structure(u), sigma_structure(u)
+                f = sq.src
+                Pid = lift_apply_square(P, Square.identity(f))
+                rep.check("lift-identity", inst, Pid == Square.identity(lift_apply(P, f)))
+                sq2 = gen.rand_cartesian_square(rng, cfg.max_set_size, dst=sq.src)
+                lhs = lift_apply_square(P, sq.after(sq2))
+                Psq = lift_apply_square(P, sq)
+                rep.check("lift-composition", inst, lhs == Psq.after(lift_apply_square(P, sq2)))
+                rep.check("lift-preserves-pullbacks", inst, Psq.is_pullback())
+                h_f, m_f = lift_unit_mult(P, eta, mu, f)
+                rep.check("lift-unit-mult-squares", inst, h_f.is_pullback() and m_f.is_pullback())
+                h_g, m_g = lift_unit_mult(P, eta, mu, sq.dst)
+                nat_h = h_g.after(sq) == Psq.after(h_f)
+                PPsq = lift_apply_square(P, Psq)
+                nat_m = m_g.after(PPsq) == Psq.after(m_f)
+                rep.check("lift-naturality", inst, nat_h and nat_m)
+                Pf = lift_apply(P, f)
+                h_Pf, m_Pf = lift_unit_mult(P, eta, mu, Pf)
+                Pm_f = lift_apply_square(P, m_f)
+                Ph_f = lift_apply_square(P, h_f)
+                laws = []
+                for lhs_sq, rhs_sq in (
+                    (m_f.after(Pm_f), m_f.after(m_Pf)),
+                    (m_f.after(h_Pf), Square.identity(Pf)),
+                    (m_f.after(Ph_f), Square.identity(Pf)),
+                ):
+                    adj = unique_adjustment(cell_of_square(lhs_sq), cell_of_square(rhs_sq))
+                    laws.append(adj.is_invertible())
+                rep.check("lift-monad-laws", inst, all(laws))
     return rep
 
 

@@ -42,7 +42,7 @@ from polyverse.finset import (
     _guard,
     _intern,
 )
-from polyverse.internalcat import internal_full_subcat, internal_functor
+from polyverse.internalcat import internal_functor
 from polyverse.poly import (
     PolyError,
     Polynomial,
@@ -357,10 +357,7 @@ def adj_whisker(beta: Adjustment, alpha: Adjustment) -> Adjustment:
 def internal_functor_general(phi: PolyMorphism) -> dict:
     """General endpoints: reduce along the slice, then one functor per base
     point of the product of the endpoints."""
-    return {
-        z: internal_functor(c, internal_full_subcat(c.src.f), internal_full_subcat(c.dst.f))
-        for z, c in slice_reduce_cell(phi).items()
-    }
+    return {z: internal_functor(c) for z, c in slice_reduce_cell(phi).items()}
 
 
 # ---------------------------------------------------------------------------

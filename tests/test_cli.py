@@ -256,6 +256,20 @@ def test_a_string_where_a_pair_belongs_is_a_parse_error(tmp_path):
     assert proc.stdout == ""
 
 
+def test_a_code_family_with_a_repeated_element_is_a_parse_error(tmp_path):
+    # the family [el -> code1, el -> code0] once parsed as [el -> code0]
+    out = tmp_path / "bool.json"
+    run_cli("model", "builtin", "bool", "-o", str(out))
+    record = json.loads(out.read_text())
+    entry = next(e for e in record["sigma"] if e[0][1] == [["el", "code0"]])
+    entry[0][1] = [["el", "code1"], ["el", "code0"]]
+    out.write_text(json.dumps(record))
+    proc = run_cli("model", "check", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "parse error: duplicate element 'el'\n"
+    assert proc.stdout == ""
+
+
 def test_corrupted_universe_fails_with_failure_code(tmp_path):
     out = tmp_path / "bool.json"
     run_cli("model", "builtin", "bool", "-o", str(out))

@@ -26,7 +26,7 @@ from polyverse.finset import (
     _intern,
 )
 from polyverse.generators import rand_composable_pair, rand_family, rand_morphism, rand_parallel_cartesian_pair
-from polyverse.internalcat import adjustment_to_nat, internal_full_subcat, internal_functor
+from polyverse.internalcat import adjustment_to_nat, internal_full_subcat
 from polyverse.naturalmodel import LiftedEndofunctor, Universe, lift_apply
 from polyverse.poly import (
     Polynomial,
@@ -694,8 +694,7 @@ def test_composite_and_internal_sets_equal_their_checked_rebuilds(data):
     phi = rand_morphism(rng, 2)
     assert_sorted_sections(sect for _, sect in fibre_values(extend_cell(phi, rand_family(rng, phi.src.I, 2))))
     phi, psi = rand_parallel_cartesian_pair(rng, 2)
-    Cs, Cd = internal_full_subcat(phi.src.f), internal_full_subcat(phi.dst.f)
-    nat = adjustment_to_nat(unique_adjustment(phi, psi), internal_functor(phi, Cs, Cd), internal_functor(psi, Cs, Cd))
+    nat = adjustment_to_nat(unique_adjustment(phi, psi))
     assert_sorted_sections(graph for _, (_, _, graph) in nat.components.pairs)
 
 

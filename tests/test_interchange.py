@@ -519,3 +519,21 @@ def test_a_code_family_pair_must_be_a_two_element_array():
             e[0][1] = [x + code]
     with pytest.raises(io.ParseError, match="^pair must be"):
         io.universe_from_json(data)
+
+
+def test_a_repeated_element_of_a_code_family_is_refused():
+    # before, the family kept its last code and the record equalled bool
+    data = _bool_record()
+    entry = next(e for e in data["sigma"] if e[0][1] == [["el", "code0"]])
+    entry[0][1] = [["el", "code1"], ["el", "code0"]]
+    with pytest.raises(io.ParseError, match=re.escape("duplicate element 'el'")):
+        io.universe_from_json(data)
+
+
+@pytest.mark.parametrize("name", ["sigma", "pi"])
+def test_a_repeated_table_head_is_refused(name):
+    data = _bool_record()
+    head = data[name][1][0]
+    data[name].append([json.loads(json.dumps(head)), "code1"])
+    with pytest.raises(io.ParseError, match=re.escape("duplicate element ('code1', (('el', 'code0'),))")):
+        io.universe_from_json(data)

@@ -5,8 +5,9 @@ import pytest
 
 from polyverse import internalcat, suites
 from polyverse.finset import FinMap, FinSet, TERMINAL, section_tuple
-from polyverse.poly import PolyError, from_map
+from polyverse.poly import PolyError, _shared_builds, from_map
 from polyverse.poly2 import (
+    PolyMorphism,
     identity_cell,
     unique_adjustment,
     v_comp,
@@ -30,11 +31,6 @@ from polyverse.generators import (
     rand_parallel_pair,
 )
 from reference import identity_adjustment, internal_functor_general, slice_exponential
-
-
-def induced(phi):
-    """The internal functor of a cartesian cell between the categories of its endpoints."""
-    return internal_functor(phi, internal_full_subcat(phi.src.f), internal_full_subcat(phi.dst.f))
 
 
 class TestInternalFullSubcat:
@@ -99,9 +95,8 @@ class TestInternalFunctor:
     def test_identity_cell_gives_identity_functor(self):
         rng = random.Random(2)
         F = rand_polynomial(rng, 2, one_to_one=True)
-        C = internal_full_subcat(F.f)
-        fun = internal_functor(identity_cell(F), C, C)
-        assert fun == InternalFunctor.identity(C)
+        fun = internal_functor(identity_cell(F))
+        assert fun == InternalFunctor.identity(internal_full_subcat(F.f))
 
     def test_functor_composition(self):
         rng = random.Random(3)
@@ -111,8 +106,8 @@ class TestInternalFunctor:
                 target=rand_polynomial(rng, 2, one_to_one=True),
             )
             outer = rand_morphism(rng, 2, cartesian=True, target=chi.src)
-            lhs = induced(v_comp(chi, outer))
-            rhs = induced(chi).after(induced(outer))
+            lhs = internal_functor(v_comp(chi, outer))
+            rhs = internal_functor(chi).after(internal_functor(outer))
             assert lhs == rhs
 
     def test_fully_faithful_seed5(self):
@@ -120,7 +115,7 @@ class TestInternalFunctor:
         phi = rand_morphism(
             rng, 2, cartesian=True, target=rand_polynomial(rng, 2, one_to_one=True)
         )
-        fun = induced(phi)
+        fun = internal_functor(phi)
         assert fun.is_fully_faithful()
         for a in fun.src.obj:
             for a2 in fun.src.obj:
@@ -129,19 +124,8 @@ class TestInternalFunctor:
                 assert lhs == rhs
 
     def test_non_cartesian_rejected(self):
-        D = FinSet(["d0", "d1"])
-        g = FinMap.constant(D, TERMINAL, "*")
-        f = FinMap(FinSet(), FinSet(["a"]), {})
-        from polyverse.poly2 import PolyMorphism
-
-        phi = PolyMorphism(
-            from_map(g), from_map(f), FinSet(),
-            FinMap(FinSet(["*"]), FinSet(["a"]), {"*": "a"}),
-            FinMap(FinSet(), FinSet(), {}),
-            FinMap(FinSet(), D, {}),
-        )
         with pytest.raises(PolyError):
-            internal_functor(phi, internal_full_subcat(g), internal_full_subcat(f))
+            internal_functor(not_cartesian())
 
     def test_general_endpoints_via_slice(self):
         rng = random.Random(6)
@@ -150,6 +134,19 @@ class TestInternalFunctor:
         assert set(funs) == set(slice_reduce_base(phi))
         for fun in funs.values():
             assert fun.is_fully_faithful()
+
+
+def not_cartesian():
+    """The cell from two arities over the point to no arity over ``a``."""
+    D = FinSet(["d0", "d1"])
+    g = FinMap.constant(D, TERMINAL, "*")
+    f = FinMap(FinSet(), FinSet(["a"]), {})
+    return PolyMorphism(
+        from_map(g), from_map(f), FinSet(),
+        FinMap(FinSet(["*"]), FinSet(["a"]), {"*": "a"}),
+        FinMap(FinSet(), FinSet(), {}),
+        FinMap(FinSet(), D, {}),
+    )
 
 
 def slice_reduce_base(phi):
@@ -166,8 +163,7 @@ class TestAdjustmentNatCorrespondence:
     def test_identity_roundtrip(self):
         phi, _ = self._pair(7)
         adj = identity_adjustment(phi)
-        F = induced(phi)
-        nat = adjustment_to_nat(adj, F, F)
+        nat = adjustment_to_nat(adj)
         back = nat_to_adjustment(nat, phi, phi)
         assert back.alpha == adj.alpha
 
@@ -175,14 +171,14 @@ class TestAdjustmentNatCorrespondence:
         for seed in range(8):
             phi, psi = self._pair(seed)
             adj = unique_adjustment(phi, psi)
-            nat = adjustment_to_nat(adj, induced(phi), induced(psi))
+            nat = adjustment_to_nat(adj)
             back = nat_to_adjustment(nat, phi, psi)
             assert back.alpha == adj.alpha
 
     def test_unique_internal_nt(self):
         phi, psi = self._pair(9)
-        F = induced(phi)
-        G = induced(psi)
+        F = internal_functor(phi)
+        G = internal_functor(psi)
         D = G.dst
         pools = [
             [m for m in D.mor if D.dom(m) == F.on_obj(a) and D.cod(m) == G.on_obj(a)]
@@ -197,13 +193,13 @@ class TestAdjustmentNatCorrespondence:
             except InternalCatError:
                 pass
         assert count == 1
-        assert all_internal_nat_trans(F, G) == [adjustment_to_nat(unique_adjustment(phi, psi), F, G)]
+        assert all_internal_nat_trans(F, G) == [adjustment_to_nat(unique_adjustment(phi, psi))]
 
     def test_non_natural_rejected(self):
         phi, psi = self._pair(10)
-        F = induced(phi)
-        G = induced(psi)
-        good = adjustment_to_nat(unique_adjustment(phi, psi), F, G)
+        F = internal_functor(phi)
+        G = internal_functor(psi)
+        good = adjustment_to_nat(unique_adjustment(phi, psi))
         D = G.dst
         table = dict(good.components.pairs)
         # replace one component with a wrong-endpoint morphism if possible
@@ -223,27 +219,26 @@ class TestAdjustmentNatCorrespondence:
     def test_four_way_equivalence_sets_coincide(self):
         for seed in (11, 12, 13):
             phi, psi = self._pair(seed)
-            sets = equivalence_sets(induced(phi), induced(psi))
+            sets = equivalence_sets(phi, psi)
             assert sets["natural"] == sets["component"] == sets["conjugate"] == sets["over_b"]
             assert len(sets["over_b"]) == 1
 
 
 class TestBuiltOncePerInstance:
     """The internal-equiv suite builds each distinct internal category and
-    induced functor of an instance once, and hands them on."""
+    induced functor of an instance once, in the instance's table."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        built = {"internal_full_subcat": [], "internal_functor": []}
+        built = {"_internal_full_subcat": [], "_internal_functor": []}
         for name in built:
             original = getattr(internalcat, name)
 
-            def counted(first, *rest, _original=original, _name=name):
-                built[_name].append(first)
-                return _original(first, *rest)
+            def counted(arg, _original=original, _name=name):
+                built[_name].append(arg)
+                return _original(arg)
 
-            for module in (internalcat, suites):
-                monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(internalcat, name, counted)
         return built
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -251,34 +246,31 @@ class TestBuiltOncePerInstance:
         cfg = suites.InstanceGenConfig(seed=seed, count=1, max_set_size=2)
         rep = suites.run_suite("internal-equiv", cfg)
         assert rep.failed == 0 and rep.skipped == 0
-        maps, cells = list(builds["internal_full_subcat"]), list(builds["internal_functor"])
+        maps, cells = list(builds["_internal_full_subcat"]), list(builds["_internal_functor"])
         assert 0 < len(maps) == len(set(maps)) <= 5
         assert 0 < len(cells) == len(set(cells)) <= 5
         # every category a functor runs between was built, and only those
         assert set(maps) == {c.src.f for c in cells} | {c.dst.f for c in cells}
         # a second run builds everything again
         suites.run_suite("internal-equiv", cfg)
-        assert builds == {"internal_full_subcat": maps + maps, "internal_functor": cells + cells}
+        assert builds == {"_internal_full_subcat": maps + maps, "_internal_functor": cells + cells}
 
     def test_categories_and_functors_keep_their_sources(self):
         phi, psi = rand_parallel_cartesian_pair(random.Random(9), 2)
-        Cs, Cd = internal_full_subcat(phi.src.f), internal_full_subcat(phi.dst.f)
-        F = internal_functor(phi, Cs, Cd)
-        assert Cs.source == phi.src.f and F.cell == phi
-        assert "source" not in repr(Cs) and "cell" not in repr(F)
+        F = internal_functor(phi)
+        assert F.src == internal_full_subcat(phi.src.f) and F.dst == internal_full_subcat(phi.dst.f)
         assert F == InternalFunctor(F.src, F.dst, F.on_obj, F.on_mor)
+        # inside one table, the functor runs between the categories it holds
+        with _shared_builds():
+            F = internal_functor(phi)
+            assert internal_functor(phi) is F and F.src is internal_full_subcat(phi.src.f)
 
     def test_foreign_categories_and_functors_rejected(self):
         phi, psi = rand_parallel_cartesian_pair(random.Random(9), 2)
-        Cs, Cd = internal_full_subcat(phi.src.f), internal_full_subcat(phi.dst.f)
-        with pytest.raises(InternalCatError):
-            internal_functor(phi, Cd, Cs)
-        F, G = internal_functor(phi, Cs, Cd), internal_functor(psi, Cs, Cd)
         adj = unique_adjustment(phi, psi)
-        assert adjustment_to_nat(adj, F, G).src is F
-        chi = rand_morphism(random.Random(4), 2, cartesian=True, target=rand_polynomial(random.Random(5), 2, one_to_one=True))
-        X = internal_functor(chi, internal_full_subcat(chi.src.f), internal_full_subcat(chi.dst.f))
-        with pytest.raises(InternalCatError):
-            adjustment_to_nat(adj, X, G)
+        with _shared_builds():
+            nat = adjustment_to_nat(adj)
+            assert nat.src is internal_functor(phi) and nat.dst is internal_functor(psi)
+        # a cell that induces no functor is refused by everything that reads one
         with pytest.raises(PolyError):
-            equivalence_sets(InternalFunctor.identity(Cs), G)
+            equivalence_sets(not_cartesian(), not_cartesian())

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyverse import naturalmodel
+from polyverse import naturalmodel, poly
 from polyverse.finset import (
     EnumerationCapExceeded,
     FinFamily,
@@ -14,7 +14,7 @@ from polyverse.finset import (
     enumeration_cap,
     section_tuple,
 )
-from polyverse.poly import compose, decode_operation
+from polyverse.poly import _shared_builds, compose, decode_operation
 from polyverse.poly2 import cells_square_equal, identity_cell
 from polyverse.naturalmodel import (
     LiftedEndofunctor,
@@ -43,6 +43,21 @@ from reference import mult_component, unit_component
 
 BOOL = mk_bool_universe()
 SKEW = mk_skewed_universe()
+
+
+@pytest.fixture
+def computed(monkeypatch):
+    """Each set ``Z`` whose ``P_p(Z)`` is built, in order of building."""
+    sets = []
+    original = poly._extend
+
+    def counted(F, X):
+        if X.index == TERMINAL:
+            sets.append(X.fibre("*"))
+        return original(F, X)
+
+    monkeypatch.setattr(poly, "_extend", counted)
+    return sets
 
 
 class TestUniverses:
@@ -236,6 +251,31 @@ class TestOnePath:
         assert capsys.readouterr().out
         assert calls == {"monad_law_cells": 1, "_pi_structure": 1}
 
+    def test_pseudomonad_suite_builds_eta_and_mu_once_per_universe(self, monkeypatch):
+        from polyverse.suites import InstanceGenConfig, run_suite
+
+        builds = {"_unit_structure": [], "_sigma_structure": []}
+        for name in builds:
+            original = getattr(naturalmodel, name)
+
+            def counted(u, _original=original, _name=name):
+                builds[_name].append(u)
+                return _original(u)
+
+            monkeypatch.setattr(naturalmodel, name, counted)
+        cfg = InstanceGenConfig(seed=1, count=3, max_set_size=2)
+        rep = run_suite("pseudomonad", cfg)
+        assert rep.failed == 0 and rep.skipped == 0
+        # the explicit cells and those of the law cells are one build, for
+        # each universe and for the corrupted control's sum
+        first = {name: list(us) for name, us in builds.items()}
+        assert len(first["_unit_structure"]) == 3 and len(first["_sigma_structure"]) == 4
+        assert all(len(us) == len(set(us)) for us in first.values())
+        assert {BOOL, SKEW} <= set(first["_unit_structure"])
+        # a second run builds them again
+        run_suite("pseudomonad", cfg)
+        assert builds == {name: us + us for name, us in first.items()}
+
     @pytest.mark.parametrize("suite", ["pseudomonad", "pseudoalgebra"])
     def test_suites_build_the_law_cells_once_per_universe(self, calls, suite):
         from polyverse.suites import InstanceGenConfig, run_suite
@@ -254,21 +294,14 @@ class TestOnePath:
         assert pm.universe is SKEW
         assert "cells" not in repr(pm)
 
-    def test_pseudoalgebra_lifts_through_one_endofunctor(self, monkeypatch):
-        # zeta and the lifted squares share one P_p, so P_p(terms) and
+    def test_pseudoalgebra_lifts_through_one_endofunctor(self, computed):
+        # zeta and the lifted squares share one table, so P_p(terms) and
         # P_p(codes) are computed once
-        made = []
-
-        class Counted(naturalmodel.LiftedEndofunctor):
-            def __init__(self, p):
-                made.append(self)
-                super().__init__(p)
-
         pm = pseudomonad_from(SKEW)
-        monkeypatch.setattr(naturalmodel, "LiftedEndofunctor", Counted)
-        alg = pm.pseudoalgebra()
-        assert made == [alg.lift]
-        assert set(alg.lift.values) >= {SKEW.terms, SKEW.codes}
+        del computed[:]
+        pm.pseudoalgebra()
+        assert len(computed) == len(set(computed))
+        assert set(computed) >= {SKEW.terms, SKEW.codes}
 
     def test_pseudoalgebra_is_over_its_pseudomonad(self):
         pm = pseudomonad_from(SKEW)
@@ -287,20 +320,8 @@ class TestOnePath:
 
 
 class TestLiftOnePath:
-    """A lifted endofunctor computes P_p(Z) once for each set Z; a suite
-    makes one per lift instance and keeps nothing across runs."""
-
-    @pytest.fixture
-    def computed(self, monkeypatch):
-        sets = []
-        original = naturalmodel.extend
-
-        def counted(F, X):
-            sets.append(X.fibre("*"))
-            return original(F, X)
-
-        monkeypatch.setattr(naturalmodel, "extend", counted)
-        return sets
+    """Inside one table P_p(Z) is computed once for each set Z; the lift
+    suite opens one table per run and keeps nothing across runs."""
 
     def test_lift_instance_computes_each_set_once(self, computed):
         from polyverse.suites import InstanceGenConfig, run_suite
@@ -317,42 +338,48 @@ class TestLiftOnePath:
     def test_repeated_sets_are_kept(self, computed):
         P = LiftedEndofunctor(SKEW.p)
         f = FinMap.constant(FinSet(["x", "y"]), FinSet(["w"]), "w")
-        Pf = lift_apply(P, f)
-        assert lift_apply_square(P, Square.identity(f)) == Square.identity(Pf)
-        assert apply_to_set(P, f.dom) is Pf.dom
+        with _shared_builds():
+            Pf = lift_apply(P, f)
+            assert lift_apply_square(P, Square.identity(f)) == Square.identity(Pf)
+            assert apply_to_set(P, f.dom) is Pf.dom
+            # another endofunctor of the same map reads the same table
+            assert apply_to_set(LiftedEndofunctor(SKEW.p), f.cod) is Pf.cod
         assert computed == [f.dom, f.cod]
+        # a second table computes them again
+        with _shared_builds():
+            assert lift_apply(P, f) == Pf
+        assert computed == [f.dom, f.cod] * 2
 
     def test_lift_suite_builds_the_structure_cells_once_per_universe(self, monkeypatch):
-        from polyverse import suites
         from polyverse.suites import InstanceGenConfig, run_suite
 
         builds = []
-        for name in ("unit_structure", "sigma_structure"):
-            original = getattr(suites, name)
+        for name in ("_unit_structure", "_sigma_structure"):
+            original = getattr(naturalmodel, name)
 
             def counted(u, _original=original, _name=name):
                 builds.append((_name, u))
                 return _original(u)
 
-            monkeypatch.setattr(suites, name, counted)
+            monkeypatch.setattr(naturalmodel, name, counted)
         cfg = InstanceGenConfig(seed=7, count=20, max_set_size=3)
         rep = run_suite("lift", cfg)
         assert rep.failed == 0 and rep.skipped == 0
         # one build of each cell for bool and one for skewed
-        assert sorted(name for name, _ in builds) == ["sigma_structure"] * 2 + ["unit_structure"] * 2
+        assert sorted(name for name, _ in builds) == ["_sigma_structure"] * 2 + ["_unit_structure"] * 2
         assert {u for _, u in builds} == {BOOL, SKEW}
         # a second run builds them again
         run_suite("lift", cfg)
         assert len(builds) == 8
 
-    def test_pseudoalgebra_keeps_its_lift(self, computed):
-        alg = pseudomonad_from(SKEW).pseudoalgebra()
-        assert alg.lift.p == SKEW.p and alg.lift.values[alg.z.src.dom] == alg.Tz.src.dom
-        met = set(alg.lift.values)
-        del computed[:]
-        alg.pasting_report()  # meets only sets the pseudoalgebra's build did not
+    def test_pseudoalgebra_pasting_report_shares_its_table(self, computed):
+        with _shared_builds():
+            alg = pseudomonad_from(SKEW).pseudoalgebra()
+            assert apply_to_set(LiftedEndofunctor(SKEW.p), alg.z.src.dom) is alg.Tz.src.dom
+            met = set(computed)
+            del computed[:]
+            alg.pasting_report()  # meets only sets the pseudoalgebra's build did not
         assert computed and len(computed) == len(set(computed)) and not met & set(computed)
-        assert "lift" not in repr(alg)
 
 
 class TestLift:
@@ -451,14 +478,15 @@ class TestLiftedComponents:
         assert any(b != b_in for _, outer in PPZ for b, (_, s) in outer for b_in, _ in s) == bool(Z)
         assert P.mult(mu, Z) == mult_component(mu, Z)
 
-    def test_components_are_read_off_the_kept_sets(self):
+    def test_components_are_read_off_the_kept_sets(self, computed):
         eta, mu = _structure_cells(SKEW)
         P = LiftedEndofunctor(SKEW.p)
         Z = FinSet(["x", "y"])
-        h, m = P.unit(eta, Z), P.mult(mu, Z)
-        assert h.cod is apply_to_set(P, Z) and m.cod is h.cod
-        assert m.dom is apply_to_set(P, h.cod)
-        assert list(P.values) == [Z, h.cod]
+        with _shared_builds():
+            h, m = P.unit(eta, Z), P.mult(mu, Z)
+            assert h.cod is apply_to_set(P, Z) and m.cod is h.cod
+            assert m.dom is apply_to_set(P, h.cod)
+        assert computed == [Z, h.cod]
 
 
 class TestTypeIsos:

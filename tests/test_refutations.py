@@ -8,17 +8,20 @@ For a theorem (the pasting laws, for instance) the entry refutes the
 decider on inputs outside the theorem's hypotheses, not the law itself.
 Where the decider is a suite's own comparison (the slice laws, the four
 extension laws of ``bicategory-laws``, the three laws of
-``extension-composition``, three laws of ``lift``,
-``corrupted-adjustment-rejected`` and ``pentagon``), the entry runs the
-suite with the hand-built input in place of its draw.  Where a theorem's
-decider has no input outside its hypotheses (``triangle``, ``pentagon``,
-the four extension laws of ``bicategory-laws``, ``composite-matches-direct``,
-the extension bijection's two laws and the three ``lift`` laws), a
-construction it calls is patched to a valid one that breaks the theorem: a
-composite, unitor or associator followed by the swap of two arities, an
-identity cell replaced by that swap, a direct composite whose operations
-trade arities, extension bijections followed by the swap of two elements,
-or a lifted or unit square followed by the swap of two elements in a fibre.
+``extension-composition``, three laws of ``lift``, four laws of
+``internal-equiv``, ``corrupted-adjustment-rejected`` and ``pentagon``), the
+entry runs the suite with the hand-built input in place of its draw.  Where
+a theorem's decider has no input outside its hypotheses (``triangle``,
+``pentagon``, the four extension laws of ``bicategory-laws``,
+``composite-matches-direct``, the extension bijection's two laws, the three
+``lift`` laws and those four ``internal-equiv`` laws), a construction it
+calls is patched to a valid one that breaks the theorem: a composite,
+unitor or associator followed by the swap of two arities, an identity cell
+replaced by that swap, a direct composite whose operations trade arities,
+extension bijections followed by the swap of two elements, a lifted or unit
+square followed by the swap of two elements in a fibre, an adjustment from
+a copy of its source cell with the vertex relabelled, or internal functors
+that send every morphism to an identity.
 """
 
 import itertools
@@ -29,7 +32,7 @@ from unittest import mock
 
 import pytest
 
-from polyverse import cli, generators, poly2, suites
+from polyverse import cli, generators, internalcat, poly2, suites
 from polyverse.finset import FamilyMorphism, FinFamily, FinMap, FinSet, Square
 from polyverse.internalcat import InternalCatError, InternalFunctor, internal_full_subcat
 from polyverse.naturalmodel import (
@@ -448,6 +451,68 @@ def _unit_square_followed_by_a_swap() -> bool:
     return _lift_verdict("lift-naturality", "lift_unit_mult", 0)
 
 
+def _internal_equiv_verdict(law: str, *patches) -> bool:
+    """The verdict ``internal-equiv`` records for ``law`` when every cell it
+    draws is the identity on ``P`` and every polynomial is ``P``, run under
+    the mock ``patches``."""
+    P, _ = _two_arities_over_one_operation()
+    ident = identity_cell(P)
+    return _suite_verdict(
+        "internal-equiv", law, "inst0",
+        mock.patch.object(generators, "rand_parallel_cartesian_pair", return_value=(ident, ident)),
+        mock.patch.object(generators, "rand_morphism", return_value=ident),
+        mock.patch.object(generators, "rand_polynomial", return_value=P),
+        *patches,
+    )
+
+
+def _functor_of_a_composite_followed_by_a_swap() -> bool:
+    # the composite of two identities on P followed by the swap of its
+    # arities: its functor conjugates by the swap, the composite of the two
+    # identity functors does not
+    return _internal_equiv_verdict(
+        "internal-functor-composition", mock.patch.object(suites, "v_comp", _followed_by_a_swap(v_comp)),
+    )
+
+
+def _adjustment_from_a_relabelled_source() -> bool:
+    # the adjustment into psi from phi with its vertex relabelled by a swap:
+    # the copy induces phi's functor, so the transpose and back give the
+    # identity, not the swap
+    def relabelled(phi, psi):
+        s = _swap_first_two(phi.dphi)
+        copy = PolyMorphism(phi.src, phi.dst, phi.dphi, phi.phi0, phi.phi1.after(s), phi.phi2.after(s))
+        return poly2.unique_adjustment(copy, psi)
+
+    return _internal_equiv_verdict(
+        "adjustment-nat-roundtrip", mock.patch.object(suites, "unique_adjustment", relabelled),
+    )
+
+
+def _functor_onto_identities(phi: PolyMorphism) -> InternalFunctor:
+    """The functor between the categories of ``phi``'s endpoints that is
+    ``phi0`` on objects and sends every morphism to an identity; valid when
+    the source category has one object."""
+    C, D = internal_full_subcat(phi.src.f), internal_full_subcat(phi.dst.f)
+    return InternalFunctor(C, D, phi.phi0, FinMap(C.mor, D.mor, {m: D.ident(phi.phi0(C.dom(m))) for m in C.mor}))
+
+
+def _transformations_between_functors_onto_identities() -> bool:
+    # between two such functors on P's category, each of the four endomaps
+    # of its fibre is a natural transformation
+    return _internal_equiv_verdict(
+        "internal-nt-unique", mock.patch.object(suites, "internal_functor", _functor_onto_identities),
+    )
+
+
+def _equivalence_read_through_functors_onto_identities() -> bool:
+    # through such functors all four vertex maps over the operation are
+    # natural, but only the identity is conjugate and over B
+    return _internal_equiv_verdict(
+        "four-way-equivalence", mock.patch.object(internalcat, "internal_functor", _functor_onto_identities),
+    )
+
+
 def _family_of_xy(rng, index, *args, **kwargs) -> FinFamily:
     return FinFamily(index, {i: FinSet(["x", "y"]) for i in index})
 
@@ -544,6 +609,10 @@ REFUTATIONS = {
     "lift-composition": _lifted_composite_followed_by_a_swap,
     "lift-naturality": _unit_square_followed_by_a_swap,
     "slice-adjustment-identity": _fibre_cell_of_the_second_cell_swapped,
+    "internal-functor-composition": _functor_of_a_composite_followed_by_a_swap,
+    "adjustment-nat-roundtrip": _adjustment_from_a_relabelled_source,
+    "internal-nt-unique": _transformations_between_functors_onto_identities,
+    "four-way-equivalence": _equivalence_read_through_functors_onto_identities,
 }
 
 
@@ -566,15 +635,15 @@ def test_the_hand_built_inputs_also_admit_a_true_answer():
     assert _paths_agree(lambda x, y: edges[(x, y)], ("X", "Y"), ("X", "Z", "Y"))
     src = FinMap.constant(FinSet(["b"]), FinSet(["a"]), "a")
     assert Square.identity(src).is_pullback()
-    two = internal_full_subcat(FinMap.constant(FinSet(["x", "y"]), FinSet(["c"]), "c"))
-    assert InternalFunctor.identity(two).is_fully_faithful()
+    f = FinMap.constant(FinSet(["x", "y"]), FinSet(["c"]), "c")
+    assert InternalFunctor.identity(internal_full_subcat(f)).is_fully_faithful()
     assert validate_universe(mk_bool_universe()) == []
     assert sigma_structure(mk_bool_universe()).is_cartesian()
     assert _refused(_bool_universe_with_a_broken_sum())
     assert verify_type_isos(mk_skewed_universe())["ok"]
     G, F, trace, _ = _trace_with_a_square_that_is_not_a_pullback()
     assert _holds(PolyError, lambda: trace.validate(G, F))
-    assert _holds(InternalCatError, lambda: internal_full_subcat(two.source))
+    assert _holds(InternalCatError, lambda: internal_full_subcat(f))
     for law, instance in (
         ("slice-roundtrip", "inst0-cell"), ("slice-cartesian-iff", "inst0"), ("slice-functorial", "inst0"),
         ("slice-adjustment-identity", "inst0"),
@@ -582,6 +651,8 @@ def test_the_hand_built_inputs_also_admit_a_true_answer():
         assert _slice_verdict(law, instance, {"b0": "b0", "b1": "b1"})
     for law in ("lift-identity", "lift-composition", "lift-naturality"):
         assert _lift_verdict(law)
+    for law in ("internal-functor-composition", "adjustment-nat-roundtrip", "internal-nt-unique", "four-way-equivalence"):
+        assert _internal_equiv_verdict(law)
     assert _vcomp_associative_verdict(twist=False)
     for law in ("extension-functorial", "extension-identity", "hcomp-extension"):
         assert _bicategory_verdict(law)
