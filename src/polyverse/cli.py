@@ -4,7 +4,10 @@ Exit codes: 0 all checks passed, 1 some law failed or an input file holds
 invalid data, 2 input could not be parsed, 3 every instance exceeded the
 enumeration cap, 4 internal error in the program.  ``main`` lets an
 internal error propagate so that in-process callers see it; ``entry``, the
-installed command, turns it into exit 4.
+installed command, turns it into exit 4.  ``main(argv)`` may be called
+in-process any number of times: the parser is built once, when this module
+is imported, so ``suite run --help`` lists the suites registered by then.
+Size, count and cap flags must be at least 1, or the command exits 2.
 """
 
 from __future__ import annotations
@@ -66,11 +69,22 @@ def _config_from_args(args) -> InstanceGenConfig:
     )
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        # argparse's own wording for ``type=int``
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {n}")
+    return n
+
+
 def _add_suite_flags(p, count_default=20):
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=count_default)
-    p.add_argument("--max-size", type=int, default=3)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--count", type=_positive_int, default=count_default)
+    p.add_argument("--max-size", type=_positive_int, default=3)
+    p.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
     p.add_argument("--format", choices=["text", "json"], default="text")
 
 
@@ -83,7 +97,7 @@ def _universe_from_arg(arg: str):
     return io.universe_from_json(_read_json(arg))
 
 
-def main(argv=None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polyverse",
         description="polynomials over finite sets, with every law checked by enumeration",
@@ -144,10 +158,16 @@ def main(argv=None) -> int:
     p_gen = sub.add_parser("generate", help="emit a seeded random instance")
     p_gen.add_argument("kind", choices=["polynomial", "morphism", "universe"])
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--max-size", type=int, default=3)
+    p_gen.add_argument("--max-size", type=_positive_int, default=3)
     p_gen.add_argument("-o", "--out")
+    return parser
 
-    args = parser.parse_args(argv)
+
+_PARSER = _build_parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
     try:
         return _dispatch(args)
     except io.ParseError as exc:

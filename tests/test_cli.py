@@ -383,3 +383,82 @@ def test_cli_output_files_match_golden_digests(tmp_path):
         assert proc.returncode == 0, proc.stderr
         digests[f"model-pseudomonad-{name}"] = hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest()
     assert digests == CLI_GOLDEN
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["suite", "run", "lift", "--count", "0"], "argument --count: must be a positive integer, got 0"),
+    (["suite", "run", "lift", "--cap", "0"], "argument --cap: must be a positive integer, got 0"),
+    (["suite", "run", "lift", "--max-size", "0"], "argument --max-size: must be a positive integer, got 0"),
+    (["suite", "run", "lift", "--count", "-2"], "argument --count: must be a positive integer, got -2"),
+    (["coherence", "run", "--cap", "-1"], "argument --cap: must be a positive integer, got -1"),
+    (["internal", "check-equiv", "--max-size", "-1"], "argument --max-size: must be a positive integer, got -1"),
+    (["generate", "polynomial", "--max-size", "-1"], "argument --max-size: must be a positive integer, got -1"),
+    (["generate", "morphism", "--max-size", "0"], "argument --max-size: must be a positive integer, got 0"),
+    (["generate", "universe", "--max-size", "0"], "argument --max-size: must be a positive integer, got 0"),
+    (["suite", "run", "lift", "--count", "abc"], "argument --count: invalid int value: 'abc'"),
+])
+def test_out_of_range_flags_are_usage_errors(argv, message, capsys):
+    from polyverse import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+def test_an_out_of_range_flag_prints_no_traceback():
+    proc = run_cli("suite", "run", "lift", "--count", "0")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.endswith("error: argument --count: must be a positive integer, got 0\n")
+
+
+def test_main_builds_no_parser(monkeypatch):
+    import argparse
+    from polyverse import cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert cli.main(["generate", "polynomial"]) == 0
+    assert cli.main(["model", "check", "bool"]) == 0
+    assert cli.main(["suite", "run", "type-isos", "--count", "1"]) == 0
+    assert built == []
+
+
+def test_main_carries_no_state_between_calls(capsys):
+    from polyverse import cli
+
+    outputs = []
+    for argv in (
+        ["generate", "polynomial", "--seed", "3"],
+        ["generate", "polynomial"],
+        ["suite", "run", "type-isos", "--count", "2", "--format", "json"],
+        ["suite", "run", "type-isos", "--count", "2"],
+    ):
+        assert cli.main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+        assert outputs[-1] == run_cli(*argv).stdout, argv
+    assert outputs[0] != outputs[1]
+    assert json.loads(outputs[2])["records"]
+    assert outputs[3].endswith("suite=type-isos passed=2 failed=0 skipped=0 seed=0\n")
+
+
+def test_a_usage_error_after_successful_calls_matches_a_fresh_process(capsys):
+    from polyverse import cli
+
+    assert cli.main(["generate", "morphism", "--seed", "2"]) == 0
+    assert cli.main(["model", "builtin", "skewed"]) == 0
+    capsys.readouterr()
+    for argv in (["model", "builtin", "nope"], ["suite", "run"], ["generate"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        proc = run_cli(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, captured.out, captured.err)

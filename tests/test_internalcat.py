@@ -4,7 +4,7 @@ import random
 import pytest
 
 from polyverse import internalcat, suites
-from polyverse.finset import FinMap, FinSet, TERMINAL, section_tuple
+from polyverse.finset import FinMap, FinSet, TERMINAL
 from polyverse.poly import PolyError, _shared_builds, from_map
 from polyverse.poly2 import (
     PolyMorphism,
@@ -28,7 +28,6 @@ from polyverse.generators import (
     rand_morphism,
     rand_parallel_cartesian_pair,
     rand_polynomial,
-    rand_parallel_pair,
 )
 from reference import identity_adjustment, internal_functor_general, slice_exponential
 

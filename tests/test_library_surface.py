@@ -6,6 +6,8 @@ read from the syntax tree (names and attribute accesses, not docstrings or
 comments) of the library modules and of ``perfbench/``.  The re-exports in
 ``__init__.py`` and the uses in ``tests/`` do not count, so code that only
 tests reach is flagged here and belongs in ``tests/reference.py``.
+
+The test modules themselves import no name they never load.
 """
 
 import ast
@@ -64,3 +66,34 @@ def test_a_definition_reached_only_by_itself_is_unreferenced():
     )
     assert _definitions(tree) == ["used", "helper", "Node"]
     assert {"helper"} <= _references(tree) and not {"used", "Node"} & _references(tree)
+
+
+def unused_imports(tree: ast.Module) -> list:
+    """Names that ``tree`` binds by an import anywhere but never loads,
+    sorted; ``from __future__`` imports do not count."""
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - loaded)
+
+
+def test_no_test_module_imports_a_name_it_never_loads():
+    dead = {}
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
+        names = unused_imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if names:
+            dead[path.name] = names
+    assert dead == {}
+
+
+def test_an_import_used_only_in_a_string_is_unused():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\nimport random as rnd\nfrom json import dumps, loads\n\n"
+        "def f():\n    from math import pi\n    return os.path.join(dumps({}), 'loads', str(pi))\n"
+    )
+    assert unused_imports(tree) == ["loads", "rnd"]

@@ -14,8 +14,8 @@ from polyverse.finset import (
     enumeration_cap,
     section_tuple,
 )
-from polyverse.poly import _shared_builds, compose, decode_operation
-from polyverse.poly2 import cells_square_equal, identity_cell
+from polyverse.poly import _shared_builds, decode_operation
+from polyverse.poly2 import cells_square_equal
 from polyverse.naturalmodel import (
     LiftedEndofunctor,
     Universe,
@@ -27,7 +27,6 @@ from polyverse.naturalmodel import (
     mk_bool_universe,
     mk_skewed_universe,
     pi_structure,
-    poly_of,
     pseudoalgebra_from,
     pseudoalgebra_pasting_report,
     pseudomonad_from,

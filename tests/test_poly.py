@@ -9,7 +9,6 @@ from polyverse.finset import (
 )
 from polyverse.naturalmodel import mk_skewed_universe, pseudomonad_from
 from polyverse.poly import (
-    Polynomial,
     PolyError,
     compose,
     compose_direct,

@@ -31,7 +31,6 @@ from polyverse.poly2 import (
     AdjustmentError,
     CellCommutationError,
     CellPullbackError,
-    CellShapeError,
     PolyMorphism,
     adj_vcomp,
     all_adjustments,
@@ -62,7 +61,6 @@ from polyverse.generators import (
     rand_family,
     rand_family_morphism,
     rand_morphism,
-    rand_parallel_cartesian_pair,
     rand_parallel_pair,
     rand_polynomial,
 )
