@@ -146,6 +146,20 @@ def _pairs(data) -> list:
     return [_pair(p) for p in data]
 
 
+_SHAPES = {list: "an array", str: "a string", int: "a number", float: "a number", bool: "a boolean"}
+
+
+def _fields(data, *names) -> list:
+    """The values of ``names`` in the object record ``data``; a record of
+    another shape or without one of them is refused by name."""
+    if not isinstance(data, dict):
+        raise TypeError(f"expected an object, got {_SHAPES.get(type(data), 'null')}")
+    for name in names:
+        if name not in data:
+            raise ValueError(f'missing field "{name}"')
+    return [data[name] for name in names]
+
+
 def _set_from_json(data, labels: dict) -> tuple:
     """The ``FinSet`` of a set record and its labels in record order; a record
     ``==`` to one in the open ``_SETS`` gives back the same ones."""
@@ -186,10 +200,11 @@ def finmap_to_json(f: FinMap) -> dict:
 @_conversion("map")
 def finmap_from_json(data) -> FinMap:
     labels = _LABELS.get()
-    dom, keys = _set_from_json(data["dom"], labels)
-    cod = _set_from_json(data["cod"], labels)[0]
-    pairs = _pairs(data["map"])
-    if [x for x, _ in pairs] == data["dom"]:
+    dom_record, cod_record, map_record = _fields(data, "dom", "cod", "map")
+    dom, keys = _set_from_json(dom_record, labels)
+    cod = _set_from_json(cod_record, labels)[0]
+    pairs = _pairs(map_record)
+    if [x for x, _ in pairs] == dom_record:
         # the keys list the domain in record order: read them by position
         return FinMap(dom, cod, dict(zip(keys, [_label_from_json(y, labels) for _, y in pairs])))
     return FinMap(dom, cod, [(_label_from_json(x, labels), _label_from_json(y, labels)) for x, y in pairs])
@@ -207,8 +222,9 @@ def family_to_json(X: FinFamily) -> dict:
 @_conversion("family")
 def family_from_json(data) -> FinFamily:
     labels = _LABELS.get()
-    fibres = [(_label_from_json(i, labels), finset_from_json(F)) for i, F in _pairs(data["fibres"])]
-    return FinFamily(finset_from_json(data["index"]), fibres)
+    index, fibres = _fields(data, "index", "fibres")
+    fibres = [(_label_from_json(i, labels), finset_from_json(F)) for i, F in _pairs(fibres)]
+    return FinFamily(finset_from_json(index), fibres)
 
 
 @_conversion()
@@ -226,14 +242,10 @@ def polynomial_to_json(P: Polynomial) -> dict:
 
 @_conversion("polynomial", shares_sets=True)
 def polynomial_from_json(data) -> Polynomial:
+    I, B, A, J, s, f, t = _fields(data, "I", "B", "A", "J", "s", "f", "t")
     return Polynomial(
-        finset_from_json(data["I"]),
-        finset_from_json(data["B"]),
-        finset_from_json(data["A"]),
-        finset_from_json(data["J"]),
-        finmap_from_json(data["s"]),
-        finmap_from_json(data["f"]),
-        finmap_from_json(data["t"]),
+        *map(finset_from_json, (I, B, A, J)),
+        *map(finmap_from_json, (s, f, t)),
     )
 
 
@@ -251,13 +263,12 @@ def morphism_to_json(phi: PolyMorphism) -> dict:
 
 @_conversion("morphism", shares_sets=True)
 def morphism_from_json(data) -> PolyMorphism:
+    src, dst, dphi, phi0, phi1, phi2 = _fields(data, "src", "dst", "dphi", "phi0", "phi1", "phi2")
     return PolyMorphism(
-        polynomial_from_json(data["src"]),
-        polynomial_from_json(data["dst"]),
-        finset_from_json(data["dphi"]),
-        finmap_from_json(data["phi0"]),
-        finmap_from_json(data["phi1"]),
-        finmap_from_json(data["phi2"]),
+        polynomial_from_json(src),
+        polynomial_from_json(dst),
+        finset_from_json(dphi),
+        *map(finmap_from_json, (phi0, phi1, phi2)),
     )
 
 
@@ -301,13 +312,8 @@ def universe_from_json(data) -> Universe:
             add_new(out, (label(A), family), label(code))
         return out
 
-    return Universe(
-        finset_from_json(data["U"]),
-        family_from_json(data["El"]),
-        label(data["unit"]),
-        table(data["sigma"]),
-        table(data["pi"]),
-    )
+    codes, el, unit, sigma, pi = _fields(data, "U", "El", "unit", "sigma", "pi")
+    return Universe(finset_from_json(codes), family_from_json(el), label(unit), table(sigma), table(pi))
 
 
 def dumps(data) -> str:

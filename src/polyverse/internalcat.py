@@ -280,8 +280,6 @@ def equivalence_sets(phi: PolyMorphism, psi: PolyMorphism) -> dict:
     _guard(total, "adjustment candidate search")
     for parts in itertools.product(*combos):
         table = {e: x for part in parts for e, x in part}
-        if len(table) != len(phi.dphi):
-            continue
         alpha = FinMap(phi.dphi, psi.dphi, table)
         key = alpha.pairs
         comp_table = _component_table(phi, psi, alpha)

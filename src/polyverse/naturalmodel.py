@@ -15,7 +15,9 @@ The unit and sum tables yield cartesian morphisms eta : i_1 => p and
 mu : p.p => p; the product table yields zeta : P_p(p) => p.  The unique
 invertible adjustments tying these into a pseudomonad and a pseudoalgebra
 are computed between square-normalised cells, so a law holds strictly
-exactly when the corresponding adjustment is an identity map.
+exactly when the corresponding adjustment is an identity map.  Assembly
+never refuses an adjustment that is not invertible: the suites decide that
+once, in their ``strictness-profile`` record.
 
 As in the paper, the pseudoalgebra is built over the pseudomonad:
 ``pseudomonad_from(u)`` assembles the pseudomonad once, keeping its law
@@ -163,12 +165,7 @@ class Universe:
     def pairing(self, code, btable) -> FinMap:
         """The canonical bijection from dependent pairs to the sum fibre."""
         dom = self.pair_domain(code, btable)
-        cod = self.term_fibre(self.sigma_code(code, btable))
-        if len(dom) != len(cod):
-            raise UniverseError(
-                f"sum code for {(code, btable)!r} has fibre size {len(cod)}, need {len(dom)}"
-            )
-        return FinMap(dom, cod, dict(zip(dom.elements, cod.elements)))
+        return self._canonical("sum", (code, btable), dom, self.sigma_code(code, btable))
 
     def section_domain(self, code, btable) -> FinSet:
         """Dependent sections over the terms of ``code``, in graph form."""
@@ -183,12 +180,15 @@ class Universe:
     def lam(self, code, btable) -> FinMap:
         """The canonical bijection from dependent sections to the product fibre."""
         dom = self.section_domain(code, btable)
-        cod = self.term_fibre(self.pi_code(code, btable))
+        return self._canonical("product", (code, btable), dom, self.pi_code(code, btable))
+
+    def _canonical(self, kind: str, key: tuple, dom: FinSet, target) -> FinMap:
+        """The order-preserving bijection from ``dom`` onto the fibre of
+        ``target``, the ``kind`` code of ``key``."""
+        cod = self.term_fibre(target)
         if len(dom) != len(cod):
-            raise UniverseError(
-                f"product code for {(code, btable)!r} has fibre size {len(cod)}, need {len(dom)}"
-            )
-        return FinMap(dom, cod, dict(zip(dom.elements, cod.elements)))
+            raise UniverseError(f"{kind} code for {key!r} has fibre size {len(cod)}, need {len(dom)}")
+        return FinMap._of(dom, cod, tuple(range(len(dom))))
 
 
 def _normalise_table(table) -> tuple:
@@ -463,7 +463,8 @@ class PolynomialPseudomonad:
     @_shared_builds()
     def pseudoalgebra(self) -> PolynomialPseudoalgebra:
         """The universe's product structure as a pseudoalgebra over this
-        pseudomonad, in the arrow 2-category."""
+        pseudomonad, in the arrow 2-category.  Its two adjustments are
+        kept whether or not they are invertible."""
         u = self.universe
         P = LiftedEndofunctor(u.p)
         zeta = pi_structure(u)
@@ -476,9 +477,6 @@ class PolynomialPseudomonad:
         tau_lhs = z.after(h_p)
         tau_rhs = Square.identity(u.p)
         tau_adj = _square_adjustment(tau_lhs, tau_rhs)
-        for name, adj in (("sigma", sigma_adj), ("tau", tau_adj)):
-            if not adj.is_invertible():
-                raise UniverseError(f"{name} adjustment is not invertible")
         return PolynomialPseudoalgebra(
             self, self.carrier, zeta, sigma_adj, tau_adj,
             lhs == rhs, tau_lhs == tau_rhs, z, h_p, m_p, Tz,
@@ -525,13 +523,12 @@ def monad_law_cells(u: Universe) -> dict:
 
 @_shared_builds()
 def pseudomonad_from(u: Universe) -> PolynomialPseudomonad:
+    """The pseudomonad of ``u``'s unit and sum structure.  Its three law
+    adjustments are kept whether or not they are invertible."""
     cells = monad_law_cells(u)
     assoc = _law_adjustment(cells["assoc_lhs"], cells["assoc_rhs"])
     left = _law_adjustment(cells["left_cell"], cells["id_cell"])
     right = _law_adjustment(cells["right_cell"], cells["id_cell"])
-    for name, adj in (("assoc", assoc), ("left", left), ("right", right)):
-        if not adj.is_invertible():
-            raise UniverseError(f"{name} adjustment is not invertible")
     return PolynomialPseudomonad(
         cells["t"], cells["eta"], cells["mu"], assoc, left, right,
         cells_square_equal(cells["assoc_lhs"], cells["assoc_rhs"]),
@@ -626,14 +623,6 @@ def pseudoalgebra_pasting_report(u: Universe) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _unpair(u: Universe, code, btable):
-    return u.pairing(code, btable).inverse()
-
-
-def _unlam(u: Universe, code, btable):
-    return u.lam(code, btable).inverse()
-
-
 def verify_type_isos(u: Universe) -> dict:
     """Exhaustively build both sides of the five type isomorphisms for every
     choice of codes and code families, with explicit bijections.
@@ -659,20 +648,20 @@ def verify_type_isos(u: Universe) -> dict:
         # sum right unit: pairs with the unit over A against A itself
         bt = section_tuple({x: u.unit_code for x in u.el.fibre(A)})
         lhs = u.sigma_code(A, bt)
-        unp = _unpair(u, A, bt)
+        unp = u.pairing(A, bt).inverse()
         table = {z: unp(z)[0] for z in u.term_fibre(lhs)}
         record("sum-right-unit", lhs, A, FinMap(u.term_fibre(lhs), u.term_fibre(A), table))
 
         # sum left unit: pairs over the unit against A
         bt1 = section_tuple({u.star[1]: A})
         lhs1 = u.sigma_code(u.unit_code, bt1)
-        unp1 = _unpair(u, u.unit_code, bt1)
+        unp1 = u.pairing(u.unit_code, bt1).inverse()
         table1 = {z: unp1(z)[1] for z in u.term_fibre(lhs1)}
         record("sum-left-unit", lhs1, A, FinMap(u.term_fibre(lhs1), u.term_fibre(A), table1))
 
         # product left unit: sections over the unit against A
         lhs2 = u.pi_code(u.unit_code, bt1)
-        unl = _unlam(u, u.unit_code, bt1)
+        unl = u.lam(u.unit_code, bt1).inverse()
         table2 = {z: section_lookup(unl(z), u.star) for z in u.term_fibre(lhs2)}
         record("product-left-unit", lhs2, A, FinMap(u.term_fibre(lhs2), u.term_fibre(A), table2))
 
@@ -697,13 +686,13 @@ def verify_type_isos(u: Universe) -> dict:
                     inner_codes[x] = u.sigma_code(bdict[x], tab)
                 lhs_code = u.sigma_code(A, section_tuple(inner_codes))
                 rhs_code = u.sigma_code(sum_code, ctable)
-                unp_outer = _unpair(u, A, section_tuple(inner_codes))
+                unp_outer = u.pairing(A, section_tuple(inner_codes)).inverse()
                 pair_rhs = u.pairing(sum_code, ctable)
                 table = {}
                 for z in u.term_fibre(lhs_code):
                     (xa, w) = unp_outer(z)
                     x = xa[1]
-                    (yb, v) = _unpair(u, bdict[x], inner_tabs[x])(w)
+                    (yb, v) = u.pairing(bdict[x], inner_tabs[x]).inverse()(w)
                     paired = pair_ab((xa, yb))
                     table[z] = pair_rhs((paired, v))
                 record(
@@ -715,7 +704,7 @@ def verify_type_isos(u: Universe) -> dict:
                 pi_inner_codes = {x: u.pi_code(bdict[x], inner_tabs[x]) for x in u.el.fibre(A)}
                 lhs_pi = u.pi_code(A, section_tuple(pi_inner_codes))
                 rhs_pi = u.pi_code(sum_code, ctable)
-                unlam_outer = _unlam(u, A, section_tuple(pi_inner_codes))
+                unlam_outer = u.lam(A, section_tuple(pi_inner_codes)).inverse()
                 lam_rhs = u.lam(sum_code, ctable)
                 table_pi = {}
                 for z in u.term_fibre(lhs_pi):
@@ -723,7 +712,7 @@ def verify_type_isos(u: Universe) -> dict:
                     flat = {}
                     for xa, w in outer_sect:
                         x = xa[1]
-                        for yb, v in _unlam(u, bdict[x], inner_tabs[x])(w):
+                        for yb, v in u.lam(bdict[x], inner_tabs[x]).inverse()(w):
                             flat[pair_ab((xa, yb))] = v
                     table_pi[z] = lam_rhs(section_tuple(flat))
                 record(

@@ -256,6 +256,24 @@ def test_a_string_where_a_pair_belongs_is_a_parse_error(tmp_path):
     assert proc.stdout == ""
 
 
+def test_a_record_of_the_wrong_kind_names_the_missing_field(tmp_path):
+    poly = tmp_path / "F.json"
+    run_cli("generate", "polynomial", "--seed", "0", "-o", str(poly))
+    proc = run_cli("cell", "check", str(poly))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == 'parse error: bad morphism record: missing field "src"\n'
+
+
+@pytest.mark.parametrize("command, kind", [(("model", "check"), "universe"), (("internal", "cat"), "polynomial")])
+def test_an_array_where_a_record_belongs_names_the_shape(tmp_path, command, kind):
+    path = tmp_path / "array.json"
+    path.write_text("[1, 2]")
+    proc = run_cli(*command, str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"parse error: bad {kind} record: expected an object, got an array\n"
+    assert proc.stdout == ""
+
+
 def test_a_code_family_with_a_repeated_element_is_a_parse_error(tmp_path):
     # the family [el -> code1, el -> code0] once parsed as [el -> code0]
     out = tmp_path / "bool.json"

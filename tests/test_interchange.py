@@ -537,3 +537,29 @@ def test_a_repeated_table_head_is_refused(name):
     data[name].append([json.loads(json.dumps(head)), "code1"])
     with pytest.raises(io.ParseError, match=re.escape("duplicate element ('code1', (('el', 'code0'),))")):
         io.universe_from_json(data)
+
+
+# An object record names the field it lacks, or the shape it got
+
+@pytest.mark.parametrize("parse, data, message", [
+    (io.morphism_from_json, {"I": []}, 'bad morphism record: missing field "src"'),
+    (io.polynomial_from_json, {"I": [], "B": []}, 'bad polynomial record: missing field "A"'),
+    (io.finmap_from_json, {"dom": [], "cod": []}, 'bad map record: missing field "map"'),
+    (io.family_from_json, {"fibres": []}, 'bad family record: missing field "index"'),
+    (io.universe_from_json, {"U": [], "El": {}}, 'bad universe record: missing field "unit"'),
+    (io.universe_from_json, [1, 2], "bad universe record: expected an object, got an array"),
+    (io.polynomial_from_json, "P", "bad polynomial record: expected an object, got a string"),
+    (io.finmap_from_json, 3, "bad map record: expected an object, got a number"),
+    (io.family_from_json, True, "bad family record: expected an object, got a boolean"),
+    (io.morphism_from_json, None, "bad morphism record: expected an object, got null"),
+])
+def test_a_record_names_its_missing_field_or_its_shape(parse, data, message):
+    with pytest.raises(io.ParseError, match=f"^{re.escape(message)}$"):
+        parse(data)
+
+
+def test_a_missing_field_of_a_nested_record_names_the_nested_record():
+    data = io.morphism_to_json(rand_morphism(random.Random(0), 2))
+    del data["src"]["t"]
+    with pytest.raises(io.ParseError, match='^bad polynomial record: missing field "t"$'):
+        io.morphism_from_json(data)

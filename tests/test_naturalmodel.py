@@ -88,6 +88,27 @@ class TestUniverses:
         with pytest.raises(UniverseError):
             sigma_structure(bad)
 
+    def test_pairing_and_lam_refuse_a_fibre_of_the_wrong_size(self):
+        # every sum, or every product, sent to the empty code
+        bt = (("el", "code1"),)
+        broken_sum = Universe(BOOL.codes, BOOL.el, BOOL.unit_code, {k: "code0" for k, _ in BOOL.sigma}, dict(BOOL.pi))
+        with pytest.raises(UniverseError, match=r"^sum code for \('code1', \(\('el', 'code1'\),\)\) has fibre size 0, need 1$"):
+            broken_sum.pairing("code1", bt)
+        broken_product = Universe(BOOL.codes, BOOL.el, BOOL.unit_code, dict(BOOL.sigma), {k: "code0" for k, _ in BOOL.pi})
+        with pytest.raises(UniverseError, match=r"^product code for \('code1', \(\('el', 'code1'\),\)\) has fibre size 0, need 1$"):
+            broken_product.lam("code1", bt)
+
+    def test_pairing_and_lam_pair_off_their_fibres_in_order(self):
+        u = rand_universe(random.Random(2), 4)
+        for A in u.codes:
+            for bt in u.btables(A):
+                for bij, dom, code in (
+                    (u.pairing(A, bt), u.pair_domain(A, bt), u.sigma_code(A, bt)),
+                    (u.lam(A, bt), u.section_domain(A, bt), u.pi_code(A, bt)),
+                ):
+                    cod = u.term_fibre(code)
+                    assert bij == FinMap(dom, cod, dict(zip(dom.elements, cod.elements)))
+
     def test_random_universes_validate(self):
         rng = random.Random(0)
         for _ in range(10):

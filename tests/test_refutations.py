@@ -1,27 +1,28 @@
-"""Every law decider can answer false.
+"""Every law's record can read false.
 
 A decider that always answers true leaves the same report bytes as a law
 that holds, so the golden digests cannot tell the two apart.  Each entry of
-``REFUTATIONS`` is keyed by a law id of ``suites.LAWS`` and builds a small
-input by hand on which the decider that settles that law answers false.
-For a theorem (the pasting laws, for instance) the entry refutes the
-decider on inputs outside the theorem's hypotheses, not the law itself.
-Where the decider is a suite's own comparison (the slice laws, the four
-extension laws of ``bicategory-laws``, the three laws of
-``extension-composition``, three laws of ``lift``, four laws of
-``internal-equiv``, ``corrupted-adjustment-rejected`` and ``pentagon``), the
-entry runs the suite with the hand-built input in place of its draw.  Where
-a theorem's decider has no input outside its hypotheses (``triangle``,
-``pentagon``, the four extension laws of ``bicategory-laws``,
-``composite-matches-direct``, the extension bijection's two laws, the three
-``lift`` laws and those four ``internal-equiv`` laws), a construction it
+``REFUTATIONS`` is keyed by a law id of ``suites.LAWS``, and every law has
+one.  All but the seven ``DECIDER_ENTRIES`` run the suite that checks the
+law, with a hand-built draw or a patched builder, and read the status it
+records; those seven call the law's decider on a hand-built input.  For a
+theorem (the pasting laws, for instance) the entry refutes the decider on
+inputs outside the theorem's hypotheses, not the law itself.  Where a
+theorem's decider has no input outside its hypotheses, a construction it
 calls is patched to a valid one that breaks the theorem: a composite,
 unitor or associator followed by the swap of two arities, an identity cell
 replaced by that swap, a direct composite whose operations trade arities,
 extension bijections followed by the swap of two elements, a lifted or unit
-square followed by the swap of two elements in a fibre, an adjustment from
-a copy of its source cell with the vertex relabelled, or internal functors
+square followed by the swap of two elements in a fibre or sending two
+elements of a fibre to one, a universe drawn in place of another, a unit
+cell that is not cartesian, an adjustment from a copy of its source cell
+with the vertex relabelled, a pasting whose first edge starts from such a
+copy, a monad-law adjustment that is not invertible, or internal functors
 that send every morphism to an identity.
+
+``test_a_law_forced_to_pass_hides_its_refutation`` is the mutant check:
+with one law's check forced to pass, that law's entry refutes no more,
+unless it is one of the seven that call a decider.
 """
 
 import itertools
@@ -32,7 +33,7 @@ from unittest import mock
 
 import pytest
 
-from polyverse import cli, generators, internalcat, poly2, suites
+from polyverse import cli, generators, internalcat, naturalmodel, poly2, suites
 from polyverse.finset import FamilyMorphism, FinFamily, FinMap, FinSet, Square
 from polyverse.internalcat import InternalCatError, InternalFunctor, internal_full_subcat
 from polyverse.naturalmodel import (
@@ -44,7 +45,7 @@ from polyverse.poly2 import (
     Adjustment, PolyMorphism, associator, cell_from_square, codiscreteness_check, h_comp, identity_cell,
     lunitor, slice_reduce_cell, triangle_check, v_comp,
 )
-from polyverse.suites import LAWS, InstanceGenConfig, run_suite
+from polyverse.suites import LAWS, InstanceGenConfig, Report, run_suite
 
 
 def _square_that_is_not_a_pullback() -> bool:
@@ -413,42 +414,76 @@ def _followed_by_a_fibre_swap(sq: Square) -> Square:
     return Square(sq.src, g, swap.after(sq.top), sq.bot)
 
 
-def _lift_verdict(law: str, builder: str | None = None, call: int = 0) -> bool:
+def _collapsed_in_a_fibre(sq: Square) -> Square:
+    """``sq`` with the second of two elements in one fibre of its source map
+    sent where the first goes: a commuting square with the same endpoints,
+    and no pullback when ``sq.top`` tells the two apart."""
+    f = sq.src
+    x, y = next(fibre for fibre in map(f.preimage, f.cod) if len(fibre) > 1)[:2]
+    return Square(f, sq.dst, FinMap(f.dom, sq.dst.dom, {**dict(sq.top.pairs), y: sq.top(x)}), sq.bot)
+
+
+def _lift_verdict(law: str, *patches) -> bool:
     """The verdict ``lift`` records for ``law`` when every square it draws is
-    the identity on ``{x, y} -> {c}`` and, if ``builder`` is given, the first
-    square that the ``call``-th call of that builder of ``suites`` returns is
-    followed by a swap in a fibre of its target."""
+    the identity on ``{x, y} -> {c}``, run under the mock ``patches``."""
     f = FinMap.constant(FinSet(["x", "y"]), FinSet(["c"]), "c")
-    patches = [mock.patch.object(generators, "rand_cartesian_square", lambda *args, **kwargs: Square.identity(f))]
-    if builder is not None:
-        build, calls = getattr(suites, builder), itertools.count()
+    return _suite_verdict(
+        "lift", law, "sq0",
+        mock.patch.object(generators, "rand_cartesian_square", lambda *args, **kwargs: Square.identity(f)),
+        *patches,
+    )
 
-        def twisted(*args):
-            out = build(*args)
-            if next(calls) != call:
-                return out
-            if isinstance(out, Square):
-                return _followed_by_a_fibre_swap(out)
-            return (_followed_by_a_fibre_swap(out[0]), *out[1:])
 
-        patches.append(mock.patch.object(suites, builder, twisted))
-    return _suite_verdict("lift", law, "sq0", *patches)
+def _twisted(builder: str, call: int, twist=_followed_by_a_fibre_swap):
+    """A patch under which the first square that the ``call``-th call of the
+    builder ``builder`` of ``suites`` returns goes through ``twist``."""
+    build, calls = getattr(suites, builder), itertools.count()
+
+    def twisted(*args):
+        out = build(*args)
+        if next(calls) != call:
+            return out
+        if isinstance(out, Square):
+            return twist(out)
+        return (twist(out[0]), *out[1:])
+
+    return mock.patch.object(suites, builder, twisted)
 
 
 def _lifted_identity_followed_by_a_swap() -> bool:
     # the suite's first lift_apply_square call lifts the identity square
-    return _lift_verdict("lift-identity", "lift_apply_square", 0)
+    return _lift_verdict("lift-identity", _twisted("lift_apply_square", 0))
 
 
 def _lifted_composite_followed_by_a_swap() -> bool:
     # its second lifts the composite of the two drawn squares
-    return _lift_verdict("lift-composition", "lift_apply_square", 1)
+    return _lift_verdict("lift-composition", _twisted("lift_apply_square", 1))
+
+
+def _lifted_square_collapsed_in_a_fibre() -> bool:
+    # its third lifts the drawn square itself; P_p of {x, y} -> {c} has the
+    # fibre {(code1, x), (code1, y)} over (code1, c)
+    return _lift_verdict("lift-preserves-pullbacks", _twisted("lift_apply_square", 2, _collapsed_in_a_fibre))
 
 
 def _unit_square_followed_by_a_swap() -> bool:
     # the unit square at the drawn map's source, but not the one at its
     # target, which is the same map: the two sides of the naturality square
-    return _lift_verdict("lift-naturality", "lift_unit_mult", 0)
+    return _lift_verdict("lift-naturality", _twisted("lift_unit_mult", 0))
+
+
+def _unit_square_collapsed_in_a_fibre() -> bool:
+    # the unit square at the drawn map's source, whose source map is {x, y} -> {c}
+    return _lift_verdict("lift-unit-mult-squares", _twisted("lift_unit_mult", 0, _collapsed_in_a_fibre))
+
+
+def _monad_law_adjustment_that_is_not_invertible() -> bool:
+    # every adjustment the suite builds for the three monad laws replaced
+    # by one that sends both vertex elements of a cell to the first
+    phi = _cell_with_two_vertex_elements_over_one_arity()
+    e1, e2 = phi.dphi.elements
+    collapse = _adjustment(phi, {e1: e1, e2: e1})
+    return _lift_verdict("lift-monad-laws", mock.patch.object(suites, "unique_adjustment", lambda x, y: collapse))
 
 
 def _internal_equiv_verdict(law: str, *patches) -> bool:
@@ -475,17 +510,20 @@ def _functor_of_a_composite_followed_by_a_swap() -> bool:
     )
 
 
+def _relabelled(phi: PolyMorphism) -> PolyMorphism:
+    """A copy of ``phi`` with its vertex relabelled by the swap of its first
+    two elements: a valid cell with the same endpoints and vertex."""
+    s = _swap_first_two(phi.dphi)
+    return PolyMorphism(phi.src, phi.dst, phi.dphi, phi.phi0, phi.phi1.after(s), phi.phi2.after(s))
+
+
 def _adjustment_from_a_relabelled_source() -> bool:
     # the adjustment into psi from phi with its vertex relabelled by a swap:
     # the copy induces phi's functor, so the transpose and back give the
     # identity, not the swap
-    def relabelled(phi, psi):
-        s = _swap_first_two(phi.dphi)
-        copy = PolyMorphism(phi.src, phi.dst, phi.dphi, phi.phi0, phi.phi1.after(s), phi.phi2.after(s))
-        return poly2.unique_adjustment(copy, psi)
-
     return _internal_equiv_verdict(
-        "adjustment-nat-roundtrip", mock.patch.object(suites, "unique_adjustment", relabelled),
+        "adjustment-nat-roundtrip",
+        mock.patch.object(suites, "unique_adjustment", lambda phi, psi: poly2.unique_adjustment(_relabelled(phi), psi)),
     )
 
 
@@ -577,18 +615,89 @@ def _bijection_through_a_swap() -> bool:
     return _extension_composition_verdict("extension-composite-naturality", iso=iso)
 
 
+def _bool_universe_replaced_by(u: Universe):
+    """A patch under which the universe suites draw ``u`` as ``bool``, and
+    the corrupted-universe control corrupts ``u``."""
+    return mock.patch.object(suites, "mk_bool_universe", lambda: u)
+
+
+def _broken_universe_drawn() -> bool:
+    return _suite_verdict(
+        "pseudomonad", "universe-validates", "bool", _bool_universe_replaced_by(_bool_universe_with_a_broken_sum()),
+    )
+
+
+def _skewed_universe_drawn_as_strict() -> bool:
+    # the bool instance is expected strict; the skewed right unit law is not
+    return _suite_verdict("pseudomonad", "strictness-profile", "bool", _bool_universe_replaced_by(mk_skewed_universe()))
+
+
+def _control_whose_corruption_misses() -> bool:
+    # the control rewrites the sum code "code1", which the skewed universe
+    # does not have, so the universe it builds is sound
+    return _suite_verdict(
+        "pseudomonad", "corrupted-universe-rejected", "control", _bool_universe_replaced_by(mk_skewed_universe()),
+    )
+
+
+def _unit_cell_that_is_not_cartesian() -> bool:
+    return _suite_verdict(
+        "pseudomonad", "monad-structure-cartesian", "bool",
+        mock.patch.object(suites, "unit_structure", lambda u: _cell_with_two_vertex_elements_over_one_arity()),
+    )
+
+
+def _padded_universe_drawn() -> bool:
+    u = mk_skewed_universe()
+    padded = _PaddedUniverse(u.codes, u.el, u.unit_code, u.sigma, u.pi)
+    return _suite_verdict(
+        "type-isos", "type-isomorphisms", "skewed", mock.patch.object(suites, "mk_skewed_universe", lambda: padded),
+    )
+
+
+def _first_edges_relabelled():
+    """A patch under which each pasting's first edge, if its source has two
+    vertex elements, starts from ``_relabelled`` of that source: the two
+    paths then start from cells that differ by a swap."""
+
+    def twisted(adjust, lhs, rhs):
+        calls = itertools.count()
+
+        def edge(x, y):
+            adj = adjust(x, y)
+            if next(calls) > 0 or len(adj.src.dphi) < 2:
+                return adj
+            return poly2.unique_adjustment(_relabelled(adj.src), adj.dst)
+
+        return _paths_agree(edge, lhs, rhs)
+
+    return mock.patch.object(naturalmodel, "_paths_agree", twisted)
+
+
+# on the skewed universe the first pasting edges have 16 vertex elements for
+# the pseudomonad and 23 for the pseudoalgebra
+def _pseudomonad_pasting_from_a_relabelled_cell() -> bool:
+    return _suite_verdict("pseudomonad", "pseudomonad-pasting", "skewed", _first_edges_relabelled())
+
+
+def _pseudoalgebra_pasting_from_a_relabelled_cell() -> bool:
+    return _suite_verdict("pseudoalgebra", "pseudoalgebra-pasting", "skewed", _first_edges_relabelled())
+
+
 REFUTATIONS = {
-    "lift-preserves-pullbacks": _square_that_is_not_a_pullback,
-    "lift-unit-mult-squares": _square_that_is_not_a_pullback,
+    "lift-preserves-pullbacks": _lifted_square_collapsed_in_a_fibre,
+    "lift-unit-mult-squares": _unit_square_collapsed_in_a_fibre,
+    "lift-monad-laws": _monad_law_adjustment_that_is_not_invertible,
     "cartesian-naturality-pullback": _square_that_is_not_a_pullback,
-    "pseudomonad-pasting": _paths_that_paste_to_different_maps,
-    "pseudoalgebra-pasting": _paths_that_paste_to_different_maps,
+    "pseudomonad-pasting": _pseudomonad_pasting_from_a_relabelled_cell,
+    "pseudoalgebra-pasting": _pseudoalgebra_pasting_from_a_relabelled_cell,
     "pentagon": _pentagon_with_a_twisted_associator,
     "internal-fully-faithful": _functor_that_is_not_full,
-    "universe-validates": _universe_that_is_not_valid,
-    "monad-structure-cartesian": _cell_that_is_not_cartesian,
-    "corrupted-universe-rejected": _sound_universe_refused,
-    "type-isomorphisms": _type_isos_onto_a_padded_fibre,
+    "universe-validates": _broken_universe_drawn,
+    "monad-structure-cartesian": _unit_cell_that_is_not_cartesian,
+    "strictness-profile": _skewed_universe_drawn_as_strict,
+    "corrupted-universe-rejected": _control_whose_corruption_misses,
+    "type-isomorphisms": _padded_universe_drawn,
     "trace-revalidates": _trace_that_does_not_revalidate,
     "internal-category-laws": _category_with_constant_composition,
     "slice-roundtrip": _fibre_cell_swapped_for_another,
@@ -616,13 +725,41 @@ REFUTATIONS = {
 }
 
 
+# The entries that call a decider directly, not through a suite's record.
+DECIDER_ENTRIES = {
+    "cartesian-naturality-pullback", "internal-category-laws", "internal-fully-faithful",
+    "local-codiscreteness", "trace-revalidates", "triangle", "unique-adjustment",
+}
+
+
 def test_refutations_are_keyed_by_law_ids():
-    assert set(REFUTATIONS) <= set(LAWS)
+    assert set(REFUTATIONS) == set(LAWS)
 
 
 @pytest.mark.parametrize("law", sorted(REFUTATIONS))
 def test_the_decider_of_each_law_can_answer_false(law):
     assert REFUTATIONS[law]() is False
+
+
+@pytest.mark.parametrize("law", sorted(LAWS))
+def test_a_law_forced_to_pass_hides_its_refutation(law):
+    """The mutant whose check of ``law`` always passes: an entry that reads
+    the suite's record no longer refutes, one that calls a decider still does."""
+    check = Report.check
+
+    def forced(self, name, instance, ok, detail=""):
+        return check(self, name, instance, ok or name == law, detail)
+
+    with mock.patch.object(Report, "check", forced):
+        assert REFUTATIONS[law]() is (law not in DECIDER_ENTRIES)
+
+
+@pytest.mark.parametrize("refuted", [
+    _square_that_is_not_a_pullback, _paths_that_paste_to_different_maps, _universe_that_is_not_valid,
+    _cell_that_is_not_cartesian, _sound_universe_refused, _type_isos_onto_a_padded_fibre,
+], ids=lambda f: f.__name__.strip("_"))
+def test_the_deciders_behind_the_universe_and_lift_records_can_answer_false(refuted):
+    assert refuted() is False
 
 
 def test_the_hand_built_inputs_also_admit_a_true_answer():
@@ -649,8 +786,18 @@ def test_the_hand_built_inputs_also_admit_a_true_answer():
         ("slice-adjustment-identity", "inst0"),
     ):
         assert _slice_verdict(law, instance, {"b0": "b0", "b1": "b1"})
-    for law in ("lift-identity", "lift-composition", "lift-naturality"):
+    for law in (
+        "lift-identity", "lift-composition", "lift-preserves-pullbacks", "lift-unit-mult-squares", "lift-naturality",
+        "lift-monad-laws",
+    ):
         assert _lift_verdict(law)
+    for suite, law, instance in (
+        ("pseudomonad", "universe-validates", "bool"), ("pseudomonad", "monad-structure-cartesian", "bool"),
+        ("pseudomonad", "strictness-profile", "bool"), ("pseudomonad", "corrupted-universe-rejected", "control"),
+        ("pseudomonad", "pseudomonad-pasting", "skewed"), ("pseudoalgebra", "pseudoalgebra-pasting", "skewed"),
+        ("type-isos", "type-isomorphisms", "skewed"),
+    ):
+        assert _suite_verdict(suite, law, instance)
     for law in ("internal-functor-composition", "adjustment-nat-roundtrip", "internal-nt-unique", "four-way-equivalence"):
         assert _internal_equiv_verdict(law)
     assert _vcomp_associative_verdict(twist=False)
@@ -668,6 +815,16 @@ def test_the_hand_built_inputs_also_admit_a_true_answer():
 def test_an_adjustment_that_is_not_invertible_is_refused():
     # the invertibility half of ``pentagon_check``'s verdict
     assert _adjustment_that_is_not_invertible() is False
+
+
+@pytest.mark.parametrize("suite", ["pseudomonad", "pseudoalgebra"])
+def test_adjustments_that_are_not_invertible_exit_1_from_the_cli(suite, capsys):
+    # the pseudomonad and pseudoalgebra are built all the same, and the
+    # strictness-profile records decide invertibility
+    with mock.patch.object(Adjustment, "is_invertible", lambda self: False):
+        assert cli.main(["suite", "run", suite]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
+    assert failed and all(" law=strictness-profile " in line for line in failed)
 
 
 @pytest.mark.parametrize("twist, code", [(False, 0), (True, 1)], ids=["control", "twisted"])
