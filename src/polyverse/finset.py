@@ -218,6 +218,15 @@ class FinMap:
             out[j].append(i)
         return out
 
+    @cached_property
+    def _ranks(self) -> list:
+        """Each domain position's place in its fibre, as listed by ``_fibres``."""
+        out = [0] * len(self.img)
+        for fibre in self._fibres:
+            for k, i in enumerate(fibre):
+                out[i] = k
+        return out
+
     def __call__(self, x: Label) -> Label:
         try:
             return self.cod.elements[self.img[self.dom.pos[x]]]
@@ -321,6 +330,14 @@ class FamilyMorphism:
         maps = tuple([(i, table[i]) for i in src.index.elements])
         self.__dict__.update(src=src, dst=dst, maps=maps)
 
+    @classmethod
+    def _of(cls, src: FinFamily, dst: FinFamily, maps: tuple) -> "FamilyMorphism":
+        """Build from ``(i, component)`` pairs in index order whose components
+        are known to map the fibres of ``src`` to those of ``dst``."""
+        h = object.__new__(cls)
+        h.__dict__.update(src=src, dst=dst, maps=maps)
+        return h
+
     def at(self, i: Label) -> FinMap:
         return self.maps[self.src.index.pos[i]][1]
 
@@ -330,9 +347,8 @@ class FamilyMorphism:
     def after(self, other: "FamilyMorphism") -> "FamilyMorphism":
         if other.dst != self.src:
             raise FinSetError("family morphism composition mismatch")
-        return FamilyMorphism(
-            other.src, self.dst, {i: self.at(i).after(other.at(i)) for i in self.src.index}
-        )
+        maps = tuple([(i, m.after(n)) for (i, m), (_, n) in zip(self.maps, other.maps)])
+        return FamilyMorphism._of(other.src, self.dst, maps)
 
     def is_bijection(self) -> bool:
         return all(m.is_bijection() for _, m in self.maps)

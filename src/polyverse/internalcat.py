@@ -8,6 +8,15 @@ a morphism is encoded as ``(a, a', graph)`` with the graph in section
 form.  Everything is materialised and the category laws are checked by
 full enumeration at construction time.
 
+Categories and induced functors are built on positions: the morphisms
+come in ``(a, a')`` order and, among those, in the order of the choice
+tuples that pick a place in the fibre over ``a'`` for each arity over
+``a``, so a morphism's position is read off its two objects and its choice
+tuple; a composite's choice tuple is the one of its second factor read
+through the first.  The checks of ``InternalCategory`` and
+``InternalFunctor`` run on the same positions, in the order and with the
+messages of the label-level checks, which ``tests/reference.py`` keeps.
+
 Categories and induced functors are built through the table of
 ``poly._once``, so once per check.  ``internal_functor`` takes only the cell
 and gets the categories of its endpoints from ``internal_full_subcat``;
@@ -19,12 +28,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .finset import (
     FinMap,
     FinSet,
     section_lookup,
-    section_tuple,
     _guard,
     _intern,
 )
@@ -34,6 +43,24 @@ from .poly2 import Adjustment, PolyMorphism
 
 class InternalCatError(PolyError):
     """Internal-category data violating the category laws."""
+
+
+def _composable(dom: tuple, cod: tuple, objects: int) -> tuple[list, list, list]:
+    """The composable pairs ``(m2, m1)`` of morphism positions, ``m2`` first
+    and each in morphism order, with the place of ``m2``'s first pair and of
+    ``m1`` among the morphisms into its codomain: the pair sits at their sum."""
+    into = [[] for _ in range(objects)]
+    for m, a in enumerate(cod):
+        into[a].append(m)
+    rank = [0] * len(cod)
+    for ms in into:
+        for k, m in enumerate(ms):
+            rank[m] = k
+    pairs, first = [], []
+    for m2, a in enumerate(dom):
+        first.append(len(pairs))
+        pairs += [(m2, m1) for m1 in into[a]]
+    return pairs, first, rank
 
 
 @dataclass(frozen=True)
@@ -52,31 +79,34 @@ class InternalCategory:
             raise InternalCatError("codomain map has the wrong signature")
         if self.ident.dom != self.obj or self.ident.cod != self.mor:
             raise InternalCatError("identity map has the wrong signature")
+        pairs, first, rank = self._pairs
         mor = self.mor.elements  # in key order, so the pairs are too
-        pairs = FinSet._of(tuple([(m2, m1) for m2 in mor for m1 in mor if self.dom(m2) == self.cod(m1)]))
-        if self.comp.dom != pairs or self.comp.cod != self.mor:
+        if self.comp.dom != FinSet._of(tuple([(mor[m2], mor[m1]) for m2, m1 in pairs])) or self.comp.cod != self.mor:
             raise InternalCatError("composition must be defined on exactly the composable pairs")
-        for a in self.obj:
-            i = self.ident(a)
-            if self.dom(i) != a or self.cod(i) != a:
-                raise InternalCatError(f"identity at {a!r} has the wrong endpoints")
-        for (m2, m1) in pairs:
-            m = self.comp((m2, m1))
-            if self.dom(m) != self.dom(m1) or self.cod(m) != self.cod(m2):
+        dom, cod, ident, comp = self.dom.img, self.cod.img, self.ident.img, self.comp.img
+        for a, i in enumerate(ident):
+            if dom[i] != a or cod[i] != a:
+                raise InternalCatError(f"identity at {self.obj.elements[a]!r} has the wrong endpoints")
+        for (m2, m1), m in zip(pairs, comp):
+            if dom[m] != dom[m1] or cod[m] != cod[m2]:
                 raise InternalCatError("composite has the wrong endpoints")
-        for m in self.mor:
-            if self.comp((m, self.ident(self.dom(m)))) != m:
-                raise InternalCatError(f"right unit law fails at {m!r}")
-            if self.comp((self.ident(self.cod(m)), m)) != m:
-                raise InternalCatError(f"left unit law fails at {m!r}")
-        by_dom: dict = {}
-        for m in self.mor:
-            by_dom.setdefault(self.dom(m), []).append(m)
-        for (m2, m1) in pairs:
-            inner = self.comp((m2, m1))
-            for m3 in by_dom.get(self.cod(m2), ()):
-                if self.comp((m3, inner)) != self.comp((self.comp((m3, m2)), m1)):
+        for m in range(len(mor)):
+            if comp[first[m] + rank[ident[dom[m]]]] != m:
+                raise InternalCatError(f"right unit law fails at {mor[m]!r}")
+            if comp[first[ident[cod[m]]] + rank[m]] != m:
+                raise InternalCatError(f"left unit law fails at {mor[m]!r}")
+        by_dom = [[] for _ in self.obj.elements]
+        for m, a in enumerate(dom):
+            by_dom[a].append(m)
+        for (m2, m1), inner in zip(pairs, comp):
+            for m3 in by_dom[cod[m2]]:
+                if comp[first[m3] + rank[inner]] != comp[first[comp[first[m3] + rank[m2]]] + rank[m1]]:
                     raise InternalCatError("associativity fails")
+
+    @cached_property
+    def _pairs(self) -> tuple[list, list, list]:
+        """``_composable`` of the morphisms."""
+        return _composable(self.dom.img, self.cod.img, len(self.obj))
 
     def hom(self, a, a_prime) -> tuple:
         return tuple(m for m in self.mor if self.dom(m) == a and self.cod(m) == a_prime)
@@ -87,30 +117,58 @@ def internal_full_subcat(f: FinMap) -> InternalCategory:
     return _once(_internal_full_subcat, f)
 
 
+def _homs(f: FinMap) -> list:
+    """For each pair of operation positions ``(a, a2)``, the place of the
+    first morphism from ``a`` to ``a2``.  The morphisms come in ``(a, a2)``
+    order, and among them the one whose graph picks the places ``x_k`` in
+    the fibre over ``a2`` comes at the base-``|fibre over a2|`` number with
+    the digits ``x_k``."""
+    starts, n = [], 0
+    for src in f._fibres:
+        row = []
+        for tgt in f._fibres:
+            row.append(n)
+            n += len(tgt) ** len(src)
+        starts.append(row)
+    return starts
+
+
 def _internal_full_subcat(f: FinMap) -> InternalCategory:
-    A = f.cod
+    A, over = f.cod, f._fibres
     count = 0
-    for a in A:
-        for a2 in A:
-            count += max(1, len(f.preimage(a2))) ** len(f.preimage(a))
+    for src in over:
+        for tgt in over:
+            count += max(1, len(tgt)) ** len(src)
             _guard(count, "internal morphism object")
-    mor_elems = []
-    for a in A:
-        src = f.preimage(a)
-        for a2 in A:  # an empty target fibre leaves no maps from a nonempty source
-            for choice in itertools.product(f.preimage(a2), repeat=len(src)):
-                mor_elems.append((a, a2, _intern(tuple(zip(src, choice)))))
+    bs, mor_elems, digits, dom, cod = f.dom.elements, [], [], [], []
+    for a, src in enumerate(over):
+        for a2, tgt in enumerate(over):  # an empty target fibre leaves no maps from a nonempty source
+            for choice in itertools.product(range(len(tgt)), repeat=len(src)):
+                graph = _intern(tuple([(bs[b], bs[tgt[x]]) for b, x in zip(src, choice)]))
+                mor_elems.append((A.elements[a], A.elements[a2], graph))
+                digits.append(choice)
+                dom.append(a)
+                cod.append(a2)
     mor = FinSet._of(tuple(mor_elems))
-    dom = FinMap(mor, A, {m: m[0] for m in mor_elems})
-    cod = FinMap(mor, A, {m: m[1] for m in mor_elems})
-    ident = FinMap(A, mor, {a: (a, a, _intern(tuple([(b, b) for b in f.preimage(a)]))) for a in A})
-    pairs = [(m2, m1) for m2 in mor for m1 in mor if m2[0] == m1[1]]
-    comp_table = {}
-    for m2, m1 in pairs:
-        graph = {b: section_lookup(m2[2], section_lookup(m1[2], b)) for b in f.preimage(m1[0])}
-        comp_table[(m2, m1)] = (m1[0], m2[1], _intern(tuple(graph.items())))
-    comp = FinMap(FinSet._of(tuple(pairs)), mor, comp_table)
-    return InternalCategory(A, mor, dom, cod, ident, comp)
+    starts = _homs(f)
+    ident = [_place(starts[a][a], len(src), range(len(src))) for a, src in enumerate(over)]
+    pairs, _, _ = _composable(dom, cod, len(A))
+    comp = [
+        _place(starts[dom[m1]][cod[m2]], len(over[cod[m2]]), [digits[m2][x] for x in digits[m1]])
+        for m2, m1 in pairs
+    ]
+    return InternalCategory(
+        A, mor, FinMap._of(mor, A, tuple(dom)), FinMap._of(mor, A, tuple(cod)), FinMap._of(A, mor, tuple(ident)),
+        FinMap._of(FinSet._of(tuple([(mor_elems[m2], mor_elems[m1]) for m2, m1 in pairs])), mor, tuple(comp)),
+    )
+
+
+def _place(start: int, base: int, digits) -> int:
+    """``start`` plus the base-``base`` number with ``digits``."""
+    n = 0
+    for x in digits:
+        n = n * base + x
+    return start + n
 
 
 @dataclass(frozen=True)
@@ -125,19 +183,19 @@ class InternalFunctor:
             raise InternalCatError("object action has the wrong signature")
         if self.on_mor.dom != self.src.mor or self.on_mor.cod != self.dst.mor:
             raise InternalCatError("morphism action has the wrong signature")
-        for m in self.src.mor:
-            fm = self.on_mor(m)
-            if self.dst.dom(fm) != self.on_obj(self.src.dom(m)):
+        C, D, obj, mor = self.src, self.dst, self.on_obj.img, self.on_mor.img
+        for m, fm in enumerate(mor):
+            if D.dom.img[fm] != obj[C.dom.img[m]]:
                 raise InternalCatError("functor does not preserve domains")
-            if self.dst.cod(fm) != self.on_obj(self.src.cod(m)):
+            if D.cod.img[fm] != obj[C.cod.img[m]]:
                 raise InternalCatError("functor does not preserve codomains")
-        for a in self.src.obj:
-            if self.on_mor(self.src.ident(a)) != self.dst.ident(self.on_obj(a)):
+        for a, i in enumerate(C.ident.img):
+            if mor[i] != D.ident.img[obj[a]]:
                 raise InternalCatError("functor does not preserve identities")
-        for (m2, m1) in self.src.comp.dom:
-            lhs = self.on_mor(self.src.comp((m2, m1)))
-            rhs = self.dst.comp((self.on_mor(m2), self.on_mor(m1)))
-            if lhs != rhs:
+        pairs, _, _ = C._pairs
+        _, first, rank = D._pairs
+        for (m2, m1), m in zip(pairs, C.comp.img):
+            if mor[m] != D.comp.img[first[mor[m2]] + rank[mor[m1]]]:
                 raise InternalCatError("functor does not preserve composition")
 
     def after(self, other: "InternalFunctor") -> "InternalFunctor":
@@ -175,12 +233,17 @@ def _internal_functor(phi: PolyMorphism) -> InternalFunctor:
     if not (phi.src.is_one_to_one() and phi.dst.is_one_to_one()):
         raise PolyError("reduce along the slice first for general endpoints")
     Af, Ag = internal_full_subcat(phi.src.f), internal_full_subcat(phi.dst.f)
-    top = phi.square_top()
-    on_mor_table = {}
-    for (a, a2, graph) in Af.mor:
-        image = {top(b): top(y) for b, y in graph}
-        on_mor_table[(a, a2, graph)] = (phi.phi0(a), phi.phi0(a2), section_tuple(image))
-    return InternalFunctor(Af, Ag, phi.phi0, FinMap(Af.mor, Ag.mor, on_mor_table))
+    f, g, top, obj = phi.src.f, phi.dst.f, phi.square_top().img, phi.phi0.img
+    starts, rank = _homs(g), g._ranks
+    img = []
+    for a, src in enumerate(f._fibres):
+        # the arities of phi0(a) in order, as places in the fibre over a
+        order = sorted(range(len(src)), key=lambda k: rank[top[src[k]]])
+        for a2, tgt in enumerate(f._fibres):
+            moved, start = [rank[top[y]] for y in tgt], starts[obj[a]][obj[a2]]
+            for choice in itertools.product(moved, repeat=len(src)):
+                img.append(_place(start, len(tgt), [choice[k] for k in order]))
+    return InternalFunctor(Af, Ag, phi.phi0, FinMap._of(Af.mor, Ag.mor, tuple(img)))
 
 
 @dataclass(frozen=True)

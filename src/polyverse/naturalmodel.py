@@ -63,6 +63,7 @@ from .poly import (
     from_map,
     identity_poly,
     _once,
+    _postcomposed,
     _shared_builds,
 )
 from .poly2 import (
@@ -354,11 +355,10 @@ def _apply_to_set(F: Polynomial, Z: FinSet) -> FinSet:
 
 
 def lift_apply(P: LiftedEndofunctor, f: FinMap) -> FinMap:
-    """The endofunctor on maps: postcompose every section with ``f``."""
-    src = apply_to_set(P, f.dom)
-    dst = apply_to_set(P, f.cod)
-    table = {(x, sect): (x, _intern(tuple([(k, f(v)) for k, v in sect]))) for (x, sect) in src}
-    return FinMap(src, dst, table)
+    """The endofunctor on maps: postcompose every section with ``f``; the
+    extension on maps over the one-point family, read off positions."""
+    [img] = _postcomposed(P.poly, [f.img], [len(f.cod)])
+    return FinMap._of(apply_to_set(P, f.dom), apply_to_set(P, f.cod), tuple(img))
 
 
 def lift_apply_square(P: LiftedEndofunctor, sq: Square) -> Square:

@@ -4,7 +4,9 @@ A polynomial from I to J is a diagram  I <-s- B -f-> A -t-> J.  Its
 extension sends a family X over I to the family over J whose fibre at j
 is  Sigma_{a in A_j} Pi_{b in B_a} X_{s(b)},  computed literally as
 ``dep_sum(t, dep_prod(f, base_change(s, X)))``; elements are pairs
-``(a, section)``.
+``(a, section)``.  ``extend_map``, ``extension_composition_iso`` and
+``slice_reduce`` never decode a section: they read positions off maps and
+traces, and place each section by the layout of ``_layout``.
 
 Composition follows the pullback / dependent-product / counit recipe and
 records every intermediate object in a ``CompositionTrace`` so that the
@@ -15,11 +17,11 @@ nothing but the encoding conventions.
 
 A law check pastes cells whose ends are the same few composites, so inside
 a check (``_shared_builds``) one table builds each result of ``compose``,
-``extend``, ``internalcat.internal_full_subcat`` and ``internal_functor``,
-and ``naturalmodel.unit_structure``, ``sigma_structure``, ``pi_structure``
-and ``apply_to_set`` once per distinct arguments and enumeration cap; the
-table goes when the outermost check returns.  ``compose_direct`` never
-reads it.
+``extend``, ``slice_reduce``, ``internalcat.internal_full_subcat`` and
+``internal_functor``, and ``naturalmodel.unit_structure``,
+``sigma_structure``, ``pi_structure`` and ``apply_to_set`` once per distinct
+arguments and enumeration cap; the table goes when the outermost check
+returns.  ``compose_direct`` never reads it.
 """
 
 from __future__ import annotations
@@ -141,13 +143,68 @@ def extend_map(F: Polynomial, h: FamilyMorphism) -> FamilyMorphism:
     """Functor action of the extension on a fibrewise map of families."""
     src = extend(F, h.src)
     dst = extend(F, h.dst)
-    maps = {}
-    for j in F.J:
-        comp = {}
-        for (a, sect) in src.fibre(j):
-            comp[(a, sect)] = (a, _intern(tuple([(b, h(F.s(b), x)) for b, x in sect])))
-        maps[j] = FinMap(src.fibre(j), dst.fibre(j), comp)
-    return FamilyMorphism(src, dst, maps)
+    rows = _postcomposed(F, [m.img for _, m in h.maps], [len(Y) for _, Y in h.dst.fibres])
+    return _fibrewise(src, dst, rows)
+
+
+# An element of the extension of F at X is an operation ``a`` with a section
+# over its arities, and in its fibre of the extension it sits at the start of
+# ``a``'s sections plus the positions the section picks, in the fibres of X,
+# as digits of a mixed-radix number in ``itertools.product`` order.  The
+# builders below read positions off that layout and never decode a section.
+
+
+def _layout(F: Polynomial, sizes) -> tuple[list, list]:
+    """Where each operation's sections start in its fibre of the extension
+    of F at a family whose fibres have ``sizes`` (one per element of I), and
+    the weight of the digit each of its arities picks, in ``F.f`` fibre order."""
+    s, arities = F.s.img, F.f._fibres
+    starts, weights = [0] * len(F.A), [()] * len(F.A)
+    for ops in F.t._fibres:
+        start = 0
+        for a in ops:
+            ws, n = [], 1
+            for b in reversed(arities[a]):
+                ws.append(n)
+                n *= sizes[s[b]]
+            ws.reverse()
+            starts[a], weights[a] = start, ws
+            start += n
+    return starts, weights
+
+
+def _radix(start: int, digits) -> list:
+    """``start`` plus each choice of one number from every list of ``digits``,
+    summed, in ``itertools.product`` order."""
+    out = [start]
+    for ds in digits:
+        out = [p + d for p in out for d in ds]
+    return out
+
+
+def _postcomposed(F: Polynomial, imgs, sizes) -> list:
+    """Fibre by fibre of J, the positions of the sections of the extension of
+    F with a fibrewise map applied to their values: ``imgs`` holds its
+    codomain positions, one list per element of I, into a family whose fibres
+    have ``sizes``."""
+    starts, weights = _layout(F, sizes)
+    s, arities = F.s.img, F.f._fibres
+    rows = []
+    for ops in F.t._fibres:
+        row = []
+        for a in ops:
+            out = [starts[a]]  # _radix inlined: on P_p's few-element sets the call and lists cost more than the work
+            for b, w in zip(arities[a], weights[a]):
+                out = [p + w * y for p in out for y in imgs[s[b]]]
+            row += out
+        rows.append(row)
+    return rows
+
+
+def _fibrewise(src: FinFamily, dst: FinFamily, rows) -> FamilyMorphism:
+    """The family morphism whose component maps have the images ``rows``."""
+    maps = tuple([(i, FinMap._of(X, Y, tuple(row))) for (i, X), (_, Y), row in zip(src.fibres, dst.fibres, rows)])
+    return FamilyMorphism._of(src, dst, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +357,6 @@ def encode_operation(c, assignment: dict) -> tuple:
     return _intern((c, section_tuple({d: (a, d) for d, a in assignment.items()})))
 
 
-def encode_arity(b, melt, d) -> tuple:
-    return _intern((b, (melt, d)))
-
-
 # ---------------------------------------------------------------------------
 # Extension preserves composition: the explicit bijection
 # ---------------------------------------------------------------------------
@@ -313,36 +366,60 @@ def extension_composition_iso(
     G: Polynomial, F: Polynomial, X: FinFamily
 ) -> tuple[FamilyMorphism, FamilyMorphism]:
     """Fibrewise bijections between the extension of the composite at X and
-    the composite of the extensions, in both directions."""
-    GF, trace = compose(G, F)
+    the composite of the extensions, in both directions.
+
+    An element of the left side is a composite operation ``m`` with a value
+    in X at each of its arities ``(b, (m, d))``; on the right it is the outer
+    operation of ``m`` with, at each of its arities ``d``, the inner operation
+    ``a`` that ``m`` picks there and the values at the arities ``b`` of ``a``.
+    Both directions move these values as mixed-radix digits.  The forward map
+    reads ``m``'s choices off the trace's maps; the backward map finds ``m``
+    and its arities from the choices through the ``*_at`` tables, so the
+    round trip checks one reading against the other."""
+    GF, tr = compose(G, F)
     lhs = extend(GF, X)
     inner = extend(F, X)
     rhs = extend(G, inner)
-    fwd_maps, bwd_maps = {}, {}
-    for k in G.J:
-        fw = {}
-        for (melt, big) in lhs.fibre(k):
-            c, assign = decode_operation(melt)
-            outer = {}
-            for d, a in assign.items():
-                inner_sect = section_tuple({
-                    b: section_lookup(big, encode_arity(b, melt, d))
-                    for b in F.f.preimage(a)
-                })
-                outer[d] = (a, inner_sect)
-            fw[(melt, big)] = (c, section_tuple(outer))
-        fwd_maps[k] = FinMap(lhs.fibre(k), rhs.fibre(k), fw)
-        bw = {}
-        for (c, outer) in rhs.fibre(k):
-            assign = {d: pf[0] for d, pf in outer}
-            melt = encode_operation(c, assign)
-            big = {}
-            for d, (a, inner_sect) in outer:
-                for b, x in inner_sect:
-                    big[encode_arity(b, melt, d)] = x
-            bw[(c, outer)] = (melt, section_tuple(big))
-        bwd_maps[k] = FinMap(rhs.fibre(k), lhs.fibre(k), bw)
-    return FamilyMorphism(lhs, rhs, fwd_maps), FamilyMorphism(rhs, lhs, bwd_maps)
+    sizes = [len(Y) for _, Y in X.fibres]
+    lhs_at, lhs_w = _layout(GF, sizes)
+    in_at, in_w = _layout(F, sizes)
+    rhs_at, rhs_w = _layout(G, [len(Y) for _, Y in inner.fibres])
+    fs, b_rank, d_rank, d_over, a_over = F.s.img, F.f._ranks, G.f._ranks, G.f._fibres, F.f._fibres
+    w, qa, nb, p, qp_d = tr.w.img, tr.qa.img, tr.n.img, tr.p.img, tr.qp_d.img
+    fwd_rows = []
+    for ms in GF.t._fibres:
+        row = []
+        for m in ms:
+            c = w[m]
+            picked = [qa[i] for i in tr.picks[m]]  # the inner operation at each arity of c
+            start = rhs_at[c] + sum([W * in_at[a] for W, a in zip(rhs_w[c], picked)])
+            digits = []
+            for k in GF.f._fibres[m]:  # the arity (b, (m, d)) of m
+                b, j = nb[k], d_rank[qp_d[p[k]]]
+                weight = rhs_w[c][j] * in_w[picked[j]][b_rank[b]]
+                digits.append([weight * x for x in range(sizes[fs[b]])])
+            row += _radix(start, digits)
+        fwd_rows.append(row)
+    m_at, q_at, qp_at, n_at, n_rank = tr.m_at, tr.q_at, tr.qp_at, tr.n_at, GF.f._ranks
+    bwd_rows = []
+    for cs, (_, Y) in zip(G.t._fibres, rhs.fibres):
+        row = [0] * len(Y)
+        for c in cs:
+            ds = d_over[c]
+            for picked in itertools.product(*[F.t._fibres[G.s.img[d]] for d in ds]):
+                m = m_at[c, tuple([q_at[a, d] for a, d in zip(picked, ds)])]
+                start = rhs_at[c] + sum([W * in_at[a] for W, a in zip(rhs_w[c], picked)])
+                rhs_digits, lhs_digits = [], []  # one list per arity b of each a picked, in order
+                for W, a, d in zip(rhs_w[c], picked, ds):
+                    x = qp_at[m, d]
+                    for b, v in zip(a_over[a], in_w[a]):
+                        values = range(sizes[fs[b]])
+                        rhs_digits.append([W * v * y for y in values])
+                        lhs_digits.append([lhs_w[m][n_rank[n_at[b, x]]] * y for y in values])
+                for i, k in zip(_radix(start, rhs_digits), _radix(lhs_at[m], lhs_digits)):
+                    row[i] = k
+        bwd_rows.append(row)
+    return _fibrewise(lhs, rhs, fwd_rows), _fibrewise(rhs, lhs, bwd_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -364,17 +441,24 @@ def slice_reduce(F: Polynomial) -> FamilyMorphism:
     operation family, whose fibre over ``(i, j)`` is the t-fibre of ``j``,
     constant in the first coordinate.
     """
+    return _once(_slice_reduce, F)
+
+
+def _slice_reduce(F: Polynomial) -> FamilyMorphism:
+    to_base = _arity_base(F)
+    base, over = to_base.cod, to_base._fibres
+    bs, ops = F.B.elements, [FinSet._of(F.t.preimage(j)) for j in F.J.elements]
+    src = FinFamily._of(base, [FinSet._of(tuple([bs[b] for b in fib])) for fib in over])
+    dst = FinFamily._of(base, ops * len(F.I))
+    f, a_rank = F.f.img, F.t._ranks
+    return _fibrewise(src, dst, [[a_rank[f[b]] for b in fib] for fib in over])
+
+
+def _arity_base(F: Polynomial) -> FinMap:
+    """Each arity's base point ``(s(b), t(f(b)))`` in ``product_set(I, J)``."""
+    n = len(F.J)
     base = product_set(F.I, F.J)
-    arities = {z: [] for z in base}
-    for b in F.B:  # filled in B order, so each fibre is in key order
-        arities[(F.s(b), F.t(F.f(b)))].append(b)
-    src = FinFamily._of(base, [FinSet._of(tuple(bs)) for bs in arities.values()])
-    dst = FinFamily._of(base, [FinSet._of(F.t.preimage(j)) for _, j in base.elements])
-    maps = {
-        z: FinMap(src.fibre(z), dst.fibre(z), {b: F.f(b) for b in src.fibre(z)})
-        for z in base
-    }
-    return FamilyMorphism(src, dst, maps)
+    return FinMap._of(F.B, base, tuple([i * n + j for i, j in zip(F.s.img, F.t.after(F.f).img)]))
 
 
 def slice_unreduce(S: FamilyMorphism) -> Polynomial:

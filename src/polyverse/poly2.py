@@ -19,7 +19,11 @@ caller) is checked in full.  ``cell_from_square`` (once its square is
 checked), ``v_comp`` and ``identity_cell`` build cells that are valid by
 construction from checked parts, and build them unchecked through
 ``PolyMorphism._of``; so does everything built on ``cell_from_square``.
-Slice fibre cells and the cells glued from them stay checked.
+``extend_cell`` reads its component maps off the mixed-radix layout of the
+extensions (``poly._layout``), and ``slice_reduce_cell`` and
+``slice_unreduce_cell`` compute the maps of fibre cells and of glued cells
+on positions and build those maps unchecked; the fibre cells and the glued
+cell themselves still go through the checked ``PolyMorphism(...)``.
 
 An adjustment between parallel morphisms is a map of vertices over B.
 Between any parallel pair with cartesian target there is exactly one, with
@@ -39,13 +43,13 @@ from .finset import (
     FinFamily,
     FinMap,
     FinSet,
+    FinSetError,
     TERMINAL,
     enumeration_cap,
     is_pullback_cone,
     pullback,
-    section_lookup,
     _guard,
-    _intern,
+    _kept_hash,
 )
 from .poly import (
     Polynomial,
@@ -56,6 +60,11 @@ from .poly import (
     identity_poly,
     slice_reduce,
     slice_unreduce,
+    _arity_base,
+    _fibrewise,
+    _layout,
+    _once,
+    _radix,
     _shared_builds,
 )
 
@@ -84,6 +93,7 @@ class PolyMorphism:
     phi0: FinMap
     phi1: FinMap
     phi2: FinMap
+    __hash__ = _kept_hash
 
     def __post_init__(self):
         F, G = self.src, self.dst
@@ -303,19 +313,28 @@ def lunitor(F: Polynomial) -> PolyMorphism:
 def extend_cell(phi: PolyMorphism, X: FinFamily) -> FamilyMorphism:
     """Component maps of the transformation induced by a morphism: an
     element ``(a, section)`` goes to ``phi0(a)`` paired with the section
-    carried backwards through the vertex."""
-    src_ext = extend(phi.src, X)
-    dst_ext = extend(phi.dst, X)
-    G = phi.dst
-    maps = {}
-    for j in phi.src.J:
-        comp = {}
-        for (a, sect) in src_ext.fibre(j):
-            c = phi.phi0(a)
-            out = [(d, section_lookup(sect, phi.phi2(phi.fill(a, d)))) for d in G.f.preimage(c)]
-            comp[(a, sect)] = (c, _intern(tuple(out)))
-        maps[j] = FinMap(src_ext.fibre(j), dst_ext.fibre(j), comp)
-    return FamilyMorphism(src_ext, dst_ext, maps)
+    carried backwards through the vertex.
+
+    On positions: the value at an arity ``d`` of ``phi0(a)`` is the one the
+    section picks at ``phi2(fill(a, d))``, so each digit of the section
+    counts, in the image, with the sum of the weights of the arities it
+    fills."""
+    F, G = phi.src, phi.dst
+    src, dst = extend(F, X), extend(G, X)
+    sizes = [len(Y) for _, Y in X.fibres]
+    starts, weights = _layout(G, sizes)
+    s, ops, phi2, fill, rank = F.s.img, phi.phi0.img, phi.phi2.img, phi._fill, F.f._ranks
+    rows = []
+    for fib in F.t._fibres:
+        row = []
+        for a in fib:
+            c, arities = ops[a], F.f._fibres[a]
+            coef = [0] * len(arities)
+            for d, w in zip(G.f._fibres[c], weights[c]):
+                coef[rank[phi2[fill[a, d]]]] += w
+            row += _radix(starts[c], [[w * x for x in range(sizes[s[b]])] for b, w in zip(arities, coef)])
+        rows.append(row)
+    return _fibrewise(src, dst, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -483,19 +502,27 @@ def slice_reduce_cell(phi: PolyMorphism) -> dict:
     """Reduce a morphism with general endpoints to the slice over I x J:
     each base point ``(i, j)``, in ``product_set(I, J)`` order, maps to the
     fibre cell there, a morphism of one-to-one polynomials, built and
-    validated once.  Adjustments are untouched by the reduction."""
-    S, T = slice_reduce(phi.src), slice_reduce(phi.dst)
-    base_of_arity = {b: z for z, X in S.src.fibres for b in X}
-    vertices = {z: [] for z in S.src.index}
-    for e, b in phi.phi2.pairs:  # in key order, and so is each part
-        vertices[base_of_arity[b]].append(e)
+    validated once.  Adjustments are untouched by the reduction.
+
+    Each map of a fibre cell sends a position to the place of its image in
+    the fibre of ``slice_reduce``'s family that holds it."""
+    F, G = phi.src, phi.dst
+    S, T = slice_reduce(F), slice_reduce(G)
+    to_base = _arity_base(F)
+    vertices = [[] for _ in to_base.cod.elements]
+    for e, b in enumerate(phi.phi2.img):
+        vertices[to_base.img[b]].append(e)
+    es, phi0, phi1, phi2 = phi.dphi.elements, phi.phi0.img, phi.phi1.img, phi.phi2.img
+    b_rank, d_rank, c_rank = to_base._ranks, _arity_base(G)._ranks, G.t._ranks
     cells = {}
-    for (z, src_map), (_, dst_map) in zip(S.maps, T.maps):
-        vertex = FinSet._of(tuple(vertices[z]))
-        phi0 = FinMap(src_map.cod, dst_map.cod, {x: phi.phi0(x) for x in src_map.cod})
-        phi1 = FinMap(vertex, dst_map.dom, {e: phi.phi1(e) for e in vertex})
-        phi2 = FinMap(vertex, src_map.dom, {e: phi.phi2(e) for e in vertex})
-        cells[z] = PolyMorphism(from_map(src_map), from_map(dst_map), vertex, phi0, phi1, phi2)
+    for (z, src_map), (_, dst_map), vs, ops in zip(S.maps, T.maps, vertices, F.t._fibres * len(F.I)):
+        vertex = FinSet._of(tuple([es[e] for e in vs]))
+        cells[z] = PolyMorphism(
+            _once(from_map, src_map), _once(from_map, dst_map), vertex,
+            FinMap._of(src_map.cod, dst_map.cod, tuple([c_rank[phi0[a]] for a in ops])),
+            FinMap._of(vertex, dst_map.dom, tuple([d_rank[phi1[e]] for e in vs])),
+            FinMap._of(vertex, src_map.dom, tuple([b_rank[phi2[e]] for e in vs])),
+        )
     return cells
 
 
@@ -511,13 +538,30 @@ def slice_unreduce_cell(cells: dict) -> PolyMorphism:
     """Glue fibre cells, one per base point of I x J, into one morphism: the
     inverse of ``slice_reduce_cell`` on its image.  A vertex element in two
     fibres, or two fibres that send one operation to different places, are
-    refused."""
+    refused.
+
+    Each fibre's sets are placed in the glued ones once; the glued maps are
+    then filled in from the fibre cells' positions."""
     F = _glue({z: c.src.f for z, c in cells.items()})
     G = _glue({z: c.dst.f for z, c in cells.items()})
     dphi = FinSet(e for c in cells.values() for e in c.dphi)
+    phi0, phi1, phi2 = [None] * len(F.A), [0] * len(dphi), [0] * len(dphi)
+    for c in cells.values():
+        ops, cs = _places(c.src.A, F.A), _places(c.dst.A, G.A)
+        for a, x in zip(ops, c.phi0.img):
+            if phi0[a] is None:
+                phi0[a] = cs[x]
+            elif phi0[a] != cs[x]:
+                raise FinSetError(f"conflicting values for {F.A.elements[a]!r}")
+        ds, bs = _places(c.dst.B, G.B), _places(c.src.B, F.B)
+        for e, d, b in zip(_places(c.dphi, dphi), c.phi1.img, c.phi2.img):
+            phi1[e], phi2[e] = ds[d], bs[b]
     return PolyMorphism(
         F, G, dphi,
-        FinMap(F.A, G.A, (xy for c in cells.values() for xy in c.phi0.pairs)),
-        FinMap(dphi, G.B, (xy for c in cells.values() for xy in c.phi1.pairs)),
-        FinMap(dphi, F.B, (xy for c in cells.values() for xy in c.phi2.pairs)),
+        FinMap._of(F.A, G.A, tuple(phi0)), FinMap._of(dphi, G.B, tuple(phi1)), FinMap._of(dphi, F.B, tuple(phi2)),
     )
+
+
+def _places(part: FinSet, whole: FinSet) -> list:
+    """The position in ``whole`` of each element of ``part``."""
+    return list(map(whole.pos.__getitem__, part.elements))

@@ -10,6 +10,13 @@ the tests' second routes and oracles:
 * the square check, square-to-cell, vertical and horizontal composition and
   the associator one label at a time, against which the positional ones in
   ``finset`` and ``poly2`` are checked;
+* the extension on maps and on cells, the composite-extension bijection,
+  slice reduction of polynomials and cells and the gluing of fibre cells,
+  the lifted endofunctor on maps, and internal full subcategories, internal
+  functors and their law checks, one label at a time, decoding and encoding
+  sections; the positional builders in ``poly``, ``poly2``,
+  ``naturalmodel`` and ``internalcat`` are checked against them, and
+  ``encode_arity``, the composite-arity encoder that only they use;
 * the slice exponential, the span polynomial, the slice extension and the
   identity-extension bijection;
 * square-to-cell for maps, the identity adjustment, adjustment whiskering and
@@ -39,22 +46,25 @@ from polyverse.finset import (
     is_pullback_cone,
     pullback,
     section_lookup,
+    section_tuple,
     _guard,
     _intern,
 )
-from polyverse.internalcat import internal_functor
+from polyverse.internalcat import InternalCatError, InternalCategory, InternalFunctor, internal_functor
+from polyverse.naturalmodel import LiftedEndofunctor, apply_to_set
 from polyverse.poly import (
     PolyError,
     Polynomial,
     compose,
     decode_arity,
     decode_operation,
-    encode_arity,
     encode_operation,
     extend,
     extension_composition_iso,
     from_map,
     identity_poly,
+    product_set,
+    slice_unreduce,
 )
 from polyverse.poly2 import (
     Adjustment,
@@ -220,9 +230,131 @@ def slice_extension(S: FamilyMorphism, Y: FinFamily) -> FinFamily:
     return FinFamily(S.src.index, fibres)
 
 
+def encode_arity(b, melt, d) -> tuple:
+    """The composite arity ``(b, (melt, d))``, interned."""
+    return _intern((b, (melt, d)))
+
+
+def extend_map_on_labels(F: Polynomial, h: FamilyMorphism) -> FamilyMorphism:
+    """``extend_map``, one section at a time."""
+    src = extend(F, h.src)
+    dst = extend(F, h.dst)
+    maps = {}
+    for j in F.J:
+        comp = {}
+        for (a, sect) in src.fibre(j):
+            comp[(a, sect)] = (a, _intern(tuple([(b, h(F.s(b), x)) for b, x in sect])))
+        maps[j] = FinMap(src.fibre(j), dst.fibre(j), comp)
+    return FamilyMorphism(src, dst, maps)
+
+
+def extension_composition_iso_on_labels(
+    G: Polynomial, F: Polynomial, X: FinFamily
+) -> tuple[FamilyMorphism, FamilyMorphism]:
+    """``extension_composition_iso``, decoding and encoding one composite
+    operation and section at a time."""
+    GF, _ = compose(G, F)
+    lhs = extend(GF, X)
+    inner = extend(F, X)
+    rhs = extend(G, inner)
+    fwd_maps, bwd_maps = {}, {}
+    for k in G.J:
+        fw = {}
+        for (melt, big) in lhs.fibre(k):
+            c, assign = decode_operation(melt)
+            outer = {}
+            for d, a in assign.items():
+                inner_sect = section_tuple({
+                    b: section_lookup(big, encode_arity(b, melt, d))
+                    for b in F.f.preimage(a)
+                })
+                outer[d] = (a, inner_sect)
+            fw[(melt, big)] = (c, section_tuple(outer))
+        fwd_maps[k] = FinMap(lhs.fibre(k), rhs.fibre(k), fw)
+        bw = {}
+        for (c, outer) in rhs.fibre(k):
+            assign = {d: pf[0] for d, pf in outer}
+            melt = encode_operation(c, assign)
+            big = {}
+            for d, (a, inner_sect) in outer:
+                for b, x in inner_sect:
+                    big[encode_arity(b, melt, d)] = x
+            bw[(c, outer)] = (melt, section_tuple(big))
+        bwd_maps[k] = FinMap(rhs.fibre(k), lhs.fibre(k), bw)
+    return FamilyMorphism(lhs, rhs, fwd_maps), FamilyMorphism(rhs, lhs, bwd_maps)
+
+
+def slice_reduce_on_labels(F: Polynomial) -> FamilyMorphism:
+    """``slice_reduce``, one arity at a time."""
+    base = product_set(F.I, F.J)
+    arities = {z: [] for z in base}
+    for b in F.B:  # filled in B order, so each fibre is in key order
+        arities[(F.s(b), F.t(F.f(b)))].append(b)
+    src = FinFamily._of(base, [FinSet._of(tuple(bs)) for bs in arities.values()])
+    dst = FinFamily._of(base, [FinSet._of(F.t.preimage(j)) for _, j in base.elements])
+    maps = {
+        z: FinMap(src.fibre(z), dst.fibre(z), {b: F.f(b) for b in src.fibre(z)})
+        for z in base
+    }
+    return FamilyMorphism(src, dst, maps)
+
+
 # ---------------------------------------------------------------------------
 # Cells, adjustments and internal functors
 # ---------------------------------------------------------------------------
+
+
+def extend_cell_on_labels(phi: PolyMorphism, X: FinFamily) -> FamilyMorphism:
+    """``extend_cell``, one section at a time."""
+    src_ext = extend(phi.src, X)
+    dst_ext = extend(phi.dst, X)
+    G = phi.dst
+    maps = {}
+    for j in phi.src.J:
+        comp = {}
+        for (a, sect) in src_ext.fibre(j):
+            c = phi.phi0(a)
+            out = [(d, section_lookup(sect, phi.phi2(phi.fill(a, d)))) for d in G.f.preimage(c)]
+            comp[(a, sect)] = (c, _intern(tuple(out)))
+        maps[j] = FinMap(src_ext.fibre(j), dst_ext.fibre(j), comp)
+    return FamilyMorphism(src_ext, dst_ext, maps)
+
+
+def slice_reduce_cell_on_labels(phi: PolyMorphism) -> dict:
+    """``slice_reduce_cell``, one vertex element at a time."""
+    S, T = slice_reduce_on_labels(phi.src), slice_reduce_on_labels(phi.dst)
+    base_of_arity = {b: z for z, X in S.src.fibres for b in X}
+    vertices = {z: [] for z in S.src.index}
+    for e, b in phi.phi2.pairs:  # in key order, and so is each part
+        vertices[base_of_arity[b]].append(e)
+    cells = {}
+    for (z, src_map), (_, dst_map) in zip(S.maps, T.maps):
+        vertex = FinSet._of(tuple(vertices[z]))
+        phi0 = FinMap(src_map.cod, dst_map.cod, {x: phi.phi0(x) for x in src_map.cod})
+        phi1 = FinMap(vertex, dst_map.dom, {e: phi.phi1(e) for e in vertex})
+        phi2 = FinMap(vertex, src_map.dom, {e: phi.phi2(e) for e in vertex})
+        cells[z] = PolyMorphism(from_map(src_map), from_map(dst_map), vertex, phi0, phi1, phi2)
+    return cells
+
+
+def _glue_on_labels(maps: dict) -> Polynomial:
+    base = FinSet(maps)
+    src = FinFamily._of(base, [maps[z].dom for z in base])
+    dst = FinFamily._of(base, [maps[z].cod for z in base])
+    return slice_unreduce(FamilyMorphism(src, dst, maps))
+
+
+def slice_unreduce_cell_on_labels(cells: dict) -> PolyMorphism:
+    """``slice_unreduce_cell``, gluing the fibre cells' graphs label by label."""
+    F = _glue_on_labels({z: c.src.f for z, c in cells.items()})
+    G = _glue_on_labels({z: c.dst.f for z, c in cells.items()})
+    dphi = FinSet(e for c in cells.values() for e in c.dphi)
+    return PolyMorphism(
+        F, G, dphi,
+        FinMap(F.A, G.A, (xy for c in cells.values() for xy in c.phi0.pairs)),
+        FinMap(dphi, G.B, (xy for c in cells.values() for xy in c.phi1.pairs)),
+        FinMap(dphi, F.B, (xy for c in cells.values() for xy in c.phi2.pairs)),
+    )
 
 
 def cell_from_square_on_labels(F: Polynomial, G: Polynomial, top: FinMap, bot: FinMap) -> PolyMorphism:
@@ -360,9 +492,119 @@ def internal_functor_general(phi: PolyMorphism) -> dict:
     return {z: internal_functor(c) for z, c in slice_reduce_cell(phi).items()}
 
 
+def check_internal_category_on_labels(cat: InternalCategory) -> None:
+    """``InternalCategory``'s checks, one morphism label at a time."""
+    if cat.dom.dom != cat.mor or cat.dom.cod != cat.obj:
+        raise InternalCatError("domain map has the wrong signature")
+    if cat.cod.dom != cat.mor or cat.cod.cod != cat.obj:
+        raise InternalCatError("codomain map has the wrong signature")
+    if cat.ident.dom != cat.obj or cat.ident.cod != cat.mor:
+        raise InternalCatError("identity map has the wrong signature")
+    mor = cat.mor.elements  # in key order, so the pairs are too
+    pairs = FinSet._of(tuple([(m2, m1) for m2 in mor for m1 in mor if cat.dom(m2) == cat.cod(m1)]))
+    if cat.comp.dom != pairs or cat.comp.cod != cat.mor:
+        raise InternalCatError("composition must be defined on exactly the composable pairs")
+    for a in cat.obj:
+        i = cat.ident(a)
+        if cat.dom(i) != a or cat.cod(i) != a:
+            raise InternalCatError(f"identity at {a!r} has the wrong endpoints")
+    for (m2, m1) in pairs:
+        m = cat.comp((m2, m1))
+        if cat.dom(m) != cat.dom(m1) or cat.cod(m) != cat.cod(m2):
+            raise InternalCatError("composite has the wrong endpoints")
+    for m in cat.mor:
+        if cat.comp((m, cat.ident(cat.dom(m)))) != m:
+            raise InternalCatError(f"right unit law fails at {m!r}")
+        if cat.comp((cat.ident(cat.cod(m)), m)) != m:
+            raise InternalCatError(f"left unit law fails at {m!r}")
+    by_dom: dict = {}
+    for m in cat.mor:
+        by_dom.setdefault(cat.dom(m), []).append(m)
+    for (m2, m1) in pairs:
+        inner = cat.comp((m2, m1))
+        for m3 in by_dom.get(cat.cod(m2), ()):
+            if cat.comp((m3, inner)) != cat.comp((cat.comp((m3, m2)), m1)):
+                raise InternalCatError("associativity fails")
+
+
+def internal_full_subcat_on_labels(f: FinMap) -> InternalCategory:
+    """``internal_full_subcat``, composing graphs one label at a time; the
+    result passes ``check_internal_category_on_labels`` before it is built."""
+    A = f.cod
+    mor_elems = []
+    for a in A:
+        src = f.preimage(a)
+        for a2 in A:
+            for choice in itertools.product(f.preimage(a2), repeat=len(src)):
+                mor_elems.append((a, a2, _intern(tuple(zip(src, choice)))))
+    mor = FinSet._of(tuple(mor_elems))
+    dom = FinMap(mor, A, {m: m[0] for m in mor_elems})
+    cod = FinMap(mor, A, {m: m[1] for m in mor_elems})
+    ident = FinMap(A, mor, {a: (a, a, _intern(tuple([(b, b) for b in f.preimage(a)]))) for a in A})
+    pairs = [(m2, m1) for m2 in mor for m1 in mor if m2[0] == m1[1]]
+    comp_table = {}
+    for m2, m1 in pairs:
+        graph = {b: section_lookup(m2[2], section_lookup(m1[2], b)) for b in f.preimage(m1[0])}
+        comp_table[(m2, m1)] = (m1[0], m2[1], _intern(tuple(graph.items())))
+    comp = FinMap(FinSet._of(tuple(pairs)), mor, comp_table)
+    unchecked = object.__new__(InternalCategory)
+    unchecked.__dict__.update(obj=A, mor=mor, dom=dom, cod=cod, ident=ident, comp=comp)
+    check_internal_category_on_labels(unchecked)
+    return InternalCategory(A, mor, dom, cod, ident, comp)
+
+
+def check_internal_functor_on_labels(fun: InternalFunctor) -> None:
+    """``InternalFunctor``'s checks, one morphism label at a time."""
+    src, dst, on_obj, on_mor = fun.src, fun.dst, fun.on_obj, fun.on_mor
+    if on_obj.dom != src.obj or on_obj.cod != dst.obj:
+        raise InternalCatError("object action has the wrong signature")
+    if on_mor.dom != src.mor or on_mor.cod != dst.mor:
+        raise InternalCatError("morphism action has the wrong signature")
+    for m in src.mor:
+        fm = on_mor(m)
+        if dst.dom(fm) != on_obj(src.dom(m)):
+            raise InternalCatError("functor does not preserve domains")
+        if dst.cod(fm) != on_obj(src.cod(m)):
+            raise InternalCatError("functor does not preserve codomains")
+    for a in src.obj:
+        if on_mor(src.ident(a)) != dst.ident(on_obj(a)):
+            raise InternalCatError("functor does not preserve identities")
+    for (m2, m1) in src.comp.dom:
+        if on_mor(src.comp((m2, m1))) != dst.comp((on_mor(m2), on_mor(m1))):
+            raise InternalCatError("functor does not preserve composition")
+
+
+def internal_functor_on_labels(phi: PolyMorphism) -> InternalFunctor:
+    """``internal_functor``, conjugating each graph by the square top label by
+    label, between categories built by ``internal_full_subcat_on_labels``."""
+    if not phi.is_cartesian():
+        raise PolyError("internal functors arise from cartesian morphisms only")
+    if not (phi.src.is_one_to_one() and phi.dst.is_one_to_one()):
+        raise PolyError("reduce along the slice first for general endpoints")
+    Af, Ag = internal_full_subcat_on_labels(phi.src.f), internal_full_subcat_on_labels(phi.dst.f)
+    top = phi.square_top()
+    on_mor_table = {}
+    for (a, a2, graph) in Af.mor:
+        image = {top(b): top(y) for b, y in graph}
+        on_mor_table[(a, a2, graph)] = (phi.phi0(a), phi.phi0(a2), section_tuple(image))
+    on_mor = FinMap(Af.mor, Ag.mor, on_mor_table)
+    unchecked = object.__new__(InternalFunctor)
+    unchecked.__dict__.update(src=Af, dst=Ag, on_obj=phi.phi0, on_mor=on_mor)
+    check_internal_functor_on_labels(unchecked)
+    return InternalFunctor(Af, Ag, phi.phi0, on_mor)
+
+
 # ---------------------------------------------------------------------------
-# The lifted unit and multiplication through the extension bijections
+# The lifted endofunctor
 # ---------------------------------------------------------------------------
+
+
+def lift_apply_on_labels(P: LiftedEndofunctor, f: FinMap) -> FinMap:
+    """``lift_apply``, postcomposing one section at a time."""
+    src = apply_to_set(P, f.dom)
+    dst = apply_to_set(P, f.cod)
+    table = {(x, sect): (x, _intern(tuple([(k, f(v)) for k, v in sect]))) for (x, sect) in src}
+    return FinMap(src, dst, table)
 
 
 def unit_component(eta: PolyMorphism, Z: FinSet) -> FinMap:

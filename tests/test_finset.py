@@ -32,7 +32,6 @@ from polyverse.poly import (
     Polynomial,
     compose,
     compose_direct,
-    encode_arity,
     encode_operation,
     extend_map,
     from_map,
@@ -42,6 +41,7 @@ from polyverse.poly import (
 from polyverse.poly2 import extend_cell, unique_adjustment
 from reference import (
     constant_family,
+    encode_arity,
     enumerate_family_morphisms,
     family_from_total,
     prod_transpose,

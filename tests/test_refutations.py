@@ -3,9 +3,9 @@
 A decider that always answers true leaves the same report bytes as a law
 that holds, so the golden digests cannot tell the two apart.  Each entry of
 ``REFUTATIONS`` is keyed by a law id of ``suites.LAWS``, and every law has
-one.  All but the seven ``DECIDER_ENTRIES`` run the suite that checks the
+one.  All but the five ``DECIDER_ENTRIES`` run the suite that checks the
 law, with a hand-built draw or a patched builder, and read the status it
-records; those seven call the law's decider on a hand-built input.  For a
+records; those five call the law's decider on a hand-built input.  For a
 theorem (the pasting laws, for instance) the entry refutes the decider on
 inputs outside the theorem's hypotheses, not the law itself.  Where a
 theorem's decider has no input outside its hypotheses, a construction it
@@ -17,12 +17,15 @@ square followed by the swap of two elements in a fibre or sending two
 elements of a fibre to one, a universe drawn in place of another, a unit
 cell that is not cartesian, an adjustment from a copy of its source cell
 with the vertex relabelled, a pasting whose first edge starts from such a
-copy, a monad-law adjustment that is not invertible, or internal functors
-that send every morphism to an identity.
+copy, a monad-law adjustment that is not invertible, internal functors
+that send every morphism to an identity, or an internal category built with
+every composite set to an identity, which its check refuses.
 
 ``test_a_law_forced_to_pass_hides_its_refutation`` is the mutant check:
 with one law's check forced to pass, that law's entry refutes no more,
-unless it is one of the seven that call a decider.
+unless it is one of the five that call a decider.  One test per suite
+that builds on the extension or the slice runs ``cli.main`` with one map
+off by a swap and expects exit 1.
 """
 
 import itertools
@@ -174,12 +177,19 @@ def _trace_that_does_not_revalidate() -> bool:
     return _holds(PolyError, lambda: broken.validate(G, F))
 
 
-def _category_with_constant_composition() -> bool:
+def _category_with_constant_composition(f: FinMap):
+    """The internal full subcategory of ``f`` with every composite set to the
+    identity of its first object, through the checked constructor."""
+    cat = internal_full_subcat(f)
+    comp = FinMap.constant(cat.comp.dom, cat.mor, cat.ident(cat.obj.elements[0]))
+    return replace(cat, comp=comp)
+
+
+def _category_of_constant_composition_refused() -> bool:
     # the four endomaps of a two-element fibre, every composite set to the
     # identity: the endpoints fit, the unit law does not
-    cat = internal_full_subcat(FinMap.constant(FinSet(["x", "y"]), FinSet(["c"]), "c"))
-    comp = FinMap.constant(cat.comp.dom, cat.mor, cat.ident("c"))
-    return _holds(InternalCatError, lambda: replace(cat, comp=comp))
+    f = FinMap.constant(FinSet(["x", "y"]), FinSet(["c"]), "c")
+    return _holds(InternalCatError, lambda: _category_with_constant_composition(f))
 
 
 def _polynomial_over_two_base_points() -> Polynomial:
@@ -206,12 +216,12 @@ def _suite_verdict(suite: str, law: str, instance: str, *patches) -> bool:
     return status == "pass"
 
 
-def _slice_verdict(law: str, instance: str, sigma: dict, calls=None) -> bool:
-    """The verdict ``slice-reduction`` records for ``law`` when every cell it
-    draws is the identity on ``_polynomial_over_two_base_points``, and in
-    every cell it reduces (or in the ``calls``-th reductions only), the fibre
-    cell over (i0, j) is swapped for a valid cell with the same endpoints and
-    vertex whose map to the source arities is followed by ``sigma``."""
+def _slice_patches(sigma: dict, calls=None) -> tuple:
+    """Patches under which every cell ``slice-reduction`` draws is the
+    identity on ``_polynomial_over_two_base_points``, and in every cell it
+    reduces (or in the ``calls``-th reductions only), the fibre cell over
+    (i0, j) is swapped for a valid cell with the same endpoints and vertex
+    whose map to the source arities is followed by ``sigma``."""
     phi = identity_cell(_polynomial_over_two_base_points())
     count = itertools.count()
 
@@ -224,12 +234,16 @@ def _slice_verdict(law: str, instance: str, sigma: dict, calls=None) -> bool:
         cells[("i0", "j")] = PolyMorphism(c.src, c.dst, c.dphi, c.phi0, c.phi1, phi2)
         return cells
 
-    return _suite_verdict(
-        "slice-reduction", law, instance,
+    return (
         mock.patch.object(generators, "rand_parallel_pair", return_value=(phi, phi)),
         mock.patch.object(generators, "rand_morphism", return_value=phi),
         mock.patch.object(suites, "slice_reduce_cell", reduce),
     )
+
+
+def _slice_verdict(law: str, instance: str, sigma: dict, calls=None) -> bool:
+    """The verdict ``slice-reduction`` records for ``law`` under ``_slice_patches``."""
+    return _suite_verdict("slice-reduction", law, instance, *_slice_patches(sigma, calls))
 
 
 SWAP = {"b0": "b1", "b1": "b0"}
@@ -423,15 +437,19 @@ def _collapsed_in_a_fibre(sq: Square) -> Square:
     return Square(f, sq.dst, FinMap(f.dom, sq.dst.dom, {**dict(sq.top.pairs), y: sq.top(x)}), sq.bot)
 
 
-def _lift_verdict(law: str, *patches) -> bool:
-    """The verdict ``lift`` records for ``law`` when every square it draws is
-    the identity on ``{x, y} -> {c}``, run under the mock ``patches``."""
+def _lift_patches(*patches) -> tuple:
+    """Patches under which every square ``lift`` draws is the identity on
+    ``{x, y} -> {c}``, and the mock ``patches``."""
     f = FinMap.constant(FinSet(["x", "y"]), FinSet(["c"]), "c")
-    return _suite_verdict(
-        "lift", law, "sq0",
+    return (
         mock.patch.object(generators, "rand_cartesian_square", lambda *args, **kwargs: Square.identity(f)),
         *patches,
     )
+
+
+def _lift_verdict(law: str, *patches) -> bool:
+    """The verdict ``lift`` records for ``law`` under ``_lift_patches(*patches)``."""
+    return _suite_verdict("lift", law, "sq0", *_lift_patches(*patches))
 
 
 def _twisted(builder: str, call: int, twist=_followed_by_a_fibre_swap):
@@ -486,19 +504,23 @@ def _monad_law_adjustment_that_is_not_invertible() -> bool:
     return _lift_verdict("lift-monad-laws", mock.patch.object(suites, "unique_adjustment", lambda x, y: collapse))
 
 
-def _internal_equiv_verdict(law: str, *patches) -> bool:
-    """The verdict ``internal-equiv`` records for ``law`` when every cell it
-    draws is the identity on ``P`` and every polynomial is ``P``, run under
-    the mock ``patches``."""
+def _internal_equiv_patches(*patches) -> tuple:
+    """Patches under which every cell ``internal-equiv`` draws is the
+    identity on ``P`` and every polynomial is ``P``, and the mock ``patches``."""
     P, _ = _two_arities_over_one_operation()
     ident = identity_cell(P)
-    return _suite_verdict(
-        "internal-equiv", law, "inst0",
+    return (
         mock.patch.object(generators, "rand_parallel_cartesian_pair", return_value=(ident, ident)),
         mock.patch.object(generators, "rand_morphism", return_value=ident),
         mock.patch.object(generators, "rand_polynomial", return_value=P),
         *patches,
     )
+
+
+def _internal_equiv_verdict(law: str, *patches) -> bool:
+    """The verdict ``internal-equiv`` records for ``law`` under
+    ``_internal_equiv_patches(*patches)``."""
+    return _suite_verdict("internal-equiv", law, "inst0", *_internal_equiv_patches(*patches))
 
 
 def _functor_of_a_composite_followed_by_a_swap() -> bool:
@@ -551,6 +573,22 @@ def _equivalence_read_through_functors_onto_identities() -> bool:
     )
 
 
+def _category_built_with_constant_composition() -> bool:
+    # P's category has the four endomaps of {b0, b1}: with every composite
+    # the identity, the check at construction refuses it
+    return _internal_equiv_verdict(
+        "internal-category-laws",
+        mock.patch.object(suites, "internal_full_subcat", _category_with_constant_composition),
+    )
+
+
+def _functors_that_are_not_full() -> bool:
+    # sent to identities, the four endomaps of P's fibre hit one of four
+    return _internal_equiv_verdict(
+        "internal-fully-faithful", mock.patch.object(suites, "internal_functor", _functor_onto_identities),
+    )
+
+
 def _family_of_xy(rng, index, *args, **kwargs) -> FinFamily:
     return FinFamily(index, {i: FinSet(["x", "y"]) for i in index})
 
@@ -559,22 +597,26 @@ def _constant_at_x(rng, X, *args, **kwargs) -> FamilyMorphism:
     return FamilyMorphism(X, X, {i: FinMap.constant(X.fibre(i), X.fibre(i), "x") for i in X.index})
 
 
-def _extension_composition_verdict(law: str, direct=compose_direct, iso=extension_composition_iso) -> bool:
-    """The verdict ``extension-composition`` records for ``law`` when it draws
-    only ``F = {b0 -> a0, b1 -> a1}`` and ``G = {d} -> {c}``, every family
-    has the fibre {x, y}, every family morphism is constant at x, and the
-    suite's direct composite is ``direct`` and its extension bijections
-    ``iso``."""
+def _extension_composition_patches(direct=compose_direct, iso=extension_composition_iso) -> tuple:
+    """Patches under which ``extension-composition`` draws only
+    ``F = {b0 -> a0, b1 -> a1}`` and ``G = {d} -> {c}``, every family has the
+    fibre {x, y}, every family morphism is constant at x, and the suite's
+    direct composite is ``direct`` and its extension bijections ``iso``."""
     F = from_map(FinMap(FinSet(["b0", "b1"]), FinSet(["a0", "a1"]), {"b0": "a0", "b1": "a1"}))
     G = from_map(FinMap.constant(FinSet(["d"]), FinSet(["c"]), "c"))
-    return _suite_verdict(
-        "extension-composition", law, "pair0",
+    return (
         mock.patch.object(generators, "rand_composable_pair", return_value=(F, G)),
         mock.patch.object(generators, "rand_family", _family_of_xy),
         mock.patch.object(generators, "rand_family_morphism", _constant_at_x),
         mock.patch.object(suites, "compose_direct", direct),
         mock.patch.object(suites, "extension_composition_iso", iso),
     )
+
+
+def _extension_composition_verdict(law: str, direct=compose_direct, iso=extension_composition_iso) -> bool:
+    """The verdict ``extension-composition`` records for ``law`` under
+    ``_extension_composition_patches(direct, iso)``."""
+    return _suite_verdict("extension-composition", law, "pair0", *_extension_composition_patches(direct, iso))
 
 
 def _swap_first_two(Y: FinSet) -> FinMap:
@@ -595,13 +637,14 @@ def _composite_with_its_operations_swapped() -> bool:
     return _extension_composition_verdict("composite-matches-direct", direct=twisted)
 
 
+def _forwards_through_a_swap(G, F, X):
+    fwd, bwd = extension_composition_iso(G, F, X)
+    return _fibrewise_swap(fwd.dst).after(fwd), bwd
+
+
 def _round_trip_through_a_swap() -> bool:
     # forwards then swapped, backwards as before: not the identity
-    def iso(G, F, X):
-        fwd, bwd = extension_composition_iso(G, F, X)
-        return _fibrewise_swap(fwd.dst).after(fwd), bwd
-
-    return _extension_composition_verdict("extension-composite-bijection", iso=iso)
+    return _extension_composition_verdict("extension-composite-bijection", iso=_forwards_through_a_swap)
 
 
 def _bijection_through_a_swap() -> bool:
@@ -692,14 +735,14 @@ REFUTATIONS = {
     "pseudomonad-pasting": _pseudomonad_pasting_from_a_relabelled_cell,
     "pseudoalgebra-pasting": _pseudoalgebra_pasting_from_a_relabelled_cell,
     "pentagon": _pentagon_with_a_twisted_associator,
-    "internal-fully-faithful": _functor_that_is_not_full,
+    "internal-fully-faithful": _functors_that_are_not_full,
     "universe-validates": _broken_universe_drawn,
     "monad-structure-cartesian": _unit_cell_that_is_not_cartesian,
     "strictness-profile": _skewed_universe_drawn_as_strict,
     "corrupted-universe-rejected": _control_whose_corruption_misses,
     "type-isomorphisms": _padded_universe_drawn,
     "trace-revalidates": _trace_that_does_not_revalidate,
-    "internal-category-laws": _category_with_constant_composition,
+    "internal-category-laws": _category_built_with_constant_composition,
     "slice-roundtrip": _fibre_cell_swapped_for_another,
     "slice-cartesian-iff": _fibre_cell_swapped_for_a_non_cartesian_one,
     "slice-functorial": _fibre_cells_that_compose_to_another,
@@ -727,8 +770,7 @@ REFUTATIONS = {
 
 # The entries that call a decider directly, not through a suite's record.
 DECIDER_ENTRIES = {
-    "cartesian-naturality-pullback", "internal-category-laws", "internal-fully-faithful",
-    "local-codiscreteness", "trace-revalidates", "triangle", "unique-adjustment",
+    "cartesian-naturality-pullback", "local-codiscreteness", "trace-revalidates", "triangle", "unique-adjustment",
 }
 
 
@@ -759,6 +801,14 @@ def test_a_law_forced_to_pass_hides_its_refutation(law):
     _cell_that_is_not_cartesian, _sound_universe_refused, _type_isos_onto_a_padded_fibre,
 ], ids=lambda f: f.__name__.strip("_"))
 def test_the_deciders_behind_the_universe_and_lift_records_can_answer_false(refuted):
+    assert refuted() is False
+
+
+@pytest.mark.parametrize(
+    "refuted", [_functor_that_is_not_full, _category_of_constant_composition_refused],
+    ids=lambda f: f.__name__.strip("_"),
+)
+def test_the_deciders_behind_the_internal_category_records_can_answer_false(refuted):
     assert refuted() is False
 
 
@@ -798,7 +848,10 @@ def test_the_hand_built_inputs_also_admit_a_true_answer():
         ("type-isos", "type-isomorphisms", "skewed"),
     ):
         assert _suite_verdict(suite, law, instance)
-    for law in ("internal-functor-composition", "adjustment-nat-roundtrip", "internal-nt-unique", "four-way-equivalence"):
+    for law in (
+        "internal-category-laws", "internal-fully-faithful", "internal-functor-composition",
+        "adjustment-nat-roundtrip", "internal-nt-unique", "four-way-equivalence",
+    ):
         assert _internal_equiv_verdict(law)
     assert _vcomp_associative_verdict(twist=False)
     for law in ("extension-functorial", "extension-identity", "hcomp-extension"):
@@ -834,3 +887,53 @@ def test_a_pentagon_with_a_twisted_associator_exits_1_from_the_cli(twist, code, 
             stack.enter_context(patch)
         assert cli.main(["suite", "run", "coherence", "--seed", "0", "--count", "1", "--max-size", "2"]) == code
     assert ("[FAIL] law=pentagon instance=quad0" in capsys.readouterr().out) is twist
+
+
+# Per suite: the law and instance whose record a map off by a swap fails,
+# and the patches for the hand-built draw, with that map swapped if asked.
+SWAPPED_MAPS = {
+    "slice-reduction": (
+        "slice-roundtrip", "inst0-cell",
+        lambda twist: _slice_patches(SWAP if twist else {"b0": "b0", "b1": "b1"}),
+    ),
+    "extension-composition": (
+        "extension-composite-bijection", "pair0",
+        lambda twist: _extension_composition_patches(
+            iso=_forwards_through_a_swap if twist else extension_composition_iso,
+        ),
+    ),
+    "internal-equiv": (
+        "internal-functor-composition", "inst0",
+        lambda twist: _internal_equiv_patches(
+            *([mock.patch.object(suites, "v_comp", _followed_by_a_swap(v_comp))] if twist else []),
+        ),
+    ),
+    "lift": (
+        "lift-identity", "sq0",
+        lambda twist: _lift_patches(*([_twisted("lift_apply_square", 0)] if twist else [])),
+    ),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SWAPPED_MAPS))
+@pytest.mark.parametrize("twist, code", [(False, 0), (True, 1)], ids=["control", "twisted"])
+def test_a_map_off_by_a_swap_exits_1_from_the_cli(suite, twist, code, capsys):
+    # a law failure, not a crash: exit 1, not 4
+    law, instance, patches = SWAPPED_MAPS[suite]
+    with ExitStack() as stack:
+        for patch in patches(twist):
+            stack.enter_context(patch)
+        assert cli.main(["suite", "run", suite, "--seed", "0", "--count", "1", "--max-size", "2"]) == code
+    assert (f"[FAIL] law={law} instance={instance}" in capsys.readouterr().out) is twist
+
+
+@pytest.mark.parametrize("suite", ["pseudomonad", "pseudoalgebra", "type-isos"])
+def test_a_universe_that_does_not_validate_exits_1_from_the_cli(suite, capsys):
+    # the instance is recorded as failed and the suite goes on to the next
+    with _bool_universe_replaced_by(_bool_universe_with_a_broken_sum()):
+        assert cli.main(["suite", "run", suite, "--count", "2"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("[FAIL]")] == [
+        "[FAIL] law=universe-validates instance=bool (sum square: fibre mismatch at ('code1', (('el', 'code1'),)))",
+    ]
+    assert any(line.startswith("[PASS]") and "instance=skewed" in line for line in out)
