@@ -6,10 +6,12 @@ which sorts them by a fixed total order: two values built from equal inputs
 are equal Python objects.  Sets built from checked parts in that order (the
 constructions below) are taken as they are, not sorted or keyed again.  A
 set indexes its labels by position once, and a map stores codomain positions,
-so composition, equality and fibres work on ints.  Composite labels built here
-and by ``poly``'s encoders are interned: one object per value, keeping its
-``label_key`` and, past tuples of strings, its hash.  Constructed elements
-record their derivation:
+so composition, equality and fibres work on ints.  ``FinSet``, ``FinMap`` and
+``poly.Polynomial`` compare field-wise but are equal to themselves at once,
+and shape checks compare tuples of sets, where the same object costs no call.
+Composite labels built here and by ``poly``'s encoders are interned: one
+object per value, keeping its ``label_key`` and, past tuples of strings, its
+hash.  Constructed elements record their derivation:
 
 * ``pullback(f, g)`` elements are pairs ``(b, c)`` with ``f(b) == g(c)``;
 * ``dep_sum`` elements are pairs ``(b, x)``;
@@ -28,7 +30,6 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Union
 
 Label = Union[str, tuple]
@@ -110,6 +111,17 @@ def _guard(count: int, what: str) -> None:
         raise EnumerationCapExceeded(f"{what} would have {count} elements (cap {cap})")
 
 
+class _lazy:
+    """``functools.cached_property`` as of Python 3.12: computed on first access
+    and kept in the instance's ``__dict__``, without the lock 3.11's takes then."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        return self if obj is None else obj.__dict__.setdefault(self.name, self.func(obj))
+
+
 def _kept_hash(self) -> int:
     """The hash of a frozen dataclass's fields, computed on first use and kept."""
     kept = self.__dict__.get("_hash")
@@ -139,7 +151,12 @@ class FinSet:
         X.__dict__.update(elements=ordered)
         return X
 
-    @cached_property
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.elements == other.elements
+
+    @_lazy
     def pos(self) -> dict:
         """Label -> position in ``elements``."""
         return {x: i for i, x in enumerate(self.elements)}
@@ -205,12 +222,17 @@ class FinMap:
         f.__dict__.update(dom=dom, cod=cod, img=img)
         return f
 
-    @cached_property
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.dom, self.cod, self.img) == (other.dom, other.cod, other.img)
+
+    @_lazy
     def pairs(self) -> tuple:
         """The graph ``(x, f(x))`` in domain order."""
         return tuple(zip(self.dom.elements, map(self.cod.elements.__getitem__, self.img)))
 
-    @cached_property
+    @_lazy
     def _fibres(self) -> list:
         """Domain positions over each codomain position."""
         out = [[] for _ in self.cod.elements]
@@ -218,7 +240,7 @@ class FinMap:
             out[j].append(i)
         return out
 
-    @cached_property
+    @_lazy
     def _ranks(self) -> list:
         """Each domain position's place in its fibre, as listed by ``_fibres``."""
         out = [0] * len(self.img)
@@ -235,7 +257,7 @@ class FinMap:
 
     def after(self, other: "FinMap") -> "FinMap":
         """Composite self∘other."""
-        if other.cod != self.dom:
+        if other.cod is not self.dom and other.cod != self.dom:
             raise FinSetError("composition mismatch")
         return FinMap._of(other.dom, self.cod, tuple(map(self.img.__getitem__, other.img)))
 
@@ -304,11 +326,6 @@ class FinFamily:
         img = tuple([k for k, (_, X) in enumerate(self.fibres) for _ in X])
         return total, FinMap._of(total, self.index, img)
 
-    @staticmethod
-    def of_map(p: FinMap) -> "FinFamily":
-        """The fibre family of an arbitrary map, keeping raw elements."""
-        return FinFamily._of(p.cod, [FinSet._of(p.preimage(a)) for a in p.cod.elements])
-
 
 @dataclass(frozen=True)
 class FamilyMorphism:
@@ -372,7 +389,7 @@ def pullback(f: FinMap, g: FinMap) -> tuple[FinSet, FinMap, FinMap]:
     The pairs come out in ``label_key`` order (``b`` first, then ``c``), so
     the projections are the positions they were drawn from.
     """
-    if f.cod != g.cod:
+    if f.cod is not g.cod and f.cod != g.cod:
         raise FinSetError("pullback requires a common codomain")
     right = g._fibres
     idx = [(i, k) for i, j in enumerate(f.img) for k in right[j]]
@@ -386,7 +403,7 @@ def pullback(f: FinMap, g: FinMap) -> tuple[FinSet, FinMap, FinMap]:
 def is_pullback_cone(f: FinMap, g: FinMap, p1: FinMap, p2: FinMap) -> bool:
     """Universal property of a commuting cone over the cospan ``f, g``,
     checked by full enumeration: each matching pair is hit exactly once."""
-    if f.cod != g.cod or p1.dom != p2.dom or p1.cod != f.dom or p2.cod != g.dom:
+    if (f.cod, p1.dom, p1.cod, p2.cod) != (g.cod, p2.dom, f.dom, g.dom):
         return False
     fi, gi = f.img, g.img
     legs = list(zip(p1.img, p2.img))
@@ -452,9 +469,9 @@ class Square:
     bot: FinMap
 
     def __post_init__(self):
-        if self.top.dom != self.src.dom or self.top.cod != self.dst.dom:
+        if (self.top.dom, self.top.cod) != (self.src.dom, self.dst.dom):
             raise FinSetError("square top map has the wrong signature")
-        if self.bot.dom != self.src.cod or self.bot.cod != self.dst.cod:
+        if (self.bot.dom, self.bot.cod) != (self.src.cod, self.dst.cod):
             raise FinSetError("square bottom map has the wrong signature")
         di, bi = self.dst.img, self.bot.img
         for k, (d, a) in enumerate(zip(self.top.img, self.src.img)):

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 from .finset import (
     FinMap,
@@ -36,6 +35,7 @@ from .finset import (
     section_lookup,
     _guard,
     _intern,
+    _lazy,
 )
 from .poly import PolyError, _once
 from .poly2 import Adjustment, PolyMorphism
@@ -103,7 +103,7 @@ class InternalCategory:
                 if comp[first[m3] + rank[inner]] != comp[first[comp[first[m3] + rank[m2]]] + rank[m1]]:
                     raise InternalCatError("associativity fails")
 
-    @cached_property
+    @_lazy
     def _pairs(self) -> tuple[list, list, list]:
         """``_composable`` of the morphisms."""
         return _composable(self.dom.img, self.cod.img, len(self.obj))

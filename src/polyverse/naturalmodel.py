@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import reduce
 
 from .finset import (
     FinFamily,
@@ -51,6 +51,7 @@ from .finset import (
     section_lookup,
     section_tuple,
     _intern,
+    _lazy,
 )
 from .poly import (
     Polynomial,
@@ -104,23 +105,23 @@ class Universe:
         object.__setattr__(self, "sigma", _normalise_table(sigma))
         object.__setattr__(self, "pi", _normalise_table(pi))
 
-    @cached_property
+    @_lazy
     def _sigma_table(self) -> dict:
         return dict(self.sigma)
 
-    @cached_property
+    @_lazy
     def _pi_table(self) -> dict:
         return dict(self.pi)
 
-    @cached_property
+    @_lazy
     def terms(self) -> FinSet:
         return self.el.total()[0]
 
-    @cached_property
+    @_lazy
     def p(self) -> FinMap:
         return self.el.total()[1]
 
-    @cached_property
+    @_lazy
     def star(self):
         fibre = self.el.fibre(self.unit_code)
         return (self.unit_code, fibre.the_element())

@@ -8,9 +8,11 @@ is  Sigma_{a in A_j} Pi_{b in B_a} X_{s(b)},  computed literally as
 ``slice_reduce`` never decode a section: they read positions off maps and
 traces, and place each section by the layout of ``_layout``.
 
-Composition follows the pullback / dependent-product / counit recipe and
-records every intermediate object in a ``CompositionTrace`` so that the
-construction can be re-validated and unpacked element by element.
+Composition follows the pullback / dependent-product / counit recipe on
+positions: the ``Q`` positions each section picks give the operations and the
+counit, with no label looked up.  A ``CompositionTrace`` records every
+intermediate object, so that the construction can be re-validated (the
+counit by ``section_lookup``) and unpacked element by element.
 ``compose_direct`` rebuilds the same composite straight from the
 element-level description and must agree exactly; the two code paths share
 nothing but the encoding conventions.
@@ -31,7 +33,6 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import cached_property
 
 from .finset import (
     FamilyMorphism,
@@ -51,6 +52,7 @@ from .finset import (
     _guard,
     _intern,
     _kept_hash,
+    _lazy,
 )
 
 
@@ -72,12 +74,18 @@ class Polynomial:
     __hash__ = _kept_hash
 
     def __post_init__(self):
-        if self.s.dom != self.B or self.s.cod != self.I:
+        if (self.s.dom, self.s.cod) != (self.B, self.I):
             raise PolyError("s must map B to I")
-        if self.f.dom != self.B or self.f.cod != self.A:
+        if (self.f.dom, self.f.cod) != (self.B, self.A):
             raise PolyError("f must map B to A")
-        if self.t.dom != self.A or self.t.cod != self.J:
+        if (self.t.dom, self.t.cod) != (self.A, self.J):
             raise PolyError("t must map A to J")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.I, self.B, self.A, self.J, self.s, self.f, self.t) == (
+            other.I, other.B, other.A, other.J, other.s, other.f, other.t)
 
     def is_one_to_one(self) -> bool:
         return self.I == TERMINAL and self.J == TERMINAL
@@ -218,8 +226,8 @@ class CompositionTrace:
 
     ``Q`` is the chosen pullback of ``t`` against ``u`` (pairs ``(a, d)``),
     ``h`` its projection to the middle of the outer polynomial, ``w`` the
-    dependent product of ``h``, ``e`` the recorded counit component at
-    ``h``, ``N`` and ``M`` the middle objects of the composite, and
+    dependent product of ``h``'s fibres, ``e`` the recorded counit component
+    at ``h``, ``N`` and ``M`` the middle objects of the composite, and
     ``n, p, q`` the structure maps.
 
     ``h_comp`` and the associator read composites by position through these
@@ -243,28 +251,28 @@ class CompositionTrace:
     n: FinMap             # N -> B
     p: FinMap             # N -> Qp
 
-    @cached_property
+    @_lazy
     def picks(self) -> list:
         """For each operation position, the ``Q`` positions its section picks."""
         e = self.e.img
         return [tuple([e[x] for x in xs]) for xs in self.q._fibres]
 
-    @cached_property
+    @_lazy
     def q_at(self) -> dict:
         """``Q`` position of each (inner operation, outer arity) position pair."""
         return {ad: i for i, ad in enumerate(zip(self.qa.img, self.h.img))}
 
-    @cached_property
+    @_lazy
     def m_at(self) -> dict:
         """``M`` position of each (outer operation position, picks) pair."""
         return {cq: m for m, cq in enumerate(zip(self.w.img, self.picks))}
 
-    @cached_property
+    @_lazy
     def qp_at(self) -> dict:
         """``Qp`` position of each (operation, outer arity) position pair."""
         return {md: x for x, md in enumerate(zip(self.q.img, self.qp_d.img))}
 
-    @cached_property
+    @_lazy
     def n_at(self) -> dict:
         """``N`` position of each (inner arity, ``Qp``) position pair."""
         return {bx: k for k, bx in enumerate(zip(self.n.img, self.p.img))}
@@ -293,11 +301,23 @@ def _compose(G: Polynomial, F: Polynomial) -> tuple[Polynomial, CompositionTrace
     if F.J != G.I:
         raise PolyError("polynomials do not share a boundary")
     Q, qa, qd = pullback(F.t, G.s)
-    fam_q = FinFamily.of_map(qd)
-    m_fam = dep_prod(G.f, fam_q)
-    M, w = m_fam.total()
+    # each section of dep_prod(G.f, fibres of qd) as the Q positions it picks;
+    # Qp lists each operation's arities in order, so e is the picks in turn
+    Cs, Ds, Qs, over = G.A.elements, G.B.elements, Q.elements, qd._fibres
+    m_elems, w_img, e_img = [], [], []
+    for c, ds in enumerate(G.f._fibres):
+        pools = [over[d] for d in ds]
+        count = math.prod(map(len, pools))
+        _guard(count, f"dependent product fibre over {Cs[c]!r}")
+        arities = [Ds[d] for d in ds]
+        for picks in itertools.product(*pools):
+            m_elems.append((Cs[c], _intern(tuple(zip(arities, map(Qs.__getitem__, picks))))))
+            e_img += picks
+        w_img += [c] * count
+    M = FinSet._of(tuple(m_elems))
+    w = FinMap._of(M, G.A, tuple(w_img))
     Qp, q, qp_d = pullback(w, G.f)
-    e = FinMap(Qp, Q, {x: section_lookup(x[0][1], x[1]) for x in Qp})
+    e = FinMap._of(Qp, Q, tuple(e_img))
     ae = qa.after(e)
     N, n, p = pullback(F.f, ae)
     trace = CompositionTrace(Q, qa, qd, M, w, Qp, q, qp_d, e, N, n, p)

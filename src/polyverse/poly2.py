@@ -36,7 +36,6 @@ from __future__ import annotations
 import itertools
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import cached_property
 
 from .finset import (
     FamilyMorphism,
@@ -50,6 +49,7 @@ from .finset import (
     pullback,
     _guard,
     _kept_hash,
+    _lazy,
 )
 from .poly import (
     Polynomial,
@@ -97,13 +97,13 @@ class PolyMorphism:
 
     def __post_init__(self):
         F, G = self.src, self.dst
-        if F.I != G.I or F.J != G.J:
+        if (F.I, F.J) != (G.I, G.J):
             raise CellShapeError("morphism endpoints must agree")
-        if self.phi0.dom != F.A or self.phi0.cod != G.A:
+        if (self.phi0.dom, self.phi0.cod) != (F.A, G.A):
             raise CellShapeError("phi0 must map operations to operations")
-        if self.phi1.dom != self.dphi or self.phi1.cod != G.B:
+        if (self.phi1.dom, self.phi1.cod) != (self.dphi, G.B):
             raise CellShapeError("phi1 must map the vertex into the target arities")
-        if self.phi2.dom != self.dphi or self.phi2.cod != F.B:
+        if (self.phi2.dom, self.phi2.cod) != (self.dphi, F.B):
             raise CellShapeError("phi2 must map the vertex into the source arities")
         if F.t != G.t.after(self.phi0):
             raise CellCommutationError("target triangle does not commute")
@@ -121,12 +121,12 @@ class PolyMorphism:
         cell.__dict__.update(src=src, dst=dst, dphi=dphi, phi0=phi0, phi1=phi1, phi2=phi2)
         return cell
 
-    @cached_property
+    @_lazy
     def r(self) -> FinMap:
         """The horizontal edge of the lower square, ``f . phi2``."""
         return self.src.f.after(self.phi2)
 
-    @cached_property
+    @_lazy
     def _fill(self) -> dict:
         """Vertex position over each (operation position, target arity position)."""
         return {ad: k for k, ad in enumerate(zip(self.r.img, self.phi1.img))}
@@ -154,7 +154,7 @@ def identity_cell(F: Polynomial) -> PolyMorphism:
 def cell_from_square(F: Polynomial, G: Polynomial, top: FinMap, bot: FinMap) -> PolyMorphism:
     """The cartesian morphism induced by a pullback square from the middle
     map of F to the middle map of G; the vertex is the chosen pullback."""
-    if top.dom != F.B or top.cod != G.B or bot.dom != F.A or bot.cod != G.A:
+    if (top.dom, top.cod, bot.dom, bot.cod) != (F.B, G.B, F.A, G.A):
         raise CellShapeError("square edges have the wrong signatures")
     gi, bi = G.f.img, bot.img
     for k, (d, a) in enumerate(zip(top.img, F.f.img)):
@@ -349,9 +349,9 @@ class Adjustment:
     alpha: FinMap
 
     def __post_init__(self):
-        if self.src.src != self.dst.src or self.src.dst != self.dst.dst:
+        if (self.src.src, self.src.dst) != (self.dst.src, self.dst.dst):
             raise AdjustmentError("adjustments require parallel morphisms")
-        if self.alpha.dom != self.src.dphi or self.alpha.cod != self.dst.dphi:
+        if (self.alpha.dom, self.alpha.cod) != (self.src.dphi, self.dst.dphi):
             raise AdjustmentError("adjustment map has the wrong signature")
         if self.dst.phi2.after(self.alpha) != self.src.phi2:
             raise AdjustmentError("adjustment triangle over B does not commute")

@@ -482,7 +482,8 @@ def suite_type_isos(cfg: InstanceGenConfig) -> Report:
 def suite_lift(cfg: InstanceGenConfig) -> Report:
     rep = Report("lift", cfg)
     rng = random.Random(cfg.seed)
-    universes = [mk_bool_universe(), mk_skewed_universe()]
+    # instance n draws universe n % 2, so a count-1 run builds only ``bool``
+    universes = [mk() for mk in (mk_bool_universe, mk_skewed_universe)[:cfg.count]]
     lifts = [LiftedEndofunctor(u.p) for u in universes]
     # the universes are fixed, so one table serves the whole run: eta, mu and
     # each P_p(Z) are built once per universe, and one endofunctor per

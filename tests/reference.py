@@ -7,6 +7,8 @@ the tests' second routes and oracles:
 * the adjunction transposes and the enumeration of family morphisms, against
   which ``dep_prod`` and ``dep_sum`` are checked, constant families and the
   family of a total space;
+* composition by the pullback / dependent-product / counit recipe on
+  labels, against which ``compose``, built on positions, is checked;
 * the square check, square-to-cell, vertical and horizontal composition and
   the associator one label at a time, against which the positional ones in
   ``finset`` and ``poly2`` are checked;
@@ -53,6 +55,7 @@ from polyverse.finset import (
 from polyverse.internalcat import InternalCatError, InternalCategory, InternalFunctor, internal_functor
 from polyverse.naturalmodel import LiftedEndofunctor, apply_to_set
 from polyverse.poly import (
+    CompositionTrace,
     PolyError,
     Polynomial,
     compose,
@@ -201,6 +204,24 @@ def linear_poly(s: FinMap, t: FinMap) -> Polynomial:
         raise PolyError("a span needs a common domain")
     A = s.dom
     return Polynomial(s.cod, A, A, t.cod, s, FinMap.identity(A), t)
+
+
+def compose_on_labels(G: Polynomial, F: Polynomial) -> tuple[Polynomial, CompositionTrace]:
+    """``compose`` by the pullback / dependent-product / counit recipe on
+    labels: the operations are the total space of the dependent product of
+    ``G.f`` over the fibres of ``h``, and ``w`` and the counit ``e`` read each
+    operation's outer operation and section, through the checked ``FinMap``."""
+    if F.J != G.I:
+        raise PolyError("polynomials do not share a boundary")
+    Q, qa, qd = pullback(F.t, G.s)
+    fam_q = FinFamily._of(qd.cod, [FinSet._of(qd.preimage(d)) for d in qd.cod.elements])
+    M, _ = dep_prod(G.f, fam_q).total()
+    w = FinMap(M, G.A, {m: m[0] for m in M})
+    Qp, q, qp_d = pullback(w, G.f)
+    e = FinMap(Qp, Q, {x: section_lookup(x[0][1], x[1]) for x in Qp})
+    N, n, p = pullback(F.f, qa.after(e))
+    trace = CompositionTrace(Q, qa, qd, M, w, Qp, q, qp_d, e, N, n, p)
+    return Polynomial(F.I, N, M, G.J, F.s.after(n), q.after(p), G.t.after(w)), trace
 
 
 def identity_extension_iso(X: FinFamily) -> tuple[FamilyMorphism, FamilyMorphism]:

@@ -40,6 +40,7 @@ from polyverse.poly import (
 )
 from polyverse.poly2 import extend_cell, unique_adjustment
 from reference import (
+    compose_on_labels,
     constant_family,
     encode_arity,
     enumerate_family_morphisms,
@@ -339,13 +340,6 @@ class TestTotalSpace:
         X = fam(A, a0=["x", "y"], a1=[])
         total, proj = X.total()
         assert family_from_total(proj) == X
-
-    def test_of_map_keeps_elements(self):
-        B = FinSet(["b0", "b1"])
-        A = FinSet(["a"])
-        f = FinMap(B, A, {"b0": "a", "b1": "a"})
-        F = FinFamily.of_map(f)
-        assert F.fibre("a") == B
 
 
 small_sets = st.integers(min_value=0, max_value=3)
@@ -654,7 +648,7 @@ def test_finset_constructions_equal_their_checked_rebuilds(data):
     X = FinFamily(f.dom, {b: data.draw(label_sets(0, 3)) for b in f.dom})
     Y = FinFamily(C, {c: data.draw(label_sets()) for c in C})
     built = [*pullback(f, g), *X.total(), dep_sum(f, X), dep_prod(f, X), base_change(f, Y)]
-    built += [FinFamily.of_map(f), constant_family(C, f.dom), slice_exponential(f, g)]
+    built += [constant_family(C, f.dom), slice_exponential(f, g)]
     for x in built + [product_set(f.dom, C)]:
         assert_checked(x)
     assert base_change(f, Y) == FinFamily(f.dom, {b: Y.fibre(f(b)) for b in f.dom})
@@ -669,8 +663,9 @@ def test_composite_and_internal_sets_equal_their_checked_rebuilds(data):
     F = data.draw(polynomials())
     G = data.draw(polynomials(I=F.J))
     GF, trace = compose(G, F)
-    fam_q = FinFamily.of_map(trace.h)  # the family over G.B that compose takes the product of
-    for x in (fam_q, trace.Q, trace.M, trace.w, trace.Qp, trace.N, GF.s, GF.f, GF.t):
+    on_labels, oracle = compose_on_labels(G, F)
+    assert GF == on_labels and trace == oracle and trace.picks == oracle.picks
+    for x in (trace.Q, trace.M, trace.w, trace.Qp, trace.e, trace.N, GF.s, GF.f, GF.t):
         assert_checked(x)
     assert_checked(slice_reduce(F).src)
     assert_checked(slice_reduce(F).dst)
@@ -678,7 +673,7 @@ def test_composite_and_internal_sets_equal_their_checked_rebuilds(data):
     C = internal_full_subcat(f)
     assert_checked(C.mor)
     assert_checked(C.comp.dom)
-    u = Universe(C.obj, FinFamily.of_map(f), C.obj.elements[0], {}, {})
+    u = Universe(C.obj, FinFamily(f.cod, {a: f.preimage(a) for a in f.cod}), C.obj.elements[0], {}, {})
     for code in u.codes:
         assert_checked(u.term_fibre(code))
     assert_sorted_sections(graph for _, (_, _, graph) in C.ident.pairs)
@@ -706,7 +701,7 @@ def test_positional_constructions_key_no_label(monkeypatch):
     Y = FinFamily(A, {a: FinSet([("y", a), "y"]) for a in A})
     keyed = []
     monkeypatch.setattr(finset, "label_key", lambda label: keyed.append(label) or label_key(label))
-    dep_sum(f, X), base_change(f, Y), X.total(), FinFamily.of_map(f)
+    dep_sum(f, X), base_change(f, Y), X.total()
     assert keyed == []
     FinSet(B.elements)
     assert keyed
@@ -775,6 +770,60 @@ class TestKeptHashes:
         with poly._shared_builds():
             first = compose(G1, F1)
             assert compose(G2, F2) is first
+
+
+def fieldwise(x, y) -> bool:
+    """Equality as the generated dataclass method has it, applied down to
+    the labels: same class and every field equal."""
+    if not hasattr(x, "__dataclass_fields__"):
+        return x == y
+    return type(x) is type(y) and all(fieldwise(getattr(x, k), getattr(y, k)) for k in x.__dataclass_fields__)
+
+
+def _rebuilt(P: Polynomial) -> Polynomial:
+    """An equal polynomial none of whose sets or maps is one of ``P``'s."""
+    I, B, A, J = (FinSet(X.elements) for X in (P.I, P.B, P.A, P.J))
+    s, f, t = FinMap(B, I, dict(P.s.pairs)), FinMap(B, A, dict(P.f.pairs)), FinMap(A, J, dict(P.t.pairs))
+    return Polynomial(I, B, A, J, s, f, t)
+
+
+class TestIdentityFirstEquality:
+    """``FinSet``, ``FinMap`` and ``Polynomial`` write their own ``__eq__``,
+    true at once for the same object; ``==``, ``!=`` and ``hash`` still agree
+    with field-wise comparison."""
+
+    def _cases(self):
+        X, A = FinSet(["b0", "b1"]), FinSet(["a0", "a1"])
+        f = FinMap(X, A, {"b0": "a0", "b1": "a1"})
+        P, Q = from_map(f), from_map(FinMap.constant(X, A, "a0"))
+        GP, _ = compose(from_map(FinMap.constant(FinSet(["d"]), FinSet(["c"]), "c")), P)
+        return [
+            (X, X), (X, FinSet(["b1", "b0"])), (X, A), (X, FinSet()),
+            (f, f), (f, FinMap(FinSet(X.elements), FinSet(A.elements), dict(f.pairs))),
+            (f, FinMap.constant(X, A, "a0")), (f, FinMap(X, FinSet(["a0", "a1", "a2"]), dict(f.pairs))),
+            (P, P), (P, _rebuilt(P)), (P, Q), (GP, _rebuilt(GP)), (GP, P),
+        ]
+
+    def test_equality_and_hash_agree_with_fieldwise_comparison(self):
+        kinds = set()
+        for x, y in self._cases():
+            same = fieldwise(x, y)
+            kinds.add("same object" if x is y else "equal" if same else "unequal")
+            assert (x == y) is (y == x) is same
+            assert (x != y) is (y != x) is (not same)
+            if same:
+                assert hash(x) == hash(y)
+        assert kinds == {"same object", "equal", "unequal"}
+
+    @pytest.mark.parametrize(
+        "other", [None, "a", ("b0", "b1"), 0, object()], ids=["None", "str", "tuple", "int", "object"],
+    )
+    def test_other_types_are_left_to_the_other_side(self, other):
+        for x, _ in self._cases():
+            assert x.__eq__(other) is NotImplemented
+            assert (x == other) is False and (x != other) is True
+        X = FinSet(["x"])
+        assert X != FinMap.identity(X) and FinMap.identity(X) != from_map(FinMap.identity(X))
 
 
 def interned(label):

@@ -1,12 +1,13 @@
 """The builders that read positions agree with the label-level oracles.
 
-``extend_map``, ``extension_composition_iso`` and ``slice_reduce`` in
-``poly``, ``extend_cell``, ``slice_reduce_cell`` and ``slice_unreduce_cell``
-in ``poly2``, ``lift_apply`` in ``naturalmodel``, and the internal full
-subcategories, internal functors and their law checks in ``internalcat``
-compute positions and build their maps unchecked.  Each is compared with
+``compose``, ``extend_map``, ``extension_composition_iso`` and
+``slice_reduce`` in ``poly``, ``extend_cell``, ``slice_reduce_cell`` and
+``slice_unreduce_cell`` in ``poly2``, ``lift_apply`` in ``naturalmodel``, and
+the internal full subcategories, internal functors and their law checks in
+``internalcat`` compute positions and build their maps unchecked.  Each is compared with
 its label-level version in ``tests/reference.py``: on generator draws, and on
-every call a suite makes at the configs of acceptance criteria 1, 4, 7 and 8.
+every call a suite makes at the configs of acceptance criteria 1, 3, 4, 7
+and 8; a composite's trace must also pick the same ``Q`` positions.
 Every map and family morphism they build unchecked passes the checked
 constructor and gives an equal value, and the law checks refuse corrupted
 data with the same message as the label-level checks.
@@ -43,6 +44,7 @@ from polyverse.poly2 import extend_cell, identity_cell
 from polyverse.suites import run_suite
 from reference import (
     check_internal_category_on_labels,
+    compose_on_labels,
     check_internal_functor_on_labels,
     extend_cell_on_labels,
     extend_map_on_labels,
@@ -57,6 +59,7 @@ from reference import (
 from test_acceptance import CONFIGS
 
 ORACLES = {
+    "compose": compose_on_labels,
     "extend_map": extend_map_on_labels,
     "extension_composition_iso": extension_composition_iso_on_labels,
     "slice_reduce": slice_reduce_on_labels,
@@ -119,6 +122,7 @@ def _calls_of_each_builder():
     """Every builder call on the draws, as ``(name, args)``."""
     for G, F, X, h in _extension_draws(1, 25):
         GF, _ = compose(G, F)
+        yield "compose", (G, F)
         yield "extension_composition_iso", (G, F, X)
         yield "extension_composition_iso", (G, F, h.dst)
         for P in (F, G, GF):
@@ -148,7 +152,7 @@ def _calls_of_each_builder():
 
 
 MODULES = {
-    "extend_map": poly, "extension_composition_iso": poly, "slice_reduce": poly, "extend_cell": poly2,
+    "compose": poly, "extend_map": poly, "extension_composition_iso": poly, "slice_reduce": poly, "extend_cell": poly2,
     "slice_reduce_cell": poly2, "slice_unreduce_cell": poly2, "lift_apply": naturalmodel,
     "internal_full_subcat": internalcat, "internal_functor": internalcat,
 }
@@ -159,8 +163,24 @@ def test_the_builders_agree_with_the_label_level_oracles_on_generator_draws():
     with _shared_builds():
         for name, args in _calls_of_each_builder():
             seen.add(name)
-            assert getattr(MODULES[name], name)(*args) == ORACLES[name](*args), name
+            assert _agrees(name, getattr(MODULES[name], name)(*args), ORACLES[name](*args)), name
     assert seen == set(ORACLES)
+
+
+def _agrees(name: str, out, expected) -> bool:
+    """Equal results; for ``compose``, traces whose operations also pick
+    the same ``Q`` positions."""
+    return out == expected and (name != "compose" or out[1].picks == expected[1].picks)
+
+
+def test_the_oracle_composite_picks_q_elements_as_they_are():
+    # the fibres of Q over G's arities keep Q's pairs (a, d), so an operation
+    # of G.F is its outer operation with the pair picked at each arity
+    F = from_map(FinMap(FinSet(["b0", "b1"]), FinSet(["a0", "a1"]), {"b0": "a0", "b1": "a1"}))
+    G = from_map(FinMap.constant(FinSet(["d"]), FinSet(["c"]), "c"))
+    GF, trace = compose_on_labels(G, F)
+    assert GF.A.elements == (("c", (("d", ("a0", "d")),)), ("c", (("d", ("a1", "d")),)))
+    assert trace.picks == [(0,), (1,)]
 
 
 def _recorded(monkeypatch, suite: str, names: list) -> list:
@@ -184,16 +204,17 @@ def _recorded(monkeypatch, suite: str, names: list) -> list:
 
 
 @pytest.mark.parametrize("suite, names", [
-    ("extension-composition", ["extension_composition_iso", "extend_map"]),
+    ("extension-composition", ["compose", "extension_composition_iso", "extend_map"]),
+    ("coherence", ["compose"]),
     ("internal-equiv", ["internal_full_subcat", "internal_functor"]),
     ("lift", ["lift_apply"]),
     ("slice-reduction", ["slice_reduce", "slice_reduce_cell", "slice_unreduce_cell"]),
-], ids=["criterion-1", "criterion-4", "criterion-7", "criterion-8"])
+], ids=["criterion-1", "criterion-3", "criterion-4", "criterion-7", "criterion-8"])
 def test_every_call_at_the_acceptance_configs_agrees_with_its_oracle(monkeypatch, suite, names):
     calls = _recorded(monkeypatch, suite, names)
     assert {name for name, _, _ in calls} == set(names)
     for name, args, out in calls:
-        assert out == ORACLES[name](*args), name
+        assert _agrees(name, out, ORACLES[name](*args)), name
 
 
 def test_every_unchecked_map_passes_the_checked_constructors(monkeypatch):

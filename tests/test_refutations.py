@@ -3,15 +3,16 @@
 A decider that always answers true leaves the same report bytes as a law
 that holds, so the golden digests cannot tell the two apart.  Each entry of
 ``REFUTATIONS`` is keyed by a law id of ``suites.LAWS``, and every law has
-one.  All but the five ``DECIDER_ENTRIES`` run the suite that checks the
+one.  All but the three ``DECIDER_ENTRIES`` run the suite that checks the
 law, with a hand-built draw or a patched builder, and read the status it
-records; those five call the law's decider on a hand-built input.  For a
+records; those three call the law's decider on a hand-built input.  For a
 theorem (the pasting laws, for instance) the entry refutes the decider on
 inputs outside the theorem's hypotheses, not the law itself.  Where a
 theorem's decider has no input outside its hypotheses, a construction it
 calls is patched to a valid one that breaks the theorem: a composite,
-unitor or associator followed by the swap of two arities, an identity cell
-replaced by that swap, a direct composite whose operations trade arities,
+unitor or associator followed by the swap of two arities, a composition
+trace whose counit is off by a swap, an identity cell replaced by the swap
+of two arities, a direct composite whose operations trade arities,
 extension bijections followed by the swap of two elements, a lifted or unit
 square followed by the swap of two elements in a fibre or sending two
 elements of a fibre to one, a universe drawn in place of another, a unit
@@ -23,7 +24,7 @@ every composite set to an identity, which its check refuses.
 
 ``test_a_law_forced_to_pass_hides_its_refutation`` is the mutant check:
 with one law's check forced to pass, that law's entry refutes no more,
-unless it is one of the five that call a decider.  One test per suite
+unless it is one of the three that call a decider.  One test per suite
 that builds on the extension or the slice runs ``cli.main`` with one map
 off by a swap and expects exit 1.
 """
@@ -371,14 +372,24 @@ def _pentagon_with_a_twisted_associator() -> bool:
     return _pentagon_verdict(twist=True)
 
 
-def _triangle_verdict(twist: bool) -> bool:
+def _triangle_check_with_a_twisted_unitor() -> bool:
     """``triangle_check`` on ``P`` and the identity on a point, with the left
-    unitor of ``P`` followed, if ``twist``, by the swap of its arities."""
-    P, swap = _two_arities_over_one_operation()
+    unitor of ``P`` followed by the swap of its arities."""
+    P, _ = _two_arities_over_one_operation()
     g = from_map(FinMap.identity(FinSet(["c"])))
-    twisted = (lambda F: v_comp(swap, lunitor(F))) if twist else lunitor
-    with mock.patch.object(poly2, "lunitor", twisted):
+    with mock.patch.object(poly2, "lunitor", _followed_by_a_swap(lunitor)):
         return triangle_check(P, g)["ok"]
+
+
+def _triangle_verdict(twist: bool) -> bool:
+    """The verdict ``coherence`` records for ``triangle`` when it draws ``P``
+    for each polynomial of a quad and, if ``twist``, the left unitor of ``P``
+    is followed by the swap of its arities."""
+    P, _ = _two_arities_over_one_operation()
+    patches = [mock.patch.object(generators, "rand_polynomial", return_value=P)]
+    if twist:
+        patches.append(mock.patch.object(poly2, "lunitor", _followed_by_a_swap(lunitor)))
+    return _suite_verdict("coherence", "triangle", "quad0", *patches)
 
 
 def _triangle_with_a_twisted_unitor() -> bool:
@@ -597,11 +608,14 @@ def _constant_at_x(rng, X, *args, **kwargs) -> FamilyMorphism:
     return FamilyMorphism(X, X, {i: FinMap.constant(X.fibre(i), X.fibre(i), "x") for i in X.index})
 
 
-def _extension_composition_patches(direct=compose_direct, iso=extension_composition_iso) -> tuple:
+def _extension_composition_patches(
+    direct=compose_direct, iso=extension_composition_iso, composite=compose,
+) -> tuple:
     """Patches under which ``extension-composition`` draws only
     ``F = {b0 -> a0, b1 -> a1}`` and ``G = {d} -> {c}``, every family has the
     fibre {x, y}, every family morphism is constant at x, and the suite's
-    direct composite is ``direct`` and its extension bijections ``iso``."""
+    direct composite is ``direct``, its extension bijections ``iso`` and its
+    composite with trace ``composite``."""
     F = from_map(FinMap(FinSet(["b0", "b1"]), FinSet(["a0", "a1"]), {"b0": "a0", "b1": "a1"}))
     G = from_map(FinMap.constant(FinSet(["d"]), FinSet(["c"]), "c"))
     return (
@@ -610,13 +624,14 @@ def _extension_composition_patches(direct=compose_direct, iso=extension_composit
         mock.patch.object(generators, "rand_family_morphism", _constant_at_x),
         mock.patch.object(suites, "compose_direct", direct),
         mock.patch.object(suites, "extension_composition_iso", iso),
+        mock.patch.object(suites, "compose", composite),
     )
 
 
-def _extension_composition_verdict(law: str, direct=compose_direct, iso=extension_composition_iso) -> bool:
+def _extension_composition_verdict(law: str, **builders) -> bool:
     """The verdict ``extension-composition`` records for ``law`` under
-    ``_extension_composition_patches(direct, iso)``."""
-    return _suite_verdict("extension-composition", law, "pair0", *_extension_composition_patches(direct, iso))
+    ``_extension_composition_patches(**builders)``."""
+    return _suite_verdict("extension-composition", law, "pair0", *_extension_composition_patches(**builders))
 
 
 def _swap_first_two(Y: FinSet) -> FinMap:
@@ -635,6 +650,18 @@ def _composite_with_its_operations_swapped() -> bool:
         return replace(GF, f=_swap_first_two(GF.A).after(GF.f))
 
     return _extension_composition_verdict("composite-matches-direct", direct=twisted)
+
+
+def _counit_off_by_a_swap(G, F):
+    """``compose``, with the counit of the trace swapped at the first two
+    elements of its domain: G.F's two operations each pick the other's
+    inner operation, which square (3) does not pull back."""
+    GF, trace = compose(G, F)
+    return GF, replace(trace, e=trace.e.after(_swap_first_two(trace.Qp)))
+
+
+def _trace_with_its_counit_off_by_a_swap() -> bool:
+    return _extension_composition_verdict("trace-revalidates", composite=_counit_off_by_a_swap)
 
 
 def _forwards_through_a_swap(G, F, X):
@@ -741,7 +768,7 @@ REFUTATIONS = {
     "strictness-profile": _skewed_universe_drawn_as_strict,
     "corrupted-universe-rejected": _control_whose_corruption_misses,
     "type-isomorphisms": _padded_universe_drawn,
-    "trace-revalidates": _trace_that_does_not_revalidate,
+    "trace-revalidates": _trace_with_its_counit_off_by_a_swap,
     "internal-category-laws": _category_built_with_constant_composition,
     "slice-roundtrip": _fibre_cell_swapped_for_another,
     "slice-cartesian-iff": _fibre_cell_swapped_for_a_non_cartesian_one,
@@ -769,9 +796,7 @@ REFUTATIONS = {
 
 
 # The entries that call a decider directly, not through a suite's record.
-DECIDER_ENTRIES = {
-    "cartesian-naturality-pullback", "local-codiscreteness", "trace-revalidates", "triangle", "unique-adjustment",
-}
+DECIDER_ENTRIES = {"cartesian-naturality-pullback", "local-codiscreteness", "unique-adjustment"}
 
 
 def test_refutations_are_keyed_by_law_ids():
@@ -801,6 +826,14 @@ def test_a_law_forced_to_pass_hides_its_refutation(law):
     _cell_that_is_not_cartesian, _sound_universe_refused, _type_isos_onto_a_padded_fibre,
 ], ids=lambda f: f.__name__.strip("_"))
 def test_the_deciders_behind_the_universe_and_lift_records_can_answer_false(refuted):
+    assert refuted() is False
+
+
+@pytest.mark.parametrize(
+    "refuted", [_trace_that_does_not_revalidate, _triangle_check_with_a_twisted_unitor],
+    ids=lambda f: f.__name__.strip("_"),
+)
+def test_the_deciders_behind_the_trace_and_triangle_records_can_answer_false(refuted):
     assert refuted() is False
 
 
@@ -859,7 +892,10 @@ def test_the_hand_built_inputs_also_admit_a_true_answer():
     assert _corrupted_adjustment_verdict(valid_after_the_swap=False)
     assert _triangle_verdict(twist=False)
     assert _pentagon_verdict(twist=False)
-    for law in ("composite-matches-direct", "extension-composite-bijection", "extension-composite-naturality"):
+    for law in (
+        "trace-revalidates", "composite-matches-direct", "extension-composite-bijection",
+        "extension-composite-naturality",
+    ):
         assert _extension_composition_verdict(law)
     phi, psi = generators.rand_parallel_pair(random.Random(0), 2)
     assert codiscreteness_check(phi, psi)["ok"]

@@ -154,6 +154,17 @@ def test_a_broken_internal_category_is_a_failed_law(monkeypatch):
     assert rep.exit_code() == 1
 
 
+@pytest.mark.parametrize("count, built", [(1, ["bool"]), (2, ["bool", "skewed"]), (3, ["bool", "skewed"])])
+def test_lift_builds_only_the_universes_its_instances_draw(monkeypatch, count, built):
+    # instance n draws universe n % 2; each universe is built once per run
+    calls = []
+    for name in ("bool", "skewed"):
+        make = getattr(suites, f"mk_{name}_universe")
+        monkeypatch.setattr(suites, f"mk_{name}_universe", lambda make=make, name=name: calls.append(name) or make())
+    rep = run_suite("lift", InstanceGenConfig(seed=9, count=count, max_set_size=2))
+    assert calls == built and rep.failed == 0
+
+
 # SHA-256 of io.dumps(report.to_jsonable()) at seed 1 and each suite's
 # count and size in CAPPED_CONFIG.  The universe suites run count 8, size 3:
 # six random universes (one with 4 codes) besides the built-ins.  Cap 5
