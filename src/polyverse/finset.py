@@ -336,13 +336,14 @@ class FamilyMorphism:
     maps: tuple
 
     def __init__(self, src: FinFamily, dst: FinFamily, maps):
-        if src.index != dst.index:
+        if src.index is not dst.index and src.index != dst.index:
             raise FinSetError("family morphism requires a common index")
         table = dict(maps)
         if len(table) != len(src.index) or any(i not in src.index for i in table):
             raise FinSetError("component maps must cover exactly the index")
         for i, m in table.items():
-            if m.dom != src.fibre(i) or m.cod != dst.fibre(i):
+            X, Y = src.fibre(i), dst.fibre(i)
+            if (m.dom is not X and m.dom != X) or (m.cod is not Y and m.cod != Y):
                 raise FinSetError(f"component at {i!r} has the wrong signature")
         maps = tuple([(i, table[i]) for i in src.index.elements])
         self.__dict__.update(src=src, dst=dst, maps=maps)
@@ -414,14 +415,14 @@ def is_pullback_cone(f: FinMap, g: FinMap, p1: FinMap, p2: FinMap) -> bool:
 
 def base_change(f: FinMap, X: FinFamily) -> FinFamily:
     """Reindex a family over the codomain of ``f`` along ``f``."""
-    if X.index != f.cod:
+    if X.index is not f.cod and X.index != f.cod:
         raise FinSetError("base change: family must be indexed by the codomain")
     return FinFamily._of(f.dom, [X.fibres[j][1] for j in f.img])
 
 
 def dep_sum(f: FinMap, X: FinFamily) -> FinFamily:
     """Dependent sum along ``f``: fibre over ``a`` is pairs ``(b, x)``."""
-    if X.index != f.dom:
+    if X.index is not f.dom and X.index != f.dom:
         raise FinSetError("dependent sum: family must be indexed by the domain")
     bs, Xs = f.dom.elements, X.fibres
     fibres = ([(bs[i], x) for i in fib for x in Xs[i][1].elements] for fib in f._fibres)
@@ -443,7 +444,7 @@ def section_lookup(section: tuple, b: Label) -> Label:
 def dep_prod(f: FinMap, X: FinFamily) -> FinFamily:
     """Dependent product along ``f``: fibre over ``a`` is the set of sections
     of ``X`` over the ``f``-fibre of ``a``."""
-    if X.index != f.dom:
+    if X.index is not f.dom and X.index != f.dom:
         raise FinSetError("dependent product: family must be indexed by the domain")
     fibres = []
     for a, fib in zip(f.cod.elements, f._fibres):

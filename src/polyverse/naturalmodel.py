@@ -19,19 +19,22 @@ exactly when the corresponding adjustment is an identity map.  Assembly
 never refuses an adjustment that is not invertible: the suites decide that
 once, in their ``strictness-profile`` record.
 
-As in the paper, the pseudoalgebra is built over the pseudomonad:
-``pseudomonad_from(u)`` assembles the pseudomonad once, keeping its law
-cells, ``.pseudoalgebra()`` adds zeta over it, and each object checks its
-own pasting equations with ``.pasting_report()``.
+As in the paper, the pseudoalgebra is built over the pseudomonad and needs
+only its eta and mu: ``pseudomonad_from(u)`` builds those two cells, and the
+pseudomonad builds its law cells, law adjustments and strictness flags when
+they are first read, then keeps them.  ``.pseudoalgebra()`` adds zeta over
+it, and each object checks its own pasting equations with
+``.pasting_report()``, normalising each node of a pasting once.
 
 The endofunctor ``P_p`` on sets and on the arrow category is
 ``LiftedEndofunctor(p)``, taken by ``apply_to_set``, ``lift_apply``,
 ``lift_apply_square`` and ``lift_unit_mult`` in place of ``p``.  Its
-``unit`` and ``mult`` read the components ``Z -> P_p(Z)`` and
-``P_p(P_p(Z)) -> P_p(Z)`` off ``P_p(Z)`` and the tables of ``eta`` and
-``mu``, without extending the composite ``p.p``.  The three structure cells
-and each ``P_p(Z)`` are built through the table of ``poly._once``: once per
-check, whichever object asks for them.
+``unit`` and ``mult`` place the components ``Z -> P_p(Z)`` and
+``P_p(P_p(Z)) -> P_p(Z)`` by the layout of ``P_p(Z)``, reading ``mult`` off
+the trace of ``p.p`` and the vertex of ``mu``, without decoding a section or
+extending ``p.p``.  The three structure cells and each ``P_p(Z)`` are built
+through the table of ``poly._once``: once per check, whichever object asks
+for them.
 """
 
 from __future__ import annotations
@@ -59,12 +62,13 @@ from .poly import (
     compose,
     decode_arity,
     decode_operation,
-    encode_operation,
     extend,
     from_map,
     identity_poly,
+    _layout,
     _once,
     _postcomposed,
+    _radix,
     _shared_builds,
 )
 from .poly2 import (
@@ -314,36 +318,48 @@ class LiftedEndofunctor:
     """The endofunctor ``P_p`` induced by a map ``p``."""
 
     def __init__(self, p: FinMap):
-        self.p = p
         self.poly = from_map(p)
 
     def unit(self, eta: PolyMorphism, Z: FinSet) -> FinMap:
         """The unit ``Z -> P_p(Z)`` of the cell ``eta : i_1 => p``: each
-        element as the constant section over the unit code."""
-        c = eta.phi0("*")
-        ds = self.p.preimage(c)
-        table = {z: (c, _intern(tuple([(d, z) for d in ds]))) for z in Z}
-        return FinMap(Z, apply_to_set(self, Z), table)
+        element as the constant section over the unit code, placed by the
+        layout of ``P_p(Z)``."""
+        starts, weights = _layout(self.poly, [len(Z)])
+        c = eta.phi0.img[0]
+        return FinMap._of(Z, apply_to_set(self, Z), tuple([starts[c] + sum(weights[c]) * z for z in range(len(Z))]))
 
     def mult(self, mu: PolyMorphism, Z: FinSet) -> FinMap:
         """The multiplication ``P_p(P_p(Z)) -> P_p(Z)`` of the cell
-        ``mu : p.p => p``.  An element ``(A, {b: (B_b, s_b)})`` is the
-        composite operation ``(A, {b: B_b})`` with a section over its
-        arities; ``mu`` sends the operation to a code and each arity ``d``
-        of that code to an arity ``(b', b)`` of the composite, read as
-        ``s_b(b')``."""
+        ``mu : p.p => p``.  The elements over a code ``A`` that pick the code
+        ``B_b`` at each arity ``b`` of ``A`` are those of the operation ``m``
+        of ``p.p`` that the trace's ``*_at`` tables find; ``mu`` sends ``m``
+        to a code and each arity of that code to an arity ``b'`` of some
+        ``B_b``, whose element in ``Z`` it takes.  Both sides are read off
+        the layouts as mixed-radix digits, one per arity of ``m``."""
         PZ = apply_to_set(self, Z)
         PPZ = apply_to_set(self, PZ)
-        table = {}
-        for (A, outer) in PPZ:
-            melt = encode_operation(A, {b: Bs[0] for b, Bs in outer})
-            c = mu.phi0(melt)
-            sect = []
-            for d in self.p.preimage(c):
-                b_in, _, b = decode_arity(mu.phi2(mu.fill(melt, d)))
-                sect.append((d, section_lookup(section_lookup(outer, b)[1], b_in)))
-            table[(A, outer)] = (c, _intern(tuple(sect)))
-        return FinMap(PPZ, PZ, table)
+        F = self.poly
+        _, tr = compose(F, F)
+        at, ws = _layout(F, [len(Z)])
+        outer_at, outer_ws = _layout(F, [len(PZ)])
+        arities, rank, codes, zs = F.f._fibres, F.f._ranks, range(len(F.A)), range(len(Z))
+        phi0, phi2, fill = mu.phi0.img, mu.phi2.img, mu._fill
+        n, p, qp_d = tr.n.img, tr.p.img, tr.qp_d.img
+        img = [0] * len(PPZ)
+        for A, bs in enumerate(arities):
+            for Bs in itertools.product(codes, repeat=len(bs)):
+                m = tr.m_at[A, tuple([tr.q_at[B, b] for B, b in zip(Bs, bs)])]
+                c = phi0[m]
+                start = outer_at[A] + sum([W * at[B] for W, B in zip(outer_ws[A], Bs)])
+                src_digits, dst_digits = [], []
+                for d, w in zip(arities[c], ws[c]):
+                    x = phi2[fill[m, d]]  # the arity (n[x], b) of m, b at rank j
+                    j = rank[qp_d[p[x]]]
+                    src_digits.append([outer_ws[A][j] * ws[Bs[j]][rank[n[x]]] * z for z in zs])
+                    dst_digits.append([w * z for z in zs])
+                for i, k in zip(_radix(start, src_digits), _radix(at[c], dst_digits)):
+                    img[i] = k
+        return FinMap._of(PPZ, PZ, tuple(img))
 
 
 def apply_to_set(P: LiftedEndofunctor, Z: FinSet) -> FinSet:
@@ -407,20 +423,50 @@ def lift_unit_mult(P: LiftedEndofunctor, eta: PolyMorphism, mu: PolyMorphism, f:
 # ---------------------------------------------------------------------------
 
 
+# Each monad law as the names in ``monad_law_cells`` of its two parallel cells:
+# associativity, left unit, right unit.
+_LAW_CELLS = (("assoc_lhs", "assoc_rhs"), ("left_cell", "id_cell"), ("right_cell", "id_cell"))
+
+
 @dataclass(frozen=True)
 class PolynomialPseudomonad:
+    """The pseudomonad of a universe's unit and sum structure.  Its carrier,
+    ``eta`` and ``mu`` are built with it; the law cells, the three law
+    adjustments and the strictness flags are built on first read, each in
+    one table of shared builds, from those cells, and kept."""
+
     carrier: Polynomial
     eta: PolyMorphism
     mu: PolyMorphism
-    assoc: Adjustment
-    left_unit: Adjustment
-    right_unit: Adjustment
-    strict_assoc: bool
-    strict_left: bool
-    strict_right: bool
-    # the universe and the law cells the pseudomonad was assembled from
+    # the universe the pseudomonad was assembled from
     universe: Universe = field(compare=False, repr=False)
-    cells: dict = field(compare=False, repr=False)
+
+    @_lazy
+    @_shared_builds()
+    def cells(self) -> dict:
+        return monad_law_cells(self.universe, self.eta, self.mu)
+
+    @_lazy
+    @_shared_builds()
+    def _adjustments(self) -> tuple:
+        """Each law's unique adjustment between its square-normalised cells,
+        which are normalised once each, also the one both unit laws share.
+        They are kept whether or not they are invertible."""
+        cells = self.cells
+        normal = {name: canon(cells[name]) for name in dict.fromkeys(itertools.chain(*_LAW_CELLS))}
+        return tuple([unique_adjustment(normal[x], normal[y]) for x, y in _LAW_CELLS])
+
+    @_lazy
+    def _strict(self) -> tuple:
+        cells = self.cells
+        return tuple([cells_square_equal(cells[x], cells[y]) for x, y in _LAW_CELLS])
+
+    assoc = property(lambda self: self._adjustments[0])
+    left_unit = property(lambda self: self._adjustments[1])
+    right_unit = property(lambda self: self._adjustments[2])
+    strict_assoc = property(lambda self: self._strict[0])
+    strict_left = property(lambda self: self._strict[1])
+    strict_right = property(lambda self: self._strict[2])
 
     def is_strict_monad(self) -> bool:
         return self.strict_assoc and self.strict_left and self.strict_right
@@ -433,8 +479,9 @@ class PolynomialPseudomonad:
         Nodes are fully bracketed composite cells from ((p.p).p).p (for the
         associativity equation) or p.p (for the unit equation) down to p,
         with the associator inserted wherever a rebracketing is needed; each
-        edge is the unique adjustment between consecutive square-normalised
-        nodes, and the two sides traverse different intermediate nodes.
+        node is square-normalised once, each edge is the unique adjustment
+        between consecutive normal forms, and the two sides traverse
+        different intermediate nodes.
         """
         cells = self.cells
         t, pp, mu, eta = cells["t"], cells["pp"], cells["mu"], cells["eta"]
@@ -446,26 +493,28 @@ class PolynomialPseudomonad:
         a3_t = whisker_right(a3, t)
         mu_p_t = whisker_right(mu_p, t)
 
-        U1 = vcomp_chain(mu, p_mu, a3, pp_mu, a_t_t_pp)
-        U2 = vcomp_chain(mu, p_mu, a3, p_mu_t, a3_t)
-        U3 = vcomp_chain(mu, mu_p, p_mu_t, a3_t)
-        U4 = vcomp_chain(mu, mu_p, mu_p_t)
-        V2 = vcomp_chain(mu, mu_p, pp_mu, a_t_t_pp)
-        assoc_ok = _paths_agree(_law_adjustment, (U1, U2, U3, U4), (U1, V2, U4))
+        U1, U2, U3, U4, V2 = map(canon, (
+            vcomp_chain(mu, p_mu, a3, pp_mu, a_t_t_pp),
+            vcomp_chain(mu, p_mu, a3, p_mu_t, a3_t),
+            vcomp_chain(mu, mu_p, p_mu_t, a3_t),
+            vcomp_chain(mu, mu_p, mu_p_t),
+            vcomp_chain(mu, mu_p, pp_mu, a_t_t_pp),
+        ))
+        assoc_ok = _paths_agree(unique_adjustment, (U1, U2, U3, U4), (U1, V2, U4))
 
         t_eta = whisker_left(t, eta)
         t_eta_t = v_comp(whisker_right(t_eta, t), whisker_right(runitor_inv(t), t))
-        W1 = vcomp_chain(mu, p_mu, a3, t_eta_t)
-        W2 = vcomp_chain(mu, mu_p, t_eta_t)
-        unit_ok = _paths_agree(_law_adjustment, (W1, W2, mu), (W1, mu))
+        W1, W2, M = map(canon, (vcomp_chain(mu, p_mu, a3, t_eta_t), vcomp_chain(mu, mu_p, t_eta_t), mu))
+        unit_ok = _paths_agree(unique_adjustment, (W1, W2, M), (W1, M))
 
         return {"associativity_pasting": assoc_ok, "unit_pasting": unit_ok, "ok": assoc_ok and unit_ok}
 
     @_shared_builds()
     def pseudoalgebra(self) -> PolynomialPseudoalgebra:
         """The universe's product structure as a pseudoalgebra over this
-        pseudomonad, in the arrow 2-category.  Its two adjustments are
-        kept whether or not they are invertible."""
+        pseudomonad, in the arrow 2-category.  It reads only ``eta`` and
+        ``mu``, and its two adjustments are kept whether or not they are
+        invertible."""
         u = self.universe
         P = LiftedEndofunctor(u.p)
         zeta = pi_structure(u)
@@ -474,20 +523,14 @@ class PolynomialPseudomonad:
         Tz = lift_apply_square(P, z)
         lhs = z.after(Tz)
         rhs = z.after(m_p)
-        sigma_adj = _square_adjustment(lhs, rhs)
+        sigma_adj = unique_adjustment(cell_of_square(lhs), cell_of_square(rhs))
         tau_lhs = z.after(h_p)
         tau_rhs = Square.identity(u.p)
-        tau_adj = _square_adjustment(tau_lhs, tau_rhs)
+        tau_adj = unique_adjustment(cell_of_square(tau_lhs), cell_of_square(tau_rhs))
         return PolynomialPseudoalgebra(
             self, self.carrier, zeta, sigma_adj, tau_adj,
             lhs == rhs, tau_lhs == tau_rhs, z, h_p, m_p, Tz,
         )
-
-
-def _law_adjustment(x: PolyMorphism, y: PolyMorphism) -> Adjustment:
-    """The unique adjustment between the square-normalised forms of two
-    parallel cartesian cells; an identity exactly when the squares agree."""
-    return unique_adjustment(canon(x), canon(y))
 
 
 def _paths_agree(adjust, lhs: tuple, rhs: tuple) -> bool:
@@ -500,12 +543,14 @@ def _paths_agree(adjust, lhs: tuple, rhs: tuple) -> bool:
     return paste(lhs) == paste(rhs)
 
 
-def monad_law_cells(u: Universe) -> dict:
+def monad_law_cells(u: Universe, eta: PolyMorphism | None = None, mu: PolyMorphism | None = None) -> dict:
     """The composite cells entering the three monad laws, with the unitor
-    isos absorbed so that each law compares parallel cells."""
-    t = poly_of(u)
-    eta = unit_structure(u)
-    mu = sigma_structure(u)
+    isos absorbed so that each law compares parallel cells.  They are built
+    from ``eta`` and ``mu``, by default ``u``'s unit and sum structure
+    cells, on the carrier ``mu.dst``."""
+    eta = unit_structure(u) if eta is None else eta
+    mu = sigma_structure(u) if mu is None else mu
+    t = mu.dst
     a3 = associator(t, t, t)
     p_mu = whisker_left(t, mu)
     mu_p = whisker_right(mu, t)
@@ -524,19 +569,11 @@ def monad_law_cells(u: Universe) -> dict:
 
 @_shared_builds()
 def pseudomonad_from(u: Universe) -> PolynomialPseudomonad:
-    """The pseudomonad of ``u``'s unit and sum structure.  Its three law
-    adjustments are kept whether or not they are invertible."""
-    cells = monad_law_cells(u)
-    assoc = _law_adjustment(cells["assoc_lhs"], cells["assoc_rhs"])
-    left = _law_adjustment(cells["left_cell"], cells["id_cell"])
-    right = _law_adjustment(cells["right_cell"], cells["id_cell"])
-    return PolynomialPseudomonad(
-        cells["t"], cells["eta"], cells["mu"], assoc, left, right,
-        cells_square_equal(cells["assoc_lhs"], cells["assoc_rhs"]),
-        cells_square_equal(cells["left_cell"], cells["id_cell"]),
-        cells_square_equal(cells["right_cell"], cells["id_cell"]),
-        u, cells,
-    )
+    """The pseudomonad of ``u``'s unit and sum structure, with only its
+    structure cells built."""
+    eta = unit_structure(u)
+    mu = sigma_structure(u)
+    return PolynomialPseudomonad(mu.dst, eta, mu, u)
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +603,9 @@ class PolynomialPseudoalgebra:
     def pasting_report(self) -> dict:
         """The two coherence equations for the pseudoalgebra adjustments,
         checked as literal equalities of composite vertex maps between
-        squares over the third and first powers of the carrier."""
+        squares over the third and first powers of the carrier; each square
+        is made a cell once, and each edge is the unique adjustment between
+        consecutive cells."""
         z, h_p, m_p, Tz = self.z, self.h_p, self.m_p, self.Tz
         P = LiftedEndofunctor(self.carrier.f)
         _, m_Tp = lift_unit_mult(P, self.monad.eta, self.monad.mu, m_p.dst)
@@ -574,17 +613,18 @@ class PolynomialPseudoalgebra:
         Tm_p = lift_apply_square(P, m_p)
         Th_p = lift_apply_square(P, h_p)
 
-        X1 = z.after(Tz).after(TTz)
-        X2 = z.after(Tz).after(Tm_p)
-        X3 = z.after(m_p).after(Tm_p)
-        X4 = z.after(m_p).after(m_Tp)
-        X6 = z.after(m_p).after(TTz)
-        X5 = z.after(Tz).after(m_Tp)
-        assoc_ok = _paths_agree(_square_adjustment, (X1, X2, X3, X4), (X1, X6, X5, X4))
+        X1, X2, X3, X4, X6, X5 = map(cell_of_square, (
+            z.after(Tz).after(TTz),
+            z.after(Tz).after(Tm_p),
+            z.after(m_p).after(Tm_p),
+            z.after(m_p).after(m_Tp),
+            z.after(m_p).after(TTz),
+            z.after(Tz).after(m_Tp),
+        ))
+        assoc_ok = _paths_agree(unique_adjustment, (X1, X2, X3, X4), (X1, X6, X5, X4))
 
-        Y1 = z.after(Tz).after(Th_p)
-        Y2 = z.after(m_p).after(Th_p)
-        unit_ok = _paths_agree(_square_adjustment, (Y1, Y2, z), (Y1, z))
+        Y1, Y2, Z = map(cell_of_square, (z.after(Tz).after(Th_p), z.after(m_p).after(Th_p), z))
+        unit_ok = _paths_agree(unique_adjustment, (Y1, Y2, Z), (Y1, Z))
         return {"associativity_pasting": assoc_ok, "unit_pasting": unit_ok, "ok": assoc_ok and unit_ok}
 
 
@@ -596,10 +636,6 @@ def square_of_cell(phi: PolyMorphism) -> Square:
 
 def cell_of_square(sq: Square) -> PolyMorphism:
     return cell_from_square(from_map(sq.src), from_map(sq.dst), sq.top, sq.bot)
-
-
-def _square_adjustment(x: Square, y: Square) -> Adjustment:
-    return unique_adjustment(cell_of_square(x), cell_of_square(y))
 
 
 # Delegations kept only because the `models` benchmark workload calls them

@@ -142,7 +142,7 @@ def extend(F: Polynomial, X: FinFamily) -> FinFamily:
 
 
 def _extend(F: Polynomial, X: FinFamily) -> FinFamily:
-    if X.index != F.I:
+    if X.index is not F.I and X.index != F.I:
         raise PolyError("family must be indexed by the source of the polynomial")
     return dep_sum(F.t, dep_prod(F.f, base_change(F.s, X)))
 
@@ -370,11 +370,6 @@ def decode_arity(nelt) -> tuple:
     """Unpack a composite arity into ``(b, melt, d)``."""
     b, (melt, d) = nelt
     return b, melt, d
-
-
-def encode_operation(c, assignment: dict) -> tuple:
-    """Inverse of ``decode_operation`` under the composite's conventions."""
-    return _intern((c, section_tuple({d: (a, d) for d, a in assignment.items()})))
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,12 @@ the tests' second routes and oracles:
   ``finset`` and ``poly2`` are checked;
 * the extension on maps and on cells, the composite-extension bijection,
   slice reduction of polynomials and cells and the gluing of fibre cells,
-  the lifted endofunctor on maps, and internal full subcategories, internal
-  functors and their law checks, one label at a time, decoding and encoding
-  sections; the positional builders in ``poly``, ``poly2``,
-  ``naturalmodel`` and ``internalcat`` are checked against them, and
-  ``encode_arity``, the composite-arity encoder that only they use;
+  the lifted endofunctor on maps and its unit and multiplication, and
+  internal full subcategories, internal functors and their law checks, one
+  label at a time, decoding and encoding sections; the positional builders
+  in ``poly``, ``poly2``, ``naturalmodel`` and ``internalcat`` are checked
+  against them, and ``encode_operation`` and ``encode_arity``, the
+  composite encoders that only they use;
 * the slice exponential, the span polynomial, the slice extension and the
   identity-extension bijection;
 * square-to-cell for maps, the identity adjustment, adjustment whiskering and
@@ -61,7 +62,6 @@ from polyverse.poly import (
     compose,
     decode_arity,
     decode_operation,
-    encode_operation,
     extend,
     extension_composition_iso,
     from_map,
@@ -249,6 +249,11 @@ def slice_extension(S: FamilyMorphism, Y: FinFamily) -> FinFamily:
         ext = dep_sum(FinMap.to_terminal(fz.cod), dep_prod(fz, fam))
         fibres[z] = ext.fibre("*")
     return FinFamily(S.src.index, fibres)
+
+
+def encode_operation(c, assignment: dict) -> tuple:
+    """Inverse of ``decode_operation`` under the composite's conventions."""
+    return _intern((c, section_tuple({d: (a, d) for d, a in assignment.items()})))
 
 
 def encode_arity(b, melt, d) -> tuple:
@@ -626,6 +631,31 @@ def lift_apply_on_labels(P: LiftedEndofunctor, f: FinMap) -> FinMap:
     dst = apply_to_set(P, f.cod)
     table = {(x, sect): (x, _intern(tuple([(k, f(v)) for k, v in sect]))) for (x, sect) in src}
     return FinMap(src, dst, table)
+
+
+def unit_on_labels(P: LiftedEndofunctor, eta: PolyMorphism, Z: FinSet) -> FinMap:
+    """``LiftedEndofunctor.unit``, one constant section at a time."""
+    c = eta.phi0("*")
+    ds = P.poly.f.preimage(c)
+    table = {z: (c, _intern(tuple([(d, z) for d in ds]))) for z in Z}
+    return FinMap(Z, apply_to_set(P, Z), table)
+
+
+def mult_on_labels(P: LiftedEndofunctor, mu: PolyMorphism, Z: FinSet) -> FinMap:
+    """``LiftedEndofunctor.mult``, encoding each composite operation and
+    decoding each arity that ``mu`` picks."""
+    PZ = apply_to_set(P, Z)
+    PPZ = apply_to_set(P, PZ)
+    table = {}
+    for (A, outer) in PPZ:
+        melt = encode_operation(A, {b: Bs[0] for b, Bs in outer})
+        c = mu.phi0(melt)
+        sect = []
+        for d in P.poly.f.preimage(c):
+            b_in, _, b = decode_arity(mu.phi2(mu.fill(melt, d)))
+            sect.append((d, section_lookup(section_lookup(outer, b)[1], b_in)))
+        table[(A, outer)] = (c, _intern(tuple(sect)))
+    return FinMap(PPZ, PZ, table)
 
 
 def unit_component(eta: PolyMorphism, Z: FinSet) -> FinMap:

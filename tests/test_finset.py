@@ -32,7 +32,6 @@ from polyverse.poly import (
     Polynomial,
     compose,
     compose_direct,
-    encode_operation,
     extend_map,
     from_map,
     product_set,
@@ -43,6 +42,7 @@ from reference import (
     compose_on_labels,
     constant_family,
     encode_arity,
+    encode_operation,
     enumerate_family_morphisms,
     family_from_total,
     prod_transpose,

@@ -302,10 +302,28 @@ class TestOnePath:
 
         rep = run_suite(suite, InstanceGenConfig(seed=1, count=2, max_set_size=3))
         assert rep.failed == 0 and rep.skipped == 0
-        # one build each for bool and skewed
-        assert calls["monad_law_cells"] == 2
+        # one build each for bool and skewed; the pseudoalgebra reads only
+        # eta and mu, so it builds none
+        assert calls["monad_law_cells"] == (2 if suite == "pseudomonad" else 0)
         if suite == "pseudoalgebra":
             assert calls["_pi_structure"] == 2
+
+    def test_the_laws_are_built_when_first_read(self, calls):
+        pm = pseudomonad_from(SKEW)
+        assert calls["monad_law_cells"] == 0
+        assert pm.pasting_report()["ok"] and calls["monad_law_cells"] == 1
+        assert "_adjustments" not in vars(pm)
+        assert pm.right_unit.is_invertible() and not pm.strict_right
+        assert pm.assoc.is_identity() and calls["monad_law_cells"] == 1
+
+    def test_a_law_over_the_cap_is_built_at_a_later_read(self, calls):
+        pm = pseudomonad_from(SKEW)
+        with enumeration_cap(2):
+            with pytest.raises(EnumerationCapExceeded):
+                pm.assoc
+        assert not {"cells", "_adjustments"} & set(vars(pm))
+        assert pm.assoc.is_identity() and not pm.right_unit.is_identity()
+        assert calls["monad_law_cells"] == 2
 
     def test_pseudomonad_keeps_its_cells(self):
         pm = pseudomonad_from(SKEW)

@@ -2,12 +2,13 @@
 
 ``compose``, ``extend_map``, ``extension_composition_iso`` and
 ``slice_reduce`` in ``poly``, ``extend_cell``, ``slice_reduce_cell`` and
-``slice_unreduce_cell`` in ``poly2``, ``lift_apply`` in ``naturalmodel``, and
-the internal full subcategories, internal functors and their law checks in
-``internalcat`` compute positions and build their maps unchecked.  Each is compared with
-its label-level version in ``tests/reference.py``: on generator draws, and on
-every call a suite makes at the configs of acceptance criteria 1, 3, 4, 7
-and 8; a composite's trace must also pick the same ``Q`` positions.
+``slice_unreduce_cell`` in ``poly2``, ``lift_apply`` and the lifted unit and
+multiplication in ``naturalmodel``, and the internal full subcategories,
+internal functors and their law checks in ``internalcat`` compute positions
+and build their maps unchecked.  Each is compared with its label-level
+version in ``tests/reference.py``: on generator draws, and on every call a
+suite makes at the configs of acceptance criteria 1, 3, 4, 5, 7 and 8; a
+composite's trace must also pick the same ``Q`` positions.
 Every map and family morphism they build unchecked passes the checked
 constructor and gives an equal value, and the law checks refuse corrupted
 data with the same message as the label-level checks.
@@ -36,6 +37,7 @@ from polyverse.generators import (
     rand_morphism,
     rand_parallel_cartesian_pair,
     rand_parallel_pair,
+    rand_universe,
 )
 from polyverse.internalcat import InternalCatError, InternalCategory, InternalFunctor
 from polyverse.naturalmodel import LiftedEndofunctor, mk_bool_universe, mk_skewed_universe
@@ -52,9 +54,11 @@ from reference import (
     internal_full_subcat_on_labels,
     internal_functor_on_labels,
     lift_apply_on_labels,
+    mult_on_labels,
     slice_reduce_cell_on_labels,
     slice_reduce_on_labels,
     slice_unreduce_cell_on_labels,
+    unit_on_labels,
 )
 from test_acceptance import CONFIGS
 
@@ -215,6 +219,41 @@ def test_every_call_at_the_acceptance_configs_agrees_with_its_oracle(monkeypatch
     assert {name for name, _, _ in calls} == set(names)
     for name, args, out in calls:
         assert _agrees(name, out, ORACLES[name](*args)), name
+
+
+LIFTED_ORACLES = {"unit": unit_on_labels, "mult": mult_on_labels}
+
+
+def test_the_lifted_unit_and_mult_agree_with_the_label_level_oracles_on_generator_universes():
+    rng = random.Random(8)
+    universes = [mk_bool_universe(), mk_skewed_universe()] + [rand_universe(rng, 3) for _ in range(6)]
+    sets = [FinSet(), TERMINAL, FinSet(["x", "y"]), FinSet(["x", ("y", "z"), "*"])]
+    with _shared_builds():
+        for u in universes:
+            P = LiftedEndofunctor(u.p)
+            cells = {"unit": naturalmodel.unit_structure(u), "mult": naturalmodel.sigma_structure(u)}
+            for Z in sets:
+                for name, oracle in LIFTED_ORACLES.items():
+                    assert getattr(P, name)(cells[name], Z) == oracle(P, cells[name], Z), name
+
+
+@pytest.mark.parametrize("suite", ["pseudoalgebra", "lift"], ids=["criterion-5", "criterion-7"])
+def test_every_lifted_unit_and_mult_at_the_acceptance_configs_agrees_with_its_oracle(monkeypatch, suite):
+    calls = []
+    for name in LIFTED_ORACLES:
+        method = getattr(LiftedEndofunctor, name)
+
+        def recording(P, cell, Z, method=method, name=name):
+            calls.append((name, P, cell, Z, method(P, cell, Z)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(LiftedEndofunctor, name, recording)
+    rep = run_suite(suite, CONFIGS[suite])
+    monkeypatch.undo()
+    assert rep.failed == 0
+    assert {name for name, *_ in calls} == set(LIFTED_ORACLES)
+    for name, P, cell, Z, out in calls:
+        assert out == LIFTED_ORACLES[name](P, cell, Z), name
 
 
 def test_every_unchecked_map_passes_the_checked_constructors(monkeypatch):
