@@ -9,9 +9,8 @@ set indexes its labels by position once, and a map stores codomain positions,
 so composition, equality and fibres work on ints.  ``FinSet``, ``FinMap`` and
 ``poly.Polynomial`` compare field-wise but are equal to themselves at once,
 and shape checks compare tuples of sets, where the same object costs no call.
-Composite labels built here and by ``poly``'s encoders are interned: one
-object per value, keeping its ``label_key`` and, past tuples of strings, its
-hash.  Constructed elements record their derivation:
+Composite labels are plain tuples, compared by value; the library keeps no
+table of labels between calls.  Constructed elements record their derivation:
 
 * ``pullback(f, g)`` elements are pairs ``(b, c)`` with ``f(b) == g(c)``;
 * ``dep_sum`` elements are pairs ``(b, x)``;
@@ -45,45 +44,15 @@ class EnumerationCapExceeded(FinSetError):
     """An operation would enumerate more elements than the configured cap."""
 
 
-class _Label(tuple):
-    """An interned label of strings and tuples of strings, with its key stored."""
-
-
-class _Deep(_Label):
-    """An interned label nested deeper: C would rehash it to the bottom, so it stores its hash."""
-    def __hash__(self):
-        return self._hash
-
-
-_UNIQUE: dict = {}  # interned label -> itself; past 1M entries new ones are not kept
-
-
-def _intern(parts: tuple) -> tuple:
-    """The interned label equal to ``parts``, made and checked if it is new."""
-    try:
-        label = _UNIQUE.get(parts)
-    except TypeError:  # an unhashable part, rejected by label_key below
-        label = None
-    if label is None:
-        flat = all(type(x) is str or type(x) is tuple and set(map(type, x)) <= {str} for x in parts)
-        label = (_Label if flat else _Deep)(parts)
-        label.__dict__.update(_key=label_key(parts), _hash=None if flat else hash(parts))
-        if len(_UNIQUE) < 1_000_000:
-            _UNIQUE[label] = label
-    return label
-
-
 def label_key(label: Label):
     """Total order on labels: strings before tuples, then lexicographic.
 
     It is also the label check: anything but a string or a tuple of labels
-    raises ``FinSetError``; every ``FinSet`` sorts by it.  An interned label
-    returns its stored key; a plain tuple is keyed part by part, not kept.
+    raises ``FinSetError``; every ``FinSet`` sorts by it.  A tuple is keyed
+    part by part on every call: a label's one identity is its value.
     """
     if isinstance(label, str):
         return (0, label)
-    if isinstance(label, _Label):
-        return label._key
     if not isinstance(label, tuple):
         raise FinSetError(f"label must be a string or tuple of labels, got {label!r}")
     return (1, *map(label_key, label))
@@ -395,7 +364,7 @@ def pullback(f: FinMap, g: FinMap) -> tuple[FinSet, FinMap, FinMap]:
     right = g._fibres
     idx = [(i, k) for i, j in enumerate(f.img) for k in right[j]]
     bs, cs = f.dom.elements, g.dom.elements
-    P = FinSet._of(tuple([_intern((bs[i], cs[k])) for i, k in idx]))
+    P = FinSet._of(tuple([(bs[i], cs[k]) for i, k in idx]))
     p1 = FinMap._of(P, f.dom, tuple([i for i, _ in idx]))
     p2 = FinMap._of(P, g.dom, tuple([k for _, k in idx]))
     return P, p1, p2
@@ -431,7 +400,9 @@ def dep_sum(f: FinMap, X: FinFamily) -> FinFamily:
 
 def section_tuple(assignment: Mapping) -> tuple:
     """Canonical encoding of a section: pairs sorted by the key of the input."""
-    return _intern(tuple(sorted(assignment.items(), key=lambda p: label_key(p[0]))))
+    section = tuple(sorted(assignment.items(), key=lambda p: label_key(p[0])))
+    label_key(section)  # the label check: refuses a value that is not a label
+    return section
 
 
 def section_lookup(section: tuple, b: Label) -> Label:
@@ -450,7 +421,7 @@ def dep_prod(f: FinMap, X: FinFamily) -> FinFamily:
     for a, fib in zip(f.cod.elements, f._fibres):
         bs, pools = [f.dom.elements[i] for i in fib], [X.fibres[i][1].elements for i in fib]
         _guard(math.prod(map(len, pools)), f"dependent product fibre over {a!r}")
-        fibres.append(FinSet._of(tuple([_intern(tuple(zip(bs, c))) for c in itertools.product(*pools)])))
+        fibres.append(FinSet._of(tuple([tuple(zip(bs, c)) for c in itertools.product(*pools)])))
     return FinFamily._of(f.cod, fibres)
 
 

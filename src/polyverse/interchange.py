@@ -22,11 +22,12 @@ has its own writer because ``json`` falls back to a slow pure-Python
 encoder whenever ``indent`` is set; the tests keep ``json.dumps`` as its
 reference.
 
-Each call does its work once per distinct label: a ``*_to_json`` result
-shares one array per tuple label, so it is read-only, and ``dumps`` reuses
-the text of such an array; a ``*_from_json`` result holds one plain tuple
-per distinct label, shared within that call only and never interned, and
-sorts its sets by the ``label_key`` each tuple got once, from its parts'.
+Each call does its work once per distinct label, its tables keyed by the
+label's value: a ``*_to_json`` result shares one array per tuple label, so
+it is read-only, and ``dumps`` reuses the text of such an array; a
+``*_from_json`` result holds one plain tuple per distinct label, shared
+within that call only, and sorts its sets by the ``label_key`` each tuple
+got once, from its parts'.
 
 A polynomial or morphism record also parses each of its own set records
 once: a later one ``==`` to an earlier one (a polynomial repeats ``B`` as
@@ -303,7 +304,7 @@ def universe_from_json(data) -> Universe:
         out = {}
         for head, code in _pairs(entries):
             A, bt = _pair(head)
-            # a code family in section_tuple's order, but not interned
+            # a code family in section_tuple's order, one tuple per value in this call
             family = {}
             for x, c in _pairs(bt):
                 add_new(family, label(x), label(c))

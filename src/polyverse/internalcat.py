@@ -34,7 +34,6 @@ from .finset import (
     FinSet,
     section_lookup,
     _guard,
-    _intern,
     _lazy,
 )
 from .poly import PolyError, _once
@@ -144,7 +143,7 @@ def _internal_full_subcat(f: FinMap) -> InternalCategory:
     for a, src in enumerate(over):
         for a2, tgt in enumerate(over):  # an empty target fibre leaves no maps from a nonempty source
             for choice in itertools.product(range(len(tgt)), repeat=len(src)):
-                graph = _intern(tuple([(bs[b], bs[tgt[x]]) for b, x in zip(src, choice)]))
+                graph = tuple([(bs[b], bs[tgt[x]]) for b, x in zip(src, choice)])
                 mor_elems.append((A.elements[a], A.elements[a2], graph))
                 digits.append(choice)
                 dom.append(a)
@@ -293,7 +292,7 @@ def _component_table(phi: PolyMorphism, psi: PolyMorphism, alpha: FinMap) -> dic
     table = {}
     for a in phi.src.A:
         graph = [(d, psi.phi1(alpha(phi.fill(a, d)))) for d in phi.dst.f.preimage(phi.phi0(a))]
-        table[a] = (phi.phi0(a), psi.phi0(a), _intern(tuple(graph)))
+        table[a] = (phi.phi0(a), psi.phi0(a), tuple(graph))
     return table
 
 

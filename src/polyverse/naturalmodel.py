@@ -53,7 +53,6 @@ from .finset import (
     label_key,
     section_lookup,
     section_tuple,
-    _intern,
     _lazy,
 )
 from .poly import (
@@ -149,7 +148,7 @@ class Universe:
         """Every family of codes over the terms of ``code``, in canonical order."""
         xs = self.el.fibre(code).elements
         for choice in itertools.product(self.codes.elements, repeat=len(xs)):
-            yield _intern(tuple(zip(xs, choice)))
+            yield tuple(zip(xs, choice))
 
     def fibre_sizes(self):
         """Every ``(code, btable)``, codes in order and each code's families

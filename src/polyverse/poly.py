@@ -50,7 +50,6 @@ from .finset import (
     section_tuple,
     _CAP,
     _guard,
-    _intern,
     _kept_hash,
     _lazy,
 )
@@ -311,7 +310,7 @@ def _compose(G: Polynomial, F: Polynomial) -> tuple[Polynomial, CompositionTrace
         _guard(count, f"dependent product fibre over {Cs[c]!r}")
         arities = [Ds[d] for d in ds]
         for picks in itertools.product(*pools):
-            m_elems.append((Cs[c], _intern(tuple(zip(arities, map(Qs.__getitem__, picks))))))
+            m_elems.append((Cs[c], tuple(zip(arities, map(Qs.__getitem__, picks)))))
             e_img += picks
         w_img += [c] * count
     M = FinSet._of(tuple(m_elems))

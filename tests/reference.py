@@ -30,12 +30,17 @@ the tests' second routes and oracles:
   ``LiftedEndofunctor.unit`` and ``LiftedEndofunctor.mult`` are checked;
 * the set and map record parsers one label at a time, against which
   ``interchange``'s, which share equal set records and read a map's keys
-  by position, are checked.
+  by position, are checked;
+* ``every_construction_checked``, under which every set, map, family,
+  family morphism and cell the library builds unchecked is checked.
 """
 
 import itertools
+from collections import Counter
+from contextlib import ExitStack, contextmanager
+from unittest import mock
 
-from polyverse import interchange as io
+from polyverse import finset, interchange as io
 from polyverse.finset import (
     FamilyMorphism,
     FinFamily,
@@ -51,7 +56,7 @@ from polyverse.finset import (
     section_lookup,
     section_tuple,
     _guard,
-    _intern,
+    label_key,
 )
 from polyverse.internalcat import InternalCatError, InternalCategory, InternalFunctor, internal_functor
 from polyverse.naturalmodel import LiftedEndofunctor, apply_to_set
@@ -100,7 +105,7 @@ def slice_exponential(f1: FinMap, f2: FinMap) -> FinMap:
     for k, z in enumerate(Z.elements):
         src, tgt = f1.preimage(z), f2.preimage(z)
         _guard(len(tgt) ** len(src) if src else 1, f"function set over {z!r}")
-        elems += [(z, _intern(tuple(zip(src, c)))) for c in itertools.product(tgt, repeat=len(src))]
+        elems += [(z, tuple(zip(src, c))) for c in itertools.product(tgt, repeat=len(src))]
         img += [k] * (len(elems) - len(img))
     return FinMap._of(FinSet._of(tuple(elems)), Z, tuple(img))
 
@@ -112,7 +117,7 @@ def prod_transpose(f: FinMap, h: FamilyMorphism, X: FinFamily, Y: FinFamily) -> 
     target = dep_prod(f, X)
     maps = {}
     for a in f.cod:
-        comp = {y: _intern(tuple([(b, h(b, y)) for b in f.preimage(a)])) for y in Y.fibre(a)}
+        comp = {y: tuple([(b, h(b, y)) for b in f.preimage(a)]) for y in Y.fibre(a)}
         maps[a] = FinMap(Y.fibre(a), target.fibre(a), comp)
     return FamilyMorphism(Y, target, maps)
 
@@ -253,12 +258,17 @@ def slice_extension(S: FamilyMorphism, Y: FinFamily) -> FinFamily:
 
 def encode_operation(c, assignment: dict) -> tuple:
     """Inverse of ``decode_operation`` under the composite's conventions."""
-    return _intern((c, section_tuple({d: (a, d) for d, a in assignment.items()})))
+    melt = (c, section_tuple({d: (a, d) for d, a in assignment.items()}))
+    label_key(melt)  # refuses a ``c`` that is not a label
+    return melt
 
 
 def encode_arity(b, melt, d) -> tuple:
-    """The composite arity ``(b, (melt, d))``, interned."""
-    return _intern((b, (melt, d)))
+    """The composite arity ``(b, (melt, d))``; ``FinSetError`` if a part is
+    not a label."""
+    arity = (b, (melt, d))
+    label_key(arity)
+    return arity
 
 
 def extend_map_on_labels(F: Polynomial, h: FamilyMorphism) -> FamilyMorphism:
@@ -269,7 +279,7 @@ def extend_map_on_labels(F: Polynomial, h: FamilyMorphism) -> FamilyMorphism:
     for j in F.J:
         comp = {}
         for (a, sect) in src.fibre(j):
-            comp[(a, sect)] = (a, _intern(tuple([(b, h(F.s(b), x)) for b, x in sect])))
+            comp[(a, sect)] = (a, tuple([(b, h(F.s(b), x)) for b, x in sect]))
         maps[j] = FinMap(src.fibre(j), dst.fibre(j), comp)
     return FamilyMorphism(src, dst, maps)
 
@@ -341,7 +351,7 @@ def extend_cell_on_labels(phi: PolyMorphism, X: FinFamily) -> FamilyMorphism:
         for (a, sect) in src_ext.fibre(j):
             c = phi.phi0(a)
             out = [(d, section_lookup(sect, phi.phi2(phi.fill(a, d)))) for d in G.f.preimage(c)]
-            comp[(a, sect)] = (c, _intern(tuple(out)))
+            comp[(a, sect)] = (c, tuple(out))
         maps[j] = FinMap(src_ext.fibre(j), dst_ext.fibre(j), comp)
     return FamilyMorphism(src_ext, dst_ext, maps)
 
@@ -562,16 +572,16 @@ def internal_full_subcat_on_labels(f: FinMap) -> InternalCategory:
         src = f.preimage(a)
         for a2 in A:
             for choice in itertools.product(f.preimage(a2), repeat=len(src)):
-                mor_elems.append((a, a2, _intern(tuple(zip(src, choice)))))
+                mor_elems.append((a, a2, tuple(zip(src, choice))))
     mor = FinSet._of(tuple(mor_elems))
     dom = FinMap(mor, A, {m: m[0] for m in mor_elems})
     cod = FinMap(mor, A, {m: m[1] for m in mor_elems})
-    ident = FinMap(A, mor, {a: (a, a, _intern(tuple([(b, b) for b in f.preimage(a)]))) for a in A})
+    ident = FinMap(A, mor, {a: (a, a, tuple([(b, b) for b in f.preimage(a)])) for a in A})
     pairs = [(m2, m1) for m2 in mor for m1 in mor if m2[0] == m1[1]]
     comp_table = {}
     for m2, m1 in pairs:
         graph = {b: section_lookup(m2[2], section_lookup(m1[2], b)) for b in f.preimage(m1[0])}
-        comp_table[(m2, m1)] = (m1[0], m2[1], _intern(tuple(graph.items())))
+        comp_table[(m2, m1)] = (m1[0], m2[1], tuple(graph.items()))
     comp = FinMap(FinSet._of(tuple(pairs)), mor, comp_table)
     unchecked = object.__new__(InternalCategory)
     unchecked.__dict__.update(obj=A, mor=mor, dom=dom, cod=cod, ident=ident, comp=comp)
@@ -629,7 +639,7 @@ def lift_apply_on_labels(P: LiftedEndofunctor, f: FinMap) -> FinMap:
     """``lift_apply``, postcomposing one section at a time."""
     src = apply_to_set(P, f.dom)
     dst = apply_to_set(P, f.cod)
-    table = {(x, sect): (x, _intern(tuple([(k, f(v)) for k, v in sect]))) for (x, sect) in src}
+    table = {(x, sect): (x, tuple([(k, f(v)) for k, v in sect])) for (x, sect) in src}
     return FinMap(src, dst, table)
 
 
@@ -637,7 +647,7 @@ def unit_on_labels(P: LiftedEndofunctor, eta: PolyMorphism, Z: FinSet) -> FinMap
     """``LiftedEndofunctor.unit``, one constant section at a time."""
     c = eta.phi0("*")
     ds = P.poly.f.preimage(c)
-    table = {z: (c, _intern(tuple([(d, z) for d in ds]))) for z in Z}
+    table = {z: (c, tuple([(d, z) for d in ds])) for z in Z}
     return FinMap(Z, apply_to_set(P, Z), table)
 
 
@@ -654,7 +664,7 @@ def mult_on_labels(P: LiftedEndofunctor, mu: PolyMorphism, Z: FinSet) -> FinMap:
         for d in P.poly.f.preimage(c):
             b_in, _, b = decode_arity(mu.phi2(mu.fill(melt, d)))
             sect.append((d, section_lookup(section_lookup(outer, b)[1], b_in)))
-        table[(A, outer)] = (c, _intern(tuple(sect)))
+        table[(A, outer)] = (c, tuple(sect))
     return FinMap(PPZ, PZ, table)
 
 
@@ -700,3 +710,71 @@ def finmap_from_json_on_labels(data) -> FinMap:
     labels = io._LABELS.get()
     pairs = [(io._label_from_json(x, labels), io._label_from_json(y, labels)) for x, y in io._pairs(data["map"])]
     return FinMap(dom, cod, pairs)
+
+
+# ---------------------------------------------------------------------------
+# The construction audit
+# ---------------------------------------------------------------------------
+
+
+@contextmanager
+def every_construction_checked():
+    """Check every value the library builds through an unchecked ``_of``.
+
+    Within the block, ``FinSet._of`` rebuilds through ``FinSet(...)``, which
+    keys each part object once per set, and asserts that the order came back
+    unchanged; ``FinMap._of`` asserts that it has one codomain position, in
+    range, per domain element; ``FinFamily._of``, ``FamilyMorphism._of`` and
+    ``PolyMorphism._of`` go through their checked constructors.  It catches
+    invalid values, not valid wrong ones (a map off by a swap): the oracles
+    and the golden digests catch those.  Yields the count of values checked,
+    by class name.
+    """
+    checked, finmap_unchecked = Counter(), FinMap._of
+
+    def finset_of(cls, ordered):
+        keys = {}
+
+        def key(x):
+            # a deep composite label repeats its parts thousands of times;
+            # ``ordered`` holds every part until the check ends, so ids stay unique
+            k = keys.get(id(x))
+            if k is None:
+                k = keys[id(x)] = label_key(x)
+            return k
+
+        with mock.patch.object(finset, "label_key", key):
+            X = FinSet(ordered)
+        assert X.elements == ordered, f"FinSet._of: labels out of label_key order: {ordered!r}"
+        checked["FinSet"] += 1
+        return X
+
+    def finmap_of(cls, dom, cod, img):
+        assert type(img) is tuple and len(img) == len(dom), f"FinMap._of: {len(img)} positions for {len(dom)} elements"
+        assert all(type(j) is int and 0 <= j < len(cod) for j in img), f"FinMap._of: a position outside {cod!r}"
+        checked["FinMap"] += 1
+        return finmap_unchecked(dom, cod, img)
+
+    def finfamily_of(cls, index, sets):
+        sets = list(sets)
+        assert len(sets) == len(index) and all(isinstance(X, FinSet) for X in sets), "FinFamily._of: bad fibres"
+        checked["FinFamily"] += 1
+        return FinFamily(index, zip(index.elements, sets))
+
+    def family_morphism_of(cls, src, dst, maps):
+        h = FamilyMorphism(src, dst, maps)
+        assert h.maps == tuple(maps), "FamilyMorphism._of: components not in index order"
+        checked["FamilyMorphism"] += 1
+        return h
+
+    def cell_of(cls, *parts):
+        checked["PolyMorphism"] += 1
+        return PolyMorphism(*parts)
+
+    with ExitStack() as stack:
+        for cls, of in [
+            (FinSet, finset_of), (FinMap, finmap_of), (FinFamily, finfamily_of),
+            (FamilyMorphism, family_morphism_of), (PolyMorphism, cell_of),
+        ]:
+            stack.enter_context(mock.patch.object(cls, "_of", classmethod(of)))
+        yield checked

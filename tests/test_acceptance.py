@@ -9,12 +9,17 @@ of representation underneath.
 """
 
 import hashlib
+import subprocess
 import time
-from unittest import mock
+from contextlib import redirect_stdout
+from io import StringIO
 
-from polyverse import interchange as io
-from polyverse.poly2 import PolyMorphism
+from polyverse import cli, interchange as io
 from polyverse.suites import InstanceGenConfig, run_suite
+from reference import every_construction_checked
+from test_cli import CLI_GOLDEN, cli_golden_digests
+from test_interchange import FOURFOLD_GOLDEN, _fourfold
+from test_suites import CAPPED_CONFIG, CAPPED_GOLDEN
 
 # SHA-256 of io.dumps(report.to_jsonable()) at each acceptance config
 GOLDEN = {
@@ -159,10 +164,26 @@ def test_criterion_9_determinism():
     assert ok
 
 
-def test_goldens_hold_with_every_cell_checked():
-    # the cells the library trusts (from cell_from_square, v_comp and
-    # identity_cell) go through the checked constructor instead: it must
-    # accept every one of them, and no report byte may move
-    with mock.patch.object(PolyMorphism, "_of", staticmethod(PolyMorphism)):
+def _run_in_process(*argv):
+    """A CLI command run through ``cli.main`` in this process."""
+    out = StringIO()
+    with redirect_stdout(out):
+        code = cli.main(list(argv))
+    return subprocess.CompletedProcess(argv, code, out.getvalue(), "")
+
+
+def test_goldens_hold_with_every_cell_checked(tmp_path):
+    # every set, map, family, family morphism and cell the library builds
+    # unchecked goes through a check instead: each one must pass, and no
+    # byte of a golden report, record or CLI output may move
+    with every_construction_checked() as checked:
         for name, cfg in CONFIGS.items():
             assert _digest(run_suite(name, cfg)) == GOLDEN[name], name
+        for (name, cap), golden in CAPPED_GOLDEN.items():
+            count, size = CAPPED_CONFIG[name]
+            cfg = InstanceGenConfig(seed=1, count=count, max_set_size=size, enumeration_cap=cap)
+            assert _digest(run_suite(name, cfg)) == golden, (name, cap)
+        text = io.dumps(io.polynomial_to_json(_fourfold()))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == FOURFOLD_GOLDEN
+        assert cli_golden_digests(tmp_path, _run_in_process) == CLI_GOLDEN
+    assert set(checked) == {"FinSet", "FinMap", "FinFamily", "FamilyMorphism", "PolyMorphism"}

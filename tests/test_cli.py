@@ -361,18 +361,20 @@ CLI_GOLDEN = {
 }
 
 
-def test_cli_output_files_match_golden_digests(tmp_path):
+def cli_golden_digests(tmp_path, run) -> dict:
+    """The digest of each ``CLI_GOLDEN`` output, every command run as
+    ``run(*argv)``, which returns a ``subprocess.CompletedProcess``."""
     from polyverse import interchange as io
     from polyverse.generators import rand_morphism
 
     paths = {}
     for kind in ("polynomial", "morphism", "universe"):
         paths[f"generate-{kind}"] = out = tmp_path / f"{kind}.json"
-        proc = run_cli("generate", kind, "--seed", "0", "-o", str(out))
+        proc = run("generate", kind, "--seed", "0", "-o", str(out))
         assert proc.returncode == 0, proc.stderr
 
     f = tmp_path / "f.json"
-    run_cli("generate", "polynomial", "--seed", "3", "-o", str(f))
+    run("generate", "polynomial", "--seed", "3", "-o", str(f))
     record = json.loads(f.read_text())
     record2 = dict(record)
     record2["I"] = record["J"]
@@ -383,24 +385,28 @@ def test_cli_output_files_match_golden_digests(tmp_path):
     g = tmp_path / "g.json"
     g.write_text(json.dumps(record2))
     paths["poly-compose"] = out = tmp_path / "fg.json"
-    proc = run_cli("poly", "compose", "--outer", str(g), "--inner", str(f), "-o", str(out))
+    proc = run("poly", "compose", "--outer", str(g), "--inner", str(f), "-o", str(out))
     assert proc.returncode == 0, proc.stderr
 
     outer = tmp_path / "outer.json"
-    run_cli("generate", "morphism", "--seed", "4", "-o", str(outer))
+    run("generate", "morphism", "--seed", "4", "-o", str(outer))
     phi = io.morphism_from_json(json.loads(outer.read_text()))
     inner = tmp_path / "inner.json"
     inner.write_text(json.dumps(io.morphism_to_json(rand_morphism(random.Random(5), 3, target=phi.src))))
     paths["cell-compose"] = out = tmp_path / "cell.json"
-    proc = run_cli("cell", "compose", "--outer", str(outer), "--inner", str(inner), "-o", str(out))
+    proc = run("cell", "compose", "--outer", str(outer), "--inner", str(inner), "-o", str(out))
     assert proc.returncode == 0, proc.stderr
 
     digests = {name: hashlib.sha256(p.read_bytes()).hexdigest() for name, p in paths.items()}
     for name, universe in (("bool", "bool"), ("skewed", "skewed"), ("universe", paths["generate-universe"])):
-        proc = run_cli("model", "pseudomonad", str(universe))
+        proc = run("model", "pseudomonad", str(universe))
         assert proc.returncode == 0, proc.stderr
         digests[f"model-pseudomonad-{name}"] = hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest()
-    assert digests == CLI_GOLDEN
+    return digests
+
+
+def test_cli_output_files_match_golden_digests(tmp_path):
+    assert cli_golden_digests(tmp_path, run_cli) == CLI_GOLDEN
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +24,6 @@ from polyverse.finset import (
     pullback,
     section_tuple,
     _guard,
-    _intern,
 )
 from polyverse.generators import rand_composable_pair, rand_family, rand_morphism, rand_parallel_cartesian_pair
 from polyverse.internalcat import adjustment_to_nat, internal_full_subcat
@@ -729,7 +729,7 @@ def test_construction_faults_reported_in_order(data):
 
 
 # ---------------------------------------------------------------------------
-# Interned labels
+# Composite labels
 # ---------------------------------------------------------------------------
 
 
@@ -826,107 +826,84 @@ class TestIdentityFirstEquality:
         assert X != FinMap.identity(X) and FinMap.identity(X) != from_map(FinMap.identity(X))
 
 
-def interned(label):
-    """The label with every tuple in it interned, innermost first."""
-    return label if isinstance(label, str) else _intern(tuple(interned(x) for x in label))
-
-
 class TestInternedLabels:
-    def test_equal_labels_built_twice_are_one_object(self):
-        def cospan():
-            A = FinSet(["a0", "a1"])
-            f = FinMap(FinSet(["b0", "b1", "b2"]), A, {"b0": "a0", "b1": "a1", "b2": "a1"})
-            g = FinMap(FinSet([("c", "0"), ("c", "1")]), A, {("c", "0"): "a1", ("c", "1"): "a0"})
-            return f, g
-
-        P1, P2 = pullback(*cospan())[0], pullback(*cospan())[0]
-        assert P1 == P2 and len(P1) == 3
-        assert all(x is y for x, y in zip(P1.elements, P2.elements))
-        s1 = section_tuple({"b1": ("x", "y"), "b0": "z"})
-        s2 = section_tuple(dict([("b0", "z"), ("b1", ("x", "y"))]))
-        assert s1 is s2 and s1 == (("b0", "z"), ("b1", ("x", "y")))
-        melt1 = encode_operation("c", {"d0": "a0", "d1": "a1"})
-        melt2 = encode_operation("c", {"d1": "a1", "d0": "a0"})
-        assert melt1 is melt2
-        assert encode_arity("b", melt1, "d0") is encode_arity("b", melt2, "d0")
+    """Every composite label the library or the reference encoders build is
+    a plain tuple, and a value that is not a label is refused where it is
+    built."""
 
     def test_hash_and_lookups_agree_with_plain_tuples(self):
+        A = FinSet(["a0", "a1"])
+        f = FinMap(FinSet(["b0", "b1", "b2"]), A, {"b0": "a0", "b1": "a1", "b2": "a1"})
+        g = FinMap(FinSet([("c", "0"), ("c", "1")]), A, {("c", "0"): "a1", ("c", "1"): "a0"})
+        X = FinFamily(f.dom, {b: FinSet([(b, "x"), "y"]) for b in f.dom})
         melt = encode_operation("c", {"d0": ("a", "0"), "d1": "a1"})
-        flat = [section_tuple({"k": "v", "j": ("w", "z")}), _intern(("p", "q")), _intern(())]
-        labels = [melt, encode_arity("b", melt, "d1"), section_tuple({"x": melt})] + flat
+        labels = [melt, encode_arity("b", melt, "d1"), section_tuple({"x": melt})]
+        labels += [section_tuple({"k": "v", "j": ("w", "z")}), *pullback(f, g)[0], *dep_prod(f, X).fibre("a1")]
         for label in labels:
             copy = plain(label)
-            assert type(copy) is tuple and copy == label and label == copy
+            assert type(label) is tuple and copy == label and label == copy
             assert hash(label) == hash(copy)
             assert {label: 1}[copy] == 1 and {copy: 1}[label] == 1
             assert copy in FinSet([label]) and label in FinSet([copy])
             assert label_key(label) == label_key(copy)
 
-    def test_nested_labels_do_not_rehash_their_parts(self):
-        hashed = []
-
-        class Loud(str):
-            def __hash__(self):
-                hashed.append(self)
-                return str.__hash__(self)
-
-        melt = encode_operation(Loud("c"), {"d": ("a", Loud("x"))})
-        arity = encode_arity("b", melt, Loud("d"))
-        want = [hash(plain(x)) for x in (melt, arity)]
-        P = FinSet([arity, melt])
-        hashed.clear()
-        assert [hash(melt), hash(arity)] == want and arity in P and melt in P
-        assert hashed == []
-
     def test_repr_and_json_are_those_of_plain_tuples(self):
         from polyverse import interchange as io
 
         melt = encode_operation("c", {"d0": ("a", "0"), "d1": "a1"})
-        for label in (melt, encode_arity("b", melt, "d0"), _intern(("p", ("q",)))):
+        for label in (melt, encode_arity("b", melt, "d0"), section_tuple({"p": ("q",)})):
             assert repr(label) == repr(plain(label))
             assert io.dumps(label) == io.dumps(plain(label))
             assert io.dumps(io.finset_to_json(FinSet([label]))) == io.dumps([io.loads(io.dumps(label))])
 
     @pytest.mark.parametrize(
-        "parts", [("a", 3), ("a", ["b"]), ("a", ("b", 3)), (3,), (["b"],)],
+        "parts, bad", [(("a", 3), 3), (("a", ["b"]), ["b"]), (("a", ("b", 3)), 3), ((3,), 3), ((["b"],), ["b"])],
         ids=["int", "list", "int-at-depth-2", "only-int", "only-list"],
     )
-    def test_bad_parts_raise_finset_error(self, parts):
-        with pytest.raises(FinSetError, match="label must be a string or tuple"):
-            _intern(parts)
-        with pytest.raises(FinSetError, match="label must be a string or tuple"):
-            section_tuple({"k": parts[-1]})
+    def test_bad_parts_raise_finset_error(self, parts, bad):
+        message = re.escape(f"label must be a string or tuple of labels, got {bad!r}")
+        for assignment in ({"k": parts}, {"k": parts[-1]}, {"k": ("ok", parts)}):
+            with pytest.raises(FinSetError, match=f"^{message}$"):
+                section_tuple(assignment)
 
     def test_bad_parts_rejected_by_encoders(self):
         melt = encode_operation("c", {"d0": "a0"})
         for bad in (3, ["b"]):
-            with pytest.raises(FinSetError):
+            message = re.escape(f"label must be a string or tuple of labels, got {bad!r}")
+            with pytest.raises(FinSetError, match=f"^{message}$"):
                 encode_arity("b", melt, bad)
-            with pytest.raises(FinSetError):
+            with pytest.raises(FinSetError, match=f"^{message}$"):
+                encode_arity(bad, melt, "d0")
+            with pytest.raises(FinSetError, match=f"^{message}$"):
                 encode_operation(bad, {"d0": "a0"})
+            with pytest.raises(FinSetError, match=f"^{message}$"):
+                encode_operation("c", {"d0": bad})
+
+    @staticmethod
+    def _held():
+        return {k: len(v) for k, v in vars(finset).items() if isinstance(v, (dict, list, set)) and not k.startswith("__")}
 
     def test_plain_labels_are_not_kept(self):
         from polyverse import interchange as io
 
         text = io.dumps(io.finset_to_json(FinSet([("new", ("plain", str(i))) for i in range(5)])))
-        before = len(finset._UNIQUE)
+        before = self._held()
         parsed = io.finset_from_json(io.loads(text))
         for x in parsed:
             label_key(x)
             label_key((x, ("fresh", "pair")))
         FinSet([(x, "y") for x in parsed])
-        assert len(finset._UNIQUE) == before
+        assert self._held() == before
         assert all(type(x) is tuple for x in parsed)
 
-    def test_past_the_bound_labels_are_built_but_not_kept(self, monkeypatch):
-        class Full(dict):
-            def __len__(self):
-                return 1_000_000
-
-        monkeypatch.setattr(finset, "_UNIQUE", Full())
-        a, b = _intern(("past", "bound")), _intern(("past", "bound"))
-        assert a == b and a is not b and dict.__len__(finset._UNIQUE) == 0
-        assert hash(a) == hash(("past", "bound")) and label_key(a) == label_key(("past", "bound"))
+    def test_past_the_bound_labels_are_built_but_not_kept(self):
+        before = self._held()
+        built = [section_tuple({"k": ("past", str(i)), "j": "bound"}) for i in range(20_000)]
+        again = section_tuple({"k": ("past", "0"), "j": "bound"})
+        assert self._held() == before
+        assert again == built[0] and hash(again) == hash(plain(built[0]))
+        assert all(type(x) is tuple for x in built) and len(set(built)) == len(built)
+        assert label_key(again) == label_key(plain(built[0]))
 
 
 mixed_labels = st.recursive(
@@ -946,9 +923,8 @@ def labels_with_prefixes(draw):
 @given(labels_with_prefixes())
 def test_flat_key_orders_labels_as_the_nested_key(xs):
     for x in xs:
-        assert label_key(interned(x)) == label_key(x)
         for y in xs:
             assert (label_key(x) < label_key(y)) == (old_label_key(x) < old_label_key(y))
             assert (label_key(x) == label_key(y)) == (x == y)
     assert sorted(xs, key=label_key) == sorted(xs, key=old_label_key)
-    assert FinSet(map(interned, set(xs))).elements == tuple(sorted(set(xs), key=old_label_key))
+    assert FinSet(set(xs)).elements == tuple(sorted(set(xs), key=old_label_key))

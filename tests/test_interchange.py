@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from polyverse import finset
 from polyverse.finset import FinFamily, FinMap, FinSet
 from polyverse import interchange as io
-from polyverse.poly import compose
+from polyverse.poly import Polynomial, compose
 from polyverse.generators import rand_composable_pair, rand_morphism, rand_polynomial, rand_universe
 from polyverse.naturalmodel import mk_bool_universe, mk_skewed_universe, validate_universe
 
@@ -208,11 +208,31 @@ def test_to_json_gives_one_list_per_label():
     assert io.polynomial_to_json(P)["A"][0] is not J["A"][0]
 
 
+def _rebuilt(label):
+    """A label equal to ``label``, made of new tuple objects."""
+    return label if isinstance(label, str) else tuple([_rebuilt(x) for x in label])
+
+
+def test_to_json_keys_labels_by_value():
+    # equal labels that are distinct tuple objects get one array per call,
+    # and the text is that of the same data built from one object per label
+    P = _fourfold()
+    melt, copy = P.A.elements[0], _rebuilt(P.A.elements[0])
+    assert copy == melt and copy is not melt
+    J = io.finset_to_json(FinSet([("x", melt), ("y", copy)]))
+    assert type(J[0][1]) is io._LabelArray and J[0][1] is J[1][1]
+    assert io.dumps(J) == io.dumps(io.finset_to_json(FinSet([("x", melt), ("y", melt)])))
+    A = FinSet._of(tuple(map(_rebuilt, P.A)))
+    record = io.polynomial_to_json(Polynomial(P.I, P.B, P.A, P.J, P.s, FinMap._of(P.B, A, P.f.img), P.t))
+    for i in range(len(P.A)):
+        assert type(record["A"][i]) is io._LabelArray
+        assert record["A"][i] is record["t"]["dom"][i] is record["f"]["cod"][i] is record["t"]["map"][i][0]
+    assert io.dumps(record) == io.dumps(io.polynomial_to_json(P))
+
+
 def test_from_json_gives_one_plain_tuple_per_label_and_interns_none():
     text = io.dumps(io.polynomial_to_json(_fourfold()))
-    before = len(finset._UNIQUE)
     P = io.polynomial_from_json(io.loads(text))
-    assert len(finset._UNIQUE) == before
     assert P == _fourfold()
     for i, a in enumerate(P.A):
         assert type(a) is tuple
@@ -222,13 +242,18 @@ def test_from_json_gives_one_plain_tuple_per_label_and_interns_none():
     assert again.A.elements[0] is not P.A.elements[0]
 
 
-def test_parsing_a_universe_interns_nothing(monkeypatch):
+def test_parsing_a_universe_interns_nothing():
     u = rand_universe(random.Random(5), 3)
     text = io.dumps(io.universe_to_json(u))
-    monkeypatch.setattr(finset, "_UNIQUE", {})
     back = io.universe_from_json(io.loads(text))
-    assert finset._UNIQUE == {}
     assert back == u and back.sigma == u.sigma
+    # each code family is one plain tuple of plain pairs, the same object
+    # in sigma and in pi; another call parses its own (but for the one
+    # empty tuple, which Python shares)
+    again = io.universe_from_json(io.loads(text))
+    for ((_, family), _), ((_, same), _), ((_, other), _) in zip(back.sigma, back.pi, again.sigma):
+        assert type(family) is tuple and all(type(pair) is tuple for pair in family)
+        assert family is same and family == other and (family is not other or family == ())
 
 
 def test_dumps_matches_json_on_records():

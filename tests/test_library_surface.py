@@ -9,11 +9,19 @@ tests reach is flagged here and belongs in ``tests/reference.py``.
 
 The test modules themselves import no name they never load, and no library
 module uses ``functools.cached_property``: on Python 3.11 it takes a lock on
-every first access, where ``finset._lazy`` takes none.
+every first access, where ``finset._lazy`` takes none.  Nor does the library
+keep anything between calls: a suite run or a JSON round trip leaves every
+module-level table and context variable as it found it.
 """
 
 import ast
+import importlib
+from contextvars import ContextVar
 from pathlib import Path
+
+from polyverse import interchange as io
+from polyverse.suites import InstanceGenConfig, run_suite
+from test_interchange import _fourfold
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = ROOT / "src" / "polyverse"
@@ -125,3 +133,26 @@ def test_each_way_of_naming_cached_property_is_found():
         "    b = cached_property(len)\n"
     )
     assert cached_property_uses(tree) == 3
+
+
+def module_state() -> dict:
+    """The size of each module-level dict, list and set of the library, and
+    the value of each module-level context variable."""
+    state = {}
+    for path in sorted(LIBRARY.glob("*.py")):
+        name = "polyverse" if path.stem == "__init__" else f"polyverse.{path.stem}"
+        for attr, value in vars(importlib.import_module(name)).items():
+            if isinstance(value, (dict, list, set)) and not attr.startswith("__"):
+                state[name, attr] = len(value)
+            elif isinstance(value, ContextVar):
+                state[name, attr] = value.get()
+    return state
+
+
+def test_the_library_holds_nothing_between_calls():
+    before = module_state()
+    rep = run_suite("coherence", InstanceGenConfig(seed=11, count=5, max_set_size=3))
+    assert rep.passed and not rep.failed
+    P = _fourfold()
+    assert io.polynomial_from_json(io.loads(io.dumps(io.polynomial_to_json(P)))) == P
+    assert module_state() == before
