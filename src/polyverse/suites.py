@@ -316,17 +316,16 @@ def suite_coherence(cfg: InstanceGenConfig) -> Report:
             cd = codiscreteness_check(phi, psi)
             rep.check("local-codiscreteness", inst, cd["ok"], f"count={cd['count']}")
             made += 1
-    # negative control: break an adjustment triangle and expect rejection
+    # negative control: swap the image of phi's first vertex element with
+    # another element of psi's vertex; psi is cartesian, so the triangle breaks
     phi, psi = gen.rand_parallel_pair(random.Random(cfg.seed + 1), cfg.max_set_size, max_vertex=4)
     good = unique_adjustment(phi, psi)
     rejected = False
-    if len(psi.dphi) >= 2:
-        elems = list(psi.dphi)
-        swap = {elems[0]: elems[1], elems[1]: elems[0]}
-        bad = FinMap(
-            phi.dphi, psi.dphi,
-            {e: swap.get(good.alpha(e), good.alpha(e)) for e in phi.dphi},
-        )
+    if phi.dphi and len(psi.dphi) >= 2:
+        hit = good.alpha(phi.dphi.elements[0])
+        other = next(e for e in psi.dphi if e != hit)
+        swap = {hit: other, other: hit}
+        bad = FinMap(phi.dphi, psi.dphi, {e: swap.get(good.alpha(e), good.alpha(e)) for e in phi.dphi})
         try:
             Adjustment(phi, psi, bad)
         except AdjustmentError:

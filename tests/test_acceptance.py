@@ -9,12 +9,9 @@ of representation underneath.
 """
 
 import hashlib
-import subprocess
 import time
-from contextlib import redirect_stdout
-from io import StringIO
 
-from polyverse import cli, interchange as io
+from polyverse import interchange as io
 from polyverse.suites import InstanceGenConfig, run_suite
 from reference import every_construction_checked
 from test_cli import CLI_GOLDEN, cli_golden_digests
@@ -164,14 +161,6 @@ def test_criterion_9_determinism():
     assert ok
 
 
-def _run_in_process(*argv):
-    """A CLI command run through ``cli.main`` in this process."""
-    out = StringIO()
-    with redirect_stdout(out):
-        code = cli.main(list(argv))
-    return subprocess.CompletedProcess(argv, code, out.getvalue(), "")
-
-
 def test_goldens_hold_with_every_cell_checked(tmp_path):
     # every set, map, family, family morphism and cell the library builds
     # unchecked goes through a check instead: each one must pass, and no
@@ -185,5 +174,5 @@ def test_goldens_hold_with_every_cell_checked(tmp_path):
             assert _digest(run_suite(name, cfg)) == golden, (name, cap)
         text = io.dumps(io.polynomial_to_json(_fourfold()))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == FOURFOLD_GOLDEN
-        assert cli_golden_digests(tmp_path, _run_in_process) == CLI_GOLDEN
+        assert cli_golden_digests(tmp_path) == CLI_GOLDEN
     assert set(checked) == {"FinSet", "FinMap", "FinFamily", "FamilyMorphism", "PolyMorphism"}

@@ -264,11 +264,12 @@ class TestOnePath:
             monkeypatch.setattr(naturalmodel, name, counted)
         return counts
 
-    def test_model_pseudomonad_builds_the_law_cells_once(self, calls, capsys):
-        from polyverse.cli import main
+    def test_model_pseudomonad_builds_the_law_cells_once(self, calls):
+        from test_cli import run_cli
 
-        assert main(["model", "pseudomonad", "skewed"]) == 0
-        assert capsys.readouterr().out
+        proc = run_cli("model", "pseudomonad", "skewed")
+        assert proc.returncode == 0
+        assert proc.stdout
         assert calls == {"monad_law_cells": 1, "_pi_structure": 1}
 
     def test_pseudomonad_suite_builds_eta_and_mu_once_per_universe(self, monkeypatch):

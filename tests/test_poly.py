@@ -448,13 +448,14 @@ class TestOneBuildPerCheck:
             assert GF == poly._compose(G, F)
             assert iso == extension_composition_iso(G, F, X)
 
-    def test_model_pseudomonad_opens_one_table(self, built, capsys):
+    def test_model_pseudomonad_opens_one_table(self, built):
         # one table per check built 12 composites on ``bool``; one table for
         # the command builds each of the 9 distinct ones once
-        from polyverse.cli import main
+        from test_cli import run_cli
 
-        assert main(["model", "pseudomonad", "bool"]) == 0
-        assert capsys.readouterr().out
+        proc = run_cli("model", "pseudomonad", "bool")
+        assert proc.returncode == 0
+        assert proc.stdout
         assert len(built["_compose"]) == len(set(built["_compose"])) == 9
         assert poly._BUILT.get() is None
 

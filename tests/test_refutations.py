@@ -3,11 +3,12 @@
 A decider that always answers true leaves the same report bytes as a law
 that holds, so the golden digests cannot tell the two apart.  Each entry of
 ``REFUTATIONS`` is keyed by a law id of ``suites.LAWS``, and every law has
-one.  All but the three ``DECIDER_ENTRIES`` run the suite that checks the
-law, with a hand-built draw or a patched builder, and read the status it
-records; those three call the law's decider on a hand-built input.  For a
-theorem (the pasting laws, for instance) the entry refutes the decider on
-inputs outside the theorem's hypotheses, not the law itself.  Where a
+one.  Each entry runs the suite that checks the law, with a hand-built draw
+or a patched builder, and reads the status it records.  For a theorem (the
+pasting laws, for instance) the entry refutes the decider on inputs outside
+the theorem's hypotheses, not the law itself: for the two adjustment counts
+a parallel pair whose target is not cartesian, and for the naturality
+squares of ``bicategory-laws`` a cell that is not cartesian.  Where a
 theorem's decider has no input outside its hypotheses, a construction it
 calls is patched to a valid one that breaks the theorem: a composite,
 unitor or associator followed by the swap of two arities, a composition
@@ -19,14 +20,17 @@ elements of a fibre to one, a universe drawn in place of another, a unit
 cell that is not cartesian, an adjustment from a copy of its source cell
 with the vertex relabelled, a pasting whose first edge starts from such a
 copy, a monad-law adjustment that is not invertible, internal functors
-that send every morphism to an identity, or an internal category built with
-every composite set to an identity, which its check refuses.
+that send every morphism to an identity, an internal category built with
+every composite set to an identity, which its check refuses, or an
+adjustment that skips its triangle check.  Plain tests refute the deciders
+behind the records on hand-built inputs as well.
 
 ``test_a_law_forced_to_pass_hides_its_refutation`` is the mutant check:
-with one law's check forced to pass, that law's entry refutes no more,
-unless it is one of the three that call a decider.  One test per suite
-that builds on the extension or the slice runs ``cli.main`` with one map
-off by a swap and expects exit 1.
+with one law's check forced to pass, that law's entry refutes no more.
+Every suite has a test that runs the CLI in-process, through
+``test_cli.run_cli``, on a broken draw and expects exit 1: a map off by a
+swap, a twisted associator, an adjustment that is not invertible, a
+universe that does not validate, or a draw outside a law's hypotheses.
 """
 
 import itertools
@@ -37,7 +41,7 @@ from unittest import mock
 
 import pytest
 
-from polyverse import cli, generators, internalcat, naturalmodel, poly2, suites
+from polyverse import generators, internalcat, naturalmodel, poly2, suites
 from polyverse.finset import FamilyMorphism, FinFamily, FinMap, FinSet, Square
 from polyverse.internalcat import InternalCatError, InternalFunctor, internal_full_subcat
 from polyverse.naturalmodel import (
@@ -50,6 +54,7 @@ from polyverse.poly2 import (
     lunitor, slice_reduce_cell, triangle_check, v_comp,
 )
 from polyverse.suites import LAWS, InstanceGenConfig, Report, run_suite
+from test_cli import run_cli
 
 
 def _square_that_is_not_a_pullback() -> bool:
@@ -281,17 +286,52 @@ def _two_arities_over_one_operation():
     return P, cell_from_square(P, P, FinMap(P.B, P.B, SWAP), FinMap.identity(P.A))
 
 
-def _bicategory_verdict(law: str, *patches) -> bool:
-    """The verdict ``bicategory-laws`` records for ``law`` when every cell it
-    draws is the identity on ``P`` and every family has the fibre {x, y},
-    run under the mock ``patches``."""
+def _bicategory_patches(*patches) -> tuple:
+    """Patches under which every cell ``bicategory-laws`` draws is the
+    identity on ``P`` and every family has the fibre {x, y}, and the mock
+    ``patches``."""
     P, _ = _two_arities_over_one_operation()
-    return _suite_verdict(
-        "bicategory-laws", law, "inst0",
+    return (
         mock.patch.object(generators, "rand_morphism", return_value=identity_cell(P)),
         mock.patch.object(generators, "rand_family", _family_of_xy),
         *patches,
     )
+
+
+def _bicategory_verdict(law: str, *patches) -> bool:
+    """The verdict ``bicategory-laws`` records for ``law`` under
+    ``_bicategory_patches(*patches)``."""
+    return _suite_verdict("bicategory-laws", law, "inst0", *_bicategory_patches(*patches))
+
+
+def _naturality_patches(cartesian: bool) -> tuple:
+    """``_bicategory_patches`` with every family morphism constant at x and,
+    if not ``cartesian``, every cell drawn as cartesian replaced by
+    ``_cell_with_two_vertex_elements_over_one_arity``.  Its extension sends
+    the two sections of {b} -> {a} into {x, y} to the two constant sections
+    of {d1, d2} -> {c}, so its naturality square at the map constant at x
+    has two elements where the pullback has four.  ``h_comp``, which
+    refuses a cell that is not cartesian, then composes the identities on
+    the two cells' sources instead."""
+    patches = [mock.patch.object(generators, "rand_family_morphism", _constant_at_x)]
+    if not cartesian:
+        P, _ = _two_arities_over_one_operation()
+        cell, ident = _cell_with_two_vertex_elements_over_one_arity(), identity_cell(P)
+        patches += [
+            mock.patch.object(
+                generators, "rand_morphism", lambda rng, size, cartesian=None, target=None: cell if cartesian else ident,
+            ),
+            mock.patch.object(suites, "h_comp", lambda psi, phi: h_comp(identity_cell(psi.src), identity_cell(phi.src))),
+        ]
+    return _bicategory_patches(*patches)
+
+
+def _naturality_verdict(cartesian: bool) -> bool:
+    return _suite_verdict("bicategory-laws", "cartesian-naturality-pullback", "inst0", *_naturality_patches(cartesian))
+
+
+def _naturality_square_of_a_cell_that_is_not_cartesian() -> bool:
+    return _naturality_verdict(cartesian=False)
 
 
 def _vcomp_associative_verdict(twist: bool) -> bool:
@@ -403,31 +443,61 @@ def _adjustments_into_a_target_that_is_not_cartesian() -> bool:
     return codiscreteness_check(phi, phi)["ok"]
 
 
-def _corrupted_adjustment_verdict(valid_after_the_swap: bool) -> bool:
+def _first_pair_drawn(pair):
+    """A patch under which the first parallel pair a suite draws is ``pair``
+    and the second is the one ``coherence``'s control draws at seed 0 and
+    size 2."""
+    control = generators.rand_parallel_pair(random.Random(1), 2, max_vertex=4)
+    return mock.patch.object(generators, "rand_parallel_pair", side_effect=[pair, control])
+
+
+def _adjustment_count_patches(cartesian: bool) -> tuple:
+    """Patches under which the first parallel pair a suite draws is a cell
+    and itself: the identity on ``P`` or, if not ``cartesian``, a cell into
+    which there are four adjustments."""
+    P, _ = _two_arities_over_one_operation()
+    phi = identity_cell(P) if cartesian else _cell_with_two_vertex_elements_over_one_arity()
+    return (_first_pair_drawn((phi, phi)),)
+
+
+def _adjustment_count_verdict(suite: str, law: str, instance: str, cartesian: bool) -> bool:
+    """The verdict ``suite`` records for ``law`` on ``instance`` under
+    ``_adjustment_count_patches(cartesian)``."""
+    return _suite_verdict(suite, law, instance, *_adjustment_count_patches(cartesian))
+
+
+def _unique_adjustment_into_a_target_that_is_not_cartesian() -> bool:
+    return _adjustment_count_verdict("unique-adjustment", "unique-adjustment", "pair0", cartesian=False)
+
+
+def _local_codiscreteness_into_a_target_that_is_not_cartesian() -> bool:
+    return _adjustment_count_verdict("coherence", "local-codiscreteness", "quad0", cartesian=False)
+
+
+class _UncheckedAdjustment(Adjustment):
+    """An adjustment that skips its triangle check."""
+
+    def __post_init__(self):
+        pass
+
+
+def _corrupted_adjustment_verdict(unchecked: bool) -> bool:
     """The verdict ``coherence`` records for ``corrupted-adjustment-rejected``
-    when every parallel pair it draws is ``(phi, psi)``.  ``psi`` is the
+    when every parallel pair it draws is ``psi`` and itself, and, if
+    ``unchecked``, its adjustments skip their triangle check.  ``psi`` is the
     cartesian cell from ``P`` to ``{d0, d1} -> {c0}`` with a second operation
-    ``c1`` of no arity.  ``phi`` is ``psi`` itself or, if
-    ``valid_after_the_swap``, the cell that sends ``a`` to ``c1``: its vertex
-    is empty, so the control's swap of two elements of ``psi``'s vertex
-    leaves the empty adjustment as it is."""
+    ``c1`` of no arity, whose vertex has two elements to swap."""
     P, _ = _two_arities_over_one_operation()
     G = from_map(FinMap(FinSet(["d0", "d1"]), FinSet(["c0", "c1"]), {"d0": "c0", "d1": "c0"}))
     psi = cell_from_square(P, G, FinMap(P.B, G.B, {"b0": "d0", "b1": "d1"}), FinMap.constant(P.A, G.A, "c0"))
-    phi = psi
-    if valid_after_the_swap:
-        empty = FinSet()
-        phi = PolyMorphism(
-            P, G, empty, FinMap.constant(P.A, G.A, "c1"), FinMap(empty, G.B, {}), FinMap(empty, P.B, {}),
-        )
-    return _suite_verdict(
-        "coherence", "corrupted-adjustment-rejected", "control",
-        mock.patch.object(generators, "rand_parallel_pair", return_value=(phi, psi)),
-    )
+    patches = [mock.patch.object(generators, "rand_parallel_pair", return_value=(psi, psi))]
+    if unchecked:
+        patches.append(mock.patch.object(suites, "Adjustment", _UncheckedAdjustment))
+    return _suite_verdict("coherence", "corrupted-adjustment-rejected", "control", *patches)
 
 
-def _control_pair_whose_swap_stays_valid() -> bool:
-    return _corrupted_adjustment_verdict(valid_after_the_swap=True)
+def _corrupted_adjustment_accepted() -> bool:
+    return _corrupted_adjustment_verdict(unchecked=True)
 
 
 def _followed_by_a_fibre_swap(sq: Square) -> Square:
@@ -758,7 +828,7 @@ REFUTATIONS = {
     "lift-preserves-pullbacks": _lifted_square_collapsed_in_a_fibre,
     "lift-unit-mult-squares": _unit_square_collapsed_in_a_fibre,
     "lift-monad-laws": _monad_law_adjustment_that_is_not_invertible,
-    "cartesian-naturality-pullback": _square_that_is_not_a_pullback,
+    "cartesian-naturality-pullback": _naturality_square_of_a_cell_that_is_not_cartesian,
     "pseudomonad-pasting": _pseudomonad_pasting_from_a_relabelled_cell,
     "pseudoalgebra-pasting": _pseudoalgebra_pasting_from_a_relabelled_cell,
     "pentagon": _pentagon_with_a_twisted_associator,
@@ -775,15 +845,15 @@ REFUTATIONS = {
     "slice-functorial": _fibre_cells_that_compose_to_another,
     "vcomp-associative": _bracketings_that_extend_differently,
     "triangle": _triangle_with_a_twisted_unitor,
-    "unique-adjustment": _adjustments_into_a_target_that_is_not_cartesian,
-    "local-codiscreteness": _adjustments_into_a_target_that_is_not_cartesian,
+    "unique-adjustment": _unique_adjustment_into_a_target_that_is_not_cartesian,
+    "local-codiscreteness": _local_codiscreteness_into_a_target_that_is_not_cartesian,
     "composite-matches-direct": _composite_with_its_operations_swapped,
     "extension-composite-bijection": _round_trip_through_a_swap,
     "extension-composite-naturality": _bijection_through_a_swap,
     "extension-functorial": _composite_followed_by_a_swap,
     "extension-identity": _identity_swapped_for_a_swap,
     "hcomp-extension": _hcomp_followed_by_a_swap,
-    "corrupted-adjustment-rejected": _control_pair_whose_swap_stays_valid,
+    "corrupted-adjustment-rejected": _corrupted_adjustment_accepted,
     "lift-identity": _lifted_identity_followed_by_a_swap,
     "lift-composition": _lifted_composite_followed_by_a_swap,
     "lift-naturality": _unit_square_followed_by_a_swap,
@@ -793,10 +863,6 @@ REFUTATIONS = {
     "internal-nt-unique": _transformations_between_functors_onto_identities,
     "four-way-equivalence": _equivalence_read_through_functors_onto_identities,
 }
-
-
-# The entries that call a decider directly, not through a suite's record.
-DECIDER_ENTRIES = {"cartesian-naturality-pullback", "local-codiscreteness", "unique-adjustment"}
 
 
 def test_refutations_are_keyed_by_law_ids():
@@ -810,15 +876,15 @@ def test_the_decider_of_each_law_can_answer_false(law):
 
 @pytest.mark.parametrize("law", sorted(LAWS))
 def test_a_law_forced_to_pass_hides_its_refutation(law):
-    """The mutant whose check of ``law`` always passes: an entry that reads
-    the suite's record no longer refutes, one that calls a decider still does."""
+    """The mutant whose check of ``law`` always passes: the entry, which
+    reads the suite's record, no longer refutes."""
     check = Report.check
 
     def forced(self, name, instance, ok, detail=""):
         return check(self, name, instance, ok or name == law, detail)
 
     with mock.patch.object(Report, "check", forced):
-        assert REFUTATIONS[law]() is (law not in DECIDER_ENTRIES)
+        assert REFUTATIONS[law]() is True
 
 
 @pytest.mark.parametrize("refuted", [
@@ -889,7 +955,7 @@ def test_the_hand_built_inputs_also_admit_a_true_answer():
     assert _vcomp_associative_verdict(twist=False)
     for law in ("extension-functorial", "extension-identity", "hcomp-extension"):
         assert _bicategory_verdict(law)
-    assert _corrupted_adjustment_verdict(valid_after_the_swap=False)
+    assert _corrupted_adjustment_verdict(unchecked=False)
     assert _triangle_verdict(twist=False)
     assert _pentagon_verdict(twist=False)
     for law in (
@@ -899,6 +965,14 @@ def test_the_hand_built_inputs_also_admit_a_true_answer():
         assert _extension_composition_verdict(law)
     phi, psi = generators.rand_parallel_pair(random.Random(0), 2)
     assert codiscreteness_check(phi, psi)["ok"]
+    assert _adjustment_count_verdict("unique-adjustment", "unique-adjustment", "pair0", cartesian=True)
+    assert _adjustment_count_verdict("coherence", "local-codiscreteness", "quad0", cartesian=True)
+    assert _naturality_verdict(cartesian=True)
+
+
+def test_the_decider_behind_the_adjustment_count_records_can_answer_false():
+    # the exhaustive search behind ``unique-adjustment`` and ``local-codiscreteness``
+    assert _adjustments_into_a_target_that_is_not_cartesian() is False
 
 
 def test_an_adjustment_that_is_not_invertible_is_refused():
@@ -907,22 +981,30 @@ def test_an_adjustment_that_is_not_invertible_is_refused():
 
 
 @pytest.mark.parametrize("suite", ["pseudomonad", "pseudoalgebra"])
-def test_adjustments_that_are_not_invertible_exit_1_from_the_cli(suite, capsys):
+def test_adjustments_that_are_not_invertible_exit_1_from_the_cli(suite):
     # the pseudomonad and pseudoalgebra are built all the same, and the
     # strictness-profile records decide invertibility
     with mock.patch.object(Adjustment, "is_invertible", lambda self: False):
-        assert cli.main(["suite", "run", suite]) == 1
-    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
+        proc = run_cli("suite", "run", suite)
+    assert proc.returncode == 1
+    failed = [line for line in proc.stdout.splitlines() if line.startswith("[FAIL]")]
     assert failed and all(" law=strictness-profile " in line for line in failed)
 
 
-@pytest.mark.parametrize("twist, code", [(False, 0), (True, 1)], ids=["control", "twisted"])
-def test_a_pentagon_with_a_twisted_associator_exits_1_from_the_cli(twist, code, capsys):
+def _run_from_the_cli(suite: str, patches):
+    """``suite run`` on ``suite`` at seed 0, count 1 and size 2, under the
+    mock ``patches``."""
     with ExitStack() as stack:
-        for patch in _pentagon_patches(twist):
+        for patch in patches:
             stack.enter_context(patch)
-        assert cli.main(["suite", "run", "coherence", "--seed", "0", "--count", "1", "--max-size", "2"]) == code
-    assert ("[FAIL] law=pentagon instance=quad0" in capsys.readouterr().out) is twist
+        return run_cli("suite", "run", suite, "--seed", "0", "--count", "1", "--max-size", "2")
+
+
+@pytest.mark.parametrize("twist, code", [(False, 0), (True, 1)], ids=["control", "twisted"])
+def test_a_pentagon_with_a_twisted_associator_exits_1_from_the_cli(twist, code):
+    proc = _run_from_the_cli("coherence", _pentagon_patches(twist))
+    assert proc.returncode == code
+    assert ("[FAIL] law=pentagon instance=quad0" in proc.stdout) is twist
 
 
 # Per suite: the law and instance whose record a map off by a swap fails,
@@ -953,22 +1035,43 @@ SWAPPED_MAPS = {
 
 @pytest.mark.parametrize("suite", sorted(SWAPPED_MAPS))
 @pytest.mark.parametrize("twist, code", [(False, 0), (True, 1)], ids=["control", "twisted"])
-def test_a_map_off_by_a_swap_exits_1_from_the_cli(suite, twist, code, capsys):
+def test_a_map_off_by_a_swap_exits_1_from_the_cli(suite, twist, code):
     # a law failure, not a crash: exit 1, not 4
     law, instance, patches = SWAPPED_MAPS[suite]
-    with ExitStack() as stack:
-        for patch in patches(twist):
-            stack.enter_context(patch)
-        assert cli.main(["suite", "run", suite, "--seed", "0", "--count", "1", "--max-size", "2"]) == code
-    assert (f"[FAIL] law={law} instance={instance}" in capsys.readouterr().out) is twist
+    proc = _run_from_the_cli(suite, patches(twist))
+    assert proc.returncode == code
+    assert (f"[FAIL] law={law} instance={instance}" in proc.stdout) is twist
+
+
+# Per suite: the law and instance whose record a draw outside the law's
+# hypotheses fails, and the patches for the hand-built draw, outside them
+# if asked.
+OUTSIDE_HYPOTHESES = {
+    "unique-adjustment": (
+        "unique-adjustment", "pair0", lambda twist: _adjustment_count_patches(cartesian=not twist),
+    ),
+    "bicategory-laws": (
+        "cartesian-naturality-pullback", "inst0", lambda twist: _naturality_patches(cartesian=not twist),
+    ),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(OUTSIDE_HYPOTHESES))
+@pytest.mark.parametrize("twist, code", [(False, 0), (True, 1)], ids=["control", "twisted"])
+def test_a_draw_outside_a_laws_hypotheses_exits_1_from_the_cli(suite, twist, code):
+    law, instance, patches = OUTSIDE_HYPOTHESES[suite]
+    proc = _run_from_the_cli(suite, patches(twist))
+    assert proc.returncode == code
+    assert (f"[FAIL] law={law} instance={instance}" in proc.stdout) is twist
 
 
 @pytest.mark.parametrize("suite", ["pseudomonad", "pseudoalgebra", "type-isos"])
-def test_a_universe_that_does_not_validate_exits_1_from_the_cli(suite, capsys):
+def test_a_universe_that_does_not_validate_exits_1_from_the_cli(suite):
     # the instance is recorded as failed and the suite goes on to the next
     with _bool_universe_replaced_by(_bool_universe_with_a_broken_sum()):
-        assert cli.main(["suite", "run", suite, "--count", "2"]) == 1
-    out = capsys.readouterr().out.splitlines()
+        proc = run_cli("suite", "run", suite, "--count", "2")
+    assert proc.returncode == 1
+    out = proc.stdout.splitlines()
     assert [line for line in out if line.startswith("[FAIL]")] == [
         "[FAIL] law=universe-validates instance=bool (sum square: fibre mismatch at ('code1', (('el', 'code1'),)))",
     ]

@@ -89,6 +89,18 @@ def test_every_law_literal_is_registered():
     assert sorted(set(LAWS) - used) == []
 
 
+@pytest.mark.parametrize("seed, size, detail", [(5, 3, "vertex too small to corrupt"), (32, 2, "")])
+def test_the_coherence_control_reports_only_a_real_failure(seed, size, detail):
+    # at seed 32 the control's adjustment hits neither of the first two
+    # elements of psi's vertex, and at seed 5 phi's vertex is empty: a swap
+    # of those two elements would leave the adjustment valid
+    rep = run_suite("coherence", InstanceGenConfig(seed=seed, count=1, max_set_size=size))
+    assert [r for r in rep.records if r["law"] == "corrupted-adjustment-rejected"] == [
+        {"law": "corrupted-adjustment-rejected", "instance": "control", "status": "pass", "detail": detail},
+    ]
+    assert rep.exit_code() == 0
+
+
 def test_exit_codes():
     cfg = InstanceGenConfig(seed=1, count=3, max_set_size=2)
     rep = run_suite("unique-adjustment", cfg)
