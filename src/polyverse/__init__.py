@@ -67,7 +67,6 @@ from .naturalmodel import (
     mk_bool_universe,
     mk_skewed_universe,
     pi_structure,
-    pseudoalgebra_from,
     pseudomonad_from,
     sigma_structure,
     unit_structure,

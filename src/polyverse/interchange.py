@@ -58,6 +58,12 @@ class ParseError(Exception):
     """Input that does not follow the interchange grammar."""
 
 
+# How deep arrays may nest in a label: far above the deepest label the library
+# builds (about ten, in the fourfold composites of ``models``) and far below
+# the recursion limit, so a label gets one answer at any stack depth.
+_MAX_LABEL_DEPTH = 200
+_TOO_DEEP = "not valid JSON: nested too deeply"
+
 # The label table of the outermost public conversion in progress, shared by
 # those nested in it and dropped when it returns (to and from JSON never nest).
 _LABELS: ContextVar = ContextVar("interchange_labels", default=None)
@@ -79,10 +85,6 @@ def _conversion(kind: str | None = None, shares_sets: bool = False):
             sets = _SETS.set([]) if shares_sets and _SETS.get() is None else None
             try:
                 return convert(arg)
-            except RecursionError as exc:
-                if kind is None:
-                    raise
-                raise ParseError("label nested too deeply") from exc
             except (KeyError, TypeError, ValueError, FinSetError) as exc:
                 if kind is None:
                     raise
@@ -124,12 +126,15 @@ def _entry(parts: tuple, labels: dict) -> tuple:
     return entry
 
 
-def _label_from_json(data, labels: dict):
-    """A string as it is; an array as the first equal tuple ``labels`` holds."""
+def _label_from_json(data, labels: dict, depth: int = 0):
+    """A string as it is; an array as the first equal tuple ``labels`` holds,
+    refused like too deep JSON when arrays nest over ``_MAX_LABEL_DEPTH``."""
     if isinstance(data, str):
         return data
     if isinstance(data, list):
-        return _entry(tuple([_label_from_json(x, labels) for x in data]), labels)[0]
+        if depth == _MAX_LABEL_DEPTH:
+            raise ParseError(_TOO_DEEP)
+        return _entry(tuple([_label_from_json(x, labels, depth + 1) for x in data]), labels)[0]
     raise ParseError(f"label must be a string or array, got {data!r}")
 
 
@@ -393,4 +398,4 @@ def loads(text: str):
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
-        raise ParseError("not valid JSON: nested too deeply") from exc
+        raise ParseError(_TOO_DEEP) from exc

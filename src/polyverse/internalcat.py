@@ -17,11 +17,11 @@ through the first.  The checks of ``InternalCategory`` and
 ``InternalFunctor`` run on the same positions, in the order and with the
 messages of the label-level checks, which ``tests/reference.py`` keeps.
 
-Categories and induced functors are built through the table of
-``poly._once``, so once per check.  ``internal_functor`` takes only the cell
-and gets the categories of its endpoints from ``internal_full_subcat``;
-``adjustment_to_nat`` and ``equivalence_sets`` take cells and get their
-functors from ``internal_functor``.
+Categories and induced functors are built ``@_built_once``, so once per
+check.  ``internal_functor`` takes only the cell and gets the categories of
+its endpoints from ``internal_full_subcat``; ``adjustment_to_nat`` and
+``equivalence_sets`` take cells and get their functors from
+``internal_functor``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .finset import (
     _guard,
     _lazy,
 )
-from .poly import PolyError, _once
+from .poly import PolyError, _built_once
 from .poly2 import Adjustment, PolyMorphism
 
 
@@ -111,11 +111,6 @@ class InternalCategory:
         return tuple(m for m in self.mor if self.dom(m) == a and self.cod(m) == a_prime)
 
 
-def internal_full_subcat(f: FinMap) -> InternalCategory:
-    """The internal full subcategory associated with a map of finite sets."""
-    return _once(_internal_full_subcat, f)
-
-
 def _homs(f: FinMap) -> list:
     """For each pair of operation positions ``(a, a2)``, the place of the
     first morphism from ``a`` to ``a2``.  The morphisms come in ``(a, a2)``
@@ -132,7 +127,9 @@ def _homs(f: FinMap) -> list:
     return starts
 
 
-def _internal_full_subcat(f: FinMap) -> InternalCategory:
+@_built_once
+def internal_full_subcat(f: FinMap) -> InternalCategory:
+    """The internal full subcategory associated with a map of finite sets."""
     A, over = f.cod, f._fibres
     count = 0
     for src in over:
@@ -219,14 +216,11 @@ class InternalFunctor:
         return InternalFunctor(C, C, FinMap.identity(C.obj), FinMap.identity(C.mor))
 
 
+@_built_once
 def internal_functor(phi: PolyMorphism) -> InternalFunctor:
     """The internal functor induced by a cartesian morphism of one-to-one
     polynomials, between the internal full subcategories of its endpoints:
     phi0 on objects, conjugation by the square top on homs."""
-    return _once(_internal_functor, phi)
-
-
-def _internal_functor(phi: PolyMorphism) -> InternalFunctor:
     if not phi.is_cartesian():
         raise PolyError("internal functors arise from cartesian morphisms only")
     if not (phi.src.is_one_to_one() and phi.dst.is_one_to_one()):

@@ -32,9 +32,9 @@ The endofunctor ``P_p`` on sets and on the arrow category is
 ``unit`` and ``mult`` place the components ``Z -> P_p(Z)`` and
 ``P_p(P_p(Z)) -> P_p(Z)`` by the layout of ``P_p(Z)``, reading ``mult`` off
 the trace of ``p.p`` and the vertex of ``mu``, without decoding a section or
-extending ``p.p``.  The three structure cells and each ``P_p(Z)`` are built
-through the table of ``poly._once``: once per check, whichever object asks
-for them.
+extending ``p.p``.  The three structure cells are built ``@_built_once``,
+and each ``P_p(Z)`` by ``extend``: once per check, whichever object asks for
+them.
 """
 
 from __future__ import annotations
@@ -64,8 +64,8 @@ from .poly import (
     extend,
     from_map,
     identity_poly,
+    _built_once,
     _layout,
-    _once,
     _postcomposed,
     _radix,
     _shared_builds,
@@ -267,20 +267,13 @@ def mk_skewed_universe() -> Universe:
     return _cardinality_universe(codes, el, "code1b", {0: "code0", 1: "code1a"})
 
 
-def poly_of(u: Universe) -> Polynomial:
-    return from_map(u.p)
-
-
+@_built_once
 def unit_structure(u: Universe) -> PolyMorphism:
     """The cartesian cell i_1 => p picking the unit code and its element."""
-    return _once(_unit_structure, u)
-
-
-def _unit_structure(u: Universe) -> PolyMorphism:
     _checked(u)
     top = FinMap(TERMINAL, u.terms, {"*": u.star})
     bot = FinMap(TERMINAL, u.codes, {"*": u.unit_code})
-    return cell_from_square(identity_poly(TERMINAL), poly_of(u), top, bot)
+    return cell_from_square(identity_poly(TERMINAL), from_map(u.p), top, bot)
 
 
 def _operation_btable(melt) -> tuple:
@@ -289,15 +282,12 @@ def _operation_btable(melt) -> tuple:
     return section_tuple({d[1]: a for d, a in assign.items()})
 
 
+@_built_once
 def sigma_structure(u: Universe) -> PolyMorphism:
     """The cartesian cell p.p => p: sum codes on operations, the canonical
     pairing on arities.  The source is the engine's own composite."""
-    return _once(_sigma_structure, u)
-
-
-def _sigma_structure(u: Universe) -> PolyMorphism:
     _checked(u)
-    p_poly = poly_of(u)
+    p_poly = from_map(u.p)
     pp, _ = compose(p_poly, p_poly)
     bot_table, top_table = {}, {}
     for melt in pp.A:
@@ -363,11 +353,7 @@ class LiftedEndofunctor:
 
 def apply_to_set(P: LiftedEndofunctor, Z: FinSet) -> FinSet:
     """The value on an object: the one fibre of the extension at ``Z``."""
-    return _once(_apply_to_set, P.poly, Z)
-
-
-def _apply_to_set(F: Polynomial, Z: FinSet) -> FinSet:
-    return extend(F, FinFamily._of(TERMINAL, (Z,))).fibre("*")
+    return extend(P.poly, FinFamily._of(TERMINAL, (Z,))).fibre("*")
 
 
 def lift_apply(P: LiftedEndofunctor, f: FinMap) -> FinMap:
@@ -387,13 +373,10 @@ def lift_apply_square(P: LiftedEndofunctor, sq: Square) -> Square:
     )
 
 
+@_built_once
 def pi_structure(u: Universe) -> PolyMorphism:
     """The cartesian cell P_p(p) => p: product codes on operations, the
     canonical abstraction on arities."""
-    return _once(_pi_structure, u)
-
-
-def _pi_structure(u: Universe) -> PolyMorphism:
     _checked(u)
     p_map = lift_apply(LiftedEndofunctor(u.p), u.p)
     bot_table, top_table = {}, {}
@@ -404,7 +387,7 @@ def _pi_structure(u: Universe) -> PolyMorphism:
         top_table[(A, sect)] = u.lam(A, btable)(sect)
     bot = FinMap(p_map.cod, u.codes, bot_table)
     top = FinMap(p_map.dom, u.terms, top_table)
-    return cell_from_square(from_map(p_map), poly_of(u), top, bot)
+    return cell_from_square(from_map(p_map), from_map(u.p), top, bot)
 
 
 def lift_unit_mult(P: LiftedEndofunctor, eta: PolyMorphism, mu: PolyMorphism, f: FinMap) -> tuple[Square, Square]:

@@ -18,12 +18,9 @@ element-level description and must agree exactly; the two code paths share
 nothing but the encoding conventions.
 
 A law check pastes cells whose ends are the same few composites, so inside
-a check (``_shared_builds``) one table builds each result of ``compose``,
-``extend``, ``slice_reduce``, ``internalcat.internal_full_subcat`` and
-``internal_functor``, and ``naturalmodel.unit_structure``,
-``sigma_structure``, ``pi_structure`` and ``apply_to_set`` once per distinct
-arguments and enumeration cap; the table goes when the outermost check
-returns.  ``compose_direct`` never reads it.
+a check (``_shared_builds``) each builder decorated ``@_built_once`` builds
+once per distinct arguments and enumeration cap; the table goes when the
+outermost check returns.  ``compose_direct`` never reads it.
 """
 
 from __future__ import annotations
@@ -33,6 +30,7 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import wraps
 
 from .finset import (
     FamilyMorphism,
@@ -90,19 +88,6 @@ class Polynomial:
         return self.I == TERMINAL and self.J == TERMINAL
 
 
-def from_map(f: FinMap) -> Polynomial:
-    """A map B -> A seen as a polynomial from the point to the point."""
-    return Polynomial(
-        TERMINAL, f.dom, f.cod, TERMINAL,
-        FinMap.to_terminal(f.dom), f, FinMap.to_terminal(f.cod),
-    )
-
-
-def identity_poly(I: FinSet) -> Polynomial:
-    i = FinMap.identity(I)
-    return Polynomial(I, I, I, I, i, i, i)
-
-
 # The results built in the outermost check in progress, keyed by builder,
 # arguments and cap, and dropped when that check returns.
 _BUILT: ContextVar = ContextVar("poly_built", default=None)
@@ -122,25 +107,40 @@ def _shared_builds():
         _BUILT.reset(token)
 
 
-def _once(build, *args):
-    """``build(*args)``, or inside ``_shared_builds`` the result it gave for
-    equal arguments under the same cap, so a lower cap still refuses."""
-    table = _BUILT.get()
-    if table is None:
-        return build(*args)
-    key = (build, args, _CAP.get())
-    result = table.get(key)
-    if result is None:
-        result = table[key] = build(*args)
-    return result
+def _built_once(build):
+    """Decorate a builder so that inside ``_shared_builds`` it returns the
+    result it gave for equal arguments under the same cap, so a lower cap
+    still refuses; ``__wrapped__`` is the builder, read at each build."""
+    @wraps(build)
+    def once(*args):
+        table = _BUILT.get()
+        if table is None:
+            return once.__wrapped__(*args)
+        key = (once, args, _CAP.get())
+        result = table.get(key)
+        if result is None:
+            result = table[key] = once.__wrapped__(*args)
+        return result
+    return once
 
 
+@_built_once
+def from_map(f: FinMap) -> Polynomial:
+    """A map B -> A seen as a polynomial from the point to the point."""
+    return Polynomial(
+        TERMINAL, f.dom, f.cod, TERMINAL,
+        FinMap.to_terminal(f.dom), f, FinMap.to_terminal(f.cod),
+    )
+
+
+def identity_poly(I: FinSet) -> Polynomial:
+    i = FinMap.identity(I)
+    return Polynomial(I, I, I, I, i, i, i)
+
+
+@_built_once
 def extend(F: Polynomial, X: FinFamily) -> FinFamily:
     """Evaluate the extension of F on a family over I."""
-    return _once(_extend, F, X)
-
-
-def _extend(F: Polynomial, X: FinFamily) -> FinFamily:
     if X.index is not F.I and X.index != F.I:
         raise PolyError("family must be indexed by the source of the polynomial")
     return dep_sum(F.t, dep_prod(F.f, base_change(F.s, X)))
@@ -291,12 +291,9 @@ class CompositionTrace:
                 raise PolyError("recorded counit disagrees with section evaluation")
 
 
+@_built_once
 def compose(G: Polynomial, F: Polynomial) -> tuple[Polynomial, CompositionTrace]:
     """Composite polynomial G . F for F : I -|-> J and G : J -|-> K."""
-    return _once(_compose, G, F)
-
-
-def _compose(G: Polynomial, F: Polynomial) -> tuple[Polynomial, CompositionTrace]:
     if F.J != G.I:
         raise PolyError("polynomials do not share a boundary")
     Q, qa, qd = pullback(F.t, G.s)
@@ -445,6 +442,7 @@ def product_set(I: FinSet, J: FinSet) -> FinSet:
     return FinSet._of(tuple([(i, j) for i in I.elements for j in J.elements]))
 
 
+@_built_once
 def slice_reduce(F: Polynomial) -> FamilyMorphism:
     """Reduce a polynomial with general endpoints to a fibrewise map over I x J.
 
@@ -455,10 +453,6 @@ def slice_reduce(F: Polynomial) -> FamilyMorphism:
     operation family, whose fibre over ``(i, j)`` is the t-fibre of ``j``,
     constant in the first coordinate.
     """
-    return _once(_slice_reduce, F)
-
-
-def _slice_reduce(F: Polynomial) -> FamilyMorphism:
     to_base = _arity_base(F)
     base, over = to_base.cod, to_base._fibres
     bs, ops = F.B.elements, [FinSet._of(F.t.preimage(j)) for j in F.J.elements]

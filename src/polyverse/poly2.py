@@ -63,7 +63,6 @@ from .poly import (
     _arity_base,
     _fibrewise,
     _layout,
-    _once,
     _radix,
     _shared_builds,
 )
@@ -518,7 +517,7 @@ def slice_reduce_cell(phi: PolyMorphism) -> dict:
     for (z, src_map), (_, dst_map), vs, ops in zip(S.maps, T.maps, vertices, F.t._fibres * len(F.I)):
         vertex = FinSet._of(tuple([es[e] for e in vs]))
         cells[z] = PolyMorphism(
-            _once(from_map, src_map), _once(from_map, dst_map), vertex,
+            from_map(src_map), from_map(dst_map), vertex,
             FinMap._of(src_map.cod, dst_map.cod, tuple([c_rank[phi0[a]] for a in ops])),
             FinMap._of(vertex, dst_map.dom, tuple([d_rank[phi1[e]] for e in vs])),
             FinMap._of(vertex, src_map.dom, tuple([b_rank[phi2[e]] for e in vs])),

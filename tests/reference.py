@@ -32,10 +32,13 @@ the tests' second routes and oracles:
   ``interchange``'s, which share equal set records and read a map's keys
   by position, are checked;
 * ``every_construction_checked``, under which every set, map, family,
-  family morphism and cell the library builds unchecked is checked.
+  family morphism and cell the library builds unchecked is checked;
+* ``recorded``, which records the builds of a builder built once and the
+  calls of any other function, for the tests that count or check them.
 """
 
 import itertools
+import sys
 from collections import Counter
 from contextlib import ExitStack, contextmanager
 from unittest import mock
@@ -73,6 +76,7 @@ from polyverse.poly import (
     identity_poly,
     product_set,
     slice_unreduce,
+    _built_once,
 )
 from polyverse.poly2 import (
     Adjustment,
@@ -778,3 +782,53 @@ def every_construction_checked():
         ]:
             stack.enter_context(mock.patch.object(cls, "_of", classmethod(of)))
         yield checked
+
+
+# ---------------------------------------------------------------------------
+# Recorded builds and calls
+# ---------------------------------------------------------------------------
+
+
+_BUILT_ONCE = _built_once(lambda: None).__code__
+
+
+def is_built_once(fn) -> bool:
+    """Whether ``fn`` is a builder decorated ``@_built_once``."""
+    return getattr(fn, "__code__", None) is _BUILT_ONCE
+
+
+@contextmanager
+def recorded(owner, *names):
+    """Within the block, append ``[name, args, result]`` to the yielded list
+    each time the function ``name`` of the module or class ``owner`` is
+    called; ``result`` is set when the call returns, and stays None if it
+    raises.
+
+    A builder built once records its builds, through its ``__wrapped__``, so
+    a result the table shares is not recorded again.  Any other function,
+    method or classmethod records every call: it is replaced on ``owner`` and
+    in every other polyverse module that holds it by name.
+    """
+    calls = []
+    with ExitStack() as stack:
+        for name in names:
+            fn = getattr(owner, name)
+            once = is_built_once(fn)
+            body = fn.__wrapped__ if once else fn
+
+            def record(*args, body=body, name=name):
+                call = [name, args, None]
+                calls.append(call)
+                call[2] = body(*args)
+                return call[2]
+
+            if once:
+                stack.enter_context(mock.patch.object(fn, "__wrapped__", record))
+                continue
+            holders = [owner] + [
+                module for key, module in list(sys.modules.items())
+                if key.startswith("polyverse.") and module is not owner and vars(module).get(name) is fn
+            ]
+            for holder in holders:
+                stack.enter_context(mock.patch.object(holder, name, record))
+        yield calls

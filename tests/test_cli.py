@@ -25,13 +25,13 @@ import os
 import random
 import subprocess
 import sys
-import threading
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
 import pytest
 
 from polyverse import cli
+from polyverse import interchange as io
 
 
 def run_cli(*argv) -> subprocess.CompletedProcess:
@@ -361,7 +361,8 @@ def test_deeply_nested_json_is_a_parse_error(tmp_path):
 
 
 def test_deeply_nested_label_is_a_parse_error(tmp_path):
-    # valid JSON, but a label too deep to turn into nested tuples; the
+    # valid JSON, but a label nested deeper than the converter takes; one
+    # message, whether the JSON parser or the converter refuses it first.  The
     # text is spliced because json.dumps itself would recurse too deeply
     record = json.dumps({
         "I": ["i"], "B": ["LABEL"], "A": ["a"], "J": ["j"],
@@ -370,16 +371,10 @@ def test_deeply_nested_label_is_a_parse_error(tmp_path):
         "t": {"dom": ["a"], "cod": ["j"], "map": [["a", "j"]]},
     })
     path = tmp_path / "deep.json"
-    path.write_text(record.replace('"LABEL"', "[" * 980 + '"x"' + "]" * 980))
-    # a new thread's stack starts as short as a new process's; deep in
-    # pytest's, the JSON parser would meet the recursion limit first
-    procs = []
-    thread = threading.Thread(target=lambda: procs.append(run_cli("internal", "cat", str(path))))
-    thread.start()
-    thread.join(timeout=60)
-    [proc] = procs
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("parse error:")
+    for depth in (io._MAX_LABEL_DEPTH + 1, 980):
+        path.write_text(record.replace('"LABEL"', "[" * depth + '"x"' + "]" * depth))
+        proc = run_cli("internal", "cat", str(path))
+        assert (proc.returncode, proc.stderr) == (2, "parse error: not valid JSON: nested too deeply\n")
 
 
 def test_a_string_where_a_pair_belongs_is_a_parse_error(tmp_path):

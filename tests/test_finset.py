@@ -47,6 +47,7 @@ from reference import (
     family_from_total,
     prod_transpose,
     prod_untranspose,
+    recorded,
     slice_exponential,
     sum_transpose,
     sum_untranspose,
@@ -693,17 +694,16 @@ def test_composite_and_internal_sets_equal_their_checked_rebuilds(data):
     assert_sorted_sections(graph for _, (_, _, graph) in nat.components.pairs)
 
 
-def test_positional_constructions_key_no_label(monkeypatch):
+def test_positional_constructions_key_no_label():
     B = FinSet([("b", str(i)) for i in range(5)])
     A = FinSet(["a0", ("a", "1"), ("a", ("2",))])
     f = FinMap(B, A, {b: A.elements[i % 3] for i, b in enumerate(B)})
     X = FinFamily(B, {b: FinSet([(b, "x"), "y"][: i % 3]) for i, b in enumerate(B)})
     Y = FinFamily(A, {a: FinSet([("y", a), "y"]) for a in A})
-    keyed = []
-    monkeypatch.setattr(finset, "label_key", lambda label: keyed.append(label) or label_key(label))
-    dep_sum(f, X), base_change(f, Y), X.total()
-    assert keyed == []
-    FinSet(B.elements)
+    with recorded(finset, "label_key") as keyed:
+        dep_sum(f, X), base_change(f, Y), X.total()
+        assert keyed == []
+        FinSet(B.elements)
     assert keyed
 
 

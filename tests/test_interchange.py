@@ -482,15 +482,24 @@ def test_a_wide_family_compares_no_fibre_records():
 
 
 def test_a_label_nested_too_deeply_in_a_map_is_a_parse_error():
-    deep = _deep(2 * sys.getrecursionlimit())
-    for data in (
-        {"dom": ["a"], "cod": ["x"], "map": [["a", deep]]},
-        {"dom": ["a"], "cod": ["x"], "map": [[deep, "x"]]},
-        {"dom": ["a", deep], "cod": ["x"], "map": []},
-    ):
-        with pytest.raises(io.ParseError, match="^label nested too deeply$"):
-            io.finmap_from_json(data)
+    # refused as JSON too deep to parse is, below the recursion limit or not
+    for deep in (_deep(io._MAX_LABEL_DEPTH + 1), _deep(2 * sys.getrecursionlimit())):
+        for data in (
+            {"dom": ["a"], "cod": ["x"], "map": [["a", deep]]},
+            {"dom": ["a"], "cod": ["x"], "map": [[deep, "x"]]},
+            {"dom": ["a", deep], "cod": ["x"], "map": []},
+        ):
+            with pytest.raises(io.ParseError, match="^not valid JSON: nested too deeply$"):
+                io.finmap_from_json(data)
     assert io._LABELS.get() is None
+
+
+def test_a_label_nested_to_the_bound_is_parsed():
+    deepest = _deep(io._MAX_LABEL_DEPTH)
+    label = io.finmap_from_json({"dom": ["a"], "cod": [deepest], "map": [["a", deepest]]})("a")
+    for _ in range(io._MAX_LABEL_DEPTH):
+        [label] = label
+    assert label == "x"
 
 
 # Every pair of the grammar is a two-element array

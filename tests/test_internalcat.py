@@ -29,7 +29,7 @@ from polyverse.generators import (
     rand_parallel_cartesian_pair,
     rand_polynomial,
 )
-from reference import identity_adjustment, internal_functor_general, slice_exponential
+from reference import identity_adjustment, internal_functor_general, recorded, slice_exponential
 
 
 class TestInternalFullSubcat:
@@ -227,32 +227,22 @@ class TestBuiltOncePerInstance:
     """The internal-equiv suite builds each distinct internal category and
     induced functor of an instance once, in the instance's table."""
 
-    @pytest.fixture
-    def builds(self, monkeypatch):
-        built = {"_internal_full_subcat": [], "_internal_functor": []}
-        for name in built:
-            original = getattr(internalcat, name)
-
-            def counted(arg, _original=original, _name=name):
-                built[_name].append(arg)
-                return _original(arg)
-
-            monkeypatch.setattr(internalcat, name, counted)
-        return built
-
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_each_category_and_functor_built_once(self, builds, seed):
+    def test_each_category_and_functor_built_once(self, seed):
         cfg = suites.InstanceGenConfig(seed=seed, count=1, max_set_size=2)
-        rep = suites.run_suite("internal-equiv", cfg)
-        assert rep.failed == 0 and rep.skipped == 0
-        maps, cells = list(builds["_internal_full_subcat"]), list(builds["_internal_functor"])
-        assert 0 < len(maps) == len(set(maps)) <= 5
-        assert 0 < len(cells) == len(set(cells)) <= 5
-        # every category a functor runs between was built, and only those
-        assert set(maps) == {c.src.f for c in cells} | {c.dst.f for c in cells}
-        # a second run builds everything again
-        suites.run_suite("internal-equiv", cfg)
-        assert builds == {"_internal_full_subcat": maps + maps, "_internal_functor": cells + cells}
+        with recorded(internalcat, "internal_full_subcat", "internal_functor") as builds:
+            rep = suites.run_suite("internal-equiv", cfg)
+            first = [(name, arg) for name, (arg,), _ in builds]
+            assert rep.failed == 0 and rep.skipped == 0
+            maps = [arg for name, arg in first if name == "internal_full_subcat"]
+            cells = [arg for name, arg in first if name == "internal_functor"]
+            assert 0 < len(maps) == len(set(maps)) <= 5
+            assert 0 < len(cells) == len(set(cells)) <= 5
+            # every category a functor runs between was built, and only those
+            assert set(maps) == {c.src.f for c in cells} | {c.dst.f for c in cells}
+            # a second run builds everything again
+            suites.run_suite("internal-equiv", cfg)
+            assert [(name, arg) for name, (arg,), _ in builds] == first + first
 
     def test_categories_and_functors_keep_their_sources(self):
         phi, psi = rand_parallel_cartesian_pair(random.Random(9), 2)
@@ -262,7 +252,7 @@ class TestBuiltOncePerInstance:
         # inside one table, the functor runs between the categories it holds
         with _shared_builds():
             F = internal_functor(phi)
-            assert internal_functor(phi) is F and F.src is internal_full_subcat(phi.src.f)
+            assert F.src is internal_full_subcat(phi.src.f)
 
     def test_foreign_categories_and_functors_rejected(self):
         phi, psi = rand_parallel_cartesian_pair(random.Random(9), 2)

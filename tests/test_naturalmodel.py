@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,7 +38,7 @@ from polyverse.naturalmodel import (
     verify_type_isos,
 )
 from polyverse.generators import rand_cartesian_square, rand_universe
-from reference import mult_component, unit_component
+from reference import mult_component, recorded, unit_component
 
 
 BOOL = mk_bool_universe()
@@ -45,18 +46,15 @@ SKEW = mk_skewed_universe()
 
 
 @pytest.fixture
-def computed(monkeypatch):
-    """Each set ``Z`` whose ``P_p(Z)`` is built, in order of building."""
-    sets = []
-    original = poly._extend
+def extended():
+    """Each build of ``extend``, as ``recorded`` gives it."""
+    with recorded(poly, "extend") as builds:
+        yield builds
 
-    def counted(F, X):
-        if X.index == TERMINAL:
-            sets.append(X.fibre("*"))
-        return original(F, X)
 
-    monkeypatch.setattr(poly, "_extend", counted)
-    return sets
+def _sets(builds) -> list:
+    """Each set ``Z`` whose ``P_p(Z)`` was built, in order of building."""
+    return [X.fibre("*") for _, (_, X), _ in builds if X.index == TERMINAL]
 
 
 class TestUniverses:
@@ -250,19 +248,11 @@ class TestOnePath:
     it; the Universe-level entry points only delegate to those objects."""
 
     @pytest.fixture
-    def calls(self, monkeypatch):
-        # _pi_structure builds the product structure, for pi_structure(u)
-        # and for the pseudoalgebra alike
-        counts = {"monad_law_cells": 0, "_pi_structure": 0}
-        for name in counts:
-            original = getattr(naturalmodel, name)
-
-            def counted(*args, _original=original, _name=name):
-                counts[_name] += 1
-                return _original(*args)
-
-            monkeypatch.setattr(naturalmodel, name, counted)
-        return counts
+    def calls(self):
+        """The count of calls of ``monad_law_cells`` and of builds of
+        ``pi_structure``, for ``pi_structure(u)`` and the pseudoalgebra alike."""
+        with recorded(naturalmodel, "monad_law_cells", "pi_structure") as calls:
+            yield lambda: Counter(name for name, _, _ in calls)
 
     def test_model_pseudomonad_builds_the_law_cells_once(self, calls):
         from test_cli import run_cli
@@ -270,32 +260,26 @@ class TestOnePath:
         proc = run_cli("model", "pseudomonad", "skewed")
         assert proc.returncode == 0
         assert proc.stdout
-        assert calls == {"monad_law_cells": 1, "_pi_structure": 1}
+        assert calls() == {"monad_law_cells": 1, "pi_structure": 1}
 
-    def test_pseudomonad_suite_builds_eta_and_mu_once_per_universe(self, monkeypatch):
+    def test_pseudomonad_suite_builds_eta_and_mu_once_per_universe(self):
         from polyverse.suites import InstanceGenConfig, run_suite
 
-        builds = {"_unit_structure": [], "_sigma_structure": []}
-        for name in builds:
-            original = getattr(naturalmodel, name)
-
-            def counted(u, _original=original, _name=name):
-                builds[_name].append(u)
-                return _original(u)
-
-            monkeypatch.setattr(naturalmodel, name, counted)
         cfg = InstanceGenConfig(seed=1, count=3, max_set_size=2)
-        rep = run_suite("pseudomonad", cfg)
-        assert rep.failed == 0 and rep.skipped == 0
-        # the explicit cells and those of the law cells are one build, for
-        # each universe and for the corrupted control's sum
-        first = {name: list(us) for name, us in builds.items()}
-        assert len(first["_unit_structure"]) == 3 and len(first["_sigma_structure"]) == 4
-        assert all(len(us) == len(set(us)) for us in first.values())
-        assert {BOOL, SKEW} <= set(first["_unit_structure"])
-        # a second run builds them again
-        run_suite("pseudomonad", cfg)
-        assert builds == {name: us + us for name, us in first.items()}
+        with recorded(naturalmodel, "unit_structure", "sigma_structure") as builds:
+            rep = run_suite("pseudomonad", cfg)
+            assert rep.failed == 0 and rep.skipped == 0
+            # the explicit cells and those of the law cells are one build, for
+            # each universe and for the corrupted control's sum
+            first = [(name, u) for name, (u,), _ in builds]
+            units = [u for name, u in first if name == "unit_structure"]
+            sums = [u for name, u in first if name == "sigma_structure"]
+            assert len(units) == 3 and len(sums) == 4
+            assert len(units) == len(set(units)) and len(sums) == len(set(sums))
+            assert {BOOL, SKEW} <= set(units)
+            # a second run builds them again
+            run_suite("pseudomonad", cfg)
+            assert [(name, u) for name, (u,), _ in builds] == first + first
 
     @pytest.mark.parametrize("suite", ["pseudomonad", "pseudoalgebra"])
     def test_suites_build_the_law_cells_once_per_universe(self, calls, suite):
@@ -305,17 +289,17 @@ class TestOnePath:
         assert rep.failed == 0 and rep.skipped == 0
         # one build each for bool and skewed; the pseudoalgebra reads only
         # eta and mu, so it builds none
-        assert calls["monad_law_cells"] == (2 if suite == "pseudomonad" else 0)
+        assert calls()["monad_law_cells"] == (2 if suite == "pseudomonad" else 0)
         if suite == "pseudoalgebra":
-            assert calls["_pi_structure"] == 2
+            assert calls()["pi_structure"] == 2
 
     def test_the_laws_are_built_when_first_read(self, calls):
         pm = pseudomonad_from(SKEW)
-        assert calls["monad_law_cells"] == 0
-        assert pm.pasting_report()["ok"] and calls["monad_law_cells"] == 1
+        assert calls()["monad_law_cells"] == 0
+        assert pm.pasting_report()["ok"] and calls()["monad_law_cells"] == 1
         assert "_adjustments" not in vars(pm)
         assert pm.right_unit.is_invertible() and not pm.strict_right
-        assert pm.assoc.is_identity() and calls["monad_law_cells"] == 1
+        assert pm.assoc.is_identity() and calls()["monad_law_cells"] == 1
 
     def test_a_law_over_the_cap_is_built_at_a_later_read(self, calls):
         pm = pseudomonad_from(SKEW)
@@ -324,7 +308,7 @@ class TestOnePath:
                 pm.assoc
         assert not {"cells", "_adjustments"} & set(vars(pm))
         assert pm.assoc.is_identity() and not pm.right_unit.is_identity()
-        assert calls["monad_law_cells"] == 2
+        assert calls()["monad_law_cells"] == 2
 
     def test_pseudomonad_keeps_its_cells(self):
         pm = pseudomonad_from(SKEW)
@@ -333,14 +317,15 @@ class TestOnePath:
         assert pm.universe is SKEW
         assert "cells" not in repr(pm)
 
-    def test_pseudoalgebra_lifts_through_one_endofunctor(self, computed):
+    def test_pseudoalgebra_lifts_through_one_endofunctor(self, extended):
         # zeta and the lifted squares share one table, so P_p(terms) and
         # P_p(codes) are computed once
         pm = pseudomonad_from(SKEW)
-        del computed[:]
+        del extended[:]
         pm.pseudoalgebra()
-        assert len(computed) == len(set(computed))
-        assert set(computed) >= {SKEW.terms, SKEW.codes}
+        sets = _sets(extended)
+        assert len(sets) == len(set(sets))
+        assert set(sets) >= {SKEW.terms, SKEW.codes}
 
     def test_pseudoalgebra_is_over_its_pseudomonad(self):
         pm = pseudomonad_from(SKEW)
@@ -362,19 +347,19 @@ class TestLiftOnePath:
     """Inside one table P_p(Z) is computed once for each set Z; the lift
     suite opens one table per run and keeps nothing across runs."""
 
-    def test_lift_instance_computes_each_set_once(self, computed):
+    def test_lift_instance_computes_each_set_once(self, extended):
         from polyverse.suites import InstanceGenConfig, run_suite
 
         cfg = InstanceGenConfig(seed=1, count=1, max_set_size=2)
         rep = run_suite("lift", cfg)
         assert rep.failed == 0 and rep.skipped == 0
-        first = list(computed)
+        first = _sets(extended)
         assert first and len(first) == len(set(first))
         # a second run computes every set again
         run_suite("lift", cfg)
-        assert computed == first + first
+        assert _sets(extended) == first + first
 
-    def test_repeated_sets_are_kept(self, computed):
+    def test_repeated_sets_are_kept(self, extended):
         P = LiftedEndofunctor(SKEW.p)
         f = FinMap.constant(FinSet(["x", "y"]), FinSet(["w"]), "w")
         with _shared_builds():
@@ -383,42 +368,35 @@ class TestLiftOnePath:
             assert apply_to_set(P, f.dom) is Pf.dom
             # another endofunctor of the same map reads the same table
             assert apply_to_set(LiftedEndofunctor(SKEW.p), f.cod) is Pf.cod
-        assert computed == [f.dom, f.cod]
+        assert _sets(extended) == [f.dom, f.cod]
         # a second table computes them again
         with _shared_builds():
             assert lift_apply(P, f) == Pf
-        assert computed == [f.dom, f.cod] * 2
+        assert _sets(extended) == [f.dom, f.cod] * 2
 
-    def test_lift_suite_builds_the_structure_cells_once_per_universe(self, monkeypatch):
+    def test_lift_suite_builds_the_structure_cells_once_per_universe(self):
         from polyverse.suites import InstanceGenConfig, run_suite
 
-        builds = []
-        for name in ("_unit_structure", "_sigma_structure"):
-            original = getattr(naturalmodel, name)
-
-            def counted(u, _original=original, _name=name):
-                builds.append((_name, u))
-                return _original(u)
-
-            monkeypatch.setattr(naturalmodel, name, counted)
         cfg = InstanceGenConfig(seed=7, count=20, max_set_size=3)
-        rep = run_suite("lift", cfg)
-        assert rep.failed == 0 and rep.skipped == 0
-        # one build of each cell for bool and one for skewed
-        assert sorted(name for name, _ in builds) == ["_sigma_structure"] * 2 + ["_unit_structure"] * 2
-        assert {u for _, u in builds} == {BOOL, SKEW}
-        # a second run builds them again
-        run_suite("lift", cfg)
-        assert len(builds) == 8
+        with recorded(naturalmodel, "unit_structure", "sigma_structure") as builds:
+            rep = run_suite("lift", cfg)
+            assert rep.failed == 0 and rep.skipped == 0
+            # one build of each cell for bool and one for skewed
+            assert sorted(name for name, _, _ in builds) == ["sigma_structure"] * 2 + ["unit_structure"] * 2
+            assert {u for _, (u,), _ in builds} == {BOOL, SKEW}
+            # a second run builds them again
+            run_suite("lift", cfg)
+            assert len(builds) == 8
 
-    def test_pseudoalgebra_pasting_report_shares_its_table(self, computed):
+    def test_pseudoalgebra_pasting_report_shares_its_table(self, extended):
         with _shared_builds():
             alg = pseudomonad_from(SKEW).pseudoalgebra()
             assert apply_to_set(LiftedEndofunctor(SKEW.p), alg.z.src.dom) is alg.Tz.src.dom
-            met = set(computed)
-            del computed[:]
+            met = set(_sets(extended))
+            del extended[:]
             alg.pasting_report()  # meets only sets the pseudoalgebra's build did not
-        assert computed and len(computed) == len(set(computed)) and not met & set(computed)
+        sets = _sets(extended)
+        assert sets and len(sets) == len(set(sets)) and not met & set(sets)
 
 
 class TestLift:
@@ -517,7 +495,7 @@ class TestLiftedComponents:
         assert any(b != b_in for _, outer in PPZ for b, (_, s) in outer for b_in, _ in s) == bool(Z)
         assert P.mult(mu, Z) == mult_component(mu, Z)
 
-    def test_components_are_read_off_the_kept_sets(self, computed):
+    def test_components_are_read_off_the_kept_sets(self, extended):
         eta, mu = _structure_cells(SKEW)
         P = LiftedEndofunctor(SKEW.p)
         Z = FinSet(["x", "y"])
@@ -525,7 +503,7 @@ class TestLiftedComponents:
             h, m = P.unit(eta, Z), P.mult(mu, Z)
             assert h.cod is apply_to_set(P, Z) and m.cod is h.cod
             assert m.dom is apply_to_set(P, h.cod)
-        assert computed == [Z, h.cod]
+        assert _sets(extended) == [Z, h.cod]
 
 
 class TestTypeIsos:

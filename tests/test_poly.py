@@ -1,13 +1,16 @@
+import importlib
 import itertools
+import pkgutil
 import random
 
 import pytest
 
+import polyverse
 from polyverse import poly
 from polyverse.finset import (
     EnumerationCapExceeded, FamilyMorphism, FinFamily, FinMap, FinSet, TERMINAL, enumeration_cap, pullback,
 )
-from polyverse.naturalmodel import mk_skewed_universe, pseudomonad_from
+from polyverse.naturalmodel import mk_bool_universe, mk_skewed_universe, pseudomonad_from
 from polyverse.poly import (
     PolyError,
     compose,
@@ -22,7 +25,7 @@ from polyverse.poly import (
     slice_reduce,
     slice_unreduce,
 )
-from polyverse.poly2 import pentagon_check, triangle_check
+from polyverse.poly2 import identity_cell, pentagon_check, triangle_check
 from polyverse.suites import InstanceGenConfig, run_suite
 from polyverse.generators import (
     rand_composable_pair,
@@ -30,7 +33,7 @@ from polyverse.generators import (
     rand_family_morphism,
     rand_polynomial,
 )
-from reference import identity_extension_iso, linear_poly, slice_extension
+from reference import identity_extension_iso, is_built_once, linear_poly, recorded, slice_extension
 
 
 def mapping(dom, cod, **assign):
@@ -393,6 +396,21 @@ def _wide_pair():
     return G, F
 
 
+# Each builder decorated ``@_built_once``: fresh equal arguments, and a cap
+# under which it refuses them, or None where it enumerates nothing.
+BUILT_ONCE = {
+    "polyverse.poly.compose": (_wide_pair, 50),
+    "polyverse.poly.extend": (lambda: (_wide_pair()[0], FinFamily(TERMINAL, {"*": FinSet(["x0", "x1", "x2", "x3"])})), 50),
+    "polyverse.poly.from_map": (lambda: (FinMap.identity(FinSet(["a0", "a1"])),), None),
+    "polyverse.poly.slice_reduce": (lambda: _wide_pair()[1:], None),
+    "polyverse.internalcat.internal_full_subcat": (lambda: (_wide_pair()[0].f,), 10),
+    "polyverse.internalcat.internal_functor": (lambda: (identity_cell(_wide_pair()[0]),), 10),
+    "polyverse.naturalmodel.unit_structure": (lambda: (mk_bool_universe(),), None),
+    "polyverse.naturalmodel.sigma_structure": (lambda: (mk_bool_universe(),), 1),
+    "polyverse.naturalmodel.pi_structure": (lambda: (mk_bool_universe(),), 1),
+}
+
+
 @poly._shared_builds()
 def _pseudomonad_laws(u):
     """The three law adjustments of ``u``'s pseudomonad, read in one table."""
@@ -401,22 +419,15 @@ def _pseudomonad_laws(u):
 
 
 class TestOneBuildPerCheck:
-    """Inside a check, ``compose`` and ``extend`` build each result once per
-    distinct arguments and cap; the table goes when the check returns."""
+    """Inside a check, each builder decorated ``@_built_once`` builds each
+    result once per distinct arguments and cap; the table goes when the check
+    returns."""
 
     @pytest.fixture
-    def built(self, monkeypatch):
-        # the argument tuples each private builder was run on
-        calls = {"_compose": [], "_extend": []}
-        for name, seen in calls.items():
-            original = getattr(poly, name)
-
-            def counted(*args, _original=original, _seen=seen):
-                _seen.append(args)
-                return _original(*args)
-
-            monkeypatch.setattr(poly, name, counted)
-        return calls
+    def built(self):
+        """The argument tuples ``compose`` and ``extend`` were built on."""
+        with recorded(poly, "compose", "extend") as calls:
+            yield lambda name: [args for called, args, _ in calls if called == name]
 
     @pytest.mark.parametrize("check, args", [
         (pentagon_check, _quad(17)),
@@ -425,27 +436,24 @@ class TestOneBuildPerCheck:
     ], ids=["pentagon", "triangle", "pseudomonad"])
     def test_each_distinct_pair_is_composed_once(self, built, check, args):
         shared = check(*args)
-        pairs = built["_compose"][:]
+        pairs = built("compose")
         assert pairs and len(pairs) == len(set(pairs))
         # ``__wrapped__`` runs the check outside any table, so every call builds
-        built["_compose"].clear()
         assert check.__wrapped__(*args) == shared
-        assert len(built["_compose"]) > len(pairs) and set(built["_compose"]) == set(pairs)
+        unshared = built("compose")[len(pairs):]
+        assert len(unshared) > len(pairs) and set(unshared) == set(pairs)
 
     def test_shared_results_equal_unshared_ones(self, built):
         rng = random.Random(5)
         for _ in range(6):
             F, G = rand_composable_pair(rng, 2)
             X = rand_family(rng, F.I, 2)
-            built["_extend"].clear()
+            before = len(built("extend"))
             with poly._shared_builds():
-                GF = compose(G, F)
                 iso = extension_composition_iso(G, F, X)
-                assert compose(G, F) is GF
                 assert extension_composition_iso(G, F, X) == iso
             # the extensions of F and G.F at X, and of G at F's
-            assert len(built["_extend"]) == 3
-            assert GF == poly._compose(G, F)
+            assert len(built("extend")) - before == 3
             assert iso == extension_composition_iso(G, F, X)
 
     def test_model_pseudomonad_opens_one_table(self, built):
@@ -456,7 +464,7 @@ class TestOneBuildPerCheck:
         proc = run_cli("model", "pseudomonad", "bool")
         assert proc.returncode == 0
         assert proc.stdout
-        assert len(built["_compose"]) == len(set(built["_compose"])) == 9
+        assert len(built("compose")) == len(set(built("compose"))) == 9
         assert poly._BUILT.get() is None
 
     def test_no_table_outlives_a_check(self):
@@ -475,11 +483,29 @@ class TestOneBuildPerCheck:
         run_suite("coherence", InstanceGenConfig(seed=0, count=1, max_set_size=2))
         assert poly._BUILT.get() is None
 
-    def test_a_lower_nested_cap_still_refuses(self):
-        G, F = _wide_pair()
-        with poly._shared_builds():
-            with enumeration_cap(100_000):
-                GF, _ = compose(G, F)
-            assert len(GF.A) == 64
-            with enumeration_cap(50), pytest.raises(EnumerationCapExceeded, match=r"\(cap 50\)"):
-                compose(G, F)
+    def test_these_are_all_the_builders_built_once(self):
+        modules = [importlib.import_module(f"polyverse.{m.name}") for m in pkgutil.iter_modules(polyverse.__path__)]
+        found = {f"{fn.__module__}.{fn.__name__}" for m in modules for fn in vars(m).values() if is_built_once(fn)}
+        assert found == set(BUILT_ONCE)
+
+    @pytest.mark.parametrize("name", sorted(BUILT_ONCE), ids=lambda name: name.rsplit(".", 1)[1])
+    def test_one_build_per_table_and_cap(self, name):
+        module, attr = name.rsplit(".", 1)
+        owner = importlib.import_module(module)
+        build, (make_args, cap) = getattr(owner, attr), BUILT_ONCE[name]
+        args, equal_args = make_args(), make_args()
+        with recorded(owner, attr) as builds:
+            # outside a table each call builds
+            unshared = build(*args)
+            assert build(*args) is not unshared and len(builds) == 2
+            with poly._shared_builds():
+                shared = build(*args)
+                assert build(*equal_args) is shared and shared == unshared and len(builds) == 3
+                with enumeration_cap(cap or 1):
+                    if cap is None:  # it enumerates nothing, so it builds again and succeeds
+                        assert build(*args) is not shared
+                    else:
+                        with pytest.raises(EnumerationCapExceeded, match=rf"\(cap {cap}\)"):
+                            build(*args)
+                    assert len(builds) == 4
+                assert build(*args) is shared

@@ -74,6 +74,7 @@ from reference import (
     fill_table_on_labels,
     h_comp_on_labels,
     identity_adjustment,
+    recorded,
     v_comp_on_labels,
 )
 
@@ -532,21 +533,12 @@ class TestSliceCells:
         with pytest.raises(KeyError):
             cells[("nowhere", "nowhere")]
 
-    def test_each_fibre_cell_is_validated_once(self, monkeypatch):
-        validated = []
-        check = PolyMorphism.__post_init__
-
-        def counting(cell):
-            validated.append(cell)
-            check(cell)
-
+    def test_each_fibre_cell_is_validated_once(self):
         rng = random.Random(54)
         for _ in range(6):
             phi, _ = rand_parallel_pair(rng, 3, max_vertex=6)
-            monkeypatch.setattr(PolyMorphism, "__post_init__", counting)
-            validated.clear()
-            cells = slice_reduce_cell(phi)
-            monkeypatch.undo()
+            with recorded(PolyMorphism, "__post_init__") as validated:
+                cells = slice_reduce_cell(phi)
             assert len(validated) == len(cells)
 
     def _two_point_cell(self):
@@ -777,22 +769,15 @@ class TestCompositesAgreeWithLabels:
         for f, g, h in itertools.product(polys, repeat=3):
             assert associator(f, g, h) == associator_on_labels(f, g, h)
 
-    def test_criterion_3_quads(self, monkeypatch):
+    def test_criterion_3_quads(self):
         # every horizontal composite and associator that ``coherence`` builds
         # at the config of acceptance criterion 3
-        built = []
-        for build in (h_comp, associator):
-            def recording(*args, build=build):
-                built.append((build, args, build(*args)))
-                return built[-1][2]
-
-            monkeypatch.setattr(poly2, build.__name__, recording)
-        rep = run_suite("coherence", InstanceGenConfig(seed=11, count=20, max_set_size=3))
-        monkeypatch.undo()
-        assert rep.failed == 0 and {b for b, _, _ in built} == {h_comp, associator}
-        oracle = {h_comp: h_comp_on_labels, associator: associator_on_labels}
-        for build, args, cell in built:
-            assert cell == oracle[build](*args)
+        with recorded(poly2, "h_comp", "associator") as built:
+            rep = run_suite("coherence", InstanceGenConfig(seed=11, count=20, max_set_size=3))
+        assert rep.failed == 0 and {name for name, _, _ in built} == {"h_comp", "associator"}
+        oracle = {"h_comp": h_comp_on_labels, "associator": associator_on_labels}
+        for name, args, cell in built:
+            assert cell == oracle[name](*args)
 
 
 class TestTrustedCellsPassTheChecks:
@@ -801,21 +786,15 @@ class TestTrustedCellsPassTheChecks:
     does not raise and gives an equal cell."""
 
     @pytest.fixture
-    def trusted(self, monkeypatch):
+    def trusted(self):
         """The cells built through ``_of`` while the test runs."""
-        cells, build = [], PolyMorphism._of
-
-        def recording(*args):
-            cells.append(build(*args))
-            return cells[-1]
-
-        monkeypatch.setattr(PolyMorphism, "_of", recording)
-        return cells
+        with recorded(PolyMorphism, "_of") as calls:
+            yield calls
 
     @staticmethod
-    def _assert_rebuilt(cells):
-        assert cells
-        for x in cells:
+    def _assert_rebuilt(calls):
+        assert calls
+        for _, _, x in calls:
             assert PolyMorphism(x.src, x.dst, x.dphi, x.phi0, x.phi1, x.phi2) == x
 
     def test_random_morphisms(self, trusted):

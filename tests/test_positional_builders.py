@@ -1,13 +1,14 @@
 """The builders that read positions agree with the label-level oracles.
 
 ``compose``, ``extend_map``, ``extension_composition_iso`` and
-``slice_reduce`` in ``poly``, ``extend_cell``, ``slice_reduce_cell`` and
-``slice_unreduce_cell`` in ``poly2``, ``lift_apply`` and the lifted unit and
-multiplication in ``naturalmodel``, and the internal full subcategories,
-internal functors and their law checks in ``internalcat`` compute positions
-and build their maps unchecked.  Each is compared with its label-level
-version in ``tests/reference.py``: on generator draws, and on every call a
-suite makes at the configs of acceptance criteria 1, 3, 4, 5, 7 and 8; a
+``slice_reduce`` in ``poly``, ``h_comp``, ``associator``, ``extend_cell``,
+``slice_reduce_cell`` and ``slice_unreduce_cell`` in ``poly2``,
+``lift_apply`` and the lifted unit and multiplication in ``naturalmodel``,
+and the internal full subcategories, internal functors and their law checks
+in ``internalcat`` compute positions and build their maps unchecked.  Each
+is compared with its label-level version in ``tests/reference.py``: on
+generator draws, and on every call (every build, for a builder built once)
+a suite makes at the configs of acceptance criteria 1, 3, 4, 5, 7 and 8; a
 composite's trace must also pick the same ``Q`` positions.
 Every map and family morphism they build unchecked passes the checked
 constructor and gives an equal value, and the law checks refuse corrupted
@@ -15,11 +16,12 @@ data with the same message as the label-level checks.
 """
 
 import random
+from contextlib import ExitStack
 from dataclasses import replace
 
 import pytest
 
-from polyverse import internalcat, naturalmodel, poly, poly2, suites
+from polyverse import internalcat, naturalmodel, poly, poly2
 from polyverse.finset import (
     TERMINAL,
     EnumerationCapExceeded,
@@ -45,16 +47,19 @@ from polyverse.poly import _shared_builds, compose, from_map
 from polyverse.poly2 import extend_cell, identity_cell
 from polyverse.suites import run_suite
 from reference import (
+    associator_on_labels,
     check_internal_category_on_labels,
     compose_on_labels,
     check_internal_functor_on_labels,
     extend_cell_on_labels,
     extend_map_on_labels,
     extension_composition_iso_on_labels,
+    h_comp_on_labels,
     internal_full_subcat_on_labels,
     internal_functor_on_labels,
     lift_apply_on_labels,
     mult_on_labels,
+    recorded,
     slice_reduce_cell_on_labels,
     slice_reduce_on_labels,
     slice_unreduce_cell_on_labels,
@@ -67,6 +72,8 @@ ORACLES = {
     "extend_map": extend_map_on_labels,
     "extension_composition_iso": extension_composition_iso_on_labels,
     "slice_reduce": slice_reduce_on_labels,
+    "h_comp": h_comp_on_labels,
+    "associator": associator_on_labels,
     "extend_cell": extend_cell_on_labels,
     "slice_reduce_cell": slice_reduce_cell_on_labels,
     "slice_unreduce_cell": slice_unreduce_cell_on_labels,
@@ -149,6 +156,8 @@ def _calls_of_each_builder():
         for cell in (phi, psi):
             yield "internal_full_subcat", (cell.src.f,)
             yield "internal_functor", (cell,)
+        yield "h_comp", (phi, psi)
+        yield "associator", (phi.src, psi.dst, phi.dst)
     for P, sq in _lift_draws(4, 25):
         for f in (sq.src, sq.dst, sq.top, sq.bot):
             yield "lift_apply", (P, f)
@@ -156,8 +165,9 @@ def _calls_of_each_builder():
 
 
 MODULES = {
-    "compose": poly, "extend_map": poly, "extension_composition_iso": poly, "slice_reduce": poly, "extend_cell": poly2,
-    "slice_reduce_cell": poly2, "slice_unreduce_cell": poly2, "lift_apply": naturalmodel,
+    "compose": poly, "extend_map": poly, "extension_composition_iso": poly, "slice_reduce": poly, "h_comp": poly2,
+    "associator": poly2, "extend_cell": poly2, "slice_reduce_cell": poly2, "slice_unreduce_cell": poly2,
+    "lift_apply": naturalmodel,
     "internal_full_subcat": internalcat, "internal_functor": internalcat,
 }
 
@@ -187,35 +197,25 @@ def test_the_oracle_composite_picks_q_elements_as_they_are():
     assert trace.picks == [(0,), (1,)]
 
 
-def _recorded(monkeypatch, suite: str, names: list) -> list:
+def _recorded(suite: str, names: list) -> list:
     """Run ``suite`` at its acceptance config with each builder in ``names``
-    recording its calls, wherever the library calls it by name."""
-    calls = []
-    for name in names:
-        build = getattr(MODULES[name], name)
-
-        def recording(*args, build=build, name=name):
-            calls.append((name, args, build(*args)))
-            return calls[-1][2]
-
-        for module in (poly, poly2, internalcat, naturalmodel, suites):
-            if getattr(module, name, None) is build:
-                monkeypatch.setattr(module, name, recording)
-    rep = run_suite(suite, CONFIGS[suite])
-    monkeypatch.undo()
+    recorded, as ``[name, args, result]``."""
+    with ExitStack() as stack:
+        calls = [stack.enter_context(recorded(MODULES[name], name)) for name in names]
+        rep = run_suite(suite, CONFIGS[suite])
     assert rep.failed == 0
-    return calls
+    return [call for named in calls for call in named]
 
 
 @pytest.mark.parametrize("suite, names", [
     ("extension-composition", ["compose", "extension_composition_iso", "extend_map"]),
-    ("coherence", ["compose"]),
+    ("coherence", ["compose", "h_comp", "associator"]),
     ("internal-equiv", ["internal_full_subcat", "internal_functor"]),
     ("lift", ["lift_apply"]),
     ("slice-reduction", ["slice_reduce", "slice_reduce_cell", "slice_unreduce_cell"]),
 ], ids=["criterion-1", "criterion-3", "criterion-4", "criterion-7", "criterion-8"])
-def test_every_call_at_the_acceptance_configs_agrees_with_its_oracle(monkeypatch, suite, names):
-    calls = _recorded(monkeypatch, suite, names)
+def test_every_call_at_the_acceptance_configs_agrees_with_its_oracle(suite, names):
+    calls = _recorded(suite, names)
     assert {name for name, _, _ in calls} == set(names)
     for name, args, out in calls:
         assert _agrees(name, out, ORACLES[name](*args)), name
@@ -238,46 +238,23 @@ def test_the_lifted_unit_and_mult_agree_with_the_label_level_oracles_on_generato
 
 
 @pytest.mark.parametrize("suite", ["pseudoalgebra", "lift"], ids=["criterion-5", "criterion-7"])
-def test_every_lifted_unit_and_mult_at_the_acceptance_configs_agrees_with_its_oracle(monkeypatch, suite):
-    calls = []
-    for name in LIFTED_ORACLES:
-        method = getattr(LiftedEndofunctor, name)
-
-        def recording(P, cell, Z, method=method, name=name):
-            calls.append((name, P, cell, Z, method(P, cell, Z)))
-            return calls[-1][-1]
-
-        monkeypatch.setattr(LiftedEndofunctor, name, recording)
-    rep = run_suite(suite, CONFIGS[suite])
-    monkeypatch.undo()
+def test_every_lifted_unit_and_mult_at_the_acceptance_configs_agrees_with_its_oracle(suite):
+    with recorded(LiftedEndofunctor, *LIFTED_ORACLES) as calls:
+        rep = run_suite(suite, CONFIGS[suite])
     assert rep.failed == 0
-    assert {name for name, *_ in calls} == set(LIFTED_ORACLES)
-    for name, P, cell, Z, out in calls:
-        assert out == LIFTED_ORACLES[name](P, cell, Z), name
+    assert {name for name, _, _ in calls} == set(LIFTED_ORACLES)
+    for name, args, out in calls:
+        assert out == LIFTED_ORACLES[name](*args), name
 
 
-def test_every_unchecked_map_passes_the_checked_constructors(monkeypatch):
-    maps, morphisms = [], []
-    map_of, morphism_of = FinMap._of, FamilyMorphism._of
-
-    def map_recording(*args):
-        maps.append(map_of(*args))
-        return maps[-1]
-
-    def morphism_recording(*args):
-        morphisms.append(morphism_of(*args))
-        return morphisms[-1]
-
-    monkeypatch.setattr(FinMap, "_of", map_recording)
-    monkeypatch.setattr(FamilyMorphism, "_of", morphism_recording)
-    with _shared_builds():
+def test_every_unchecked_map_passes_the_checked_constructors():
+    with recorded(FinMap, "_of") as maps, recorded(FamilyMorphism, "_of") as morphisms, _shared_builds():
         for name, args in _calls_of_each_builder():
             getattr(MODULES[name], name)(*args)
-    monkeypatch.undo()
     assert maps and morphisms
-    for m in maps:
+    for _, _, m in maps:
         assert FinMap(m.dom, m.cod, dict(m.pairs)) == m
-    for h in morphisms:
+    for _, _, h in morphisms:
         assert FamilyMorphism(h.src, h.dst, h.maps) == h
 
 

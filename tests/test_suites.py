@@ -15,6 +15,7 @@ from polyverse.suites import (
     UnregisteredLawError,
     run_suite,
 )
+from reference import recorded
 
 
 def test_unknown_suite_raises():
@@ -167,14 +168,11 @@ def test_a_broken_internal_category_is_a_failed_law(monkeypatch):
 
 
 @pytest.mark.parametrize("count, built", [(1, ["bool"]), (2, ["bool", "skewed"]), (3, ["bool", "skewed"])])
-def test_lift_builds_only_the_universes_its_instances_draw(monkeypatch, count, built):
+def test_lift_builds_only_the_universes_its_instances_draw(count, built):
     # instance n draws universe n % 2; each universe is built once per run
-    calls = []
-    for name in ("bool", "skewed"):
-        make = getattr(suites, f"mk_{name}_universe")
-        monkeypatch.setattr(suites, f"mk_{name}_universe", lambda make=make, name=name: calls.append(name) or make())
-    rep = run_suite("lift", InstanceGenConfig(seed=9, count=count, max_set_size=2))
-    assert calls == built and rep.failed == 0
+    with recorded(suites, "mk_bool_universe", "mk_skewed_universe") as calls:
+        rep = run_suite("lift", InstanceGenConfig(seed=9, count=count, max_set_size=2))
+    assert [name for name, _, _ in calls] == [f"mk_{u}_universe" for u in built] and rep.failed == 0
 
 
 # SHA-256 of io.dumps(report.to_jsonable()) at seed 1 and each suite's
@@ -259,14 +257,14 @@ def test_unit_whisker_extensions_match_carrier():
     """Both unit-law composites act on the carrier's extension with fibres
     of the same cardinality as the carrier's own extension."""
     from polyverse.finset import FinFamily, FinSet, TERMINAL
-    from polyverse.naturalmodel import mk_bool_universe, monad_law_cells, poly_of
-    from polyverse.poly import extend
+    from polyverse.naturalmodel import mk_bool_universe, monad_law_cells
+    from polyverse.poly import extend, from_map
 
     u = mk_bool_universe()
     cells = monad_law_cells(u)
     X = FinFamily(TERMINAL, {"*": FinSet(["x", "y"])})
-    base = extend(poly_of(u), X).fibre("*")
+    base = extend(from_map(u.p), X).fibre("*")
     for name in ("eta_p", "p_eta"):
         cell = cells[name]
-        assert cell.src == poly_of(u)
+        assert cell.src == from_map(u.p)
         assert len(extend(cell.src, X).fibre("*")) == len(base)
