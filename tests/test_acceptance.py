@@ -22,7 +22,7 @@ from test_suites import CAPPED_CONFIG, CAPPED_GOLDEN
 GOLDEN = {
     "extension-composition": "bada0a3bb79eb1a779dcb5ea4730e6d2a2754ff69f37dd6565efc6789c3b319c",
     "unique-adjustment": "cd1c9ea0d2e17e19e48d9301428e0c680fae2bd81e0623272c34c5275a9d1abd",
-    "coherence": "0c19020b5d17bb29be2148a33083468b2bbeccc1cc4dd8c48bba918dab8d18b4",
+    "coherence": "312738b1c17798ffa07017ae72061eae0f260ba10196dfaa6e24b9f0adf9b0d2",
     "internal-equiv": "ae7cd0e87cba644dab8e16906f29f50d9b79c90f807358c8424638f5d0306b49",
     "pseudomonad": "a9cde6711012d6e2662380e19f49df898e666b1b330948a33d56c2e238199088",
     "pseudoalgebra": "425ec6b38541d00c08b177b7709537e06ad3c28bdde39e8ca2d736f474093a08",

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import re
 import subprocess
 import sys
 
@@ -74,7 +75,9 @@ def test_unregistered_law_rejected_under_optimize():
 
 def test_every_law_literal_is_registered():
     """Every law id that ``suites.py`` passes to ``check``/``skip`` is a key of
-    ``LAWS``, on every branch, and every key is used."""
+    ``LAWS``, on every branch, and every key is used.  Every cap it enters is
+    the run's, or the run's held to ``_DRAW_CAP``, and it defines no size
+    estimator beside them."""
     tree = ast.parse(inspect.getsource(suites))
     used = {
         node.args[0].value
@@ -88,18 +91,51 @@ def test_every_law_literal_is_registered():
     }
     assert sorted(used - set(LAWS)) == []
     assert sorted(set(LAWS) - used) == []
+    caps = [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "enumeration_cap"
+    ]
+    assert caps and set(caps) <= {
+        "enumeration_cap(cfg.enumeration_cap)",
+        "enumeration_cap(min(cfg.enumeration_cap, _DRAW_CAP))",
+    }
+    assert [name for name in vars(suites) if name.startswith("_estimate")] == []
 
 
-@pytest.mark.parametrize("seed, size, detail", [(5, 3, "vertex too small to corrupt"), (32, 2, "")])
+@pytest.mark.parametrize("seed, size, detail", [(5, 3, ""), (32, 2, ""), (0, 1, "no pair to corrupt in 60 draws")])
 def test_the_coherence_control_reports_only_a_real_failure(seed, size, detail):
-    # at seed 32 the control's adjustment hits neither of the first two
-    # elements of psi's vertex, and at seed 5 phi's vertex is empty: a swap
-    # of those two elements would leave the adjustment valid
+    # the control's first pair at seed 5 has phi's vertex empty, so it draws
+    # again; at seed 32 its adjustment hits neither of the first two elements
+    # of psi's vertex.  At size 1 no pair has two vertex elements in psi, and
+    # the control is a skip, not a pass that checked nothing
     rep = run_suite("coherence", InstanceGenConfig(seed=seed, count=1, max_set_size=size))
+    status = "skip" if detail else "pass"
     assert [r for r in rep.records if r["law"] == "corrupted-adjustment-rejected"] == [
-        {"law": "corrupted-adjustment-rejected", "instance": "control", "status": "pass", "detail": detail},
+        {"law": "corrupted-adjustment-rejected", "instance": "control", "status": status, "detail": detail},
     ]
     assert rep.exit_code() == 0
+
+
+@pytest.mark.parametrize("name", ["bicategory-laws", "extension-composition"])
+def test_a_drawing_suite_refuses_an_oversized_draw_by_its_size(name):
+    # at cap 50 the _guard of the build that would enumerate it refuses
+    # attempt6, and the skip names the size and the cap
+    count, size = CAPPED_CONFIG[name]
+    rep = run_suite(name, InstanceGenConfig(seed=1, count=count, max_set_size=size, enumeration_cap=50))
+    [skip] = [r for r in rep.records if r["status"] == "skip"]
+    assert skip["instance"] == "attempt6"
+    assert re.search(r"would have \d+ elements \(cap 50\)$", skip["detail"])
+
+
+def test_a_draw_over_the_draw_cap_is_one_skip_under_the_default_cap():
+    # attempt15 would build a dependent product fibre of 5 832 elements,
+    # under the run's cap of 100 000 but over _DRAW_CAP
+    rep = run_suite("extension-composition", InstanceGenConfig(seed=32, count=20, max_set_size=3))
+    [skip] = [r for r in rep.records if r["status"] == "skip"]
+    assert skip["detail"].endswith("would have 5832 elements (cap 3000)")
+    assert {r["instance"] for r in rep.records} - {skip["instance"]} == {f"pair{n}" for n in range(20)}
+    assert rep.failed == 0
 
 
 def test_exit_codes():
@@ -187,8 +223,9 @@ def test_lift_builds_only_the_universes_its_instances_draw(count, built):
 # of them after partial records, and three lift instances, so their digests
 # pin the record order and the generator's draw order with the skip points.
 # bicategory-laws and extension-composition run count 8, size 3: at cap 50
-# each suite's size estimator refuses exactly one draw (attempt6), so the
-# digests pin where the estimators skip.
+# the _guard of a dependent product refuses exactly one draw in each suite
+# (attempt6, 243 and 324 elements), so the digests pin where a draw over the
+# cap is skipped and what the draws after it are.
 CAPPED_GOLDEN = {
     ("pseudomonad", 100_000): "b2c13390b442b95235b0abd0b99be2c6ff006284fd3bc39d5dcb2609bbd317a4",
     ("pseudomonad", 5): "023cb27639ac04a8ce41342acb35c9cfb3e8c95cfec17a6fb0147c94e01427e8",
@@ -201,9 +238,9 @@ CAPPED_GOLDEN = {
     ("lift", 100_000): "fd2264a9df9be38edb65b3dfba3a3f1c5b96424ea34de5018ab6582653e8f7c2",
     ("lift", 5): "83a037eca6c8cb643e0252a2c92324d79cc3522df7587372853b26fb3712e1b1",
     ("bicategory-laws", 100_000): "f323fac594c85e71616bcc523ff8f0cda022e6943913d78bd2574e1955772715",
-    ("bicategory-laws", 50): "6ddd42df81999f4129d41c3cfa2437dd7c83da422a4b7174f9f6bd0d339fd2d4",
+    ("bicategory-laws", 50): "a411f48d81d1fe92eee0427af9f7f916c41001b22d6c8569fceb47bc73569df4",
     ("extension-composition", 100_000): "879dfca2d84022a6824279632e24c4a9f69bf49b26084c909af141432c27e9cd",
-    ("extension-composition", 50): "322dbc826385b45d94133136aa27a50301cd839df7234bef343ad00b03edf15c",
+    ("extension-composition", 50): "4488608983a58376c7b48d2886b75f6475b4089948a27dcdab567c9e7bac3168",
 }
 CAPPED_CONFIG = {
     "pseudomonad": (8, 3),
