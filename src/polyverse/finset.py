@@ -17,6 +17,12 @@ table of labels between calls.  Constructed elements record their derivation:
 * ``dep_prod`` elements are sections: tuples of ``(b, x)`` pairs sorted by
   the key of ``b``.
 
+The library's value classes, here and in the other modules, are
+``_Record``s: each names its fields, and they share one checked constructor,
+an unchecked ``_of``, identity-first ``==`` with a kept hash, a ``repr``,
+immutability and ``_replace``.  No method is generated when a module is
+imported, and ``dataclasses`` is not imported at all.
+
 Operations that would enumerate more elements than the cap raise
 ``EnumerationCapExceeded`` instead of thrashing.  The cap is ``DEFAULT_CAP``,
 or ``n`` within ``with enumeration_cap(n):``, however deeply nested.
@@ -28,7 +34,7 @@ import itertools
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Union
 
 Label = Union[str, tuple]
@@ -92,19 +98,91 @@ class _lazy:
 
 
 def _kept_hash(self) -> int:
-    """The hash of a frozen dataclass's fields, computed on first use and kept."""
+    """The hash of a record's compared fields (``_Record``), computed on
+    first use and kept in its ``__dict__``."""
     kept = self.__dict__.get("_hash")
     if kept is None:
-        kept = self.__dict__["_hash"] = hash(tuple([self.__dict__[k] for k in self.__dataclass_fields__]))
+        kept = self.__dict__["_hash"] = hash(self._key(self.__dict__))
     return kept
 
 
-@dataclass(frozen=True)
-class FinSet:
-    """An ordered finite set of distinct labels."""
+class _Record:
+    """Base of the library's immutable values, which generates no code.
 
-    elements: tuple
-    __hash__ = _kept_hash
+    A subclass names its fields where it is declared, as in
+    ``class Square(_Record, fields=("src", "dst", "top", "bot"))``, and may
+    keep some out of ``==``, ``hash`` and ``repr`` with ``hidden=``.  The
+    names are given, not read off annotations, so they hold on every Python.
+    Every record gets:
+
+    * a checked constructor that takes the fields by position or by name,
+      stores them with one ``__dict__.update`` and then calls
+      ``self._check()``, looked up at each call; a class whose constructor
+      takes other inputs (``FinSet``, ``FinMap``, ...) writes its own;
+    * ``_of(*fields)``, which stores the fields and runs no check; ``FinSet``
+      and ``FinMap``, built this way most often, pass theirs by keyword,
+      which is faster;
+    * ``==`` that is true at once for the same object and otherwise compares
+      the compared fields of two values of one class, and ``_kept_hash``;
+    * a ``repr`` of the compared fields, and no setting or deleting of
+      attributes (lazy attributes and the kept hash go to ``__dict__``);
+    * ``_replace(**changes)``, a copy made by the class's constructor with
+      every field by name, so its checks run again.
+    """
+
+    _fields = _compared = ()
+
+    def __init_subclass__(cls, fields=None, hidden=(), **kwargs):
+        super().__init_subclass__(**kwargs)
+        if fields is not None:
+            cls._fields, cls._compared = fields, tuple([k for k in fields if k not in hidden])
+            cls._key = itemgetter(*cls._compared)
+        # a class that writes its own __eq__ would otherwise have no hash
+        cls.__hash__ = _kept_hash
+        # each class holds its constructor, so that a profiler wrapping a
+        # class's own __init__ sees every construction
+        cls.__init__ = cls.__init__
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if len(args) + len(kwargs) != len(names) or kwargs and not kwargs.keys() <= set(names[len(args):]):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
+        # merged from a dict, not pair by pair: on CPython 3.11 attribute
+        # reads of a __dict__ filled pair by pair are about three times slower
+        self.__dict__.update(dict(zip(names, args), **kwargs))
+        self._check()
+
+    def _check(self) -> None:
+        """Raise if the stored fields do not form a value of the class."""
+
+    @classmethod
+    def _of(cls, *fields):
+        """Build from fields that are known to pass the checks, without them;
+        the fields are merged as in ``__init__``."""
+        obj = object.__new__(cls)
+        obj.__dict__.update(dict(zip(cls._fields, fields)))
+        return obj
+
+    def _replace(self, **changes):
+        return type(self)(**{**{k: self.__dict__[k] for k in self._fields}, **changes})
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key(self.__dict__) == self._key(other.__dict__)
+
+    def __repr__(self) -> str:
+        d = self.__dict__
+        return f"{type(self).__qualname__}({', '.join([f'{k}={d[k]!r}' for k in self._compared])})"
+
+    def _frozen(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __setattr__ = __delattr__ = _frozen
+
+
+class FinSet(_Record, fields=("elements",)):
+    """An ordered finite set of distinct labels."""
 
     def __init__(self, elements: Iterable[Label] = ()):
         ordered = tuple(sorted(elements, key=label_key))
@@ -115,7 +193,10 @@ class FinSet:
 
     @classmethod
     def _of(cls, ordered: tuple) -> "FinSet":
-        """Build from distinct checked labels already in ``label_key`` order."""
+        """Build from distinct checked labels already in ``label_key`` order.
+        Not ``_Record._of``, but the field by keyword: sets and maps are built
+        unchecked about 100 000 times in one pass of the sweep benchmark, and
+        there the generic one costs about 6 % of the time on CPython 3.11."""
         X = object.__new__(cls)
         X.__dict__.update(elements=ordered)
         return X
@@ -148,15 +229,9 @@ class FinSet:
 TERMINAL = FinSet(("*",))
 
 
-@dataclass(frozen=True)
-class FinMap:
+class FinMap(_Record, fields=("dom", "cod", "img")):
     """A total function between finite sets, stored positionally: ``img[i]``
     is the codomain position of the value at ``dom.elements[i]``."""
-
-    dom: FinSet
-    cod: FinSet
-    img: tuple
-    __hash__ = _kept_hash
 
     def __init__(self, dom: FinSet, cod: FinSet, assignment):
         if isinstance(assignment, (dict, Mapping)):
@@ -186,7 +261,8 @@ class FinMap:
 
     @classmethod
     def _of(cls, dom: FinSet, cod: FinSet, img: tuple) -> "FinMap":
-        """Build from codomain positions that are known to be valid."""
+        """Build from codomain positions that are known to be valid; by
+        keyword, as ``FinSet._of``."""
         f = object.__new__(cls)
         f.__dict__.update(dom=dom, cod=cod, img=img)
         return f
@@ -256,13 +332,9 @@ class FinMap:
         return FinMap._of(X, TERMINAL, (0,) * len(X))
 
 
-@dataclass(frozen=True)
-class FinFamily:
-    """A finite set of finite sets, indexed by a finite set."""
-
-    index: FinSet
-    fibres: tuple
-    __hash__ = _kept_hash
+class FinFamily(_Record, fields=("index", "fibres")):
+    """A finite set of finite sets, indexed by a finite set: ``fibres`` holds
+    ``(i, FinSet)`` pairs in index order."""
 
     def __init__(self, index: FinSet, fibres):
         items = fibres.items() if isinstance(fibres, (dict, Mapping)) else fibres
@@ -296,13 +368,9 @@ class FinFamily:
         return total, FinMap._of(total, self.index, img)
 
 
-@dataclass(frozen=True)
-class FamilyMorphism:
-    """A fibrewise map between two families over the same index."""
-
-    src: FinFamily
-    dst: FinFamily
-    maps: tuple
+class FamilyMorphism(_Record, fields=("src", "dst", "maps")):
+    """A fibrewise map between two families over the same index: ``maps``
+    holds ``(i, FinMap)`` pairs in index order."""
 
     def __init__(self, src: FinFamily, dst: FinFamily, maps):
         if src.index is not dst.index and src.index != dst.index:
@@ -316,14 +384,6 @@ class FamilyMorphism:
                 raise FinSetError(f"component at {i!r} has the wrong signature")
         maps = tuple([(i, table[i]) for i in src.index.elements])
         self.__dict__.update(src=src, dst=dst, maps=maps)
-
-    @classmethod
-    def _of(cls, src: FinFamily, dst: FinFamily, maps: tuple) -> "FamilyMorphism":
-        """Build from ``(i, component)`` pairs in index order whose components
-        are known to map the fibres of ``src`` to those of ``dst``."""
-        h = object.__new__(cls)
-        h.__dict__.update(src=src, dst=dst, maps=maps)
-        return h
 
     def at(self, i: Label) -> FinMap:
         return self.maps[self.src.index.pos[i]][1]
@@ -430,17 +490,11 @@ def dep_prod(f: FinMap, X: FinFamily) -> FinFamily:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Square:
+class Square(_Record, fields=("src", "dst", "top", "bot")):
     """A commuting square from ``src : B → A`` to ``dst : D → C`` given by
     ``top : B → D`` and ``bot : A → C``."""
 
-    src: FinMap
-    dst: FinMap
-    top: FinMap
-    bot: FinMap
-
-    def __post_init__(self):
+    def _check(self):
         if (self.top.dom, self.top.cod) != (self.src.dom, self.dst.dom):
             raise FinSetError("square top map has the wrong signature")
         if (self.bot.dom, self.bot.cod) != (self.src.cod, self.dst.cod):

@@ -27,12 +27,12 @@ its endpoints from ``internal_full_subcat``; ``adjustment_to_nat`` and
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .finset import (
     FinMap,
     FinSet,
     section_lookup,
+    _Record,
     _guard,
     _lazy,
 )
@@ -62,16 +62,8 @@ def _composable(dom: tuple, cod: tuple, objects: int) -> tuple[list, list, list]
     return pairs, first, rank
 
 
-@dataclass(frozen=True)
-class InternalCategory:
-    obj: FinSet
-    mor: FinSet
-    dom: FinMap
-    cod: FinMap
-    ident: FinMap
-    comp: FinMap
-
-    def __post_init__(self):
+class InternalCategory(_Record, fields=("obj", "mor", "dom", "cod", "ident", "comp")):
+    def _check(self):
         if self.dom.dom != self.mor or self.dom.cod != self.obj:
             raise InternalCatError("domain map has the wrong signature")
         if self.cod.dom != self.mor or self.cod.cod != self.obj:
@@ -167,14 +159,8 @@ def _place(start: int, base: int, digits) -> int:
     return start + n
 
 
-@dataclass(frozen=True)
-class InternalFunctor:
-    src: InternalCategory
-    dst: InternalCategory
-    on_obj: FinMap
-    on_mor: FinMap
-
-    def __post_init__(self):
+class InternalFunctor(_Record, fields=("src", "dst", "on_obj", "on_mor")):
+    def _check(self):
         if self.on_obj.dom != self.src.obj or self.on_obj.cod != self.dst.obj:
             raise InternalCatError("object action has the wrong signature")
         if self.on_mor.dom != self.src.mor or self.on_mor.cod != self.dst.mor:
@@ -239,13 +225,8 @@ def internal_functor(phi: PolyMorphism) -> InternalFunctor:
     return InternalFunctor(Af, Ag, phi.phi0, FinMap._of(Af.mor, Ag.mor, tuple(img)))
 
 
-@dataclass(frozen=True)
-class InternalNatTrans:
-    src: InternalFunctor
-    dst: InternalFunctor
-    components: FinMap
-
-    def __post_init__(self):
+class InternalNatTrans(_Record, fields=("src", "dst", "components")):
+    def _check(self):
         if self.src.src != self.dst.src or self.src.dst != self.dst.dst:
             raise InternalCatError("natural transformations require parallel functors")
         C, D = self.src.src, self.src.dst

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import reduce
 
 from .finset import (
@@ -53,10 +52,10 @@ from .finset import (
     label_key,
     section_lookup,
     section_tuple,
+    _Record,
     _lazy,
 )
 from .poly import (
-    Polynomial,
     PolyError,
     compose,
     decode_arity,
@@ -71,7 +70,6 @@ from .poly import (
     _shared_builds,
 )
 from .poly2 import (
-    Adjustment,
     PolyMorphism,
     adj_vcomp,
     associator,
@@ -93,20 +91,11 @@ class UniverseError(PolyError):
     """Universe data that fails one of the three pullback conditions."""
 
 
-@dataclass(frozen=True)
-class Universe:
-    codes: FinSet
-    el: FinFamily
-    unit_code: object
-    sigma: tuple
-    pi: tuple
-
+class Universe(_Record, fields=("codes", "el", "unit_code", "sigma", "pi")):
     def __init__(self, codes, el, unit_code, sigma, pi):
-        object.__setattr__(self, "codes", codes)
-        object.__setattr__(self, "el", el)
-        object.__setattr__(self, "unit_code", unit_code)
-        object.__setattr__(self, "sigma", _normalise_table(sigma))
-        object.__setattr__(self, "pi", _normalise_table(pi))
+        self.__dict__.update(
+            codes=codes, el=el, unit_code=unit_code, sigma=_normalise_table(sigma), pi=_normalise_table(pi),
+        )
 
     @_lazy
     def _sigma_table(self) -> dict:
@@ -410,18 +399,12 @@ def lift_unit_mult(P: LiftedEndofunctor, eta: PolyMorphism, mu: PolyMorphism, f:
 _LAW_CELLS = (("assoc_lhs", "assoc_rhs"), ("left_cell", "id_cell"), ("right_cell", "id_cell"))
 
 
-@dataclass(frozen=True)
-class PolynomialPseudomonad:
+class PolynomialPseudomonad(_Record, fields=("carrier", "eta", "mu", "universe"), hidden=("universe",)):
     """The pseudomonad of a universe's unit and sum structure.  Its carrier,
     ``eta`` and ``mu`` are built with it; the law cells, the three law
     adjustments and the strictness flags are built on first read, each in
-    one table of shared builds, from those cells, and kept."""
-
-    carrier: Polynomial
-    eta: PolyMorphism
-    mu: PolyMorphism
-    # the universe the pseudomonad was assembled from
-    universe: Universe = field(compare=False, repr=False)
+    one table of shared builds, from those cells, and kept.  ``universe``,
+    the universe it was assembled from, is left out of ``==`` and ``repr``."""
 
     @_lazy
     @_shared_builds()
@@ -563,20 +546,13 @@ def pseudomonad_from(u: Universe) -> PolynomialPseudomonad:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PolynomialPseudoalgebra:
-    monad: PolynomialPseudomonad
-    carrier: Polynomial
-    zeta: PolyMorphism
-    sigma_adj: Adjustment
-    tau_adj: Adjustment
-    strict_sigma: bool
-    strict_tau: bool
-    # zeta as a square z, and the unit and multiplication squares at p and Tz
-    z: Square = field(compare=False, repr=False)
-    h_p: Square = field(compare=False, repr=False)
-    m_p: Square = field(compare=False, repr=False)
-    Tz: Square = field(compare=False, repr=False)
+class PolynomialPseudoalgebra(_Record, fields=(
+    "monad", "carrier", "zeta", "sigma_adj", "tau_adj", "strict_sigma", "strict_tau", "z", "h_p", "m_p", "Tz",
+), hidden=("z", "h_p", "m_p", "Tz")):
+    """The pseudoalgebra of a universe's product structure over its
+    pseudomonad.  ``z`` is zeta as a square, and ``h_p``, ``m_p`` and ``Tz``
+    the unit and multiplication squares at p and Tz; the four squares are
+    left out of ``==`` and ``repr``."""
 
     def is_strict(self) -> bool:
         return self.strict_sigma and self.strict_tau

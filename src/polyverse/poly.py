@@ -29,7 +29,6 @@ import itertools
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from functools import wraps
 
 from .finset import (
@@ -47,8 +46,8 @@ from .finset import (
     section_lookup,
     section_tuple,
     _CAP,
+    _Record,
     _guard,
-    _kept_hash,
     _lazy,
 )
 
@@ -57,20 +56,10 @@ class PolyError(FinSetError):
     """Malformed polynomial data."""
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(_Record, fields=("I", "B", "A", "J", "s", "f", "t")):
     """A bridge diagram I <- B -> A -> J."""
 
-    I: FinSet
-    B: FinSet
-    A: FinSet
-    J: FinSet
-    s: FinMap
-    f: FinMap
-    t: FinMap
-    __hash__ = _kept_hash
-
-    def __post_init__(self):
+    def _check(self):
         if (self.s.dom, self.s.cod) != (self.B, self.I):
             raise PolyError("s must map B to I")
         if (self.f.dom, self.f.cod) != (self.B, self.A):
@@ -219,8 +208,7 @@ def _fibrewise(src: FinFamily, dst: FinFamily, rows) -> FamilyMorphism:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompositionTrace:
+class CompositionTrace(_Record, fields=("Q", "qa", "h", "M", "w", "Qp", "q", "qp_d", "e", "N", "n", "p")):
     """Every intermediate object of the composite construction.
 
     ``Q`` is the chosen pullback of ``t`` against ``u`` (pairs ``(a, d)``),
@@ -235,20 +223,13 @@ class CompositionTrace:
     outer-arity order), a ``Q`` element the pair (``qa``, ``h``), a ``Qp``
     element the pair (``q``, ``qp_d``) and an arity the pair (``n``, ``p``).
     The ``*_at`` tables invert those readings.
-    """
 
-    Q: FinSet
-    qa: FinMap            # Q -> A  (inner operations)
-    h: FinMap             # Q -> D  (outer arities)
-    M: FinSet
-    w: FinMap             # M -> C
-    Qp: FinSet            # pullback of w against g (pairs (m, d))
-    q: FinMap             # Qp -> M
-    qp_d: FinMap          # Qp -> D
-    e: FinMap             # Qp -> Q, counit of base change -| dependent product
-    N: FinSet
-    n: FinMap             # N -> B
-    p: FinMap             # N -> Qp
+    The maps: ``qa : Q -> A`` (inner operations), ``h : Q -> D`` (outer
+    arities), ``w : M -> C``, ``q : Qp -> M``, ``qp_d : Qp -> D``,
+    ``e : Qp -> Q`` (the counit of base change -| dependent product),
+    ``n : N -> B`` and ``p : N -> Qp``; ``Qp`` is the pullback of ``w``
+    against ``g``, of pairs ``(m, d)``.
+    """
 
     @_lazy
     def picks(self) -> list:

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 from contextlib import nullcontext
-from dataclasses import dataclass
 
 from .finset import (
     FamilyMorphism,
@@ -47,8 +46,8 @@ from .finset import (
     enumeration_cap,
     is_pullback_cone,
     pullback,
+    _Record,
     _guard,
-    _kept_hash,
     _lazy,
 )
 from .poly import (
@@ -84,17 +83,11 @@ class AdjustmentError(PolyError):
     """Adjustment data that is not a map over B."""
 
 
-@dataclass(frozen=True)
-class PolyMorphism:
-    src: Polynomial
-    dst: Polynomial
-    dphi: FinSet
-    phi0: FinMap
-    phi1: FinMap
-    phi2: FinMap
-    __hash__ = _kept_hash
+class PolyMorphism(_Record, fields=("src", "dst", "dphi", "phi0", "phi1", "phi2")):
+    """A 2-cell from ``src`` to ``dst``: vertex ``dphi`` with ``phi0 : A -> C``,
+    ``phi1 : dphi -> D`` and ``phi2 : dphi -> B``."""
 
-    def __post_init__(self):
+    def _check(self):
         F, G = self.src, self.dst
         if (F.I, F.J) != (G.I, G.J):
             raise CellShapeError("morphism endpoints must agree")
@@ -112,13 +105,6 @@ class PolyMorphism:
             raise CellCommutationError("lower square does not commute")
         if not is_pullback_cone(self.phi0, G.f, self.r, self.phi1):
             raise CellPullbackError("lower square is not a pullback")
-
-    @classmethod
-    def _of(cls, src, dst, dphi, phi0, phi1, phi2) -> "PolyMorphism":
-        """Build from data that forms a cell by construction, without checks."""
-        cell = object.__new__(cls)
-        cell.__dict__.update(src=src, dst=dst, dphi=dphi, phi0=phi0, phi1=phi1, phi2=phi2)
-        return cell
 
     @_lazy
     def r(self) -> FinMap:
@@ -341,13 +327,11 @@ def extend_cell(phi: PolyMorphism, X: FinFamily) -> FamilyMorphism:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Adjustment:
-    src: PolyMorphism
-    dst: PolyMorphism
-    alpha: FinMap
+class Adjustment(_Record, fields=("src", "dst", "alpha")):
+    """A 3-cell between parallel 2-cells: ``alpha`` maps the vertex of
+    ``src`` to that of ``dst`` over the source arities."""
 
-    def __post_init__(self):
+    def _check(self):
         if (self.src.src, self.src.dst) != (self.dst.src, self.dst.dst):
             raise AdjustmentError("adjustments require parallel morphisms")
         if (self.alpha.dom, self.alpha.cod) != (self.src.dphi, self.dst.dphi):

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 from .finset import (
     DEFAULT_CAP,
@@ -26,6 +25,7 @@ from .finset import (
     FinMap,
     Square,
     enumeration_cap,
+    _Record,
 )
 from .poly import (
     PolyError,
@@ -130,16 +130,11 @@ class UnregisteredLawError(ValueError):
     """A suite recorded a check under a law id that is not a key of ``LAWS``."""
 
 
-@dataclass(frozen=True)
-class InstanceGenConfig:
-    seed: int = 0
-    count: int = 20
-    max_set_size: int = 3
-    enumeration_cap: int = DEFAULT_CAP
-
-    def __post_init__(self):
-        if self.count <= 0 or self.max_set_size <= 0 or self.enumeration_cap <= 0:
+class InstanceGenConfig(_Record, fields=("seed", "count", "max_set_size", "enumeration_cap")):
+    def __init__(self, seed: int = 0, count: int = 20, max_set_size: int = 3, enumeration_cap: int = DEFAULT_CAP):
+        if count <= 0 or max_set_size <= 0 or enumeration_cap <= 0:
             raise ValueError("configuration bounds must be positive")
+        self.__dict__.update(seed=seed, count=count, max_set_size=max_set_size, enumeration_cap=enumeration_cap)
 
     def to_jsonable(self) -> dict:
         return {
@@ -150,11 +145,11 @@ class InstanceGenConfig:
         }
 
 
-@dataclass
 class Report:
-    suite: str
-    config: InstanceGenConfig
-    records: list = field(default_factory=list)
+    """The records of one suite run, in the order they were made."""
+
+    def __init__(self, suite: str, config: InstanceGenConfig):
+        self.suite, self.config, self.records = suite, config, []
 
     def check(self, law: str, instance: str, ok: bool, detail: str = ""):
         self._record(law, instance, "pass" if ok else "fail", detail)

@@ -26,9 +26,26 @@ from polyverse.finset import (
     _guard,
 )
 from polyverse.generators import rand_composable_pair, rand_family, rand_morphism, rand_parallel_cartesian_pair
-from polyverse.internalcat import adjustment_to_nat, internal_full_subcat
-from polyverse.naturalmodel import LiftedEndofunctor, Universe, lift_apply
+from polyverse.internalcat import (
+    InternalCatError,
+    InternalCategory,
+    InternalFunctor,
+    InternalNatTrans,
+    adjustment_to_nat,
+    internal_full_subcat,
+)
+from polyverse.naturalmodel import (
+    LiftedEndofunctor,
+    PolynomialPseudoalgebra,
+    PolynomialPseudomonad,
+    Universe,
+    lift_apply,
+    mk_bool_universe,
+    pseudomonad_from,
+)
 from polyverse.poly import (
+    CompositionTrace,
+    PolyError,
     Polynomial,
     compose,
     compose_direct,
@@ -37,7 +54,16 @@ from polyverse.poly import (
     product_set,
     slice_reduce,
 )
-from polyverse.poly2 import extend_cell, unique_adjustment
+from polyverse.poly2 import (
+    Adjustment,
+    AdjustmentError,
+    CellCommutationError,
+    PolyMorphism,
+    extend_cell,
+    identity_cell,
+    unique_adjustment,
+)
+from polyverse.suites import InstanceGenConfig
 from reference import (
     compose_on_labels,
     constant_family,
@@ -773,11 +799,11 @@ class TestKeptHashes:
 
 
 def fieldwise(x, y) -> bool:
-    """Equality as the generated dataclass method has it, applied down to
-    the labels: same class and every field equal."""
-    if not hasattr(x, "__dataclass_fields__"):
+    """Equality of records field by field, applied down to the labels: same
+    class and every compared field equal."""
+    if not isinstance(x, finset._Record):
         return x == y
-    return type(x) is type(y) and all(fieldwise(getattr(x, k), getattr(y, k)) for k in x.__dataclass_fields__)
+    return type(x) is type(y) and all(fieldwise(x.__dict__[k], y.__dict__[k]) for k in x._compared)
 
 
 def _rebuilt(P: Polynomial) -> Polynomial:
@@ -824,6 +850,87 @@ class TestIdentityFirstEquality:
             assert (x == other) is False and (x != other) is True
         X = FinSet(["x"])
         assert X != FinMap.identity(X) and FinMap.identity(X) != from_map(FinMap.identity(X))
+
+
+RECORDS = [
+    FinSet, FinMap, FinFamily, FamilyMorphism, Square, Polynomial, CompositionTrace, PolyMorphism, Adjustment,
+    InternalCategory, InternalFunctor, InternalNatTrans, Universe, PolynomialPseudomonad, PolynomialPseudoalgebra,
+    InstanceGenConfig,
+]
+HIDDEN = {PolynomialPseudomonad: ("universe",), PolynomialPseudoalgebra: ("z", "h_p", "m_p", "Tz")}
+
+
+@pytest.fixture(scope="module")
+def records() -> dict:
+    """For each record class, a function that builds one value anew at each
+    call, and ``_replace`` changes that the class refuses, with the error."""
+    X, A = FinSet(["b0", "b1"]), FinSet(["a0", "a1"])
+    f = FinMap(X, A, {"b0": "a0", "b1": "a1"})
+    swap = FinMap(X, X, {"b0": "b1", "b1": "b0"})
+    family = FinFamily(A, {"a0": X, "a1": ()})
+    P = from_map(f)
+    cell = PolyMorphism(P, P, X, FinMap.identity(A), FinMap.identity(X), FinMap.identity(X))
+    cat = internal_full_subcat(f)
+    monad = pseudomonad_from(mk_bool_universe())
+    unknown = ({"colour": "red"}, TypeError)
+    return {
+        FinSet: (lambda: FinSet(["b1", "b0"]), {"elements": ("a", "a")}, FinSetError),
+        # its constructor takes an assignment of labels, not ``img``
+        FinMap: (lambda: FinMap(X, A, dict(f.pairs)), {}, TypeError),
+        FinFamily: (lambda: FinFamily(A, dict(family.fibres)), {"fibres": ()}, FinSetError),
+        FamilyMorphism: (lambda: FamilyMorphism.identity(family), {"maps": ()}, FinSetError),
+        Square: (lambda: Square.identity(f), {"top": swap}, FinSetError),
+        Polynomial: (lambda: from_map(f), {"t": FinMap.identity(A)}, PolyError),
+        CompositionTrace: (lambda: compose(P, P)[1], *unknown),
+        PolyMorphism: (lambda: identity_cell(P), {"phi0": FinMap.constant(A, A, "a0")}, CellCommutationError),
+        Adjustment: (lambda: unique_adjustment(cell, cell), {"alpha": swap}, AdjustmentError),
+        InternalCategory: (lambda: internal_full_subcat(f), {"comp": FinMap.identity(cat.mor)}, InternalCatError),
+        InternalFunctor: (lambda: InternalFunctor.identity(cat), {"on_obj": FinMap.identity(cat.mor)}, InternalCatError),
+        InternalNatTrans: (
+            lambda: adjustment_to_nat(unique_adjustment(cell, cell)),
+            {"src": InternalFunctor.identity(internal_full_subcat(FinMap.identity(A)))}, InternalCatError,
+        ),
+        Universe: (mk_bool_universe, {"sigma": {(3, ()): "u"}}, FinSetError),
+        PolynomialPseudomonad: (lambda: pseudomonad_from(mk_bool_universe()), *unknown),
+        PolynomialPseudoalgebra: (lambda: monad.pseudoalgebra(), *unknown),
+        InstanceGenConfig: (lambda: InstanceGenConfig(seed=1), {"count": 0}, ValueError),
+    }
+
+
+def _record_classes(cls=finset._Record) -> set:
+    return {c for sub in cls.__subclasses__() if sub.__module__.startswith("polyverse.") for c in {sub} | _record_classes(sub)}
+
+
+def test_every_record_class_is_listed_and_compared_field_by_field(records):
+    # ``fieldwise`` reads ``_compared``: a record class without compared
+    # fields would make it compare ``==`` with itself
+    assert _record_classes() == set(RECORDS) == set(records)
+    for cls in RECORDS:
+        assert cls._compared and set(cls._compared) == set(cls._fields) - set(HIDDEN.get(cls, ()))
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_records_are_frozen_values_that_replace_through_their_checks(cls, records):
+    make, refused, error = records[cls]
+    x, y = make(), make()
+    assert type(x) is cls and x == y and x is not y and hash(x) == hash(y)
+    name = cls._fields[0]
+    for change in (lambda: setattr(x, name, None), lambda: delattr(x, name), lambda: setattr(x, "extra", 1)):
+        with pytest.raises(AttributeError, match="immutable"):
+            change()
+    assert x == y and "extra" not in vars(x)
+    text = repr(x)
+    assert text.startswith(f"{cls.__name__}({cls._compared[0]}=")
+    hidden = HIDDEN.get(cls, ())
+    if hidden:
+        moved = x._replace(**{k: None for k in hidden})
+        assert moved == x and hash(moved) == hash(x) and repr(moved) == text
+        assert not any(f"{k}=" in text for k in hidden)
+    if cls is not FinMap:
+        copy = x._replace()
+        assert copy == x and copy is not x
+    with pytest.raises(error):
+        x._replace(**refused)
 
 
 class TestInternedLabels:

@@ -9,13 +9,19 @@ tests reach is flagged here and belongs in ``tests/reference.py``.
 
 The test modules themselves import no name they never load, and no library
 module uses ``functools.cached_property``: on Python 3.11 it takes a lock on
-every first access, where ``finset._lazy`` takes none.  Nor does the library
+every first access, where ``finset._lazy`` takes none.  No library module
+imports ``dataclasses``, whose decoration builds methods with ``exec`` at
+import; the value classes are ``finset._Record``s.  One test is a process
+test: a fresh interpreter imports ``polyverse`` and finds neither
+``dataclasses`` nor ``inspect`` in ``sys.modules``.  Nor does the library
 keep anything between calls: a suite run or a JSON round trip leaves every
 module-level table and context variable as it found it.
 """
 
 import ast
 import importlib
+import subprocess
+import sys
 from contextvars import ContextVar
 from pathlib import Path
 
@@ -133,6 +139,35 @@ def test_each_way_of_naming_cached_property_is_found():
         "    b = cached_property(len)\n"
     )
     assert cached_property_uses(tree) == 3
+
+
+def imported_modules(tree: ast.Module) -> set:
+    """The top-level names of the modules that ``tree`` imports by absolute name."""
+    found = {alias.name.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    return found | {
+        node.module.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and not node.level
+    }
+
+
+def test_no_library_module_imports_dataclasses():
+    tree = ast.parse("import dataclasses as dc\n\ndef f():\n    from dataclasses import field\n    from .finset import FinSet\n")
+    assert imported_modules(tree) == {"dataclasses"}
+    found = [
+        path.name for path in sorted(LIBRARY.glob("*.py"))
+        if "dataclasses" in imported_modules(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    ]
+    assert found == []
+
+
+def test_importing_polyverse_imports_neither_dataclasses_nor_inspect():
+    # -S: no site hooks, which may import either module themselves
+    script = (
+        f"import sys\nsys.path.insert(0, {str(LIBRARY.parent)!r})\nimport polyverse\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def module_state() -> dict:

@@ -195,7 +195,7 @@ def test_a_broken_internal_category_is_a_failed_law(monkeypatch):
     def refuse(cat):
         raise InternalCatError("associativity fails")
 
-    monkeypatch.setattr(InternalCategory, "__post_init__", refuse)
+    monkeypatch.setattr(InternalCategory, "_check", refuse)
     rep = run_suite("internal-equiv", InstanceGenConfig(seed=1, count=2, max_set_size=2))
     assert [(r["law"], r["instance"], r["status"], r["detail"]) for r in rep.records] == [
         ("internal-category-laws", f"inst{n}", "fail", "associativity fails") for n in range(2)
