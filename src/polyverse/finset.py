@@ -32,12 +32,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Iterator, Mapping
 from contextlib import contextmanager
 from contextvars import ContextVar
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Union
 
-Label = Union[str, tuple]
+Label = str | tuple
 
 DEFAULT_CAP = 100_000
 

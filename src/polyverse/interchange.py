@@ -29,6 +29,19 @@ it is read-only, and ``dumps`` reuses the text of such an array; a
 within that call only, and sorts its sets by the ``label_key`` each tuple
 got once, from its parts'.
 
+A ``*_from_json`` call also keys each label array it walks, while it is
+less than ``_KEYED_LEVELS`` arrays deep in its label, by its ``marshal``
+bytes (version 2, which depend only on the value of an array of exact lists
+and strings).  An array met again is then one C serialisation and one dict
+hit, not a walk: in the fourfold composites of ``models`` a few hundred
+distinct arrays are met tens of thousands of times.  A hit at depth ``d``
+for a label ``h`` arrays high is refused exactly when ``d + h`` exceeds
+``_MAX_LABEL_DEPTH``, as the walk would refuse it there.  What ``marshal``
+refuses (a ``str`` or ``list`` subclass, nesting past its limit) is walked,
+and so is an array of strings only, whose tuple is found as fast as its
+bytes would be.  The depth limit bounds the cost on labels that share
+nothing: at most ``_KEYED_LEVELS`` serialisations of each string.
+
 A polynomial or morphism record also parses each of its own set records
 once: a later one ``==`` to an earlier one (a polynomial repeats ``B`` as
 the domain of ``s`` and ``f``) gets the same ``FinSet`` back, compared by
@@ -45,6 +58,7 @@ from __future__ import annotations
 
 import functools
 import json
+import marshal
 from contextvars import ContextVar
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -64,8 +78,16 @@ class ParseError(Exception):
 _MAX_LABEL_DEPTH = 200
 _TOO_DEEP = "not valid JSON: nested too deeply"
 
+# How many arrays deep in its label an array is keyed by its ``marshal`` bytes
+# (see the module docstring): the arrays that repeat in the fourfold
+# composites of ``models`` lie at most six deep.
+_KEYED_LEVELS = 8
+
+_is_str = str.__instancecheck__  # isinstance(x, str), for map
+
 # The label table of the outermost public conversion in progress, shared by
 # those nested in it and dropped when it returns (to and from JSON never nest).
+# A parse keys it by tuple labels and by the ``marshal`` bytes of label arrays.
 _LABELS: ContextVar = ContextVar("interchange_labels", default=None)
 
 # The set records parsed so far in the outermost polynomial or morphism record
@@ -126,16 +148,52 @@ def _entry(parts: tuple, labels: dict) -> tuple:
     return entry
 
 
-def _label_from_json(data, labels: dict, depth: int = 0):
+def _label_from_json(data, labels: dict):
     """A string as it is; an array as the first equal tuple ``labels`` holds,
     refused like too deep JSON when arrays nest over ``_MAX_LABEL_DEPTH``."""
     if isinstance(data, str):
         return data
     if isinstance(data, list):
-        if depth == _MAX_LABEL_DEPTH:
-            raise ParseError(_TOO_DEEP)
-        return _entry(tuple([_label_from_json(x, labels, depth + 1) for x in data]), labels)[0]
+        return _array_from_json(data, labels, 0)[0]
     raise ParseError(f"label must be a string or array, got {data!r}")
+
+
+def _array_from_json(data: list, labels: dict, depth: int) -> tuple:
+    """The label of the array ``data`` met at ``depth`` and its height (a
+    flat array has height 1).  Any but an array of strings only is held in
+    ``labels`` by its ``marshal`` bytes, too, if it is less than
+    ``_KEYED_LEVELS`` deep: one met again there is not walked."""
+    if depth == _MAX_LABEL_DEPTH:
+        raise ParseError(_TOO_DEEP)
+    if all(map(_is_str, data)):  # its tuple is found as fast as its bytes
+        return _entry(tuple(data), labels)[0], 1
+    key = None
+    if depth < _KEYED_LEVELS:
+        try:
+            key = marshal.dumps(data, 2)
+        except ValueError:
+            pass  # a subclass, or nesting past marshal's limit: walked as it is
+        else:
+            known = labels.get(key)
+            if known is not None:
+                if depth + known[1] > _MAX_LABEL_DEPTH:
+                    raise ParseError(_TOO_DEEP)
+                return known
+    parts, height = [], 1
+    for x in data:
+        if isinstance(x, str):
+            parts.append(x)
+        elif isinstance(x, list):
+            label, below = _array_from_json(x, labels, depth + 1)
+            parts.append(label)
+            if below >= height:
+                height = below + 1
+        else:
+            raise ParseError(f"label must be a string or array, got {x!r}")
+    out = _entry(tuple(parts), labels)[0], height
+    if key is not None:
+        labels[key] = out
+    return out
 
 
 def _pair(data) -> list:

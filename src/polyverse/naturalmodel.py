@@ -11,6 +11,12 @@ while the code set stays finite, so validation would fail somewhere.
 The canonical pairing and abstraction bijections are therefore
 reconstructible and are not part of the interchange record.
 
+A universe is validated once per value: ``Universe._problems`` finds its
+violations on first read and keeps them, as ``FinMap._fibres`` keeps its
+fibres.  ``validate_universe`` returns a copy, and every structure cell and
+``verify_type_isos`` read it through ``_checked``.  Validation enumerates
+nothing under the cap, so what is kept does not depend on the cap in force.
+
 The unit and sum tables yield cartesian morphisms eta : i_1 => p and
 mu : p.p => p; the product table yields zeta : P_p(p) => p.  The unique
 invertible adjustments tying these into a pseudomonad and a pseudoalgebra
@@ -106,6 +112,12 @@ class Universe(_Record, fields=("codes", "el", "unit_code", "sigma", "pi")):
         return dict(self.pi)
 
     @_lazy
+    def _problems(self) -> tuple:
+        """Every violation of the unit, sum and product conditions, found on
+        first read and kept: none of them depends on the enumeration cap."""
+        return tuple(_universe_problems(self))
+
+    @_lazy
     def terms(self) -> FinSet:
         return self.el.total()[0]
 
@@ -195,6 +207,11 @@ def _normalise_table(table) -> tuple:
 
 def validate_universe(u: Universe) -> list:
     """All violations of the unit, sum and product conditions, as strings."""
+    return list(u._problems)
+
+
+def _universe_problems(u: Universe) -> list:
+    """The violations ``Universe._problems`` keeps, found in this order."""
     problems = []
     if u.unit_code not in u.codes:
         problems.append("unit code is not a code")
@@ -220,9 +237,8 @@ def validate_universe(u: Universe) -> list:
 
 
 def _checked(u: Universe) -> Universe:
-    problems = validate_universe(u)
-    if problems:
-        raise UniverseError("; ".join(problems))
+    if u._problems:
+        raise UniverseError("; ".join(u._problems))
     return u
 
 

@@ -28,9 +28,10 @@ the tests' second routes and oracles:
   multiplication computed through the recorded identity-extension and
   composite-extension bijections, against which
   ``LiftedEndofunctor.unit`` and ``LiftedEndofunctor.mult`` are checked;
-* the set and map record parsers one label at a time, against which
-  ``interchange``'s, which share equal set records and read a map's keys
-  by position, are checked;
+* the set and map record parsers one label at a time, walking every label
+  array, against which ``interchange``'s, which share equal set records,
+  read a map's keys by position and look label arrays up by their
+  ``marshal`` bytes, are checked;
 * ``every_construction_checked``, under which every set, map, family,
   family morphism and cell the library builds unchecked is checked;
 * ``recorded``, which records the builds of a builder built once and the
@@ -587,9 +588,7 @@ def internal_full_subcat_on_labels(f: FinMap) -> InternalCategory:
         graph = {b: section_lookup(m2[2], section_lookup(m1[2], b)) for b in f.preimage(m1[0])}
         comp_table[(m2, m1)] = (m1[0], m2[1], tuple(graph.items()))
     comp = FinMap(FinSet._of(tuple(pairs)), mor, comp_table)
-    unchecked = object.__new__(InternalCategory)
-    unchecked.__dict__.update(obj=A, mor=mor, dom=dom, cod=cod, ident=ident, comp=comp)
-    check_internal_category_on_labels(unchecked)
+    check_internal_category_on_labels(InternalCategory._of(A, mor, dom, cod, ident, comp))
     return InternalCategory(A, mor, dom, cod, ident, comp)
 
 
@@ -628,9 +627,7 @@ def internal_functor_on_labels(phi: PolyMorphism) -> InternalFunctor:
         image = {top(b): top(y) for b, y in graph}
         on_mor_table[(a, a2, graph)] = (phi.phi0(a), phi.phi0(a2), section_tuple(image))
     on_mor = FinMap(Af.mor, Ag.mor, on_mor_table)
-    unchecked = object.__new__(InternalFunctor)
-    unchecked.__dict__.update(src=Af, dst=Ag, on_obj=phi.phi0, on_mor=on_mor)
-    check_internal_functor_on_labels(unchecked)
+    check_internal_functor_on_labels(InternalFunctor._of(Af, Ag, phi.phi0, on_mor))
     return InternalFunctor(Af, Ag, phi.phi0, on_mor)
 
 
@@ -694,13 +691,25 @@ def mult_component(mu: PolyMorphism, Z: FinSet) -> FinMap:
 # ---------------------------------------------------------------------------
 
 
+def label_from_json_walked(data, labels: dict, depth: int = 0):
+    """``interchange._label_from_json`` walking every array, none looked up
+    by its ``marshal`` bytes."""
+    if isinstance(data, str):
+        return data
+    if isinstance(data, list):
+        if depth == io._MAX_LABEL_DEPTH:
+            raise io.ParseError(io._TOO_DEEP)
+        return io._entry(tuple([label_from_json_walked(x, labels, depth + 1) for x in data]), labels)[0]
+    raise io.ParseError(f"label must be a string or array, got {data!r}")
+
+
 @io._conversion("set")
 def finset_from_json_on_labels(data) -> FinSet:
     """A set record, each of its labels parsed and sorted anew."""
     if not isinstance(data, list):
         raise io.ParseError("finite set must be an array of labels")
     labels = io._LABELS.get()
-    ordered = sorted([io._label_from_json(x, labels) for x in data], key=lambda x: io._key(x, labels))
+    ordered = sorted([label_from_json_walked(x, labels) for x in data], key=lambda x: io._key(x, labels))
     for a, b in zip(ordered, ordered[1:]):
         if a == b:
             raise io.ParseError(f"duplicate element {a!r}")
@@ -712,7 +721,7 @@ def finmap_from_json_on_labels(data) -> FinMap:
     """A map record, its domain and codomain first, then pair by pair."""
     dom, cod = finset_from_json_on_labels(data["dom"]), finset_from_json_on_labels(data["cod"])
     labels = io._LABELS.get()
-    pairs = [(io._label_from_json(x, labels), io._label_from_json(y, labels)) for x, y in io._pairs(data["map"])]
+    pairs = [(label_from_json_walked(x, labels), label_from_json_walked(y, labels)) for x, y in io._pairs(data["map"])]
     return FinMap(dom, cod, pairs)
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import marshal
 import math
 import random
 import re
@@ -15,7 +16,7 @@ from polyverse.poly import Polynomial, compose
 from polyverse.generators import rand_composable_pair, rand_morphism, rand_polynomial, rand_universe
 from polyverse.naturalmodel import mk_bool_universe, mk_skewed_universe, validate_universe
 
-from reference import finmap_from_json_on_labels, finset_from_json_on_labels
+from reference import finmap_from_json_on_labels, finset_from_json_on_labels, recorded
 
 
 labels = st.recursive(
@@ -344,8 +345,7 @@ def _records(data) -> tuple[list, list]:
     return sets, maps
 
 
-def _deep(depth: int) -> list:
-    label = "x"
+def _deep(depth: int, label="x") -> list:
     for _ in range(depth):
         label = [label]
     return label
@@ -500,6 +500,93 @@ def test_a_label_nested_to_the_bound_is_parsed():
     for _ in range(io._MAX_LABEL_DEPTH):
         [label] = label
     assert label == "x"
+
+
+@pytest.mark.parametrize("depth", range(1, io._KEYED_LEVELS))
+def test_a_label_met_again_deeper_is_refused_by_its_height(depth):
+    """A label first met at the top of a set record, then again ``depth``
+    arrays down, is found by its bytes the second time and not walked; it is
+    refused there exactly when its arrays would nest past the bound."""
+    for height in (io._MAX_LABEL_DEPTH - depth, io._MAX_LABEL_DEPTH - depth + 1):
+        data = [_deep(height), _deep(depth, _deep(height))]
+        with recorded(io, "_array_from_json") as arrays:
+            got = _outcome(io.finset_from_json, data)
+        # each array of the first, then the wrappers and one look-up
+        assert len(arrays) == height + depth + 1
+        assert got == _outcome(lambda d: _on_labels(io.finset_from_json, d), data)
+        if depth + height > io._MAX_LABEL_DEPTH:
+            assert got == (io.ParseError, "not valid JSON: nested too deeply")
+        else:
+            assert len(got) == 2
+
+
+@pytest.mark.parametrize("data, message", [
+    ([["a", ["b"]], [["a", ["b"]], 5]], "label must be a string or array, got 5"),
+    ([["a", ["b"]], [["a", ["b"]], 5, None]], "label must be a string or array, got 5"),
+    ([["a", ["b"]], [["a", ["b"]], _deep(2 * io._MAX_LABEL_DEPTH)], 5], "not valid JSON: nested too deeply"),
+    ([["a", ["b"]], ["a", ["b"]]], "duplicate element ('a', ('b',))"),
+    ([[["a", ["b"]]], [["a", ["b"]]], "c"], "duplicate element (('a', ('b',)),)"),
+])
+def test_errors_after_a_label_met_again_keep_their_wording(data, message):
+    for parse in (io.finset_from_json, lambda d: _on_labels(io.finset_from_json, d)):
+        with pytest.raises(io.ParseError, match=f"^{re.escape(message)}$"):
+            parse(data)
+
+
+def test_a_map_error_after_a_label_met_again_keeps_its_wording():
+    x = ["a", ["b", "c"]]
+    data = {"dom": [x, "y"], "cod": [x], "map": [[x, x], ["y", ["a", ["b", "d"]]]]}
+    message = "bad map record: value ('a', ('b', 'd')) of 'y' outside the codomain"
+    for parse in (io.finmap_from_json, lambda d: _on_labels(io.finmap_from_json, d)):
+        with pytest.raises(io.ParseError, match=f"^{re.escape(message)}$"):
+            parse(data)
+
+
+def test_equal_arrays_give_one_tuple_whether_or_not_a_string_is_interned():
+    """The keys are ``marshal`` bytes of version 2, which do not mark an
+    interned string; a format that does (version 3 and up) would key these
+    two arrays apart, and the walk would still give one tuple."""
+    plain = ["".join(["ab", "c"]), ["x", "y"]]
+    interned = [sys.intern("".join(["ab", "c"])), ["x", "y"]]
+    assert plain == interned and marshal.dumps(plain, 4) != marshal.dumps(interned, 4)
+    X = io.finset_from_json([[plain, "1"], [interned, "2"], [["abc", ["x", "y"]], "3"]])
+    firsts = {id(label[0]) for label in X}
+    assert len(firsts) == 1 and type(X.elements[0][0]) is tuple
+
+
+class _Text(str):
+    pass
+
+
+class _Array(list):
+    pass
+
+
+def _classes(label):
+    return type(label) if isinstance(label, str) else [_classes(x) for x in label]
+
+
+def test_subclass_arrays_and_strings_parse_as_the_walk_parses_them():
+    """``marshal`` refuses subclasses: a label holding one is walked, and
+    equal arrays met before or after it give the tuple met first."""
+    inner = _Array([_Text("a"), _Array(["b"])])
+    for data in (
+        [inner, ["c"]],
+        [["a", ["b"]], [inner, "z"]],
+        [[inner, "z"], [["a", ["b"]], "y"], _Array([_Text("q")])],
+        [["a", ["b"]], inner],
+    ):
+        got = _outcome(io.finset_from_json, data)
+        want = _outcome(lambda d: _on_labels(io.finset_from_json, d), data)
+        assert got == want
+        if isinstance(got, FinSet):
+            assert list(map(_classes, got)) == list(map(_classes, want))
+    first_plain = io.finset_from_json([["a", ["b"]], [inner, "z"]])
+    assert first_plain.elements[1][0] is first_plain.elements[0]
+    assert _classes(first_plain.elements[0]) == [str, [str]]
+    first_subclass = io.finset_from_json([[inner, "z"], [["a", ["b"]], "y"]])
+    assert first_subclass.elements[0][0] is first_subclass.elements[1][0]
+    assert _classes(first_subclass.elements[0][0]) == [_Text, [str]]
 
 
 # Every pair of the grammar is a two-element array

@@ -11,9 +11,10 @@ The test modules themselves import no name they never load, and no library
 module uses ``functools.cached_property``: on Python 3.11 it takes a lock on
 every first access, where ``finset._lazy`` takes none.  No library module
 imports ``dataclasses``, whose decoration builds methods with ``exec`` at
-import; the value classes are ``finset._Record``s.  One test is a process
-test: a fresh interpreter imports ``polyverse`` and finds neither
-``dataclasses`` nor ``inspect`` in ``sys.modules``.  Nor does the library
+import; the value classes are ``finset._Record``s.  Two tests are process
+tests: a fresh interpreter imports ``polyverse`` and finds neither
+``dataclasses`` nor ``inspect``, and neither ``typing`` nor ``re`` (which
+``typing`` imports), in ``sys.modules``.  Nor does the library
 keep anything between calls: a suite run or a JSON round trip leaves every
 module-level table and context variable as it found it.
 """
@@ -159,15 +160,25 @@ def test_no_library_module_imports_dataclasses():
     assert found == []
 
 
-def test_importing_polyverse_imports_neither_dataclasses_nor_inspect():
-    # -S: no site hooks, which may import either module themselves
+def modules_loaded_by_import(*names) -> list:
+    """Which of ``names`` a fresh interpreter has loaded after ``import
+    polyverse``.  It runs with ``-S``: no site hooks, which may import any of
+    them themselves."""
     script = (
         f"import sys\nsys.path.insert(0, {str(LIBRARY.parent)!r})\nimport polyverse\n"
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        f"print(*sorted({set(names)!r} & set(sys.modules)))\n"
     )
     proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout.split()
+
+
+def test_importing_polyverse_imports_neither_dataclasses_nor_inspect():
+    assert modules_loaded_by_import("dataclasses", "inspect") == []
+
+
+def test_importing_polyverse_imports_neither_typing_nor_re():
+    assert modules_loaded_by_import("typing", "re") == []
 
 
 def module_state() -> dict:

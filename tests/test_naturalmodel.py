@@ -107,6 +107,29 @@ class TestUniverses:
                     cod = u.term_fibre(code)
                     assert bij == FinMap(dom, cod, dict(zip(dom.elements, cod.elements)))
 
+    def test_a_universe_is_validated_once(self):
+        with recorded(naturalmodel, "_universe_problems") as validated:
+            u = BOOL._replace()
+            pseudomonad_from(u).pseudoalgebra()
+            verify_type_isos(u)
+            assert validate_universe(u) == []
+        assert [args for _, args, _ in validated] == [(u,)]
+
+    def test_a_corrupted_universe_raises_the_same_error_on_every_call(self):
+        broken = {k: ("code0" if v == "code1" else v) for k, v in BOOL.sigma}
+        bad = Universe(BOOL.codes, BOOL.el, BOOL.unit_code, broken, dict(BOOL.pi))
+        # what is kept does not depend on the cap it was found under
+        with enumeration_cap(1):
+            problems = validate_universe(bad)
+        assert problems and validate_universe(bad._replace()) == problems
+        problems.append("a copy")
+        messages = set()
+        for build in (sigma_structure, unit_structure, pi_structure, verify_type_isos, pseudomonad_from, sigma_structure):
+            with pytest.raises(UniverseError) as raised:
+                build(bad)
+            messages.add(str(raised.value))
+        assert messages == {"; ".join(validate_universe(bad))}
+
     def test_random_universes_validate(self):
         rng = random.Random(0)
         for _ in range(10):

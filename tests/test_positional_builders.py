@@ -281,12 +281,6 @@ def _swapped(m: FinMap, i: int, j: int) -> FinMap:
     return FinMap._of(m.dom, m.cod, tuple(img))
 
 
-def _unchecked(cls, **fields):
-    value = object.__new__(cls)
-    value.__dict__.update(fields)
-    return value
-
-
 def _refusal(check) -> str | None:
     try:
         check()
@@ -309,16 +303,16 @@ def test_the_law_checks_refuse_what_the_label_checks_refuse():
     refusals = set()
     for phi, _ in _cartesian_draws(6, 12):
         cat, fun = internalcat.internal_full_subcat(phi.src.f), internalcat.internal_functor(phi)
-        fields = {k: getattr(cat, k) for k in ("obj", "mor", "dom", "cod", "ident", "comp")}
+        fields = {k: getattr(cat, k) for k in InternalCategory._fields}
         for key in ("dom", "cod", "ident", "comp"):
             for i, j in _swaps(rng, fields[key], 6):
                 bad = {**fields, key: _swapped(fields[key], i, j)}
-                expected = _refusal(lambda: check_internal_category_on_labels(_unchecked(InternalCategory, **bad)))
+                expected = _refusal(lambda: check_internal_category_on_labels(InternalCategory._of(*bad.values())))
                 assert _refusal(lambda: InternalCategory(**bad)) == expected
                 refusals.add(expected)
         for i, j in _swaps(rng, fun.on_mor, 6):
             on_mor = _swapped(fun.on_mor, i, j)
-            bad = _unchecked(InternalFunctor, src=fun.src, dst=fun.dst, on_obj=fun.on_obj, on_mor=on_mor)
+            bad = InternalFunctor._of(fun.src, fun.dst, fun.on_obj, on_mor)
             expected = _refusal(lambda: check_internal_functor_on_labels(bad))
             assert _refusal(lambda: fun._replace(on_mor=on_mor)) == expected
             refusals.add(expected)
