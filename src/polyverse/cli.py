@@ -16,8 +16,8 @@ import argparse
 import sys
 import traceback
 
-from .finset import DEFAULT_CAP, EnumerationCapExceeded, FinSetError
-from .poly import PolyError, _shared_builds, compose, extend
+from .finset import DEFAULT_CAP, EnumerationCapExceeded, FinSetError, _shared_builds
+from .poly import PolyError, compose, extend
 from .internalcat import internal_full_subcat
 from .naturalmodel import (
     mk_bool_universe,

@@ -25,7 +25,11 @@ imported, and ``dataclasses`` is not imported at all.
 
 Operations that would enumerate more elements than the cap raise
 ``EnumerationCapExceeded`` instead of thrashing.  The cap is ``DEFAULT_CAP``,
-or ``n`` within ``with enumeration_cap(n):``, however deeply nested.
+or ``n`` within ``with enumeration_cap(n):``, however deeply nested.  A law
+check pastes cells whose ends are the same few composites, so the cap and a
+table of built results are one scope per check, ``_SCOPE``: inside
+``_shared_builds`` each builder decorated ``@_built_once`` builds once per
+distinct arguments and cap, until the outermost check returns.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import math
 from collections.abc import Iterable, Iterator, Mapping
 from contextlib import contextmanager
 from contextvars import ContextVar
+from functools import wraps
 from operator import itemgetter
 
 Label = str | tuple
@@ -64,7 +69,9 @@ def label_key(label: Label):
     return (1, *map(label_key, label))
 
 
-_CAP: ContextVar[int] = ContextVar("enumeration_cap", default=DEFAULT_CAP)
+# The scope of the check in progress: the cap, and the results built in the
+# outermost check by builder, arguments and cap (None outside any check).
+_SCOPE: ContextVar[tuple[int, dict | None]] = ContextVar("finset_scope", default=(DEFAULT_CAP, None))
 
 
 @contextmanager
@@ -73,15 +80,47 @@ def enumeration_cap(n: int):
     comes back when the block ends, also when an exception leaves it."""
     if not isinstance(n, int) or n <= 0:
         raise ValueError(f"enumeration cap must be a positive int, got {n!r}")
-    token = _CAP.set(n)
+    token = _SCOPE.set((n, _SCOPE.get()[1]))
     try:
         yield
     finally:
-        _CAP.reset(token)
+        _SCOPE.reset(token)
+
+
+@contextmanager
+def _shared_builds():
+    """Share one table of built results with the block, or the table of a
+    block already in progress; also a decorator for checks."""
+    cap, table = _SCOPE.get()
+    if table is not None:
+        yield
+        return
+    token = _SCOPE.set((cap, {}))
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
+
+
+def _built_once(build):
+    """Decorate a builder so that inside ``_shared_builds`` it returns the
+    result it gave for equal arguments under the same cap, so a lower cap
+    still refuses; ``__wrapped__`` is the builder, read at each build."""
+    @wraps(build)
+    def once(*args):
+        cap, table = _SCOPE.get()
+        if table is None:
+            return once.__wrapped__(*args)
+        key = (once, args, cap)
+        result = table.get(key)
+        if result is None:
+            result = table[key] = once.__wrapped__(*args)
+        return result
+    return once
 
 
 def _guard(count: int, what: str) -> None:
-    cap = _CAP.get()
+    cap = _SCOPE.get()[0]
     if count > cap:
         raise EnumerationCapExceeded(f"{what} would have {count} elements (cap {cap})")
 

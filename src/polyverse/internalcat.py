@@ -33,10 +33,11 @@ from .finset import (
     FinSet,
     section_lookup,
     _Record,
+    _built_once,
     _guard,
     _lazy,
 )
-from .poly import PolyError, _built_once
+from .poly import PolyError
 from .poly2 import Adjustment, PolyMorphism
 
 

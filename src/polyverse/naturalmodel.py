@@ -59,7 +59,9 @@ from .finset import (
     section_lookup,
     section_tuple,
     _Record,
+    _built_once,
     _lazy,
+    _shared_builds,
 )
 from .poly import (
     PolyError,
@@ -69,11 +71,9 @@ from .poly import (
     extend,
     from_map,
     identity_poly,
-    _built_once,
     _layout,
     _postcomposed,
     _radix,
-    _shared_builds,
 )
 from .poly2 import (
     PolyMorphism,
@@ -425,7 +425,7 @@ class PolynomialPseudomonad(_Record, fields=("carrier", "eta", "mu", "universe")
     @_lazy
     @_shared_builds()
     def cells(self) -> dict:
-        return monad_law_cells(self.universe, self.eta, self.mu)
+        return monad_law_cells(self.eta, self.mu)
 
     @_lazy
     @_shared_builds()
@@ -524,13 +524,10 @@ def _paths_agree(adjust, lhs: tuple, rhs: tuple) -> bool:
     return paste(lhs) == paste(rhs)
 
 
-def monad_law_cells(u: Universe, eta: PolyMorphism | None = None, mu: PolyMorphism | None = None) -> dict:
+def monad_law_cells(eta: PolyMorphism, mu: PolyMorphism) -> dict:
     """The composite cells entering the three monad laws, with the unitor
     isos absorbed so that each law compares parallel cells.  They are built
-    from ``eta`` and ``mu``, by default ``u``'s unit and sum structure
-    cells, on the carrier ``mu.dst``."""
-    eta = unit_structure(u) if eta is None else eta
-    mu = sigma_structure(u) if mu is None else mu
+    from ``eta`` and ``mu`` on the carrier ``mu.dst``."""
     t = mu.dst
     a3 = associator(t, t, t)
     p_mu = whisker_left(t, mu)

@@ -17,19 +17,15 @@ counit by ``section_lookup``) and unpacked element by element.
 element-level description and must agree exactly; the two code paths share
 nothing but the encoding conventions.
 
-A law check pastes cells whose ends are the same few composites, so inside
-a check (``_shared_builds``) each builder decorated ``@_built_once`` builds
-once per distinct arguments and enumeration cap; the table goes when the
-outermost check returns.  ``compose_direct`` never reads it.
+The builders decorated ``@_built_once`` build once per check: the cap and
+the table of built results are one scope, held in ``finset``.
+``compose_direct`` never reads the table.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
-from functools import wraps
 
 from .finset import (
     FamilyMorphism,
@@ -45,8 +41,8 @@ from .finset import (
     pullback,
     section_lookup,
     section_tuple,
-    _CAP,
     _Record,
+    _built_once,
     _guard,
     _lazy,
 )
@@ -75,42 +71,6 @@ class Polynomial(_Record, fields=("I", "B", "A", "J", "s", "f", "t")):
 
     def is_one_to_one(self) -> bool:
         return self.I == TERMINAL and self.J == TERMINAL
-
-
-# The results built in the outermost check in progress, keyed by builder,
-# arguments and cap, and dropped when that check returns.
-_BUILT: ContextVar = ContextVar("poly_built", default=None)
-
-
-@contextmanager
-def _shared_builds():
-    """Share one table of built results with the block, or the table of a
-    block already in progress; also a decorator for checks."""
-    if _BUILT.get() is not None:
-        yield
-        return
-    token = _BUILT.set({})
-    try:
-        yield
-    finally:
-        _BUILT.reset(token)
-
-
-def _built_once(build):
-    """Decorate a builder so that inside ``_shared_builds`` it returns the
-    result it gave for equal arguments under the same cap, so a lower cap
-    still refuses; ``__wrapped__`` is the builder, read at each build."""
-    @wraps(build)
-    def once(*args):
-        table = _BUILT.get()
-        if table is None:
-            return once.__wrapped__(*args)
-        key = (once, args, _CAP.get())
-        result = table.get(key)
-        if result is None:
-            result = table[key] = once.__wrapped__(*args)
-        return result
-    return once
 
 
 @_built_once

@@ -49,6 +49,7 @@ from .finset import (
     _Record,
     _guard,
     _lazy,
+    _shared_builds,
 )
 from .poly import (
     Polynomial,
@@ -63,7 +64,6 @@ from .poly import (
     _fibrewise,
     _layout,
     _radix,
-    _shared_builds,
 )
 
 

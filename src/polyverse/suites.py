@@ -26,6 +26,7 @@ from .finset import (
     Square,
     enumeration_cap,
     _Record,
+    _shared_builds,
 )
 from .poly import (
     PolyError,
@@ -36,7 +37,6 @@ from .poly import (
     extension_composition_iso,
     slice_reduce,
     slice_unreduce,
-    _shared_builds,
 )
 from .poly2 import (
     Adjustment,

@@ -59,6 +59,7 @@ from polyverse.finset import (
     pullback,
     section_lookup,
     section_tuple,
+    _built_once,
     _guard,
     label_key,
 )
@@ -77,7 +78,6 @@ from polyverse.poly import (
     identity_poly,
     product_set,
     slice_unreduce,
-    _built_once,
 )
 from polyverse.poly2 import (
     Adjustment,

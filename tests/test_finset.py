@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyverse import finset, poly
+from polyverse import finset
 from polyverse.finset import (
     DEFAULT_CAP,
     EnumerationCapExceeded,
@@ -306,6 +306,22 @@ class TestEnumerationCap:
             with enumeration_cap(3):
                 _guard(4, "probe")
         _guard(DEFAULT_CAP, "probe")
+
+    def test_the_cap_and_the_build_table_keep_each_others_half(self):
+        build = finset._built_once(lambda n: FinSet([f"x{i}" for i in range(n)]))
+        with enumeration_cap(10):
+            with finset._shared_builds():
+                assert finset._SCOPE.get()[0] == 10
+                shared = build(2)
+                with pytest.raises(RuntimeError):
+                    with enumeration_cap(3):
+                        assert finset._SCOPE.get()[1] is not None and build(2) is not shared
+                        raise RuntimeError("leaving the inner scope")
+                assert build(2) is shared
+            assert finset._SCOPE.get() == (10, None)
+            with pytest.raises(EnumerationCapExceeded, match=r"\(cap 10\)"):
+                _guard(11, "probe")
+        assert finset._SCOPE.get() == (DEFAULT_CAP, None)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_cap_must_be_positive(self, n):
@@ -793,7 +809,7 @@ class TestKeptHashes:
         # two draws from one seed: equal polynomials, not the same objects
         (F1, G1), (F2, G2) = (rand_composable_pair(random.Random(4), 2) for _ in range(2))
         assert (F1, G1) == (F2, G2) and F1 is not F2 and G1 is not G2
-        with poly._shared_builds():
+        with finset._shared_builds():
             first = compose(G1, F1)
             assert compose(G2, F2) is first
 

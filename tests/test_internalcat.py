@@ -4,8 +4,8 @@ import random
 import pytest
 
 from polyverse import internalcat, suites
-from polyverse.finset import FinMap, FinSet, TERMINAL
-from polyverse.poly import PolyError, _shared_builds, from_map
+from polyverse.finset import FinMap, FinSet, TERMINAL, _shared_builds
+from polyverse.poly import PolyError, from_map
 from polyverse.poly2 import (
     PolyMorphism,
     identity_cell,

@@ -16,7 +16,9 @@ tests: a fresh interpreter imports ``polyverse`` and finds neither
 ``dataclasses`` nor ``inspect``, and neither ``typing`` nor ``re`` (which
 ``typing`` imports), in ``sys.modules``.  Nor does the library
 keep anything between calls: a suite run or a JSON round trip leaves every
-module-level table and context variable as it found it.
+module-level table and context variable as it found it.  Its only context
+variables are the scope of a check, ``finset._SCOPE``, and the two tables of
+one ``interchange`` conversion.
 """
 
 import ast
@@ -181,18 +183,33 @@ def test_importing_polyverse_imports_neither_typing_nor_re():
     assert modules_loaded_by_import("typing", "re") == []
 
 
+def module_values():
+    """Each module-level ``(module, name, value)`` of the library."""
+    for path in sorted(LIBRARY.glob("*.py")):
+        name = "polyverse" if path.stem == "__init__" else f"polyverse.{path.stem}"
+        for attr, value in vars(importlib.import_module(name)).items():
+            yield name, attr, value
+
+
 def module_state() -> dict:
     """The size of each module-level dict, list and set of the library, and
     the value of each module-level context variable."""
     state = {}
-    for path in sorted(LIBRARY.glob("*.py")):
-        name = "polyverse" if path.stem == "__init__" else f"polyverse.{path.stem}"
-        for attr, value in vars(importlib.import_module(name)).items():
-            if isinstance(value, (dict, list, set)) and not attr.startswith("__"):
-                state[name, attr] = len(value)
-            elif isinstance(value, ContextVar):
-                state[name, attr] = value.get()
+    for name, attr, value in module_values():
+        if isinstance(value, (dict, list, set)) and not attr.startswith("__"):
+            state[name, attr] = len(value)
+        elif isinstance(value, ContextVar):
+            state[name, attr] = value.get()
     return state
+
+
+def test_a_check_runs_in_one_context_variable():
+    # the cap and the build table are one scope; the two conversion tables
+    # of ``interchange`` live only inside one conversion
+    found = {(name, attr) for name, attr, value in module_values() if isinstance(value, ContextVar)}
+    assert found == {
+        ("polyverse.finset", "_SCOPE"), ("polyverse.interchange", "_LABELS"), ("polyverse.interchange", "_SETS"),
+    }
 
 
 def test_the_library_holds_nothing_between_calls():

@@ -14,8 +14,9 @@ from polyverse.finset import (
     TERMINAL,
     enumeration_cap,
     section_tuple,
+    _shared_builds,
 )
-from polyverse.poly import _shared_builds, decode_operation
+from polyverse.poly import decode_operation
 from polyverse.poly2 import cells_square_equal
 from polyverse.naturalmodel import (
     LiftedEndofunctor,

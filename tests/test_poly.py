@@ -6,7 +6,7 @@ import random
 import pytest
 
 import polyverse
-from polyverse import poly
+from polyverse import finset, poly
 from polyverse.finset import (
     EnumerationCapExceeded, FamilyMorphism, FinFamily, FinMap, FinSet, TERMINAL, enumeration_cap, pullback,
 )
@@ -411,7 +411,7 @@ BUILT_ONCE = {
 }
 
 
-@poly._shared_builds()
+@finset._shared_builds()
 def _pseudomonad_laws(u):
     """The three law adjustments of ``u``'s pseudomonad, read in one table."""
     pm = pseudomonad_from(u)
@@ -449,7 +449,7 @@ class TestOneBuildPerCheck:
             F, G = rand_composable_pair(rng, 2)
             X = rand_family(rng, F.I, 2)
             before = len(built("extend"))
-            with poly._shared_builds():
+            with finset._shared_builds():
                 iso = extension_composition_iso(G, F, X)
                 assert extension_composition_iso(G, F, X) == iso
             # the extensions of F and G.F at X, and of G at F's
@@ -465,23 +465,23 @@ class TestOneBuildPerCheck:
         assert proc.returncode == 0
         assert proc.stdout
         assert len(built("compose")) == len(set(built("compose"))) == 9
-        assert poly._BUILT.get() is None
+        assert finset._SCOPE.get()[1] is None
 
     def test_no_table_outlives_a_check(self):
         f, g, h, k = _quad(17)
         pentagon_check(f, g, h, k)
-        assert poly._BUILT.get() is None
+        assert finset._SCOPE.get()[1] is None
         with enumeration_cap(1), pytest.raises(EnumerationCapExceeded):
             pentagon_check(f, g, h, k)
-        assert poly._BUILT.get() is None
+        assert finset._SCOPE.get()[1] is None
         with pytest.raises(EnumerationCapExceeded):
-            with poly._shared_builds():
+            with finset._shared_builds():
                 with enumeration_cap(5):
                     compose(*_wide_pair())
-        assert poly._BUILT.get() is None
+        assert finset._SCOPE.get()[1] is None
         # a suite opens one table per instance
         run_suite("coherence", InstanceGenConfig(seed=0, count=1, max_set_size=2))
-        assert poly._BUILT.get() is None
+        assert finset._SCOPE.get()[1] is None
 
     def test_these_are_all_the_builders_built_once(self):
         modules = [importlib.import_module(f"polyverse.{m.name}") for m in pkgutil.iter_modules(polyverse.__path__)]
@@ -498,7 +498,7 @@ class TestOneBuildPerCheck:
             # outside a table each call builds
             unshared = build(*args)
             assert build(*args) is not unshared and len(builds) == 2
-            with poly._shared_builds():
+            with finset._shared_builds():
                 shared = build(*args)
                 assert build(*equal_args) is shared and shared == unshared and len(builds) == 3
                 with enumeration_cap(cap or 1):

@@ -4,7 +4,6 @@ import re
 
 import pytest
 
-from polyverse import poly2
 from polyverse.finset import (
     EnumerationCapExceeded,
     FinFamily,
@@ -64,7 +63,6 @@ from polyverse.generators import (
     rand_parallel_pair,
     rand_polynomial,
 )
-from polyverse.suites import InstanceGenConfig, run_suite
 from reference import (
     adj_whisker,
     associator_on_labels,
@@ -768,16 +766,6 @@ class TestCompositesAgreeWithLabels:
         polys = list({x.src: None for x in cells})
         for f, g, h in itertools.product(polys, repeat=3):
             assert associator(f, g, h) == associator_on_labels(f, g, h)
-
-    def test_criterion_3_quads(self):
-        # every horizontal composite and associator that ``coherence`` builds
-        # at the config of acceptance criterion 3
-        with recorded(poly2, "h_comp", "associator") as built:
-            rep = run_suite("coherence", InstanceGenConfig(seed=11, count=20, max_set_size=3))
-        assert rep.failed == 0 and {name for name, _, _ in built} == {"h_comp", "associator"}
-        oracle = {"h_comp": h_comp_on_labels, "associator": associator_on_labels}
-        for name, args, cell in built:
-            assert cell == oracle[name](*args)
 
 
 class TestTrustedCellsPassTheChecks:

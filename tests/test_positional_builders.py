@@ -29,6 +29,7 @@ from polyverse.finset import (
     FinMap,
     FinSet,
     enumeration_cap,
+    _shared_builds,
 )
 from polyverse.generators import (
     rand_cartesian_square,
@@ -42,7 +43,7 @@ from polyverse.generators import (
 )
 from polyverse.internalcat import InternalCatError, InternalCategory, InternalFunctor
 from polyverse.naturalmodel import LiftedEndofunctor, mk_bool_universe, mk_skewed_universe
-from polyverse.poly import _shared_builds, compose, from_map
+from polyverse.poly import compose, from_map
 from polyverse.poly2 import extend_cell, identity_cell
 from polyverse.suites import run_suite
 from reference import (

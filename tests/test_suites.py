@@ -294,11 +294,11 @@ def test_unit_whisker_extensions_match_carrier():
     """Both unit-law composites act on the carrier's extension with fibres
     of the same cardinality as the carrier's own extension."""
     from polyverse.finset import FinFamily, FinSet, TERMINAL
-    from polyverse.naturalmodel import mk_bool_universe, monad_law_cells
+    from polyverse.naturalmodel import mk_bool_universe, monad_law_cells, sigma_structure, unit_structure
     from polyverse.poly import extend, from_map
 
     u = mk_bool_universe()
-    cells = monad_law_cells(u)
+    cells = monad_law_cells(unit_structure(u), sigma_structure(u))
     X = FinFamily(TERMINAL, {"*": FinSet(["x", "y"])})
     base = extend(from_map(u.p), X).fibre("*")
     for name in ("eta_p", "p_eta"):
