@@ -414,7 +414,11 @@ class FamilyMorphism(_Record, fields=("src", "dst", "maps")):
     def __init__(self, src: FinFamily, dst: FinFamily, maps):
         if src.index is not dst.index and src.index != dst.index:
             raise FinSetError("family morphism requires a common index")
-        table = dict(maps)
+        table = {}
+        for i, m in maps.items() if isinstance(maps, (dict, Mapping)) else maps:
+            if i in table:
+                raise FinSetError(f"duplicate component for {i!r}")
+            table[i] = m
         if len(table) != len(src.index) or any(i not in src.index for i in table):
             raise FinSetError("component maps must cover exactly the index")
         for i, m in table.items():

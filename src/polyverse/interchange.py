@@ -22,8 +22,11 @@ has its own writer because ``json`` falls back to a slow pure-Python
 encoder whenever ``indent`` is set; the tests keep ``json.dumps`` as its
 reference.
 
-Each call does its work once per distinct label, its tables keyed by the
-label's value: a ``*_to_json`` result shares one array per tuple label, so
+A call's tables are arguments that begin and end with the call: a public
+converter starts them empty and passes them to the private converter of
+each record nested in its own, so nothing is kept between calls.  A call
+does its work once per distinct label, its tables keyed by the label's
+value: a ``*_to_json`` result shares one array per tuple label, so
 it is read-only, and ``dumps`` reuses the text of such an array; a
 ``*_from_json`` result holds one plain tuple per distinct label, shared
 within that call only, and sorts its sets by the ``label_key`` each tuple
@@ -59,7 +62,6 @@ from __future__ import annotations
 import functools
 import json
 import marshal
-from contextvars import ContextVar
 from json.encoder import encode_basestring_ascii as _quote
 
 from .finset import FinFamily, FinMap, FinSet, FinSetError
@@ -85,37 +87,17 @@ _KEYED_LEVELS = 8
 
 _is_str = str.__instancecheck__  # isinstance(x, str), for map
 
-# The label table of the outermost public conversion in progress, shared by
-# those nested in it and dropped when it returns (to and from JSON never nest).
-# A parse keys it by tuple labels and by the ``marshal`` bytes of label arrays.
-_LABELS: ContextVar = ContextVar("interchange_labels", default=None)
 
-# The set records parsed so far in the outermost polynomial or morphism record
-# in progress, each with its ``FinSet`` and its labels in record order: a few
-# dozen at most.  None outside such a record.
-_SETS: ContextVar = ContextVar("interchange_sets", default=None)
-
-
-def _conversion(kind: str | None = None, shares_sets: bool = False):
-    """Run a conversion in the label table of the outermost one in progress,
-    or a fresh one; a ``kind`` record parser raises ``ParseError`` on bad data.
-    A parser that ``shares_sets`` opens a fresh ``_SETS`` if none is open."""
-    def wrap(convert):
-        @functools.wraps(convert)
-        def run(arg):
-            token = _LABELS.set({}) if _LABELS.get() is None else None
-            sets = _SETS.set([]) if shares_sets and _SETS.get() is None else None
+def _record(kind: str):
+    """Turn the bad data that a ``kind`` record parser meets into ``ParseError``;
+    the parser of a record nested in it has turned its own, naming that record."""
+    def wrap(parse):
+        @functools.wraps(parse)
+        def run(data, *tables):
             try:
-                return convert(arg)
+                return parse(data, *tables)
             except (KeyError, TypeError, ValueError, FinSetError) as exc:
-                if kind is None:
-                    raise
                 raise ParseError(f"bad {kind} record: {exc}") from exc
-            finally:
-                if sets is not None:
-                    _SETS.reset(sets)
-                if token is not None:
-                    _LABELS.reset(token)
         return run
     return wrap
 
@@ -224,13 +206,13 @@ def _fields(data, *names) -> list:
     return [data[name] for name in names]
 
 
-def _set_from_json(data, labels: dict) -> tuple:
+def _set_from_json(data, labels: dict, sets: list | None = None) -> tuple:
     """The ``FinSet`` of a set record and its labels in record order; a record
-    ``==`` to one in the open ``_SETS`` gives back the same ones."""
+    ``==`` to one in ``sets``, those of one polynomial or morphism parsed so
+    far, gives back the same ones."""
     if not isinstance(data, list):
         raise ParseError("finite set must be an array of labels")
-    known = _SETS.get()
-    for record, X, parsed in known or ():
+    for record, X, parsed in sets or ():
         if record == data:
             return X, parsed
     parsed = [_label_from_json(x, labels) for x in data]
@@ -239,34 +221,33 @@ def _set_from_json(data, labels: dict) -> tuple:
         if a == b:
             raise ParseError(f"duplicate element {a!r}")
     X = FinSet._of(tuple(ordered))
-    if known is not None:
-        known.append((data, X, parsed))
+    if sets is not None:
+        sets.append((data, X, parsed))
     return X, parsed
 
 
-@_conversion()
-def finset_to_json(X: FinSet) -> list:
-    arrays = _LABELS.get()
+def _set_to_json(X: FinSet, arrays: dict) -> list:
     return [_label_to_json(x, arrays) for x in X]
 
 
-@_conversion("set")
-def finset_from_json(data) -> FinSet:
-    return _set_from_json(data, _LABELS.get())[0]
+def finset_to_json(X: FinSet) -> list:
+    return _set_to_json(X, {})
 
 
-@_conversion()
-def finmap_to_json(f: FinMap) -> dict:
-    dom, cod = finset_to_json(f.dom), finset_to_json(f.cod)
+def _map_to_json(f: FinMap, arrays: dict) -> dict:
+    dom, cod = _set_to_json(f.dom, arrays), _set_to_json(f.cod, arrays)
     return {"dom": dom, "cod": cod, "map": [[x, cod[j]] for x, j in zip(dom, f.img)]}
 
 
-@_conversion("map")
-def finmap_from_json(data) -> FinMap:
-    labels = _LABELS.get()
+def finmap_to_json(f: FinMap) -> dict:
+    return _map_to_json(f, {})
+
+
+@_record("map")
+def _map_from_json(data, labels: dict, sets: list | None) -> FinMap:
     dom_record, cod_record, map_record = _fields(data, "dom", "cod", "map")
-    dom, keys = _set_from_json(dom_record, labels)
-    cod = _set_from_json(cod_record, labels)[0]
+    dom, keys = _set_from_json(dom_record, labels, sets)
+    cod = _set_from_json(cod_record, labels, sets)[0]
     pairs = _pairs(map_record)
     if [x for x, _ in pairs] == dom_record:
         # the keys list the domain in record order: read them by position
@@ -274,88 +255,101 @@ def finmap_from_json(data) -> FinMap:
     return FinMap(dom, cod, [(_label_from_json(x, labels), _label_from_json(y, labels)) for x, y in pairs])
 
 
-@_conversion()
+def _family_to_json(X: FinFamily, arrays: dict) -> dict:
+    return {
+        "index": _set_to_json(X.index, arrays),
+        "fibres": [[_label_to_json(i, arrays), _set_to_json(F, arrays)] for i, F in X.fibres],
+    }
+
+
 def family_to_json(X: FinFamily) -> dict:
-    arrays = _LABELS.get()
-    return {
-        "index": finset_to_json(X.index),
-        "fibres": [[_label_to_json(i, arrays), finset_to_json(F)] for i, F in X.fibres],
-    }
+    return _family_to_json(X, {})
 
 
-@_conversion("family")
-def family_from_json(data) -> FinFamily:
-    labels = _LABELS.get()
+@_record("family")
+def _family_from_json(data, labels: dict) -> FinFamily:
     index, fibres = _fields(data, "index", "fibres")
-    fibres = [(_label_from_json(i, labels), finset_from_json(F)) for i, F in _pairs(fibres)]
-    return FinFamily(finset_from_json(index), fibres)
+    fibres = [(_label_from_json(i, labels), _set_from_json(F, labels)[0]) for i, F in _pairs(fibres)]
+    return FinFamily(_set_from_json(index, labels)[0], fibres)
 
 
-@_conversion()
-def polynomial_to_json(P: Polynomial) -> dict:
+def family_from_json(data) -> FinFamily:
+    return _family_from_json(data, {})
+
+
+def _polynomial_to_json(P: Polynomial, arrays: dict) -> dict:
     return {
-        "I": finset_to_json(P.I),
-        "B": finset_to_json(P.B),
-        "A": finset_to_json(P.A),
-        "J": finset_to_json(P.J),
-        "s": finmap_to_json(P.s),
-        "f": finmap_to_json(P.f),
-        "t": finmap_to_json(P.t),
+        "I": _set_to_json(P.I, arrays),
+        "B": _set_to_json(P.B, arrays),
+        "A": _set_to_json(P.A, arrays),
+        "J": _set_to_json(P.J, arrays),
+        "s": _map_to_json(P.s, arrays),
+        "f": _map_to_json(P.f, arrays),
+        "t": _map_to_json(P.t, arrays),
     }
 
 
-@_conversion("polynomial", shares_sets=True)
-def polynomial_from_json(data) -> Polynomial:
+def polynomial_to_json(P: Polynomial) -> dict:
+    return _polynomial_to_json(P, {})
+
+
+@_record("polynomial")
+def _polynomial_from_json(data, labels: dict, sets: list) -> Polynomial:
     I, B, A, J, s, f, t = _fields(data, "I", "B", "A", "J", "s", "f", "t")
     return Polynomial(
-        *map(finset_from_json, (I, B, A, J)),
-        *map(finmap_from_json, (s, f, t)),
+        *[_set_from_json(X, labels, sets)[0] for X in (I, B, A, J)],
+        *[_map_from_json(m, labels, sets) for m in (s, f, t)],
     )
 
 
-@_conversion()
+def polynomial_from_json(data) -> Polynomial:
+    return _polynomial_from_json(data, {}, [])
+
+
 def morphism_to_json(phi: PolyMorphism) -> dict:
+    arrays = {}
     return {
-        "src": polynomial_to_json(phi.src),
-        "dst": polynomial_to_json(phi.dst),
-        "dphi": finset_to_json(phi.dphi),
-        "phi0": finmap_to_json(phi.phi0),
-        "phi1": finmap_to_json(phi.phi1),
-        "phi2": finmap_to_json(phi.phi2),
+        "src": _polynomial_to_json(phi.src, arrays),
+        "dst": _polynomial_to_json(phi.dst, arrays),
+        "dphi": _set_to_json(phi.dphi, arrays),
+        "phi0": _map_to_json(phi.phi0, arrays),
+        "phi1": _map_to_json(phi.phi1, arrays),
+        "phi2": _map_to_json(phi.phi2, arrays),
     }
 
 
-@_conversion("morphism", shares_sets=True)
+@_record("morphism")
 def morphism_from_json(data) -> PolyMorphism:
+    labels, sets = {}, []
     src, dst, dphi, phi0, phi1, phi2 = _fields(data, "src", "dst", "dphi", "phi0", "phi1", "phi2")
     return PolyMorphism(
-        polynomial_from_json(src),
-        polynomial_from_json(dst),
-        finset_from_json(dphi),
-        *map(finmap_from_json, (phi0, phi1, phi2)),
+        _polynomial_from_json(src, labels, sets),
+        _polynomial_from_json(dst, labels, sets),
+        _set_from_json(dphi, labels, sets)[0],
+        *[_map_from_json(m, labels, sets) for m in (phi0, phi1, phi2)],
     )
 
 
-@_conversion()
 def universe_to_json(u: Universe) -> dict:
-    label = functools.partial(_label_to_json, arrays=_LABELS.get())
+    arrays = {}
+    label = functools.partial(_label_to_json, arrays=arrays)
 
     def table(entries) -> list:
         # a code family is a label: [[x, code], ...]
         return [[[label(A), label(bt)], label(c)] for (A, bt), c in entries]
 
     return {
-        "U": finset_to_json(u.codes),
-        "El": family_to_json(u.el),
+        "U": _set_to_json(u.codes, arrays),
+        "El": _family_to_json(u.el, arrays),
         "unit": label(u.unit_code),
         "sigma": table(u.sigma),
         "pi": table(u.pi),
     }
 
 
-@_conversion("universe")
+@_record("universe")
 def universe_from_json(data) -> Universe:
-    labels = _LABELS.get()
+    labels = {}
     label = functools.partial(_label_from_json, labels=labels)
 
     def add_new(out: dict, key, value) -> None:
@@ -377,7 +371,7 @@ def universe_from_json(data) -> Universe:
         return out
 
     codes, el, unit, sigma, pi = _fields(data, "U", "El", "unit", "sigma", "pi")
-    return Universe(finset_from_json(codes), family_from_json(el), label(unit), table(sigma), table(pi))
+    return Universe(_set_from_json(codes, labels)[0], _family_from_json(el, labels), label(unit), table(sigma), table(pi))
 
 
 def dumps(data) -> str:

@@ -31,7 +31,8 @@ the tests' second routes and oracles:
 * the set and map record parsers one label at a time, walking every label
   array, against which ``interchange``'s, which share equal set records,
   read a map's keys by position and look label arrays up by their
-  ``marshal`` bytes, are checked;
+  ``marshal`` bytes, are checked, and the parse of a bare set or map record
+  in a label table of its own, which only the tests make;
 * ``every_construction_checked``, under which every set, map, family,
   family morphism and cell the library builds unchecked is checked;
 * ``recorded``, which records the builds of a builder built once and the
@@ -703,26 +704,36 @@ def label_from_json_walked(data, labels: dict, depth: int = 0):
     raise io.ParseError(f"label must be a string or array, got {data!r}")
 
 
-@io._conversion("set")
-def finset_from_json_on_labels(data) -> FinSet:
-    """A set record, each of its labels parsed and sorted anew."""
+def set_from_json_on_labels(data, labels: dict, sets=None) -> tuple:
+    """``interchange._set_from_json`` with each label of the record parsed
+    and sorted anew: no record is shared through ``sets``."""
     if not isinstance(data, list):
         raise io.ParseError("finite set must be an array of labels")
-    labels = io._LABELS.get()
-    ordered = sorted([label_from_json_walked(x, labels) for x in data], key=lambda x: io._key(x, labels))
+    parsed = [label_from_json_walked(x, labels) for x in data]
+    ordered = sorted(parsed, key=lambda x: io._key(x, labels))
     for a, b in zip(ordered, ordered[1:]):
         if a == b:
             raise io.ParseError(f"duplicate element {a!r}")
-    return FinSet._of(tuple(ordered))
+    return FinSet._of(tuple(ordered)), parsed
 
 
-@io._conversion("map")
-def finmap_from_json_on_labels(data) -> FinMap:
-    """A map record, its domain and codomain first, then pair by pair."""
-    dom, cod = finset_from_json_on_labels(data["dom"]), finset_from_json_on_labels(data["cod"])
-    labels = io._LABELS.get()
+@io._record("map")
+def map_from_json_on_labels(data, labels: dict, sets) -> FinMap:
+    """A map record, its domain and codomain first, then pair by pair;
+    ``sets`` is ignored, as no set record is shared."""
+    dom, cod = set_from_json_on_labels(data["dom"], labels)[0], set_from_json_on_labels(data["cod"], labels)[0]
     pairs = [(label_from_json_walked(x, labels), label_from_json_walked(y, labels)) for x, y in io._pairs(data["map"])]
     return FinMap(dom, cod, pairs)
+
+
+def finset_from_json(data) -> FinSet:
+    """A bare set record, parsed by ``interchange`` in a label table of its own."""
+    return io._set_from_json(data, {})[0]
+
+
+def finmap_from_json(data) -> FinMap:
+    """A bare map record, parsed by ``interchange`` in a label table of its own."""
+    return io._map_from_json(data, {}, None)
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,7 @@ from reference import (
     encode_operation,
     enumerate_family_morphisms,
     family_from_total,
+    finset_from_json,
     prod_transpose,
     prod_untranspose,
     recorded,
@@ -127,12 +128,24 @@ class TestFinSet:
             with pytest.raises(FinSetError):
                 FinFamily(index, [("i", ["x", bad])])
 
+    def test_an_index_given_twice_is_refused_by_families_and_their_morphisms(self):
+        # a family morphism kept the last component given for the index
+        Y = FinSet(["y0", "y1"])
+        X = FinFamily(FinSet(["a", "b"]), {"a": Y, "b": Y})
+        one, swap = FinMap.identity(Y), FinMap(Y, Y, {"y0": "y1", "y1": "y0"})
+        for build, message in (
+            (lambda: FinFamily(X.index, [("a", Y), ("b", Y), ("b", ())]), "duplicate fibre for 'b'"),
+            (lambda: FamilyMorphism(X, X, [("a", one), ("b", one), ("b", swap)]), "duplicate component for 'b'"),
+        ):
+            with pytest.raises(FinSetError, match=f"^{re.escape(message)}$"):
+                build()
+
     def test_bad_labels_rejected_by_interchange(self):
         from polyverse import interchange as io
 
         for text in ('["a", 3]', '[["a", ["b", null]]]', '[{"a": "b"}]'):
             with pytest.raises(io.ParseError):
-                io.finset_from_json(io.loads(text))
+                finset_from_json(io.loads(text))
         fam_text = '{"index": ["i"], "fibres": [["i", ["x", ["y", 3]]]]}'
         with pytest.raises(io.ParseError):
             io.family_from_json(io.loads(fam_text))
@@ -1011,7 +1024,7 @@ class TestInternedLabels:
 
         text = io.dumps(io.finset_to_json(FinSet([("new", ("plain", str(i))) for i in range(5)])))
         before = self._held()
-        parsed = io.finset_from_json(io.loads(text))
+        parsed = finset_from_json(io.loads(text))
         for x in parsed:
             label_key(x)
             label_key((x, ("fresh", "pair")))

@@ -16,7 +16,8 @@ from polyverse.poly import Polynomial, compose
 from polyverse.generators import rand_composable_pair, rand_morphism, rand_polynomial, rand_universe
 from polyverse.naturalmodel import mk_bool_universe, mk_skewed_universe, validate_universe
 
-from reference import finmap_from_json_on_labels, finset_from_json_on_labels, recorded
+import reference
+from reference import finmap_from_json, finset_from_json, recorded
 
 
 labels = st.recursive(
@@ -30,7 +31,7 @@ labels = st.recursive(
 @given(st.lists(labels, max_size=5, unique=True))
 def test_finset_roundtrip(elems):
     X = FinSet(elems)
-    assert io.finset_from_json(io.finset_to_json(X)) == X
+    assert finset_from_json(io.finset_to_json(X)) == X
 
 
 @settings(max_examples=50, deadline=None)
@@ -38,7 +39,7 @@ def test_finset_roundtrip(elems):
 def test_finmap_roundtrip(dom_elems, cod_elems, rng):
     dom, cod = FinSet(dom_elems), FinSet(cod_elems)
     f = FinMap(dom, cod, {x: rng.choice(cod.elements) for x in dom})
-    assert io.finmap_from_json(io.finmap_to_json(f)) == f
+    assert finmap_from_json(io.finmap_to_json(f)) == f
 
 
 def test_family_roundtrip():
@@ -70,11 +71,11 @@ def test_universe_roundtrip_without_pairing_data():
 
 def test_parse_errors_are_parse_errors():
     with pytest.raises(io.ParseError):
-        io.finset_from_json({"not": "a list"})
+        finset_from_json({"not": "a list"})
     with pytest.raises(io.ParseError):
-        io.finset_from_json([1])
+        finset_from_json([1])
     with pytest.raises(io.ParseError):
-        io.finmap_from_json({"dom": [], "cod": []})
+        finmap_from_json({"dom": [], "cod": []})
     with pytest.raises(io.ParseError):
         io.polynomial_from_json({"I": []})
     with pytest.raises(io.ParseError):
@@ -83,9 +84,9 @@ def test_parse_errors_are_parse_errors():
 
 def test_duplicate_elements_rejected_on_parse():
     with pytest.raises(io.ParseError):
-        io.finset_from_json(["a", "a"])
+        finset_from_json(["a", "a"])
     with pytest.raises(io.ParseError, match=re.escape("duplicate element ('a', ())")):
-        io.finset_from_json([["a", []], "a", ["a"], ["a", []]])
+        finset_from_json([["a", []], "a", ["a"], ["a", []]])
 
 
 def _as_tuples(data):
@@ -108,14 +109,14 @@ def test_a_parsed_set_is_the_set_of_its_parsed_labels(data):
         want = FinSet(map(_as_tuples, data))
     except finset.FinSetError as exc:
         with pytest.raises(io.ParseError, match=re.escape(str(exc))):
-            io.finset_from_json(data)
+            finset_from_json(data)
     else:
-        assert io.finset_from_json(data) == want
+        assert finset_from_json(data) == want
 
 
 def test_a_parsed_set_sorts_prefixes_and_mixed_labels():
     data = [["a", "b"], [], "b", ["a"], [[]], ["a", ["b"]], "a", [["a"], "b"]]
-    got = io.finset_from_json(data)
+    got = finset_from_json(data)
     assert got == FinSet(map(_as_tuples, data))
     assert got.elements == ("a", "b", (), ("a",), ("a", "b"), ("a", ("b",)), ((),), (("a",), "b"))
 
@@ -298,8 +299,8 @@ def _on_labels(parse, data):
     """``parse(data)`` with every set and map record parsed one label at a
     time, by the reference parsers."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(io, "finset_from_json", finset_from_json_on_labels)
-        mp.setattr(io, "finmap_from_json", finmap_from_json_on_labels)
+        mp.setattr(io, "_set_from_json", reference.set_from_json_on_labels)
+        mp.setattr(io, "_map_from_json", reference.map_from_json_on_labels)
         return parse(data)
 
 
@@ -408,10 +409,14 @@ def test_a_parse_agrees_with_the_label_by_label_parse(kind, rng, fault):
     if fault is not None:
         _break(data, fault, rng)
     got = _outcome(from_json, data)
-    assert got == _outcome(lambda d: _on_labels(from_json, d), data)
+    with recorded(reference, "set_from_json_on_labels", "map_from_json_on_labels") as calls:
+        assert got == _outcome(lambda d: _on_labels(from_json, d), data)
     if fault is None:
         assert got == value
-    assert io._LABELS.get() is None and io._SETS.get() is None
+        # the reference parse ran once on each set and map record
+        names = [name for name, _, _ in calls]
+        assert names.count("set_from_json_on_labels") == len(sets)
+        assert names.count("map_from_json_on_labels") == len(maps)
 
 
 @pytest.mark.parametrize("data, want", [
@@ -426,9 +431,9 @@ def test_a_parse_agrees_with_the_label_by_label_parse(kind, rng, fault):
     ({"dom": ["b", "a"], "cod": ["a", "b"], "map": [["a", "b"], ["b", "a"]]}, {"a": "b", "b": "a"}),
 ])
 def test_a_parsed_map_matches_its_pairs(data, want):
-    got = io.finmap_from_json(data)
+    got = finmap_from_json(data)
     assert got == FinMap(FinSet(data["dom"]), FinSet(data["cod"]), want)
-    assert got == _on_labels(io.finmap_from_json, data)
+    assert got == _on_labels(finmap_from_json, data)
 
 
 @pytest.mark.parametrize("pairs, message", [
@@ -440,7 +445,7 @@ def test_a_parsed_map_matches_its_pairs(data, want):
 ])
 def test_map_errors_keep_their_wording(pairs, message):
     data = {"dom": ["a", "b"], "cod": ["x", "y"], "map": pairs}
-    for parse in (io.finmap_from_json, lambda d: _on_labels(io.finmap_from_json, d)):
+    for parse in (finmap_from_json, lambda d: _on_labels(finmap_from_json, d)):
         with pytest.raises(io.ParseError, match=re.escape(f"bad map record: {message}")):
             parse(data)
 
@@ -490,13 +495,12 @@ def test_a_label_nested_too_deeply_in_a_map_is_a_parse_error():
             {"dom": ["a", deep], "cod": ["x"], "map": []},
         ):
             with pytest.raises(io.ParseError, match="^not valid JSON: nested too deeply$"):
-                io.finmap_from_json(data)
-    assert io._LABELS.get() is None
+                finmap_from_json(data)
 
 
 def test_a_label_nested_to_the_bound_is_parsed():
     deepest = _deep(io._MAX_LABEL_DEPTH)
-    label = io.finmap_from_json({"dom": ["a"], "cod": [deepest], "map": [["a", deepest]]})("a")
+    label = finmap_from_json({"dom": ["a"], "cod": [deepest], "map": [["a", deepest]]})("a")
     for _ in range(io._MAX_LABEL_DEPTH):
         [label] = label
     assert label == "x"
@@ -510,10 +514,10 @@ def test_a_label_met_again_deeper_is_refused_by_its_height(depth):
     for height in (io._MAX_LABEL_DEPTH - depth, io._MAX_LABEL_DEPTH - depth + 1):
         data = [_deep(height), _deep(depth, _deep(height))]
         with recorded(io, "_array_from_json") as arrays:
-            got = _outcome(io.finset_from_json, data)
+            got = _outcome(finset_from_json, data)
         # each array of the first, then the wrappers and one look-up
         assert len(arrays) == height + depth + 1
-        assert got == _outcome(lambda d: _on_labels(io.finset_from_json, d), data)
+        assert got == _outcome(lambda d: _on_labels(finset_from_json, d), data)
         if depth + height > io._MAX_LABEL_DEPTH:
             assert got == (io.ParseError, "not valid JSON: nested too deeply")
         else:
@@ -528,7 +532,7 @@ def test_a_label_met_again_deeper_is_refused_by_its_height(depth):
     ([[["a", ["b"]]], [["a", ["b"]]], "c"], "duplicate element (('a', ('b',)),)"),
 ])
 def test_errors_after_a_label_met_again_keep_their_wording(data, message):
-    for parse in (io.finset_from_json, lambda d: _on_labels(io.finset_from_json, d)):
+    for parse in (finset_from_json, lambda d: _on_labels(finset_from_json, d)):
         with pytest.raises(io.ParseError, match=f"^{re.escape(message)}$"):
             parse(data)
 
@@ -537,7 +541,7 @@ def test_a_map_error_after_a_label_met_again_keeps_its_wording():
     x = ["a", ["b", "c"]]
     data = {"dom": [x, "y"], "cod": [x], "map": [[x, x], ["y", ["a", ["b", "d"]]]]}
     message = "bad map record: value ('a', ('b', 'd')) of 'y' outside the codomain"
-    for parse in (io.finmap_from_json, lambda d: _on_labels(io.finmap_from_json, d)):
+    for parse in (finmap_from_json, lambda d: _on_labels(finmap_from_json, d)):
         with pytest.raises(io.ParseError, match=f"^{re.escape(message)}$"):
             parse(data)
 
@@ -549,7 +553,7 @@ def test_equal_arrays_give_one_tuple_whether_or_not_a_string_is_interned():
     plain = ["".join(["ab", "c"]), ["x", "y"]]
     interned = [sys.intern("".join(["ab", "c"])), ["x", "y"]]
     assert plain == interned and marshal.dumps(plain, 4) != marshal.dumps(interned, 4)
-    X = io.finset_from_json([[plain, "1"], [interned, "2"], [["abc", ["x", "y"]], "3"]])
+    X = finset_from_json([[plain, "1"], [interned, "2"], [["abc", ["x", "y"]], "3"]])
     firsts = {id(label[0]) for label in X}
     assert len(firsts) == 1 and type(X.elements[0][0]) is tuple
 
@@ -576,15 +580,15 @@ def test_subclass_arrays_and_strings_parse_as_the_walk_parses_them():
         [[inner, "z"], [["a", ["b"]], "y"], _Array([_Text("q")])],
         [["a", ["b"]], inner],
     ):
-        got = _outcome(io.finset_from_json, data)
-        want = _outcome(lambda d: _on_labels(io.finset_from_json, d), data)
+        got = _outcome(finset_from_json, data)
+        want = _outcome(lambda d: _on_labels(finset_from_json, d), data)
         assert got == want
         if isinstance(got, FinSet):
             assert list(map(_classes, got)) == list(map(_classes, want))
-    first_plain = io.finset_from_json([["a", ["b"]], [inner, "z"]])
+    first_plain = finset_from_json([["a", ["b"]], [inner, "z"]])
     assert first_plain.elements[1][0] is first_plain.elements[0]
     assert _classes(first_plain.elements[0]) == [str, [str]]
-    first_subclass = io.finset_from_json([[inner, "z"], [["a", ["b"]], "y"]])
+    first_subclass = finset_from_json([[inner, "z"], [["a", ["b"]], "y"]])
     assert first_subclass.elements[0][0] is first_subclass.elements[1][0]
     assert _classes(first_subclass.elements[0][0]) == [_Text, [str]]
 
@@ -595,7 +599,7 @@ def test_subclass_arrays_and_strings_parse_as_the_walk_parses_them():
 def test_a_map_pair_must_be_a_two_element_array(pairs):
     # "ab" listed the domain ["a"] in its first column, as a string
     with pytest.raises(io.ParseError, match="^pairs? must be"):
-        io.finmap_from_json({"dom": ["a"], "cod": ["b"], "map": pairs})
+        finmap_from_json({"dom": ["a"], "cod": ["b"], "map": pairs})
 
 
 @pytest.mark.parametrize("fibres", [["i", []], [["i", [], []]], [["i"]], "i"])
@@ -665,12 +669,12 @@ def test_a_repeated_table_head_is_refused(name):
 @pytest.mark.parametrize("parse, data, message", [
     (io.morphism_from_json, {"I": []}, 'bad morphism record: missing field "src"'),
     (io.polynomial_from_json, {"I": [], "B": []}, 'bad polynomial record: missing field "A"'),
-    (io.finmap_from_json, {"dom": [], "cod": []}, 'bad map record: missing field "map"'),
+    (finmap_from_json, {"dom": [], "cod": []}, 'bad map record: missing field "map"'),
     (io.family_from_json, {"fibres": []}, 'bad family record: missing field "index"'),
     (io.universe_from_json, {"U": [], "El": {}}, 'bad universe record: missing field "unit"'),
     (io.universe_from_json, [1, 2], "bad universe record: expected an object, got an array"),
     (io.polynomial_from_json, "P", "bad polynomial record: expected an object, got a string"),
-    (io.finmap_from_json, 3, "bad map record: expected an object, got a number"),
+    (finmap_from_json, 3, "bad map record: expected an object, got a number"),
     (io.family_from_json, True, "bad family record: expected an object, got a boolean"),
     (io.morphism_from_json, None, "bad morphism record: expected an object, got null"),
 ])
@@ -679,8 +683,45 @@ def test_a_record_names_its_missing_field_or_its_shape(parse, data, message):
         parse(data)
 
 
-def test_a_missing_field_of_a_nested_record_names_the_nested_record():
-    data = io.morphism_to_json(rand_morphism(random.Random(0), 2))
+def _morphism_record() -> dict:
+    return io.loads(io.dumps(io.morphism_to_json(rand_morphism(random.Random(0), 2))))
+
+
+def _polynomial_without_t():
+    data = _morphism_record()
     del data["src"]["t"]
-    with pytest.raises(io.ParseError, match='^bad polynomial record: missing field "t"$'):
-        io.morphism_from_json(data)
+    return io.morphism_from_json, data, 'bad polynomial record: missing field "t"'
+
+
+def _map_without_pairs():
+    data = io.loads(io.dumps(io.polynomial_to_json(rand_polynomial(random.Random(0), 2))))
+    del data["s"]["map"]
+    return io.polynomial_from_json, data, 'bad map record: missing field "map"'
+
+
+def _value_outside_the_codomain():
+    data = _morphism_record()
+    pair = data["phi0"]["map"][0]
+    pair[1] = "nope"
+    return io.morphism_from_json, data, f"bad map record: value 'nope' of {_as_tuples(pair[0])!r} outside the codomain"
+
+
+def _phi2_as_phi1():
+    data = _morphism_record()
+    data["phi1"] = data["phi2"]
+    return io.morphism_from_json, data, "bad morphism record: phi1 must map the vertex into the target arities"
+
+
+def _family_without_fibres():
+    data = _bool_record()
+    del data["El"]["fibres"]
+    return io.universe_from_json, data, 'bad family record: missing field "fibres"'
+
+
+@pytest.mark.parametrize("fault", [
+    _polynomial_without_t, _map_without_pairs, _value_outside_the_codomain, _phi2_as_phi1, _family_without_fibres,
+])
+def test_a_fault_in_a_nested_record_names_the_nested_record(fault):
+    parse, data, message = fault()
+    with pytest.raises(io.ParseError, match=f"^{re.escape(message)}$"):
+        parse(data)

@@ -17,8 +17,8 @@ tests: a fresh interpreter imports ``polyverse`` and finds neither
 ``typing`` imports), in ``sys.modules``.  Nor does the library
 keep anything between calls: a suite run or a JSON round trip leaves every
 module-level table and context variable as it found it.  Its only context
-variables are the scope of a check, ``finset._SCOPE``, and the two tables of
-one ``interchange`` conversion.
+variable is the scope of a check, ``finset._SCOPE``; the tables of one
+``interchange`` conversion are its arguments.
 """
 
 import ast
@@ -204,12 +204,10 @@ def module_state() -> dict:
 
 
 def test_a_check_runs_in_one_context_variable():
-    # the cap and the build table are one scope; the two conversion tables
-    # of ``interchange`` live only inside one conversion
+    # the cap and the build table are one scope; ``interchange`` passes the
+    # tables of one conversion as arguments
     found = {(name, attr) for name, attr, value in module_values() if isinstance(value, ContextVar)}
-    assert found == {
-        ("polyverse.finset", "_SCOPE"), ("polyverse.interchange", "_LABELS"), ("polyverse.interchange", "_SETS"),
-    }
+    assert found == {("polyverse.finset", "_SCOPE")}
 
 
 def test_the_library_holds_nothing_between_calls():
