@@ -80,9 +80,9 @@ def _positive_int(text: str) -> int:
     return n
 
 
-def _add_suite_flags(p, count_default=20):
+def _add_suite_flags(p):
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=_positive_int, default=count_default)
+    p.add_argument("--count", type=_positive_int, default=20)
     p.add_argument("--max-size", type=_positive_int, default=3)
     p.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
     p.add_argument("--format", choices=["text", "json"], default="text")

@@ -157,15 +157,10 @@ def rand_parallel_pair(
     return psi, psi
 
 
-def rand_parallel_cartesian_pair(
-    rng: random.Random, max_size: int, target: Polynomial | None = None
-) -> tuple[PolyMorphism, PolyMorphism]:
+def rand_parallel_cartesian_pair(rng: random.Random, max_size: int) -> tuple[PolyMorphism, PolyMorphism]:
     """Two parallel cartesian morphisms between one-to-one polynomials."""
     for _ in range(64):
-        psi = rand_morphism(
-            rng, max_size, cartesian=True,
-            target=target if target is not None else rand_polynomial(rng, max_size, one_to_one=True),
-        )
+        psi = rand_morphism(rng, max_size, cartesian=True, target=rand_polynomial(rng, max_size, one_to_one=True))
         if not psi.src.is_one_to_one():
             continue
         F, G = psi.src, psi.dst

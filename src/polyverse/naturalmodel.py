@@ -32,13 +32,13 @@ they are first read, then keeps them.  ``.pseudoalgebra()`` adds zeta over
 it, and each object checks its own pasting equations with
 ``.pasting_report()``, normalising each node of a pasting once.
 
-The endofunctor ``P_p`` on sets and on the arrow category is
-``LiftedEndofunctor(p)``, taken by ``apply_to_set``, ``lift_apply``,
-``lift_apply_square`` and ``lift_unit_mult`` in place of ``p``.  Its
-``unit`` and ``mult`` place the components ``Z -> P_p(Z)`` and
-``P_p(P_p(Z)) -> P_p(Z)`` by the layout of ``P_p(Z)``, reading ``mult`` off
-the trace of ``p.p`` and the vertex of ``mu``, without decoding a section or
-extending ``p.p``.  The three structure cells are built ``@_built_once``,
+The endofunctor ``P_p`` is the carrier polynomial ``t = from_map(p)``
+itself: ``apply_to_set``, ``lift_apply`` and ``lift_apply_square`` take
+``t``, and ``lift_unit`` and ``lift_mult`` read it off ``eta.dst`` and
+``mu.dst``.  They place the components ``Z -> P_p(Z)`` and
+``P_p(P_p(Z)) -> P_p(Z)`` by the layout of ``P_p(Z)``, reading ``lift_mult``
+off the trace of ``p.p`` and the vertex of ``mu``, without decoding a section
+or extending ``p.p``.  The three structure cells are built ``@_built_once``,
 and each ``P_p(Z)`` by ``extend``: once per check, whichever object asks for
 them.
 """
@@ -65,6 +65,7 @@ from .finset import (
 )
 from .poly import (
     PolyError,
+    Polynomial,
     compose,
     decode_arity,
     decode_operation,
@@ -118,12 +119,10 @@ class Universe(_Record, fields=("codes", "el", "unit_code", "sigma", "pi")):
         return tuple(_universe_problems(self))
 
     @_lazy
-    def terms(self) -> FinSet:
-        return self.el.total()[0]
-
-    @_lazy
     def p(self) -> FinMap:
         return self.el.total()[1]
+
+    terms = property(lambda self: self.p.dom)
 
     @_lazy
     def star(self):
@@ -218,10 +217,13 @@ def _universe_problems(u: Universe) -> list:
         return problems
     if len(u.el.fibre(u.unit_code)) != 1:
         problems.append("unit square: the fibre of the unit code is not a singleton")
-    sizes = list(u.fibre_sizes())
-    want = {(A, bt) for A, bt, _, _ in sizes}
+    # counted first, so that no more families are listed than a table holds
+    count = sum([len(u.codes) ** len(u.el.fibre(A)) for A in u.codes])
+    sizes = []
     for name, table in (("sum", u._sigma_table), ("product", u._pi_table)):
-        if set(table) != want:
+        if len(table) == count and not sizes:
+            sizes = list(u.fibre_sizes())
+        if len(table) != count or set(table) != {(A, bt) for A, bt, _, _ in sizes}:
             problems.append(f"{name} table is not total over all (code, family) pairs")
             return problems
         for code in table.values():
@@ -308,73 +310,68 @@ def sigma_structure(u: Universe) -> PolyMorphism:
     return cell_from_square(pp, p_poly, top, bot)
 
 
-class LiftedEndofunctor:
-    """The endofunctor ``P_p`` induced by a map ``p``."""
-
-    def __init__(self, p: FinMap):
-        self.poly = from_map(p)
-
-    def unit(self, eta: PolyMorphism, Z: FinSet) -> FinMap:
-        """The unit ``Z -> P_p(Z)`` of the cell ``eta : i_1 => p``: each
-        element as the constant section over the unit code, placed by the
-        layout of ``P_p(Z)``."""
-        starts, weights = _layout(self.poly, [len(Z)])
-        c = eta.phi0.img[0]
-        return FinMap._of(Z, apply_to_set(self, Z), tuple([starts[c] + sum(weights[c]) * z for z in range(len(Z))]))
-
-    def mult(self, mu: PolyMorphism, Z: FinSet) -> FinMap:
-        """The multiplication ``P_p(P_p(Z)) -> P_p(Z)`` of the cell
-        ``mu : p.p => p``.  The elements over a code ``A`` that pick the code
-        ``B_b`` at each arity ``b`` of ``A`` are those of the operation ``m``
-        of ``p.p`` that the trace's ``*_at`` tables find; ``mu`` sends ``m``
-        to a code and each arity of that code to an arity ``b'`` of some
-        ``B_b``, whose element in ``Z`` it takes.  Both sides are read off
-        the layouts as mixed-radix digits, one per arity of ``m``."""
-        PZ = apply_to_set(self, Z)
-        PPZ = apply_to_set(self, PZ)
-        F = self.poly
-        _, tr = compose(F, F)
-        at, ws = _layout(F, [len(Z)])
-        outer_at, outer_ws = _layout(F, [len(PZ)])
-        arities, rank, codes, zs = F.f._fibres, F.f._ranks, range(len(F.A)), range(len(Z))
-        phi0, phi2, fill = mu.phi0.img, mu.phi2.img, mu._fill
-        n, p, qp_d = tr.n.img, tr.p.img, tr.qp_d.img
-        img = [0] * len(PPZ)
-        for A, bs in enumerate(arities):
-            for Bs in itertools.product(codes, repeat=len(bs)):
-                m = tr.m_at[A, tuple([tr.q_at[B, b] for B, b in zip(Bs, bs)])]
-                c = phi0[m]
-                start = outer_at[A] + sum([W * at[B] for W, B in zip(outer_ws[A], Bs)])
-                src_digits, dst_digits = [], []
-                for d, w in zip(arities[c], ws[c]):
-                    x = phi2[fill[m, d]]  # the arity (n[x], b) of m, b at rank j
-                    j = rank[qp_d[p[x]]]
-                    src_digits.append([outer_ws[A][j] * ws[Bs[j]][rank[n[x]]] * z for z in zs])
-                    dst_digits.append([w * z for z in zs])
-                for i, k in zip(_radix(start, src_digits), _radix(at[c], dst_digits)):
-                    img[i] = k
-        return FinMap._of(PPZ, PZ, tuple(img))
+def lift_unit(eta: PolyMorphism, Z: FinSet) -> FinMap:
+    """The unit ``Z -> P_p(Z)`` of the cell ``eta : i_1 => p``: each element
+    as the constant section over the unit code, placed by the layout of
+    ``P_p(Z)``."""
+    starts, weights = _layout(eta.dst, [len(Z)])
+    c = eta.phi0.img[0]
+    return FinMap._of(Z, apply_to_set(eta.dst, Z), tuple([starts[c] + sum(weights[c]) * z for z in range(len(Z))]))
 
 
-def apply_to_set(P: LiftedEndofunctor, Z: FinSet) -> FinSet:
-    """The value on an object: the one fibre of the extension at ``Z``."""
-    return extend(P.poly, FinFamily._of(TERMINAL, (Z,))).fibre("*")
+def lift_mult(mu: PolyMorphism, Z: FinSet) -> FinMap:
+    """The multiplication ``P_p(P_p(Z)) -> P_p(Z)`` of the cell
+    ``mu : p.p => p``.  The elements over a code ``A`` that pick the code
+    ``B_b`` at each arity ``b`` of ``A`` are those of the operation ``m`` of
+    ``p.p`` that the trace's ``*_at`` tables find; ``mu`` sends ``m`` to a
+    code and each arity of that code to an arity ``b'`` of some ``B_b``,
+    whose element in ``Z`` it takes.  Both sides are read off the layouts as
+    mixed-radix digits, one per arity of ``m``."""
+    F = mu.dst
+    PZ = apply_to_set(F, Z)
+    PPZ = apply_to_set(F, PZ)
+    _, tr = compose(F, F)
+    at, ws = _layout(F, [len(Z)])
+    outer_at, outer_ws = _layout(F, [len(PZ)])
+    arities, rank, codes, zs = F.f._fibres, F.f._ranks, range(len(F.A)), range(len(Z))
+    phi0, phi2, fill = mu.phi0.img, mu.phi2.img, mu._fill
+    n, p, qp_d = tr.n.img, tr.p.img, tr.qp_d.img
+    img = [0] * len(PPZ)
+    for A, bs in enumerate(arities):
+        for Bs in itertools.product(codes, repeat=len(bs)):
+            m = tr.m_at[A, tuple([tr.q_at[B, b] for B, b in zip(Bs, bs)])]
+            c = phi0[m]
+            start = outer_at[A] + sum([W * at[B] for W, B in zip(outer_ws[A], Bs)])
+            src_digits, dst_digits = [], []
+            for d, w in zip(arities[c], ws[c]):
+                x = phi2[fill[m, d]]  # the arity (n[x], b) of m, b at rank j
+                j = rank[qp_d[p[x]]]
+                src_digits.append([outer_ws[A][j] * ws[Bs[j]][rank[n[x]]] * z for z in zs])
+                dst_digits.append([w * z for z in zs])
+            for i, k in zip(_radix(start, src_digits), _radix(at[c], dst_digits)):
+                img[i] = k
+    return FinMap._of(PPZ, PZ, tuple(img))
 
 
-def lift_apply(P: LiftedEndofunctor, f: FinMap) -> FinMap:
-    """The endofunctor on maps: postcompose every section with ``f``; the
-    extension on maps over the one-point family, read off positions."""
-    [img] = _postcomposed(P.poly, [f.img], [len(f.cod)])
-    return FinMap._of(apply_to_set(P, f.dom), apply_to_set(P, f.cod), tuple(img))
+def apply_to_set(t: Polynomial, Z: FinSet) -> FinSet:
+    """``P_p`` on an object: the one fibre of the extension of ``t`` at ``Z``."""
+    return extend(t, FinFamily._of(TERMINAL, (Z,))).fibre("*")
 
 
-def lift_apply_square(P: LiftedEndofunctor, sq: Square) -> Square:
-    """The endofunctor on squares, applied edgewise."""
+def lift_apply(t: Polynomial, f: FinMap) -> FinMap:
+    """``P_p`` on maps: postcompose every section with ``f``; the extension
+    on maps over the one-point family, read off positions."""
+    [img] = _postcomposed(t, [f.img], [len(f.cod)])
+    return FinMap._of(apply_to_set(t, f.dom), apply_to_set(t, f.cod), tuple(img))
+
+
+def lift_apply_square(t: Polynomial, sq: Square) -> Square:
+    """``P_p`` on squares, applied edgewise."""
     return Square(
-        lift_apply(P, sq.src),
-        lift_apply(P, sq.dst),
-        lift_apply(P, sq.top),
-        lift_apply(P, sq.bot),
+        lift_apply(t, sq.src),
+        lift_apply(t, sq.dst),
+        lift_apply(t, sq.top),
+        lift_apply(t, sq.bot),
     )
 
 
@@ -383,7 +380,7 @@ def pi_structure(u: Universe) -> PolyMorphism:
     """The cartesian cell P_p(p) => p: product codes on operations, the
     canonical abstraction on arities."""
     _checked(u)
-    p_map = lift_apply(LiftedEndofunctor(u.p), u.p)
+    p_map = lift_apply(from_map(u.p), u.p)
     bot_table, top_table = {}, {}
     for (A, sect) in p_map.cod:
         bot_table[(A, sect)] = u.pi_code(A, section_tuple({k[1]: v for k, v in sect}))
@@ -395,13 +392,13 @@ def pi_structure(u: Universe) -> PolyMorphism:
     return cell_from_square(from_map(p_map), from_map(u.p), top, bot)
 
 
-def lift_unit_mult(P: LiftedEndofunctor, eta: PolyMorphism, mu: PolyMorphism, f: FinMap) -> tuple[Square, Square]:
-    """The unit and multiplication squares of the lifted endofunctor at an
-    object ``f`` of the arrow 2-category."""
-    Pf = lift_apply(P, f)
-    h_f = Square(f, Pf, P.unit(eta, f.dom), P.unit(eta, f.cod))
-    PPf = lift_apply(P, Pf)
-    m_f = Square(PPf, Pf, P.mult(mu, f.dom), P.mult(mu, f.cod))
+def lift_unit_mult(eta: PolyMorphism, mu: PolyMorphism, f: FinMap) -> tuple[Square, Square]:
+    """The unit and multiplication squares of ``P_p`` at an object ``f`` of
+    the arrow 2-category, for the carrier ``mu.dst``."""
+    Pf = lift_apply(mu.dst, f)
+    h_f = Square(f, Pf, lift_unit(eta, f.dom), lift_unit(eta, f.cod))
+    PPf = lift_apply(mu.dst, Pf)
+    m_f = Square(PPf, Pf, lift_mult(mu, f.dom), lift_mult(mu, f.cod))
     return h_f, m_f
 
 
@@ -415,12 +412,12 @@ def lift_unit_mult(P: LiftedEndofunctor, eta: PolyMorphism, mu: PolyMorphism, f:
 _LAW_CELLS = (("assoc_lhs", "assoc_rhs"), ("left_cell", "id_cell"), ("right_cell", "id_cell"))
 
 
-class PolynomialPseudomonad(_Record, fields=("carrier", "eta", "mu", "universe"), hidden=("universe",)):
-    """The pseudomonad of a universe's unit and sum structure.  Its carrier,
-    ``eta`` and ``mu`` are built with it; the law cells, the three law
-    adjustments and the strictness flags are built on first read, each in
-    one table of shared builds, from those cells, and kept.  ``universe``,
-    the universe it was assembled from, is left out of ``==`` and ``repr``."""
+class PolynomialPseudomonad(_Record, fields=("eta", "mu", "universe"), hidden=("universe",)):
+    """The pseudomonad of a universe's unit and sum structure, on the carrier
+    ``mu.dst``.  ``eta`` and ``mu`` are built with it; the law cells, the three
+    law adjustments and the strictness flags are built on first read, each in
+    one table of shared builds, from those cells, and kept.  ``universe``, the
+    universe it was assembled from, is left out of ``==`` and ``repr``."""
 
     @_lazy
     @_shared_builds()
@@ -442,6 +439,7 @@ class PolynomialPseudomonad(_Record, fields=("carrier", "eta", "mu", "universe")
         cells = self.cells
         return tuple([cells_square_equal(cells[x], cells[y]) for x, y in _LAW_CELLS])
 
+    carrier = property(lambda self: self.mu.dst)
     assoc = property(lambda self: self._adjustments[0])
     left_unit = property(lambda self: self._adjustments[1])
     right_unit = property(lambda self: self._adjustments[2])
@@ -497,11 +495,10 @@ class PolynomialPseudomonad(_Record, fields=("carrier", "eta", "mu", "universe")
         ``mu``, and its two adjustments are kept whether or not they are
         invertible."""
         u = self.universe
-        P = LiftedEndofunctor(u.p)
         zeta = pi_structure(u)
         z = square_of_cell(zeta)
-        h_p, m_p = lift_unit_mult(P, self.eta, self.mu, u.p)
-        Tz = lift_apply_square(P, z)
+        h_p, m_p = lift_unit_mult(self.eta, self.mu, u.p)
+        Tz = lift_apply_square(self.carrier, z)
         lhs = z.after(Tz)
         rhs = z.after(m_p)
         sigma_adj = unique_adjustment(cell_of_square(lhs), cell_of_square(rhs))
@@ -509,7 +506,7 @@ class PolynomialPseudomonad(_Record, fields=("carrier", "eta", "mu", "universe")
         tau_rhs = Square.identity(u.p)
         tau_adj = unique_adjustment(cell_of_square(tau_lhs), cell_of_square(tau_rhs))
         return PolynomialPseudoalgebra(
-            self, self.carrier, zeta, sigma_adj, tau_adj,
+            self, zeta, sigma_adj, tau_adj,
             lhs == rhs, tau_lhs == tau_rhs, z, h_p, m_p, Tz,
         )
 
@@ -551,7 +548,7 @@ def pseudomonad_from(u: Universe) -> PolynomialPseudomonad:
     structure cells built."""
     eta = unit_structure(u)
     mu = sigma_structure(u)
-    return PolynomialPseudomonad(mu.dst, eta, mu, u)
+    return PolynomialPseudomonad(eta, mu, u)
 
 
 # ---------------------------------------------------------------------------
@@ -560,12 +557,14 @@ def pseudomonad_from(u: Universe) -> PolynomialPseudomonad:
 
 
 class PolynomialPseudoalgebra(_Record, fields=(
-    "monad", "carrier", "zeta", "sigma_adj", "tau_adj", "strict_sigma", "strict_tau", "z", "h_p", "m_p", "Tz",
+    "monad", "zeta", "sigma_adj", "tau_adj", "strict_sigma", "strict_tau", "z", "h_p", "m_p", "Tz",
 ), hidden=("z", "h_p", "m_p", "Tz")):
     """The pseudoalgebra of a universe's product structure over its
     pseudomonad.  ``z`` is zeta as a square, and ``h_p``, ``m_p`` and ``Tz``
     the unit and multiplication squares at p and Tz; the four squares are
-    left out of ``==`` and ``repr``."""
+    left out of ``==`` and ``repr``.  Its carrier is its monad's."""
+
+    carrier = property(lambda self: self.monad.carrier)
 
     def is_strict(self) -> bool:
         return self.strict_sigma and self.strict_tau
@@ -578,11 +577,11 @@ class PolynomialPseudoalgebra(_Record, fields=(
         is made a cell once, and each edge is the unique adjustment between
         consecutive cells."""
         z, h_p, m_p, Tz = self.z, self.h_p, self.m_p, self.Tz
-        P = LiftedEndofunctor(self.carrier.f)
-        _, m_Tp = lift_unit_mult(P, self.monad.eta, self.monad.mu, m_p.dst)
-        TTz = lift_apply_square(P, Tz)
-        Tm_p = lift_apply_square(P, m_p)
-        Th_p = lift_apply_square(P, h_p)
+        t = self.carrier
+        _, m_Tp = lift_unit_mult(self.monad.eta, self.monad.mu, m_p.dst)
+        TTz = lift_apply_square(t, Tz)
+        Tm_p = lift_apply_square(t, m_p)
+        Th_p = lift_apply_square(t, h_p)
 
         X1, X2, X3, X4, X6, X5 = map(cell_of_square, (
             z.after(Tz).after(TTz),

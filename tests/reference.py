@@ -26,8 +26,8 @@ the tests' second routes and oracles:
   internal functors for cells with general endpoints;
 * ``unit_component`` and ``mult_component``, the lifted unit and
   multiplication computed through the recorded identity-extension and
-  composite-extension bijections, against which
-  ``LiftedEndofunctor.unit`` and ``LiftedEndofunctor.mult`` are checked;
+  composite-extension bijections, against which ``naturalmodel.lift_unit``
+  and ``naturalmodel.lift_mult`` are checked;
 * the set and map record parsers one label at a time, walking every label
   array, against which ``interchange``'s, which share equal set records,
   read a map's keys by position and look label arrays up by their
@@ -65,7 +65,7 @@ from polyverse.finset import (
     label_key,
 )
 from polyverse.internalcat import InternalCatError, InternalCategory, InternalFunctor, internal_functor
-from polyverse.naturalmodel import LiftedEndofunctor, apply_to_set
+from polyverse.naturalmodel import apply_to_set
 from polyverse.poly import (
     CompositionTrace,
     PolyError,
@@ -637,33 +637,33 @@ def internal_functor_on_labels(phi: PolyMorphism) -> InternalFunctor:
 # ---------------------------------------------------------------------------
 
 
-def lift_apply_on_labels(P: LiftedEndofunctor, f: FinMap) -> FinMap:
+def lift_apply_on_labels(t: Polynomial, f: FinMap) -> FinMap:
     """``lift_apply``, postcomposing one section at a time."""
-    src = apply_to_set(P, f.dom)
-    dst = apply_to_set(P, f.cod)
+    src = apply_to_set(t, f.dom)
+    dst = apply_to_set(t, f.cod)
     table = {(x, sect): (x, tuple([(k, f(v)) for k, v in sect])) for (x, sect) in src}
     return FinMap(src, dst, table)
 
 
-def unit_on_labels(P: LiftedEndofunctor, eta: PolyMorphism, Z: FinSet) -> FinMap:
-    """``LiftedEndofunctor.unit``, one constant section at a time."""
+def unit_on_labels(eta: PolyMorphism, Z: FinSet) -> FinMap:
+    """``lift_unit``, one constant section at a time."""
     c = eta.phi0("*")
-    ds = P.poly.f.preimage(c)
+    ds = eta.dst.f.preimage(c)
     table = {z: (c, tuple([(d, z) for d in ds])) for z in Z}
-    return FinMap(Z, apply_to_set(P, Z), table)
+    return FinMap(Z, apply_to_set(eta.dst, Z), table)
 
 
-def mult_on_labels(P: LiftedEndofunctor, mu: PolyMorphism, Z: FinSet) -> FinMap:
-    """``LiftedEndofunctor.mult``, encoding each composite operation and
-    decoding each arity that ``mu`` picks."""
-    PZ = apply_to_set(P, Z)
-    PPZ = apply_to_set(P, PZ)
+def mult_on_labels(mu: PolyMorphism, Z: FinSet) -> FinMap:
+    """``lift_mult``, encoding each composite operation and decoding each
+    arity that ``mu`` picks."""
+    PZ = apply_to_set(mu.dst, Z)
+    PPZ = apply_to_set(mu.dst, PZ)
     table = {}
     for (A, outer) in PPZ:
         melt = encode_operation(A, {b: Bs[0] for b, Bs in outer})
         c = mu.phi0(melt)
         sect = []
-        for d in P.poly.f.preimage(c):
+        for d in mu.dst.f.preimage(c):
             b_in, _, b = decode_arity(mu.phi2(mu.fill(melt, d)))
             sect.append((d, section_lookup(section_lookup(outer, b)[1], b_in)))
         table[(A, outer)] = (c, tuple(sect))

@@ -35,7 +35,6 @@ from polyverse.internalcat import (
     internal_full_subcat,
 )
 from polyverse.naturalmodel import (
-    LiftedEndofunctor,
     PolynomialPseudoalgebra,
     PolynomialPseudomonad,
     Universe,
@@ -739,7 +738,7 @@ def test_composite_and_internal_sets_equal_their_checked_rebuilds(data):
     h = FamilyMorphism(X, ones, {i: FinMap.to_terminal(X.fibre(i)) for i in F.I})
     assert_sorted_sections(sect for _, sect in fibre_values(extend_map(F, h)))
     g, _ = data.draw(graphs())
-    assert_sorted_sections(sect for _, (_, sect) in lift_apply(LiftedEndofunctor(f), g).pairs)
+    assert_sorted_sections(sect for _, (_, sect) in lift_apply(from_map(f), g).pairs)
     # the generators' cells: extension components and transposed adjustments
     rng = random.Random(data.draw(st.integers(0, 2**16)))
     phi = rand_morphism(rng, 2)

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,15 +17,16 @@ from polyverse.finset import (
     section_tuple,
     _shared_builds,
 )
-from polyverse.poly import decode_operation
+from polyverse.poly import decode_operation, from_map
 from polyverse.poly2 import cells_square_equal
 from polyverse.naturalmodel import (
-    LiftedEndofunctor,
     Universe,
     UniverseError,
     apply_to_set,
     lift_apply,
     lift_apply_square,
+    lift_mult,
+    lift_unit,
     lift_unit_mult,
     mk_bool_universe,
     mk_skewed_universe,
@@ -130,6 +132,24 @@ class TestUniverses:
                 build(bad)
             messages.add(str(raised.value))
         assert messages == {"; ".join(validate_universe(bad))}
+
+    def test_a_table_that_cannot_be_total_is_refused_before_any_family_is_listed(self):
+        # ten codes, one with four terms, so 10 ** 4 families over that code
+        # alone, and two empty tables
+        codes = FinSet([f"c{i}" for i in range(10)])
+        el = FinFamily(codes, {**{c: FinSet() for c in codes}, "c0": FinSet(["w", "x", "y", "z"]), "c1": FinSet(["e"])})
+        listed, btables = [], Universe.btables
+
+        def listing(u, code):
+            for bt in btables(u, code):
+                listed.append(bt)
+                yield bt
+
+        with mock.patch.object(Universe, "btables", listing):
+            assert validate_universe(Universe(codes, el, "c1", {}, {})) == [
+                "sum table is not total over all (code, family) pairs"
+            ]
+        assert listed == []
 
     def test_random_universes_validate(self):
         rng = random.Random(0)
@@ -336,7 +356,8 @@ class TestOnePath:
 
     def test_pseudomonad_keeps_its_cells(self):
         pm = pseudomonad_from(SKEW)
-        assert pm.cells["t"] == pm.carrier
+        assert type(pm)._fields == ("eta", "mu", "universe")
+        assert pm.cells["t"] is pm.carrier is pm.mu.dst
         assert pm.cells["eta"] is pm.eta and pm.cells["mu"] is pm.mu
         assert pm.universe is SKEW
         assert "cells" not in repr(pm)
@@ -355,7 +376,7 @@ class TestOnePath:
         pm = pseudomonad_from(SKEW)
         alg = pm.pseudoalgebra()
         assert alg.monad is pm
-        assert alg.carrier == pm.carrier
+        assert "carrier" not in type(alg)._fields and alg.carrier is pm.carrier
         assert alg.z.src == alg.zeta.src.f
 
     @pytest.mark.parametrize("u", [BOOL, SKEW], ids=["bool", "skewed"])
@@ -384,18 +405,18 @@ class TestLiftOnePath:
         assert _sets(extended) == first + first
 
     def test_repeated_sets_are_kept(self, extended):
-        P = LiftedEndofunctor(SKEW.p)
+        t = from_map(SKEW.p)
         f = FinMap.constant(FinSet(["x", "y"]), FinSet(["w"]), "w")
         with _shared_builds():
-            Pf = lift_apply(P, f)
-            assert lift_apply_square(P, Square.identity(f)) == Square.identity(Pf)
-            assert apply_to_set(P, f.dom) is Pf.dom
-            # another endofunctor of the same map reads the same table
-            assert apply_to_set(LiftedEndofunctor(SKEW.p), f.cod) is Pf.cod
+            Pf = lift_apply(t, f)
+            assert lift_apply_square(t, Square.identity(f)) == Square.identity(Pf)
+            assert apply_to_set(t, f.dom) is Pf.dom
+            # another carrier of the same map reads the same table
+            assert apply_to_set(from_map(SKEW.p), f.cod) is Pf.cod
         assert _sets(extended) == [f.dom, f.cod]
         # a second table computes them again
         with _shared_builds():
-            assert lift_apply(P, f) == Pf
+            assert lift_apply(t, f) == Pf
         assert _sets(extended) == [f.dom, f.cod] * 2
 
     def test_lift_suite_builds_the_structure_cells_once_per_universe(self):
@@ -415,7 +436,7 @@ class TestLiftOnePath:
     def test_pseudoalgebra_pasting_report_shares_its_table(self, extended):
         with _shared_builds():
             alg = pseudomonad_from(SKEW).pseudoalgebra()
-            assert apply_to_set(LiftedEndofunctor(SKEW.p), alg.z.src.dom) is alg.Tz.src.dom
+            assert apply_to_set(alg.carrier, alg.z.src.dom) is alg.Tz.src.dom
             met = set(_sets(extended))
             del extended[:]
             alg.pasting_report()  # meets only sets the pseudoalgebra's build did not
@@ -427,30 +448,30 @@ class TestLift:
     def test_apply_to_objects_counts(self):
         # frozen: sum over codes of |B| ** |fibre|
         B = FinSet(["x", "y", "z"])
-        val = apply_to_set(LiftedEndofunctor(BOOL.p), B)
+        val = apply_to_set(from_map(BOOL.p), B)
         assert len(val) == 3 ** 0 + 3 ** 1
 
     def test_lift_identity_components(self):
         B = FinSet(["x", "y"])
         A = FinSet(["w"])
         f = FinMap.constant(B, A, "w")
-        ident = lift_apply(LiftedEndofunctor(BOOL.p), FinMap.identity(B))
-        assert ident == FinMap.identity(apply_to_set(LiftedEndofunctor(BOOL.p), B))
+        ident = lift_apply(from_map(BOOL.p), FinMap.identity(B))
+        assert ident == FinMap.identity(apply_to_set(from_map(BOOL.p), B))
 
     def test_lift_composes(self):
         rng = random.Random(6)
         sq = rand_cartesian_square(rng, 2)
         sq2 = rand_cartesian_square(rng, 2, dst=sq.src)
-        P = LiftedEndofunctor(BOOL.p)
-        lhs = lift_apply_square(P, sq.after(sq2))
-        rhs = lift_apply_square(P, sq).after(lift_apply_square(P, sq2))
+        t = from_map(BOOL.p)
+        lhs = lift_apply_square(t, sq.after(sq2))
+        rhs = lift_apply_square(t, sq).after(lift_apply_square(t, sq2))
         assert lhs == rhs
 
     def test_lift_preserves_pullbacks(self):
         rng = random.Random(7)
         for _ in range(6):
             sq = rand_cartesian_square(rng, 3)
-            assert lift_apply_square(LiftedEndofunctor(SKEW.p), sq).is_pullback()
+            assert lift_apply_square(from_map(SKEW.p), sq).is_pullback()
 
     def test_unit_mult_squares_are_pullbacks(self):
         rng = random.Random(8)
@@ -458,14 +479,14 @@ class TestLift:
         mu = sigma_structure(SKEW)
         for _ in range(4):
             sq = rand_cartesian_square(rng, 2)
-            h_f, m_f = lift_unit_mult(LiftedEndofunctor(SKEW.p), eta, mu, sq.src)
+            h_f, m_f = lift_unit_mult(eta, mu, sq.src)
             assert h_f.is_pullback() and m_f.is_pullback()
 
     def test_identity_map_degenerates_to_unit_shape(self):
         eta = unit_structure(BOOL)
         mu = sigma_structure(BOOL)
         one = FinMap.identity(TERMINAL)
-        h_f, m_f = lift_unit_mult(LiftedEndofunctor(BOOL.p), eta, mu, one)
+        h_f, m_f = lift_unit_mult(eta, mu, one)
         assert h_f.top == unit_component(eta, TERMINAL)
         assert h_f.bot == unit_component(eta, TERMINAL)
         assert m_f.top == mult_component(mu, TERMINAL)
@@ -497,16 +518,15 @@ def lifted_sets(draw):
 
 
 class TestLiftedComponents:
-    """``LiftedEndofunctor.unit`` and ``.mult`` against the route through
-    the extension bijections, kept in ``tests/reference.py``."""
+    """``lift_unit`` and ``lift_mult`` against the route through the
+    extension bijections, kept in ``tests/reference.py``."""
 
     @settings(max_examples=60, deadline=None)
     @given(UNIVERSES, lifted_sets())
     def test_unit_and_mult_equal_the_extension_route(self, u, Z):
         eta, mu = _structure_cells(u)
-        P = LiftedEndofunctor(u.p)
-        assert P.unit(eta, Z) == unit_component(eta, Z)
-        assert P.mult(mu, Z) == mult_component(mu, Z)
+        assert lift_unit(eta, Z) == unit_component(eta, Z)
+        assert lift_mult(mu, Z) == mult_component(mu, Z)
 
     @pytest.mark.parametrize("Z", [FinSet(), TERMINAL, FinSet(["x", "y"])], ids=["empty", "point", "two"])
     def test_mult_reads_the_inner_arity_of_each_outer_arity(self, Z):
@@ -514,19 +534,17 @@ class TestLiftedComponents:
         # whose arity (code1b, b) differs from it, so looking the two up the
         # other way round gives another map or none
         _, mu = _structure_cells(SKEW)
-        P = LiftedEndofunctor(SKEW.p)
-        PPZ = apply_to_set(P, apply_to_set(P, Z))
+        PPZ = apply_to_set(mu.dst, apply_to_set(mu.dst, Z))
         assert any(b != b_in for _, outer in PPZ for b, (_, s) in outer for b_in, _ in s) == bool(Z)
-        assert P.mult(mu, Z) == mult_component(mu, Z)
+        assert lift_mult(mu, Z) == mult_component(mu, Z)
 
     def test_components_are_read_off_the_kept_sets(self, extended):
         eta, mu = _structure_cells(SKEW)
-        P = LiftedEndofunctor(SKEW.p)
         Z = FinSet(["x", "y"])
         with _shared_builds():
-            h, m = P.unit(eta, Z), P.mult(mu, Z)
-            assert h.cod is apply_to_set(P, Z) and m.cod is h.cod
-            assert m.dom is apply_to_set(P, h.cod)
+            h, m = lift_unit(eta, Z), lift_mult(mu, Z)
+            assert h.cod is apply_to_set(mu.dst, Z) and m.cod is h.cod
+            assert m.dom is apply_to_set(mu.dst, h.cod)
         assert _sets(extended) == [Z, h.cod]
 
 

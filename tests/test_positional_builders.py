@@ -42,7 +42,7 @@ from polyverse.generators import (
     rand_universe,
 )
 from polyverse.internalcat import InternalCatError, InternalCategory, InternalFunctor
-from polyverse.naturalmodel import LiftedEndofunctor, mk_bool_universe, mk_skewed_universe
+from polyverse.naturalmodel import mk_bool_universe, mk_skewed_universe
 from polyverse.poly import compose, from_map
 from polyverse.poly2 import extend_cell, identity_cell
 from polyverse.suites import run_suite
@@ -123,7 +123,7 @@ def _cartesian_draws(seed: int, count: int):
 
 def _lift_draws(seed: int, count: int):
     rng = random.Random(seed)
-    lifts = [LiftedEndofunctor(u.p) for u in (mk_bool_universe(), mk_skewed_universe())]
+    lifts = [from_map(u.p) for u in (mk_bool_universe(), mk_skewed_universe())]
     for n in range(count):
         sq = rand_cartesian_square(rng, 2)
         yield lifts[n % 2], sq
@@ -158,10 +158,10 @@ def _calls_of_each_builder():
             yield "internal_functor", (cell,)
         yield "h_comp", (phi, psi)
         yield "associator", (phi.src, psi.dst, phi.dst)
-    for P, sq in _lift_draws(4, 25):
+    for t, sq in _lift_draws(4, 25):
         for f in (sq.src, sq.dst, sq.top, sq.bot):
-            yield "lift_apply", (P, f)
-            yield "lift_apply", (P, naturalmodel.lift_apply(P, f))
+            yield "lift_apply", (t, f)
+            yield "lift_apply", (t, naturalmodel.lift_apply(t, f))
 
 
 MODULES = {
@@ -221,7 +221,7 @@ def test_every_call_at_the_acceptance_configs_agrees_with_its_oracle(suite, name
         assert _agrees(name, out, ORACLES[name](*args)), name
 
 
-LIFTED_ORACLES = {"unit": unit_on_labels, "mult": mult_on_labels}
+LIFTED_ORACLES = {"lift_unit": unit_on_labels, "lift_mult": mult_on_labels}
 
 
 def test_the_lifted_unit_and_mult_agree_with_the_label_level_oracles_on_generator_universes():
@@ -230,16 +230,15 @@ def test_the_lifted_unit_and_mult_agree_with_the_label_level_oracles_on_generato
     sets = [FinSet(), TERMINAL, FinSet(["x", "y"]), FinSet(["x", ("y", "z"), "*"])]
     with _shared_builds():
         for u in universes:
-            P = LiftedEndofunctor(u.p)
-            cells = {"unit": naturalmodel.unit_structure(u), "mult": naturalmodel.sigma_structure(u)}
+            cells = {"lift_unit": naturalmodel.unit_structure(u), "lift_mult": naturalmodel.sigma_structure(u)}
             for Z in sets:
                 for name, oracle in LIFTED_ORACLES.items():
-                    assert getattr(P, name)(cells[name], Z) == oracle(P, cells[name], Z), name
+                    assert getattr(naturalmodel, name)(cells[name], Z) == oracle(cells[name], Z), name
 
 
 @pytest.mark.parametrize("suite", ["pseudoalgebra", "lift"], ids=["criterion-5", "criterion-7"])
 def test_every_lifted_unit_and_mult_at_the_acceptance_configs_agrees_with_its_oracle(suite):
-    with recorded(LiftedEndofunctor, *LIFTED_ORACLES) as calls:
+    with recorded(naturalmodel, *LIFTED_ORACLES) as calls:
         rep = run_suite(suite, CONFIGS[suite])
     assert rep.failed == 0
     assert {name for name, _, _ in calls} == set(LIFTED_ORACLES)
