@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 all checks passed, 1 some law failed or an input file holds
-invalid data, 2 input could not be parsed, 3 every instance exceeded the
-enumeration cap, 4 internal error in the program.  ``main`` lets an
+invalid data, 2 input could not be read or parsed, 3 every instance went
+over the enumeration cap, 4 internal error in the program.  ``main`` lets an
 internal error propagate so that in-process callers see it; ``entry``, the
 installed command, turns it into exit 4.  ``main(argv)`` may be called
 in-process any number of times: the parser is built once, when this module
@@ -31,9 +31,18 @@ from . import generators as gen
 from . import interchange as io
 
 
+class _Unreadable(Exception):
+    """An input file that cannot be read, with the OS error as its message."""
+
+
 def _read_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return io.loads(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return io.loads(fh.read())
+    except OSError as exc:
+        raise _Unreadable(exc) from None
+    except UnicodeDecodeError as exc:
+        raise io.ParseError(f"not UTF-8: {exc}") from None
 
 
 def _emit(text: str, out: str | None):
@@ -173,7 +182,7 @@ def main(argv=None) -> int:
     except io.ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return 2
-    except FileNotFoundError as exc:
+    except (_Unreadable, FileNotFoundError) as exc:
         sys.stderr.write(f"cannot read input: {exc}\n")
         return 2
     except EnumerationCapExceeded as exc:
@@ -215,9 +224,7 @@ def _dispatch(args) -> int:
     if args.command == "cell":
         if args.cell_command == "check":
             phi = io.morphism_from_json(_read_json(args.morphism))
-            sys.stdout.write(
-                io.dumps({"valid": True, "cartesian": phi.is_cartesian()})
-            )
+            sys.stdout.write(io.dumps({"valid": True, "cartesian": phi.is_cartesian()}))
             return 0
         if args.cell_command == "compose":
             from .poly2 import v_comp

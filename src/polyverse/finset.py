@@ -19,8 +19,8 @@ table of labels between calls.  Constructed elements record their derivation:
 
 The library's value classes, here and in the other modules, are
 ``_Record``s: each names its fields, and they share one checked constructor,
-an unchecked ``_of``, identity-first ``==`` with a kept hash, a ``repr``,
-immutability and ``_replace``.  No method is generated when a module is
+an unchecked ``_of``, identity-first ``==`` of every field with a kept hash,
+a ``repr`` and immutability.  No method is generated when a module is
 imported, and ``dataclasses`` is not imported at all.
 
 Operations that would enumerate more elements than the cap raise
@@ -137,7 +137,7 @@ class _lazy:
 
 
 def _kept_hash(self) -> int:
-    """The hash of a record's compared fields (``_Record``), computed on
+    """The hash of a record's fields (``_Record``), computed on
     first use and kept in its ``__dict__``."""
     kept = self.__dict__.get("_hash")
     if kept is None:
@@ -149,8 +149,7 @@ class _Record:
     """Base of the library's immutable values, which generates no code.
 
     A subclass names its fields where it is declared, as in
-    ``class Square(_Record, fields=("src", "dst", "top", "bot"))``, and may
-    keep some out of ``==``, ``hash`` and ``repr`` with ``hidden=``.  The
+    ``class Square(_Record, fields=("src", "dst", "top", "bot"))``.  The
     names are given, not read off annotations, so they hold on every Python.
     Every record gets:
 
@@ -162,20 +161,17 @@ class _Record:
       and ``FinMap``, built this way most often, pass theirs by keyword,
       which is faster;
     * ``==`` that is true at once for the same object and otherwise compares
-      the compared fields of two values of one class, and ``_kept_hash``;
-    * a ``repr`` of the compared fields, and no setting or deleting of
-      attributes (lazy attributes and the kept hash go to ``__dict__``);
-    * ``_replace(**changes)``, a copy made by the class's constructor with
-      every field by name, so its checks run again.
+      every field of two values of one class, and ``_kept_hash``;
+    * a ``repr`` of the fields, and no setting or deleting of attributes
+      (lazy attributes and the kept hash go to ``__dict__``).
     """
 
-    _fields = _compared = ()
+    _fields = ()
 
-    def __init_subclass__(cls, fields=None, hidden=(), **kwargs):
+    def __init_subclass__(cls, fields=None, **kwargs):
         super().__init_subclass__(**kwargs)
         if fields is not None:
-            cls._fields, cls._compared = fields, tuple([k for k in fields if k not in hidden])
-            cls._key = itemgetter(*cls._compared)
+            cls._fields, cls._key = fields, itemgetter(*fields)
         # a class that writes its own __eq__ would otherwise have no hash
         cls.__hash__ = _kept_hash
         # each class holds its constructor, so that a profiler wrapping a
@@ -202,9 +198,6 @@ class _Record:
         obj.__dict__.update(dict(zip(cls._fields, fields)))
         return obj
 
-    def _replace(self, **changes):
-        return type(self)(**{**{k: self.__dict__[k] for k in self._fields}, **changes})
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -212,7 +205,7 @@ class _Record:
 
     def __repr__(self) -> str:
         d = self.__dict__
-        return f"{type(self).__qualname__}({', '.join([f'{k}={d[k]!r}' for k in self._compared])})"
+        return f"{type(self).__qualname__}({', '.join([f'{k}={d[k]!r}' for k in self._fields])})"
 
     def _frozen(self, name, *value):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
@@ -363,10 +356,6 @@ class FinMap(_Record, fields=("dom", "cod", "img")):
         return FinMap._of(X, X, tuple(range(len(X))))
 
     @staticmethod
-    def constant(dom: FinSet, cod: FinSet, value: Label) -> "FinMap":
-        return FinMap(dom, cod, {x: value for x in dom})
-
-    @staticmethod
     def to_terminal(X: FinSet) -> "FinMap":
         return FinMap._of(X, TERMINAL, (0,) * len(X))
 
@@ -431,20 +420,11 @@ class FamilyMorphism(_Record, fields=("src", "dst", "maps")):
     def at(self, i: Label) -> FinMap:
         return self.maps[self.src.index.pos[i]][1]
 
-    def __call__(self, i: Label, x: Label) -> Label:
-        return self.at(i)(x)
-
     def after(self, other: "FamilyMorphism") -> "FamilyMorphism":
         if other.dst != self.src:
             raise FinSetError("family morphism composition mismatch")
         maps = tuple([(i, m.after(n)) for (i, m), (_, n) in zip(self.maps, other.maps)])
         return FamilyMorphism._of(other.src, self.dst, maps)
-
-    def is_bijection(self) -> bool:
-        return all(m.is_bijection() for _, m in self.maps)
-
-    def inverse(self) -> "FamilyMorphism":
-        return FamilyMorphism(self.dst, self.src, {i: m.inverse() for i, m in self.maps})
 
     @staticmethod
     def identity(X: FinFamily) -> "FamilyMorphism":

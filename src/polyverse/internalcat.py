@@ -198,10 +198,6 @@ class InternalFunctor(_Record, fields=("src", "dst", "on_obj", "on_mor")):
                     return False
         return True
 
-    @staticmethod
-    def identity(C: InternalCategory) -> "InternalFunctor":
-        return InternalFunctor(C, C, FinMap.identity(C.obj), FinMap.identity(C.mor))
-
 
 @_built_once
 def internal_functor(phi: PolyMorphism) -> InternalFunctor:

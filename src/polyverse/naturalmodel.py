@@ -26,10 +26,10 @@ never refuses an adjustment that is not invertible: the suites decide that
 once, in their ``strictness-profile`` record.
 
 As in the paper, the pseudoalgebra is built over the pseudomonad and needs
-only its eta and mu: ``pseudomonad_from(u)`` builds those two cells, and the
-pseudomonad builds its law cells, law adjustments and strictness flags when
-they are first read, then keeps them.  ``.pseudoalgebra()`` adds zeta over
-it, and each object checks its own pasting equations with
+only its eta and mu: ``pseudomonad_from(u)`` builds those two cells, and
+``.pseudoalgebra()`` adds zeta.  Each object holds its structure cells and
+builds its law cells or squares, law adjustments and strictness flags when
+first read, then keeps them.  Each checks its own pasting equations with
 ``.pasting_report()``, normalising each node of a pasting once.
 
 The endofunctor ``P_p`` is the carrier polynomial ``t = from_map(p)``
@@ -126,8 +126,7 @@ class Universe(_Record, fields=("codes", "el", "unit_code", "sigma", "pi")):
 
     @_lazy
     def star(self):
-        fibre = self.el.fibre(self.unit_code)
-        return (self.unit_code, fibre.the_element())
+        return (self.unit_code, self.el.fibre(self.unit_code).the_element())
 
     def term_fibre(self, code) -> FinSet:
         return FinSet._of(tuple([(code, x) for x in self.el.fibre(code).elements]))
@@ -197,10 +196,7 @@ class Universe(_Record, fields=("codes", "el", "unit_code", "sigma", "pi")):
 
 
 def _normalise_table(table) -> tuple:
-    if isinstance(table, tuple):
-        items = list(table)
-    else:
-        items = list(table.items())
+    items = table if isinstance(table, tuple) else table.items()
     return tuple(sorted(items, key=lambda kv: label_key((kv[0][0], kv[0][1]))))
 
 
@@ -412,12 +408,12 @@ def lift_unit_mult(eta: PolyMorphism, mu: PolyMorphism, f: FinMap) -> tuple[Squa
 _LAW_CELLS = (("assoc_lhs", "assoc_rhs"), ("left_cell", "id_cell"), ("right_cell", "id_cell"))
 
 
-class PolynomialPseudomonad(_Record, fields=("eta", "mu", "universe"), hidden=("universe",)):
+class PolynomialPseudomonad(_Record, fields=("eta", "mu", "universe")):
     """The pseudomonad of a universe's unit and sum structure, on the carrier
     ``mu.dst``.  ``eta`` and ``mu`` are built with it; the law cells, the three
     law adjustments and the strictness flags are built on first read, each in
-    one table of shared builds, from those cells, and kept.  ``universe``, the
-    universe it was assembled from, is left out of ``==`` and ``repr``."""
+    one table of shared builds, from those cells, and kept.  ``universe`` is
+    the universe it was assembled from."""
 
     @_lazy
     @_shared_builds()
@@ -490,25 +486,8 @@ class PolynomialPseudomonad(_Record, fields=("eta", "mu", "universe"), hidden=("
 
     @_shared_builds()
     def pseudoalgebra(self) -> PolynomialPseudoalgebra:
-        """The universe's product structure as a pseudoalgebra over this
-        pseudomonad, in the arrow 2-category.  It reads only ``eta`` and
-        ``mu``, and its two adjustments are kept whether or not they are
-        invertible."""
-        u = self.universe
-        zeta = pi_structure(u)
-        z = square_of_cell(zeta)
-        h_p, m_p = lift_unit_mult(self.eta, self.mu, u.p)
-        Tz = lift_apply_square(self.carrier, z)
-        lhs = z.after(Tz)
-        rhs = z.after(m_p)
-        sigma_adj = unique_adjustment(cell_of_square(lhs), cell_of_square(rhs))
-        tau_lhs = z.after(h_p)
-        tau_rhs = Square.identity(u.p)
-        tau_adj = unique_adjustment(cell_of_square(tau_lhs), cell_of_square(tau_rhs))
-        return PolynomialPseudoalgebra(
-            self, zeta, sigma_adj, tau_adj,
-            lhs == rhs, tau_lhs == tau_rhs, z, h_p, m_p, Tz,
-        )
+        """The universe's product structure as a pseudoalgebra over this one."""
+        return PolynomialPseudoalgebra(self, pi_structure(self.universe))
 
 
 def _paths_agree(adjust, lhs: tuple, rhs: tuple) -> bool:
@@ -546,9 +525,7 @@ def monad_law_cells(eta: PolyMorphism, mu: PolyMorphism) -> dict:
 def pseudomonad_from(u: Universe) -> PolynomialPseudomonad:
     """The pseudomonad of ``u``'s unit and sum structure, with only its
     structure cells built."""
-    eta = unit_structure(u)
-    mu = sigma_structure(u)
-    return PolynomialPseudomonad(eta, mu, u)
+    return PolynomialPseudomonad(unit_structure(u), sigma_structure(u), u)
 
 
 # ---------------------------------------------------------------------------
@@ -556,15 +533,43 @@ def pseudomonad_from(u: Universe) -> PolynomialPseudomonad:
 # ---------------------------------------------------------------------------
 
 
-class PolynomialPseudoalgebra(_Record, fields=(
-    "monad", "zeta", "sigma_adj", "tau_adj", "strict_sigma", "strict_tau", "z", "h_p", "m_p", "Tz",
-), hidden=("z", "h_p", "m_p", "Tz")):
+class PolynomialPseudoalgebra(_Record, fields=("monad", "zeta")):
     """The pseudoalgebra of a universe's product structure over its
-    pseudomonad.  ``z`` is zeta as a square, and ``h_p``, ``m_p`` and ``Tz``
-    the unit and multiplication squares at p and Tz; the four squares are
-    left out of ``==`` and ``repr``.  Its carrier is its monad's."""
+    pseudomonad, in the arrow 2-category, built with only ``zeta``.  The
+    squares, the two law adjustments and the strictness flags are built on
+    first read, each in one table of shared builds, and kept; a flag
+    compares its law's two squares.  Its carrier is its monad's."""
+
+    @_lazy
+    @_shared_builds()
+    def squares(self) -> dict:
+        """``z``, zeta as a square; ``h_p`` and ``m_p``, the unit and
+        multiplication squares at p; and ``Tz``, the lift of ``z``."""
+        z = square_of_cell(self.zeta)
+        h_p, m_p = lift_unit_mult(self.monad.eta, self.monad.mu, self.monad.universe.p)
+        return {"z": z, "h_p": h_p, "m_p": m_p, "Tz": lift_apply_square(self.carrier, z)}
+
+    @_lazy
+    def _laws(self) -> tuple:
+        """Each law's two sides as squares: associativity, then unit."""
+        z, h_p, m_p, Tz = self.squares.values()
+        return (z.after(Tz), z.after(m_p)), (z.after(h_p), Square.identity(self.monad.universe.p))
+
+    @_lazy
+    @_shared_builds()
+    def _adjustments(self) -> tuple:
+        """Each law's unique adjustment, kept whether or not it is invertible."""
+        return tuple([unique_adjustment(cell_of_square(x), cell_of_square(y)) for x, y in self._laws])
+
+    @_lazy
+    def _strict(self) -> tuple:
+        return tuple([x == y for x, y in self._laws])
 
     carrier = property(lambda self: self.monad.carrier)
+    sigma_adj = property(lambda self: self._adjustments[0])
+    tau_adj = property(lambda self: self._adjustments[1])
+    strict_sigma = property(lambda self: self._strict[0])
+    strict_tau = property(lambda self: self._strict[1])
 
     def is_strict(self) -> bool:
         return self.strict_sigma and self.strict_tau
@@ -576,7 +581,7 @@ class PolynomialPseudoalgebra(_Record, fields=(
         squares over the third and first powers of the carrier; each square
         is made a cell once, and each edge is the unique adjustment between
         consecutive cells."""
-        z, h_p, m_p, Tz = self.z, self.h_p, self.m_p, self.Tz
+        z, h_p, m_p, Tz = self.squares.values()
         t = self.carrier
         _, m_Tp = lift_unit_mult(self.monad.eta, self.monad.mu, m_p.dst)
         TTz = lift_apply_square(t, Tz)

@@ -345,9 +345,6 @@ class Adjustment(_Record, fields=("src", "dst", "alpha")):
     def is_invertible(self) -> bool:
         return self.alpha.is_bijection()
 
-    def inverse(self) -> "Adjustment":
-        return Adjustment(self.dst, self.src, self.alpha.inverse())
-
 
 def unique_adjustment(phi: PolyMorphism, psi: PolyMorphism) -> Adjustment:
     """The only adjustment into a cartesian morphism: psi2^-1 . phi2."""

@@ -4,6 +4,8 @@ The library keeps what a suite, a CLI command or the benchmark reaches
 (``tests/test_library_surface.py`` checks this).  The constructions here are
 the tests' second routes and oracles:
 
+* ``replaced``, a record rebuilt through its checks with some fields
+  changed, constant maps and the identity internal functor;
 * the adjunction transposes and the enumeration of family morphisms, against
   which ``dep_prod`` and ``dep_sum`` are checked, constant families and the
   family of a total space;
@@ -95,6 +97,27 @@ from polyverse.poly2 import (
 
 
 # ---------------------------------------------------------------------------
+# Values that only the tests build
+# ---------------------------------------------------------------------------
+
+
+def replaced(x: finset._Record, **changes):
+    """A copy of the record ``x`` with ``changes``, made by its class's
+    constructor with every field by name, so its checks run again."""
+    return type(x)(**{**{k: x.__dict__[k] for k in x._fields}, **changes})
+
+
+def constant(dom: FinSet, cod: FinSet, value) -> FinMap:
+    """The map sending every element of ``dom`` to ``value``."""
+    return FinMap(dom, cod, {x: value for x in dom})
+
+
+def identity_functor(C: InternalCategory) -> InternalFunctor:
+    """The identity functor of ``C``."""
+    return InternalFunctor(C, C, FinMap.identity(C.obj), FinMap.identity(C.mor))
+
+
+# ---------------------------------------------------------------------------
 # Finite sets: the slice exponential and the adjunction transposes
 # ---------------------------------------------------------------------------
 
@@ -123,7 +146,7 @@ def prod_transpose(f: FinMap, h: FamilyMorphism, X: FinFamily, Y: FinFamily) -> 
     target = dep_prod(f, X)
     maps = {}
     for a in f.cod:
-        comp = {y: tuple([(b, h(b, y)) for b in f.preimage(a)]) for y in Y.fibre(a)}
+        comp = {y: tuple([(b, h.at(b)(y)) for b in f.preimage(a)]) for y in Y.fibre(a)}
         maps[a] = FinMap(Y.fibre(a), target.fibre(a), comp)
     return FamilyMorphism(Y, target, maps)
 
@@ -134,7 +157,7 @@ def prod_untranspose(f: FinMap, k: FamilyMorphism, X: FinFamily) -> FamilyMorphi
     src = base_change(f, Y)
     maps = {}
     for b in f.dom:
-        comp = {y: section_lookup(k(f(b), y), b) for y in Y.fibre(f(b))}
+        comp = {y: section_lookup(k.at(f(b))(y), b) for y in Y.fibre(f(b))}
         maps[b] = FinMap(src.fibre(b), X.fibre(b), comp)
     return FamilyMorphism(src, X, maps)
 
@@ -145,7 +168,7 @@ def sum_transpose(f: FinMap, h: FamilyMorphism, Y: FinFamily) -> FamilyMorphism:
     target = base_change(f, Y)
     maps = {}
     for b in f.dom:
-        comp = {x: h(f(b), (b, x)) for x in X.fibre(b)}
+        comp = {x: h.at(f(b))((b, x)) for x in X.fibre(b)}
         maps[b] = FinMap(X.fibre(b), target.fibre(b), comp)
     return FamilyMorphism(X, target, maps)
 
@@ -156,7 +179,7 @@ def sum_untranspose(f: FinMap, k: FamilyMorphism, Y: FinFamily) -> FamilyMorphis
     src = dep_sum(f, X)
     maps = {}
     for a in f.cod:
-        comp = {(b, x): k(b, x) for (b, x) in src.fibre(a)}
+        comp = {(b, x): k.at(b)(x) for (b, x) in src.fibre(a)}
         maps[a] = FinMap(src.fibre(a), Y.fibre(a), comp)
     return FamilyMorphism(src, Y, maps)
 
@@ -285,7 +308,7 @@ def extend_map_on_labels(F: Polynomial, h: FamilyMorphism) -> FamilyMorphism:
     for j in F.J:
         comp = {}
         for (a, sect) in src.fibre(j):
-            comp[(a, sect)] = (a, tuple([(b, h(F.s(b), x)) for b, x in sect]))
+            comp[(a, sect)] = (a, tuple([(b, h.at(F.s(b))(x)) for b, x in sect]))
         maps[j] = FinMap(src.fibre(j), dst.fibre(j), comp)
     return FamilyMorphism(src, dst, maps)
 

@@ -13,38 +13,10 @@ import time
 
 from polyverse import interchange as io
 from polyverse.suites import InstanceGenConfig, run_suite
+from goldens import CAPPED_CONFIG, CAPPED_GOLDEN, CLI_GOLDEN, CONFIGS, FOURFOLD_GOLDEN, GOLDEN
 from reference import every_construction_checked
-from test_cli import CLI_GOLDEN, cli_golden_digests
-from test_interchange import FOURFOLD_GOLDEN, _fourfold
-from test_suites import CAPPED_CONFIG, CAPPED_GOLDEN
-
-# SHA-256 of io.dumps(report.to_jsonable()) at each acceptance config
-GOLDEN = {
-    "extension-composition": "bada0a3bb79eb1a779dcb5ea4730e6d2a2754ff69f37dd6565efc6789c3b319c",
-    "unique-adjustment": "cd1c9ea0d2e17e19e48d9301428e0c680fae2bd81e0623272c34c5275a9d1abd",
-    "coherence": "312738b1c17798ffa07017ae72061eae0f260ba10196dfaa6e24b9f0adf9b0d2",
-    "internal-equiv": "ae7cd0e87cba644dab8e16906f29f50d9b79c90f807358c8424638f5d0306b49",
-    "pseudomonad": "a9cde6711012d6e2662380e19f49df898e666b1b330948a33d56c2e238199088",
-    "pseudoalgebra": "425ec6b38541d00c08b177b7709537e06ad3c28bdde39e8ca2d736f474093a08",
-    "type-isos": "cac32ba1f8a21b27c20700782a25de9afc5fc9dbf8977073d9e138473d1e3703",
-    "lift": "0dc7c416fde25feedc1c941d82279c2910949d0ad683aabf35531d00233e13c6",
-    "slice-reduction": "335997465c1cf6b3375d0a7342a223646949cfc7e1d64cc990c11444c0f2b746",
-}
-
-
-# each criterion's acceptance config
-CONFIGS = {
-    "extension-composition": InstanceGenConfig(seed=42, count=50, max_set_size=3),
-    "unique-adjustment": InstanceGenConfig(seed=7, count=100, max_set_size=3),
-    "coherence": InstanceGenConfig(seed=11, count=20, max_set_size=3),
-    "internal-equiv": InstanceGenConfig(seed=3, count=20, max_set_size=2),
-    "pseudomonad": InstanceGenConfig(seed=1, count=2, max_set_size=3),
-    "pseudoalgebra": InstanceGenConfig(seed=1, count=2, max_set_size=3),
-    "type-isos": InstanceGenConfig(seed=1, count=2, max_set_size=3),
-    "lift": InstanceGenConfig(seed=9, count=30, max_set_size=2),
-    "slice-reduction": InstanceGenConfig(seed=2, count=30, max_set_size=3),
-}
-
+from test_cli import cli_golden_digests
+from test_interchange import _fourfold
 
 def _digest(rep) -> str:
     return hashlib.sha256(io.dumps(rep.to_jsonable()).encode("utf-8")).hexdigest()

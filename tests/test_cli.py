@@ -32,6 +32,7 @@ import pytest
 
 from polyverse import cli
 from polyverse import interchange as io
+from goldens import CLI_GOLDEN
 
 
 def run_cli(*argv) -> subprocess.CompletedProcess:
@@ -233,6 +234,7 @@ def cli_inputs(tmp_path_factory) -> dict:
     from polyverse.finset import TERMINAL, FinFamily, FinMap, FinSet
     from polyverse.poly import from_map
     from polyverse.poly2 import identity_cell
+    from reference import constant
 
     d = tmp_path_factory.mktemp("cli-inputs")
     for name, argv in (
@@ -246,7 +248,7 @@ def cli_inputs(tmp_path_factory) -> dict:
     universe["sigma"] = [[k, "code0"] for k, _ in universe["sigma"]]
 
     def from_constant(n: int, arity: str, operation: str) -> dict:
-        return io.polynomial_to_json(from_map(FinMap.constant(
+        return io.polynomial_to_json(from_map(constant(
             FinSet([f"{arity}{k}" for k in range(n)]), FinSet([operation]), operation,
         )))
 
@@ -266,17 +268,21 @@ def cli_inputs(tmp_path_factory) -> dict:
     for name, record in records.items():
         (d / f"{name}.json").write_text(json.dumps(record))
     (d / "not_json.json").write_text("{ this is not json")
+    (d / "not_utf8.json").write_bytes(b'{"I": ["\xff"]}')
+    (d / "a_directory").mkdir()
     return {path.stem: str(path) for path in [*d.iterdir(), d / "missing.json"]}
 
 
 NOT_JSON = "parse error: not valid JSON: Expecting property name enclosed in double quotes: line 1 column 3 (char 2)"
 NO_FILE = "cannot read input: [Errno 2] No such file or directory: '{missing}'"
+NOT_A_FILE = "cannot read input: [Errno 21] Is a directory: '{a_directory}'"
+NOT_UTF8 = "parse error: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 8: invalid start byte"
 SUM_MISMATCH = "invalid data: sum square: fibre mismatch at ('code1', (('el', 'code1'),))"
 
 
-def _exit(code, line, *argv):
+def _exit(code, line, *argv, case=""):
     subcommand = argv[:1] if argv[0] == "generate" else argv[:2]
-    return pytest.param(argv, code, line, id="-".join((*subcommand, str(code))))
+    return pytest.param(argv, code, line, id="-".join((*subcommand, str(code))) + case)
 
 
 # Each subcommand on one input per exit code it gives: the argv, with
@@ -304,6 +310,8 @@ EXIT_CODES = [
     ),
     _exit(0, "", "cell", "check", "{m}"),
     _exit(2, NO_FILE, "cell", "check", "{missing}"),
+    _exit(2, NOT_A_FILE, "cell", "check", "{a_directory}", case="-directory"),
+    _exit(2, NOT_UTF8, "cell", "check", "{not_utf8}", case="-not-utf8"),
     _exit(0, "", "cell", "compose", "--outer", "{m}", "--inner", "{identity}"),
     # each record parses, but the inner cell does not end where the outer
     # one starts: invalid input data, not an internal error
@@ -325,6 +333,7 @@ EXIT_CODES = [
     _exit(0, "", "model", "check", "bool"),
     _exit(1, "", "model", "check", "{broken_sum}"),
     _exit(2, NOT_JSON, "model", "check", "{not_json}"),
+    _exit(2, NOT_A_FILE, "model", "check", "{a_directory}", case="-directory"),
     _exit(0, "", "model", "pseudomonad", "bool"),
     _exit(1, SUM_MISMATCH, "model", "pseudomonad", "{broken_sum}"),
     _exit(2, NO_FILE, "model", "pseudomonad", "{missing}"),
@@ -481,21 +490,6 @@ def test_reports_identical_across_hash_seeds():
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
-
-
-# SHA-256 of the files the CLI writes with -o, recorded before
-# interchange.dumps was rewritten; they guard its bytes at the boundary
-CLI_GOLDEN = {
-    "generate-polynomial": "e44db9b03e4998741cce9a82a9e37625c95f63a1c7b62073bb1e95f10514fadb",
-    "generate-morphism": "6f9a57ed4750204f089baf981ea494f0c5218198988e1e665ab2d6e5d4861938",
-    "generate-universe": "4e63d5099bb1be4501e7950680acd4ea4ef3eb14dc45b0a9a58425247f80e354",
-    "poly-compose": "d99fc28a23d1e49af7e69aba6ec4252000972ef855ca257a8e905acccb7c0d05",
-    "cell-compose": "3ebd73cdecd6baf44affcd84b722513cb45b60c3c3a23d7f882b3e831edaef2d",
-    # stdout of `model pseudomonad` on bool, skewed and the seed-0 universe
-    "model-pseudomonad-bool": "78f8201520ac13810cc5009c1119956f81128cfbd68e6ec0b0e6a2f05fa5a6b2",
-    "model-pseudomonad-skewed": "c522760bde42eebabcaee4a98387b5f319e921ffbb89582cf80a8fc541e7ff30",
-    "model-pseudomonad-universe": "c522760bde42eebabcaee4a98387b5f319e921ffbb89582cf80a8fc541e7ff30",
-}
 
 
 def cli_golden_digests(tmp_path) -> dict:

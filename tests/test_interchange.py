@@ -16,6 +16,7 @@ from polyverse.poly import Polynomial, compose
 from polyverse.generators import rand_composable_pair, rand_morphism, rand_polynomial, rand_universe
 from polyverse.naturalmodel import mk_bool_universe, mk_skewed_universe, validate_universe
 
+from goldens import FOURFOLD_GOLDEN
 import reference
 from reference import finmap_from_json, finset_from_json, recorded
 
@@ -187,10 +188,6 @@ def _fourfold(seed: int = 0):
     rng = random.Random(seed)
     f, g, h, k = (rand_polynomial(rng, 2, one_to_one=True) for _ in range(4))
     return compose(compose(k, h)[0], compose(g, f)[0])[0]
-
-
-# SHA-256 of the canonical text of _fourfold(0), recorded with the first writer
-FOURFOLD_GOLDEN = "065419a490bae9455b66bc852a51fe85e33638cb39be2ee5c2df2f387f1dbfd2"
 
 
 def test_dumps_of_a_deep_composite_matches_json_and_its_golden():

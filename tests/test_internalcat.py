@@ -29,7 +29,9 @@ from polyverse.generators import (
     rand_parallel_cartesian_pair,
     rand_polynomial,
 )
-from reference import identity_adjustment, internal_functor_general, recorded, slice_exponential
+from reference import (
+    constant, identity_adjustment, identity_functor, internal_functor_general, recorded, slice_exponential,
+)
 
 
 class TestInternalFullSubcat:
@@ -42,7 +44,7 @@ class TestInternalFullSubcat:
     def test_two_element_monoid_of_self_maps(self):
         # |A| = 1, |B| = 2: the four self-maps of a two-element set
         B = FinSet(["b0", "b1"])
-        f = FinMap.constant(B, FinSet(["a"]), "a")
+        f = constant(B, FinSet(["a"]), "a")
         cat = internal_full_subcat(f)
         assert len(cat.mor) == 4
 
@@ -80,7 +82,7 @@ class TestInternalFullSubcat:
 
     def test_broken_category_rejected(self):
         B = FinSet(["b0", "b1"])
-        f = FinMap.constant(B, FinSet(["a"]), "a")
+        f = constant(B, FinSet(["a"]), "a")
         cat = internal_full_subcat(f)
         twisted = {}
         elems = list(cat.mor)
@@ -95,7 +97,7 @@ class TestInternalFunctor:
         rng = random.Random(2)
         F = rand_polynomial(rng, 2, one_to_one=True)
         fun = internal_functor(identity_cell(F))
-        assert fun == InternalFunctor.identity(internal_full_subcat(F.f))
+        assert fun == identity_functor(internal_full_subcat(F.f))
 
     def test_functor_composition(self):
         rng = random.Random(3)
@@ -138,7 +140,7 @@ class TestInternalFunctor:
 def not_cartesian():
     """The cell from two arities over the point to no arity over ``a``."""
     D = FinSet(["d0", "d1"])
-    g = FinMap.constant(D, TERMINAL, "*")
+    g = constant(D, TERMINAL, "*")
     f = FinMap(FinSet(), FinSet(["a"]), {})
     return PolyMorphism(
         from_map(g), from_map(f), FinSet(),

@@ -1,11 +1,15 @@
 """The library holds only what the library itself or the benchmark reaches.
 
 Every public top-level function and class of ``src/polyverse`` must be
-referenced by name somewhere other than its own definition.  References are
-read from the syntax tree (names and attribute accesses, not docstrings or
-comments) of the library modules and of ``perfbench/``.  The re-exports in
-``__init__.py`` and the uses in ``tests/`` do not count, so code that only
-tests reach is flagged here and belongs in ``tests/reference.py``.
+referenced by name somewhere other than its own definition, and every public
+method of a library class must be read as an attribute somewhere other than
+its own body.  References are read from the syntax tree (names and attribute
+accesses, not docstrings or comments) of the library modules and of
+``perfbench/``.  A method is found by its name alone, so a name that several
+classes define (``identity``, ``inverse``) counts as reached for all of them
+once any one is read.  The re-exports in ``__init__.py`` and the uses in
+``tests/`` do not count, so code that only tests reach is flagged here and
+belongs in ``tests/reference.py``.
 
 The test modules themselves import no name they never load, and no library
 module uses ``functools.cached_property``: on Python 3.11 it takes a lock on
@@ -25,6 +29,7 @@ import ast
 import importlib
 import subprocess
 import sys
+from collections import Counter
 from contextvars import ContextVar
 from pathlib import Path
 
@@ -59,22 +64,70 @@ def _references(tree: ast.Module) -> set:
     return found
 
 
+def _sources():
+    """Each library module but ``__init__.py``, then each benchmark module,
+    as ``(path, syntax tree)``."""
+    for path in sorted(LIBRARY.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        if path.name != "__init__.py":
+            yield path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
 def unreferenced_library_names() -> list:
     """Public top-level library names that neither the library nor the
     benchmark refers to, as ``module.name``, sorted."""
     defined, referenced = {}, set()
-    for path in sorted(LIBRARY.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for path, tree in _sources():
         if path.parent == LIBRARY:
             defined.update({name: f"{path.stem}.{name}" for name in _definitions(tree)})
         referenced |= _references(tree)
     return sorted(qualified for name, qualified in defined.items() if name not in referenced)
 
 
+def _attribute_reads(tree) -> Counter:
+    """How often each attribute name is accessed in ``tree``."""
+    return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+
+
+def _methods(tree: ast.Module):
+    """Each public method of a top-level class, as ``(class, method,
+    accesses of its name within its own body)``."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                    yield cls.name, fn.name, _attribute_reads(fn)[fn.name]
+
+
+def unreached_library_methods() -> list:
+    """Public methods of library classes whose name the library and the
+    benchmark read as an attribute only within the method itself, as
+    ``module.Class.method``, sorted."""
+    methods, reads = [], Counter()
+    for path, tree in _sources():
+        if path.parent == LIBRARY:
+            methods += [(f"{path.stem}.{cls}.{name}", name, own) for cls, name, own in _methods(tree)]
+        reads += _attribute_reads(tree)
+    return sorted(qualified for qualified, name, own in methods if reads[name] <= own)
+
+
 def test_every_public_library_name_is_reached_outside_the_tests():
     assert unreferenced_library_names() == []
+
+
+def test_every_public_library_method_is_reached_outside_the_tests():
+    assert unreached_library_methods() == []
+
+
+def test_a_method_read_only_in_its_own_body_is_unreached():
+    tree = ast.parse(
+        "class Node:\n"
+        "    def walk(self):\n        return [self] + self.walk()\n\n"
+        "    def size(self):\n        return len(self.walk())\n\n"
+        "    def _private(self):\n        return 0\n\n"
+        "def depth(node):\n    return node.size()\n"
+    )
+    assert list(_methods(tree)) == [("Node", "walk", 1), ("Node", "size", 0)]
+    assert _attribute_reads(tree)["walk"] == 2 and _attribute_reads(tree)["size"] == 1
 
 
 def test_a_definition_reached_only_by_itself_is_unreferenced():

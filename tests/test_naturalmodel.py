@@ -20,6 +20,7 @@ from polyverse.finset import (
 from polyverse.poly import decode_operation, from_map
 from polyverse.poly2 import cells_square_equal
 from polyverse.naturalmodel import (
+    PolynomialPseudoalgebra,
     Universe,
     UniverseError,
     apply_to_set,
@@ -41,7 +42,7 @@ from polyverse.naturalmodel import (
     verify_type_isos,
 )
 from polyverse.generators import rand_cartesian_square, rand_universe
-from reference import mult_component, recorded, unit_component
+from reference import constant, mult_component, recorded, replaced, unit_component
 
 
 BOOL = mk_bool_universe()
@@ -112,7 +113,7 @@ class TestUniverses:
 
     def test_a_universe_is_validated_once(self):
         with recorded(naturalmodel, "_universe_problems") as validated:
-            u = BOOL._replace()
+            u = replaced(BOOL)
             pseudomonad_from(u).pseudoalgebra()
             verify_type_isos(u)
             assert validate_universe(u) == []
@@ -124,7 +125,7 @@ class TestUniverses:
         # what is kept does not depend on the cap it was found under
         with enumeration_cap(1):
             problems = validate_universe(bad)
-        assert problems and validate_universe(bad._replace()) == problems
+        assert problems and validate_universe(replaced(bad)) == problems
         problems.append("a copy")
         messages = set()
         for build in (sigma_structure, unit_structure, pi_structure, verify_type_isos, pseudomonad_from, sigma_structure):
@@ -287,6 +288,51 @@ class TestPseudoalgebra:
             assert pseudomonad_from(u).pseudoalgebra().pasting_report()["ok"]
 
 
+class TestLazyPseudoalgebra:
+    """A pseudoalgebra holds its monad and zeta; its squares, law
+    adjustments and strictness flags are built when first read, and kept."""
+
+    LAZY = {"squares", "_laws", "_adjustments", "_strict"}
+
+    def test_only_zeta_is_built_with_it(self, extended):
+        pm = pseudomonad_from(SKEW)
+        del extended[:]
+        alg = pm.pseudoalgebra()
+        assert type(alg)._fields == ("monad", "zeta") and not self.LAZY & set(vars(alg))
+        assert sorted(_sets(extended), key=len) == [SKEW.terms, SKEW.codes]
+        assert not alg.strict_tau and not alg.tau_adj.is_identity()
+        assert self.LAZY <= set(vars(alg))
+
+    def test_a_read_over_the_cap_keeps_nothing(self):
+        alg = pseudomonad_from(SKEW).pseudoalgebra()
+        with enumeration_cap(2):
+            for name in ("squares", "sigma_adj", "tau_adj", "strict_sigma", "strict_tau"):
+                with pytest.raises(EnumerationCapExceeded):
+                    getattr(alg, name)
+        assert not self.LAZY & set(vars(alg))
+        assert alg.sigma_adj.is_identity() and alg.tau_adj.is_invertible() and not alg.is_strict()
+
+    def test_equal_exactly_when_monad_and_zeta_are(self):
+        pm, other = pseudomonad_from(SKEW), pseudomonad_from(BOOL)
+        alg = pm.pseudoalgebra()
+        alg.pasting_report()  # what it keeps is not compared
+        same = PolynomialPseudoalgebra(pseudomonad_from(SKEW), pi_structure(SKEW))
+        assert same == alg and hash(same) == hash(alg) and same.monad is not pm
+        assert PolynomialPseudoalgebra(other, alg.zeta) != alg
+        assert PolynomialPseudoalgebra(pm, pi_structure(BOOL)) != alg
+        # the pseudomonad compares its universe too
+        assert replaced(pm, universe=BOOL) != pm
+
+    def test_pasting_report_outside_a_table_extends_only_the_first_sets_twice(self, extended):
+        pm = pseudomonad_from(SKEW)
+        del extended[:]
+        assert pm.pseudoalgebra().pasting_report()["ok"]
+        sets = Counter(_sets(extended))
+        assert len(extended) == sum(sets.values()) == 8 and len(sets) == 6
+        assert {Z for Z, n in sets.items() if n > 1} == {SKEW.terms, SKEW.codes}
+        assert max(sets.values()) == 2
+
+
 class TestOnePath:
     """The pseudomonad is built once per universe and the pseudoalgebra over
     it; the Universe-level entry points only delegate to those objects."""
@@ -363,11 +409,12 @@ class TestOnePath:
         assert "cells" not in repr(pm)
 
     def test_pseudoalgebra_lifts_through_one_endofunctor(self, extended):
-        # zeta and the lifted squares share one table, so P_p(terms) and
-        # P_p(codes) are computed once
+        # in one table zeta and the lifted squares share P_p(terms) and
+        # P_p(codes), so each is computed once
         pm = pseudomonad_from(SKEW)
         del extended[:]
-        pm.pseudoalgebra()
+        with _shared_builds():
+            pm.pseudoalgebra().squares
         sets = _sets(extended)
         assert len(sets) == len(set(sets))
         assert set(sets) >= {SKEW.terms, SKEW.codes}
@@ -377,7 +424,7 @@ class TestOnePath:
         alg = pm.pseudoalgebra()
         assert alg.monad is pm
         assert "carrier" not in type(alg)._fields and alg.carrier is pm.carrier
-        assert alg.z.src == alg.zeta.src.f
+        assert alg.squares["z"].src == alg.zeta.src.f
 
     @pytest.mark.parametrize("u", [BOOL, SKEW], ids=["bool", "skewed"])
     def test_universe_delegations_match_the_object_path(self, u):
@@ -406,7 +453,7 @@ class TestLiftOnePath:
 
     def test_repeated_sets_are_kept(self, extended):
         t = from_map(SKEW.p)
-        f = FinMap.constant(FinSet(["x", "y"]), FinSet(["w"]), "w")
+        f = constant(FinSet(["x", "y"]), FinSet(["w"]), "w")
         with _shared_builds():
             Pf = lift_apply(t, f)
             assert lift_apply_square(t, Square.identity(f)) == Square.identity(Pf)
@@ -436,7 +483,8 @@ class TestLiftOnePath:
     def test_pseudoalgebra_pasting_report_shares_its_table(self, extended):
         with _shared_builds():
             alg = pseudomonad_from(SKEW).pseudoalgebra()
-            assert apply_to_set(alg.carrier, alg.z.src.dom) is alg.Tz.src.dom
+            squares = alg.squares
+            assert apply_to_set(alg.carrier, squares["z"].src.dom) is squares["Tz"].src.dom
             met = set(_sets(extended))
             del extended[:]
             alg.pasting_report()  # meets only sets the pseudoalgebra's build did not
@@ -454,7 +502,7 @@ class TestLift:
     def test_lift_identity_components(self):
         B = FinSet(["x", "y"])
         A = FinSet(["w"])
-        f = FinMap.constant(B, A, "w")
+        f = constant(B, A, "w")
         ident = lift_apply(from_map(BOOL.p), FinMap.identity(B))
         assert ident == FinMap.identity(apply_to_set(from_map(BOOL.p), B))
 

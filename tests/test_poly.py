@@ -33,7 +33,7 @@ from polyverse.generators import (
     rand_family_morphism,
     rand_polynomial,
 )
-from reference import identity_extension_iso, is_built_once, linear_poly, recorded, slice_extension
+from reference import constant, identity_extension_iso, is_built_once, linear_poly, recorded, slice_extension
 
 
 def mapping(dom, cod, **assign):
@@ -109,7 +109,7 @@ class TestExtension:
         A = FinSet(["a0", "a1", "a2"])
         I = FinSet(["i0"])
         J = FinSet(["j0"])
-        F = linear_poly(FinMap.constant(A, I, "i0"), FinMap.constant(A, J, "j0"))
+        F = linear_poly(constant(A, I, "i0"), constant(A, J, "j0"))
         X = FinFamily(I, {"i0": FinSet(["x", "y"])})
         assert len(extend(F, X).fibre("j0")) == 6
 
@@ -392,7 +392,7 @@ def _wide_pair():
     """G with three arities over one operation after F with four operations:
     the composite has 4**3 = 64 operations."""
     F = from_map(FinMap.identity(FinSet(["a0", "a1", "a2", "a3"])))
-    G = from_map(FinMap.constant(FinSet(["d0", "d1", "d2"]), FinSet(["c"]), "c"))
+    G = from_map(constant(FinSet(["d0", "d1", "d2"]), FinSet(["c"]), "c"))
     return G, F
 
 

@@ -69,6 +69,7 @@ from reference import (
     cartesian_from_square,
     cell_from_square_on_labels,
     check_square_on_labels,
+    constant,
     fill_table_on_labels,
     h_comp_on_labels,
     identity_adjustment,
@@ -81,7 +82,7 @@ def empty_phi2_cell():
     """The morphism from the two-arity polynomial to the empty-arity one:
     the vertex is empty, so its arity comparison is the empty map."""
     D = FinSet(["d0", "d1"])
-    g = FinMap.constant(D, TERMINAL, "*")
+    g = constant(D, TERMINAL, "*")
     f = FinMap(FinSet(), FinSet(["a"]), {})
     G = from_map(g)
     F = from_map(f)
@@ -115,7 +116,7 @@ class TestMorphismValidation:
         # drop one vertex element: the square still commutes, the universal
         # property fails
         B = FinSet(["b0", "b1"])
-        f = FinMap.constant(B, FinSet(["a"]), "a")
+        f = constant(B, FinSet(["a"]), "a")
         F = from_map(f)
         full = identity_cell(F)
         vertex = FinSet(["b0"])
@@ -131,7 +132,7 @@ class TestMorphismValidation:
 class TestCartesianFromSquare:
     def test_identity_square(self):
         B = FinSet(["b0", "b1"])
-        f = FinMap.constant(B, FinSet(["a"]), "a")
+        f = constant(B, FinSet(["a"]), "a")
         phi = cartesian_from_square(f, f, FinMap.identity(B), FinMap.identity(f.cod))
         assert phi.is_cartesian()
         assert phi.phi2.is_bijection()
@@ -149,10 +150,10 @@ class TestCartesianFromSquare:
 
     def test_not_pullback_rejected(self):
         B = FinSet(["b0", "b1"])
-        f = FinMap.constant(B, TERMINAL, "*")
+        f = constant(B, TERMINAL, "*")
         g = FinMap.identity(TERMINAL)
         with pytest.raises(CellPullbackError):
-            cartesian_from_square(f, g, FinMap.constant(B, TERMINAL, "*"), g)
+            cartesian_from_square(f, g, constant(B, TERMINAL, "*"), g)
 
     def test_square_roundtrip(self):
         rng = random.Random(8)
@@ -228,14 +229,14 @@ class TestAdjustments:
         rng = random.Random(7)
         nd = rng.randint(2, 3)
         D = FinSet([f"d{i}" for i in range(nd)])
-        g = FinMap.constant(D, FinSet(["c"]), "c")
+        g = constant(D, FinSet(["c"]), "c")
         B = FinSet(["b0"])
-        f = FinMap.constant(B, FinSet(["a"]), "a")
+        f = constant(B, FinSet(["a"]), "a")
         G, F = from_map(g), from_map(f)
         phi0 = FinMap(F.A, G.A, {"a": "c"})
         vertex, _, pd = pullback(phi0, g)
         cell = PolyMorphism(
-            F, G, vertex, phi0, pd, FinMap.constant(vertex, B, "b0")
+            F, G, vertex, phi0, pd, constant(vertex, B, "b0")
         )
         assert not cell.is_cartesian()
         assert len(list(all_adjustments(cell, cell))) == 27
@@ -380,7 +381,7 @@ class TestExtendCell:
         phi = empty_phi2_cell()
         X = FinFamily(TERMINAL, {"*": FinSet(["x", "y"])})
         Y = FinFamily(TERMINAL, {"*": FinSet(["x"])})
-        h = FamilyMorphism(X, Y, {"*": FinMap.constant(X.fibre("*"), Y.fibre("*"), "x")})
+        h = FamilyMorphism(X, Y, {"*": constant(X.fibre("*"), Y.fibre("*"), "x")})
         from polyverse.poly import extend_map
 
         src_nat = extend_map(phi.src, h)
@@ -548,7 +549,7 @@ class TestSliceCells:
             I, B, A, J,
             FinMap(B, I, {"b0": "i0", "b1": "i0", "b2": "i1"}),
             FinMap(B, A, {"b0": "a0", "b1": "a1", "b2": "a1"}),
-            FinMap.constant(A, J, "j"),
+            constant(A, J, "j"),
         )
         return identity_cell(F)
 
@@ -560,7 +561,7 @@ class TestSliceCells:
         B, A = FinSet(["b"]), FinSet(["a0", "a1"])
         F = Polynomial(
             I, B, A, J,
-            FinMap.constant(B, I, "i1"), FinMap.constant(B, A, "a0"), FinMap.constant(A, J, "j"),
+            constant(B, I, "i1"), constant(B, A, "a0"), constant(A, J, "j"),
         )
         cells = slice_reduce_cell(identity_cell(F))
         c = cells[("i0", "j")]
@@ -575,7 +576,7 @@ class TestSliceCells:
         vertex = FinSet(["b0"])
         cells[("i1", "j")] = PolyMorphism(
             c.src, c.dst, vertex,
-            c.phi0, FinMap.constant(vertex, c.dst.B, "b2"), FinMap.constant(vertex, c.src.B, "b2"),
+            c.phi0, constant(vertex, c.dst.B, "b2"), constant(vertex, c.src.B, "b2"),
         )
         with pytest.raises(FinSetError, match="duplicate element 'b0'"):
             slice_unreduce_cell(cells)
@@ -674,7 +675,7 @@ class TestPositionsAgreeWithLabels:
         # b1 and b2 both break the square; b1 comes first
         F = from_map(FinMap(FinSet(["b0", "b1", "b2"]), FinSet(["a0", "a1"]), {"b0": "a0", "b1": "a1", "b2": "a1"}))
         G = from_map(FinMap(FinSet(["d0", "d1"]), FinSet(["c0", "c1"]), {"d0": "c0", "d1": "c1"}))
-        top = FinMap.constant(F.B, G.B, "d0")
+        top = constant(F.B, G.B, "d0")
         bot = FinMap(F.A, G.A, {"a0": "c0", "a1": "c1"})
         for build in (cell_from_square, cell_from_square_on_labels):
             with pytest.raises(CellCommutationError, match=re.escape("square does not commute at 'b1'")):
@@ -696,7 +697,7 @@ class TestPositionsAgreeWithLabels:
 def _two_arities_swapped():
     """``G = {d0, d1} -> {c}`` and the cell ``G => G`` whose square top
     reverses its two arities."""
-    G = from_map(FinMap.constant(FinSet(["d0", "d1"]), FinSet(["c"]), "c"))
+    G = from_map(constant(FinSet(["d0", "d1"]), FinSet(["c"]), "c"))
     return G, cell_from_square(G, G, FinMap(G.B, G.B, {"d0": "d1", "d1": "d0"}), FinMap.identity(G.A))
 
 

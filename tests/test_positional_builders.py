@@ -51,6 +51,7 @@ from reference import (
     check_internal_category_on_labels,
     compose_on_labels,
     check_internal_functor_on_labels,
+    constant,
     extend_cell_on_labels,
     extend_map_on_labels,
     extension_composition_iso_on_labels,
@@ -60,12 +61,13 @@ from reference import (
     lift_apply_on_labels,
     mult_on_labels,
     recorded,
+    replaced,
     slice_reduce_cell_on_labels,
     slice_reduce_on_labels,
     slice_unreduce_cell_on_labels,
     unit_on_labels,
 )
-from test_acceptance import CONFIGS
+from goldens import CONFIGS
 
 ORACLES = {
     "compose": compose_on_labels,
@@ -191,7 +193,7 @@ def test_the_oracle_composite_picks_q_elements_as_they_are():
     # the fibres of Q over G's arities keep Q's pairs (a, d), so an operation
     # of G.F is its outer operation with the pair picked at each arity
     F = from_map(FinMap(FinSet(["b0", "b1"]), FinSet(["a0", "a1"]), {"b0": "a0", "b1": "a1"}))
-    G = from_map(FinMap.constant(FinSet(["d"]), FinSet(["c"]), "c"))
+    G = from_map(constant(FinSet(["d"]), FinSet(["c"]), "c"))
     GF, trace = compose_on_labels(G, F)
     assert GF.A.elements == (("c", (("d", ("a0", "d")),)), ("c", (("d", ("a1", "d")),)))
     assert trace.picks == [(0,), (1,)]
@@ -263,7 +265,7 @@ def test_the_backward_bijection_is_read_off_its_own_tables():
     bijection, and the backward one, read off those tables, is unchanged and
     no longer inverts it."""
     F = from_map(FinMap(FinSet(["b0", "b1"]), FinSet(["a0", "a1"]), {"b0": "a0", "b1": "a1"}))
-    G = from_map(FinMap.constant(FinSet(["d"]), FinSet(["c"]), "c"))
+    G = from_map(constant(FinSet(["d"]), FinSet(["c"]), "c"))
     X = FinFamily(TERMINAL, {"*": FinSet(["x", "y"])})
     with _shared_builds():
         fwd, bwd = poly.extension_composition_iso(G, F, X)
@@ -314,6 +316,6 @@ def test_the_law_checks_refuse_what_the_label_checks_refuse():
             on_mor = _swapped(fun.on_mor, i, j)
             bad = InternalFunctor._of(fun.src, fun.dst, fun.on_obj, on_mor)
             expected = _refusal(lambda: check_internal_functor_on_labels(bad))
-            assert _refusal(lambda: fun._replace(on_mor=on_mor)) == expected
+            assert _refusal(lambda: replaced(fun, on_mor=on_mor)) == expected
             refusals.add(expected)
     assert len(refusals) >= 5, refusals

@@ -53,15 +53,16 @@ from polyverse.poly2 import (
     lunitor, slice_reduce_cell, triangle_check, v_comp,
 )
 from polyverse.suites import LAWS, InstanceGenConfig, Report, run_suite
+from reference import constant, identity_functor, replaced
 from test_cli import run_cli
 
 
 def _square_that_is_not_a_pullback() -> bool:
     # two points over one point, onto a one-point map: the square commutes,
     # but the pullback of the cospan has one element, not two
-    src = FinMap.constant(FinSet(["b1", "b2"]), FinSet(["a"]), "a")
-    dst = FinMap.constant(FinSet(["d"]), FinSet(["c"]), "c")
-    sq = Square(src, dst, FinMap.constant(src.dom, dst.dom, "d"), FinMap.constant(src.cod, dst.cod, "c"))
+    src = constant(FinSet(["b1", "b2"]), FinSet(["a"]), "a")
+    dst = constant(FinSet(["d"]), FinSet(["c"]), "c")
+    sq = Square(src, dst, constant(src.dom, dst.dom, "d"), constant(src.cod, dst.cod, "c"))
     return sq.is_pullback()
 
 
@@ -69,14 +70,14 @@ def _cell_with_two_vertex_elements_over_one_arity() -> PolyMorphism:
     """A cell from ``{b} -> {a}`` to ``{d1, d2} -> {c}`` whose vertex has
     two elements over the one source arity; its vertex maps over the arities
     are all the maps of the vertex to itself."""
-    F = from_map(FinMap.constant(FinSet(["b"]), FinSet(["a"]), "a"))
-    G = from_map(FinMap.constant(FinSet(["d1", "d2"]), FinSet(["c"]), "c"))
+    F = from_map(constant(FinSet(["b"]), FinSet(["a"]), "a"))
+    G = from_map(constant(FinSet(["d1", "d2"]), FinSet(["c"]), "c"))
     vertex = FinSet([("a", "d1"), ("a", "d2")])
     return PolyMorphism(
         F, G, vertex,
-        FinMap.constant(F.A, G.A, "c"),
+        constant(F.A, G.A, "c"),
         FinMap(vertex, G.B, {("a", "d1"): "d1", ("a", "d2"): "d2"}),
-        FinMap.constant(vertex, F.B, "b"),
+        constant(vertex, F.B, "b"),
     )
 
 
@@ -104,9 +105,9 @@ def _functor_that_is_not_full() -> bool:
     # the one-object category with only the identity, sent to the object of
     # a two-element fibre: hom(c, c) has four maps and only the identity is hit
     one = internal_full_subcat(FinMap(FinSet(), FinSet(["a"]), {}))
-    two = internal_full_subcat(FinMap.constant(FinSet(["x", "y"]), FinSet(["c"]), "c"))
-    on_obj = FinMap.constant(one.obj, two.obj, "c")
-    on_mor = FinMap.constant(one.mor, two.mor, two.ident("c"))
+    two = internal_full_subcat(constant(FinSet(["x", "y"]), FinSet(["c"]), "c"))
+    on_obj = constant(one.obj, two.obj, "c")
+    on_mor = constant(one.mor, two.mor, two.ident("c"))
     return InternalFunctor(one, two, on_obj, on_mor).is_fully_faithful()
 
 
@@ -171,10 +172,10 @@ def _trace_with_a_square_that_is_not_a_pullback():
     """The composite of ``{b} -> {a}`` and ``{d1, d2} -> {c}`` with its trace
     corrupted: Q has the two pairs (a, d1) and (a, d2), but the recorded
     projection to the outer arities sends both to d1."""
-    F = from_map(FinMap.constant(FinSet(["b"]), FinSet(["a"]), "a"))
-    G = from_map(FinMap.constant(FinSet(["d1", "d2"]), FinSet(["c"]), "c"))
+    F = from_map(constant(FinSet(["b"]), FinSet(["a"]), "a"))
+    G = from_map(constant(FinSet(["d1", "d2"]), FinSet(["c"]), "c"))
     _, trace = compose(G, F)
-    return G, F, trace, trace._replace(h=FinMap.constant(trace.Q, G.B, "d1"))
+    return G, F, trace, replaced(trace, h=constant(trace.Q, G.B, "d1"))
 
 
 def _trace_that_does_not_revalidate() -> bool:
@@ -186,14 +187,14 @@ def _category_with_constant_composition(f: FinMap):
     """The internal full subcategory of ``f`` with every composite set to the
     identity of its first object, through the checked constructor."""
     cat = internal_full_subcat(f)
-    comp = FinMap.constant(cat.comp.dom, cat.mor, cat.ident(cat.obj.elements[0]))
-    return cat._replace(comp=comp)
+    comp = constant(cat.comp.dom, cat.mor, cat.ident(cat.obj.elements[0]))
+    return replaced(cat, comp=comp)
 
 
 def _category_of_constant_composition_refused() -> bool:
     # the four endomaps of a two-element fibre, every composite set to the
     # identity: the endpoints fit, the unit law does not
-    f = FinMap.constant(FinSet(["x", "y"]), FinSet(["c"]), "c")
+    f = constant(FinSet(["x", "y"]), FinSet(["c"]), "c")
     return _holds(InternalCatError, lambda: _category_with_constant_composition(f))
 
 
@@ -205,8 +206,8 @@ def _polynomial_over_two_base_points() -> Polynomial:
     return Polynomial(
         I, B, A, J,
         FinMap(B, I, {"b0": "i0", "b1": "i0", "b2": "i1"}),
-        FinMap.constant(B, A, "a"),
-        FinMap.constant(A, J, "j"),
+        constant(B, A, "a"),
+        constant(A, J, "j"),
     )
 
 
@@ -281,7 +282,7 @@ def _fibre_cells_that_compose_to_another() -> bool:
 def _two_arities_over_one_operation():
     """``P = {b0, b1} -> {a}`` and the invertible cell ``P => P`` that
     swaps its two arities."""
-    P = from_map(FinMap.constant(FinSet(["b0", "b1"]), FinSet(["a"]), "a"))
+    P = from_map(constant(FinSet(["b0", "b1"]), FinSet(["a"]), "a"))
     return P, cell_from_square(P, P, FinMap(P.B, P.B, SWAP), FinMap.identity(P.A))
 
 
@@ -488,7 +489,7 @@ def _corrupted_adjustment_verdict(unchecked: bool) -> bool:
     ``c1`` of no arity, whose vertex has two elements to swap."""
     P, _ = _two_arities_over_one_operation()
     G = from_map(FinMap(FinSet(["d0", "d1"]), FinSet(["c0", "c1"]), {"d0": "c0", "d1": "c0"}))
-    psi = cell_from_square(P, G, FinMap(P.B, G.B, {"b0": "d0", "b1": "d1"}), FinMap.constant(P.A, G.A, "c0"))
+    psi = cell_from_square(P, G, FinMap(P.B, G.B, {"b0": "d0", "b1": "d1"}), constant(P.A, G.A, "c0"))
     patches = [mock.patch.object(generators, "rand_parallel_pair", return_value=(psi, psi))]
     if unchecked:
         patches.append(mock.patch.object(suites, "Adjustment", _UncheckedAdjustment))
@@ -520,7 +521,7 @@ def _collapsed_in_a_fibre(sq: Square) -> Square:
 def _lift_patches(*patches) -> tuple:
     """Patches under which every square ``lift`` draws is the identity on
     ``{x, y} -> {c}``, and the mock ``patches``."""
-    f = FinMap.constant(FinSet(["x", "y"]), FinSet(["c"]), "c")
+    f = constant(FinSet(["x", "y"]), FinSet(["c"]), "c")
     return (
         mock.patch.object(generators, "rand_cartesian_square", lambda *args, **kwargs: Square.identity(f)),
         *patches,
@@ -674,7 +675,7 @@ def _family_of_xy(rng, index, *args, **kwargs) -> FinFamily:
 
 
 def _constant_at_x(rng, X, *args, **kwargs) -> FamilyMorphism:
-    return FamilyMorphism(X, X, {i: FinMap.constant(X.fibre(i), X.fibre(i), "x") for i in X.index})
+    return FamilyMorphism(X, X, {i: constant(X.fibre(i), X.fibre(i), "x") for i in X.index})
 
 
 def _extension_composition_patches(
@@ -686,7 +687,7 @@ def _extension_composition_patches(
     direct composite is ``direct``, its extension bijections ``iso`` and its
     composite with trace ``composite``."""
     F = from_map(FinMap(FinSet(["b0", "b1"]), FinSet(["a0", "a1"]), {"b0": "a0", "b1": "a1"}))
-    G = from_map(FinMap.constant(FinSet(["d"]), FinSet(["c"]), "c"))
+    G = from_map(constant(FinSet(["d"]), FinSet(["c"]), "c"))
     return (
         mock.patch.object(generators, "rand_composable_pair", return_value=(F, G)),
         mock.patch.object(generators, "rand_family", _family_of_xy),
@@ -716,7 +717,7 @@ def _composite_with_its_operations_swapped() -> bool:
     # the direct composite's two operations trade arities
     def twisted(G, F):
         GF = compose_direct(G, F)
-        return GF._replace(f=_swap_first_two(GF.A).after(GF.f))
+        return replaced(GF, f=_swap_first_two(GF.A).after(GF.f))
 
     return _extension_composition_verdict("composite-matches-direct", direct=twisted)
 
@@ -726,7 +727,7 @@ def _counit_off_by_a_swap(G, F):
     elements of its domain: G.F's two operations each pick the other's
     inner operation, which square (3) does not pull back."""
     GF, trace = compose(G, F)
-    return GF, trace._replace(e=trace.e.after(_swap_first_two(trace.Qp)))
+    return GF, replaced(trace, e=trace.e.after(_swap_first_two(trace.Qp)))
 
 
 def _trace_with_its_counit_off_by_a_swap() -> bool:
@@ -918,10 +919,10 @@ def test_the_hand_built_inputs_also_admit_a_true_answer():
     assert swap.is_invertible()
     edges = {("X", "Y"): swap, ("X", "Z"): swap, ("Z", "Y"): _adjustment(phi, {e1: e1, e2: e2})}
     assert _paths_agree(lambda x, y: edges[(x, y)], ("X", "Y"), ("X", "Z", "Y"))
-    src = FinMap.constant(FinSet(["b"]), FinSet(["a"]), "a")
+    src = constant(FinSet(["b"]), FinSet(["a"]), "a")
     assert Square.identity(src).is_pullback()
-    f = FinMap.constant(FinSet(["x", "y"]), FinSet(["c"]), "c")
-    assert InternalFunctor.identity(internal_full_subcat(f)).is_fully_faithful()
+    f = constant(FinSet(["x", "y"]), FinSet(["c"]), "c")
+    assert identity_functor(internal_full_subcat(f)).is_fully_faithful()
     assert validate_universe(mk_bool_universe()) == []
     assert sigma_structure(mk_bool_universe()).is_cartesian()
     assert _refused(_bool_universe_with_a_broken_sum())

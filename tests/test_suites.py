@@ -16,6 +16,7 @@ from polyverse.suites import (
     UnregisteredLawError,
     run_suite,
 )
+from goldens import CAPPED_CONFIG, CAPPED_GOLDEN
 from reference import recorded
 
 
@@ -209,47 +210,6 @@ def test_lift_builds_only_the_universes_its_instances_draw(count, built):
     with recorded(suites, "mk_bool_universe", "mk_skewed_universe") as calls:
         rep = run_suite("lift", InstanceGenConfig(seed=9, count=count, max_set_size=2))
     assert [name for name, _, _ in calls] == [f"mk_{u}_universe" for u in built] and rep.failed == 0
-
-
-# SHA-256 of io.dumps(report.to_jsonable()) at seed 1 and each suite's
-# count and size in CAPPED_CONFIG.  The universe suites run count 8, size 3:
-# six random universes (one with 4 codes) besides the built-ins.  In
-# pseudomonad, cap 5 trips the law cells of skewed and the 3-code universes
-# (7 elements) and cap 10 those of the 4-code one (13).  pseudoalgebra builds
-# no law cells: its caps trip the sets lift_unit_mult lifts, at 7 elements
-# (10 for the 4-code universe) under cap 5 and 11 (13) under cap 10.  internal-equiv
-# and lift run count 6, size 2, where one instance shares its internal
-# categories and lifted sets: cap 5 skips five internal-equiv draws, four
-# of them after partial records, and three lift instances, so their digests
-# pin the record order and the generator's draw order with the skip points.
-# bicategory-laws and extension-composition run count 8, size 3: at cap 50
-# the _guard of a dependent product refuses exactly one draw in each suite
-# (attempt6, 243 and 324 elements), so the digests pin where a draw over the
-# cap is skipped and what the draws after it are.
-CAPPED_GOLDEN = {
-    ("pseudomonad", 100_000): "b2c13390b442b95235b0abd0b99be2c6ff006284fd3bc39d5dcb2609bbd317a4",
-    ("pseudomonad", 5): "023cb27639ac04a8ce41342acb35c9cfb3e8c95cfec17a6fb0147c94e01427e8",
-    ("pseudomonad", 10): "091b2643e0386937fda5db2e7346333e161fe5619a3c9e57e3c63db3eab44137",
-    ("pseudoalgebra", 100_000): "0ad962620a75d4a085848309456499b9f0cf24e1e1187e47d81913533d6912d2",
-    ("pseudoalgebra", 5): "d3af2e370fa4503d29d063ac3e4bde8f294f805a88e4f40410f5ccab515f05a7",
-    ("pseudoalgebra", 10): "5294e992e33476769638989dec0ac665758a43e97af4be031dd0df75b2a08aa1",
-    ("internal-equiv", 100_000): "d7557e01a79f5cdbdde0400611eb603713b7b9c5fc806084ad915a39a962a498",
-    ("internal-equiv", 5): "e41f7b1d3bf6976ab93dc346e020c62fb5366242730f2515181d6cf53d755030",
-    ("lift", 100_000): "fd2264a9df9be38edb65b3dfba3a3f1c5b96424ea34de5018ab6582653e8f7c2",
-    ("lift", 5): "83a037eca6c8cb643e0252a2c92324d79cc3522df7587372853b26fb3712e1b1",
-    ("bicategory-laws", 100_000): "f323fac594c85e71616bcc523ff8f0cda022e6943913d78bd2574e1955772715",
-    ("bicategory-laws", 50): "a411f48d81d1fe92eee0427af9f7f916c41001b22d6c8569fceb47bc73569df4",
-    ("extension-composition", 100_000): "879dfca2d84022a6824279632e24c4a9f69bf49b26084c909af141432c27e9cd",
-    ("extension-composition", 50): "4488608983a58376c7b48d2886b75f6475b4089948a27dcdab567c9e7bac3168",
-}
-CAPPED_CONFIG = {
-    "pseudomonad": (8, 3),
-    "pseudoalgebra": (8, 3),
-    "internal-equiv": (6, 2),
-    "lift": (6, 2),
-    "bicategory-laws": (8, 3),
-    "extension-composition": (8, 3),
-}
 
 
 @pytest.mark.parametrize("name,cap", sorted(CAPPED_GOLDEN))
