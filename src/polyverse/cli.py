@@ -1,12 +1,13 @@
 """Command-line interface.
 
 Exit codes: 0 all checks passed, 1 some law failed or an input file holds
-invalid data, 2 input could not be read or parsed, 3 every instance went
-over the enumeration cap, 4 internal error in the program.  ``main`` lets an
-internal error propagate so that in-process callers see it; ``entry``, the
-installed command, turns it into exit 4.  ``main(argv)`` may be called
-in-process any number of times: the parser is built once, when this module
-is imported, so ``suite run --help`` lists the suites registered by then.
+invalid data, 2 input could not be read or parsed or the ``-o`` file could
+not be written, 3 every instance went over the enumeration cap, 4 internal
+error in the program.  ``main`` lets an internal error propagate so that
+in-process callers see it; ``entry``, the installed command, turns it into
+exit 4.  ``main(argv)`` may be called in-process any number of times: the
+parser is built once, when this module is imported, so ``suite run --help``
+lists the suites registered by then.
 Size, count and cap flags must be at least 1, or the command exits 2.
 """
 
@@ -31,8 +32,9 @@ from . import generators as gen
 from . import interchange as io
 
 
-class _Unreadable(Exception):
-    """An input file that cannot be read, with the OS error as its message."""
+class _FileError(Exception):
+    """An input file that cannot be read or an output file that cannot be
+    written, with the line to print."""
 
 
 def _read_json(path: str):
@@ -40,17 +42,20 @@ def _read_json(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             return io.loads(fh.read())
     except OSError as exc:
-        raise _Unreadable(exc) from None
+        raise _FileError(f"cannot read input: {exc}") from None
     except UnicodeDecodeError as exc:
         raise io.ParseError(f"not UTF-8: {exc}") from None
 
 
 def _emit(text: str, out: str | None):
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise _FileError(f"cannot write output: {exc}") from None
 
 
 def _print_report(rep: Report, fmt: str) -> int:
@@ -182,8 +187,8 @@ def main(argv=None) -> int:
     except io.ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return 2
-    except (_Unreadable, FileNotFoundError) as exc:
-        sys.stderr.write(f"cannot read input: {exc}\n")
+    except _FileError as exc:
+        sys.stderr.write(f"{exc}\n")
         return 2
     except EnumerationCapExceeded as exc:
         sys.stderr.write(f"enumeration cap exceeded: {exc}\n")

@@ -30,7 +30,9 @@ value: a ``*_to_json`` result shares one array per tuple label, so
 it is read-only, and ``dumps`` reuses the text of such an array; a
 ``*_from_json`` result holds one plain tuple per distinct label, shared
 within that call only, and sorts its sets by the ``label_key`` each tuple
-got once, from its parts'.
+got once, from its parts'.  As each tuple part is then the call's one copy
+of its value, the table keys a tuple by its parts, a tuple part by its
+identity: a level of a deep label costs its own width, not its depth.
 
 A ``*_from_json`` call also keys each label array it walks, while it is
 less than ``_KEYED_LEVELS`` arrays deep in its label, by its ``marshal``
@@ -116,17 +118,26 @@ def _label_to_json(label, arrays: dict):
     return out
 
 
+def _ids(parts: tuple) -> tuple:
+    """What ``labels`` holds a tuple label by: its parts, each string by its
+    value and each tuple by its identity.  Within one call a tuple label is
+    the table's one copy of its value, so equal labels get equal keys, and
+    hashing a key costs only the label's own width, not its depth."""
+    return tuple([x if isinstance(x, str) else id(x) for x in parts])
+
+
 def _key(label, labels: dict):
     """``label_key`` of a string, or of a tuple that ``labels`` holds."""
-    return (0, label) if isinstance(label, str) else labels[label][1]
+    return (0, label) if isinstance(label, str) else labels[_ids(label)][1]
 
 
 def _entry(parts: tuple, labels: dict) -> tuple:
-    """``(label, label_key(label))`` for the first tuple equal to ``parts``
-    that ``labels`` holds; a new one is keyed from its parts' stored keys."""
-    entry = labels.get(parts)
+    """``(label, label_key(label))`` for the tuple equal to ``parts`` that
+    ``labels`` holds; a new one is keyed from its parts' stored keys."""
+    key = _ids(parts)
+    entry = labels.get(key)
     if entry is None:
-        entry = labels[parts] = (parts, (1, *[_key(x, labels) for x in parts]))
+        entry = labels[key] = (parts, (1, *[_key(x, labels) for x in parts]))
     return entry
 
 

@@ -297,18 +297,6 @@ def compose_direct(G: Polynomial, F: Polynomial) -> Polynomial:
     return Polynomial(F.I, N, M, G.J, s, mid, t)
 
 
-def decode_operation(melt) -> tuple:
-    """Unpack a composite operation ``(c, section)`` into ``(c, {d: a})``."""
-    c, sect = melt
-    return c, {d: q[0] for d, q in sect}
-
-
-def decode_arity(nelt) -> tuple:
-    """Unpack a composite arity into ``(b, melt, d)``."""
-    b, (melt, d) = nelt
-    return b, melt, d
-
-
 # ---------------------------------------------------------------------------
 # Extension preserves composition: the explicit bijection
 # ---------------------------------------------------------------------------

@@ -6,11 +6,22 @@ library alone.
 * ``CAPPED_GOLDEN``: the reports of the suites that skip over a cap, at the
   counts and sizes of ``CAPPED_CONFIG``;
 * ``FOURFOLD_GOLDEN``: the canonical text of ``test_interchange._fourfold(0)``;
-* ``CLI_GOLDEN``: the files and outputs of ``test_cli.cli_golden_digests``.
+* ``CLI_GOLDEN``: the files and outputs of the commands that
+  ``cli_golden_digests`` runs through ``cli.main``.
 
 A report's digest is the SHA-256 of ``interchange.dumps(report.to_jsonable())``.
 """
 
+import hashlib
+import json
+import random
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+from polyverse import cli
+from polyverse import interchange as io
+from polyverse.generators import rand_morphism
 from polyverse.suites import InstanceGenConfig
 
 # SHA-256 of io.dumps(report.to_jsonable()) at each acceptance config
@@ -99,3 +110,52 @@ CLI_GOLDEN = {
     "model-pseudomonad-skewed": "c522760bde42eebabcaee4a98387b5f319e921ffbb89582cf80a8fc541e7ff30",
     "model-pseudomonad-universe": "c522760bde42eebabcaee4a98387b5f319e921ffbb89582cf80a8fc541e7ff30",
 }
+
+
+def composable_with(record: dict) -> dict:
+    """A copy of the polynomial ``record`` from its ``J`` to its ``J``, with
+    every arity over the first element of ``J``: it composes after ``record``."""
+    out = dict(record)
+    out["I"] = record["J"]
+    out["s"] = {"dom": record["B"], "cod": record["J"], "map": [[b, record["J"][0]] for b in record["B"]]}
+    return out
+
+
+def _cli(*argv) -> str:
+    """The standard output of ``cli.main(argv)`` in this process, which must
+    exit 0."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main([str(arg) for arg in argv])
+    if code != 0:
+        raise RuntimeError(f"polyverse {' '.join(map(str, argv))} exited {code}: {err.getvalue()}")
+    return out.getvalue()
+
+
+def cli_golden_digests(workdir: Path) -> dict:
+    """The digest of each ``CLI_GOLDEN`` output: the files the commands
+    write into ``workdir`` with ``-o``, and the standard output of
+    ``model pseudomonad``."""
+    paths = {}
+    for kind in ("polynomial", "morphism", "universe"):
+        paths[f"generate-{kind}"] = out = workdir / f"{kind}.json"
+        _cli("generate", kind, "--seed", "0", "-o", out)
+
+    f, g = workdir / "f.json", workdir / "g.json"
+    _cli("generate", "polynomial", "--seed", "3", "-o", f)
+    g.write_text(json.dumps(composable_with(json.loads(f.read_text()))))
+    paths["poly-compose"] = out = workdir / "fg.json"
+    _cli("poly", "compose", "--outer", g, "--inner", f, "-o", out)
+
+    outer, inner = workdir / "outer.json", workdir / "inner.json"
+    _cli("generate", "morphism", "--seed", "4", "-o", outer)
+    phi = io.morphism_from_json(json.loads(outer.read_text()))
+    inner.write_text(json.dumps(io.morphism_to_json(rand_morphism(random.Random(5), 3, target=phi.src))))
+    paths["cell-compose"] = out = workdir / "cell.json"
+    _cli("cell", "compose", "--outer", outer, "--inner", inner, "-o", out)
+
+    digests = {name: hashlib.sha256(p.read_bytes()).hexdigest() for name, p in paths.items()}
+    for name, universe in (("bool", "bool"), ("skewed", "skewed"), ("universe", paths["generate-universe"])):
+        stdout = _cli("model", "pseudomonad", universe)
+        digests[f"model-pseudomonad-{name}"] = hashlib.sha256(stdout.encode("utf-8")).hexdigest()
+    return digests

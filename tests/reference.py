@@ -26,6 +26,10 @@ the tests' second routes and oracles:
   identity-extension bijection;
 * square-to-cell for maps, the identity adjustment, adjustment whiskering and
   internal functors for cells with general endpoints;
+* ``sigma_structure_on_labels`` and ``pi_structure_on_labels``, a universe's
+  structure cells built by decoding each composite operation and arity
+  (``decode_operation``, ``decode_arity``) and applying its canonical
+  bijections, against which the positional ones are checked;
 * ``unit_component`` and ``mult_component``, the lifted unit and
   multiplication computed through the recorded identity-extension and
   composite-extension bijections, against which ``naturalmodel.lift_unit``
@@ -67,14 +71,12 @@ from polyverse.finset import (
     label_key,
 )
 from polyverse.internalcat import InternalCatError, InternalCategory, InternalFunctor, internal_functor
-from polyverse.naturalmodel import apply_to_set
+from polyverse.naturalmodel import Universe, apply_to_set, _checked
 from polyverse.poly import (
     CompositionTrace,
     PolyError,
     Polynomial,
     compose,
-    decode_arity,
-    decode_operation,
     extend,
     extension_composition_iso,
     from_map,
@@ -283,6 +285,18 @@ def slice_extension(S: FamilyMorphism, Y: FinFamily) -> FinFamily:
         ext = dep_sum(FinMap.to_terminal(fz.cod), dep_prod(fz, fam))
         fibres[z] = ext.fibre("*")
     return FinFamily(S.src.index, fibres)
+
+
+def decode_operation(melt) -> tuple:
+    """Unpack a composite operation ``(c, section)`` into ``(c, {d: a})``."""
+    c, sect = melt
+    return c, {d: q[0] for d, q in sect}
+
+
+def decode_arity(nelt) -> tuple:
+    """Unpack a composite arity into ``(b, melt, d)``."""
+    b, (melt, d) = nelt
+    return b, melt, d
 
 
 def encode_operation(c, assignment: dict) -> tuple:
@@ -658,6 +672,48 @@ def internal_functor_on_labels(phi: PolyMorphism) -> InternalFunctor:
 # ---------------------------------------------------------------------------
 # The lifted endofunctor
 # ---------------------------------------------------------------------------
+
+
+def _operation_btable(melt) -> tuple:
+    """Strip term tags from a decoded composite operation's assignment."""
+    _, assign = decode_operation(melt)
+    return section_tuple({d[1]: a for d, a in assign.items()})
+
+
+def sigma_structure_on_labels(u: Universe) -> PolyMorphism:
+    """``sigma_structure``, decoding each composite operation and arity and
+    applying the canonical pairing ``Universe.pairing`` to it."""
+    _checked(u)
+    p_poly = from_map(u.p)
+    pp, _ = compose(p_poly, p_poly)
+    bot_table, top_table = {}, {}
+    for melt in pp.A:
+        c, _ = decode_operation(melt)
+        bot_table[melt] = u.sigma_code(c, _operation_btable(melt))
+    for nelt in pp.B:
+        b, melt, d = decode_arity(nelt)
+        c, _ = decode_operation(melt)
+        pairing = u.pairing(c, _operation_btable(melt))
+        top_table[nelt] = pairing((d, b))
+    bot = FinMap(pp.A, u.codes, bot_table)
+    top = FinMap(pp.B, u.terms, top_table)
+    return cell_from_square(pp, p_poly, top, bot)
+
+
+def pi_structure_on_labels(u: Universe) -> PolyMorphism:
+    """``pi_structure``, decoding each section and applying the canonical
+    abstraction ``Universe.lam`` to it."""
+    _checked(u)
+    p_map = lift_apply_on_labels(from_map(u.p), u.p)
+    bot_table, top_table = {}, {}
+    for (A, sect) in p_map.cod:
+        bot_table[(A, sect)] = u.pi_code(A, section_tuple({k[1]: v for k, v in sect}))
+    for (A, sect) in p_map.dom:
+        btable = section_tuple({k[1]: u.p(v) for k, v in sect})
+        top_table[(A, sect)] = u.lam(A, btable)(sect)
+    bot = FinMap(p_map.cod, u.codes, bot_table)
+    top = FinMap(p_map.dom, u.terms, top_table)
+    return cell_from_square(from_map(p_map), from_map(u.p), top, bot)
 
 
 def lift_apply_on_labels(t: Polynomial, f: FinMap) -> FinMap:

@@ -13,9 +13,8 @@ import time
 
 from polyverse import interchange as io
 from polyverse.suites import InstanceGenConfig, run_suite
-from goldens import CAPPED_CONFIG, CAPPED_GOLDEN, CLI_GOLDEN, CONFIGS, FOURFOLD_GOLDEN, GOLDEN
+from goldens import CAPPED_CONFIG, CAPPED_GOLDEN, CLI_GOLDEN, CONFIGS, FOURFOLD_GOLDEN, GOLDEN, cli_golden_digests
 from reference import every_construction_checked
-from test_cli import cli_golden_digests
 from test_interchange import _fourfold
 
 def _digest(rep) -> str:

@@ -19,10 +19,8 @@ where the process is its subject:
   in-process calls after others against a fresh process.
 """
 
-import hashlib
 import json
 import os
-import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -32,7 +30,7 @@ import pytest
 
 from polyverse import cli
 from polyverse import interchange as io
-from goldens import CLI_GOLDEN
+from goldens import CLI_GOLDEN, cli_golden_digests, composable_with
 
 
 def run_cli(*argv) -> subprocess.CompletedProcess:
@@ -51,15 +49,6 @@ def run_cli(*argv) -> subprocess.CompletedProcess:
 def run_cli_process(*argv, **kwargs) -> subprocess.CompletedProcess:
     """``python -m polyverse.cli`` with ``argv`` in a new process."""
     return subprocess.run([sys.executable, "-m", "polyverse.cli", *argv], capture_output=True, text=True, **kwargs)
-
-
-def composable_with(record: dict) -> dict:
-    """A copy of the polynomial ``record`` from its ``J`` to its ``J``, with
-    every arity over the first element of ``J``: it composes after ``record``."""
-    out = dict(record)
-    out["I"] = record["J"]
-    out["s"] = {"dom": record["B"], "cod": record["J"], "map": [[b, record["J"][0]] for b in record["B"]]}
-    return out
 
 
 def test_builtin_universe_roundtrips_through_check(tmp_path):
@@ -276,6 +265,8 @@ def cli_inputs(tmp_path_factory) -> dict:
 NOT_JSON = "parse error: not valid JSON: Expecting property name enclosed in double quotes: line 1 column 3 (char 2)"
 NO_FILE = "cannot read input: [Errno 2] No such file or directory: '{missing}'"
 NOT_A_FILE = "cannot read input: [Errno 21] Is a directory: '{a_directory}'"
+NO_DIRECTORY = "cannot write output: [Errno 2] No such file or directory: '{missing}/x.json'"
+WRITE_A_DIRECTORY = "cannot write output: [Errno 21] Is a directory: '{a_directory}'"
 NOT_UTF8 = "parse error: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 8: invalid start byte"
 SUM_MISMATCH = "invalid data: sum square: fibre mismatch at ('code1', (('el', 'code1'),))"
 
@@ -342,6 +333,8 @@ EXIT_CODES = [
     _exit(2, 'parse error: bad universe record: missing field "U"', "model", "isos", "{f}"),
     _exit(0, "", "model", "builtin", "bool"),
     _exit(2, "polyverse model builtin: error: the following arguments are required: name", "model", "builtin"),
+    _exit(2, NO_DIRECTORY, "model", "builtin", "bool", "-o", "{missing}/x.json", case="-no-directory"),
+    _exit(2, WRITE_A_DIRECTORY, "model", "builtin", "bool", "-o", "{a_directory}", case="-directory"),
     _exit(0, "", "suite", "run", "type-isos", "--count", "1"),
     _exit(
         2, "unknown suite 'no-such-suite'; known: bicategory-laws, coherence, extension-composition, internal-equiv, "
@@ -490,43 +483,6 @@ def test_reports_identical_across_hash_seeds():
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
-
-
-def cli_golden_digests(tmp_path) -> dict:
-    """The digest of each ``CLI_GOLDEN`` output, every command run through
-    ``run_cli``."""
-    from polyverse import interchange as io
-    from polyverse.generators import rand_morphism
-
-    paths = {}
-    for kind in ("polynomial", "morphism", "universe"):
-        paths[f"generate-{kind}"] = out = tmp_path / f"{kind}.json"
-        proc = run_cli("generate", kind, "--seed", "0", "-o", str(out))
-        assert proc.returncode == 0, proc.stderr
-
-    f = tmp_path / "f.json"
-    run_cli("generate", "polynomial", "--seed", "3", "-o", str(f))
-    g = tmp_path / "g.json"
-    g.write_text(json.dumps(composable_with(json.loads(f.read_text()))))
-    paths["poly-compose"] = out = tmp_path / "fg.json"
-    proc = run_cli("poly", "compose", "--outer", str(g), "--inner", str(f), "-o", str(out))
-    assert proc.returncode == 0, proc.stderr
-
-    outer = tmp_path / "outer.json"
-    run_cli("generate", "morphism", "--seed", "4", "-o", str(outer))
-    phi = io.morphism_from_json(json.loads(outer.read_text()))
-    inner = tmp_path / "inner.json"
-    inner.write_text(json.dumps(io.morphism_to_json(rand_morphism(random.Random(5), 3, target=phi.src))))
-    paths["cell-compose"] = out = tmp_path / "cell.json"
-    proc = run_cli("cell", "compose", "--outer", str(outer), "--inner", str(inner), "-o", str(out))
-    assert proc.returncode == 0, proc.stderr
-
-    digests = {name: hashlib.sha256(p.read_bytes()).hexdigest() for name, p in paths.items()}
-    for name, universe in (("bool", "bool"), ("skewed", "skewed"), ("universe", paths["generate-universe"])):
-        proc = run_cli("model", "pseudomonad", str(universe))
-        assert proc.returncode == 0, proc.stderr
-        digests[f"model-pseudomonad-{name}"] = hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest()
-    return digests
 
 
 def test_cli_output_files_match_golden_digests(tmp_path):

@@ -590,6 +590,29 @@ def test_subclass_arrays_and_strings_parse_as_the_walk_parses_them():
     assert _classes(first_subclass.elements[0][0]) == [_Text, [str]]
 
 
+class _Hashed(str):
+    """A string that counts how often it is hashed."""
+
+    count = 0
+
+    def __hash__(self):
+        _Hashed.count += 1
+        return str.__hash__(self)
+
+
+@pytest.mark.parametrize("depth", [50, 150])
+def test_each_level_of_a_deep_label_hashes_only_its_own_width(depth):
+    """A new tuple is keyed by its tuple parts' identities: each level hashes
+    its own string a few times.  Keyed by value, each level would rehash
+    every string below it, about ``1.5 * depth ** 2`` hashes in all."""
+    data, want = [_Hashed("s0")], ("s0",)
+    for k in range(1, depth):
+        data, want = [_Hashed(f"s{k}"), data], (f"s{k}", want)
+    _Hashed.count = 0
+    assert io._label_from_json(data, {}) == want
+    assert _Hashed.count < 4 * depth
+
+
 # Every pair of the grammar is a two-element array
 
 @pytest.mark.parametrize("pairs", [["ab"], [["a", "b", "c"]], [["a"]], [("a", "b")], {"ab": "c"}])

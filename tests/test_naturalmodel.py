@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyverse import naturalmodel, poly
+from polyverse import naturalmodel, poly, poly2
 from polyverse.finset import (
     EnumerationCapExceeded,
     FinFamily,
@@ -17,7 +17,7 @@ from polyverse.finset import (
     section_tuple,
     _shared_builds,
 )
-from polyverse.poly import decode_operation, from_map
+from polyverse.poly import from_map
 from polyverse.poly2 import cells_square_equal
 from polyverse.naturalmodel import (
     PolynomialPseudoalgebra,
@@ -42,7 +42,7 @@ from polyverse.naturalmodel import (
     verify_type_isos,
 )
 from polyverse.generators import rand_cartesian_square, rand_universe
-from reference import constant, mult_component, recorded, replaced, unit_component
+from reference import constant, decode_operation, mult_component, recorded, replaced, unit_component
 
 
 BOOL = mk_bool_universe()
@@ -433,6 +433,40 @@ class TestOnePath:
         assert pseudomonad_pasting_report(u) == pm.pasting_report()
         assert pseudoalgebra_from(u) == alg
         assert pseudoalgebra_pasting_report(u) == alg.pasting_report()
+
+
+class TestOneBuildPerCheck:
+    """Within one check each canonical bijection is built once, and each
+    pasting extends the law cells or squares its object keeps."""
+
+    def test_type_isos_build_each_pairing_and_abstraction_once(self):
+        with recorded(Universe, "pairing", "lam") as builds:
+            assert verify_type_isos(SKEW)["ok"]
+            # 94 calls of 14 distinct bijections
+            assert len(builds) == len({(name, args) for name, args, _ in builds}) == 14
+            # a second check builds them again
+            verify_type_isos(SKEW)
+            assert len(builds) == 28
+
+    def test_the_pseudomonad_pasting_extends_the_law_cells(self):
+        pm = pseudomonad_from(SKEW)
+        cells = pm.cells
+        with recorded(poly2, "v_comp") as composed:
+            assert pm.pasting_report()["ok"]
+        # 22 when each node was composed from mu
+        assert len(composed) == 12
+        # three nodes extend mu.p_mu.a3, four extend mu.mu_p
+        outermost = Counter(name for name in ("assoc_lhs", "assoc_rhs") for _, args, _ in composed if args[0] is cells[name])
+        assert outermost == {"assoc_lhs": 3, "assoc_rhs": 4}
+
+    def test_the_pseudoalgebra_pasting_extends_the_law_squares(self):
+        alg = pseudomonad_from(SKEW).pseudoalgebra()
+        (zTz, zm_p), _ = alg._laws
+        with recorded(Square, "after") as composed:
+            assert alg.pasting_report()["ok"]
+        # 16 when each node was composed from z
+        assert len(composed) == 8
+        assert {args[0] for _, args, _ in composed} == {zTz, zm_p}
 
 
 class TestLiftOnePath:

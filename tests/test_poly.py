@@ -15,8 +15,6 @@ from polyverse.poly import (
     PolyError,
     compose,
     compose_direct,
-    decode_arity,
-    decode_operation,
     extend,
     extend_map,
     extension_composition_iso,
@@ -33,7 +31,9 @@ from polyverse.generators import (
     rand_family_morphism,
     rand_polynomial,
 )
-from reference import constant, identity_extension_iso, is_built_once, linear_poly, recorded, slice_extension
+from reference import (
+    constant, decode_arity, decode_operation, identity_extension_iso, is_built_once, linear_poly, recorded, slice_extension,
+)
 
 
 def mapping(dom, cod, **assign):
@@ -396,8 +396,9 @@ def _wide_pair():
     return G, F
 
 
-# Each builder decorated ``@_built_once``: fresh equal arguments, and a cap
-# under which it refuses them, or None where it enumerates nothing.
+# Each builder decorated ``@_built_once``, a function or a method: fresh
+# equal arguments, and a cap under which it refuses them, or None where it
+# enumerates nothing.
 BUILT_ONCE = {
     "polyverse.poly.compose": (_wide_pair, 50),
     "polyverse.poly.extend": (lambda: (_wide_pair()[0], FinFamily(TERMINAL, {"*": FinSet(["x0", "x1", "x2", "x3"])})), 50),
@@ -408,6 +409,8 @@ BUILT_ONCE = {
     "polyverse.naturalmodel.unit_structure": (lambda: (mk_bool_universe(),), None),
     "polyverse.naturalmodel.sigma_structure": (lambda: (mk_bool_universe(),), 1),
     "polyverse.naturalmodel.pi_structure": (lambda: (mk_bool_universe(),), 1),
+    "polyverse.naturalmodel.Universe.pairing": (lambda: (mk_bool_universe(), "code1", (("el", "code1"),)), None),
+    "polyverse.naturalmodel.Universe.lam": (lambda: (mk_bool_universe(), "code1", (("el", "code1"),)), None),
 }
 
 
@@ -485,13 +488,17 @@ class TestOneBuildPerCheck:
 
     def test_these_are_all_the_builders_built_once(self):
         modules = [importlib.import_module(f"polyverse.{m.name}") for m in pkgutil.iter_modules(polyverse.__path__)]
-        found = {f"{fn.__module__}.{fn.__name__}" for m in modules for fn in vars(m).values() if is_built_once(fn)}
+        found = {
+            f"{fn.__module__}.{fn.__qualname__}"
+            for m in modules for obj in vars(m).values()
+            for fn in [obj, *(vars(obj).values() if isinstance(obj, type) else ())] if is_built_once(fn)
+        }
         assert found == set(BUILT_ONCE)
 
     @pytest.mark.parametrize("name", sorted(BUILT_ONCE), ids=lambda name: name.rsplit(".", 1)[1])
     def test_one_build_per_table_and_cap(self, name):
-        module, attr = name.rsplit(".", 1)
-        owner = importlib.import_module(module)
+        where, attr = name.rsplit(".", 1)
+        owner = pkgutil.resolve_name(where)
         build, (make_args, cap) = getattr(owner, attr), BUILT_ONCE[name]
         args, equal_args = make_args(), make_args()
         with recorded(owner, attr) as builds:

@@ -3,7 +3,8 @@
 ``compose``, ``extend_map``, ``extension_composition_iso`` and
 ``slice_reduce`` in ``poly``, ``h_comp``, ``associator``, ``extend_cell``,
 ``slice_reduce_cell`` and ``slice_unreduce_cell`` in ``poly2``,
-``lift_apply`` and the lifted unit and multiplication in ``naturalmodel``,
+``lift_apply``, the lifted unit and multiplication and the structure cells
+``sigma_structure`` and ``pi_structure`` in ``naturalmodel``,
 and the internal full subcategories, internal functors and their law checks
 in ``internalcat`` compute positions and build their maps unchecked.  Each
 is compared with its label-level version in ``tests/reference.py``: on
@@ -60,10 +61,12 @@ from reference import (
     internal_functor_on_labels,
     lift_apply_on_labels,
     mult_on_labels,
+    pi_structure_on_labels,
     recorded,
     replaced,
     slice_reduce_cell_on_labels,
     slice_reduce_on_labels,
+    sigma_structure_on_labels,
     slice_unreduce_cell_on_labels,
     unit_on_labels,
 )
@@ -246,6 +249,14 @@ def test_every_lifted_unit_and_mult_at_the_acceptance_configs_agrees_with_its_or
     assert {name for name, _, _ in calls} == set(LIFTED_ORACLES)
     for name, args, out in calls:
         assert out == LIFTED_ORACLES[name](*args), name
+
+
+def test_the_structure_cells_agree_with_the_label_level_oracles_on_generator_universes():
+    rng = random.Random(10)
+    draws = [rand_universe(rng, size) for size in (3, 4) for _ in range(20)]
+    for u in [mk_bool_universe(), mk_skewed_universe(), *draws]:
+        assert naturalmodel.sigma_structure(u) == sigma_structure_on_labels(u)
+        assert naturalmodel.pi_structure(u) == pi_structure_on_labels(u)
 
 
 def test_every_unchecked_map_passes_the_checked_constructors():
