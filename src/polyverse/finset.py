@@ -24,7 +24,9 @@ a ``repr`` and immutability.  No method is generated when a module is
 imported, and ``dataclasses`` is not imported at all.
 
 Operations that would enumerate more elements than the cap raise
-``EnumerationCapExceeded`` instead of thrashing.  The cap is ``DEFAULT_CAP``,
+``EnumerationCapExceeded`` instead of thrashing; ``_guard`` takes the label
+a count is over and formats it into the message only when it refuses, so a
+cap that holds costs no ``repr``.  The cap is ``DEFAULT_CAP``,
 or ``n`` within ``with enumeration_cap(n):``, however deeply nested.  A law
 check pastes cells whose ends are the same few composites, so the cap and a
 table of built results are one scope per check, ``_SCOPE``: inside
@@ -119,9 +121,12 @@ def _built_once(build):
     return once
 
 
-def _guard(count: int, what: str) -> None:
+def _guard(count: int, what: str, over: Label | None = None) -> None:
+    """Refuse ``count`` elements of ``what`` over the cap in force; the label
+    ``over``, if given, enters the message only when it is refused."""
     cap = _SCOPE.get()[0]
     if count > cap:
+        what += "" if over is None else f" over {over!r}"
         raise EnumerationCapExceeded(f"{what} would have {count} elements (cap {cap})")
 
 
@@ -503,7 +508,7 @@ def dep_prod(f: FinMap, X: FinFamily) -> FinFamily:
     fibres = []
     for a, fib in zip(f.cod.elements, f._fibres):
         bs, pools = [f.dom.elements[i] for i in fib], [X.fibres[i][1].elements for i in fib]
-        _guard(math.prod(map(len, pools)), f"dependent product fibre over {a!r}")
+        _guard(math.prod(map(len, pools)), "dependent product fibre", a)
         fibres.append(FinSet._of(tuple([tuple(zip(bs, c)) for c in itertools.product(*pools)])))
     return FinFamily._of(f.cod, fibres)
 

@@ -49,9 +49,10 @@ itself: ``apply_to_set``, ``lift_apply`` and ``lift_apply_square`` take
 ``mu.dst``.  They place the components ``Z -> P_p(Z)`` and
 ``P_p(P_p(Z)) -> P_p(Z)`` by the layout of ``P_p(Z)``, reading ``lift_mult``
 off the trace of ``p.p`` and the vertex of ``mu``, without decoding a section
-or extending ``p.p``.  The three structure cells are built ``@_built_once``,
-and each ``P_p(Z)`` by ``extend``: once per check, whichever object asks for
-them.
+or extending ``p.p``.  The three structure cells and this lift layer
+(``apply_to_set``, ``lift_apply``, ``lift_unit`` and ``lift_mult``) are built
+``@_built_once``, as each ``P_p(Z)`` is by ``extend``: once per check,
+whichever object asks for them.
 """
 
 from __future__ import annotations
@@ -315,6 +316,7 @@ def sigma_structure(u: Universe) -> PolyMorphism:
     return cell_from_square(pp, p_poly, FinMap._of(pp.B, u.terms, tuple(top)), FinMap._of(pp.A, u.codes, tuple(bot)))
 
 
+@_built_once
 def lift_unit(eta: PolyMorphism, Z: FinSet) -> FinMap:
     """The unit ``Z -> P_p(Z)`` of the cell ``eta : i_1 => p``: each element
     as the constant section over the unit code, placed by the layout of
@@ -324,6 +326,7 @@ def lift_unit(eta: PolyMorphism, Z: FinSet) -> FinMap:
     return FinMap._of(Z, apply_to_set(eta.dst, Z), tuple([starts[c] + sum(weights[c]) * z for z in range(len(Z))]))
 
 
+@_built_once
 def lift_mult(mu: PolyMorphism, Z: FinSet) -> FinMap:
     """The multiplication ``P_p(P_p(Z)) -> P_p(Z)`` of the cell
     ``mu : p.p => p``.  The elements over a code ``A`` that pick the code
@@ -358,11 +361,13 @@ def lift_mult(mu: PolyMorphism, Z: FinSet) -> FinMap:
     return FinMap._of(PPZ, PZ, tuple(img))
 
 
+@_built_once
 def apply_to_set(t: Polynomial, Z: FinSet) -> FinSet:
     """``P_p`` on an object: the one fibre of the extension of ``t`` at ``Z``."""
     return extend(t, FinFamily._of(TERMINAL, (Z,))).fibre("*")
 
 
+@_built_once
 def lift_apply(t: Polynomial, f: FinMap) -> FinMap:
     """``P_p`` on maps: postcompose every section with ``f``; the extension
     on maps over the one-point family, read off positions."""

@@ -239,22 +239,27 @@ def compose(G: Polynomial, F: Polynomial) -> tuple[Polynomial, CompositionTrace]
         raise PolyError("polynomials do not share a boundary")
     Q, qa, qd = pullback(F.t, G.s)
     # each section of dep_prod(G.f, fibres of qd) as the Q positions it picks;
-    # Qp lists each operation's arities in order, so e is the picks in turn
+    # Qp, the pullback of w against G.f, lists each operation's arities in
+    # order, so q, qp_d and e are built in the same loop, e as the picks in turn
     Cs, Ds, Qs, over = G.A.elements, G.B.elements, Q.elements, qd._fibres
-    m_elems, w_img, e_img = [], [], []
+    m_elems, w_img, e_img, qp_elems, q_img, qp_d_img = [], [], [], [], [], []
     for c, ds in enumerate(G.f._fibres):
         pools = [over[d] for d in ds]
         count = math.prod(map(len, pools))
-        _guard(count, f"dependent product fibre over {Cs[c]!r}")
+        _guard(count, "dependent product fibre", Cs[c])
         arities = [Ds[d] for d in ds]
         for picks in itertools.product(*pools):
-            m_elems.append((Cs[c], tuple(zip(arities, map(Qs.__getitem__, picks)))))
+            m = (Cs[c], tuple(zip(arities, map(Qs.__getitem__, picks))))
+            q_img += [len(m_elems)] * len(ds)
+            m_elems.append(m)
+            qp_elems += [(m, d) for d in arities]
             e_img += picks
         w_img += [c] * count
+        qp_d_img += ds * count
     M = FinSet._of(tuple(m_elems))
     w = FinMap._of(M, G.A, tuple(w_img))
-    Qp, q, qp_d = pullback(w, G.f)
-    e = FinMap._of(Qp, Q, tuple(e_img))
+    Qp = FinSet._of(tuple(qp_elems))
+    q, qp_d, e = FinMap._of(Qp, M, tuple(q_img)), FinMap._of(Qp, G.B, tuple(qp_d_img)), FinMap._of(Qp, Q, tuple(e_img))
     ae = qa.after(e)
     N, n, p = pullback(F.f, ae)
     trace = CompositionTrace(Q, qa, qd, M, w, Qp, q, qp_d, e, N, n, p)
@@ -280,7 +285,7 @@ def compose_direct(G: Polynomial, F: Polynomial) -> Polynomial:
     for c in G.A:
         ds = G.f.preimage(c)
         candidates = [[a for a in F.A if F.t(a) == G.s(d)] for d in ds]
-        _guard(math.prod(map(len, candidates)), f"composite operations over {c!r}")
+        _guard(math.prod(map(len, candidates)), "composite operations", c)
         for choice in itertools.product(*candidates):
             sect = section_tuple({d: (a, d) for d, a in zip(ds, choice)})
             m_elems.append((c, sect))

@@ -15,8 +15,10 @@ vertex are read off the chosen pullback's projections, not looked up by label.
 the ``CompositionTrace``s of their ends, without decoding a composite label.
 
 A cell made with ``PolyMorphism(...)`` (from JSON, the generators or a
-caller) is checked in full.  ``cell_from_square`` (once its square is
-checked), ``v_comp`` and ``identity_cell`` build cells that are valid by
+caller) is checked in full.  ``cell_from_square`` builds the pullback of
+its commuting square once, as the vertex, and refuses the square unless its
+legs are distinct and as many as the vertex's pairs; then it, ``v_comp``
+and ``identity_cell`` build cells that are valid by
 construction from checked parts, and build them unchecked through
 ``PolyMorphism._of``; so does everything built on ``cell_from_square``.
 ``extend_cell`` reads its component maps off the mixed-radix layout of the
@@ -28,7 +30,8 @@ cell themselves still go through the checked ``PolyMorphism(...)``.
 An adjustment between parallel morphisms is a map of vertices over B.
 Between any parallel pair with cartesian target there is exactly one, with
 closed form ``psi2^-1 . phi2``; the exhaustive search agreeing with that
-closed form is one of the standing test obligations.
+closed form is one of the standing test obligations.  The search runs on
+positions, and checks a map as an ``Adjustment`` only where it lies over B.
 """
 
 from __future__ import annotations
@@ -141,18 +144,19 @@ def cell_from_square(F: Polynomial, G: Polynomial, top: FinMap, bot: FinMap) -> 
     map of F to the middle map of G; the vertex is the chosen pullback."""
     if (top.dom, top.cod, bot.dom, bot.cod) != (F.B, G.B, F.A, G.A):
         raise CellShapeError("square edges have the wrong signatures")
-    gi, bi = G.f.img, bot.img
-    for k, (d, a) in enumerate(zip(top.img, F.f.img)):
-        if gi[d] != bi[a]:
-            raise CellCommutationError(f"square does not commute at {F.B.elements[k]!r}")
-    if not is_pullback_cone(bot, G.f, F.f, top):
+    around, below = list(map(G.f.img.__getitem__, top.img)), list(map(bot.img.__getitem__, F.f.img))
+    if around != below:
+        k = next(k for k, (x, y) in enumerate(zip(around, below)) if x != y)
+        raise CellCommutationError(f"square does not commute at {F.B.elements[k]!r}")
+    # every leg (f(b), top(b)) commutes: a pullback has distinct legs, one per pair
+    dphi, proj_a, proj_d = pullback(bot, G.f)
+    comparison = {ad: k for k, ad in enumerate(zip(F.f.img, top.img))}
+    if len(comparison) != len(F.B) or len(dphi) != len(F.B):
         raise CellPullbackError("square is not a pullback")
     if F.s != G.s.after(top):
         raise CellCommutationError("square is incompatible with the sources")
     if F.t != G.t.after(bot):
         raise CellCommutationError("square is incompatible with the targets")
-    dphi, proj_a, proj_d = pullback(bot, G.f)
-    comparison = {ad: k for k, ad in enumerate(zip(F.f.img, top.img))}
     phi2 = FinMap._of(dphi, F.B, tuple(map(comparison.__getitem__, zip(proj_a.img, proj_d.img))))
     return PolyMorphism._of(F, G, dphi, bot, proj_d, phi2)
 
@@ -354,15 +358,15 @@ def unique_adjustment(phi: PolyMorphism, psi: PolyMorphism) -> Adjustment:
 
 
 def all_adjustments(phi: PolyMorphism, psi: PolyMorphism):
-    """Every valid adjustment, by exhaustive search; the cap is read at the first ``next()``."""
+    """Every valid adjustment, by exhaustive search of the vertex maps that
+    ``psi2`` sends to ``phi2``; the cap is read at the first ``next()``."""
     _guard(max(1, len(psi.dphi)) ** len(phi.dphi), "adjustment search")
-    if len(phi.dphi) > 0 and len(psi.dphi) == 0:
+    if psi.phi2.cod != phi.phi2.cod:
         return
-    for choice in itertools.product(psi.dphi.elements, repeat=len(phi.dphi)):
-        table = dict(zip(phi.dphi.elements, choice))
-        candidate = FinMap(phi.dphi, psi.dphi, table)
-        if psi.phi2.after(candidate) == phi.phi2:
-            yield Adjustment(phi, psi, candidate)
+    psi2, target = psi.phi2.img, phi.phi2.img
+    for img in itertools.product(range(len(psi.dphi)), repeat=len(phi.dphi)):
+        if tuple(map(psi2.__getitem__, img)) == target:
+            yield Adjustment(phi, psi, FinMap._of(phi.dphi, psi.dphi, img))
 
 
 def adj_vcomp(beta: Adjustment, alpha: Adjustment) -> Adjustment:

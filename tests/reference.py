@@ -24,8 +24,9 @@ the tests' second routes and oracles:
   composite encoders that only they use;
 * the slice exponential, the span polynomial, the slice extension and the
   identity-extension bijection;
-* square-to-cell for maps, the identity adjustment, adjustment whiskering and
-  internal functors for cells with general endpoints;
+* square-to-cell for maps, the identity adjustment, the adjustment search
+  one label-level candidate at a time, adjustment whiskering and internal
+  functors for cells with general endpoints;
 * ``sigma_structure_on_labels`` and ``pi_structure_on_labels``, a universe's
   structure cells built by decoding each composite operation and arity
   (``decode_operation``, ``decode_arity``) and applying its canonical
@@ -538,6 +539,17 @@ def cartesian_from_square(f: FinMap, g: FinMap, top: FinMap, bot: FinMap) -> Pol
 
 def identity_adjustment(phi: PolyMorphism) -> Adjustment:
     return Adjustment(phi, phi, FinMap.identity(phi.dphi))
+
+
+def all_adjustments_on_labels(phi: PolyMorphism, psi: PolyMorphism):
+    """``all_adjustments``, one checked label-level candidate map at a time."""
+    _guard(max(1, len(psi.dphi)) ** len(phi.dphi), "adjustment search")
+    if len(phi.dphi) > 0 and len(psi.dphi) == 0:
+        return
+    for choice in itertools.product(psi.dphi.elements, repeat=len(phi.dphi)):
+        candidate = FinMap(phi.dphi, psi.dphi, dict(zip(phi.dphi.elements, choice)))
+        if psi.phi2.after(candidate) == phi.phi2:
+            yield Adjustment(phi, psi, candidate)
 
 
 def adj_whisker(beta: Adjustment, alpha: Adjustment) -> Adjustment:

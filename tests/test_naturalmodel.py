@@ -514,6 +514,16 @@ class TestLiftOnePath:
             run_suite("lift", cfg)
             assert len(builds) == 8
 
+    def test_lift_suite_builds_each_lifted_map_once(self):
+        from polyverse.suites import InstanceGenConfig, run_suite
+
+        with recorded(naturalmodel, "lift_apply", "lift_unit", "lift_mult") as builds:
+            rep = run_suite("lift", InstanceGenConfig(seed=1, count=2, max_set_size=2))
+        assert rep.failed == 0 and rep.skipped == 0
+        for name in ("lift_apply", "lift_unit", "lift_mult"):
+            args = [args for built, args, _ in builds if built == name]
+            assert args and len(args) == len(set(args)), name
+
     def test_pseudoalgebra_pasting_report_shares_its_table(self, extended):
         with _shared_builds():
             alg = pseudomonad_from(SKEW).pseudoalgebra()

@@ -8,7 +8,7 @@ import pytest
 import polyverse
 from polyverse import finset, poly
 from polyverse.finset import (
-    EnumerationCapExceeded, FamilyMorphism, FinFamily, FinMap, FinSet, TERMINAL, enumeration_cap, pullback,
+    EnumerationCapExceeded, FamilyMorphism, FinFamily, FinMap, FinSet, TERMINAL, dep_prod, enumeration_cap, pullback,
 )
 from polyverse.naturalmodel import mk_bool_universe, mk_skewed_universe, pseudomonad_from
 from polyverse.poly import (
@@ -203,6 +203,36 @@ class TestCompose:
             GF, trace = compose(G, F)
             assert GF == compose_direct(G, F)
             trace.validate(G, F)
+
+    def test_a_cap_that_holds_formats_no_label(self):
+        reprs = []
+
+        class Counted(str):
+            """A label whose ``repr`` is recorded."""
+
+            def __repr__(self):
+                reprs.append(str(self))
+                return str.__repr__(self)
+
+        F = from_map(FinMap.identity(FinSet(["a0", "a1"])))
+        G = from_map(constant(FinSet(["d0", "d1"]), FinSet([Counted("c")]), "c"))
+        f = constant(FinSet(["b0", "b1"]), FinSet([Counted("a")]), "a")
+        X = FinFamily(f.dom, {b: FinSet(["x0", "x1"]) for b in f.dom})
+        # each build enumerates 4 elements over one operation label
+        builds = {
+            "dependent product fibre over 'c'": lambda: compose(G, F),
+            "composite operations over 'c'": lambda: compose_direct(G, F),
+            "dependent product fibre over 'a'": lambda: dep_prod(f, X),
+        }
+        for what, build in builds.items():
+            with enumeration_cap(4):
+                build()
+            assert reprs == [], what
+            with enumeration_cap(3), pytest.raises(EnumerationCapExceeded) as refused:
+                build()
+            assert str(refused.value) == f"{what} would have 4 elements (cap 3)"
+            assert len(reprs) == 1
+            reprs.clear()
 
     def test_boundary_mismatch(self):
         F = rand_polynomial(random.Random(0), 2)
@@ -411,6 +441,16 @@ BUILT_ONCE = {
     "polyverse.naturalmodel.pi_structure": (lambda: (mk_bool_universe(),), 1),
     "polyverse.naturalmodel.Universe.pairing": (lambda: (mk_bool_universe(), "code1", (("el", "code1"),)), None),
     "polyverse.naturalmodel.Universe.lam": (lambda: (mk_bool_universe(), "code1", (("el", "code1"),)), None),
+    "polyverse.naturalmodel.apply_to_set": (lambda: (from_map(mk_bool_universe().p), FinSet(["z0", "z1"])), 1),
+    "polyverse.naturalmodel.lift_apply": (
+        lambda: (from_map(mk_bool_universe().p), constant(FinSet(["z0", "z1"]), FinSet(["c"]), "c")), 1,
+    ),
+    "polyverse.naturalmodel.lift_unit": (
+        lambda: (polyverse.naturalmodel.unit_structure(mk_bool_universe()), FinSet(["z0", "z1"])), 1,
+    ),
+    "polyverse.naturalmodel.lift_mult": (
+        lambda: (polyverse.naturalmodel.sigma_structure(mk_bool_universe()), FinSet(["z0", "z1"])), 1,
+    ),
 }
 
 

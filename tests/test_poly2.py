@@ -65,6 +65,7 @@ from polyverse.generators import (
 )
 from reference import (
     adj_whisker,
+    all_adjustments_on_labels,
     associator_on_labels,
     cartesian_from_square,
     cell_from_square_on_labels,
@@ -840,3 +841,102 @@ class TestTrustedCellsPassTheChecks:
                 continue
             checked += 1
         self._assert_rebuilt(trusted)
+
+
+class TestAdjustmentSearchOnPositions:
+    """``all_adjustments`` searches images by position; the label-level
+    search in ``tests/reference.py`` yields the same adjustments in the same
+    order, and refuses or yields nothing where it does."""
+
+    @staticmethod
+    def _agree(phi, psi) -> list:
+        found = _outcome(lambda: list(all_adjustments(phi, psi)))
+        assert found == _outcome(lambda: list(all_adjustments_on_labels(phi, psi)))
+        return found
+
+    def test_parallel_pairs_in_both_directions(self):
+        rng = random.Random(40)
+        counts = set()
+        for _ in range(40):
+            phi, psi = rand_parallel_pair(rng, 3, max_vertex=4)
+            for x, y in ((phi, psi), (psi, phi), (phi, phi)):
+                counts.add(len(self._agree(x, y)))
+        assert {0, 1} < counts  # some searches find several adjustments
+
+    def test_an_empty_source_vertex(self):
+        # a -> c0 has an empty vertex, a -> c1 the vertex {(a, d)}
+        F = from_map(FinMap(FinSet(["b"]), FinSet(["a"]), {"b": "a"}))
+        G = from_map(FinMap(FinSet(["d"]), FinSet(["c0", "c1"]), {"d": "c1"}))
+        cells = []
+        for c in ("c0", "c1"):
+            phi0 = FinMap(F.A, G.A, {"a": c})
+            vertex, _, proj_d = pullback(phi0, G.f)
+            cells.append(PolyMorphism(F, G, vertex, phi0, proj_d, constant(vertex, F.B, "b")))
+        empty, full = cells
+        assert len(empty.dphi) == 0 < len(full.dphi)
+        [only] = self._agree(empty, full)
+        assert len(only.alpha.dom) == 0
+        assert self._agree(full, empty) == []
+        assert len(self._agree(empty, empty)) == 1
+
+    def test_different_arity_codomains_yield_nothing(self):
+        # equal images, different sets of source arities: no adjustment, and
+        # no refusal of a non-parallel pair
+        phi = identity_cell(from_map(FinMap.identity(FinSet(["b0", "b1"]))))
+        psi = identity_cell(from_map(FinMap.identity(FinSet(["x0", "x1"]))))
+        assert phi.phi2.img == psi.phi2.img
+        assert self._agree(phi, psi) == self._agree(psi, phi) == []
+
+    def test_a_pair_that_is_not_parallel_is_refused_at_the_first_match(self):
+        F = from_map(FinMap.identity(FinSet(["b0", "b1"])))
+        G = from_map(FinMap(FinSet(["d0", "d1"]), FinSet(["a0", "a1"]), {"d0": "a0", "d1": "a1"}))
+        top, bot = FinMap(F.B, G.B, {"b0": "d0", "b1": "d1"}), FinMap(F.A, G.A, {"b0": "a0", "b1": "a1"})
+        psi = cell_from_square(F, G, top, bot)
+        found = self._agree(identity_cell(F), psi)
+        assert found == (AdjustmentError, "adjustments require parallel morphisms")
+
+    def test_the_cap_is_read_at_the_first_next(self):
+        rng = random.Random(41)
+        phi, psi = rand_parallel_pair(rng, 3, max_vertex=4)
+        message = f"adjustment search would have {max(1, len(psi.dphi)) ** len(phi.dphi)} elements (cap 1)"
+        for search in (all_adjustments, all_adjustments_on_labels):
+            with enumeration_cap(1):
+                found = search(phi, psi)
+                with pytest.raises(EnumerationCapExceeded, match=f"^{re.escape(message)}$"):
+                    next(found)
+
+
+class TestCellFromSquareRefusals:
+    """``cell_from_square`` enumerates the pullback once and refuses every
+    square that is not one, before it reads the sources and targets; each
+    refusal is the label-level one."""
+
+    @staticmethod
+    def _refusal(F, G, top, bot):
+        got = _outcome(lambda: cell_from_square(F, G, top, bot))
+        assert got == _outcome(lambda: cell_from_square_on_labels(F, G, top, bot))
+        return got
+
+    @staticmethod
+    def _over_one_operation(arities, op):
+        return from_map(constant(FinSet(arities), FinSet([op]), op))
+
+    def test_a_repeated_leg(self):
+        # two arities of a go to one arity of c: as many legs as pairs, but not distinct
+        F, G = self._over_one_operation(["b0", "b1"], "a"), self._over_one_operation(["d0", "d1"], "c")
+        top, bot = constant(F.B, G.B, "d0"), constant(F.A, G.A, "c")
+        assert self._refusal(F, G, top, bot) == (CellPullbackError, "square is not a pullback")
+
+    def test_too_few_legs(self):
+        F, G = self._over_one_operation(["b0"], "a"), self._over_one_operation(["d0", "d1"], "c")
+        top, bot = constant(F.B, G.B, "d0"), constant(F.A, G.A, "c")
+        assert self._refusal(F, G, top, bot) == (CellPullbackError, "square is not a pullback")
+
+    def test_not_a_pullback_is_refused_before_the_sources(self):
+        I = FinSet(["i0", "i1"])
+        B, A, D, C = FinSet(["b0"]), FinSet(["a"]), FinSet(["d0", "d1"]), FinSet(["c"])
+        F = Polynomial(I, B, A, TERMINAL, constant(B, I, "i0"), constant(B, A, "a"), FinMap.to_terminal(A))
+        G = Polynomial(I, D, C, TERMINAL, constant(D, I, "i1"), constant(D, C, "c"), FinMap.to_terminal(C))
+        top, bot = constant(B, D, "d0"), constant(A, C, "c")
+        assert F.s != G.s.after(top)
+        assert self._refusal(F, G, top, bot) == (CellPullbackError, "square is not a pullback")

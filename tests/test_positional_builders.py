@@ -49,6 +49,7 @@ from polyverse.poly2 import extend_cell, identity_cell
 from polyverse.suites import run_suite
 from reference import (
     associator_on_labels,
+    cell_from_square_on_labels,
     check_internal_category_on_labels,
     compose_on_labels,
     check_internal_functor_on_labels,
@@ -224,6 +225,21 @@ def test_every_call_at_the_acceptance_configs_agrees_with_its_oracle(suite, name
     assert {name for name, _, _ in calls} == set(names)
     for name, args, out in calls:
         assert _agrees(name, out, ORACLES[name](*args)), name
+
+
+@pytest.mark.parametrize("suite", ["pseudomonad", "pseudoalgebra", "lift"], ids=[
+    "criterion-5-pseudomonad", "criterion-5-pseudoalgebra", "criterion-7",
+])
+def test_every_square_made_a_cell_at_the_acceptance_configs_agrees_with_its_oracle(suite):
+    # cell_from_square checks the pullback on the vertex it builds; the
+    # oracle checks the universal property first and builds the vertex after.
+    # At criterion 3 the cells of h_comp and the associator are compared with
+    # their oracles, which build them with cell_from_square_on_labels, above.
+    with recorded(poly2, "cell_from_square") as calls:
+        rep = run_suite(suite, CONFIGS[suite])
+    assert rep.failed == 0 and calls
+    for _, args, out in calls:
+        assert out == cell_from_square_on_labels(*args)
 
 
 LIFTED_ORACLES = {"lift_unit": unit_on_labels, "lift_mult": mult_on_labels}
